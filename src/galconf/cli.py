@@ -22,8 +22,10 @@ from . import verify as vf
 from .errors import (
     AmbiguousClass,
     BadDimension,
+    BadStep,
     GalconfError,
     InvalidConfig,
+    InvalidState,
     LabelMismatch,
     UnsupportedExtension,
 )
@@ -140,6 +142,8 @@ def cmd_orbit_parametrize(args) -> int:
         X = co.parametrize(label, s, chi, x)
     except KeyError as exc:
         raise InvalidConfig(f"missing config key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"bad config value: {exc}")
     except (LabelMismatch, AmbiguousClass) as exc:
         _emit({"schema_version": SCHEMA_VERSION, "error": str(exc)}, args.out)
         return EXIT_FAIL
@@ -166,6 +170,13 @@ def cmd_casimir_eval(args) -> int:
 
 def _load_run_config(path: str) -> dict:
     cfg = _load_json(path)
+    try:
+        return _parse_run_config(cfg)
+    except (TypeError, ValueError, InvalidState) as exc:
+        raise InvalidConfig(f"bad config value: {exc}")
+
+
+def _parse_run_config(cfg) -> dict:
     for key in ("N", "dim", "m", "dt", "T"):
         if key not in cfg:
             raise InvalidConfig(f"missing required config key {key!r}")
@@ -207,8 +218,6 @@ def _load_run_config(path: str) -> dict:
                 f"explicit chi classifies as {got.tag}, config says "
                 f"{label.chi_class.tag}")
     dt, T = float(cfg["dt"]), float(cfg["T"])
-    if T < 0 or (T > 0 and not 0 < dt <= T):
-        raise InvalidConfig("need T >= 0 and 0 < dt <= T")
     tol_fit_default = 1e-10 if method == "closed" else 1e-7
     return {
         "N": N, "dim": dim, "m": m, "method": method, "ham": ham,
@@ -224,28 +233,15 @@ def _load_run_config(path: str) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = _load_run_config(args.config)
-    traj = dy.integrate(cfg["pt"], cfg["ham"], cfg["T"], cfg["dt"], cfg["method"])
+    try:
+        traj = dy.integrate(cfg["pt"], cfg["ham"], cfg["T"], cfg["dt"], cfg["method"])
+    except BadStep as exc:
+        raise InvalidConfig(str(exc))
     if cfg["csv"]:
         with open(cfg["csv"], "w") as fh:
             fh.write(dy.trajectory_csv_text(traj))
-    drifts = {}
+    drifts = dy.conservation_drifts(traj, cfg["ham"])
     rec = traj.recorded
-    if cfg["ham"].free:
-        p0 = np.array([st.p[0] for st in traj.states])
-        drifts["p0"] = float(np.max(np.abs(p0 - p0[0])))
-        chi_e = np.array([st.chi[0] - st.chi[1] for st in traj.states])
-        drifts["chi_diff"] = float(np.max(np.abs(chi_e - chi_e[0])))
-        for nm in ("h", "j", "C1", "C2", "C3"):
-            drifts[nm] = float(np.max(np.abs(rec[nm] - rec[nm][0])))
-    else:
-        energy = rec["h"] + cfg["ham"].sign * cfg["ham"].omega ** 2 * rec["k"]
-        drifts["deformed_energy"] = float(np.max(np.abs(energy - energy[0])))
-        for nm in ("C1", "C2", "C3"):
-            drifts[nm] = float(np.max(np.abs(rec[nm] - rec[nm][0])))
-    spin = np.array([st.spin_invariant() for st in traj.states])
-    drifts["spin_invariant"] = float(np.max(np.abs(spin - spin[0])))
-    interval = np.array([co.chi_interval(st.chi) for st in traj.states])
-    drifts["chi_interval"] = float(np.max(np.abs(interval - interval[0])))
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg["raw"],

@@ -38,6 +38,9 @@ __all__ = [
     "orbit_dual_vector",
     "parametrize",
     "casimir_values",
+    "casimir_arrays",
+    "translate_dual",
+    "orbit_components",
     "ad_star_matrix",
 ]
 
@@ -47,20 +50,25 @@ ORBIT_TAGS = ("HplusSigma", "HminusSigma", "Hplus0", "Hminus0",
 _fact = math.factorial
 
 
-def chi_interval(chi) -> float:
-    """Invariant quadratic form chi0^2 - chi1^2 - chi2^2."""
+def chi_interval(chi):
+    """Invariant quadratic form chi0^2 - chi1^2 - chi2^2 (over a trailing axis)."""
     chi = np.asarray(chi, dtype=float)
-    return float(chi[0] ** 2 - chi[1] ** 2 - chi[2] ** 2)
+    return chi[..., 0] ** 2 - chi[..., 1] ** 2 - chi[..., 2] ** 2
 
 
-def _cross2(u, v) -> float:
+def _rowdot(u, v):
+    """Dot products over the trailing axis."""
+    return np.einsum("...a,...a->...", u, v)
+
+
+def _cross2(u, v):
     """Scalar cross product of 2-vectors, u^1 v^2 - u^2 v^1."""
-    return float(u[0] * v[1] - u[1] * v[0])
+    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _eps_pair(u, v) -> float:
+def _eps_pair(u, v):
     """sum_{a,b} eps^{ab} u^b v^a for 2-vectors (equals -_cross2(u, v))."""
-    return float(u[1] * v[0] - u[0] * v[1])
+    return u[..., 1] * v[..., 0] - u[..., 0] * v[..., 1]
 
 
 @dataclass
@@ -228,8 +236,12 @@ def _expm(mat: np.ndarray, term_tol: float = 1e-17, max_terms: int = 40) -> np.n
     else:
         raise ConvergenceFailure(
             f"series tail bound stuck above {term_tol} after {max_terms} terms")
-    for _ in range(s):
-        out = out @ out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            out = out @ out
+    if not np.all(np.isfinite(out)):
+        raise ConvergenceFailure(
+            f"matrix exponential overflows after {s} squarings (norm {norm:.3g})")
     return out
 
 
@@ -249,63 +261,76 @@ def coad_generic(alg: AlgebraSpec, A, t: float, X: DualVector) -> DualVector:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _ctrans_dim3(N: int, x: np.ndarray, X: DualVector) -> DualVector:
+def _coeffs(term, indices) -> np.ndarray:
+    return np.array([term(i) for i in indices], dtype=float)
+
+
+# The translation and Casimir formulas below are sums over tower levels of a
+# coefficient times a pairing of two levels.  Each sum is written as one
+# pairing over the whole level axis contracted with its coefficient vector;
+# reversing the level axis (x[..., ::-1, :], row i holding x_{N-i}) pairs
+# level i with level N-i.
+
+def _ctrans_dim3(m, x, j, c, h, d, k):
     """Tower translation exp(i x_k^a C_k^a) on the dual, dimension 3, N odd."""
-    m = X.m
-    c = X.c
-    halfN = N / 2.0
-    jv = np.array(X.j, dtype=float)
-    h, d, k = X.h, X.d, X.k
-    cp = c.copy()
-    for j in range(N + 1):
-        f = _sign_pow(j - (N - 1) // 2) * _fact(j) * _fact(N - j)
-        cp[j] = c[j] + m * f * x[N - j]
-    for j in range(N + 1):
-        g = _sign_pow(j - (N + 1) // 2) * _fact(j) * _fact(N - j)
-        jv = jv - np.cross(x[j], c[j]) - (m / 2.0) * g * np.cross(x[N - j], x[j])
-        d = d - (halfN - j) * float(x[j] @ c[j]) \
-            + (m / 2.0) * (halfN - j) * g * float(x[j] @ x[N - j])
-    for j in range(N):
-        h = h + (j + 1) * float(x[j + 1] @ c[j])
-        k = k - (N - j) * float(x[j] @ c[j + 1])
-        k = k + (m / 2.0) * _sign_pow(j - (N - 1) // 2) \
-            * _fact(j + 1) * _fact(N - j) * float(x[j] @ x[N - j - 1])
-    for j in range(1, N + 1):
-        h = h + (m / 2.0) * _sign_pow(j - (N + 1) // 2) \
-            * _fact(j) * _fact(N - j + 1) * float(x[j] @ x[N - j + 1])
-    return DualVector(m=m, h=h, d=d, k=k, j=jv, c=cp)
+    N = x.shape[-2] - 1
+    w = N / 2.0 - np.arange(N + 1)
+    f = _coeffs(lambda i: _sign_pow(i - (N - 1) // 2) * _fact(i) * _fact(N - i), range(N + 1))
+    g = _coeffs(lambda i: _sign_pow(i - (N + 1) // 2) * _fact(i) * _fact(N - i), range(N + 1))
+    gh = _coeffs(lambda i: _sign_pow(i - (N + 1) // 2) * _fact(i) * _fact(N - i + 1),
+                 range(1, N + 1))
+    gk = _coeffs(lambda i: _sign_pow(i - (N - 1) // 2) * _fact(i + 1) * _fact(N - i),
+                 range(N))
+    xr = x[..., ::-1, :]
+    cp = c + m * f[:, None] * xr
+    j = j - np.sum(np.cross(x, c) + (m / 2.0) * g[:, None] * np.cross(xr, x), axis=-2)
+    d = d - _rowdot(x, c) @ w + (m / 2.0) * (_rowdot(x, xr) @ (w * g))
+    h = h + _rowdot(x[..., 1:, :], c[..., :-1, :]) @ np.arange(1.0, N + 1) \
+        + (m / 2.0) * (_rowdot(x[..., 1:, :], x[..., :0:-1, :]) @ gh)
+    k = k - _rowdot(x[..., :-1, :], c[..., 1:, :]) @ np.arange(float(N), 0.0, -1.0) \
+        + (m / 2.0) * (_rowdot(x[..., :-1, :], x[..., -2::-1, :]) @ gk)
+    return j, cp, h, d, k
 
 
-def _ctrans_dim2(N: int, x: np.ndarray, X: DualVector) -> DualVector:
+def _ctrans_dim2(m, x, j, c, h, d, k):
     """Tower translation on the dual, dimension 2, N even.
 
     The quadratic term of the k row uses the orientation that follows from
     the central bracket (and matches the printed orbit parametrization).
     """
-    m = X.m
-    c = X.c
-    halfN = N / 2.0
-    js = float(X.j)
-    h, d, k = X.h, X.d, X.k
+    N = x.shape[-2] - 1
+    w = N / 2.0 - np.arange(N + 1)
     eps = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eps[a, b] = eps^{ab}, 0-based
-    cp = c.copy()
-    for j in range(N + 1):
-        f = _sign_pow((N - 2 * j) // 2) * _fact(j) * _fact(N - j)
-        cp[j] = c[j] - m * f * (eps.T @ x[N - j])  # component b: eps^{ab} x^a
-    for j in range(N + 1):
-        g = _sign_pow((2 * j - N) // 2) * _fact(j) * _fact(N - j)
-        js = js - _cross2(x[j], c[j]) + (m / 2.0) * g * float(x[j] @ x[N - j])
-        d = d - (halfN - j) * float(x[j] @ c[j]) \
-            + (m / 2.0) * (halfN - j) * g * _eps_pair(x[j], x[N - j])
-    for j in range(N):
-        h = h + (j + 1) * float(x[j + 1] @ c[j])
-        k = k - (N - j) * float(x[j] @ c[j + 1])
-        k = k - (m / 2.0) * _sign_pow((2 * j - N) // 2) \
-            * _fact(j + 1) * _fact(N - j) * _eps_pair(x[j], x[N - j - 1])
-    for j in range(1, N + 1):
-        h = h + (m / 2.0) * _sign_pow((2 * j - N) // 2) \
-            * _fact(j) * _fact(N - j + 1) * _eps_pair(x[j], x[N - j + 1])
-    return DualVector(m=m, h=h, d=d, k=k, j=js, c=cp)
+    f = _coeffs(lambda i: _sign_pow((N - 2 * i) // 2) * _fact(i) * _fact(N - i), range(N + 1))
+    g = _coeffs(lambda i: _sign_pow((2 * i - N) // 2) * _fact(i) * _fact(N - i), range(N + 1))
+    gh = _coeffs(lambda i: _sign_pow((2 * i - N) // 2) * _fact(i) * _fact(N - i + 1),
+                 range(1, N + 1))
+    gk = _coeffs(lambda i: _sign_pow((2 * i - N) // 2) * _fact(i + 1) * _fact(N - i),
+                 range(N))
+    xr = x[..., ::-1, :]
+    cp = c - m * f[:, None] * (xr @ eps)  # component b: eps^{ab} x^a
+    js = j[..., 0] - np.sum(_cross2(x, c), axis=-1) + (m / 2.0) * (_rowdot(x, xr) @ g)
+    d = d - _rowdot(x, c) @ w + (m / 2.0) * (_eps_pair(x, xr) @ (w * g))
+    h = h + _rowdot(x[..., 1:, :], c[..., :-1, :]) @ np.arange(1.0, N + 1) \
+        + (m / 2.0) * (_eps_pair(x[..., 1:, :], x[..., :0:-1, :]) @ gh)
+    k = k - _rowdot(x[..., :-1, :], c[..., 1:, :]) @ np.arange(float(N), 0.0, -1.0) \
+        - (m / 2.0) * (_eps_pair(x[..., :-1, :], x[..., -2::-1, :]) @ gk)
+    return js[..., None], cp, h, d, k
+
+
+def translate_dual(m, x, j, c, h, d, k):
+    """Tower translation by x (..., N+1, dim) of stacked dual components.
+
+    Every argument may carry leading sample axes; j has a trailing axis of 3
+    in dimension 3 and of 1 in dimension 2.  Returns (j, c, h, d, k).
+    """
+    kernel = _ctrans_dim3 if x.shape[-1] == 3 else _ctrans_dim2
+    return kernel(m, x, j, c, h, d, k)
+
+
+def _from_components(m, j, c, h, d, k) -> DualVector:
+    return DualVector(m=m, h=float(h), d=float(d), k=float(k),
+                      j=j if c.shape[-1] == 3 else float(j[0]), c=c)
 
 
 def ctrans(X: DualVector, x) -> DualVector:
@@ -313,9 +338,8 @@ def ctrans(X: DualVector, x) -> DualVector:
     x = np.asarray(x, dtype=float)
     if x.shape != X.c.shape:
         raise ShapeMismatch(f"parameter array must be {X.c.shape}, got {x.shape}")
-    if X.dim == 3:
-        return _ctrans_dim3(X.N, x, X)
-    return _ctrans_dim2(X.N, x, X)
+    return _from_components(X.m, *translate_dual(X.m, x, np.reshape(X.j, -1), X.c,
+                                                 X.h, X.d, X.k))
 
 
 def rotation_matrix(omega) -> np.ndarray:
@@ -470,16 +494,17 @@ def orbit_dual_vector(m: float, s, chi, x_levels) -> DualVector:
     """
     x = np.asarray(x_levels, dtype=float)
     chi = np.asarray(chi, dtype=float).reshape(3)
-    dim = x.shape[1]
-    base = DualVector(
-        m=m,
-        h=float(chi[0] - chi[1]),
-        d=float(chi[2]),
-        k=float(chi[0] + chi[1]),
-        j=np.asarray(s, dtype=float).reshape(3) if dim == 3 else float(s),
-        c=np.zeros_like(x),
-    )
-    return ctrans(base, x)
+    s = np.asarray(s, dtype=float).reshape(3 if x.shape[1] == 3 else 1)
+    return _from_components(m, *orbit_components(m, s, chi, x))
+
+
+def orbit_components(m: float, s, chi, x):
+    """(j, c, h, d, k) of the orbit parametrization for stacked samples:
+    the base point (s, chi) with no tower components, translated by x."""
+    h = chi[..., 0] - chi[..., 1]
+    d = chi[..., 2]
+    k = chi[..., 0] + chi[..., 1]
+    return translate_dual(m, x, s, np.zeros_like(x), h, d, k)
 
 
 def parametrize(label: OrbitLabel, s, chi, x_levels, tol: float = 1e-9) -> DualVector:
@@ -522,36 +547,28 @@ def casimir_values(alg: AlgebraSpec, X: DualVector):
     chi interval.
     """
     _check_shape(alg, X)
-    N, dim = X.N, X.dim
-    m, c = X.m, X.c
-    halfN = N / 2.0
+    _, C2, C3 = casimir_arrays(X.m, np.reshape(X.j, -1), X.c, X.h, X.d, X.k)
+    return (X.m, float(C2), float(C3))
+
+
+def casimir_arrays(m, j, c, h, d, k):
+    """(C1, C2, C3) for stacked dual components, as returned by translate_dual."""
+    N, dim = c.shape[-2] - 1, c.shape[-1]
+    sign = np.array([_sign_pow(i - (N + 1) // 2) if dim == 3 else _sign_pow((2 * i - N) // 2)
+                     for i in range(N + 1)], dtype=float)
+    alpha = 0.5 * sign / _coeffs(lambda i: _fact(i) * _fact(N - i), range(N + 1))
+    a_coef = 0.5 * sign[1:] / _coeffs(lambda i: _fact(i - 1) * _fact(N - i), range(1, N + 1))
+    b_coef = 0.5 * sign[:-1] / _coeffs(lambda i: _fact(i) * _fact(N - i - 1), range(N))
+    q_coef = alpha * (np.arange(N + 1) - N / 2.0)
+    cr = c[..., ::-1, :]
+    pair = _rowdot if dim == 3 else _eps_pair
+    Cq = pair(c, cr) @ q_coef
+    A = pair(c[..., :-1, :], cr[..., 1:, :]) @ a_coef
+    B = -(pair(c[..., 1:, :], cr[..., :-1, :]) @ b_coef)
     if dim == 3:
-        w = np.zeros(3)
-        A = B = Cq = 0.0
-        for j in range(N + 1):
-            alpha = _sign_pow(j - (N + 1) // 2) / (_fact(j) * _fact(N - j))
-            w = w + 0.5 * alpha * np.cross(c[j], c[N - j])
-            Cq += 0.5 * alpha * (j - halfN) * float(c[j] @ c[N - j])
-            if j >= 1:
-                A += 0.5 * _sign_pow(j - (N + 1) // 2) \
-                    / (_fact(j - 1) * _fact(N - j)) * float(c[j - 1] @ c[N - j])
-            if j <= N - 1:
-                B -= 0.5 * _sign_pow(j - (N + 1) // 2) \
-                    / (_fact(j) * _fact(N - j - 1)) * float(c[j + 1] @ c[N - j])
-        vec = m * np.asarray(X.j, dtype=float) - w
-        C2 = float(vec @ vec)
+        vec = m * j - np.sum(alpha[:, None] * np.cross(c, cr), axis=-2)
+        C2 = _rowdot(vec, vec)
     else:
-        acc = A = B = Cq = 0.0
-        for j in range(N + 1):
-            beta = _sign_pow((2 * j - N) // 2) / (_fact(j) * _fact(N - j))
-            acc += 0.5 * beta * float(c[N - j] @ c[j])
-            Cq += 0.5 * beta * (j - halfN) * _eps_pair(c[j], c[N - j])
-            if j >= 1:
-                A += 0.5 * _sign_pow((2 * j - N) // 2) \
-                    / (_fact(j - 1) * _fact(N - j)) * _eps_pair(c[j - 1], c[N - j])
-            if j <= N - 1:
-                B -= 0.5 * _sign_pow((2 * j - N) // 2) \
-                    / (_fact(j) * _fact(N - j - 1)) * _eps_pair(c[j + 1], c[N - j])
-        C2 = m * float(X.j) - acc
-    C3 = 2.0 * (m * X.h - A) * (m * X.k - B) - 2.0 * (m * X.d - Cq) ** 2
-    return (m, C2, C3)
+        C2 = m * j[..., 0] - _rowdot(cr, c) @ alpha
+    C3 = 2.0 * (m * h - A) * (m * k - B) - 2.0 * (m * d - Cq) ** 2
+    return np.full(np.shape(C3), float(m)), C2, C3

@@ -9,27 +9,41 @@ supported for the N=1 Schrodinger case) is integrated numerically.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .algebra import build_algebra
-from .coadjoint import casimir_values
+from .coadjoint import casimir_arrays, chi_interval, orbit_components
 from .errors import BadStep, ShapeMismatch, TooFewSamples, UnsupportedHamiltonian
-from .poisson import EPS2, PhasePoint, dual_vector_at, generators_at
+from .poisson import (
+    EPS2,
+    PhasePoint,
+    check_state,
+    generator_values,
+    p_levels,
+    q_levels,
+    raw_levels,
+    spin_invariant,
+    tower_order,
+)
 
 __all__ = [
     "HamiltonianChoice",
     "PhaseTangent",
+    "PhaseStates",
     "Trajectory",
     "time_derivative",
     "closed_form",
+    "free_flow",
     "integrate",
     "verify_motion_order",
     "conditioning_threshold",
     "eval_state",
+    "interpolate_states",
     "record_values",
+    "conservation_drifts",
     "trajectory_csv_text",
     "CSV_FLOAT_FORMAT",
     "FREE",
@@ -73,150 +87,253 @@ class PhaseTangent:
     chi: np.ndarray
 
 
-def _zero_spin_rate(pt: PhasePoint):
-    return np.zeros(3) if pt.dim == 3 else 0.0
-
-
-def time_derivative(pt: PhasePoint, ham: HamiltonianChoice = FREE) -> PhaseTangent:
-    """Hamiltonian vector field at pt.
+def _vector_field(N: int, dim: int, m: float, ham: HamiltonianChoice):
+    """Hamiltonian vector field on a packed state z = (q, p, chi), flattened;
+    the spin is inert under every supported flow.
 
     Free flow: each q level feeds the one above, the top level is driven by
-    the momentum block, momenta cascade downward with p_0 frozen, the spin
-    is inert and chi turns inside its hyperboloid.
+    the momentum block, momenta cascade downward with p_0 frozen, and chi
+    turns inside its hyperboloid.
     """
-    N, dim, m = pt.N, pt.dim, pt.m
-    chi = pt.chi
+    op = q_levels(N, dim) * dim                      # start of p
+    oc = op + p_levels(N, dim) * dim                 # start of chi
     if ham.free:
-        dq = np.zeros_like(pt.q)
-        dp = np.zeros_like(pt.p)
-        top = pt.q.shape[0] - 1
-        for k in range(top):
-            dq[k] = pt.q[k + 1]
-        if dim == 3:
-            dq[top] = pt.p[top] / m
-        else:
-            dq[top] = (EPS2.T @ pt.p[top - 1]) / m
-        for k in range(1, pt.p.shape[0]):
-            dp[k] = -pt.p[k - 1]
-        dchi = np.array([chi[2], chi[2], chi[0] - chi[1]])
-        return PhaseTangent(q=dq, p=dp, s=_zero_spin_rate(pt), chi=dchi)
+        def rate(z):
+            dz = np.empty_like(z)
+            dz[:op - dim] = z[dim:op]
+            p_top = z[oc - dim:oc]
+            dz[op - dim:op] = (p_top if dim == 3 else p_top @ EPS2) / m
+            dz[op:op + dim] = 0.0
+            dz[op + dim:oc] = -z[op:oc - dim]
+            dz[oc] = dz[oc + 1] = z[oc + 2]
+            dz[oc + 2] = z[oc] - z[oc + 1]
+            return dz
+        return rate
     if (N, dim) != (1, 3):
         raise UnsupportedHamiltonian(
             "the Newton-Hooke flow is implemented for N=1 in dimension 3 only")
     w2 = ham.sign * ham.omega ** 2
-    dq = pt.p / m
-    dp = -w2 * m * pt.q
-    # internal part of h + sign w^2 k is (1+w2) chi0 - (1-w2) chi1
-    dchi = np.array([
-        (1.0 - w2) * chi[2],
-        (1.0 + w2) * chi[2],
-        (1.0 - w2) * chi[0] - (1.0 + w2) * chi[1],
-    ])
-    return PhaseTangent(q=dq, p=dp, s=np.zeros(3), chi=dchi)
+
+    def rate(z):
+        # internal part of h + sign w^2 k is (1+w2) chi0 - (1-w2) chi1
+        dz = np.empty_like(z)
+        dz[0:3] = z[3:6] / m
+        dz[3:6] = -w2 * m * z[0:3]
+        dz[6] = (1.0 - w2) * z[8]
+        dz[7] = (1.0 + w2) * z[8]
+        dz[8] = (1.0 - w2) * z[6] - (1.0 + w2) * z[7]
+        return dz
+    return rate
 
 
-def _step_state(pt: PhasePoint, tang: PhaseTangent, h: float) -> PhasePoint:
-    return PhasePoint(q=pt.q + h * tang.q, p=pt.p + h * tang.p,
-                      s=pt.s + h * tang.s, chi=pt.chi + h * tang.chi, m=pt.m)
+def _pack(pt: PhasePoint) -> np.ndarray:
+    return np.concatenate([pt.q.ravel(), pt.p.ravel(), pt.chi])
 
 
-def _rk4_step(pt: PhasePoint, ham: HamiltonianChoice, dt: float) -> PhasePoint:
-    k1 = time_derivative(pt, ham)
-    k2 = time_derivative(_step_state(pt, k1, dt / 2.0), ham)
-    k3 = time_derivative(_step_state(pt, k2, dt / 2.0), ham)
-    k4 = time_derivative(_step_state(pt, k3, dt), ham)
-    comb = PhaseTangent(
-        q=(k1.q + 2.0 * k2.q + 2.0 * k3.q + k4.q) / 6.0,
-        p=(k1.p + 2.0 * k2.p + 2.0 * k3.p + k4.p) / 6.0,
-        s=(k1.s + 2.0 * k2.s + 2.0 * k3.s + k4.s) / 6.0,
-        chi=(k1.chi + 2.0 * k2.chi + 2.0 * k3.chi + k4.chi) / 6.0,
-    )
-    return _step_state(pt, comb, dt)
+def _unpack(z, N: int, dim: int):
+    """(q, p, chi) views of packed states."""
+    op, oc = q_levels(N, dim) * dim, (q_levels(N, dim) + p_levels(N, dim)) * dim
+    lead = z.shape[:-1]
+    return (z[..., :op].reshape(lead + (-1, dim)), z[..., op:oc].reshape(lead + (-1, dim)),
+            z[..., oc:])
+
+
+def time_derivative(pt: PhasePoint, ham: HamiltonianChoice = FREE) -> PhaseTangent:
+    """Hamiltonian vector field at pt."""
+    dz = _vector_field(pt.N, pt.dim, pt.m, ham)(_pack(pt))
+    dq, dp, dchi = _unpack(dz, pt.N, pt.dim)
+    return PhaseTangent(q=dq, p=dp, s=np.zeros(3) if pt.dim == 3 else 0.0, chi=dchi)
+
+
+def _rk4(z0: np.ndarray, rate, dt: float, n_steps: int) -> np.ndarray:
+    """Classical RK4 on packed states; row i of the result is the state at i*dt.
+
+    An overflow is not reported here: the Trajectory built from the rows
+    rejects non-finite samples and names the first one.
+    """
+    out = np.empty((n_steps + 1,) + z0.shape)
+    out[0] = z = z0
+    half = dt / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            k1 = rate(z)
+            k2 = rate(z + half * k1)
+            k3 = rate(z + half * k2)
+            k4 = rate(z + dt * k3)
+            z = z + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+            out[i] = z
+    return out
+
+
+def free_flow(q, p, chi, m: float, t):
+    """Exact free-flow coordinates (q, p, chi) at times t.
+
+    The external solution is the terminating polynomial of the nilpotent
+    flow; chi is quadratic in t because chi0 - chi1 is conserved.  The time
+    array and the leading axes of the initial coordinates broadcast against
+    each other.
+    """
+    t = np.asarray(t, dtype=float)
+    tc = t[..., None]  # against the axis of one level
+    dim = q.shape[-1]
+    n_p = p.shape[-2]
+    top = q.shape[-2] - 1
+    p_t = []
+    for k in range(n_p):
+        acc = 0.0
+        for r in range(k + 1):
+            acc = acc + ((-tc) ** r / _fact(r)) * p[..., k - r, :]
+        p_t.append(acc)
+    q_t = []
+    for k in range(top + 1):
+        acc = 0.0
+        for r in range(top - k + 1):
+            acc = acc + (tc ** r / _fact(r)) * q[..., k + r, :]
+        for r in range(n_p):
+            power = top - k + 1 + r
+            pr = p[..., n_p - 1 - r, :]
+            acc = acc + ((-1.0) ** r * tc ** power / _fact(power)) \
+                * (pr if dim == 3 else pr @ EPS2) / m
+        q_t.append(acc)
+    c0, c1, c2 = chi[..., 0], chi[..., 1], chi[..., 2]
+    e = c0 - c1
+    chi_t = np.stack([c0 + c2 * t + e * t * t / 2.0,
+                      c1 + c2 * t + e * t * t / 2.0,
+                      c2 + e * t], axis=-1)
+    return np.stack(q_t, axis=-2), np.stack(p_t, axis=-2), chi_t
 
 
 def closed_form(pt: PhasePoint, t: float, ham: HamiltonianChoice = FREE) -> PhasePoint:
-    """Exact free-flow state at time t.
-
-    The external solution is the terminating polynomial of the nilpotent
-    flow; chi is quadratic in t because chi0 - chi1 is conserved.
-    """
+    """Exact free-flow state at time t."""
     if not ham.free:
         raise UnsupportedHamiltonian("closed form available for the free flow only")
-    N, dim, m = pt.N, pt.dim, pt.m
-    q0, p0 = pt.q, pt.p
-    np_levels = p0.shape[0]
-    p_t = np.zeros_like(p0)
-    for k in range(np_levels):
-        acc = np.zeros(dim)
-        for r in range(k + 1):
-            acc += ((-t) ** r / _fact(r)) * p0[k - r]
-        p_t[k] = acc
-    q_t = np.zeros_like(q0)
-    top = q0.shape[0] - 1
-    for k in range(top + 1):
-        acc = np.zeros(dim)
-        for r in range(top - k + 1):
-            acc += (t ** r / _fact(r)) * q0[k + r]
-        if dim == 3:
-            for r in range(np_levels):
-                power = top - k + 1 + r
-                acc += ((-1.0) ** r * t ** power / _fact(power)) * p0[np_levels - 1 - r] / m
-        else:
-            for r in range(np_levels):
-                power = top - k + 1 + r
-                acc += ((-1.0) ** r * t ** power / _fact(power)) \
-                    * (EPS2.T @ p0[np_levels - 1 - r]) / m
-        q_t[k] = acc
-    e = pt.chi[0] - pt.chi[1]
-    chi_t = np.array([
-        pt.chi[0] + pt.chi[2] * t + e * t * t / 2.0,
-        pt.chi[1] + pt.chi[2] * t + e * t * t / 2.0,
-        pt.chi[2] + e * t,
-    ])
-    return PhasePoint(q=q_t, p=p_t, s=np.copy(pt.s) if dim == 3 else pt.s,
-                      chi=chi_t, m=m)
+    q, p, chi = free_flow(pt.q, pt.p, pt.chi, pt.m, float(t))
+    return PhasePoint(q=q, p=p, s=pt.s, chi=chi, m=pt.m)
+
+
+def _frozen(a) -> np.ndarray:
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+class PhaseStates(Sequence):
+    """Read-only sequence of PhasePoints over stacked sample arrays.
+
+    An index builds a fresh PhasePoint, so writing into it leaves the stacks
+    alone; a slice is another view.  Nothing is cached.
+    """
+
+    __slots__ = ("q", "p", "s", "chi", "m")
+
+    def __init__(self, q, p, s, chi, m: float):
+        self.q, self.p, self.s, self.chi, self.m = q, p, s, chi, m
+
+    @classmethod
+    def stack(cls, points: Sequence[PhasePoint]) -> "PhaseStates":
+        return cls(np.array([pt.q for pt in points]), np.array([pt.p for pt in points]),
+                   np.array([np.reshape(pt.s, -1) for pt in points]),
+                   np.array([pt.chi for pt in points]), points[0].m)
+
+    def __len__(self) -> int:
+        return len(self.q)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PhaseStates(self.q[i], self.p[i], self.s[i], self.chi[i], self.m)
+        return PhasePoint(q=self.q[i], p=self.p[i], s=self.s[i], chi=self.chi[i], m=self.m)
 
 
 @dataclass
 class Trajectory:
-    """Time-stamped states with recorded generator and Casimir values."""
+    """Samples of one flow with recorded generator and Casimir values.
+
+    times is (n,); q is (n, q_levels, dim), p is (n, p_levels, dim), s is
+    (n, 3) in dimension 3 and (n, 1) in dimension 2, chi is (n, 3).  The
+    stacks are read-only copies, checked once on construction.
+    """
 
     times: np.ndarray
-    states: List[PhasePoint]
+    q: np.ndarray
+    p: np.ndarray
+    s: np.ndarray
+    chi: np.ndarray
+    m: float
     recorded: Dict[str, np.ndarray] = field(default_factory=dict)
     dt: Optional[float] = None
 
+    def __post_init__(self):
+        self.times, self.q, self.p, self.s, self.chi = (
+            _frozen(a) for a in (self.times, self.q, self.p, self.s, self.chi))
+        if self.times.shape != self.q.shape[:1]:
+            raise ShapeMismatch(f"{self.times.shape} times for {self.q.shape[0]} samples")
+        check_state(self.q, self.p, self.s, self.chi, self.m)
+        self.m = float(self.m)
+
+    @property
+    def states(self) -> PhaseStates:
+        return PhaseStates(self.q, self.p, self.s, self.chi, self.m)
+
     @property
     def N(self) -> int:
-        return self.states[0].N
+        return tower_order(self.q.shape)
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.q.shape[-1]
 
     def q0_samples(self) -> np.ndarray:
-        return np.array([st.q[0] for st in self.states])
+        return self.q[:, 0, :]
 
 
 def record_values(states: Sequence[PhasePoint]) -> Dict[str, np.ndarray]:
-    """Generator and Casimir values for a sequence of states."""
-    pt0 = states[0]
-    alg = build_algebra(pt0.N, pt0.dim, central=True)
-    names = ["h", "d", "k"]
-    rec: Dict[str, List[float]] = {n: [] for n in names}
-    rec["j"] = []
-    for n in ("C1", "C2", "C3"):
-        rec[n] = []
-    for st in states:
-        g = generators_at(st)
-        for n in names:
-            rec[n].append(g[n])
-        rec["j"].append(np.atleast_1d(np.asarray(g["j"], dtype=float)))
-        c1, c2, c3 = casimir_values(alg, dual_vector_at(st))
-        rec["C1"].append(c1)
-        rec["C2"].append(c2)
-        rec["C3"].append(c3)
-    return {n: np.array(v) for n, v in rec.items()}
+    """Generator and Casimir values for a sequence of states, in one pass
+    over the stacked samples."""
+    if not isinstance(states, PhaseStates):
+        states = PhaseStates.stack(states)
+    q, p, s, chi, m = states.q, states.p, states.s, states.chi, states.m
+    h, d, k, j = generator_values(q, p, s, chi, m)
+    C1, C2, C3 = casimir_arrays(m, *orbit_components(m, s, chi, raw_levels(q, p, m)))
+    return {"h": h, "d": d, "k": k, "j": j, "C1": C1, "C2": C2, "C3": C3}
+
+
+def conservation_drifts(traj: Trajectory, ham: HamiltonianChoice = FREE) -> Dict[str, float]:
+    """Largest deviation from the first sample of every quantity the flow
+    conserves: the recorded generators and Casimirs, the spin invariant and
+    the chi interval, plus p_0 and chi0 - chi1 for the free flow and the
+    deformed energy h + sign * omega^2 * k for Newton-Hooke."""
+    rec = traj.recorded
+
+    def drift(v) -> float:
+        return float(np.max(np.abs(v - v[0])))
+
+    if ham.free:
+        out = {"p0": drift(traj.p[:, 0]), "chi_diff": drift(traj.chi[:, 0] - traj.chi[:, 1])}
+        names = ("h", "j", "C1", "C2", "C3")
+    else:
+        out = {"deformed_energy": drift(rec["h"] + ham.sign * ham.omega ** 2 * rec["k"])}
+        names = ("C1", "C2", "C3")
+    out.update({nm: drift(rec[nm]) for nm in names})
+    out["spin_invariant"] = drift(spin_invariant(traj.s))
+    out["chi_interval"] = drift(chi_interval(traj.chi))
+    return out
+
+
+def _step_count(T: float, dt: float) -> int:
+    """Steps of size dt from 0 to T; dt must divide T to 1e-9 relative."""
+    if not (math.isfinite(T) and math.isfinite(dt)):
+        raise BadStep(f"T and dt must be finite, got T={T}, dt={dt}")
+    if T < 0:
+        raise BadStep("T must be nonnegative")
+    if T == 0:
+        return 0
+    if dt <= 0 or dt > T * (1 + 1e-12):
+        raise BadStep(f"need 0 < dt <= T, got dt={dt}, T={T}")
+    n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-9 * T:
+        raise BadStep(f"dt={dt} does not divide T={T}: {n_steps} steps end at "
+                      f"{n_steps * dt}")
+    return n_steps
 
 
 def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
@@ -224,28 +341,26 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
     """Sample the flow at t = 0, dt, ..., T.
 
     method "rk4" is the classical fixed-step integrator; "closed" evaluates
-    the exact free solution at every sample.
+    the exact free solution at every sample.  dt must divide T.
     """
-    if T < 0:
-        raise BadStep("T must be nonnegative")
-    if T > 0 and (dt <= 0 or dt > T * (1 + 1e-12)):
-        raise BadStep(f"need 0 < dt <= T, got dt={dt}, T={T}")
     if method not in ("rk4", "closed"):
         raise BadStep(f"unknown method {method!r}")
-    n_steps = 0 if T == 0 else int(round(T / dt))
-    times = np.array([i * dt for i in range(n_steps + 1)]) if n_steps else np.array([0.0])
-    states = [pt0.copy()]
+    n_steps = _step_count(T, dt)
+    times = np.arange(n_steps + 1) * dt
     if method == "closed":
-        for t in times[1:]:
-            states.append(closed_form(pt0, float(t), ham))
+        if not ham.free:
+            raise UnsupportedHamiltonian("closed form available for the free flow only")
+        q, p, chi = free_flow(pt0.q, pt0.p, pt0.chi, pt0.m, times)
     else:
-        cur = pt0.copy()
-        for _ in range(n_steps):
-            cur = _rk4_step(cur, ham, dt)
-            states.append(cur)
-    rec = record_values(states) if record else {}
-    return Trajectory(times=times, states=states, recorded=rec,
+        rate = _vector_field(pt0.N, pt0.dim, pt0.m, ham)
+        q, p, chi = _unpack(_rk4(_pack(pt0), rate, dt, n_steps),
+                            pt0.N, pt0.dim)
+    s = np.broadcast_to(np.reshape(pt0.s, -1), (n_steps + 1, np.size(pt0.s)))
+    traj = Trajectory(times=times, q=q, p=p, s=s, chi=chi, m=pt0.m,
                       dt=dt if n_steps else None)
+    if record:
+        traj.recorded = record_values(traj.states)
+    return traj
 
 
 def _uniform_dt(traj: Trajectory) -> float:
@@ -309,46 +424,38 @@ def conditioning_threshold(traj: Trajectory, N: Optional[int] = None) -> float:
 
 
 def eval_state(traj: Trajectory, t: float) -> PhasePoint:
-    """Local Lagrange interpolation of the stored states at time t.
+    """Local Lagrange interpolation of the stored states at time t."""
+    q, p, s, chi = interpolate_states(traj, np.array([t], dtype=float))
+    return PhasePoint(q=q[0], p=p[0], s=s[0], chi=chi[0], m=traj.m)
 
-    The window keeps N+2 nearest samples, which reproduces the polynomial
-    free solution exactly up to integrator noise.
+
+def interpolate_states(traj: Trajectory, t: np.ndarray):
+    """Stacks (q, p, s, chi) interpolated at the times t (1-D).
+
+    Each target uses a window of the max(4, N+2) nearest samples, which
+    reproduces the polynomial free solution exactly up to integrator noise;
+    a target equal to a sample time returns that sample exactly.
     """
     times = traj.times
     n = len(times)
-    if n == 1:
-        return traj.states[0].copy()
     w = min(n, max(4, traj.N + 2))
-    center = int(np.searchsorted(times, t))
-    lo = max(0, min(center - w // 2, n - w))
-    idx = range(lo, lo + w)
-    ts = times[lo:lo + w]
-    weights = []
-    for i, ti in enumerate(ts):
-        wgt = 1.0
-        for j2, tj in enumerate(ts):
-            if i != j2:
-                wgt *= (ti - tj)
-        weights.append(1.0 / wgt)
-    # barycentric form, exact hit fallback
-    for i, ti in enumerate(ts):
-        if t == ti:
-            return traj.states[lo + i].copy()
-    coef = np.array([weights[i] / (t - ts[i]) for i in range(w)])
-    coef = coef / np.sum(coef)
+    lo = np.clip(np.searchsorted(times, t) - w // 2, 0, n - w)
+    idx = lo[:, None] + np.arange(w)
+    ts = times[idx]
+    gaps = ts[:, :, None] - ts[:, None, :]
+    gaps[:, np.arange(w), np.arange(w)] = 1.0
+    weights = 1.0 / np.prod(gaps, axis=2)  # barycentric weights of each window
+    delta = t[:, None] - ts
+    hit = delta == 0.0
+    coef = weights / np.where(hit, 1.0, delta)
+    coef = coef / np.sum(coef, axis=1, keepdims=True)
+    exact = hit.any(axis=1)
+    coef[exact] = hit[exact]
 
-    def blend(values):
-        return sum(c * v for c, v in zip(coef, values))
+    def blend(stack):
+        return np.einsum("tw,tw...->t...", coef, stack[idx])
 
-    pts = [traj.states[i] for i in idx]
-    return PhasePoint(
-        q=blend([p.q for p in pts]),
-        p=blend([p.p for p in pts]),
-        s=blend([np.asarray(p.s, dtype=float) for p in pts]) if traj.dim == 3
-        else float(blend([p.s for p in pts])),
-        chi=blend([p.chi for p in pts]),
-        m=traj.states[0].m,
-    )
+    return blend(traj.q), blend(traj.p), blend(traj.s), blend(traj.chi)
 
 
 def _csv_header(N: int, dim: int) -> List[str]:
@@ -368,17 +475,12 @@ def trajectory_csv_text(traj: Trajectory) -> str:
     """CSV body with a mandatory header row and 17 significant digits."""
     if not traj.recorded:
         raise ShapeMismatch("trajectory was integrated without recording")
-    N, dim = traj.N, traj.dim
-    lines = [",".join(_csv_header(N, dim))]
-    fmt = CSV_FLOAT_FORMAT
-    for i, st in enumerate(traj.states):
-        row = [fmt % traj.times[i]]
-        row += [fmt % v for v in st.q.reshape(-1)]
-        row += [fmt % v for v in st.p.reshape(-1)]
-        row += [fmt % v for v in np.atleast_1d(np.asarray(st.s, dtype=float))]
-        row += [fmt % v for v in st.chi]
-        row += [fmt % traj.recorded[n][i] for n in ("h", "d", "k")]
-        row += [fmt % v for v in np.atleast_1d(traj.recorded["j"][i])]
-        row += [fmt % traj.recorded[n][i] for n in ("C1", "C2", "C3")]
-        lines.append(",".join(row))
+    n = len(traj.times)
+    rec = traj.recorded
+    table = np.hstack([traj.times[:, None], traj.q.reshape(n, -1), traj.p.reshape(n, -1),
+                       traj.s, traj.chi, np.stack([rec[k] for k in ("h", "d", "k")], axis=1),
+                       rec["j"], np.stack([rec[k] for k in ("C1", "C2", "C3")], axis=1)])
+    row = ",".join([CSV_FLOAT_FORMAT] * table.shape[1])
+    lines = [",".join(_csv_header(traj.N, traj.dim))]
+    lines += [row % tuple(values.tolist()) for values in table]
     return "\n".join(lines) + "\n"

@@ -59,3 +59,7 @@ class UnsupportedHamiltonian(GalconfError):
 
 class InvalidConfig(GalconfError):
     """Run configuration failed validation."""
+
+
+class InvalidState(GalconfError):
+    """Phase-space coordinates that are not finite, or a mass that is not positive."""

@@ -21,18 +21,23 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .algebra import AlgebraSpec, GeneratorId, _sign_pow, eps2, eps3, so21_epsilon_lower
-from .coadjoint import DualVector, orbit_dual_vector
-from .errors import ShapeMismatch
+from .coadjoint import DualVector, _cross2, _rowdot, orbit_dual_vector
+from .errors import InvalidState, ShapeMismatch
 
 __all__ = [
     "Poly",
     "PhasePoint",
+    "check_state",
+    "tower_order",
+    "spin_invariant",
     "StructureMatrix",
     "raw_bracket",
     "to_darboux",
     "from_darboux",
+    "raw_levels",
     "aux_top_momentum",
     "generators_at",
+    "generator_values",
     "generator_polynomials",
     "momentum_map",
     "hamiltonian_poly",
@@ -148,12 +153,48 @@ class Poly:
 # phase points
 # ---------------------------------------------------------------------------
 
+def tower_order(q_shape) -> int:
+    """N of the tower whose q block has shape (..., q_levels, dim)."""
+    nq, dim = q_shape[-2], q_shape[-1]
+    return 2 * nq - 1 if dim == 3 else 2 * (nq - 1)
+
+
+def check_state(q, p, s, chi, m) -> None:
+    """Reject inconsistent shapes, non-finite coordinates and a mass that is
+    not finite and positive.
+
+    Every array may carry the same leading sample axes, so a whole stack of
+    samples is checked at once; s has a trailing axis of 3 in dimension 3
+    and of 1 in dimension 2.
+    """
+    if q.ndim < 2 or q.shape[-1] not in (2, 3):
+        raise ShapeMismatch(f"q must be (levels, dim), got {q.shape}")
+    lead, dim = q.shape[:-2], q.shape[-1]
+    N = tower_order(q.shape)
+    if q.shape[-2] != q_levels(N, dim) or p.shape != lead + (p_levels(N, dim), dim):
+        raise ShapeMismatch(f"inconsistent external shapes q={q.shape} p={p.shape}")
+    if s.shape != lead + (3 if dim == 3 else 1,) or chi.shape != lead + (3,):
+        raise ShapeMismatch(f"internal shapes s={s.shape} chi={chi.shape} do not fit "
+                            f"q={q.shape}")
+    if not (math.isfinite(m) and m > 0):
+        raise InvalidState(f"mass must be finite and positive, got {m}")
+    if math.isfinite(q.sum() + p.sum() + s.sum() + chi.sum()):
+        return
+    # a NaN or an infinity, or else finite entries whose sum overflows
+    for name, arr in (("q", q), ("p", p), ("s", s), ("chi", chi)):
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            raise InvalidState(f"{name} has a non-finite entry at index "
+                               f"{tuple(int(i) for i in np.argwhere(bad)[0])}")
+
+
 @dataclass
 class PhasePoint:
     """Orbit coordinates: external Darboux pairs, internal spin, chi, mass.
 
     Shapes: q is (q_levels, dim) and p is (p_levels, dim); in dimension 2
-    the top q level is self-conjugate and has no p partner.
+    the top q level is self-conjugate and has no p partner.  Coordinates
+    must be finite and the mass positive.
     """
 
     q: np.ndarray
@@ -165,18 +206,13 @@ class PhasePoint:
     def __post_init__(self):
         self.q = np.array(self.q, dtype=float)
         self.p = np.array(self.p, dtype=float)
-        self.chi = np.array(self.chi, dtype=float).reshape(3)
-        if self.q.ndim != 2 or self.q.shape[1] not in (2, 3):
+        self.chi = np.array(self.chi, dtype=float).reshape(-1)
+        s = np.array(self.s, dtype=float).reshape(-1)
+        if self.q.ndim != 2:
             raise ShapeMismatch(f"q must be (levels, dim), got {self.q.shape}")
-        if self.dim == 3:
-            self.s = np.array(self.s, dtype=float).reshape(3)
-        else:
-            self.s = float(np.asarray(self.s).reshape(()))
-        N = self.N
-        if self.q.shape[0] != q_levels(N, self.dim) or \
-                self.p.shape != (p_levels(N, self.dim), self.dim):
-            raise ShapeMismatch(
-                f"inconsistent external shapes q={self.q.shape} p={self.p.shape}")
+        check_state(self.q, self.p, s, self.chi, self.m)
+        self.m = float(self.m)
+        self.s = s if self.dim == 3 else float(s[0])
 
     @property
     def dim(self) -> int:
@@ -184,9 +220,7 @@ class PhasePoint:
 
     @property
     def N(self) -> int:
-        if self.dim == 3:
-            return 2 * self.q.shape[0] - 1
-        return 2 * (self.q.shape[0] - 1)
+        return tower_order(self.q.shape)
 
     def env(self) -> Dict:
         e: Dict = {}
@@ -212,9 +246,12 @@ class PhasePoint:
 
     def spin_invariant(self) -> float:
         """|s|^2 in dimension 3, the signed scalar s in dimension 2."""
-        if self.dim == 3:
-            return float(self.s @ self.s)
-        return float(self.s)
+        return float(spin_invariant(np.reshape(self.s, -1)))
+
+
+def spin_invariant(s):
+    """|s|^2 for spins with a trailing axis of 3, the scalar for a trailing axis of 1."""
+    return _rowdot(s, s) if s.shape[-1] == 3 else s[..., 0]
 
 
 def random_point(rng, N: int, dim: int, m: float = 1.0, scale: float = 0.7) -> PhasePoint:
@@ -276,23 +313,31 @@ def from_darboux(q, p, m: float, N: int, dim: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if q.shape != (q_levels(N, dim), dim) or p.shape != (p_levels(N, dim), dim):
         raise ShapeMismatch(f"bad shapes q={q.shape} p={p.shape} for N={N}, dim={dim}")
-    x = np.zeros((N + 1, dim))
+    return raw_levels(q, p, m)
+
+
+def raw_levels(q, p, m: float) -> np.ndarray:
+    """Raw tower coordinates x (..., N+1, dim) of stacked Darboux blocks."""
+    N, dim = tower_order(q.shape), q.shape[-1]
+    nq, n_p = q.shape[-2], p.shape[-2]
     if dim == 3:
-        for k in range(q.shape[0]):
-            x[k] = _sign_pow(k - (N + 1) // 2) * q[k] / _fact(k)
-            x[N - k] = p[k] / (m * _fact(N - k))
+        sign = [_sign_pow(k - (N + 1) // 2) for k in range(nq)]
     else:
-        for k in range(q.shape[0]):
-            x[k] = _sign_pow((N - 2 * k) // 2) * q[k] / _fact(k)
-        for k in range(p.shape[0]):
-            x[N - k] = (EPS2 @ p[k]) / (m * _fact(N - k))
+        sign = [_sign_pow((N - 2 * k) // 2) for k in range(nq)]
+        p = p @ EPS2.T
+    x = np.empty(q.shape[:-2] + (N + 1, dim))
+    x[..., :nq, :] = np.array(sign, dtype=float)[:, None] * q \
+        / np.array([_fact(k) for k in range(nq)], dtype=float)[:, None]
+    # momentum level k sits at tower level N - k
+    scale = np.array([m * _fact(N - k) for k in range(n_p)])[:, None]
+    x[..., N - n_p + 1:, :] = (p / scale)[..., ::-1, :]
     return x
 
 
 def aux_top_momentum(q_top, m: float) -> np.ndarray:
     """Derived conjugate of the self-conjugate 2D level: (m/2) eps^{ba} q^b."""
     q_top = np.asarray(q_top, dtype=float)
-    return (m / 2.0) * (EPS2.T @ q_top)
+    return (m / 2.0) * (q_top @ EPS2)
 
 
 # ---------------------------------------------------------------------------
@@ -377,32 +422,38 @@ def observable_bracket(f: Poly, g: Poly, pt: PhasePoint) -> float:
 
 def generators_at(pt: PhasePoint) -> Dict[str, object]:
     """Generator values (h, d, k, j) from the reduced phase-space expressions."""
-    N, dim, m = pt.N, pt.dim, pt.m
-    q, p, chi = pt.q, pt.p, pt.chi
+    h, d, kk, j = generator_values(pt.q, pt.p, np.reshape(pt.s, -1), pt.chi, pt.m)
+    return {"h": h[()], "d": d[()], "k": kk[()], "j": j if pt.dim == 3 else float(j[0])}
+
+
+def generator_values(q, p, s, chi, m: float):
+    """(h, d, k, j) from the reduced expressions for stacked samples.
+
+    Every array may carry leading sample axes; s and the returned j have a
+    trailing axis of 3 in dimension 3 and of 1 in dimension 2.
+    """
+    N, dim = tower_order(q.shape), q.shape[-1]
     halfN = N / 2.0
+    chi0, chi1, chi2 = chi[..., 0], chi[..., 1], chi[..., 2]
     if dim == 3:
         n = (N - 1) // 2
-        h = chi[0] - chi[1] + float(p[n] @ p[n]) / (2.0 * m) \
-            + sum(float(q[k] @ p[k - 1]) for k in range(1, n + 1))
-        d = chi[2] + sum((halfN - k) * float(q[k] @ p[k]) for k in range(n + 1))
-        kk = chi[0] + chi[1] + (m / 2.0) * ((N + 1) / 2.0) ** 2 * float(q[n] @ q[n]) \
-            - sum((N - k) * (k + 1) * float(q[k] @ p[k + 1]) for k in range(n))
-        jv = np.array(pt.s, dtype=float)
-        for k in range(n + 1):
-            jv = jv + np.cross(q[k], p[k])
-        return {"h": h, "d": d, "k": kk, "j": jv}
+        h = chi0 - chi1 + _rowdot(p[..., n, :], p[..., n, :]) / (2.0 * m) \
+            + np.sum(_rowdot(q[..., 1:, :], p[..., :-1, :]), axis=-1)
+        d = chi2 + _rowdot(q, p) @ (halfN - np.arange(n + 1))
+        kk = chi0 + chi1 + (m / 2.0) * ((N + 1) / 2.0) ** 2 * _rowdot(q[..., n, :], q[..., n, :]) \
+            - _rowdot(q[..., :-1, :], p[..., 1:, :]) @ np.array(
+                [(N - k) * (k + 1) for k in range(n)], dtype=float)
+        return h, d, kk, s + np.sum(np.cross(q, p), axis=-2)
     u = N // 2
-    p_top = aux_top_momentum(q[u], m)
-    h = chi[0] - chi[1] + sum(float(p[k] @ q[k + 1]) for k in range(u))
-    d = chi[2] + sum((halfN - k) * float(p[k] @ q[k]) for k in range(u))
-    kk = chi[0] + chi[1] \
-        - sum((N - k + 1) * k * float(p[k] @ q[k - 1]) for k in range(1, u)) \
-        - N * (halfN + 1.0) * float(q[u - 1] @ p_top)
-    js = float(pt.s)
-    for k in range(u):
-        js += float(q[k, 0] * p[k, 1] - q[k, 1] * p[k, 0])
-    js += float(q[u, 0] * p_top[1] - q[u, 1] * p_top[0])
-    return {"h": h, "d": d, "k": kk, "j": js}
+    p_top = aux_top_momentum(q[..., u, :], m)
+    h = chi0 - chi1 + np.sum(_rowdot(p, q[..., 1:, :]), axis=-1)
+    d = chi2 + _rowdot(p, q[..., :-1, :]) @ (halfN - np.arange(u))
+    kk = chi0 + chi1 \
+        - _rowdot(p[..., 1:, :], q[..., :-2, :]) @ np.array(
+            [(N - k + 1) * k for k in range(1, u)], dtype=float) \
+        - N * (halfN + 1.0) * _rowdot(q[..., u - 1, :], p_top)
+    js = s[..., 0] + np.sum(_cross2(q[..., :-1, :], p), axis=-1) + _cross2(q[..., u, :], p_top)
+    return h, d, kk, js[..., None]
 
 
 def _x_polys(N: int, dim: int, m: float) -> List[List[Poly]]:

@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .dynamics import Trajectory, closed_form, eval_state, record_values
+from .dynamics import Trajectory, closed_form, interpolate_states, record_values
 from .errors import NonOrthogonalRotation, SingularTime, UnsupportedClosedForm
 from .poisson import PhasePoint, generators_at, dual_vector_at
 
@@ -174,12 +174,11 @@ def map_trajectory(traj: Trajectory, transform) -> Trajectory:
             raise SingularTime("conformal pole inside the trajectory range")
     n = len(traj.times)
     grid = np.linspace(tp0, tp1, n)
-    states = []
-    m = traj.states[0].m
-    for tp in grid:
-        t = transform.inverse_time(float(tp))
-        src = eval_state(traj, t)
-        x, p, _ = transform.apply(src.q[0], src.p[0], t)
-        states.append(PhasePoint(q=[x], p=[p], s=src.s, chi=src.chi, m=m))
+    t = np.array([transform.inverse_time(float(tp)) for tp in grid])
+    q, p, s, chi = interpolate_states(traj, t)
+    mapped = [transform.apply(qi[0], pi[0], ti)[:2] for qi, pi, ti in zip(q, p, t)]
     dt = float(grid[1] - grid[0]) if n > 1 else None
-    return Trajectory(times=grid, states=states, recorded=record_values(states), dt=dt)
+    out = Trajectory(times=grid, q=np.array([[x] for x, _ in mapped]),
+                     p=np.array([[px] for _, px in mapped]), s=s, chi=chi, m=traj.m, dt=dt)
+    out.recorded = record_values(out.states)
+    return out

@@ -500,10 +500,8 @@ def suite_dynamics(seed: int, tols: Dict[str, float],
             pt = po.random_point(rng, N, dim, m=float(rng.uniform(0.6, 1.8)))
             tr_rk = dy.integrate(pt, dy.FREE, 1.0, 1e-3, "rk4", record=False)
             tr_cl = dy.integrate(pt, dy.FREE, 1.0, 1e-3, "closed", record=False)
-            for a, b in zip(tr_rk.states[::50], tr_cl.states[::50]):
-                worst = max(worst, float(np.max(np.abs(a.q - b.q))),
-                            float(np.max(np.abs(a.p - b.p))),
-                            float(np.max(np.abs(a.chi - b.chi))))
+            for a, b in ((tr_rk.q, tr_cl.q), (tr_rk.p, tr_cl.p), (tr_rk.chi, tr_cl.chi)):
+                worst = max(worst, float(np.max(np.abs(a[::50] - b[::50]))))
         cases.append(_case(f"rk4_vs_closed_N{N}_dim{dim}", worst, tols["integrator"]))
 
     for (N, dim) in FLOW_FAMILIES:
@@ -520,20 +518,7 @@ def suite_dynamics(seed: int, tols: Dict[str, float],
     for (N, dim) in FLOW_FAMILIES:
         pt = po.random_point(rng, N, dim)
         tr = dy.integrate(pt, dy.FREE, 1.0, 1e-3, "rk4", record=True)
-        drift = 0.0
-        chi_e = np.array([st.chi[0] - st.chi[1] for st in tr.states])
-        drift = max(drift, float(np.max(np.abs(chi_e - chi_e[0]))))
-        interval = np.array([co.chi_interval(st.chi) for st in tr.states])
-        drift = max(drift, float(np.max(np.abs(interval - interval[0]))))
-        spin = np.array([st.spin_invariant() for st in tr.states])
-        drift = max(drift, float(np.max(np.abs(spin - spin[0]))))
-        p0 = np.array([st.p[0] for st in tr.states])
-        drift = max(drift, float(np.max(np.abs(p0 - p0[0]))))
-        for nm in ("h", "j", "C1", "C2", "C3"):
-            v = tr.recorded[nm]
-            drift = max(drift, float(np.max(np.abs(v - v[0]))))
-        mass = np.array([st.m for st in tr.states])
-        drift = max(drift, float(np.max(np.abs(mass - mass[0]))))
+        drift = max(dy.conservation_drifts(tr).values())
         cases.append(_case(f"free_conservation_N{N}_dim{dim}", drift, tols["integrator"]))
 
     for (N, dim) in FLOW_FAMILIES:
@@ -631,7 +616,7 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
     for name, mp in maps:
         tr2 = sy.map_trajectory(tr, mp)
         res, _ = dy.verify_motion_order(tr2)
-        p0 = np.array([st.p[0] for st in tr2.states])
+        p0 = tr2.p[:, 0]
         h = tr2.recorded["h"]
         drift = max(float(np.max(np.abs(p0 - p0[0]))), float(np.max(np.abs(h - h[0]))))
         cases.append(_case(f"solution_to_solution_{name}", max(res, drift), tols["fit_rk4"]))

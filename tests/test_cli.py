@@ -94,6 +94,17 @@ class TestOrbitCommands:
         code, _, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize("config", [
+        {"m": 1.0, "x": "abc"},
+        {"m": 1.0, "s": [0.0, 1.0], "x": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+    ])
+    def test_parametrize_bad_value(self, capsys, tmp_path, config):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
+        assert code == 2
+        assert "error" in json.loads(err)
+
 
 def write_free_config(tmp_path, **overrides):
     cfg = {
@@ -155,11 +166,24 @@ class TestSimulate:
         {"dt": 2.0},
         {"N": 2},
         {"chi": [0.0, 2.0, 0.0], "chi_class": "HplusSigma", "sigma": 2.0},
+        {"dt": "x"},
+        {"s": [0.0, 1.0]},
+        {"q": [[float("nan"), 0.0, 0.0]]},
+        {"T": float("inf")},
     ])
     def test_invalid_configs_exit_2(self, capsys, tmp_path, overrides):
         cfg = write_free_config(tmp_path, **overrides)
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2, err
+        assert "error" in json.loads(err)
+
+    def test_horizon_must_be_reached(self, capsys, tmp_path):
+        # dt = 0.3 used to stop at t = 0.9 and still report a pass
+        cfg = write_free_config(tmp_path, dt=0.3, T=1.0)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert "does not divide" in json.loads(err)["error"]
+        assert not (tmp_path / "summary.json").exists()
 
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--config", "/nonexistent.json")

@@ -21,6 +21,7 @@ from galconf.coadjoint import (
 )
 from galconf.errors import (
     AmbiguousClass,
+    ConvergenceFailure,
     LabelMismatch,
     ShapeMismatch,
     UnsupportedClosedForm,
@@ -271,3 +272,10 @@ def test_shape_mismatch(alg1):
     with pytest.raises(ShapeMismatch):
         coad_closed_form(alg1, "ctrans", np.zeros((4, 3)),
                          random_dual(np.random.default_rng(0), 1, 3))
+
+
+def test_generic_flow_overflow_raises(alg1):
+    # exp(800 ad*_D) scales h by e^800, past the largest double
+    X = random_dual(np.random.default_rng(3), 1, 3)
+    with pytest.raises(ConvergenceFailure):
+        coad_generic(alg1, {alg1.generator("D"): Fraction(1)}, 800.0, X)

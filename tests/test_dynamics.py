@@ -5,27 +5,33 @@ import math
 import numpy as np
 import pytest
 
-from galconf.coadjoint import chi_interval
+from galconf.algebra import build_algebra
+from galconf.coadjoint import casimir_values, chi_interval
 from galconf.dynamics import (
+    CSV_FLOAT_FORMAT,
     FREE,
     HamiltonianChoice,
     closed_form,
     conditioning_threshold,
     eval_state,
     integrate,
+    record_values,
     time_derivative,
     trajectory_csv_text,
     verify_motion_order,
 )
-from galconf.errors import BadStep, TooFewSamples, UnsupportedHamiltonian
+from galconf.errors import BadStep, InvalidState, TooFewSamples, UnsupportedHamiltonian
 from galconf.poisson import (
     PhasePoint,
     Poly,
     StructureMatrix,
+    dual_vector_at,
+    generators_at,
     hamiltonian_poly,
     poly_bracket,
     random_point,
 )
+from galconf.verify import FLOW_FAMILIES
 
 
 def free_point(**kw):
@@ -146,6 +152,21 @@ class TestIntegrate:
         with pytest.raises(BadStep):
             integrate(pt, FREE, 1.0, 0.1, method="leapfrog")
 
+    @pytest.mark.parametrize("T,dt", [(1.0, math.nan), (math.inf, 0.1), (1.0, math.inf),
+                                      (math.nan, 0.1)])
+    def test_non_finite_horizon_or_step(self, T, dt):
+        with pytest.raises(BadStep):
+            integrate(free_point(), FREE, T, dt)
+
+    def test_step_must_divide_horizon(self):
+        # T=1, dt=0.4 used to stop silently at t=0.8
+        with pytest.raises(BadStep):
+            integrate(free_point(), FREE, 1.0, 0.4, record=False)
+        for T, n in ((1.0, 1000), (math.pi, 3142)):
+            tr = integrate(free_point(), FREE, T, T / n, record=False)
+            assert len(tr.times) == n + 1
+            assert tr.times[-1] == pytest.approx(T, rel=1e-12)
+
     def test_sampling_grid(self):
         tr = integrate(free_point(), FREE, 0.01, 0.002, record=False)
         assert np.allclose(tr.times, [0.0, 0.002, 0.004, 0.006, 0.008, 0.01])
@@ -186,6 +207,12 @@ class TestNewtonHooke:
         pt = free_point(q=[[1.0, 0.0, 0.0]])
         tr = integrate(pt, ham, 1.0, 1e-3, record=False)
         assert tr.states[-1].q[0, 0] == pytest.approx(math.cosh(1.0), rel=1e-6)
+
+    def test_overflow_is_an_error(self):
+        # cosh(50 t) passes the largest double near t = 14.2
+        ham = HamiltonianChoice("newton_hooke", omega=50.0, sign=-1)
+        with pytest.raises(InvalidState):
+            integrate(free_point(), ham, 20.0, 0.01, record=False)
 
     def test_parameter_validation(self):
         with pytest.raises(UnsupportedHamiltonian):
@@ -275,3 +302,145 @@ class TestCsvExport:
         assert "q1_1" in header and "q1_2" in header  # self-conjugate level
         assert "p1_1" not in header
         assert "s" in header and "j" in header
+
+
+def _rk4_reference(pt, ham, dt, n_steps):
+    """Per-stage RK4 through the public time_derivative, state by state."""
+    states = [pt]
+    for _ in range(n_steps):
+        cur = states[-1]
+
+        def shifted(tang, h):
+            return PhasePoint(q=cur.q + h * tang.q, p=cur.p + h * tang.p, s=cur.s,
+                              chi=cur.chi + h * tang.chi, m=cur.m)
+
+        k1 = time_derivative(cur, ham)
+        k2 = time_derivative(shifted(k1, dt / 2.0), ham)
+        k3 = time_derivative(shifted(k2, dt / 2.0), ham)
+        k4 = time_derivative(shifted(k3, dt), ham)
+        states.append(PhasePoint(
+            q=cur.q + dt * ((k1.q + 2.0 * k2.q + 2.0 * k3.q + k4.q) / 6.0),
+            p=cur.p + dt * ((k1.p + 2.0 * k2.p + 2.0 * k3.p + k4.p) / 6.0),
+            s=cur.s,
+            chi=cur.chi + dt * ((k1.chi + 2.0 * k2.chi + 2.0 * k3.chi + k4.chi) / 6.0),
+            m=cur.m))
+    return states
+
+
+ARRAY_CASES = [(N, dim, FREE) for N, dim in FLOW_FAMILIES + ((5, 3), (7, 3))] + [
+    (1, 3, HamiltonianChoice("newton_hooke", omega=1.3, sign=sign)) for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("N,dim,ham", ARRAY_CASES)
+class TestArrayTrajectory:
+    def trajectories(self, N, dim, ham):
+        pt = random_point(np.random.default_rng(100 + 10 * N + dim), N, dim, m=1.3)
+        methods = ("rk4", "closed") if ham.free else ("rk4",)
+        return pt, [integrate(pt, ham, 0.2, 0.01, method) for method in methods]
+
+    def test_recorded_matches_per_sample_route(self, N, dim, ham):
+        _, trajs = self.trajectories(N, dim, ham)
+        alg = build_algebra(N, dim, central=True)
+        for tr in trajs:
+            rec = tr.recorded
+            n = len(tr.times)
+            assert rec["j"].shape == (n, 3 if dim == 3 else 1)
+            assert all(rec[k].shape == (n,) for k in ("h", "d", "k", "C1", "C2", "C3"))
+            for i, st in enumerate(tr.states):
+                g = generators_at(st)
+                want = {k: g[k] for k in ("h", "d", "k")}
+                want["j"] = np.atleast_1d(g["j"])
+                want.update(zip(("C1", "C2", "C3"), casimir_values(alg, dual_vector_at(st))))
+                for key, value in want.items():
+                    assert np.allclose(rec[key][i], value, rtol=1e-12, atol=1e-12), (key, i)
+
+    def test_states_are_rows_of_the_stacks(self, N, dim, ham):
+        _, trajs = self.trajectories(N, dim, ham)
+        for tr in trajs:
+            n = len(tr.times)
+            assert len(tr.states) == n
+            for i in (0, 7, n - 1, -1, -n):
+                st = tr.states[i]
+                assert np.array_equal(st.q, tr.q[i]) and np.array_equal(st.p, tr.p[i])
+                assert np.array_equal(np.reshape(st.s, -1), tr.s[i])
+                assert np.array_equal(st.chi, tr.chi[i]) and st.m == tr.m
+            sub = tr.states[::5]
+            assert len(sub) == len(range(0, n, 5))
+            assert np.array_equal(sub[-1].q, tr.q[::5][-1])
+            assert [st.chi.tolist() for st in tr.states] == tr.chi.tolist()
+            with pytest.raises(IndexError):
+                tr.states[n]
+
+    def test_yielded_points_are_copies(self, N, dim, ham):
+        _, trajs = self.trajectories(N, dim, ham)
+        tr = trajs[0]
+        before = [a.copy() for a in (tr.q, tr.p, tr.s, tr.chi)]
+        st = tr.states[3]
+        st.q[:] = 9.0
+        st.p[:] = 9.0
+        st.chi[:] = 9.0
+        if dim == 3:
+            st.s[:] = 9.0
+        for st in tr.states[::4]:
+            st.q += 1.0
+        for a, b in zip(before, (tr.q, tr.p, tr.s, tr.chi)):
+            assert np.array_equal(a, b)
+        with pytest.raises(ValueError):
+            tr.q[0, 0, 0] = 1.0  # the stacks themselves are read-only
+
+    def test_csv_header_and_rows(self, N, dim, ham):
+        _, trajs = self.trajectories(N, dim, ham)
+        for tr in trajs:
+            lines = trajectory_csv_text(tr).split("\n")
+            assert lines[-1] == ""
+            header = lines[0].split(",")
+            assert header[0] == "t" and header[-3:] == ["C1", "C2", "C3"]
+            assert len(lines) - 2 == len(tr.times)
+            assert all(len(row.split(",")) == len(header) for row in lines[1:-1])
+
+    def test_rk4_matches_per_stage_reference(self, N, dim, ham):
+        pt, _ = self.trajectories(N, dim, ham)
+        tr = integrate(pt, ham, 0.05, 0.01, "rk4", record=False)
+        for st, ref in zip(tr.states, _rk4_reference(pt, ham, 0.01, 5)):
+            assert np.array_equal(st.q, ref.q) and np.array_equal(st.p, ref.p)
+            assert np.array_equal(st.chi, ref.chi)
+
+
+def _csv_reference(traj):
+    """Cell-by-cell formatting of each state, the writer's reference."""
+    fmt = CSV_FLOAT_FORMAT
+    lines = [trajectory_csv_text(traj).split("\n", 1)[0]]
+    rec = traj.recorded
+    for i, st in enumerate(traj.states):
+        row = [fmt % traj.times[i]]
+        row += [fmt % v for v in st.q.reshape(-1)]
+        row += [fmt % v for v in st.p.reshape(-1)]
+        row += [fmt % v for v in np.atleast_1d(st.s)]
+        row += [fmt % v for v in st.chi]
+        row += [fmt % rec[n][i] for n in ("h", "d", "k")]
+        row += [fmt % v for v in rec["j"][i]]
+        row += [fmt % rec[n][i] for n in ("C1", "C2", "C3")]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("N,dim", [(3, 3), (4, 2)])
+def test_csv_rows_match_cellwise_formatting(N, dim):
+    tr = integrate(random_point(np.random.default_rng(31), N, dim), FREE, 0.05, 0.01)
+    assert trajectory_csv_text(tr) == _csv_reference(tr)
+
+
+def test_closed_samples_match_single_time_closed_form():
+    pt = random_point(np.random.default_rng(8), 5, 3)
+    tr = integrate(pt, FREE, 1.0, 0.1, "closed", record=False)
+    for t, st in zip(tr.times, tr.states):
+        one = closed_form(pt, float(t))
+        for a, b in ((st.q, one.q), (st.p, one.p), (st.chi, one.chi)):
+            assert np.allclose(a, b, rtol=0, atol=1e-15)
+
+
+def test_record_values_accepts_a_list_of_points():
+    tr = integrate(random_point(np.random.default_rng(4), 2, 2), FREE, 0.1, 0.01)
+    rec = record_values(list(tr.states))
+    for key, value in tr.recorded.items():
+        assert np.array_equal(rec[key], value)

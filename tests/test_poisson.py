@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galconf.algebra import build_algebra, eps2
-from galconf.errors import ShapeMismatch
+from galconf.errors import InvalidState, ShapeMismatch
 from galconf.poisson import (
     EPS2,
     PhasePoint,
@@ -262,6 +262,21 @@ def test_phase_point_shape_validation():
     with pytest.raises(ShapeMismatch):
         PhasePoint(q=np.zeros((2, 3)), p=np.zeros((1, 3)), s=np.zeros(3),
                    chi=np.zeros(3), m=1.0)
+    with pytest.raises(ShapeMismatch):
+        PhasePoint(q=np.zeros((1, 3)), p=np.zeros((1, 3)), s=np.zeros(2),
+                   chi=np.zeros(3), m=1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("m", 0.0), ("m", -1.0), ("m", np.inf), ("m", np.nan),
+    ("q", [[np.nan, 0.0, 0.0]]), ("p", [[0.0, np.inf, 0.0]]),
+    ("s", [0.0, 0.0, -np.inf]), ("chi", [0.0, np.nan, 0.0]),
+])
+def test_phase_point_rejects_bad_values(field, value):
+    kw = dict(q=np.zeros((1, 3)), p=np.zeros((1, 3)), s=np.zeros(3), chi=np.zeros(3), m=1.0)
+    kw[field] = value
+    with pytest.raises(InvalidState):
+        PhasePoint(**kw)
 
 
 # Poly arithmetic sanity, property style
