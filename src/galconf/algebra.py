@@ -33,6 +33,7 @@ __all__ = [
     "bracket",
     "jacobi_report",
     "jacobi_worst",
+    "structure_checks",
     "conformal_basis",
     "conformal_basis_inverse",
     "so21_basis",
@@ -286,6 +287,7 @@ def bracket(alg: AlgebraSpec, X: Mapping[GeneratorId, object],
 
 
 def _jacobi_defect(alg: AlgebraSpec, x, y, z) -> Fraction:
+    """Jacobi defect of one triple through ``bracket``: the oracle of jacobi_worst."""
     ex, ey, ez = {x: Fraction(1)}, {y: Fraction(1)}, {z: Fraction(1)}
     total: Element = {}
     for a, b, c in ((ex, ey, ez), (ey, ez, ex), (ez, ex, ey)):
@@ -304,14 +306,70 @@ def jacobi_report(alg: AlgebraSpec) -> Fraction:
 
 
 def jacobi_worst(alg: AlgebraSpec) -> Tuple[Fraction, Optional[Tuple[str, str, str]]]:
-    """Like jacobi_report but also names the worst triple."""
-    worst = Fraction(0)
-    worst_triple = None
-    for x, y, z in combinations(alg.generators, 3):
-        d = _jacobi_defect(alg, x, y, z)
-        if d > worst:
-            worst, worst_triple = d, (x.name, y.name, z.name)
-    return worst, worst_triple
+    """Like jacobi_report but also names the worst triple.
+
+    Sparse and exact.  Every term [a, [b, c]] of a Jacobi sum is a stored
+    pair (b, c), a generator w of its result and a stored pair (a, w), so
+    only those products are formed.  Each is added to the sum of the triple
+    {a, b, c} when (a, b, c) is a cyclic rotation of the triple in generator
+    order, which gives the same sums as ``_jacobi_defect``, the per-triple
+    oracle.  The constants are taken as integers over their common
+    denominator.  The worst triple is the first in ``combinations`` order
+    among those with the largest coefficient.
+    """
+    index = alg.index
+    den = math.lcm(*(c.denominator for row in alg.table.values() for c in row.values()))
+    pairs = [(index[x], index[y], [(index[g], int(c * den)) for g, c in row.items()])
+             for (x, y), row in alg.table.items()]
+    by_rhs: Dict[int, List[Tuple[int, List[Tuple[int, int]]]]] = {}
+    for ia, iw, row in pairs:
+        by_rhs.setdefault(iw, []).append((ia, row))
+    sums: Dict[Tuple[int, int, int], Dict[int, int]] = {}
+    for ib, ic, bc in pairs:
+        for iw, t in bc:
+            for ia, aw in by_rhs.get(iw, ()):
+                if ia < ib < ic:
+                    key = (ia, ib, ic)
+                elif ib < ic < ia:
+                    key = (ib, ic, ia)
+                elif ic < ia < ib:
+                    key = (ic, ia, ib)
+                else:  # a repeated generator, or an anticyclic order
+                    continue
+                acc = sums.setdefault(key, {})
+                for g, u in aw:
+                    acc[g] = acc.get(g, 0) + t * u
+    worst, worst_key = 0, None
+    for key, acc in sums.items():
+        d = max(map(abs, acc.values()))
+        if d > worst or (d == worst and d and key < worst_key):
+            worst, worst_key = d, key
+    names = tuple(alg.generators[i].name for i in worst_key) if worst_key else None
+    return Fraction(worst, den * den), names
+
+
+def structure_checks(alg: AlgebraSpec) -> Dict[str, Tuple[int, str]]:
+    """Antisymmetry and, for a central algebra, mass centrality of the table.
+
+    Maps each check name to (number of offenders, detail).  The detail names
+    the first offender, an ordered pair whose reverse is not its negative or
+    a generator whose stored bracket with M is nonzero, in generator order;
+    it is empty when the check is clean.
+    """
+    index = alg.index
+    asym = [(x, y) for (x, y), res in alg.table.items()
+            if {g: -c for g, c in res.items()} != alg.table.get((y, x))]
+    detail = ""
+    if asym:
+        x, y = min(asym, key=lambda xy: (index[xy[0]], index[xy[1]]))
+        detail = f"first offending pair ({x.name}, {y.name})"
+    out = {"antisymmetry": (len(asym), detail)}
+    if alg.central:
+        M = alg.generator("M")
+        loose = [g for g in alg.generators if any(alg.table.get((M, g), {}).values())]
+        out["mass_central"] = (len(loose), f"M does not commute with {loose[0].name}"
+                               if loose else "")
+    return out
 
 
 def conformal_basis(h, d, k):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -28,6 +29,7 @@ from .errors import (
     InvalidState,
     LabelMismatch,
     UnsupportedExtension,
+    UnsupportedHamiltonian,
 )
 
 EXIT_OK = 0
@@ -70,15 +72,9 @@ def cmd_algebra_check(args) -> int:
     checks.append({"name": "jacobi", "defect": float(defect), "allowed": 0.0,
                    "passed": defect == 0,
                    "detail": f"worst triple {triple}" if triple else ""})
-    bad = sum(1 for (x, y), res in alg.table.items()
-              if {g: -c for g, c in res.items()} != alg.table.get((y, x)))
-    checks.append({"name": "antisymmetry", "defect": bad, "allowed": 0.0,
-                   "passed": bad == 0, "detail": ""})
-    if alg.central:
-        M = alg.generator("M")
-        bad = sum(1 for g in alg.generators if al.bracket(alg, {M: 1}, {g: 1}))
-        checks.append({"name": "mass_central", "defect": bad, "allowed": 0.0,
-                       "passed": bad == 0, "detail": ""})
+    for name, (bad, detail) in al.structure_checks(alg).items():
+        checks.append({"name": name, "defect": bad, "allowed": 0.0,
+                       "passed": bad == 0, "detail": detail})
     passed = all(c["passed"] for c in checks)
     _emit({"schema_version": SCHEMA_VERSION,
            "algebra": {"N": alg.N, "dim": alg.dim, "central": alg.central,
@@ -109,7 +105,10 @@ def cmd_orbit_classify(args) -> int:
 
 
 def _resolve_internal(cfg: dict, dim: int):
-    """(s, chi, label) from the flat config keys s / chi / chi_class / sigma."""
+    """(s, chi, label) from the flat config keys m / s / chi / chi_class / sigma."""
+    m = float(cfg["m"])
+    if not (math.isfinite(m) and m > 0):
+        raise InvalidConfig(f"m must be finite and positive, got {m}")
     if dim == 3:
         s = np.asarray(cfg.get("s", [0.0, 0.0, 0.0]), dtype=float).reshape(3)
         s2 = float(s @ s)
@@ -128,7 +127,7 @@ def _resolve_internal(cfg: dict, dim: int):
     else:
         chi = np.asarray(cfg["chi"], dtype=float).reshape(3)
         cls = co.classify_orbit(chi)
-    label = co.OrbitLabel(m=float(cfg["m"]), s2=s2, chi_class=cls)
+    label = co.OrbitLabel(m=m, s2=s2, chi_class=cls)
     return s, chi, label
 
 
@@ -172,7 +171,7 @@ def _load_run_config(path: str) -> dict:
     cfg = _load_json(path)
     try:
         return _parse_run_config(cfg)
-    except (TypeError, ValueError, InvalidState) as exc:
+    except (TypeError, ValueError, InvalidState, UnsupportedHamiltonian) as exc:
         raise InvalidConfig(f"bad config value: {exc}")
 
 
@@ -182,9 +181,6 @@ def _parse_run_config(cfg) -> dict:
             raise InvalidConfig(f"missing required config key {key!r}")
     N, dim = int(cfg["N"]), int(cfg["dim"])
     al.build_algebra(N, dim, central=True)  # admissibility gate
-    m = float(cfg["m"])
-    if not m > 0:
-        raise InvalidConfig("m must be positive")
     method = cfg.get("method", "rk4")
     if method not in ("rk4", "closed"):
         raise InvalidConfig(f"unknown method {method!r}")
@@ -211,6 +207,7 @@ def _parse_run_config(cfg) -> dict:
         s, chi, label = _resolve_internal(cfg, dim)
     except (LabelMismatch, AmbiguousClass) as exc:
         raise InvalidConfig(str(exc))
+    m = label.m
     if "chi" in cfg and "chi_class" in cfg:
         got = co.classify_orbit(chi, tol=float(cfg.get("classify_tol", 1e-9)))
         if got.tag != label.chi_class.tag:

@@ -185,9 +185,12 @@ def suite_algebra(seed: int, tols: Dict[str, float],
         defect, triple = al.jacobi_worst(alg)
         cases.append(_case(f"jacobi_{tag}", float(defect), tols["jacobi"],
                            detail=f"worst triple {triple}" if triple else ""))
-        bad = sum(1 for (x, y), res in alg.table.items()
-                  if {g: -c for g, c in res.items()} != alg.table.get((y, x)))
-        cases.append(_case(f"antisymmetry_{tag}", bad, 0.0))
+        structure = al.structure_checks(alg)
+        bad, detail = structure["antisymmetry"]
+        cases.append(_case(f"antisymmetry_{tag}", bad, 0.0, detail))
+        if central:
+            bad, detail = structure["mass_central"]
+            cases.append(_case(f"mass_central_N{N}_dim{dim}", bad, 0.0, detail))
 
     alg1 = algs[(1, 3, True, False)]
     expected = _expected_schrodinger()
@@ -209,11 +212,6 @@ def suite_algebra(seed: int, tols: Dict[str, float],
     for (N, dim, central, ds), alg in algs.items():
         if not central:
             continue
-        tag = f"N{N}_dim{dim}"
-        M = alg.generator("M")
-        central_bad = sum(1 for g in alg.generators
-                          if al.bracket(alg, {M: 1}, {g: 1}))
-        cases.append(_case(f"mass_central_{tag}", central_bad, 0.0))
         mag_bad = 0
         for (x, y), res in alg.table.items():
             if x.kind == "C" and y.kind == "C":
@@ -221,7 +219,7 @@ def suite_algebra(seed: int, tols: Dict[str, float],
                 for coeff in res.values():
                     if abs(coeff) != want:
                         mag_bad += 1
-        cases.append(_case(f"cc_magnitude_{tag}", mag_bad, 0.0))
+        cases.append(_case(f"cc_magnitude_N{N}_dim{dim}", mag_bad, 0.0))
 
     Ns = al.so21_basis(alg1)
     worst = Fraction(0)

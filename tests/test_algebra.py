@@ -2,12 +2,15 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galconf.algebra import (
+    AlgebraSpec,
+    _jacobi_defect,
     bracket,
     build_algebra,
     conformal_basis,
@@ -18,9 +21,10 @@ from galconf.algebra import (
     jacobi_worst,
     so21_basis,
     so21_epsilon_lower,
+    structure_checks,
 )
 from galconf.errors import BadDimension, UnknownGenerator, UnsupportedExtension
-from galconf.verify import break_antisymmetry, flip_constant
+from galconf.verify import ACCEPTANCE_ALGEBRAS, break_antisymmetry, flip_constant, run_suites
 
 
 def names(elem):
@@ -118,13 +122,46 @@ def test_jacobi_exact(N, dim, central, ds):
 
 
 def test_jacobi_exact_full_range():
-    """Every supported (N, dim, central) combination up to N = 9."""
-    for N in range(1, 10):
+    """Every supported (N, dim, central) combination up to N = 15."""
+    for N in range(1, 16):
         for dim in (2, 3):
             assert jacobi_report(build_algebra(N, dim, central=False)) == 0
             if (N % 2, dim) in ((1, 3), (0, 2)):
                 assert jacobi_report(build_algebra(N, dim, central=True)) == 0
     assert jacobi_report(build_algebra(9, 3, central=False, with_ds=True)) == 0
+
+
+def oracle_worst(alg):
+    """The worst Jacobi triple by brute force over every triple with _jacobi_defect."""
+    worst, triple = Fraction(0), None
+    for x, y, z in combinations(alg.generators, 3):
+        d = _jacobi_defect(alg, x, y, z)
+        if d > worst:
+            worst, triple = d, (x.name, y.name, z.name)
+    return worst, triple
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_ALGEBRAS)
+def test_jacobi_worst_matches_oracle(spec):
+    alg = build_algebra(*spec)
+    assert jacobi_worst(alg) == oracle_worst(alg) == (0, None)
+
+
+@pytest.mark.parametrize("mutate", [flip_constant, break_antisymmetry])
+@pytest.mark.parametrize("N,dim", [(3, 3), (2, 2)])
+def test_jacobi_worst_matches_oracle_on_every_mutant(N, dim, mutate):
+    """Same defect and same triple as the oracle after corrupting any stored pair."""
+    base = build_algebra(N, dim, central=True)
+    pairs = list(base.table)
+    if mutate is flip_constant:  # flips both orders, so one order per pair suffices
+        pairs = [(x, y) for x, y in pairs if base.index[x] < base.index[y]]
+    mismatched = []
+    for x, y in pairs:
+        bad = mutate(base, x.name, y.name)
+        got, want = jacobi_worst(bad), oracle_worst(bad)
+        if got != want or type(got[0]) is not Fraction:
+            mismatched.append((x.name, y.name, got, want))
+    assert not mismatched
 
 
 def test_jacobi_detects_sign_flip():
@@ -147,6 +184,41 @@ def test_directional_flip_breaks_antisymmetry():
     bad = break_antisymmetry(alg, "C0_1", "C1_1")
     x, y = bad.generator("C0_1"), bad.generator("C1_1")
     assert bad.table[(x, y)] != {g: -c for g, c in bad.table[(y, x)].items()}
+
+
+@pytest.mark.parametrize("spec", ACCEPTANCE_ALGEBRAS)
+def test_structure_checks_clean(spec):
+    want = {"antisymmetry": (0, "")}
+    if spec[2]:
+        want["mass_central"] = (0, "")
+    assert structure_checks(build_algebra(*spec)) == want
+
+
+def test_structure_checks_name_first_offender():
+    alg = build_algebra(3, 3, central=True)
+    checks = structure_checks(break_antisymmetry(alg, "C3_1", "C0_1"))
+    assert checks["antisymmetry"] == (2, "first offending pair (C0_1, C3_1)")
+    M, H, K = alg.generator("M"), alg.generator("H"), alg.generator("K")
+    table = dict(alg.table)
+    table[(M, K)] = {K: Fraction(1)}
+    table[(M, H)] = {H: Fraction(1)}
+    loose = AlgebraSpec(N=3, dim=3, central=True, with_ds=False,
+                        generators=alg.generators, table=table)
+    assert structure_checks(loose)["mass_central"] == (2, "M does not commute with H")
+
+
+def test_algebra_suite_locates_broken_antisymmetry():
+    def factory(n, d, c, ds):
+        a = build_algebra(n, d, c, ds)
+        return break_antisymmetry(a, "C1_2", "C2_2") if (n, d, c) == (3, 3, True) else a
+
+    cases = {c["name"]: c for c in run_suites("algebra", algebra_factory=factory)["suites"]["algebra"]}
+    case = cases["antisymmetry_N3_dim3_central"]
+    assert not case["passed"]
+    assert case["detail"] == "first offending pair (C1_2, C2_2)"
+    assert cases["mass_central_N3_dim3"] == {
+        "name": "mass_central_N3_dim3", "defect": 0.0, "allowed": 0.0,
+        "passed": True, "detail": ""}
 
 
 @pytest.mark.parametrize("N,dim", [(2, 3), (4, 3), (1, 2), (3, 2)])

@@ -1,11 +1,17 @@
 """Exit-code contract, artifacts and determinism of the command line."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galconf.cli import main
 
@@ -35,6 +41,16 @@ class TestAlgebraCommands:
         code, _, err = run_cli(capsys, "algebra", "check", "--N", "1", "--dim", "5")
         assert code == 2
         assert "BadDimension" in err
+
+    @pytest.mark.parametrize("N,dim", [(31, 3), (30, 2)])
+    def test_check_exact_at_scale(self, capsys, N, dim):
+        code, out, _ = run_cli(capsys, "algebra", "check", "--N", str(N),
+                               "--dim", str(dim), "--central")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["jacobi"]["defect"] == 0 and checks["jacobi"]["detail"] == ""
+        assert set(checks) == {"jacobi", "antisymmetry", "mass_central"}
+        assert all(c["passed"] for c in checks.values())
 
     def test_dump_contains_dilatation_row(self, capsys):
         code, out, _ = run_cli(capsys, "algebra", "dump", "--N", "1",
@@ -105,6 +121,15 @@ class TestOrbitCommands:
         assert code == 2
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("m", [-1.0, 0.0, float("nan")])
+    def test_parametrize_rejects_bad_mass(self, capsys, tmp_path, m):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"m": m, "x": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}))
+        code, out, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "m must be finite and positive" in json.loads(err)["error"]
+
 
 def write_free_config(tmp_path, **overrides):
     cfg = {
@@ -170,6 +195,8 @@ class TestSimulate:
         {"s": [0.0, 1.0]},
         {"q": [[float("nan"), 0.0, 0.0]]},
         {"T": float("inf")},
+        {"hamiltonian": "newton_hooke", "omega": float("nan")},
+        {"hamiltonian": "newton_hooke", "omega": 1.0, "sign": 0},
     ])
     def test_invalid_configs_exit_2(self, capsys, tmp_path, overrides):
         cfg = write_free_config(tmp_path, **overrides)
@@ -197,6 +224,68 @@ class TestSimulate:
         run_cli(capsys, "simulate", "--config", str(cfg))
         assert (tmp_path / "traj.csv").read_bytes() == first_csv
         assert (tmp_path / "summary.json").read_bytes() == first_sum
+
+
+BAD_NUMBERS = [float("nan"), float("inf"), -1.0, 0.0, "x", None, [1.0]]
+BAD_VALUES = {
+    "N": [0, 2.5, "3", None, 4],
+    "dim": [4, "x", None, 2],
+    "m": BAD_NUMBERS,
+    "T": BAD_NUMBERS,
+    "dt": [0.3, 0.7, -0.1] + BAD_NUMBERS,
+    "q": ["x", 1.0, [[0.0]], [[float("nan"), 0.0, 0.0]], [[0.1, 0.2]]],
+    "p": ["x", [[float("inf"), 0.0, 0.0]], [[0.1, 0.2, 0.3]] * 3],
+    "s": [[0.0, 1.0], 0.5, float("nan"), "x"],
+    "chi_class": ["Bogus", 3, "Origin"],
+    "sigma": [float("nan"), -1.0, "x"],
+    "chi": [[0.0, 2.0], "x", [float("nan"), 0.0, 0.0], [0.0, 2.0, 0.0]],
+    "method": ["leapfrog", None],
+    "hamiltonian": ["bogus", "newton_hooke"],
+    "omega": [float("nan"), -1.0, 0.0, "x", 50.0],
+    "sign": [0, 2, "x"],
+}
+
+
+@st.composite
+def simulate_configs(draw):
+    """A valid simulate config with up to two fields replaced by a wrong type,
+    a non-finite value, a mass that is not positive, a mismatched shape, a dt
+    that does not divide T, or a missing key; T/dt is at most 200 steps."""
+    N, dim = draw(st.sampled_from([(1, 3), (3, 3), (2, 2), (4, 2)]))
+    levels = N // 2 + 1
+    finite = st.floats(-1.0, 1.0, allow_nan=False)
+    vectors = st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                       min_size=levels, max_size=levels)
+    T = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    cfg = {"N": N, "dim": dim, "T": T, "dt": T / draw(st.integers(1, 200)),
+           "m": draw(st.floats(0.1, 3.0)), "q": draw(vectors), "p": draw(vectors),
+           "s": draw(st.lists(finite, min_size=3, max_size=3) if dim == 3 else finite),
+           "chi_class": "HplusSigma", "sigma": draw(st.floats(0.1, 2.0)),
+           "method": draw(st.sampled_from(["rk4", "closed"])), "hamiltonian": "free"}
+    if (N, dim) == (1, 3) and draw(st.booleans()):
+        cfg.update(hamiltonian="newton_hooke", method="rk4",
+                   omega=draw(st.floats(0.1, 3.0)), sign=draw(st.sampled_from([1, -1])))
+    for key in draw(st.lists(st.sampled_from(sorted(BAD_VALUES)), max_size=2, unique=True)):
+        cfg[key] = draw(st.sampled_from(BAD_VALUES[key]))
+    if draw(st.integers(0, 9)) == 0:
+        del cfg[draw(st.sampled_from(["N", "dim", "m", "dt", "T"]))]
+    return cfg
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(cfg=simulate_configs())
+def test_simulate_fuzz_never_crashes(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = dict(cfg, csv=str(Path(tmp) / "traj.csv"))
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--config", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error" in json.loads(err.getvalue())
 
 
 class TestVerifyCommand:
