@@ -104,29 +104,36 @@ def cmd_orbit_classify(args) -> int:
     return EXIT_OK
 
 
+def _finite(name: str, value):
+    """value, or InvalidConfig if any entry of it is NaN or infinite."""
+    if not np.all(np.isfinite(value)):
+        raise InvalidConfig(f"{name} must be finite, got {np.asarray(value).tolist()}")
+    return value
+
+
 def _resolve_internal(cfg: dict, dim: int):
     """(s, chi, label) from the flat config keys m / s / chi / chi_class / sigma."""
     m = float(cfg["m"])
     if not (math.isfinite(m) and m > 0):
         raise InvalidConfig(f"m must be finite and positive, got {m}")
     if dim == 3:
-        s = np.asarray(cfg.get("s", [0.0, 0.0, 0.0]), dtype=float).reshape(3)
+        s = _finite("s", np.asarray(cfg.get("s", [0.0, 0.0, 0.0]), dtype=float).reshape(3))
         s2 = float(s @ s)
     else:
-        s = float(cfg.get("s", 0.0))
+        s = _finite("s", float(cfg.get("s", 0.0)))
         s2 = s
     has_chi = "chi" in cfg
-    has_class = "chi_class" in cfg
-    if not has_chi and not has_class:
+    if has_chi:
+        chi = _finite("chi", np.asarray(cfg["chi"], dtype=float).reshape(3))
+    if "chi_class" in cfg:
+        cls = co.OrbitClass(cfg["chi_class"], _finite("sigma", float(cfg.get("sigma", 0.0))))
+        if not has_chi:
+            chi = co.chi_for_class(cls)
+    elif has_chi:
+        cls = co.classify_orbit(chi)
+    else:
         chi = np.zeros(3)
         cls = co.OrbitClass("Origin")
-    elif has_class:
-        cls = co.OrbitClass(cfg["chi_class"], float(cfg.get("sigma", 0.0)))
-        chi = np.asarray(cfg["chi"], dtype=float).reshape(3) if has_chi \
-            else co.chi_for_class(cls)
-    else:
-        chi = np.asarray(cfg["chi"], dtype=float).reshape(3)
-        cls = co.classify_orbit(chi)
     label = co.OrbitLabel(m=m, s2=s2, chi_class=cls)
     return s, chi, label
 
@@ -134,7 +141,7 @@ def _resolve_internal(cfg: dict, dim: int):
 def cmd_orbit_parametrize(args) -> int:
     cfg = _load_json(args.config)
     try:
-        x = np.asarray(cfg["x"], dtype=float)
+        x = _finite("x", np.asarray(cfg["x"], dtype=float))
         if x.ndim != 2:
             raise InvalidConfig("x must be an (N+1) x dim array")
         s, chi, label = _resolve_internal(cfg, x.shape[1])
@@ -186,8 +193,6 @@ def _parse_run_config(cfg) -> dict:
         raise InvalidConfig(f"unknown method {method!r}")
     ham_tag = cfg.get("hamiltonian", "free")
     if ham_tag == "newton_hooke":
-        if (N, dim) != (1, 3):
-            raise InvalidConfig("newton_hooke runs require N=1, dim=3")
         if method == "closed":
             raise InvalidConfig("closed-form sampling covers the free flow only")
         ham = dy.HamiltonianChoice("newton_hooke", omega=float(cfg.get("omega", 0.0)),
@@ -237,13 +242,14 @@ def cmd_simulate(args) -> int:
     if cfg["csv"]:
         with open(cfg["csv"], "w") as fh:
             fh.write(dy.trajectory_csv_text(traj))
-    drifts = dy.conservation_drifts(traj, cfg["ham"])
+    drifts, drift_times = dy.conservation_drifts(traj, cfg["ham"])
     rec = traj.recorded
     summary = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg["raw"],
         "samples": len(traj.times),
         "drifts": drifts,
+        "drift_times": drift_times,
         "tolerances": {"conservation": cfg["tol_conservation"], "fit": cfg["tol_fit"]},
         "casimirs": {"C1": float(rec["C1"][0]), "C2": float(rec["C2"][0]),
                      "C3": float(rec["C3"][0])},

@@ -1,9 +1,11 @@
 """Time evolution on an orbit.
 
-The free Hamiltonian flow is linear with a nilpotent external part, so a
-closed form exists and acts as the oracle for the fixed-step RK4 baseline.
-The oscillator deformation of the Hamiltonian (h + sign * omega^2 * k,
-supported for the N=1 Schrodinger case) is integrated numerically.
+Every supported Hamiltonian, h or its oscillator deformation
+h + sign * omega^2 * k, is quadratic in the Darboux chart, so every flow is
+z' = L z with a constant matrix L read off the Poisson brackets.  RK4 is
+one precomputed step matrix applied per step.  The free flow has a
+nilpotent external part, so a closed form exists and acts as the oracle
+for RK4.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -20,9 +22,13 @@ from .errors import BadStep, ShapeMismatch, TooFewSamples, UnsupportedHamiltonia
 from .poisson import (
     EPS2,
     PhasePoint,
+    Poly,
+    StructureMatrix,
     check_state,
     generator_values,
+    hamiltonian_poly,
     p_levels,
+    poly_bracket,
     q_levels,
     raw_levels,
     spin_invariant,
@@ -87,43 +93,33 @@ class PhaseTangent:
     chi: np.ndarray
 
 
-def _vector_field(N: int, dim: int, m: float, ham: HamiltonianChoice):
-    """Hamiltonian vector field on a packed state z = (q, p, chi), flattened;
-    the spin is inert under every supported flow.
+def _flow_matrix(N: int, dim: int, m: float, ham: HamiltonianChoice) -> np.ndarray:
+    """Constant matrix L of the flow z' = L z on packed states z = (q, p, chi).
 
-    Free flow: each q level feeds the one above, the top level is driven by
-    the momentum block, momenta cascade downward with p_0 frozen, and chi
-    turns inside its hyperboloid.
+    Every supported Hamiltonian is quadratic in the Darboux chart, so each
+    bracket {z_i, H} is linear and row i of L holds its coefficients.  The
+    spin is inert under every supported flow and is left out of z.
     """
-    op = q_levels(N, dim) * dim                      # start of p
-    oc = op + p_levels(N, dim) * dim                 # start of chi
-    if ham.free:
-        def rate(z):
-            dz = np.empty_like(z)
-            dz[:op - dim] = z[dim:op]
-            p_top = z[oc - dim:oc]
-            dz[op - dim:op] = (p_top if dim == 3 else p_top @ EPS2) / m
-            dz[op:op + dim] = 0.0
-            dz[op + dim:oc] = -z[op:oc - dim]
-            dz[oc] = dz[oc + 1] = z[oc + 2]
-            dz[oc + 2] = z[oc] - z[oc + 1]
-            return dz
-        return rate
-    if (N, dim) != (1, 3):
-        raise UnsupportedHamiltonian(
-            "the Newton-Hooke flow is implemented for N=1 in dimension 3 only")
-    w2 = ham.sign * ham.omega ** 2
+    sm = StructureMatrix(N, dim, m)
+    H = hamiltonian_poly(N, dim, m, ham.omega, ham.sign)
+    coords = [sym for sym in sm.coordinates() if sym[0] != "s"]
+    column = {sym: j for j, sym in enumerate(coords)}
+    L = np.zeros((len(coords), len(coords)))
+    for i, sym in enumerate(coords):
+        for mono, c in poly_bracket(Poly.var(sym), H, sm).terms.items():
+            ((var, _),) = mono  # one coordinate to the first power
+            L[i, column[var]] = c
+    return L
 
-    def rate(z):
-        # internal part of h + sign w^2 k is (1+w2) chi0 - (1-w2) chi1
-        dz = np.empty_like(z)
-        dz[0:3] = z[3:6] / m
-        dz[3:6] = -w2 * m * z[0:3]
-        dz[6] = (1.0 - w2) * z[8]
-        dz[7] = (1.0 + w2) * z[8]
-        dz[8] = (1.0 - w2) * z[6] - (1.0 + w2) * z[7]
-        return dz
-    return rate
+
+def _rk4_step_matrix(L: np.ndarray, dt: float) -> np.ndarray:
+    """sum_{k=0..4} (dt L)^k / k!: one classical RK4 step of z' = L z."""
+    A = dt * L
+    term = S = np.eye(len(L))
+    for k in range(1, 5):
+        term = term @ A / k
+        S = S + term
+    return S
 
 
 def _pack(pt: PhasePoint) -> np.ndarray:
@@ -139,29 +135,24 @@ def _unpack(z, N: int, dim: int):
 
 
 def time_derivative(pt: PhasePoint, ham: HamiltonianChoice = FREE) -> PhaseTangent:
-    """Hamiltonian vector field at pt."""
-    dz = _vector_field(pt.N, pt.dim, pt.m, ham)(_pack(pt))
+    """Hamiltonian vector field L z at pt."""
+    dz = _flow_matrix(pt.N, pt.dim, pt.m, ham) @ _pack(pt)
     dq, dp, dchi = _unpack(dz, pt.N, pt.dim)
     return PhaseTangent(q=dq, p=dp, s=np.zeros(3) if pt.dim == 3 else 0.0, chi=dchi)
 
 
-def _rk4(z0: np.ndarray, rate, dt: float, n_steps: int) -> np.ndarray:
-    """Classical RK4 on packed states; row i of the result is the state at i*dt.
+def _rk4(z0: np.ndarray, S: np.ndarray, n_steps: int) -> np.ndarray:
+    """Apply the RK4 step matrix S n_steps times; row i is the state at i*dt.
 
     An overflow is not reported here: the Trajectory built from the rows
     rejects non-finite samples and names the first one.
     """
     out = np.empty((n_steps + 1,) + z0.shape)
-    out[0] = z = z0
-    half = dt / 2.0
+    out[0] = z0
+    St = np.ascontiguousarray(S.T)  # z @ S^T into a preallocated row is the cheapest call
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n_steps + 1):
-            k1 = rate(z)
-            k2 = rate(z + half * k1)
-            k3 = rate(z + half * k2)
-            k4 = rate(z + dt * k3)
-            z = z + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
-            out[i] = z
+            np.dot(out[i - 1], St, out=out[i])
     return out
 
 
@@ -297,15 +288,22 @@ def record_values(states: Sequence[PhasePoint]) -> Dict[str, np.ndarray]:
     return {"h": h, "d": d, "k": k, "j": j, "C1": C1, "C2": C2, "C3": C3}
 
 
-def conservation_drifts(traj: Trajectory, ham: HamiltonianChoice = FREE) -> Dict[str, float]:
+def conservation_drifts(traj: Trajectory, ham: HamiltonianChoice = FREE
+                        ) -> Tuple[Dict[str, float], Dict[str, float]]:
     """Largest deviation from the first sample of every quantity the flow
     conserves: the recorded generators and Casimirs, the spin invariant and
     the chi interval, plus p_0 and chi0 - chi1 for the free flow and the
-    deformed energy h + sign * omega^2 * k for Newton-Hooke."""
+    deformed energy h + sign * omega^2 * k for Newton-Hooke.
+
+    Returns two dicts keyed by quantity: the drifts, and the sample time at
+    which each drift is reached (the first such time).
+    """
     rec = traj.recorded
 
-    def drift(v) -> float:
-        return float(np.max(np.abs(v - v[0])))
+    def drift(v):
+        dev = np.abs(v - v[0]).reshape(len(v), -1).max(axis=1)
+        i = int(np.argmax(dev))
+        return float(dev[i]), float(traj.times[i])
 
     if ham.free:
         out = {"p0": drift(traj.p[:, 0]), "chi_diff": drift(traj.chi[:, 0] - traj.chi[:, 1])}
@@ -316,7 +314,7 @@ def conservation_drifts(traj: Trajectory, ham: HamiltonianChoice = FREE) -> Dict
     out.update({nm: drift(rec[nm]) for nm in names})
     out["spin_invariant"] = drift(spin_invariant(traj.s))
     out["chi_interval"] = drift(chi_interval(traj.chi))
-    return out
+    return {k: d for k, (d, _) in out.items()}, {k: t for k, (_, t) in out.items()}
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -352,9 +350,8 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
             raise UnsupportedHamiltonian("closed form available for the free flow only")
         q, p, chi = free_flow(pt0.q, pt0.p, pt0.chi, pt0.m, times)
     else:
-        rate = _vector_field(pt0.N, pt0.dim, pt0.m, ham)
-        q, p, chi = _unpack(_rk4(_pack(pt0), rate, dt, n_steps),
-                            pt0.N, pt0.dim)
+        S = _rk4_step_matrix(_flow_matrix(pt0.N, pt0.dim, pt0.m, ham), dt)
+        q, p, chi = _unpack(_rk4(_pack(pt0), S, n_steps), pt0.N, pt0.dim)
     s = np.broadcast_to(np.reshape(pt0.s, -1), (n_steps + 1, np.size(pt0.s)))
     traj = Trajectory(times=times, q=q, p=p, s=s, chi=chi, m=pt0.m,
                       dt=dt if n_steps else None)

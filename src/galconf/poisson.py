@@ -396,17 +396,27 @@ class StructureMatrix:
 
 
 def poly_bracket(f: Poly, g: Poly, sm: StructureMatrix) -> Poly:
-    """{f, g} as a polynomial: gradients contracted with the bracket table."""
+    """{f, g} as a polynomial: gradients contracted with the bracket table.
+
+    Variables are visited in sorted order, so the float sums do not depend
+    on the hash seed; a partial derivative of g is taken only where some
+    variable of f has a nonzero bracket with it.
+    """
     out = Poly()
-    gv = [(v, g.diff(v)) for v in g.variables()]
-    for u in f.variables():
+    g_vars = sorted(g.variables())
+    dg: Dict = {}
+    for u in sorted(f.variables()):
         df = f.diff(u)
         if not df:
             continue
-        for v, dg in gv:
+        for v in g_vars:
             br = sm.bracket(u, v)
-            if br and dg:
-                out = out + df * dg * br
+            if not br:
+                continue
+            if v not in dg:
+                dg[v] = g.diff(v)
+            if dg[v]:
+                out = out + df * dg[v] * br
     return out
 
 

@@ -487,20 +487,40 @@ def suite_poisson(seed: int, tols: Dict[str, float],
 # dynamics suite
 # ---------------------------------------------------------------------------
 
+def _printed_free_field(pt: po.PhasePoint):
+    """The free Hamiltonian vector field (dq, dp, dchi) at pt as printed.
+
+    Each q level moves with the level above it, the top level with the top
+    momentum over m, momenta cascade downward with p_0 frozen, and chi turns
+    inside its hyperboloid.  This is the oracle for the bracket flows of h.
+    """
+    q, p, chi = pt.q, pt.p, pt.chi
+    p_top = p[-1] if pt.dim == 3 else p[-1] @ po.EPS2
+    dq = np.vstack([q[1:], p_top / pt.m])
+    dp = np.vstack([np.zeros(pt.dim), -p[:-1]])
+    return dq, dp, np.array([chi[2], chi[2], chi[0] - chi[1]])
+
+
 def suite_dynamics(seed: int, tols: Dict[str, float],
                    factory: Callable[..., AlgebraSpec]) -> List[Case]:
     rng = np.random.default_rng(seed + 3)
     cases: List[Case] = []
 
     for (N, dim) in ((3, 3), (4, 2)):
-        worst = 0.0
-        for _ in range(3):
+        gaps = []  # (worst gap, draw index, sample time) per draw
+        for draw in range(3):
             pt = po.random_point(rng, N, dim, m=float(rng.uniform(0.6, 1.8)))
             tr_rk = dy.integrate(pt, dy.FREE, 1.0, 1e-3, "rk4", record=False)
             tr_cl = dy.integrate(pt, dy.FREE, 1.0, 1e-3, "closed", record=False)
-            for a, b in ((tr_rk.q, tr_cl.q), (tr_rk.p, tr_cl.p), (tr_rk.chi, tr_cl.chi)):
-                worst = max(worst, float(np.max(np.abs(a[::50] - b[::50]))))
-        cases.append(_case(f"rk4_vs_closed_N{N}_dim{dim}", worst, tols["integrator"]))
+            times = tr_rk.times[::50]
+            gap = np.max([np.abs(a[::50] - b[::50]).reshape(len(times), -1).max(axis=1)
+                          for a, b in ((tr_rk.q, tr_cl.q), (tr_rk.p, tr_cl.p),
+                                       (tr_rk.chi, tr_cl.chi))], axis=0)
+            i = int(np.argmax(gap))
+            gaps.append((float(gap[i]), draw, float(times[i])))
+        worst, draw, t = max(gaps, key=lambda g: g[0])
+        cases.append(_case(f"rk4_vs_closed_N{N}_dim{dim}", worst, tols["integrator"],
+                           detail=f"worst gap at draw {draw}, t={t:g}"))
 
     for (N, dim) in FLOW_FAMILIES:
         pt = po.random_point(rng, N, dim)
@@ -516,8 +536,10 @@ def suite_dynamics(seed: int, tols: Dict[str, float],
     for (N, dim) in FLOW_FAMILIES:
         pt = po.random_point(rng, N, dim)
         tr = dy.integrate(pt, dy.FREE, 1.0, 1e-3, "rk4", record=True)
-        drift = max(dy.conservation_drifts(tr).values())
-        cases.append(_case(f"free_conservation_N{N}_dim{dim}", drift, tols["integrator"]))
+        drifts, times = dy.conservation_drifts(tr)
+        name = max(drifts, key=drifts.get)
+        cases.append(_case(f"free_conservation_N{N}_dim{dim}", drifts[name], tols["integrator"],
+                           detail=f"worst {name} at t={times[name]:g}"))
 
     for (N, dim) in FLOW_FAMILIES:
         m = float(rng.uniform(0.6, 1.8))
@@ -528,15 +550,15 @@ def suite_dynamics(seed: int, tols: Dict[str, float],
         for _ in range(50):
             pt = po.random_point(rng, N, dim, m=m)
             env = pt.env()
-            tang = dy.time_derivative(pt)
+            dq, dp, dchi = _printed_free_field(pt)
             for k in range(pt.q.shape[0]):
                 for a in range(dim):
-                    worst = max(worst, abs(flows[("q", k, a)].eval(env) - tang.q[k, a]))
+                    worst = max(worst, abs(flows[("q", k, a)].eval(env) - dq[k, a]))
             for k in range(pt.p.shape[0]):
                 for a in range(dim):
-                    worst = max(worst, abs(flows[("p", k, a)].eval(env) - tang.p[k, a]))
+                    worst = max(worst, abs(flows[("p", k, a)].eval(env) - dp[k, a]))
             for al_ in range(3):
-                worst = max(worst, abs(flows[("chi", al_)].eval(env) - tang.chi[al_]))
+                worst = max(worst, abs(flows[("chi", al_)].eval(env) - dchi[al_]))
         cases.append(_case(f"hamiltonian_consistency_N{N}_dim{dim}", worst, tols["structure"]))
 
     ham = dy.HamiltonianChoice("newton_hooke", omega=1.0, sign=1)
@@ -549,6 +571,18 @@ def suite_dynamics(seed: int, tols: Dict[str, float],
     energy = tr.recorded["h"] + ham.omega ** 2 * tr.recorded["k"]
     cases.append(_case("newton_hooke_energy", float(np.max(np.abs(energy - energy[0]))),
                        tols["integrator"]))
+
+    # the external modes turn at omega * (N - 2j), so at t = pi/omega each has
+    # turned by pi * (N - 2j) and the external block is multiplied by (-1)^N
+    omega = float(rng.uniform(0.5, 1.5))
+    ham = dy.HamiltonianChoice("newton_hooke", omega=omega, sign=1)
+    pt = po.random_point(rng, 3, 3, m=float(rng.uniform(0.6, 1.8)))
+    T = math.pi / omega
+    tr = dy.integrate(pt, ham, T, T / n_steps, "rk4", record=False)
+    period_err = max(float(np.max(np.abs(tr.q[-1] + pt.q))),
+                     float(np.max(np.abs(tr.p[-1] + pt.p))))
+    cases.append(_case("newton_hooke_period_N3_dim3", period_err, tols["oscillator"],
+                       detail="external block at t = pi/omega vs (-1)^N times t = 0"))
     return cases
 
 

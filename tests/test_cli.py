@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -121,6 +122,23 @@ class TestOrbitCommands:
         assert code == 2
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("overrides", [
+        {"s": [0.0, float("nan"), 1.0]},
+        {"chi": [float("nan"), 0.0, 0.0]},
+        {"chi_class": "HplusSigma", "sigma": float("nan")},
+        {"x": [[0.0, float("inf"), 0.0], [0.0, 0.0, 0.0]]},
+        {"x": [[0.0, float("nan"), 0.0], [0.0, 0.0, 0.0]]},
+    ])
+    def test_parametrize_rejects_non_finite_input(self, capsys, tmp_path, overrides):
+        # these used to exit 1 as an ambiguous class, or 0 with NaN in the output
+        config = {"m": 1.0, "s": [0.0, 0.0, 1.0], "x": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(config, **overrides)))
+        code, out, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("m", [-1.0, 0.0, float("nan")])
     def test_parametrize_rejects_bad_mass(self, capsys, tmp_path, m):
         cfg = tmp_path / "bad.json"
@@ -182,9 +200,29 @@ class TestSimulate:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["drifts"]["deformed_energy"] < 1e-8
 
+    def test_newton_hooke_higher_order_run(self, capsys, tmp_path):
+        cfg = write_free_config(
+            tmp_path, hamiltonian="newton_hooke", omega=1.0, sign=1, N=3,
+            q=[[0.3, 0.0, 0.0], [0.0, 0.2, 0.0]], p=[[0.0, 0.1, 0.0], [0.4, 0.0, 0.0]])
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 0, err
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["drifts"]["deformed_energy"] <= 1e-8
+
+    def test_drift_times_name_the_worst_sample(self, capsys, tmp_path):
+        cfg = write_free_config(tmp_path)
+        run_cli(capsys, "simulate", "--config", str(cfg))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        rows = np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1)
+        header = (tmp_path / "traj.csv").read_text().split("\n")[0].split(",")
+        h = rows[:, header.index("h")]
+        i = int(np.argmax(np.abs(h - h[0])))
+        assert summary["drift_times"]["h"] == rows[i, 0]
+        assert set(summary["drift_times"]) == set(summary["drifts"])
+
     @pytest.mark.parametrize("overrides", [
         {"method": "leapfrog"},
-        {"hamiltonian": "newton_hooke", "omega": 1.0, "N": 3,
+        {"hamiltonian": "newton_hooke", "omega": 1.0, "N": 3, "method": "closed",
          "q": [[0, 0, 0], [0, 0, 0]], "p": [[0, 0, 0], [0, 0, 0]]},
         {"q": [[0.0, 0.0]]},
         {"m": -1.0},
@@ -262,7 +300,7 @@ def simulate_configs(draw):
            "s": draw(st.lists(finite, min_size=3, max_size=3) if dim == 3 else finite),
            "chi_class": "HplusSigma", "sigma": draw(st.floats(0.1, 2.0)),
            "method": draw(st.sampled_from(["rk4", "closed"])), "hamiltonian": "free"}
-    if (N, dim) == (1, 3) and draw(st.booleans()):
+    if draw(st.booleans()):
         cfg.update(hamiltonian="newton_hooke", method="rk4",
                    omega=draw(st.floats(0.1, 3.0)), sign=draw(st.sampled_from([1, -1])))
     for key in draw(st.lists(st.sampled_from(sorted(BAD_VALUES)), max_size=2, unique=True)):
@@ -301,6 +339,15 @@ class TestVerifyCommand:
         run_cli(capsys, "verify", "poisson", "--seed", "3", "-o", str(a))
         run_cli(capsys, "verify", "poisson", "--seed", "3", "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_reports_do_not_depend_on_the_hash_seed(self):
+        # the bracket sums used to follow set order, which varies with the hash seed
+        for suite in ("poisson", "dynamics"):
+            outs = [subprocess.run(
+                [sys.executable, "-m", "galconf.cli", "verify", suite, "--seed", "42"],
+                capture_output=True, env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+                check=True).stdout for hash_seed in ("1", "2")]
+            assert outs[0] == outs[1], suite
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Integrators, closed forms, motion order and conservation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from galconf.dynamics import (
     CSV_FLOAT_FORMAT,
     FREE,
     HamiltonianChoice,
+    _flow_matrix,
     closed_form,
     conditioning_threshold,
+    conservation_drifts,
     eval_state,
     integrate,
     record_values,
@@ -28,10 +31,14 @@ from galconf.poisson import (
     dual_vector_at,
     generators_at,
     hamiltonian_poly,
+    p_levels,
     poly_bracket,
+    q_levels,
     random_point,
 )
-from galconf.verify import FLOW_FAMILIES
+from galconf.verify import FLOW_FAMILIES, _printed_free_field, run_suites
+
+NEWTON_HOOKE_FAMILIES = [(1, 3), (2, 2), (3, 3), (4, 2), (5, 3), (7, 3)]
 
 
 def free_point(**kw):
@@ -70,6 +77,7 @@ class TestTimeDerivative:
 
     @pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (2, 2), (4, 2)])
     def test_matches_bracket_flow(self, N, dim):
+        # the printed free field is the oracle for both the bracket flows and L z
         m = 1.2
         h = hamiltonian_poly(N, dim, m)
         sm = StructureMatrix(N, dim, m)
@@ -77,24 +85,38 @@ class TestTimeDerivative:
         for _ in range(10):
             pt = random_point(rng, N, dim, m=m)
             env = pt.env()
+            dq, dp, dchi = _printed_free_field(pt)
             tang = time_derivative(pt)
+            assert np.allclose(tang.q, dq, rtol=0, atol=1e-15)
+            assert np.allclose(tang.p, dp, rtol=0, atol=1e-15)
+            assert np.allclose(tang.chi, dchi, rtol=0, atol=1e-15)
             for k in range(pt.q.shape[0]):
                 for a in range(dim):
                     assert poly_bracket(Poly.var(("q", k, a)), h, sm).eval(env) == \
-                        pytest.approx(tang.q[k, a], abs=1e-12)
+                        pytest.approx(dq[k, a], abs=1e-12)
             for k in range(pt.p.shape[0]):
                 for a in range(dim):
                     assert poly_bracket(Poly.var(("p", k, a)), h, sm).eval(env) == \
-                        pytest.approx(tang.p[k, a], abs=1e-12)
+                        pytest.approx(dp[k, a], abs=1e-12)
             for al in range(3):
                 assert poly_bracket(Poly.var(("chi", al)), h, sm).eval(env) == \
-                    pytest.approx(tang.chi[al], abs=1e-12)
+                    pytest.approx(dchi[al], abs=1e-12)
 
-    def test_newton_hooke_requires_schrodinger_case(self):
-        rng = np.random.default_rng(1)
-        ham = HamiltonianChoice("newton_hooke", omega=1.0)
-        with pytest.raises(UnsupportedHamiltonian):
-            time_derivative(random_point(rng, 3, 3), ham)
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES + ((5, 3), (7, 3)))
+def test_flow_matrix_matches_printed_field(N, dim):
+    """Column j of L is the printed free field at the j-th unit state."""
+    m = 1.3
+    L = _flow_matrix(N, dim, m, FREE)
+    nq, n_p = q_levels(N, dim) * dim, p_levels(N, dim) * dim
+    assert L.shape == (nq + n_p + 3,) * 2
+    s = np.zeros(3) if dim == 3 else 0.0
+    for j, e in enumerate(np.eye(len(L))):
+        pt = PhasePoint(q=e[:nq].reshape(-1, dim), p=e[nq:nq + n_p].reshape(-1, dim),
+                        s=s, chi=e[nq + n_p:], m=m)
+        dq, dp, dchi = _printed_free_field(pt)
+        assert np.allclose(L[:, j], np.concatenate([dq.ravel(), dp.ravel(), dchi]),
+                           rtol=0, atol=1e-16), j
 
 
 class TestClosedForm:
@@ -207,6 +229,37 @@ class TestNewtonHooke:
         pt = free_point(q=[[1.0, 0.0, 0.0]])
         tr = integrate(pt, ham, 1.0, 1e-3, record=False)
         assert tr.states[-1].q[0, 0] == pytest.approx(math.cosh(1.0), rel=1e-6)
+
+    def test_higher_order_conserves_deformed_energy(self):
+        ham = HamiltonianChoice("newton_hooke", omega=1.0, sign=1)
+        tr = integrate(random_point(np.random.default_rng(1), 3, 3), ham, 1.0, 1e-3)
+        drifts, _ = conservation_drifts(tr, ham)
+        assert drifts["deformed_energy"] <= 1e-8
+
+    @pytest.mark.parametrize("N,dim", NEWTON_HOOKE_FAMILIES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_external_spectrum(self, N, dim, sign):
+        # +1: frequencies omega * (N - 2j); -1: real rates of the same size
+        omega = 1.3
+        L = _flow_matrix(N, dim, 0.8, HamiltonianChoice("newton_hooke", omega=omega, sign=sign))
+        n_ext = (q_levels(N, dim) + p_levels(N, dim)) * dim
+        assert not np.any(L[:n_ext, n_ext:]) and not np.any(L[n_ext:, :n_ext])
+        eig = np.linalg.eigvals(L[:n_ext, :n_ext])
+        rates, zero = (eig.imag, eig.real) if sign == 1 else (eig.real, eig.imag)
+        want = omega * np.sort(np.repeat(N - 2.0 * np.arange(N + 1), dim))
+        assert np.allclose(zero, 0.0, rtol=0, atol=1e-9)
+        assert np.allclose(np.sort(rates), want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("N,dim", NEWTON_HOOKE_FAMILIES)
+    def test_half_period_flips_external_block(self, N, dim):
+        omega = 1.3
+        ham = HamiltonianChoice("newton_hooke", omega=omega, sign=1)
+        pt = random_point(np.random.default_rng(40 + N), N, dim, m=0.8)
+        T = math.pi / omega
+        tr = integrate(pt, ham, T, T / 3142, record=False)
+        sign = (-1) ** N
+        assert np.max(np.abs(tr.q[-1] - sign * pt.q)) < 1e-6
+        assert np.max(np.abs(tr.p[-1] - sign * pt.p)) < 1e-6
 
     def test_overflow_is_an_error(self):
         # cosh(50 t) passes the largest double near t = 14.2
@@ -401,9 +454,10 @@ class TestArrayTrajectory:
     def test_rk4_matches_per_stage_reference(self, N, dim, ham):
         pt, _ = self.trajectories(N, dim, ham)
         tr = integrate(pt, ham, 0.05, 0.01, "rk4", record=False)
+        # the step matrix regroups the same arithmetic, so only the last bits move
         for st, ref in zip(tr.states, _rk4_reference(pt, ham, 0.01, 5)):
-            assert np.array_equal(st.q, ref.q) and np.array_equal(st.p, ref.p)
-            assert np.array_equal(st.chi, ref.chi)
+            for a, b in ((st.q, ref.q), (st.p, ref.p), (st.chi, ref.chi)):
+                assert np.allclose(a, b, rtol=0, atol=1e-14)
 
 
 def _csv_reference(traj):
@@ -444,3 +498,15 @@ def test_record_values_accepts_a_list_of_points():
     rec = record_values(list(tr.states))
     for key, value in tr.recorded.items():
         assert np.array_equal(rec[key], value)
+
+
+def test_dynamics_cases_locate_their_worst_defect():
+    cases = {c["name"]: c for c in run_suites("dynamics")["suites"]["dynamics"]}
+    assert all(c["passed"] for c in cases.values())
+    for N, dim in ((3, 3), (4, 2)):
+        detail = cases[f"rk4_vs_closed_N{N}_dim{dim}"]["detail"]
+        assert re.fullmatch(r"worst gap at draw [012], t=\S+", detail), detail
+    for N, dim in FLOW_FAMILIES:
+        detail = cases[f"free_conservation_N{N}_dim{dim}"]["detail"]
+        assert re.fullmatch(r"worst \w+ at t=\S+", detail), detail
+    assert "newton_hooke_period_N3_dim3" in cases
