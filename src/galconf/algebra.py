@@ -38,6 +38,7 @@ __all__ = [
     "conformal_basis_inverse",
     "so21_basis",
     "so21_epsilon_lower",
+    "spin_components",
     "dump_table",
 ]
 
@@ -62,6 +63,12 @@ def eps3(i: int, j: int, k: int) -> int:
 def eps2(a: int, b: int) -> int:
     """Antisymmetric symbol with 1-based indices, eps2(1,2) = +1."""
     return 1 if (a, b) == (1, 2) else -1 if (a, b) == (2, 1) else 0
+
+
+def spin_components(dim: int) -> int:
+    """Number dim (dim - 1) / 2 of rotation generators J of SO(dim): the
+    length of the trailing axis of the internal spin s and of the dual j."""
+    return dim * (dim - 1) // 2
 
 
 def so21_epsilon_lower(alpha: int, beta: int, gamma: int) -> int:

@@ -28,6 +28,7 @@ from .errors import (
     InvalidConfig,
     InvalidState,
     LabelMismatch,
+    ShapeMismatch,
     UnsupportedExtension,
     UnsupportedHamiltonian,
 )
@@ -56,9 +57,12 @@ def _fail_input(message: str) -> int:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidConfig(f"cannot read JSON config {path}: {exc}")
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +120,9 @@ def _resolve_internal(cfg: dict, dim: int):
     m = float(cfg["m"])
     if not (math.isfinite(m) and m > 0):
         raise InvalidConfig(f"m must be finite and positive, got {m}")
-    if dim == 3:
-        s = _finite("s", np.asarray(cfg.get("s", [0.0, 0.0, 0.0]), dtype=float).reshape(3))
-        s2 = float(s @ s)
-    else:
-        s = _finite("s", float(cfg.get("s", 0.0)))
-        s2 = s
+    n = al.spin_components(dim)
+    s = _finite("s", np.asarray(cfg.get("s", np.zeros(n)), dtype=float).reshape(n))
+    s2 = float(co.spin_invariant(s))
     has_chi = "chi" in cfg
     if has_chi:
         chi = _finite("chi", np.asarray(cfg["chi"], dtype=float).reshape(3))
@@ -144,6 +145,7 @@ def cmd_orbit_parametrize(args) -> int:
         x = _finite("x", np.asarray(cfg["x"], dtype=float))
         if x.ndim != 2:
             raise InvalidConfig("x must be an (N+1) x dim array")
+        al.build_algebra(x.shape[0] - 1, x.shape[1], central=True)  # admissibility gate
         s, chi, label = _resolve_internal(cfg, x.shape[1])
         X = co.parametrize(label, s, chi, x)
     except KeyError as exc:
@@ -161,9 +163,27 @@ def cmd_orbit_parametrize(args) -> int:
     return EXIT_OK
 
 
+def _load_dual(path: str) -> co.DualVector:
+    """The dual vector of a JSON file, bare or under a "dual" key (as written
+    by orbit parametrize); its entries must be finite and its mass positive."""
+    data = _load_json(path)
+    data = data.get("dual", data)
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"dual must be a JSON object, got {type(data).__name__}")
+    try:
+        X = co.DualVector.from_json(data)
+    except KeyError as exc:
+        raise InvalidConfig(f"missing dual key {exc}")
+    except (TypeError, ValueError, ShapeMismatch) as exc:
+        raise InvalidConfig(f"bad dual value: {exc}")
+    _finite("dual", np.concatenate([[X.m, X.h, X.d, X.k], X.j, X.c.ravel()]))
+    if not X.m > 0:
+        raise InvalidConfig(f"m must be positive, got {X.m}")
+    return X
+
+
 def cmd_casimir_eval(args) -> int:
-    data = _load_json(args.dual)
-    X = co.DualVector.from_json(data.get("dual", data))
+    X = _load_dual(args.dual)
     alg = al.build_algebra(X.N, X.dim, central=True)
     c1, c2, c3 = co.casimir_values(alg, X)
     _emit({"schema_version": SCHEMA_VERSION, "C1": c1, "C2": c2, "C3": c3}, args.out)
@@ -273,32 +293,58 @@ def cmd_simulate(args) -> int:
 # verification
 # ---------------------------------------------------------------------------
 
-def _parse_tols(pairs) -> dict:
+def _check_tols(tols) -> dict:
+    """Tolerance overrides {name: float}; each must name a default tolerance
+    and be a finite, nonnegative number."""
+    if not isinstance(tols, dict):
+        raise InvalidConfig(f"tolerances must be an object, got {type(tols).__name__}")
+    unknown = set(tols) - set(vf.DEFAULT_TOLERANCES)
+    if unknown:
+        raise InvalidConfig(f"unknown tolerances {sorted(unknown)}")
     out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise InvalidConfig(f"tolerance override must be name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        if name not in vf.DEFAULT_TOLERANCES:
-            raise InvalidConfig(f"unknown tolerance {name!r}")
-        out[name] = float(value)
+    for name, value in tols.items():
+        try:
+            out[name] = float(value)
+        except (TypeError, ValueError):
+            raise InvalidConfig(f"tolerance {name} must be a number, got {value!r}")
+        if not (math.isfinite(out[name]) and out[name] >= 0):
+            raise InvalidConfig(f"tolerance {name} must be finite and nonnegative, "
+                                f"got {value!r}")
     return out
+
+
+def _parse_tols(pairs) -> dict:
+    tols = {}
+    for item in pairs or []:
+        name, eq, value = item.partition("=")
+        if not eq:
+            raise InvalidConfig(f"tolerance override must be name=value, got {item!r}")
+        tols[name] = value
+    return _check_tols(tols)
+
+
+def _check_seed(seed) -> int:
+    try:
+        value = int(seed)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidConfig(f"seed must be an integer, got {seed!r}")
+    if value < 0:
+        raise InvalidConfig(f"seed must be nonnegative, got {value}")
+    return value
 
 
 def cmd_verify(args) -> int:
     which = "all" if args.suite == "all" else args.suite
-    report = vf.run_suites(which, seed=args.seed, tolerances=_parse_tols(args.tol))
+    report = vf.run_suites(which, seed=_check_seed(args.seed),
+                           tolerances=_parse_tols(args.tol))
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
 def cmd_symmetry_verify(args) -> int:
     cfg = _load_json(args.config)
-    tols = cfg.get("tolerances", {})
-    unknown = set(tols) - set(vf.DEFAULT_TOLERANCES)
-    if unknown:
-        raise InvalidConfig(f"unknown tolerances {sorted(unknown)}")
-    report = vf.run_suites("symmetry", seed=int(cfg.get("seed", 42)), tolerances=tols)
+    tols = _check_tols(cfg.get("tolerances", {}))
+    report = vf.run_suites("symmetry", seed=_check_seed(cfg.get("seed", 42)), tolerances=tols)
     _emit(report, args.out or cfg.get("report"))
     return EXIT_OK if report["passed"] else EXIT_FAIL
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, GeneratorId, _sign_pow
+from .algebra import AlgebraSpec, GeneratorId, _sign_pow, spin_components
 from .errors import (
     AmbiguousClass,
     ConvergenceFailure,
@@ -33,6 +33,8 @@ __all__ = [
     "ORBIT_TAGS",
     "classify_orbit",
     "chi_for_class",
+    "chi_interval",
+    "spin_invariant",
     "coad_generic",
     "coad_closed_form",
     "orbit_dual_vector",
@@ -56,6 +58,14 @@ def chi_interval(chi):
     return chi[..., 0] ** 2 - chi[..., 1] ** 2 - chi[..., 2] ** 2
 
 
+def spin_invariant(s):
+    """|s|^2 for spins with a trailing axis of 3, the signed s for a trailing axis of 1.
+
+    |s|^2 is a matrix product, which rounds one spin exactly as s @ s does.
+    """
+    return (s[..., None, :] @ s[..., :, None])[..., 0, 0] if s.shape[-1] == 3 else s[..., 0]
+
+
 def _rowdot(u, v):
     """Dot products over the trailing axis."""
     return np.einsum("...a,...a->...", u, v)
@@ -75,25 +85,27 @@ def _eps_pair(u, v):
 class DualVector:
     """Point of the dual space for a centrally extended (N, dim) algebra.
 
-    j is a 3-vector in dimension 3 and a scalar in dimension 2; c has one
-    row per tower level.
+    j has one component per rotation generator J (3 in dimension 3, 1 in
+    dimension 2; a bare number is read as the one component); c has one row
+    per tower level.  m, h, d and k are stored as floats.
     """
 
     m: float
     h: float
     d: float
     k: float
-    j: object
+    j: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
         self.c = np.array(self.c, dtype=float)
         if self.c.ndim != 2 or self.c.shape[1] not in (2, 3):
             raise ShapeMismatch(f"c must be (N+1, dim), got {self.c.shape}")
-        if self.dim == 3:
-            self.j = np.array(self.j, dtype=float).reshape(3)
-        else:
-            self.j = float(np.asarray(self.j).reshape(()))
+        self.j = np.array(self.j, dtype=float).reshape(-1)
+        if self.j.shape != (spin_components(self.dim),):
+            raise ShapeMismatch(f"j must have {spin_components(self.dim)} components "
+                                f"in dimension {self.dim}, got {self.j.size}")
+        self.m, self.h, self.d, self.k = (float(v) for v in (self.m, self.h, self.d, self.k))
 
     @property
     def N(self) -> int:
@@ -108,25 +120,20 @@ class DualVector:
         return np.array([(self.h + self.k) / 2.0, (self.k - self.h) / 2.0, self.d])
 
     def copy(self) -> "DualVector":
-        return DualVector(m=self.m, h=self.h, d=self.d, k=self.k,
-                          j=np.copy(self.j) if self.dim == 3 else self.j,
+        return DualVector(m=self.m, h=self.h, d=self.d, k=self.k, j=self.j.copy(),
                           c=self.c.copy())
 
     def to_json(self) -> dict:
         return {
             "m": self.m, "h": self.h, "d": self.d, "k": self.k,
-            "j": list(np.atleast_1d(np.asarray(self.j, dtype=float))),
+            "j": list(self.j),
             "c": [list(row) for row in self.c],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "DualVector":
-        c = np.array(data["c"], dtype=float)
-        j = np.array(data["j"], dtype=float)
-        if c.shape[1] == 2:
-            j = float(j[0]) if j.size else 0.0
-        return cls(m=float(data["m"]), h=float(data["h"]), d=float(data["d"]),
-                   k=float(data["k"]), j=j, c=c)
+        return cls(m=data["m"], h=data["h"], d=data["d"], k=data["k"], j=data["j"],
+                   c=data["c"])
 
 
 def _check_shape(alg: AlgebraSpec, X: DualVector) -> None:
@@ -139,15 +146,16 @@ def _check_shape(alg: AlgebraSpec, X: DualVector) -> None:
             f"algebra has N={alg.N}, dim={alg.dim}")
 
 
+def _rotation_rows(alg: AlgebraSpec):
+    """Indices of the J generators, in the order of the components of j."""
+    return [alg.index[g] for g in alg.generators if g.kind == "J"]
+
+
 def dual_to_vector(alg: AlgebraSpec, X: DualVector) -> np.ndarray:
     _check_shape(alg, X)
     v = np.zeros(len(alg.generators))
     idx = alg.index
-    if alg.dim == 3:
-        for a in range(3):
-            v[idx[GeneratorId("J", axis=a + 1)]] = X.j[a]
-    else:
-        v[idx[GeneratorId("J")]] = X.j
+    v[_rotation_rows(alg)] = X.j
     for j in range(alg.N + 1):
         for a in range(alg.dim):
             v[idx[GeneratorId("C", axis=a + 1, level=j)]] = X.c[j, a]
@@ -164,15 +172,9 @@ def dual_from_vector(alg: AlgebraSpec, v: np.ndarray) -> DualVector:
     for j in range(alg.N + 1):
         for a in range(alg.dim):
             c[j, a] = v[idx[GeneratorId("C", axis=a + 1, level=j)]]
-    if alg.dim == 3:
-        jj = np.array([v[idx[GeneratorId("J", axis=a + 1)]] for a in range(3)])
-    else:
-        jj = float(v[idx[GeneratorId("J")]])
-    return DualVector(m=float(v[idx[GeneratorId("M")]]),
-                      h=float(v[idx[GeneratorId("H")]]),
-                      d=float(v[idx[GeneratorId("D")]]),
-                      k=float(v[idx[GeneratorId("K")]]),
-                      j=jj, c=c)
+    return DualVector(m=v[idx[GeneratorId("M")]], h=v[idx[GeneratorId("H")]],
+                      d=v[idx[GeneratorId("D")]], k=v[idx[GeneratorId("K")]],
+                      j=v[_rotation_rows(alg)], c=c)
 
 
 def ad_star_matrix(alg: AlgebraSpec, A) -> np.ndarray:
@@ -321,16 +323,11 @@ def _ctrans_dim2(m, x, j, c, h, d, k):
 def translate_dual(m, x, j, c, h, d, k):
     """Tower translation by x (..., N+1, dim) of stacked dual components.
 
-    Every argument may carry leading sample axes; j has a trailing axis of 3
-    in dimension 3 and of 1 in dimension 2.  Returns (j, c, h, d, k).
+    Every argument may carry leading sample axes; j has a trailing axis of
+    one component per rotation generator.  Returns (j, c, h, d, k).
     """
     kernel = _ctrans_dim3 if x.shape[-1] == 3 else _ctrans_dim2
     return kernel(m, x, j, c, h, d, k)
-
-
-def _from_components(m, j, c, h, d, k) -> DualVector:
-    return DualVector(m=m, h=float(h), d=float(d), k=float(k),
-                      j=j if c.shape[-1] == 3 else float(j[0]), c=c)
 
 
 def ctrans(X: DualVector, x) -> DualVector:
@@ -338,8 +335,8 @@ def ctrans(X: DualVector, x) -> DualVector:
     x = np.asarray(x, dtype=float)
     if x.shape != X.c.shape:
         raise ShapeMismatch(f"parameter array must be {X.c.shape}, got {x.shape}")
-    return _from_components(X.m, *translate_dual(X.m, x, np.reshape(X.j, -1), X.c,
-                                                 X.h, X.d, X.k))
+    j, c, h, d, k = translate_dual(X.m, x, X.j, X.c, X.h, X.d, X.k)
+    return DualVector(m=X.m, h=h, d=d, k=k, j=j, c=c)
 
 
 def rotation_matrix(omega) -> np.ndarray:
@@ -434,8 +431,8 @@ class OrbitClass:
 class OrbitLabel:
     """Invariants naming a coadjoint orbit.
 
-    s2 is the squared internal spin length in dimension 3 and the signed
-    scalar spin in dimension 2.
+    s2 is spin_invariant of the internal spin: its squared length in
+    dimension 3 and its one signed component in dimension 2.
     """
 
     m: float
@@ -494,8 +491,9 @@ def orbit_dual_vector(m: float, s, chi, x_levels) -> DualVector:
     """
     x = np.asarray(x_levels, dtype=float)
     chi = np.asarray(chi, dtype=float).reshape(3)
-    s = np.asarray(s, dtype=float).reshape(3 if x.shape[1] == 3 else 1)
-    return _from_components(m, *orbit_components(m, s, chi, x))
+    s = np.asarray(s, dtype=float).reshape(spin_components(x.shape[1]))
+    j, c, h, d, k = orbit_components(m, s, chi, x)
+    return DualVector(m=m, h=h, d=d, k=k, j=j, c=c)
 
 
 def orbit_components(m: float, s, chi, x):
@@ -515,12 +513,8 @@ def parametrize(label: OrbitLabel, s, chi, x_levels, tol: float = 1e-9) -> DualV
     classify into label.chi_class.
     """
     x = np.asarray(x_levels, dtype=float)
-    dim = x.shape[1]
-    if dim == 3:
-        s = np.asarray(s, dtype=float).reshape(3)
-        s_inv = float(s @ s)
-    else:
-        s_inv = float(s)
+    s = np.asarray(s, dtype=float).reshape(spin_components(x.shape[1]))
+    s_inv = float(spin_invariant(s))
     if abs(s_inv - label.s2) > 1e-12 * max(1.0, abs(label.s2)):
         raise LabelMismatch(
             f"spin invariant {s_inv} does not match label value {label.s2}")
@@ -547,7 +541,7 @@ def casimir_values(alg: AlgebraSpec, X: DualVector):
     chi interval.
     """
     _check_shape(alg, X)
-    _, C2, C3 = casimir_arrays(X.m, np.reshape(X.j, -1), X.c, X.h, X.d, X.k)
+    _, C2, C3 = casimir_arrays(X.m, X.j, X.c, X.h, X.d, X.k)
     return (X.m, float(C2), float(C3))
 
 

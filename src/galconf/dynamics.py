@@ -89,7 +89,7 @@ FREE = HamiltonianChoice()
 class PhaseTangent:
     q: np.ndarray
     p: np.ndarray
-    s: object
+    s: np.ndarray
     chi: np.ndarray
 
 
@@ -138,7 +138,7 @@ def time_derivative(pt: PhasePoint, ham: HamiltonianChoice = FREE) -> PhaseTange
     """Hamiltonian vector field L z at pt."""
     dz = _flow_matrix(pt.N, pt.dim, pt.m, ham) @ _pack(pt)
     dq, dp, dchi = _unpack(dz, pt.N, pt.dim)
-    return PhaseTangent(q=dq, p=dp, s=np.zeros(3) if pt.dim == 3 else 0.0, chi=dchi)
+    return PhaseTangent(q=dq, p=dp, s=np.zeros_like(pt.s), chi=dchi)
 
 
 def _rk4(z0: np.ndarray, S: np.ndarray, n_steps: int) -> np.ndarray:
@@ -223,7 +223,7 @@ class PhaseStates(Sequence):
     @classmethod
     def stack(cls, points: Sequence[PhasePoint]) -> "PhaseStates":
         return cls(np.array([pt.q for pt in points]), np.array([pt.p for pt in points]),
-                   np.array([np.reshape(pt.s, -1) for pt in points]),
+                   np.array([pt.s for pt in points]),
                    np.array([pt.chi for pt in points]), points[0].m)
 
     def __len__(self) -> int:
@@ -240,8 +240,8 @@ class Trajectory:
     """Samples of one flow with recorded generator and Casimir values.
 
     times is (n,); q is (n, q_levels, dim), p is (n, p_levels, dim), s is
-    (n, 3) in dimension 3 and (n, 1) in dimension 2, chi is (n, 3).  The
-    stacks are read-only copies, checked once on construction.
+    (n, spin_components(dim)), chi is (n, 3).  The stacks are read-only
+    copies, checked once on construction.
     """
 
     times: np.ndarray
@@ -352,7 +352,7 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
     else:
         S = _rk4_step_matrix(_flow_matrix(pt0.N, pt0.dim, pt0.m, ham), dt)
         q, p, chi = _unpack(_rk4(_pack(pt0), S, n_steps), pt0.N, pt0.dim)
-    s = np.broadcast_to(np.reshape(pt0.s, -1), (n_steps + 1, np.size(pt0.s)))
+    s = np.broadcast_to(pt0.s, (n_steps + 1,) + pt0.s.shape)
     traj = Trajectory(times=times, q=q, p=p, s=s, chi=chi, m=pt0.m,
                       dt=dt if n_steps else None)
     if record:
@@ -457,9 +457,9 @@ def interpolate_states(traj: Trajectory, t: np.ndarray):
 
 def _csv_header(N: int, dim: int) -> List[str]:
     cols = ["t"]
-    for k in range((N + 1) // 2 if dim == 3 else N // 2 + 1):
+    for k in range(q_levels(N, dim)):
         cols += [f"q{k}_{a + 1}" for a in range(dim)]
-    for k in range((N + 1) // 2 if dim == 3 else N // 2):
+    for k in range(p_levels(N, dim)):
         cols += [f"p{k}_{a + 1}" for a in range(dim)]
     cols += [f"s_{i + 1}" for i in range(3)] if dim == 3 else ["s"]
     cols += ["chi0", "chi1", "chi2", "h", "d", "k"]

@@ -20,8 +20,16 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .algebra import AlgebraSpec, GeneratorId, _sign_pow, eps2, eps3, so21_epsilon_lower
-from .coadjoint import DualVector, _cross2, _rowdot, orbit_dual_vector
+from .algebra import (
+    AlgebraSpec,
+    GeneratorId,
+    _sign_pow,
+    eps2,
+    eps3,
+    so21_epsilon_lower,
+    spin_components,
+)
+from .coadjoint import DualVector, _cross2, _rowdot, orbit_dual_vector, spin_invariant
 from .errors import InvalidState, ShapeMismatch
 
 __all__ = [
@@ -164,8 +172,8 @@ def check_state(q, p, s, chi, m) -> None:
     not finite and positive.
 
     Every array may carry the same leading sample axes, so a whole stack of
-    samples is checked at once; s has a trailing axis of 3 in dimension 3
-    and of 1 in dimension 2.
+    samples is checked at once; s has a trailing axis of
+    spin_components(dim).
     """
     if q.ndim < 2 or q.shape[-1] not in (2, 3):
         raise ShapeMismatch(f"q must be (levels, dim), got {q.shape}")
@@ -173,7 +181,7 @@ def check_state(q, p, s, chi, m) -> None:
     N = tower_order(q.shape)
     if q.shape[-2] != q_levels(N, dim) or p.shape != lead + (p_levels(N, dim), dim):
         raise ShapeMismatch(f"inconsistent external shapes q={q.shape} p={p.shape}")
-    if s.shape != lead + (3 if dim == 3 else 1,) or chi.shape != lead + (3,):
+    if s.shape != lead + (spin_components(dim),) or chi.shape != lead + (3,):
         raise ShapeMismatch(f"internal shapes s={s.shape} chi={chi.shape} do not fit "
                             f"q={q.shape}")
     if not (math.isfinite(m) and m > 0):
@@ -193,26 +201,27 @@ class PhasePoint:
     """Orbit coordinates: external Darboux pairs, internal spin, chi, mass.
 
     Shapes: q is (q_levels, dim) and p is (p_levels, dim); in dimension 2
-    the top q level is self-conjugate and has no p partner.  Coordinates
+    the top q level is self-conjugate and has no p partner.  s has one
+    component per rotation generator J (3 in dimension 3, 1 in dimension 2;
+    a bare number is read as the one component) and chi has 3.  Coordinates
     must be finite and the mass positive.
     """
 
     q: np.ndarray
     p: np.ndarray
-    s: object
+    s: np.ndarray
     chi: np.ndarray
     m: float
 
     def __post_init__(self):
         self.q = np.array(self.q, dtype=float)
         self.p = np.array(self.p, dtype=float)
+        self.s = np.array(self.s, dtype=float).reshape(-1)
         self.chi = np.array(self.chi, dtype=float).reshape(-1)
-        s = np.array(self.s, dtype=float).reshape(-1)
         if self.q.ndim != 2:
             raise ShapeMismatch(f"q must be (levels, dim), got {self.q.shape}")
-        check_state(self.q, self.p, s, self.chi, self.m)
+        check_state(self.q, self.p, self.s, self.chi, self.m)
         self.m = float(self.m)
-        self.s = s if self.dim == 3 else float(s[0])
 
     @property
     def dim(self) -> int:
@@ -230,34 +239,25 @@ class PhasePoint:
         for k in range(self.p.shape[0]):
             for a in range(self.dim):
                 e[("p", k, a)] = self.p[k, a]
-        if self.dim == 3:
-            for i in range(3):
-                e[("s", i)] = self.s[i]
-        else:
-            e[("s", 0)] = self.s
+        for i in range(len(self.s)):
+            e[("s", i)] = self.s[i]
         for al in range(3):
             e[("chi", al)] = self.chi[al]
         return e
 
     def copy(self) -> "PhasePoint":
-        return PhasePoint(q=self.q.copy(), p=self.p.copy(),
-                          s=np.copy(self.s) if self.dim == 3 else self.s,
+        return PhasePoint(q=self.q.copy(), p=self.p.copy(), s=self.s.copy(),
                           chi=self.chi.copy(), m=self.m)
 
     def spin_invariant(self) -> float:
-        """|s|^2 in dimension 3, the signed scalar s in dimension 2."""
-        return float(spin_invariant(np.reshape(self.s, -1)))
-
-
-def spin_invariant(s):
-    """|s|^2 for spins with a trailing axis of 3, the scalar for a trailing axis of 1."""
-    return _rowdot(s, s) if s.shape[-1] == 3 else s[..., 0]
+        """|s|^2 in dimension 3, the signed component of s in dimension 2."""
+        return float(spin_invariant(self.s))
 
 
 def random_point(rng, N: int, dim: int, m: float = 1.0, scale: float = 0.7) -> PhasePoint:
     q = rng.uniform(-scale, scale, (q_levels(N, dim), dim))
     p = rng.uniform(-scale, scale, (p_levels(N, dim), dim))
-    s = rng.uniform(-scale, scale, 3) if dim == 3 else float(rng.uniform(-scale, scale))
+    s = rng.uniform(-scale, scale, spin_components(dim))
     chi = rng.uniform(-scale, scale, 3)
     return PhasePoint(q=q, p=p, s=s, chi=chi, m=m)
 
@@ -358,7 +358,7 @@ class StructureMatrix:
             syms += [("q", k, a) for a in range(self.dim)]
         for k in range(p_levels(self.N, self.dim)):
             syms += [("p", k, a) for a in range(self.dim)]
-        syms += [("s", i) for i in range(3 if self.dim == 3 else 1)]
+        syms += [("s", i) for i in range(spin_components(self.dim))]
         syms += [("chi", al) for al in range(3)]
         return syms
 
@@ -377,8 +377,6 @@ class StructureMatrix:
                 return Poly.const(eps2(v[2] + 1, u[2] + 1) / self.m)
             return Poly()
         if ku == "s" and kv == "s":
-            if self.dim == 2:
-                return Poly()
             out = Poly()
             for l in range(3):
                 e = eps3(u[1] + 1, v[1] + 1, l + 1)
@@ -432,15 +430,15 @@ def observable_bracket(f: Poly, g: Poly, pt: PhasePoint) -> float:
 
 def generators_at(pt: PhasePoint) -> Dict[str, object]:
     """Generator values (h, d, k, j) from the reduced phase-space expressions."""
-    h, d, kk, j = generator_values(pt.q, pt.p, np.reshape(pt.s, -1), pt.chi, pt.m)
-    return {"h": h[()], "d": d[()], "k": kk[()], "j": j if pt.dim == 3 else float(j[0])}
+    h, d, kk, j = generator_values(pt.q, pt.p, pt.s, pt.chi, pt.m)
+    return {"h": h[()], "d": d[()], "k": kk[()], "j": j}
 
 
 def generator_values(q, p, s, chi, m: float):
     """(h, d, k, j) from the reduced expressions for stacked samples.
 
     Every array may carry leading sample axes; s and the returned j have a
-    trailing axis of 3 in dimension 3 and of 1 in dimension 2.
+    trailing axis of spin_components(dim).
     """
     N, dim = tower_order(q.shape), q.shape[-1]
     halfN = N / 2.0
@@ -516,7 +514,11 @@ def _eps_pair_poly(xs: List[Poly], ys: List[Poly]) -> Poly:
 
 def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
     """Generator functions assembled from the orbit parametrization composed
-    with the Darboux chart; independent of ``generators_at``."""
+    with the Darboux chart; independent of ``generators_at``.
+
+    "j" is a list of one polynomial per rotation generator and "c" a list of
+    tower levels, each a list of dim polynomials.
+    """
     x = _x_polys(N, dim, m)
     halfN = N / 2.0
     chi0, chi1, chi2 = (Poly.var(("chi", al)) for al in range(3))
@@ -565,7 +567,7 @@ def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
         for j in range(N):
             kk = kk - (m / 2.0) * _sign_pow((2 * j - N) // 2) * _fact(j + 1) \
                 * _fact(N - j) * _eps_pair_poly(x[j], x[N - j - 1])
-        out = {"j": js}
+        out = {"j": [js]}
     out.update({"h": h, "d": d, "k": kk, "c": c, "m": Poly.const(m)})
     return out
 
@@ -573,11 +575,10 @@ def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
 def momentum_map(alg: AlgebraSpec, m: float) -> Dict[GeneratorId, Poly]:
     """Generator id -> generator function, for momentum-map closure checks."""
     polys = generator_polynomials(alg.N, alg.dim, m)
-    out: Dict[GeneratorId, Poly] = {}
+    out: Dict[GeneratorId, Poly] = dict(
+        zip((g for g in alg.generators if g.kind == "J"), polys["j"]))
     for g in alg.generators:
-        if g.kind == "J":
-            out[g] = polys["j"][g.axis - 1] if alg.dim == 3 else polys["j"]
-        elif g.kind == "C":
+        if g.kind == "C":
             out[g] = polys["c"][g.level][g.axis - 1]
         elif g.kind == "H":
             out[g] = polys["h"]

@@ -122,7 +122,7 @@ def random_dual(rng, N: int, dim: int, scale: float = 0.7) -> DualVector:
         h=float(rng.uniform(-scale, scale)),
         d=float(rng.uniform(-scale, scale)),
         k=float(rng.uniform(-scale, scale)),
-        j=rng.uniform(-scale, scale, 3) if dim == 3 else float(rng.uniform(-scale, scale)),
+        j=rng.uniform(-scale, scale, al.spin_components(dim)),
         c=rng.uniform(-scale, scale, (N + 1, dim)),
     )
 
@@ -134,7 +134,7 @@ def _random_element(rng, alg: AlgebraSpec, scale: float = 0.4):
 
 def _dual_defect(X: DualVector, Y: DualVector) -> float:
     d = max(abs(X.m - Y.m), abs(X.h - Y.h), abs(X.d - Y.d), abs(X.k - Y.k))
-    d = max(d, float(np.max(np.abs(np.atleast_1d(np.asarray(X.j) - np.asarray(Y.j))))))
+    d = max(d, float(np.max(np.abs(X.j - Y.j))))
     return max(d, float(np.max(np.abs(X.c - Y.c))))
 
 
@@ -275,7 +275,7 @@ def suite_orbit(seed: int, tols: Dict[str, float],
         for _ in range(100):
             X = random_dual(rng, 1, 3)
             par = rng.uniform(-0.7, 0.7, 3) if fam in ("translation", "boost", "rotation") \
-                else float(rng.uniform(-0.7, 0.7))
+                else rng.uniform(-0.7, 0.7)
             names, t = to_elem(par)
             A = {alg1.generator(n): Fraction(float(v)).limit_denominator(10 ** 12)
                  for n, v in names.items()}
@@ -332,12 +332,8 @@ def suite_orbit(seed: int, tols: Dict[str, float],
             chi = co.chi_for_class(cls)
             signed = co.chi_interval(chi)
             m = float(rng.uniform(0.5, 2.0))
-            if dim == 3:
-                s = rng.uniform(-1, 1, 3)
-                want_c2 = m * m * float(s @ s)
-            else:
-                s = float(rng.uniform(-1, 1))
-                want_c2 = m * s
+            s = rng.uniform(-1, 1, al.spin_components(dim))
+            want_c2 = m * m * float(s @ s) if dim == 3 else m * s[0]
             for _ in range(20):
                 x = rng.uniform(-1.0, 1.0, (N + 1, dim))
                 X = co.orbit_dual_vector(m, s, chi, x)

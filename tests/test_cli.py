@@ -148,6 +148,47 @@ class TestOrbitCommands:
         assert out == ""
         assert "m must be finite and positive" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("x", [[[0.0] * 3] * 3, [[0.0] * 2] * 2])
+    def test_parametrize_rejects_family_without_central_extension(self, capsys, tmp_path, x):
+        # x for N=2 in dim 3 or N=1 in dim 2 used to exit 0 and print a dual vector
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"m": 1.0, "x": x}))
+        code, out, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "UnsupportedExtension" in json.loads(err)["error"]
+
+
+DUAL_3D = {"m": 1.0, "h": 0.5, "d": 0.0, "k": 0.5, "j": [0.0, 0.0, 3.0],
+           "c": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]}
+DUAL_2D = {"m": 1.5, "h": 0.2, "d": 0.1, "k": -0.3, "j": [0.4],
+           "c": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+
+
+class TestCasimirEval:
+    def test_dim2_dual(self, capsys, tmp_path):
+        path = tmp_path / "dual.json"
+        path.write_text(json.dumps(DUAL_2D))
+        code, out, _ = run_cli(capsys, "casimir", "eval", "--dual", str(path))
+        assert code == 0
+        assert json.loads(out)["C2"] == pytest.approx(1.5 * 0.4, abs=1e-15)
+
+    @pytest.mark.parametrize("data", [
+        {k: v for k, v in DUAL_3D.items() if k != "c"},   # KeyError traceback
+        dict(DUAL_3D, j=[0.0, 3.0]),                        # ValueError traceback
+        [DUAL_3D],                                          # AttributeError traceback
+        dict(DUAL_3D, m=-1.0, h=float("nan")),              # exit 0, printed C3: NaN
+        dict(DUAL_2D, j=[]),                                # silently read as j = 0
+        {"dual": [DUAL_2D]},
+    ], ids=["missing_c", "short_j", "list", "negative_m_nan_h", "empty_j_2d", "dual_list"])
+    def test_malformed_dual_exits_2(self, capsys, tmp_path, data):
+        path = tmp_path / "dual.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "casimir", "eval", "--dual", str(path))
+        assert code == 2
+        assert out == ""
+        assert "InvalidConfig" in json.loads(err)["error"]
+
 
 def write_free_config(tmp_path, **overrides):
     cfg = {
@@ -326,6 +367,95 @@ def test_simulate_fuzz_never_crashes(cfg):
         assert "error" in json.loads(err.getvalue())
 
 
+def assert_clean_exit(argv, data):
+    """Run the CLI on data written as its JSON input file (the last argument):
+    exit code in {0, 1, 2}, no traceback, and a JSON error on exit 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + [str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error" in json.loads(err.getvalue())
+
+
+CENTRAL_FAMILIES = [(1, 3), (3, 3), (2, 2), (4, 2)]
+INADMISSIBLE_ROWS = [[[0.0] * 3] * 3, [[0.0] * 2] * 2, [[0.0] * 3], [[0.0] * 2]]
+BAD_ORBIT_VALUES = {
+    "m": BAD_NUMBERS,
+    "s": [[0.0, 1.0], "x", None, float("nan"), [float("inf"), 0.0, 0.0], [[0.0]]],
+    "chi": [[0.0, 2.0], "x", None, [float("nan"), 0.0, 0.0]],
+    "chi_class": ["Bogus", 3, None, "Origin"],
+    "sigma": [float("nan"), -1.0, "x"],
+    "x": ["x", None, [], [[[0.0]]], [[float("nan"), 0.0, 0.0], [0.0, 0.0, 0.0]]]
+         + INADMISSIBLE_ROWS,
+}
+BAD_DUAL_VALUES = {
+    "m": BAD_NUMBERS,
+    "h": [float("nan"), float("inf"), "x", None, [1.0]],
+    "j": [[], [0.0, 1.0], "x", None, [float("nan")], [[0.0, 0.0, 1.0]]],
+    "c": ["x", None, [], [[]], [[float("inf"), 0.0, 0.0], [0.0, 0.0, 0.0]]]
+         + INADMISSIBLE_ROWS,
+}
+FINITE = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def level_rows(N, dim):
+    return st.lists(st.lists(FINITE, min_size=dim, max_size=dim),
+                    min_size=N + 1, max_size=N + 1)
+
+
+def spoil(draw, data, bad_values, required):
+    """data with up to two fields replaced by bad values, sometimes a required
+    key dropped, and sometimes wrapped in a JSON list."""
+    for key in draw(st.lists(st.sampled_from(sorted(bad_values)), max_size=2, unique=True)):
+        data[key] = draw(st.sampled_from(bad_values[key]))
+    if draw(st.integers(0, 9)) == 0:
+        del data[draw(st.sampled_from(required))]
+    return [data] if draw(st.integers(0, 19)) == 0 else data
+
+
+@st.composite
+def orbit_configs(draw):
+    """An orbit parametrize config for an admissible (N, dim), then spoiled."""
+    N, dim = draw(st.sampled_from(CENTRAL_FAMILIES))
+    spin = st.lists(FINITE, min_size=3, max_size=3) if dim == 3 else \
+        st.one_of(FINITE, st.lists(FINITE, min_size=1, max_size=1))
+    cfg = {"m": draw(st.floats(0.1, 3.0)), "s": draw(spin), "x": draw(level_rows(N, dim))}
+    if draw(st.booleans()):
+        cfg.update(chi_class="HplusSigma", sigma=draw(st.floats(0.1, 2.0)))
+    else:
+        cfg["chi"] = draw(st.lists(FINITE, min_size=3, max_size=3))
+    return spoil(draw, cfg, BAD_ORBIT_VALUES, ["m", "x"])
+
+
+@st.composite
+def dual_files(draw):
+    """A dual vector JSON for an admissible (N, dim), bare or under "dual", then spoiled."""
+    N, dim = draw(st.sampled_from(CENTRAL_FAMILIES))
+    n_rot = 3 if dim == 3 else 1
+    dual = {"m": draw(st.floats(0.1, 3.0)), "h": draw(FINITE), "d": draw(FINITE),
+            "k": draw(FINITE), "j": draw(st.lists(FINITE, min_size=n_rot, max_size=n_rot)),
+            "c": draw(level_rows(N, dim))}
+    dual = spoil(draw, dual, BAD_DUAL_VALUES, ["m", "h", "d", "k", "j", "c"])
+    return {"dual": dual} if draw(st.booleans()) else dual
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(cfg=orbit_configs())
+def test_parametrize_fuzz_never_crashes(cfg):
+    assert_clean_exit(["orbit", "parametrize", "--config"], cfg)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=dual_files())
+def test_casimir_eval_fuzz_never_crashes(data):
+    assert_clean_exit(["casimir", "eval", "--dual"], data)
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "algebra", "--seed", "7")
@@ -358,6 +488,21 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "algebra", "--tol", "nope=1")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1e-9"])
+    def test_tolerance_override_must_be_finite_nonnegative(self, capsys, value):
+        # "abc" used to raise a ValueError traceback; "nan" was accepted
+        code, out, err = run_cli(capsys, "verify", "algebra", "--tol", f"oracle={value}")
+        assert code == 2
+        assert out == ""
+        assert "tolerance oracle" in json.loads(err)["error"]
+
+    def test_negative_seed_rejected(self, capsys):
+        # the suites seed numpy with seed + k, which raised a ValueError traceback
+        code, out, err = run_cli(capsys, "verify", "orbit", "--seed", "-3")
+        assert code == 2
+        assert out == ""
+        assert "seed must be nonnegative" in json.loads(err)["error"]
+
     def test_tight_tolerance_can_fail(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "orbit", "--seed", "5",
                                "--tol", "oracle=0")
@@ -384,6 +529,24 @@ class TestSymmetryVerify:
         cfg.write_text(json.dumps({"tolerances": {"bogus": 1.0}}))
         code, _, _ = run_cli(capsys, "symmetry", "verify", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("config", [
+        {"tolerances": {"oracle": "x"}},
+        {"tolerances": {"oracle": None}},
+        {"tolerances": {"oracle": float("nan")}},
+        {"tolerances": {"oracle": -1.0}},
+        {"tolerances": ["oracle"]},
+        [{"seed": 11}],
+        {"seed": "x"},
+        {"seed": -5},
+    ])
+    def test_bad_config_rejected(self, capsys, tmp_path, config):
+        cfg = tmp_path / "sym.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "symmetry", "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "InvalidConfig" in json.loads(err)["error"]
 
 
 def test_console_script_roundtrip():

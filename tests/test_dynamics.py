@@ -432,8 +432,7 @@ class TestArrayTrajectory:
         st.q[:] = 9.0
         st.p[:] = 9.0
         st.chi[:] = 9.0
-        if dim == 3:
-            st.s[:] = 9.0
+        st.s[:] = 9.0
         for st in tr.states[::4]:
             st.q += 1.0
         for a, b in zip(before, (tr.q, tr.p, tr.s, tr.chi)):
@@ -458,6 +457,19 @@ class TestArrayTrajectory:
         for st, ref in zip(tr.states, _rk4_reference(pt, ham, 0.01, 5)):
             for a, b in ((st.q, ref.q), (st.p, ref.p), (st.chi, ref.chi)):
                 assert np.allclose(a, b, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+def test_spin_has_one_component_per_rotation_generator(N, dim):
+    """s, j and the recorded j are arrays in both dimensions, with a trailing
+    axis as long as the algebra's list of J generators."""
+    n_rot = sum(g.kind == "J" for g in build_algebra(N, dim, central=True).generators)
+    pt = random_point(np.random.default_rng(30 + N), N, dim)
+    assert pt.s.shape == (n_rot,)
+    assert dual_vector_at(pt).j.shape == (n_rot,)
+    assert generators_at(pt)["j"].shape == (n_rot,)
+    assert record_values([pt, pt.copy()])["j"].shape == (2, n_rot)
+    assert time_derivative(pt).s.shape == (n_rot,)
 
 
 def _csv_reference(traj):
