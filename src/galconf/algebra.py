@@ -20,8 +20,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from .errors import BadDimension, UnknownGenerator, UnsupportedExtension
 
@@ -122,7 +125,9 @@ class AlgebraSpec:
 
     ``table`` maps an ordered generator pair to the sparse result of their
     bracket; both orders of every nonzero pair are stored so antisymmetry
-    is explicit.  Do not mutate after construction.
+    is explicit.  Do not mutate after construction: the float views
+    ``structure_tensor`` and ``dual_rows`` are built from it on first use and
+    kept on the instance.
     """
 
     N: int
@@ -140,6 +145,33 @@ class AlgebraSpec:
     @property
     def index(self) -> Dict[GeneratorId, int]:
         return self._index
+
+    @cached_property
+    def structure_tensor(self) -> np.ndarray:
+        """Float tensor T[x, z, y] = c_z([x, y]) in generator order.
+
+        Contracting its first axis with the coefficients of an element A
+        gives the matrix of ad_A.  Each entry is its exact constant rounded
+        to float once; the table stays the source.
+        """
+        n = len(self.generators)
+        T = np.zeros((n, n, n))
+        idx = self._index
+        for (x, y), row in self.table.items():
+            for z, c in row.items():
+                T[idx[x], idx[z], idx[y]] = float(c)
+        return T
+
+    @cached_property
+    def dual_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Generator indices that pack a dual vector: the J rows in order,
+        the C rows as an (N+1, dim) array by (level, axis), and the rows of
+        M, H, D and K.  Raises UnknownGenerator without a central M."""
+        j = np.array([i for g, i in self._index.items() if g.kind == "J"])
+        c = np.array([[self._index[self.generator(f"C{level}_{a}")]
+                       for a in range(1, self.dim + 1)] for level in range(self.N + 1)])
+        mhdk = np.array([self._index[self.generator(k)] for k in "MHDK"])
+        return j, c, mhdk
 
     def generator(self, name: str) -> GeneratorId:
         gid = parse_generator(name)

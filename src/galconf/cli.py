@@ -28,6 +28,7 @@ from .errors import (
     InvalidConfig,
     InvalidState,
     LabelMismatch,
+    NonFiniteResult,
     ShapeMismatch,
     UnsupportedExtension,
     UnsupportedHamiltonian,
@@ -127,7 +128,10 @@ def _resolve_internal(cfg: dict, dim: int):
     if has_chi:
         chi = _finite("chi", np.asarray(cfg["chi"], dtype=float).reshape(3))
     if "chi_class" in cfg:
-        cls = co.OrbitClass(cfg["chi_class"], _finite("sigma", float(cfg.get("sigma", 0.0))))
+        try:
+            cls = co.OrbitClass(cfg["chi_class"], _finite("sigma", float(cfg.get("sigma", 0.0))))
+        except LabelMismatch as exc:  # an unknown tag or a bad sigma is bad input
+            raise InvalidConfig(str(exc))
         if not has_chi:
             chi = co.chi_for_class(cls)
     elif has_chi:
@@ -185,7 +189,10 @@ def _load_dual(path: str) -> co.DualVector:
 def cmd_casimir_eval(args) -> int:
     X = _load_dual(args.dual)
     alg = al.build_algebra(X.N, X.dim, central=True)
-    c1, c2, c3 = co.casimir_values(alg, X)
+    try:
+        c1, c2, c3 = co.casimir_values(alg, X)
+    except NonFiniteResult as exc:
+        raise InvalidConfig(str(exc))
     _emit({"schema_version": SCHEMA_VERSION, "C1": c1, "C2": c2, "C3": c3}, args.out)
     return EXIT_OK
 

@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraSpec, GeneratorId, _sign_pow, spin_components
+from .algebra import AlgebraSpec, _sign_pow, spin_components
 from .errors import (
     AmbiguousClass,
     ConvergenceFailure,
     LabelMismatch,
+    NonFiniteResult,
     ShapeMismatch,
     UnknownGenerator,
     UnsupportedClosedForm,
@@ -64,6 +66,17 @@ def spin_invariant(s):
     |s|^2 is a matrix product, which rounds one spin exactly as s @ s does.
     """
     return (s[..., None, :] @ s[..., :, None])[..., 0, 0] if s.shape[-1] == 3 else s[..., 0]
+
+
+_ROLL1, _ROLL2 = [1, 2, 0], [2, 0, 1]
+
+
+def _cross3(u, v):
+    """Cross product over a trailing axis of 3: the products and differences
+    of np.cross, without its axis handling.  The result is C-ordered like
+    np.cross's, because einsum sums in a layout-dependent order."""
+    return (np.take(u, _ROLL1, axis=-1) * np.take(v, _ROLL2, axis=-1)
+            - np.take(u, _ROLL2, axis=-1) * np.take(v, _ROLL1, axis=-1))
 
 
 def _rowdot(u, v):
@@ -146,58 +159,51 @@ def _check_shape(alg: AlgebraSpec, X: DualVector) -> None:
             f"algebra has N={alg.N}, dim={alg.dim}")
 
 
-def _rotation_rows(alg: AlgebraSpec):
-    """Indices of the J generators, in the order of the components of j."""
-    return [alg.index[g] for g in alg.generators if g.kind == "J"]
-
-
 def dual_to_vector(alg: AlgebraSpec, X: DualVector) -> np.ndarray:
     _check_shape(alg, X)
+    j_rows, c_rows, mhdk_rows = alg.dual_rows
     v = np.zeros(len(alg.generators))
-    idx = alg.index
-    v[_rotation_rows(alg)] = X.j
-    for j in range(alg.N + 1):
-        for a in range(alg.dim):
-            v[idx[GeneratorId("C", axis=a + 1, level=j)]] = X.c[j, a]
-    v[idx[GeneratorId("H")]] = X.h
-    v[idx[GeneratorId("D")]] = X.d
-    v[idx[GeneratorId("K")]] = X.k
-    v[idx[GeneratorId("M")]] = X.m
+    v[j_rows] = X.j
+    v[c_rows] = X.c
+    v[mhdk_rows] = (X.m, X.h, X.d, X.k)
     return v
 
 
 def dual_from_vector(alg: AlgebraSpec, v: np.ndarray) -> DualVector:
-    idx = alg.index
-    c = np.zeros((alg.N + 1, alg.dim))
-    for j in range(alg.N + 1):
-        for a in range(alg.dim):
-            c[j, a] = v[idx[GeneratorId("C", axis=a + 1, level=j)]]
-    return DualVector(m=v[idx[GeneratorId("M")]], h=v[idx[GeneratorId("H")]],
-                      d=v[idx[GeneratorId("D")]], k=v[idx[GeneratorId("K")]],
-                      j=v[_rotation_rows(alg)], c=c)
+    j_rows, c_rows, (im, ih, i_d, ik) = alg.dual_rows
+    return DualVector(m=v[im], h=v[ih], d=v[i_d], k=v[ik], j=v[j_rows], c=v[c_rows])
 
 
 def ad_star_matrix(alg: AlgebraSpec, A) -> np.ndarray:
     """Matrix B with B[z, y] = coefficient of Z in [A, Y]/i.
 
-    The coadjoint flow of exp(i*t*A) acts on dual coordinate vectors as
-    exp(t*B)^T.
+    B is the coefficient vector of A contracted with the algebra's
+    structure tensor.  The coadjoint flow of exp(i*t*A) acts on dual
+    coordinate vectors as exp(t*B)^T.
     """
     n = len(alg.generators)
-    B = np.zeros((n, n))
     idx = alg.index
+    a = np.zeros(n)
     for gx, cx in A.items():
         if gx not in idx:
             raise UnknownGenerator(str(gx))
-        fx = float(cx)
-        for gy in alg.generators:
-            row = alg.table.get((gx, gy))
-            if not row:
-                continue
-            iy = idx[gy]
-            for gz, cz in row.items():
-                B[idx[gz], iy] += fx * float(cz)
-    return B
+        a[idx[gx]] = float(cx)
+    return (a @ alg.structure_tensor.reshape(n, n * n)).reshape(n, n)
+
+
+def _squares_to_zero(mat: np.ndarray) -> bool:
+    """True when mat^(2^s) is exactly zero for 2^s > n, by s squarings.
+
+    A nilpotent n x n matrix has mat^n = 0.  Overflowing squares are not
+    zero, so they answer False.
+    """
+    power = mat
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(mat.shape[0].bit_length()):  # 2^bit_length(n) > n
+            power = power @ power
+            if not np.any(power):
+                return True
+    return False
 
 
 def _expm(mat: np.ndarray, term_tol: float = 1e-17, max_terms: int = 40) -> np.ndarray:
@@ -209,17 +215,18 @@ def _expm(mat: np.ndarray, term_tol: float = 1e-17, max_terms: int = 40) -> np.n
         return eye
     # Structure constants are exactly representable, so powers of a nilpotent
     # ad* matrix hit exact zero.
-    power = mat.copy()
-    out = eye + mat
-    fact = 1.0
-    for k in range(2, n + 2):
-        power = power @ mat
-        if not np.any(power):
-            return out
-        if float(np.max(np.abs(power))) > 1e120:
-            break  # clearly not nilpotent; avoid overflowing the probe
-        fact *= k
-        out = out + power / fact
+    if _squares_to_zero(mat):
+        power = mat.copy()
+        out = eye + mat
+        fact = 1.0
+        for k in range(2, n + 2):
+            power = power @ mat
+            if not np.any(power):
+                return out
+            if float(np.max(np.abs(power))) > 1e120:
+                break  # too large to sum safely; use scaling and squaring
+            fact *= k
+            out = out + power / fact
     # Not nilpotent: scale so the norm is at most 1/2, sum, square back.
     norm = float(np.linalg.norm(mat, np.inf))
     if not math.isfinite(norm):
@@ -267,6 +274,40 @@ def _coeffs(term, indices) -> np.ndarray:
     return np.array([term(i) for i in indices], dtype=float)
 
 
+def _readonly(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _translation_weights(N: int, dim: int):
+    """Factorial weights (f, g, gh, gk) of the tower translation.
+
+    They follow from N and dim alone, not from a structure table, so they
+    are built once per (N, dim) and shared read-only.
+    """
+    if dim == 3:
+        f = _coeffs(lambda i: _sign_pow(i - (N - 1) // 2) * _fact(i) * _fact(N - i),
+                    range(N + 1))
+        g = _coeffs(lambda i: _sign_pow(i - (N + 1) // 2) * _fact(i) * _fact(N - i),
+                    range(N + 1))
+        gh = _coeffs(lambda i: _sign_pow(i - (N + 1) // 2) * _fact(i) * _fact(N - i + 1),
+                     range(1, N + 1))
+        gk = _coeffs(lambda i: _sign_pow(i - (N - 1) // 2) * _fact(i + 1) * _fact(N - i),
+                     range(N))
+    else:
+        f = _coeffs(lambda i: _sign_pow((N - 2 * i) // 2) * _fact(i) * _fact(N - i),
+                    range(N + 1))
+        g = _coeffs(lambda i: _sign_pow((2 * i - N) // 2) * _fact(i) * _fact(N - i),
+                    range(N + 1))
+        gh = _coeffs(lambda i: _sign_pow((2 * i - N) // 2) * _fact(i) * _fact(N - i + 1),
+                     range(1, N + 1))
+        gk = _coeffs(lambda i: _sign_pow((2 * i - N) // 2) * _fact(i + 1) * _fact(N - i),
+                     range(N))
+    return _readonly(f, g, gh, gk)
+
+
 # The translation and Casimir formulas below are sums over tower levels of a
 # coefficient times a pairing of two levels.  Each sum is written as one
 # pairing over the whole level axis contracted with its coefficient vector;
@@ -277,15 +318,10 @@ def _ctrans_dim3(m, x, j, c, h, d, k):
     """Tower translation exp(i x_k^a C_k^a) on the dual, dimension 3, N odd."""
     N = x.shape[-2] - 1
     w = N / 2.0 - np.arange(N + 1)
-    f = _coeffs(lambda i: _sign_pow(i - (N - 1) // 2) * _fact(i) * _fact(N - i), range(N + 1))
-    g = _coeffs(lambda i: _sign_pow(i - (N + 1) // 2) * _fact(i) * _fact(N - i), range(N + 1))
-    gh = _coeffs(lambda i: _sign_pow(i - (N + 1) // 2) * _fact(i) * _fact(N - i + 1),
-                 range(1, N + 1))
-    gk = _coeffs(lambda i: _sign_pow(i - (N - 1) // 2) * _fact(i + 1) * _fact(N - i),
-                 range(N))
+    f, g, gh, gk = _translation_weights(N, 3)
     xr = x[..., ::-1, :]
     cp = c + m * f[:, None] * xr
-    j = j - np.sum(np.cross(x, c) + (m / 2.0) * g[:, None] * np.cross(xr, x), axis=-2)
+    j = j - np.sum(_cross3(x, c) + (m / 2.0) * g[:, None] * _cross3(xr, x), axis=-2)
     d = d - _rowdot(x, c) @ w + (m / 2.0) * (_rowdot(x, xr) @ (w * g))
     h = h + _rowdot(x[..., 1:, :], c[..., :-1, :]) @ np.arange(1.0, N + 1) \
         + (m / 2.0) * (_rowdot(x[..., 1:, :], x[..., :0:-1, :]) @ gh)
@@ -303,12 +339,7 @@ def _ctrans_dim2(m, x, j, c, h, d, k):
     N = x.shape[-2] - 1
     w = N / 2.0 - np.arange(N + 1)
     eps = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eps[a, b] = eps^{ab}, 0-based
-    f = _coeffs(lambda i: _sign_pow((N - 2 * i) // 2) * _fact(i) * _fact(N - i), range(N + 1))
-    g = _coeffs(lambda i: _sign_pow((2 * i - N) // 2) * _fact(i) * _fact(N - i), range(N + 1))
-    gh = _coeffs(lambda i: _sign_pow((2 * i - N) // 2) * _fact(i) * _fact(N - i + 1),
-                 range(1, N + 1))
-    gk = _coeffs(lambda i: _sign_pow((2 * i - N) // 2) * _fact(i + 1) * _fact(N - i),
-                 range(N))
+    f, g, gh, gk = _translation_weights(N, 2)
     xr = x[..., ::-1, :]
     cp = c - m * f[:, None] * (xr @ eps)  # component b: eps^{ab} x^a
     js = j[..., 0] - np.sum(_cross2(x, c), axis=-1) + (m / 2.0) * (_rowdot(x, xr) @ g)
@@ -538,29 +569,43 @@ def casimir_values(alg: AlgebraSpec, X: DualVector):
     All products are taken commutatively, so the symmetrized operator
     orderings collapse; on a parametrized orbit C2 equals m^2 s^2
     (dimension 3) or m s (dimension 2) and C3 equals twice m^2 times the
-    chi interval.
+    chi interval.  Raises NonFiniteResult when a finite X gives a
+    non-finite C2 or C3 (overflow).
     """
     _check_shape(alg, X)
-    _, C2, C3 = casimir_arrays(X.m, X.j, X.c, X.h, X.d, X.k)
-    return (X.m, float(C2), float(C3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, C2, C3 = casimir_arrays(X.m, X.j, X.c, X.h, X.d, X.k)
+    C2, C3 = float(C2), float(C3)
+    if not (math.isfinite(C2) and math.isfinite(C3)) and np.all(np.isfinite(
+            np.concatenate([[X.m, X.h, X.d, X.k], X.j, X.c.ravel()]))):
+        raise NonFiniteResult(f"Casimirs of a finite dual vector overflow: C2={C2}, C3={C3}")
+    return (X.m, C2, C3)
 
 
-def casimir_arrays(m, j, c, h, d, k):
-    """(C1, C2, C3) for stacked dual components, as returned by translate_dual."""
-    N, dim = c.shape[-2] - 1, c.shape[-1]
+@lru_cache(maxsize=None)
+def _casimir_weights(N: int, dim: int):
+    """Level weights (alpha, a, b, q) of the Casimirs; like the translation
+    weights they depend on N and dim alone and are shared read-only."""
     sign = np.array([_sign_pow(i - (N + 1) // 2) if dim == 3 else _sign_pow((2 * i - N) // 2)
                      for i in range(N + 1)], dtype=float)
     alpha = 0.5 * sign / _coeffs(lambda i: _fact(i) * _fact(N - i), range(N + 1))
     a_coef = 0.5 * sign[1:] / _coeffs(lambda i: _fact(i - 1) * _fact(N - i), range(1, N + 1))
     b_coef = 0.5 * sign[:-1] / _coeffs(lambda i: _fact(i) * _fact(N - i - 1), range(N))
     q_coef = alpha * (np.arange(N + 1) - N / 2.0)
+    return _readonly(alpha, a_coef, b_coef, q_coef)
+
+
+def casimir_arrays(m, j, c, h, d, k):
+    """(C1, C2, C3) for stacked dual components, as returned by translate_dual."""
+    N, dim = c.shape[-2] - 1, c.shape[-1]
+    alpha, a_coef, b_coef, q_coef = _casimir_weights(N, dim)
     cr = c[..., ::-1, :]
     pair = _rowdot if dim == 3 else _eps_pair
     Cq = pair(c, cr) @ q_coef
     A = pair(c[..., :-1, :], cr[..., 1:, :]) @ a_coef
     B = -(pair(c[..., 1:, :], cr[..., :-1, :]) @ b_coef)
     if dim == 3:
-        vec = m * j - np.sum(alpha[:, None] * np.cross(c, cr), axis=-2)
+        vec = m * j - np.sum(alpha[:, None] * _cross3(c, cr), axis=-2)
         C2 = _rowdot(vec, vec)
     else:
         C2 = m * j[..., 0] - _rowdot(cr, c) @ alpha

@@ -61,5 +61,9 @@ class InvalidConfig(GalconfError):
     """Run configuration failed validation."""
 
 
+class NonFiniteResult(GalconfError):
+    """Finite input whose result overflows to a non-finite value."""
+
+
 class InvalidState(GalconfError):
     """Phase-space coordinates that are not finite, or a mass that is not positive."""

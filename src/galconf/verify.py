@@ -127,9 +127,35 @@ def random_dual(rng, N: int, dim: int, scale: float = 0.7) -> DualVector:
     )
 
 
+def _limited(x: float, max_den: int) -> Fraction:
+    """Fraction(x).limit_denominator(max_den) for a float x, on integers only.
+
+    The continued-fraction walk of CPython's ``limit_denominator``, started
+    from ``x.as_integer_ratio()``, so it returns the same Fraction without
+    the intermediate ones.
+    """
+    n, d = float(x).as_integer_ratio()
+    if d <= max_den:
+        return Fraction(n, d)
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a, rem = divmod(n, d)
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, rem
+    k = (max_den - q0) // q1
+    # p1/q1 is within d/(q1 den) of x and the two candidates are
+    # 1/(q1 (q0 + k q1)) apart; ties go to p1/q1.
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
 def _random_element(rng, alg: AlgebraSpec, scale: float = 0.4):
-    return {g: Fraction(float(rng.uniform(-scale, scale))).limit_denominator(10 ** 9)
-            for g in alg.generators}
+    return {g: _limited(rng.uniform(-scale, scale), 10 ** 9) for g in alg.generators}
 
 
 def _dual_defect(X: DualVector, Y: DualVector) -> float:
@@ -255,12 +281,9 @@ def suite_orbit(seed: int, tols: Dict[str, float],
     alg1 = factory(1, 3, True, False)
 
     def elem_from_array(alg, arr):
-        out = {}
-        for j in range(alg.N + 1):
-            for a in range(alg.dim):
-                out[alg.generator(f"C{j}_{a + 1}")] = \
-                    Fraction(float(arr[j, a])).limit_denominator(10 ** 12)
-        return out
+        """{C_j^a: arr[j, a] as a Fraction}, level by level."""
+        gens = [alg.generators[i] for i in alg.dual_rows[1].ravel()]
+        return {g: _limited(v, 10 ** 12) for g, v in zip(gens, arr.ravel())}
 
     columns = {
         "translation": lambda p: ({"C0_1": p[0], "C0_2": p[1], "C0_3": p[2]}, 1.0),
@@ -277,8 +300,7 @@ def suite_orbit(seed: int, tols: Dict[str, float],
             par = rng.uniform(-0.7, 0.7, 3) if fam in ("translation", "boost", "rotation") \
                 else rng.uniform(-0.7, 0.7)
             names, t = to_elem(par)
-            A = {alg1.generator(n): Fraction(float(v)).limit_denominator(10 ** 12)
-                 for n, v in names.items()}
+            A = {alg1.generator(n): _limited(v, 10 ** 12) for n, v in names.items()}
             par_exact = np.array([float(A[alg1.generator(n)]) for n in names]) \
                 if fam in ("translation", "boost", "rotation") else par
             Y1 = co.coad_closed_form(alg1, fam, par_exact, X)
@@ -293,8 +315,7 @@ def suite_orbit(seed: int, tols: Dict[str, float],
             X = random_dual(rng, N, dim)
             arr = rng.uniform(-0.5, 0.5, (N + 1, dim))
             A = elem_from_array(alg, arr)
-            exact = np.array([[float(A[alg.generator(f"C{j}_{a + 1}")])
-                               for a in range(dim)] for j in range(N + 1)])
+            exact = np.array([float(v) for v in A.values()]).reshape(N + 1, dim)
             Y1 = co.coad_closed_form(alg, "ctrans", exact, X)
             Y2 = co.coad_generic(alg, A, 1.0, X)
             worst = max(worst, _dual_defect(Y1, Y2))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,20 @@ class TestOrbitCommands:
         assert out == ""
         assert "must be finite" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"chi_class": "Bogus"}, "unknown orbit tag 'Bogus'"),
+        ({"chi_class": "HplusSigma", "sigma": -1}, "sigma must be nonnegative"),
+    ])
+    def test_parametrize_rejects_bad_orbit_label(self, capsys, tmp_path, overrides, message):
+        # these used to exit 1 with the error on stdout, as a verification failure
+        config = {"m": 1, "x": [[0, 0, 0], [0, 0, 0]]}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(config, **overrides)))
+        code, out, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == f"InvalidConfig: {message}"
+
     @pytest.mark.parametrize("m", [-1.0, 0.0, float("nan")])
     def test_parametrize_rejects_bad_mass(self, capsys, tmp_path, m):
         cfg = tmp_path / "bad.json"
@@ -188,6 +203,19 @@ class TestCasimirEval:
         assert code == 2
         assert out == ""
         assert "InvalidConfig" in json.loads(err)["error"]
+
+    def test_overflowing_casimirs_exit_2(self, capsys, tmp_path):
+        # finite input used to print "C2": Infinity with exit 0 and a RuntimeWarning
+        path = tmp_path / "dual.json"
+        path.write_text(json.dumps(dict(DUAL_3D, m=1e300, h=1e300, k=1e300,
+                                        j=[1e300, 0.0, 0.0])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "casimir", "eval", "--dual", str(path))
+        assert code == 2
+        assert out == ""
+        assert "InvalidConfig: Casimirs of a finite dual vector overflow" in \
+            json.loads(err)["error"]
 
 
 def write_free_config(tmp_path, **overrides):
@@ -375,11 +403,15 @@ def assert_clean_exit(argv, data):
         path.write_text(json.dumps(data))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv + [str(path)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning from an overflow
+                code = main(argv + [str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert "error" in json.loads(err.getvalue())
+    if code == 0:  # no silent inf or NaN in what is printed
+        assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()
 
 
 CENTRAL_FAMILIES = [(1, 3), (3, 3), (2, 2), (4, 2)]
@@ -393,11 +425,15 @@ BAD_ORBIT_VALUES = {
     "x": ["x", None, [], [[[0.0]]], [[float("nan"), 0.0, 0.0], [0.0, 0.0, 0.0]]]
          + INADMISSIBLE_ROWS,
 }
+HUGE = [1e300, -1e300, 1.7e308]
 BAD_DUAL_VALUES = {
-    "m": BAD_NUMBERS,
-    "h": [float("nan"), float("inf"), "x", None, [1.0]],
-    "j": [[], [0.0, 1.0], "x", None, [float("nan")], [[0.0, 0.0, 1.0]]],
-    "c": ["x", None, [], [[]], [[float("inf"), 0.0, 0.0], [0.0, 0.0, 0.0]]]
+    "m": BAD_NUMBERS + [1e300],
+    "h": [float("nan"), float("inf"), "x", None, [1.0]] + HUGE,
+    "k": HUGE,
+    "j": [[], [0.0, 1.0], "x", None, [float("nan")], [[0.0, 0.0, 1.0]],
+          [1e300], [1e300, 0.0, -1e300]],
+    "c": ["x", None, [], [[]], [[float("inf"), 0.0, 0.0], [0.0, 0.0, 0.0]],
+          [[1e300, 0.0, 0.0], [0.0, -1e300, 0.0]], [[1e300, 0.0]] * 3]
          + INADMISSIBLE_ROWS,
 }
 FINITE = st.floats(-1.0, 1.0, allow_nan=False)

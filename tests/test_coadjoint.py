@@ -1,13 +1,18 @@
 """Coadjoint flows, orbit classification and Casimir functions."""
 
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from galconf.algebra import build_algebra
+from galconf.algebra import GeneratorId, build_algebra
 from galconf.coadjoint import (
     DualVector,
+    _cross3,
+    _expm,
+    ad_star_matrix,
     OrbitClass,
     OrbitLabel,
     casimir_values,
@@ -16,6 +21,8 @@ from galconf.coadjoint import (
     classify_orbit,
     coad_closed_form,
     coad_generic,
+    dual_from_vector,
+    dual_to_vector,
     orbit_dual_vector,
     parametrize,
 )
@@ -23,10 +30,19 @@ from galconf.errors import (
     AmbiguousClass,
     ConvergenceFailure,
     LabelMismatch,
+    NonFiniteResult,
     ShapeMismatch,
+    UnknownGenerator,
     UnsupportedClosedForm,
 )
-from galconf.verify import random_dual
+from galconf.verify import (
+    ACCEPTANCE_ALGEBRAS,
+    FLOW_FAMILIES,
+    _limited,
+    _random_element,
+    flip_constant,
+    random_dual,
+)
 
 
 @pytest.fixture(scope="module")
@@ -279,3 +295,195 @@ def test_generic_flow_overflow_raises(alg1):
     X = random_dual(np.random.default_rng(3), 1, 3)
     with pytest.raises(ConvergenceFailure):
         coad_generic(alg1, {alg1.generator("D"): Fraction(1)}, 800.0, X)
+
+
+def test_casimir_overflow_raises_without_warning(alg1):
+    # finite input used to give C2 = C3 = inf and a numpy RuntimeWarning
+    X = DualVector(m=1e300, h=1e300, d=0.0, k=1e300, j=[1e300, 0.0, 0.0],
+                   c=np.zeros((2, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult):
+            casimir_values(alg1, X)
+
+
+# ---------------------------------------------------------------------------
+# the array paths against the dict-scan and per-generator references
+# ---------------------------------------------------------------------------
+
+def ad_star_reference(alg, A):
+    """ad* assembled by scanning the exact table, one stored pair at a time."""
+    n = len(alg.generators)
+    B = np.zeros((n, n))
+    idx = alg.index
+    for gx, cx in A.items():
+        if gx not in idx:
+            raise UnknownGenerator(str(gx))
+        fx = float(cx)
+        for gy in alg.generators:
+            row = alg.table.get((gx, gy))
+            if not row:
+                continue
+            iy = idx[gy]
+            for gz, cz in row.items():
+                B[idx[gz], iy] += fx * float(cz)
+    return B
+
+
+def dual_to_vector_reference(alg, X):
+    v = np.zeros(len(alg.generators))
+    idx = alg.index
+    v[[idx[g] for g in alg.generators if g.kind == "J"]] = X.j
+    for j in range(alg.N + 1):
+        for a in range(alg.dim):
+            v[idx[GeneratorId("C", axis=a + 1, level=j)]] = X.c[j, a]
+    for kind, value in zip("HDKM", (X.h, X.d, X.k, X.m)):
+        v[idx[GeneratorId(kind)]] = value
+    return v
+
+
+def dual_from_vector_reference(alg, v):
+    idx = alg.index
+    c = np.zeros((alg.N + 1, alg.dim))
+    for j in range(alg.N + 1):
+        for a in range(alg.dim):
+            c[j, a] = v[idx[GeneratorId("C", axis=a + 1, level=j)]]
+    return DualVector(m=v[idx[GeneratorId("M")]], h=v[idx[GeneratorId("H")]],
+                      d=v[idx[GeneratorId("D")]], k=v[idx[GeneratorId("K")]],
+                      j=v[[idx[g] for g in alg.generators if g.kind == "J"]], c=c)
+
+
+def expm_reference(mat, term_tol=1e-17, max_terms=40):
+    """_expm with the sequential nilpotency probe: up to n matmuls, summing as it goes."""
+    n = mat.shape[0]
+    eye = np.eye(n)
+    if not np.any(mat):
+        return eye
+    power = mat.copy()
+    out = eye + mat
+    fact = 1.0
+    for k in range(2, n + 2):
+        power = power @ mat
+        if not np.any(power):
+            return out
+        if float(np.max(np.abs(power))) > 1e120:
+            break
+        fact *= k
+        out = out + power / fact
+    norm = float(np.linalg.norm(mat, np.inf))
+    s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
+    B = mat / (2.0 ** s)
+    theta = min(0.5, float(np.linalg.norm(B, np.inf)))
+    out = eye.copy()
+    term = eye.copy()
+    for k in range(1, max_terms + 1):
+        term = term @ B / k
+        out = out + term
+        if theta ** (k + 1) / math.factorial(k + 1) / (1.0 - theta) < term_tol:
+            break
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def probe_elements(alg, rng):
+    """Random Fraction elements plus one element per generator kind present."""
+    elems = [_random_element(rng, alg) for _ in range(5)]
+    for kind in ("J", "C", "H", "D", "K", "M", "Ds"):
+        gens = [g for g in alg.generators if g.kind == kind]
+        if gens:
+            elems.append({g: _limited(rng.uniform(-1, 1), 10 ** 9) for g in gens})
+            elems.append({gens[-1]: Fraction(1)})
+    return elems
+
+
+class TestTensorPath:
+    @pytest.mark.parametrize("spec", ACCEPTANCE_ALGEBRAS)
+    def test_ad_star_matches_table_scan(self, spec):
+        alg = build_algebra(*spec)
+        rng = np.random.default_rng(sum(spec))
+        for A in probe_elements(alg, rng):
+            assert same_bits(ad_star_matrix(alg, A), ad_star_reference(alg, A))
+
+    @pytest.mark.parametrize("N,dim", [(3, 3), (2, 2)])
+    def test_mutants_get_their_own_tensor(self, N, dim):
+        alg = build_algebra(N, dim, central=True)
+        clean = alg.structure_tensor
+        rng = np.random.default_rng(N)
+        pairs = [(x, y) for x, y in alg.table if alg.index[x] < alg.index[y]]
+        for x, y in pairs[::3]:
+            bad = flip_constant(alg, x.name, y.name)
+            assert not np.array_equal(bad.structure_tensor, clean)
+            for A in probe_elements(bad, rng)[:4] + [{x: Fraction(1)}]:
+                got = ad_star_matrix(bad, A)
+                assert same_bits(got, ad_star_reference(bad, A))
+            assert not np.array_equal(got, ad_star_matrix(alg, {x: Fraction(1)}))
+        assert alg.structure_tensor is clean
+
+    def test_unknown_generator_still_raises(self, alg1):
+        for g in (GeneratorId("Ds"), GeneratorId("C", axis=1, level=2)):
+            with pytest.raises(UnknownGenerator):
+                ad_star_matrix(alg1, {alg1.generator("H"): Fraction(1), g: Fraction(1)})
+        plain = build_algebra(1, 3, central=False, with_ds=True)
+        with pytest.raises(UnknownGenerator):
+            ad_star_matrix(plain, {GeneratorId("M"): Fraction(1)})
+
+    @pytest.mark.parametrize("N,dim", FLOW_FAMILIES + ((7, 3), (6, 2)))
+    def test_dual_packing_round_trip(self, N, dim):
+        alg = build_algebra(N, dim, central=True)
+        rng = np.random.default_rng(N * 10 + dim)
+        for _ in range(10):
+            X = random_dual(rng, N, dim)
+            v = dual_to_vector(alg, X)
+            assert same_bits(v, dual_to_vector_reference(alg, X))
+            Y = dual_from_vector(alg, v)
+            Z = dual_from_vector_reference(alg, v)
+            assert (Y.m, Y.h, Y.d, Y.k) == (X.m, X.h, X.d, X.k) == (Z.m, Z.h, Z.d, Z.k)
+            assert same_bits(Y.j, X.j) and same_bits(Y.j, Z.j)
+            assert same_bits(Y.c, X.c) and same_bits(Y.c, Z.c)
+
+    @pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+    def test_squaring_probe_matches_sequential_probe(self, N, dim):
+        alg = build_algebra(N, dim, central=True)
+        rng = np.random.default_rng(N + 100 * dim)
+        C = [g for g in alg.generators if g.kind == "C"]
+        J = [g for g in alg.generators if g.kind == "J"]
+        nilpotent = [{g: _limited(rng.uniform(-0.5, 0.5), 10 ** 12) for g in C}]
+        nilpotent += [{alg.generator(k): Fraction(1)} for k in "HKM"]
+        other = [{alg.generator("D"): Fraction(1)}, {g: Fraction(1, 3) for g in J}]
+        other += [_random_element(rng, alg) for _ in range(5)]
+        for elems, want_zero in ((nilpotent, True), (other, False)):
+            for A in elems:
+                for t in (1.0, float(rng.uniform(-0.5, 0.5)), 2.5):
+                    mat = t * ad_star_matrix(alg, A)
+                    assert want_zero == (not np.any(np.linalg.matrix_power(mat, mat.shape[0])))
+                    assert same_bits(_expm(mat), expm_reference(mat))
+
+
+class TestLimitedDraws:
+    @pytest.mark.parametrize("max_den", [10 ** 9, 10 ** 12])
+    def test_matches_limit_denominator(self, max_den):
+        rng = np.random.default_rng(max_den % 97)
+        xs = list(rng.uniform(-1.0, 1.0, 10 ** 4))
+        xs += [0.0, -0.0, 0.5, -0.75, 3.0, 2.0 ** -30, -(2.0 ** -40), 1e-12, -123.456,
+               1.0 / 3.0, -2.0 / 7.0]
+        for x in xs:
+            got = _limited(x, max_den)
+            want = Fraction(float(x)).limit_denominator(max_den)
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), x
+
+
+def test_cross3_matches_np_cross_bit_for_bit():
+    # same values and the same C order: einsum sums over a layout-dependent order
+    rng = np.random.default_rng(21)
+    for shape in ((2, 3), (4, 3), (50, 4, 3), (7, 2, 3)):
+        u = rng.uniform(-1, 1, shape)
+        for v in (u[..., ::-1, :], rng.uniform(-1, 1, shape)):
+            got = _cross3(u, v)
+            assert got.flags.c_contiguous
+            assert same_bits(got, np.cross(u, v))
