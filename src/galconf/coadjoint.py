@@ -73,15 +73,16 @@ _ROLL1, _ROLL2 = [1, 2, 0], [2, 0, 1]
 
 def _cross3(u, v):
     """Cross product over a trailing axis of 3: the products and differences
-    of np.cross, without its axis handling.  The result is C-ordered like
-    np.cross's, because einsum sums in a layout-dependent order."""
+    of np.cross, without its axis handling, giving the same bits."""
     return (np.take(u, _ROLL1, axis=-1) * np.take(v, _ROLL2, axis=-1)
             - np.take(u, _ROLL2, axis=-1) * np.take(v, _ROLL1, axis=-1))
 
 
 def _rowdot(u, v):
-    """Dot products over the trailing axis."""
-    return np.einsum("...a,...a->...", u, v)
+    """Dot products over the trailing axis.  einsum sums in an order that
+    depends on the memory layout of its inputs, so they are made C-ordered:
+    equal values give equal bits whatever view they come in."""
+    return np.einsum("...a,...a->...", np.ascontiguousarray(u), np.ascontiguousarray(v))
 
 
 def _cross2(u, v):

@@ -29,7 +29,7 @@ from .algebra import (
     so21_epsilon_lower,
     spin_components,
 )
-from .coadjoint import DualVector, _cross2, _rowdot, orbit_dual_vector, spin_invariant
+from .coadjoint import DualVector, _cross2, _cross3, _rowdot, orbit_dual_vector, spin_invariant
 from .errors import InvalidState, ShapeMismatch
 
 __all__ = [
@@ -451,7 +451,7 @@ def generator_values(q, p, s, chi, m: float):
         kk = chi0 + chi1 + (m / 2.0) * ((N + 1) / 2.0) ** 2 * _rowdot(q[..., n, :], q[..., n, :]) \
             - _rowdot(q[..., :-1, :], p[..., 1:, :]) @ np.array(
                 [(N - k) * (k + 1) for k in range(n)], dtype=float)
-        return h, d, kk, s + np.sum(np.cross(q, p), axis=-2)
+        return h, d, kk, s + np.sum(_cross3(q, p), axis=-2)
     u = N // 2
     p_top = aux_top_momentum(q[..., u, :], m)
     h = chi0 - chi1 + np.sum(_rowdot(p, q[..., 1:, :]), axis=-1)
@@ -512,6 +512,32 @@ def _eps_pair_poly(xs: List[Poly], ys: List[Poly]) -> Poly:
     return out
 
 
+def _h_poly(x: List[List[Poly]], N: int, dim: int, m: float) -> Poly:
+    """h from the raw tower polynomials x of ``_x_polys``."""
+    h = Poly.var(("chi", 0)) - Poly.var(("chi", 1))
+    for j in range(1, N + 1):
+        if dim == 3:
+            h = h + (m / 2.0) * _sign_pow(j - (N + 1) // 2) * _fact(j) \
+                * _fact(N - j + 1) * _dot(x[j], x[N - j + 1])
+        else:
+            h = h + (m / 2.0) * _sign_pow((2 * j - N) // 2) * _fact(j) \
+                * _fact(N - j + 1) * _eps_pair_poly(x[j], x[N - j + 1])
+    return h
+
+
+def _k_poly(x: List[List[Poly]], N: int, dim: int, m: float) -> Poly:
+    """k from the raw tower polynomials x of ``_x_polys``."""
+    kk = Poly.var(("chi", 0)) + Poly.var(("chi", 1))
+    for j in range(N):
+        if dim == 3:
+            kk = kk + (m / 2.0) * _sign_pow(j - (N - 1) // 2) * _fact(j + 1) \
+                * _fact(N - j) * _dot(x[j], x[N - j - 1])
+        else:
+            kk = kk - (m / 2.0) * _sign_pow((2 * j - N) // 2) * _fact(j + 1) \
+                * _fact(N - j) * _eps_pair_poly(x[j], x[N - j - 1])
+    return kk
+
+
 def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
     """Generator functions assembled from the orbit parametrization composed
     with the Darboux chart; independent of ``generators_at``.
@@ -521,10 +547,7 @@ def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
     """
     x = _x_polys(N, dim, m)
     halfN = N / 2.0
-    chi0, chi1, chi2 = (Poly.var(("chi", al)) for al in range(3))
-    h = chi0 - chi1
     d = Poly.var(("chi", 2))
-    kk = chi0 + chi1
     c: List[List[Poly]] = [[Poly() for _ in range(dim)] for _ in range(N + 1)]
     if dim == 3:
         jv = [Poly.var(("s", b)) for b in range(3)]
@@ -542,12 +565,6 @@ def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
                             cross_term = cross_term + e * (x[j][a] * x[N - j][cc])
                 jv[b] = jv[b] - (m / 2.0) * g * cross_term
             d = d + (m / 2.0) * (halfN - j) * g * _dot(x[j], x[N - j])
-        for j in range(1, N + 1):
-            h = h + (m / 2.0) * _sign_pow(j - (N + 1) // 2) * _fact(j) \
-                * _fact(N - j + 1) * _dot(x[j], x[N - j + 1])
-        for j in range(N):
-            kk = kk + (m / 2.0) * _sign_pow(j - (N - 1) // 2) * _fact(j + 1) \
-                * _fact(N - j) * _dot(x[j], x[N - j - 1])
         out: Dict[str, object] = {"j": jv}
     else:
         js = Poly.var(("s", 0))
@@ -561,14 +578,9 @@ def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
             g = _sign_pow((2 * j - N) // 2) * _fact(j) * _fact(N - j)
             js = js + (m / 2.0) * g * _dot(x[j], x[N - j])
             d = d + (m / 2.0) * (halfN - j) * g * _eps_pair_poly(x[j], x[N - j])
-        for j in range(1, N + 1):
-            h = h + (m / 2.0) * _sign_pow((2 * j - N) // 2) * _fact(j) \
-                * _fact(N - j + 1) * _eps_pair_poly(x[j], x[N - j + 1])
-        for j in range(N):
-            kk = kk - (m / 2.0) * _sign_pow((2 * j - N) // 2) * _fact(j + 1) \
-                * _fact(N - j) * _eps_pair_poly(x[j], x[N - j - 1])
         out = {"j": [js]}
-    out.update({"h": h, "d": d, "k": kk, "c": c, "m": Poly.const(m)})
+    out.update({"h": _h_poly(x, N, dim, m), "d": d, "k": _k_poly(x, N, dim, m), "c": c,
+                "m": Poly.const(m)})
     return out
 
 
@@ -593,11 +605,12 @@ def momentum_map(alg: AlgebraSpec, m: float) -> Dict[GeneratorId, Poly]:
 
 def hamiltonian_poly(N: int, dim: int, m: float, omega: float = 0.0,
                      sign: int = 1) -> Poly:
-    """h, or the oscillator deformation h + sign * omega^2 * k."""
-    polys = generator_polynomials(N, dim, m)
-    h = polys["h"]
+    """h, or the oscillator deformation h + sign * omega^2 * k; the other
+    generator polynomials are not built."""
+    x = _x_polys(N, dim, m)
+    h = _h_poly(x, N, dim, m)
     if omega:
-        h = h + (sign * omega * omega) * polys["k"]
+        h = h + (sign * omega * omega) * _k_poly(x, N, dim, m)
     return h
 
 

@@ -12,6 +12,7 @@ from galconf.coadjoint import (
     DualVector,
     _cross3,
     _expm,
+    _rowdot,
     ad_star_matrix,
     OrbitClass,
     OrbitLabel,
@@ -487,3 +488,21 @@ def test_cross3_matches_np_cross_bit_for_bit():
             got = _cross3(u, v)
             assert got.flags.c_contiguous
             assert same_bits(got, np.cross(u, v))
+
+
+def test_rowdot_does_not_depend_on_layout():
+    # einsum's summation order follows the memory layout of its inputs: a
+    # Fortran-ordered (1001, 3) operand changes the last bit of about a third
+    # of the rows unless the inputs are made C-ordered first
+    rng = np.random.default_rng(22)
+    for n, width in ((1001, 3), (1001, 2), (40, 7)):
+        u, v = rng.uniform(-1, 1, (n, width)), rng.uniform(-1, 1, (n, width))
+        views = [np.asfortranarray(u), np.ascontiguousarray(u.T).T, u[::-1][::-1],
+                 u[rng.permutation(n)][np.argsort(rng.permutation(n))]]
+        stacked = np.asfortranarray(rng.uniform(-1, 1, (n, width, 4)))[..., 1]
+        views.append(stacked)
+        for view in views:
+            c = np.ascontiguousarray(view)
+            for other in (v, np.asfortranarray(v)):
+                assert same_bits(_rowdot(view, other), _rowdot(c, np.ascontiguousarray(other)))
+                assert same_bits(_rowdot(other, view), _rowdot(np.ascontiguousarray(other), c))

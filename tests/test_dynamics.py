@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from galconf.algebra import build_algebra
-from galconf.coadjoint import casimir_values, chi_interval
+from galconf.coadjoint import _cross3, casimir_values, chi_interval
 from galconf.dynamics import (
     CSV_FLOAT_FORMAT,
     FREE,
     HamiltonianChoice,
     _flow_matrix,
+    _unpack,
     closed_form,
     conditioning_threshold,
     conservation_drifts,
@@ -29,6 +30,8 @@ from galconf.poisson import (
     Poly,
     StructureMatrix,
     dual_vector_at,
+    generator_polynomials,
+    generator_values,
     generators_at,
     hamiltonian_poly,
     p_levels,
@@ -522,3 +525,95 @@ def test_dynamics_cases_locate_their_worst_defect():
         detail = cases[f"free_conservation_N{N}_dim{dim}"]["detail"]
         assert re.fullmatch(r"worst \w+ at t=\S+", detail), detail
     assert "newton_hooke_period_N3_dim3" in cases
+
+
+# ---------------------------------------------------------------------------
+# RK4 samples by doubling the step increment
+# ---------------------------------------------------------------------------
+
+DOUBLING_FAMILIES = FLOW_FAMILIES + ((5, 3), (7, 3))
+
+
+def _max_gap(a, b):
+    return max(float(np.max(np.abs(x - y))) for x, y in ((a.q, b.q), (a.p, b.p), (a.chi, b.chi)))
+
+
+@pytest.mark.parametrize("N,dim,ham", ARRAY_CASES)
+def test_doubling_matches_per_stage_reference_at_block_boundaries(N, dim, ham):
+    """Every run length around a power of two, including a partial last block."""
+    pt = random_point(np.random.default_rng(200 + 10 * N + dim), N, dim, m=1.3)
+    dt = 0.01
+    ref = _rk4_reference(pt, ham, dt, 17)
+    for n_steps in (1, 2, 3, 4, 7, 8, 9, 16, 17):
+        tr = integrate(pt, ham, n_steps * dt, dt, "rk4", record=False)
+        assert len(tr.times) == n_steps + 1
+        for i, (st, want) in enumerate(zip(tr.states, ref)):
+            assert _max_gap(st, want) <= 1e-14, (n_steps, i)
+    tr = integrate(pt, ham, 0.0, dt, "rk4", record=False)
+    assert len(tr.times) == 1
+    assert np.array_equal(tr.q[0], pt.q) and np.array_equal(tr.p[0], pt.p)
+    assert np.array_equal(tr.chi[0], pt.chi)
+
+
+@pytest.mark.parametrize("N,dim", DOUBLING_FAMILIES)
+def test_rk4_tracks_closed_form_to_rounding(N, dim):
+    # D is never added to the identity, so its small entries are not rounded
+    # against 1 at every step; rounding then stays near one unit in the last place
+    pt = random_point(np.random.default_rng(60 + N), N, dim, m=1.2)
+    rk = integrate(pt, FREE, 1.0, 1e-3, "rk4", record=False)
+    cl = integrate(pt, FREE, 1.0, 1e-3, "closed", record=False)
+    assert _max_gap(rk, cl) <= 1e-14
+
+
+def test_newton_hooke_energy_drift_stays_at_rounding():
+    """The ``newton_hooke_energy`` case: 3142 steps over half a period."""
+    ham = HamiltonianChoice("newton_hooke", omega=1.0, sign=1)
+    pt = PhasePoint(q=[[0.7, -0.2, 0.4]], p=[[0.0, 0.0, 0.0]],
+                    s=[0.1, 0.0, -0.2], chi=[0.3, 0.1, -0.2], m=1.0)
+    tr = integrate(pt, ham, math.pi, math.pi / 3142, "rk4")
+    drifts, _ = conservation_drifts(tr, ham)
+    assert drifts["deformed_energy"] <= 1e-14
+    assert np.max(np.abs(tr.q[-1] + pt.q)) <= 1e-14
+
+
+def _flow_matrix_reference(N, dim, m, ham):
+    """h (+ sign omega^2 k) taken from the full generator_polynomials, and the
+    L read off it."""
+    polys = generator_polynomials(N, dim, m)
+    H = polys["h"]
+    if ham.omega:
+        H = H + (ham.sign * ham.omega * ham.omega) * polys["k"]
+    sm = StructureMatrix(N, dim, m)
+    coords = [sym for sym in sm.coordinates() if sym[0] != "s"]
+    column = {sym: j for j, sym in enumerate(coords)}
+    L = np.zeros((len(coords), len(coords)))
+    for i, sym in enumerate(coords):
+        for mono, c in poly_bracket(Poly.var(sym), H, sm).terms.items():
+            ((var, _),) = mono
+            L[i, column[var]] = c
+    return H, L
+
+
+@pytest.mark.parametrize("N,dim", DOUBLING_FAMILIES)
+@pytest.mark.parametrize("ham", [FREE] + [HamiltonianChoice("newton_hooke", omega=1.3, sign=sign)
+                                          for sign in (1, -1)], ids=["free", "nh+1", "nh-1"])
+def test_flow_matrix_bitwise_equals_full_generator_route(N, dim, ham):
+    m = 0.9
+    H, L = _flow_matrix_reference(N, dim, m, ham)
+    assert hamiltonian_poly(N, dim, m, ham.omega, ham.sign).terms == H.terms
+    got = _flow_matrix(N, dim, m, ham)
+    assert got.shape == L.shape and got.tobytes() == L.tobytes()
+
+
+@pytest.mark.parametrize("N,dim", [(N, dim) for N, dim in DOUBLING_FAMILIES if dim == 3])
+def test_generator_spin_matches_np_cross_on_unpacked_views(N, dim):
+    """j of generator_values on the strided q/p views of packed states has the
+    bits of the np.cross formula."""
+    rng = np.random.default_rng(70 + N)
+    n_ext = (q_levels(N, dim) + p_levels(N, dim)) * dim
+    q, p, chi = _unpack(rng.uniform(-1, 1, (9, n_ext + 3)), N, dim)
+    assert not q.flags.c_contiguous and not p.flags.c_contiguous
+    s = rng.uniform(-1, 1, (9, 3))
+    assert _cross3(q, p).tobytes() == np.cross(q, p).tobytes()
+    *_, j = generator_values(q, p, s, chi, 1.1)
+    assert j.tobytes() == (s + np.sum(np.cross(q, p), axis=-2)).tobytes()
