@@ -46,6 +46,8 @@ __all__ = [
     "translate_dual",
     "orbit_components",
     "ad_star_matrix",
+    "element_rows",
+    "coad_flow",
 ]
 
 ORBIT_TAGS = ("HplusSigma", "HminusSigma", "Hplus0", "Hminus0",
@@ -170,101 +172,199 @@ def dual_to_vector(alg: AlgebraSpec, X: DualVector) -> np.ndarray:
     return v
 
 
-def dual_from_vector(alg: AlgebraSpec, v: np.ndarray) -> DualVector:
+def dual_fields(alg: AlgebraSpec, v: np.ndarray):
+    """(m, j, c, h, d, k) of a packed dual vector (n,), or stacked fields of
+    a (..., n) stack of them, in the argument order of casimir_arrays."""
     j_rows, c_rows, (im, ih, i_d, ik) = alg.dual_rows
-    return DualVector(m=v[im], h=v[ih], d=v[i_d], k=v[ik], j=v[j_rows], c=v[c_rows])
+    return v[..., im], v[..., j_rows], v[..., c_rows], v[..., ih], v[..., i_d], v[..., ik]
+
+
+def dual_from_vector(alg: AlgebraSpec, v: np.ndarray) -> DualVector:
+    m, j, c, h, d, k = dual_fields(alg, v)
+    return DualVector(m=m, h=h, d=d, k=k, j=j, c=c)
+
+
+def element_rows(alg: AlgebraSpec, elements) -> np.ndarray:
+    """(k, n) float coefficient rows of k elements {generator: coefficient}."""
+    idx = alg.index
+    rows = np.zeros((len(elements), len(alg.generators)))
+    for row, A in zip(rows, elements):
+        for gx, cx in A.items():
+            if gx not in idx:
+                raise UnknownGenerator(str(gx))
+            row[idx[gx]] = float(cx)
+    return rows
 
 
 def ad_star_matrix(alg: AlgebraSpec, A) -> np.ndarray:
     """Matrix B with B[z, y] = coefficient of Z in [A, Y]/i.
 
-    B is the coefficient vector of A contracted with the algebra's
-    structure tensor.  The coadjoint flow of exp(i*t*A) acts on dual
-    coordinate vectors as exp(t*B)^T.
+    A is one element {generator: coefficient} or a (..., n) stack of
+    coefficient rows, which gives a (..., n, n) stack.  B is the
+    coefficient vector of A contracted with the algebra's structure
+    tensor; every row is contracted on its own (a vector-matrix product),
+    so a row of a stack gives the bits of the same row alone.  The
+    coadjoint flow of exp(i*t*A) acts on dual coordinate vectors as
+    exp(t*B)^T.
     """
+    a = A if isinstance(A, np.ndarray) else element_rows(alg, [A])[0]
     n = len(alg.generators)
-    idx = alg.index
-    a = np.zeros(n)
-    for gx, cx in A.items():
-        if gx not in idx:
-            raise UnknownGenerator(str(gx))
-        a[idx[gx]] = float(cx)
-    return (a @ alg.structure_tensor.reshape(n, n * n)).reshape(n, n)
+    B = a[..., None, :] @ alg.structure_tensor.reshape(n, n * n)
+    return B.reshape(a.shape[:-1] + (n, n))
 
 
-def _squares_to_zero(mat: np.ndarray) -> bool:
-    """True when mat^(2^s) is exactly zero for 2^s > n, by s squarings.
+# The stacked kernels below multiply whole (k, n, n) stacks, which numpy
+# does one matrix at a time with the product it uses for a single matrix, so
+# each matrix keeps its own bits.  They write into preallocated buffers:
+# fresh stack-sized temporaries cost more than the products themselves.
+
+def _squares_to_zero(mats: np.ndarray) -> np.ndarray:
+    """For each matrix of a (k, n, n) stack: True when mat^(2^s) is exactly
+    zero for 2^s > n, by s squarings.
 
     A nilpotent n x n matrix has mat^n = 0.  Overflowing squares are not
     zero, so they answer False.
     """
-    power = mat
+    hit = np.zeros(len(mats), dtype=bool)
+    power, buf = mats.copy(), np.empty_like(mats)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(mat.shape[0].bit_length()):  # 2^bit_length(n) > n
-            power = power @ power
-            if not np.any(power):
-                return True
-    return False
+        for _ in range(mats.shape[-1].bit_length()):  # 2^bit_length(n) > n
+            np.matmul(power, power, out=buf)
+            power, buf = buf, power
+            hit |= ~power.any(axis=(1, 2))
+            if hit.all():
+                break
+    return hit
 
 
-def _expm(mat: np.ndarray, term_tol: float = 1e-17, max_terms: int = 40) -> np.ndarray:
-    """Matrix exponential: exact finite sum for nilpotent input, otherwise
-    scaling-and-squaring with a certified series tail bound."""
-    n = mat.shape[0]
-    eye = np.eye(n)
-    if not np.any(mat):
-        return eye
-    # Structure constants are exactly representable, so powers of a nilpotent
-    # ad* matrix hit exact zero.
-    if _squares_to_zero(mat):
-        power = mat.copy()
-        out = eye + mat
-        fact = 1.0
+def _nilpotent_sums(mats: np.ndarray):
+    """Finite sums I + M + M^2/2! + ... of a (k, n, n) stack, each stopped at
+    its own first zero power.
+
+    Returns the sums and a mask of the matrices whose sum was abandoned: a
+    power above 1e120 (too large to sum safely), or no zero power by n + 1.
+    """
+    n = mats.shape[-1]
+    out = np.eye(n) + mats
+    power, buf = mats.copy(), np.empty_like(mats)
+    live = np.ones(len(mats), dtype=bool)
+    abandoned = np.zeros(len(mats), dtype=bool)
+    fact = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(2, n + 2):
-            power = power @ mat
-            if not np.any(power):
-                return out
-            if float(np.max(np.abs(power))) > 1e120:
-                break  # too large to sum safely; use scaling and squaring
+            np.matmul(power, mats, out=buf)
+            power, buf = buf, power
+            live &= power.any(axis=(1, 2))
+            big = live & (np.abs(power).max(axis=(1, 2)) > 1e120)
+            abandoned |= big
+            live &= ~big
+            if not live.any():
+                break
             fact *= k
-            out = out + power / fact
-    # Not nilpotent: scale so the norm is at most 1/2, sum, square back.
-    norm = float(np.linalg.norm(mat, np.inf))
-    if not math.isfinite(norm):
-        raise ConvergenceFailure("ad* matrix has non-finite entries")
-    s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    B = mat / (2.0 ** s)
-    theta = min(0.5, float(np.linalg.norm(B, np.inf)))
-    out = eye.copy()
-    term = eye.copy()
-    for k in range(1, max_terms + 1):
-        term = term @ B / k
-        out = out + term
-        tail = theta ** (k + 1) / math.factorial(k + 1) / (1.0 - theta)
-        if tail < term_tol:
-            break
-    else:
-        raise ConvergenceFailure(
-            f"series tail bound stuck above {term_tol} after {max_terms} terms")
+            np.divide(power, fact, out=buf)
+            np.add(out, buf, out=out, where=live[:, None, None])
+    return out, abandoned | live
+
+
+def _scaled_series(mats: np.ndarray, norms, term_tol: float, max_terms: int, where):
+    """exp of a (k, n, n) stack by scaling and squaring: each matrix is scaled
+    by its own 2^s to an inf-norm of at most 1/2, summed to its own number of
+    terms (the first whose certified tail bound is below term_tol) and
+    squared s times.  Each step runs on the whole stack and is kept only for
+    the matrices that still take it.
+    """
+    scale = np.array([max(0, int(math.ceil(math.log2(nm / 0.5))) if nm > 0.5 else 0)
+                      for nm in norms.tolist()])
+    B = mats / (2.0 ** scale)[:, None, None]
+    thetas = np.minimum(0.5, np.abs(B).sum(axis=-1).max(axis=-1)).tolist()
+    terms = np.zeros(len(mats), dtype=int)
+    for i, theta in enumerate(thetas):
+        for K in range(1, max_terms + 1):
+            if theta ** (K + 1) / math.factorial(K + 1) / (1.0 - theta) < term_tol:
+                terms[i] = K
+                break
+        else:
+            raise ConvergenceFailure(
+                f"series tail bound stuck above {term_tol} after {max_terms} terms" + where(i))
+    out = np.broadcast_to(np.eye(mats.shape[-1]), mats.shape).copy()
+    term, buf = out.copy(), np.empty_like(out)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(s):
-            out = out @ out
-    if not np.all(np.isfinite(out)):
-        raise ConvergenceFailure(
-            f"matrix exponential overflows after {s} squarings (norm {norm:.3g})")
+        for K in range(1, int(terms.max()) + 1):
+            np.matmul(term, B, out=buf)
+            np.divide(buf, K, out=term)
+            np.add(out, term, out=out, where=(terms >= K)[:, None, None])
+        for r in range(int(scale.max())):
+            np.matmul(out, out, out=buf)
+            np.copyto(out, buf, where=(scale > r)[:, None, None])
+    bad = ~np.isfinite(out).all(axis=(1, 2))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConvergenceFailure(f"matrix exponential overflows after {scale[i]} squarings "
+                                 f"(norm {norms[i]:.3g})" + where(i))
     return out
 
 
+def _expm(mat: np.ndarray, term_tol: float = 1e-17, max_terms: int = 40) -> np.ndarray:
+    """Matrix exponential of every n x n matrix of a (..., n, n) stack.
+
+    Each matrix gets the arithmetic it would get alone: the identity for
+    zero, the exact finite sum when ceil(log2(n+1)) squarings reach zero
+    (nilpotent input), otherwise scaling and squaring with its own scale
+    and its own certified number of series terms.  Every matrix gives the
+    bits of the same matrix passed alone.  ConvergenceFailure names the
+    stack index of the failing matrix.
+    """
+    n, lead = mat.shape[-1], mat.shape[:-2]
+    mats = np.ascontiguousarray(mat, dtype=float).reshape(-1, n, n)
+    out = np.broadcast_to(np.eye(n), mats.shape).copy()
+    todo = np.flatnonzero(mats.any(axis=(1, 2)))
+    # Structure constants are exactly representable, so powers of a nilpotent
+    # ad* matrix hit exact zero.
+    nil = todo[_squares_to_zero(mats[todo])]
+    if nil.size:
+        sums, abandoned = _nilpotent_sums(mats[nil])
+        out[nil[~abandoned]] = sums[~abandoned]
+        todo = np.setdiff1d(todo, nil[~abandoned])
+    if not todo.size:
+        return out.reshape(mat.shape)
+
+    def where(i):
+        if not lead:
+            return ""
+        return f" at stack index {tuple(int(j) for j in np.unravel_index(todo[i], lead))}"
+
+    # Not nilpotent: scale so the norm is at most 1/2, sum, square back.
+    M = mats[todo]
+    norms = np.abs(M).sum(axis=-1).max(axis=-1)  # the inf-norm of each matrix
+    bad = ~np.isfinite(norms)
+    if bad.any():
+        raise ConvergenceFailure("ad* matrix has non-finite entries" + where(int(np.argmax(bad))))
+    out[todo] = _scaled_series(M, norms, term_tol, max_terms, where)
+    return out.reshape(mat.shape)
+
+
+def coad_flow(alg: AlgebraSpec, a: np.ndarray, t, V: np.ndarray) -> np.ndarray:
+    """Coadjoint action of exp(i*t_r*A_r) on dual coordinate rows V[r].
+
+    a holds the coefficient rows of the elements A_r (see element_rows), t
+    their times and V the dual vectors packed as by dual_to_vector, all with
+    the same leading axes.  Every row gets the bits it would get alone.
+    """
+    t = np.asarray(t, dtype=float)
+    flows = _expm(t[..., None, None] * ad_star_matrix(alg, a)).swapaxes(-1, -2)
+    return (flows @ V[..., None])[..., 0]
+
+
 def coad_generic(alg: AlgebraSpec, A, t: float, X: DualVector) -> DualVector:
-    """Coadjoint action of exp(i*t*A) on X via the exponential of ad*.
+    """Coadjoint action of exp(i*t*A) on X via the exponential of ad*: a
+    stack of one for coad_flow.
 
     The sum is exact (finite) whenever ad*_A is nilpotent, which covers all
     tower translations; otherwise a scaled-and-squared series with a
     certified tail bound below 1e-12 is used.
     """
-    B = ad_star_matrix(alg, A)
-    flow = _expm(t * B).T
-    return dual_from_vector(alg, flow @ dual_to_vector(alg, X))
+    v = coad_flow(alg, element_rows(alg, [A]), [t], dual_to_vector(alg, X)[None])
+    return dual_from_vector(alg, v[0])
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +413,36 @@ def _translation_weights(N: int, dim: int):
 # coefficient times a pairing of two levels.  Each sum is written as one
 # pairing over the whole level axis contracted with its coefficient vector;
 # reversing the level axis (x[..., ::-1, :], row i holding x_{N-i}) pairs
-# level i with level N-i.
+# level i with level N-i.  The kernels start from C-ordered inputs, and every
+# contraction over levels is taken row by row on C-ordered rows (_levels), so
+# a row of a stack gives the bits of the same sample passed alone, whatever
+# the stack's size or memory layout.
+
+def _levels(u, w):
+    """Contraction of the trailing (level) axis of u with the vector w.
+
+    One dot product per row, taken as a stack of (1, n) @ (n, 1) products:
+    a stack times a vector would be a matrix-vector product, which rounds
+    differently from the dot product of a single row; the rows are made
+    C-ordered because a strided dot product rounds differently again.
+    """
+    return (np.ascontiguousarray(u)[..., None, :] @ w[:, None])[..., 0, 0]
+
 
 def _ctrans_dim3(m, x, j, c, h, d, k):
     """Tower translation exp(i x_k^a C_k^a) on the dual, dimension 3, N odd."""
     N = x.shape[-2] - 1
     w = N / 2.0 - np.arange(N + 1)
     f, g, gh, gk = _translation_weights(N, 3)
+    mc = m[..., None, None]
     xr = x[..., ::-1, :]
-    cp = c + m * f[:, None] * xr
-    j = j - np.sum(_cross3(x, c) + (m / 2.0) * g[:, None] * _cross3(xr, x), axis=-2)
-    d = d - _rowdot(x, c) @ w + (m / 2.0) * (_rowdot(x, xr) @ (w * g))
-    h = h + _rowdot(x[..., 1:, :], c[..., :-1, :]) @ np.arange(1.0, N + 1) \
-        + (m / 2.0) * (_rowdot(x[..., 1:, :], x[..., :0:-1, :]) @ gh)
-    k = k - _rowdot(x[..., :-1, :], c[..., 1:, :]) @ np.arange(float(N), 0.0, -1.0) \
-        + (m / 2.0) * (_rowdot(x[..., :-1, :], x[..., -2::-1, :]) @ gk)
+    cp = c + mc * f[:, None] * xr
+    j = j - np.sum(_cross3(x, c) + (mc / 2.0) * g[:, None] * _cross3(xr, x), axis=-2)
+    d = d - _levels(_rowdot(x, c), w) + (m / 2.0) * _levels(_rowdot(x, xr), w * g)
+    h = h + _levels(_rowdot(x[..., 1:, :], c[..., :-1, :]), np.arange(1.0, N + 1)) \
+        + (m / 2.0) * _levels(_rowdot(x[..., 1:, :], x[..., :0:-1, :]), gh)
+    k = k - _levels(_rowdot(x[..., :-1, :], c[..., 1:, :]), np.arange(float(N), 0.0, -1.0)) \
+        + (m / 2.0) * _levels(_rowdot(x[..., :-1, :], x[..., -2::-1, :]), gk)
     return j, cp, h, d, k
 
 
@@ -342,24 +457,27 @@ def _ctrans_dim2(m, x, j, c, h, d, k):
     eps = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eps[a, b] = eps^{ab}, 0-based
     f, g, gh, gk = _translation_weights(N, 2)
     xr = x[..., ::-1, :]
-    cp = c - m * f[:, None] * (xr @ eps)  # component b: eps^{ab} x^a
-    js = j[..., 0] - np.sum(_cross2(x, c), axis=-1) + (m / 2.0) * (_rowdot(x, xr) @ g)
-    d = d - _rowdot(x, c) @ w + (m / 2.0) * (_eps_pair(x, xr) @ (w * g))
-    h = h + _rowdot(x[..., 1:, :], c[..., :-1, :]) @ np.arange(1.0, N + 1) \
-        + (m / 2.0) * (_eps_pair(x[..., 1:, :], x[..., :0:-1, :]) @ gh)
-    k = k - _rowdot(x[..., :-1, :], c[..., 1:, :]) @ np.arange(float(N), 0.0, -1.0) \
-        - (m / 2.0) * (_eps_pair(x[..., :-1, :], x[..., -2::-1, :]) @ gk)
+    cp = c - m[..., None, None] * f[:, None] * (xr @ eps)  # component b: eps^{ab} x^a
+    js = j[..., 0] - np.sum(_cross2(x, c), axis=-1) + (m / 2.0) * _levels(_rowdot(x, xr), g)
+    d = d - _levels(_rowdot(x, c), w) + (m / 2.0) * _levels(_eps_pair(x, xr), w * g)
+    h = h + _levels(_rowdot(x[..., 1:, :], c[..., :-1, :]), np.arange(1.0, N + 1)) \
+        + (m / 2.0) * _levels(_eps_pair(x[..., 1:, :], x[..., :0:-1, :]), gh)
+    k = k - _levels(_rowdot(x[..., :-1, :], c[..., 1:, :]), np.arange(float(N), 0.0, -1.0)) \
+        - (m / 2.0) * _levels(_eps_pair(x[..., :-1, :], x[..., -2::-1, :]), gk)
     return js[..., None], cp, h, d, k
 
 
 def translate_dual(m, x, j, c, h, d, k):
     """Tower translation by x (..., N+1, dim) of stacked dual components.
 
-    Every argument may carry leading sample axes; j has a trailing axis of
-    one component per rotation generator.  Returns (j, c, h, d, k).
+    Every argument may carry leading sample axes, the mass m too; j has a
+    trailing axis of one component per rotation generator.  Returns
+    (j, c, h, d, k); a row of a stack gives the bits of the same sample
+    passed alone.
     """
     kernel = _ctrans_dim3 if x.shape[-1] == 3 else _ctrans_dim2
-    return kernel(m, x, j, c, h, d, k)
+    return kernel(np.asarray(m, dtype=float), np.ascontiguousarray(x), np.ascontiguousarray(j),
+                  np.ascontiguousarray(c), h, d, k)
 
 
 def ctrans(X: DualVector, x) -> DualVector:
@@ -597,18 +715,28 @@ def _casimir_weights(N: int, dim: int):
 
 
 def casimir_arrays(m, j, c, h, d, k):
-    """(C1, C2, C3) for stacked dual components, as returned by translate_dual."""
+    """(C1, C2, C3) for stacked dual components, as returned by translate_dual.
+
+    The mass may be one number or one per sample.  Like translate_dual, a
+    row of a stack gives the bits of the same sample passed alone, so
+    casimir_values of one dual vector equals its row of any stack.
+    """
+    m = np.asarray(m, dtype=float)
+    c, j = np.ascontiguousarray(c), np.ascontiguousarray(j)
     N, dim = c.shape[-2] - 1, c.shape[-1]
     alpha, a_coef, b_coef, q_coef = _casimir_weights(N, dim)
     cr = c[..., ::-1, :]
     pair = _rowdot if dim == 3 else _eps_pair
-    Cq = pair(c, cr) @ q_coef
-    A = pair(c[..., :-1, :], cr[..., 1:, :]) @ a_coef
-    B = -(pair(c[..., 1:, :], cr[..., :-1, :]) @ b_coef)
+    Cq = _levels(pair(c, cr), q_coef)
+    A = _levels(pair(c[..., :-1, :], cr[..., 1:, :]), a_coef)
+    B = -_levels(pair(c[..., 1:, :], cr[..., :-1, :]), b_coef)
     if dim == 3:
-        vec = m * j - np.sum(alpha[:, None] * _cross3(c, cr), axis=-2)
+        vec = m[..., None] * j - np.sum(alpha[:, None] * _cross3(c, cr), axis=-2)
         C2 = _rowdot(vec, vec)
     else:
-        C2 = m * j[..., 0] - _rowdot(cr, c) @ alpha
-    C3 = 2.0 * (m * h - A) * (m * k - B) - 2.0 * (m * d - Cq) ** 2
-    return np.full(np.shape(C3), float(m)), C2, C3
+        C2 = m * j[..., 0] - _levels(_rowdot(cr, c), alpha)
+    dq = m * d - Cq
+    # dq * dq, not dq ** 2: a numpy scalar squares by pow(), which rounds
+    # differently from the product an array squares by
+    C3 = 2.0 * (m * h - A) * (m * k - B) - 2.0 * (dq * dq)
+    return np.full(np.shape(C3), m, dtype=float), C2, C3

@@ -186,14 +186,19 @@ def check_state(q, p, s, chi, m) -> None:
                             f"q={q.shape}")
     if not (math.isfinite(m) and m > 0):
         raise InvalidState(f"mass must be finite and positive, got {m}")
-    if math.isfinite(q.sum() + p.sum() + s.sum() + chi.sum()):
-        return
-    # a NaN or an infinity, or else finite entries whose sum overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        if math.isfinite(q.sum() + p.sum() + s.sum() + chi.sum()):
+            return
+    # a NaN or an infinity, or else finite entries whose sum overflows; name
+    # the earliest sample with one (q before p before s before chi within it)
+    first = []
     for name, arr in (("q", q), ("p", p), ("s", s), ("chi", chi)):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            raise InvalidState(f"{name} has a non-finite entry at index "
-                               f"{tuple(int(i) for i in np.argwhere(bad)[0])}")
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            first.append((tuple(bad[0, :len(lead)]), name, tuple(int(i) for i in bad[0])))
+    if first:
+        _, name, index = min(first, key=lambda f: f[0])
+        raise InvalidState(f"{name} has a non-finite entry at index {index}")
 
 
 @dataclass

@@ -69,25 +69,34 @@ def schrodinger_integrals(pt: PhasePoint, t: float) -> Dict[str, object]:
     }
 
 
-def conformal_time(t: float, c: float) -> float:
-    """t' = t / (1 + c t); raises SingularTime at the pole."""
+def _conformal_denominator(t, c: float, what: str):
+    """1 + c t for a time or an array of times; raises SingularTime, naming
+    the first time at the pole."""
     denom = 1.0 + c * t
-    if abs(denom) < 1e-14:
-        raise SingularTime(f"conformal time map singular at t={t}, c={c}")
-    return t / denom
+    bad = np.abs(denom) < 1e-14
+    if np.any(bad):
+        t_bad = np.ravel(t)[np.argmax(np.ravel(bad))]
+        raise SingularTime(f"{what} singular at t={t_bad}, c={c}")
+    return denom
 
 
-def conformal_transform(x, p, t: float, c: float, m: float):
+def conformal_time(t, c: float):
+    """t' = t / (1 + c t), elementwise for an array of times; raises
+    SingularTime at the pole."""
+    return t / _conformal_denominator(t, c, "conformal time map")
+
+
+def conformal_transform(x, p, t, c: float, m: float):
     """Finite conformal map of a Schrodinger-case state.
 
-    x' = x/(1+ct), p' = p(1+ct) - m c x, t' = t/(1+ct).
+    x' = x/(1+ct), p' = p(1+ct) - m c x, t' = t/(1+ct).  x and p may carry
+    a leading sample axis matching an array t.
     """
-    denom = 1.0 + c * t
-    if abs(denom) < 1e-14:
-        raise SingularTime(f"conformal transform singular at t={t}, c={c}")
+    denom = _conformal_denominator(t, c, "conformal transform")
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    return x / denom, p * denom - m * c * x, t / denom
+    per_sample = np.asarray(denom)[..., None]
+    return x / per_sample, p * per_sample - m * c * x, t / denom
 
 
 @dataclass(frozen=True)
@@ -108,48 +117,62 @@ class GalileiParams:
         return R
 
 
-def galilei_transform(x, p, t: float, params: GalileiParams, m: float):
-    """x' = Rx + a + vt, p' = Rp + mv, t' = t + tau."""
+def galilei_transform(x, p, t, params: GalileiParams, m: float):
+    """x' = Rx + a + vt, p' = Rp + mv, t' = t + tau.
+
+    x and p may carry a leading sample axis matching an array t; R is
+    checked once per call and applied to each sample as a matrix-vector
+    product, as for a single state.
+    """
     R = params.rotation()
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     a = np.asarray(params.a, dtype=float)
     v = np.asarray(params.v, dtype=float)
-    return R @ x + a + v * t, R @ p + m * v, t + params.tau
+    Rx = (R @ x[..., None])[..., 0]
+    Rp = (R @ p[..., None])[..., 0]
+    return Rx + a + v * np.asarray(t)[..., None], Rp + m * v, t + params.tau
 
 
 class ConformalMap:
-    """Finite conformal transformation acting on Schrodinger-case curves."""
+    """Finite conformal transformation acting on Schrodinger-case curves.
+
+    Times may be numbers or arrays of times (with a matching leading sample
+    axis on x and p).
+    """
 
     def __init__(self, c: float, m: float):
         self.c = float(c)
         self.m = float(m)
 
-    def time(self, t: float) -> float:
+    def time(self, t):
         return conformal_time(t, self.c)
 
-    def inverse_time(self, tp: float) -> float:
+    def inverse_time(self, tp):
         return conformal_time(tp, -self.c)
 
-    def apply(self, x, p, t: float):
+    def apply(self, x, p, t):
         return conformal_transform(x, p, t, self.c, self.m)
 
 
 class GalileiMap:
-    """Finite Galilei transformation acting on Schrodinger-case curves."""
+    """Finite Galilei transformation acting on Schrodinger-case curves.
+
+    Times may be numbers or arrays of times, as for ConformalMap.
+    """
 
     def __init__(self, params: GalileiParams, m: float):
         self.params = params
         self.m = float(m)
         params.rotation()  # validate eagerly
 
-    def time(self, t: float) -> float:
+    def time(self, t):
         return t + self.params.tau
 
-    def inverse_time(self, tp: float) -> float:
+    def inverse_time(self, tp):
         return tp - self.params.tau
 
-    def apply(self, x, p, t: float):
+    def apply(self, x, p, t):
         return galilei_transform(x, p, t, self.params, self.m)
 
 
@@ -160,7 +183,9 @@ def map_trajectory(traj: Trajectory, transform) -> Trajectory:
     free solution maps to samples of the transformed free solution without
     assuming the result is one; the output must still pass the motion-order
     and conservation checks on its own.  Internal variables ride along
-    untransformed.
+    untransformed.  The inverse time map, the interpolation and the map
+    itself each run once on the whole grid, with the pole checked at every
+    sample; each sample gets the bits it would get alone.
     """
     if (traj.N, traj.dim) != (1, 3):
         raise UnsupportedClosedForm("finite transforms act on N=1, dim 3 trajectories")
@@ -174,11 +199,10 @@ def map_trajectory(traj: Trajectory, transform) -> Trajectory:
             raise SingularTime("conformal pole inside the trajectory range")
     n = len(traj.times)
     grid = np.linspace(tp0, tp1, n)
-    t = np.array([transform.inverse_time(float(tp)) for tp in grid])
+    t = transform.inverse_time(grid)
     q, p, s, chi = interpolate_states(traj, t)
-    mapped = [transform.apply(qi[0], pi[0], ti)[:2] for qi, pi, ti in zip(q, p, t)]
+    x, px, _ = transform.apply(q[:, 0], p[:, 0], t)
     dt = float(grid[1] - grid[0]) if n > 1 else None
-    out = Trajectory(times=grid, q=np.array([[x] for x, _ in mapped]),
-                     p=np.array([[px] for _, px in mapped]), s=s, chi=chi, m=traj.m, dt=dt)
+    out = Trajectory(times=grid, q=x[:, None], p=px[:, None], s=s, chi=chi, m=traj.m, dt=dt)
     out.recorded = record_values(out.states)
     return out

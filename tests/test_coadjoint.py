@@ -1,14 +1,16 @@
 """Coadjoint flows, orbit classification and Casimir functions."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from galconf.algebra import GeneratorId, build_algebra
+from galconf.algebra import GeneratorId, build_algebra, spin_components
 from galconf.coadjoint import (
+    ORBIT_TAGS,
     DualVector,
     _cross3,
     _expm,
@@ -16,16 +18,21 @@ from galconf.coadjoint import (
     ad_star_matrix,
     OrbitClass,
     OrbitLabel,
+    casimir_arrays,
     casimir_values,
     chi_for_class,
     chi_interval,
     classify_orbit,
     coad_closed_form,
+    coad_flow,
     coad_generic,
     dual_from_vector,
     dual_to_vector,
+    element_rows,
+    orbit_components,
     orbit_dual_vector,
     parametrize,
+    translate_dual,
 )
 from galconf.errors import (
     AmbiguousClass,
@@ -41,8 +48,10 @@ from galconf.verify import (
     FLOW_FAMILIES,
     _limited,
     _random_element,
+    _worst_draw,
     flip_constant,
     random_dual,
+    run_suites,
 )
 
 
@@ -506,3 +515,138 @@ def test_rowdot_does_not_depend_on_layout():
             for other in (v, np.asfortranarray(v)):
                 assert same_bits(_rowdot(view, other), _rowdot(c, np.ascontiguousarray(other)))
                 assert same_bits(_rowdot(other, view), _rowdot(np.ascontiguousarray(other), c))
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels: a row of any stack gives the bits of the sample alone
+# ---------------------------------------------------------------------------
+
+def mixed_ad_stack(alg, rng):
+    """t * ad* matrices mixing zero, nilpotent (tower and H/K), central and
+    non-nilpotent elements, the latter at times that give different scales."""
+    C = [g for g in alg.generators if g.kind == "C"]
+    elems = [{}, {alg.generator("M"): Fraction(1)}, {alg.generator("H"): Fraction(1)},
+             {alg.generator("K"): Fraction(1)}, {alg.generator("D"): Fraction(1)}]
+    elems += [{g: _limited(rng.uniform(-0.5, 0.5), 10 ** 12) for g in C} for _ in range(4)]
+    elems += [_random_element(rng, alg) for _ in range(8)]
+    times = rng.uniform(-0.5, 0.5, len(elems))
+    times[-4:] = (0.05, 1.0, 3.0, 9.0)  # scales s = 0 up to several squarings
+    return elems, times, times[:, None, None] * ad_star_matrix(alg, element_rows(alg, elems))
+
+
+class TestStackedExpm:
+    @pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+    def test_slices_match_reference(self, N, dim):
+        alg = build_algebra(N, dim, central=True)
+        rng = np.random.default_rng(300 + 10 * N + dim)
+        _, _, mats = mixed_ad_stack(alg, rng)
+        order = rng.permutation(len(mats))
+        for stack in (mats, mats[order], mats.reshape((-1, 1) + mats.shape[1:]),
+                      np.asfortranarray(mats)):
+            got = _expm(stack)
+            assert got.shape == stack.shape
+            for i in np.ndindex(stack.shape[:-2]):
+                alone = np.ascontiguousarray(stack[i])
+                assert same_bits(got[i], expm_reference(alone)), i
+
+    @pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+    def test_stacked_flow_matches_single_calls(self, N, dim):
+        alg = build_algebra(N, dim, central=True)
+        rng = np.random.default_rng(400 + 10 * N + dim)
+        elems, times, _ = mixed_ad_stack(alg, rng)
+        Xs = [random_dual(rng, N, dim) for _ in elems]
+        V = np.array([dual_to_vector(alg, X) for X in Xs])
+        rows = coad_flow(alg, element_rows(alg, elems), times, V)
+        for row, A, t, X in zip(rows, elems, times, Xs):
+            assert same_bits(row, dual_to_vector(alg, coad_generic(alg, A, float(t), X)))
+
+    def test_overflowing_member_raises_with_its_index(self, alg1):
+        rng = np.random.default_rng(5)
+        _, _, mats = mixed_ad_stack(alg1, rng)
+        mats = mats.copy()
+        mats[6] = 800.0 * ad_star_matrix(alg1, {alg1.generator("D"): Fraction(1)})
+        with pytest.raises(ConvergenceFailure, match=r"stack index \(6,\)"):
+            _expm(mats)
+        mats[6, 0, 0] = np.nan
+        with pytest.raises(ConvergenceFailure, match=r"stack index \(6,\)"):
+            _expm(mats)
+
+
+def layouts(rng, stack):
+    """The same values as a C-ordered, a Fortran-ordered, a fancy-indexed and
+    a strided stack."""
+    n = len(stack)
+    perm = rng.permutation(n)
+    wide = np.zeros((2 * n,) + stack.shape[1:])
+    wide[::2] = stack
+    return {"C": np.ascontiguousarray(stack), "F": np.asfortranarray(stack),
+            "fancy": stack[perm][np.argsort(perm)], "strided": wide[::2]}
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES + ((7, 3), (6, 2)))
+def test_level_kernels_are_row_exact(N, dim):
+    rng = np.random.default_rng(500 + 10 * N + dim)
+    n = 33
+    draws = [random_dual(rng, N, dim) for _ in range(n)]
+    x = rng.uniform(-1, 1, (n, N + 1, dim))
+    m = np.array([X.m for X in draws])
+    h, d, k = (np.array([getattr(X, f) for X in draws]) for f in "hdk")
+    j = np.array([X.j for X in draws])
+    c = np.array([X.c for X in draws])
+    alone = [translate_dual(X.m, x[i], X.j, X.c, X.h, X.d, X.k) for i, X in enumerate(draws)]
+    cas_alone = [casimir_arrays(X.m, X.j, X.c, X.h, X.d, X.k) for X in draws]
+    for name, (xl, jl, cl) in ((key, (layouts(rng, x)[key], layouts(rng, j)[key],
+                                      layouts(rng, c)[key])) for key in ("C", "F", "fancy",
+                                                                         "strided")):
+        for mass in (m, layouts(rng, m[:, None])[name][:, 0]):
+            stacked = translate_dual(mass, xl, jl, cl, h, d, k)
+            cas = casimir_arrays(mass, jl, cl, h, d, k)
+            for i in range(n):
+                for got, want in zip(stacked, alone[i]):
+                    assert same_bits(got[i], np.asarray(want)), (name, i)
+                for got, want in zip(cas, cas_alone[i]):
+                    assert same_bits(got[i], np.asarray(want)), (name, i)
+    # the orbit parametrization through the same kernels, one mass per sample
+    chi = rng.uniform(-1, 1, (n, 3))
+    s = rng.uniform(-1, 1, j.shape)
+    stacked = casimir_arrays(m, *orbit_components(m, s, chi, x))
+    for i in range(n):
+        X = orbit_dual_vector(m[i], s[i], chi[i], x[i])
+        want = casimir_values(build_algebra(N, dim, central=True), X)
+        assert [float(v[i]) for v in stacked] == list(want)
+        assert same_bits(stacked[2][i], np.float64(want[2]))
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+def test_casimir_square_rounds_alike_alone_and_stacked(N, dim):
+    # numpy squares a scalar with pow(), which in a libm that does not round
+    # it correctly differs, for about one value in a thousand, from the
+    # product an array squares by; 2000 draws hold some such values there
+    n = 2000
+    d = np.random.default_rng(7).uniform(-2.0, 2.0, n)
+    j, c = np.zeros((n, spin_components(dim))), np.zeros((n, N + 1, dim))
+    stacked = casimir_arrays(np.ones(n), j, c, np.zeros(n), d, np.zeros(n))[2]
+    for i in range(n):
+        assert same_bits(stacked[i], np.asarray(casimir_arrays(1.0, j[i], c[i], 0.0, d[i], 0.0)[2]))
+
+
+def test_worst_draw_names_the_first_largest_defect():
+    assert _worst_draw(np.array([0.0, 3e-16, 1e-16, 3e-16])) == (3e-16, "worst draw 1 of 4")
+    assert _worst_draw(np.zeros(5)) == (0.0, "all 5 draws exact")
+
+
+def test_orbit_cases_name_their_worst_draw():
+    cases = {c["name"]: c for c in run_suites("orbit", 42)["suites"]["orbit"]}
+    for prefix in ("oracle_table1_", "oracle_ctrans_", "casimir_invariance_",
+                   "mass_invariance_"):
+        named = [c for name, c in cases.items() if name.startswith(prefix)]
+        assert named
+        for c in named:
+            exact = c["detail"] == "all 100 draws exact"
+            assert exact == (c["defect"] == 0.0)
+            assert exact or re.fullmatch(r"worst draw \d+ of 100", c["detail"]), c
+    soundness = [c for name, c in cases.items() if name.startswith("orbit_label_soundness_")]
+    assert len(soundness) == len(FLOW_FAMILIES)
+    for c in soundness:
+        match = re.fullmatch(r"worst draw (\d+) of 20 in class (\w+)", c["detail"])
+        assert match and int(match[1]) < 20 and match[2] in ORBIT_TAGS, c

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from galconf.poisson import (
     PhasePoint,
     Poly,
     StructureMatrix,
+    check_state,
     dual_vector_at,
     generator_polynomials,
     generator_values,
@@ -270,6 +272,13 @@ class TestNewtonHooke:
         with pytest.raises(InvalidState):
             integrate(free_point(), ham, 20.0, 0.01, record=False)
 
+    def test_overflow_probe_warns_nothing(self):
+        ham = HamiltonianChoice("newton_hooke", omega=50.0, sign=-1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidState):
+                integrate(free_point(chi=[0.1, 0.2, 0.3]), ham, 20.0, 0.01, record=False)
+
     def test_parameter_validation(self):
         with pytest.raises(UnsupportedHamiltonian):
             HamiltonianChoice("newton_hooke", omega=0.0)
@@ -277,6 +286,25 @@ class TestNewtonHooke:
             HamiltonianChoice("newton_hooke", omega=1.0, sign=2)
         with pytest.raises(UnsupportedHamiltonian):
             HamiltonianChoice("oscillator")
+
+
+def test_check_state_names_the_first_bad_sample():
+    # a stack of states whose p goes bad from sample 3, q from 5 and chi
+    # from 7: the error names p, at the earliest bad sample, though q comes
+    # before p within a sample
+    N, dim, n = 3, 3, 10
+    q = np.zeros((n, q_levels(N, dim), dim))
+    p = np.zeros((n, p_levels(N, dim), dim))
+    s, chi = np.zeros((n, 3)), np.zeros((n, 3))
+    p[3:, 1, 2] = np.inf
+    q[5:] = np.nan
+    chi[7:, 1] = -np.inf
+    with pytest.raises(InvalidState, match=r"^p has a non-finite entry at index \(3, 1, 2\)$"):
+        check_state(q, p, s, chi, 1.0)
+    # within one sample q is named before p
+    q[3, 0, 1] = np.nan
+    with pytest.raises(InvalidState, match=r"^q has a non-finite entry at index \(3, 0, 1\)$"):
+        check_state(q, p, s, chi, 1.0)
 
 
 class TestMotionOrder:
@@ -513,6 +541,19 @@ def test_record_values_accepts_a_list_of_points():
     rec = record_values(list(tr.states))
     for key, value in tr.recorded.items():
         assert np.array_equal(rec[key], value)
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES + ((7, 3), (6, 2)))
+def test_recorded_casimirs_equal_single_state_casimirs(N, dim):
+    # every sample of the one-pass recording gives the bits of the state alone
+    pt = random_point(np.random.default_rng(60 + N), N, dim)
+    alg = build_algebra(N, dim, central=True)
+    for method in ("rk4", "closed"):
+        tr = integrate(pt, FREE, 0.5, 0.005, method)
+        for i in range(0, len(tr.times), 7):
+            _, C2, C3 = casimir_values(alg, dual_vector_at(tr.states[i]))
+            assert tr.recorded["C2"][i].tobytes() == np.float64(C2).tobytes()
+            assert tr.recorded["C3"][i].tobytes() == np.float64(C3).tobytes()
 
 
 def test_dynamics_cases_locate_their_worst_defect():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galconf.coadjoint import rotation_matrix
-from galconf.dynamics import FREE, integrate, verify_motion_order
+from galconf.dynamics import FREE, integrate, interpolate_states, verify_motion_order
 from galconf.errors import NonOrthogonalRotation, SingularTime, UnsupportedClosedForm
 from galconf.poisson import PhasePoint, generators_at, random_point
 from galconf.symmetry import (
@@ -198,3 +198,61 @@ class TestMapTrajectory:
         tr = integrate(pt, FREE, 0.5, 0.01, record=False)
         with pytest.raises(UnsupportedClosedForm):
             map_trajectory(tr, ConformalMap(0.1, 1.0))
+
+
+def suite_maps(m):
+    """The eight maps of the symmetry suite."""
+    maps = [ConformalMap(c, m) for c in (0.5, -0.5, 1.0)]
+    return maps + [GalileiMap(GalileiParams(v=(0.4, -0.2, 0.1)), m),
+                   GalileiMap(GalileiParams(a=(1.0, 0.5, -0.3)), m),
+                   GalileiMap(GalileiParams(tau=0.35), m),
+                   GalileiMap(GalileiParams(R=rotation_matrix([0.3, -0.5, 0.8])), m),
+                   GalileiMap(GalileiParams(), m)]
+
+
+def map_trajectory_reference(traj, transform):
+    """The per-sample loop map_trajectory ran before it mapped the whole grid
+    at once: one inverse time and one transformed state per sample."""
+    grid = np.linspace(transform.time(float(traj.times[0])),
+                       transform.time(float(traj.times[-1])), len(traj.times))
+    if isinstance(transform, ConformalMap):
+        c, m = transform.c, transform.m
+        t = np.array([float(tp) / (1.0 - c * float(tp)) for tp in grid])
+
+        def one(x, p, ti):
+            denom = 1.0 + c * ti
+            return x / denom, p * denom - m * c * x
+    else:
+        prm, m = transform.params, transform.m
+        R = np.eye(3) if prm.R is None else np.asarray(prm.R, dtype=float)
+        a, v = np.asarray(prm.a, dtype=float), np.asarray(prm.v, dtype=float)
+        t = np.array([float(tp) - prm.tau for tp in grid])
+
+        def one(x, p, ti):
+            return R @ x + a + v * ti, R @ p + m * v
+    q, p, s, chi = interpolate_states(traj, t)
+    mapped = [one(qi[0], pi[0], ti) for qi, pi, ti in zip(q, p, t)]
+    return {"times": grid, "q": np.array([[x] for x, _ in mapped]),
+            "p": np.array([[px] for _, px in mapped]), "s": s, "chi": chi}
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_map_trajectory_matches_per_sample_loop(seed):
+    m = 1.5
+    pt = random_point(np.random.default_rng(seed), 1, 3, m=m)
+    pt.chi[:] = 0.0
+    tr = integrate(pt, FREE, 1.0, 1e-3, "rk4", record=False)
+    for mp in suite_maps(m):
+        got = map_trajectory(tr, mp)
+        for name, want in map_trajectory_reference(tr, mp).items():
+            assert getattr(got, name).tobytes() == np.ascontiguousarray(want).tobytes(), name
+
+
+def test_map_arrays_check_the_pole_at_every_sample():
+    mp = ConformalMap(-1.5, 1.0)  # pole at t = 2/3
+    with pytest.raises(SingularTime, match="t=0.6666"):
+        mp.apply(np.zeros((3, 3)), np.zeros((3, 3)), np.array([0.0, 2.0 / 3.0, 1.0]))
+    with pytest.raises(SingularTime):
+        mp.time(np.array([0.1, 2.0 / 3.0]))
+    x, p, t = mp.apply(np.ones((2, 3)), np.ones((2, 3)), np.array([0.0, 0.5]))
+    assert t.tolist() == [0.0, 0.5 / (1.0 - 0.75)]
