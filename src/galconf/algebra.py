@@ -11,7 +11,9 @@ Convention: every commutator is written [X, Y] = i * c * Z and the table
 stores the real coefficient c as an exact ``Fraction``.  Orientation
 conventions are fixed once here: eps_{123} = +1 in dimension 3,
 eps^{12} = +1 in dimension 2, and for the sl(2,R) triple eps^{012} = +1
-with metric diag(+, -, -).
+with metric diag(+, -, -).  So is the tower pairing of the central
+extension, [C_j^a, C_{N-j}^b] = i tower_sign(N, j) j! (N-j)! tower_form(dim,
+a, b) M, which every formula built on the central charge reads from here.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ __all__ = [
     "so21_basis",
     "so21_epsilon_lower",
     "spin_components",
+    "tower_sign",
+    "tower_form",
     "dump_table",
 ]
 
@@ -49,6 +53,9 @@ Element = Dict["GeneratorId", Fraction]
 
 # Metric on the sl(2,R) triple in the light-cone-free basis (N^0, N^1, N^2).
 SO21_METRIC = (1, -1, -1)
+
+# eps^{ab} with 0-based rows/columns; EPS2[a, b] = eps^{(a+1)(b+1)}
+EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def _sign_pow(exponent: int) -> int:
@@ -66,6 +73,18 @@ def eps3(i: int, j: int, k: int) -> int:
 def eps2(a: int, b: int) -> int:
     """Antisymmetric symbol with 1-based indices, eps2(1,2) = +1."""
     return 1 if (a, b) == (1, 2) else -1 if (a, b) == (2, 1) else 0
+
+
+def tower_sign(N: int, level: int) -> int:
+    """(-1)^(level - ceil(N/2)): the sign with which tower level ``level``
+    pairs with level N - level through the central charge."""
+    return _sign_pow(level - (N + 1) // 2)
+
+
+def tower_form(dim: int, a: int, b: int) -> int:
+    """Invariant form pairing axis a of level j with axis b of level N - j
+    (1-based axes): delta_ab in dimension 3, -eps^{ab} in dimension 2."""
+    return int(a == b) if dim == 3 else -eps2(a, b)
 
 
 def spin_components(dim: int) -> int:
@@ -279,27 +298,15 @@ def build_algebra(N: int, dim: int, central: bool, with_ds: bool = False) -> Alg
                 _put(t, Ds, C[(j, a)], {C[(j, a)]: Fraction(1)})
 
     if central:
-        # Mass rows: only opposite tower levels pair up, with factorial weights.
+        # Mass rows: only opposite tower levels pair up, through the tower
+        # form with factorial weights; each unordered pair is put once.
         for j in range(N + 1):
-            k = N - j
-            if j > k:
-                continue
-            fact = Fraction(math.factorial(j) * math.factorial(k))
-            if dim == 3:
-                sign = _sign_pow((k - j + 1) // 2)
-                for a in axes:
-                    if j == k:
-                        continue  # same level, same axis: bracket vanishes
-                    _put(t, C[(j, a)], C[(k, a)], {M: sign * fact})
-            else:
-                sign = _sign_pow((j - k) // 2)
-                for a in axes:
-                    for b in axes:
-                        if j == k and a >= b:
-                            continue
-                        coeff = -eps2(a, b) * sign * fact
-                        if coeff:
-                            _put(t, C[(j, a)], C[(k, b)], {M: Fraction(coeff)})
+            weight = tower_sign(N, j) * math.factorial(j) * math.factorial(N - j)
+            for a in axes:
+                for b in axes:
+                    if (j, a) < (N - j, b):
+                        _put(t, C[(j, a)], C[(N - j, b)],
+                             {M: Fraction(weight * tower_form(dim, a, b))})
 
     return AlgebraSpec(N=N, dim=dim, central=central, with_ds=with_ds,
                        generators=tuple(gens), table=t)

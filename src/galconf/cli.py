@@ -247,14 +247,15 @@ def _parse_run_config(cfg) -> dict:
                 f"explicit chi classifies as {got.tag}, config says "
                 f"{label.chi_class.tag}")
     dt, T = float(cfg["dt"]), float(cfg["T"])
-    tol_fit_default = 1e-10 if method == "closed" else 1e-7
+    tol_fit_default = vf.DEFAULT_TOLERANCES["fit_closed" if method == "closed" else "fit_rk4"]
     return {
         "N": N, "dim": dim, "m": m, "method": method, "ham": ham,
         "pt": po.PhasePoint(q=q, p=p, s=s, chi=chi, m=m),
         "dt": dt, "T": T,
         "csv": cfg.get("csv"), "summary": cfg.get("summary"),
         "seed": int(cfg.get("seed", 0)),
-        "tol_conservation": float(cfg.get("tol_conservation", 1e-8)),
+        "tol_conservation": float(cfg.get("tol_conservation",
+                                          vf.DEFAULT_TOLERANCES["integrator"])),
         "tol_fit": float(cfg.get("tol_fit", tol_fit_default)),
         "raw": cfg,
     }

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import AlgebraSpec, _sign_pow, spin_components
+from .algebra import EPS2, AlgebraSpec, spin_components, tower_sign
 from .errors import (
     AmbiguousClass,
     ConvergenceFailure,
@@ -382,31 +382,17 @@ def _readonly(*arrays):
 
 
 @lru_cache(maxsize=None)
-def _translation_weights(N: int, dim: int):
-    """Factorial weights (f, g, gh, gk) of the tower translation.
+def _translation_weights(N: int):
+    """Factorial weights (g, gh, gk) of the tower translation, each carrying
+    the tower sign of its lower level.
 
-    They follow from N and dim alone, not from a structure table, so they
-    are built once per (N, dim) and shared read-only.
+    They follow from N alone, not from a structure table, so they are built
+    once per N and shared read-only.
     """
-    if dim == 3:
-        f = _coeffs(lambda i: _sign_pow(i - (N - 1) // 2) * _fact(i) * _fact(N - i),
-                    range(N + 1))
-        g = _coeffs(lambda i: _sign_pow(i - (N + 1) // 2) * _fact(i) * _fact(N - i),
-                    range(N + 1))
-        gh = _coeffs(lambda i: _sign_pow(i - (N + 1) // 2) * _fact(i) * _fact(N - i + 1),
-                     range(1, N + 1))
-        gk = _coeffs(lambda i: _sign_pow(i - (N - 1) // 2) * _fact(i + 1) * _fact(N - i),
-                     range(N))
-    else:
-        f = _coeffs(lambda i: _sign_pow((N - 2 * i) // 2) * _fact(i) * _fact(N - i),
-                    range(N + 1))
-        g = _coeffs(lambda i: _sign_pow((2 * i - N) // 2) * _fact(i) * _fact(N - i),
-                    range(N + 1))
-        gh = _coeffs(lambda i: _sign_pow((2 * i - N) // 2) * _fact(i) * _fact(N - i + 1),
-                     range(1, N + 1))
-        gk = _coeffs(lambda i: _sign_pow((2 * i - N) // 2) * _fact(i + 1) * _fact(N - i),
-                     range(N))
-    return _readonly(f, g, gh, gk)
+    g = _coeffs(lambda i: tower_sign(N, i) * _fact(i) * _fact(N - i), range(N + 1))
+    gh = _coeffs(lambda i: tower_sign(N, i) * _fact(i) * _fact(N - i + 1), range(1, N + 1))
+    gk = _coeffs(lambda i: tower_sign(N, i) * _fact(i + 1) * _fact(N - i), range(N))
+    return _readonly(g, gh, gk)
 
 
 # The translation and Casimir formulas below are sums over tower levels of a
@@ -429,55 +415,38 @@ def _levels(u, w):
     return (np.ascontiguousarray(u)[..., None, :] @ w[:, None])[..., 0, 0]
 
 
-def _ctrans_dim3(m, x, j, c, h, d, k):
-    """Tower translation exp(i x_k^a C_k^a) on the dual, dimension 3, N odd."""
-    N = x.shape[-2] - 1
-    w = N / 2.0 - np.arange(N + 1)
-    f, g, gh, gk = _translation_weights(N, 3)
-    mc = m[..., None, None]
-    xr = x[..., ::-1, :]
-    cp = c + mc * f[:, None] * xr
-    j = j - np.sum(_cross3(x, c) + (mc / 2.0) * g[:, None] * _cross3(xr, x), axis=-2)
-    d = d - _levels(_rowdot(x, c), w) + (m / 2.0) * _levels(_rowdot(x, xr), w * g)
-    h = h + _levels(_rowdot(x[..., 1:, :], c[..., :-1, :]), np.arange(1.0, N + 1)) \
-        + (m / 2.0) * _levels(_rowdot(x[..., 1:, :], x[..., :0:-1, :]), gh)
-    k = k - _levels(_rowdot(x[..., :-1, :], c[..., 1:, :]), np.arange(float(N), 0.0, -1.0)) \
-        + (m / 2.0) * _levels(_rowdot(x[..., :-1, :], x[..., -2::-1, :]), gk)
-    return j, cp, h, d, k
-
-
-def _ctrans_dim2(m, x, j, c, h, d, k):
-    """Tower translation on the dual, dimension 2, N even.
-
-    The quadratic term of the k row uses the orientation that follows from
-    the central bracket (and matches the printed orbit parametrization).
-    """
-    N = x.shape[-2] - 1
-    w = N / 2.0 - np.arange(N + 1)
-    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eps[a, b] = eps^{ab}, 0-based
-    f, g, gh, gk = _translation_weights(N, 2)
-    xr = x[..., ::-1, :]
-    cp = c - m[..., None, None] * f[:, None] * (xr @ eps)  # component b: eps^{ab} x^a
-    js = j[..., 0] - np.sum(_cross2(x, c), axis=-1) + (m / 2.0) * _levels(_rowdot(x, xr), g)
-    d = d - _levels(_rowdot(x, c), w) + (m / 2.0) * _levels(_eps_pair(x, xr), w * g)
-    h = h + _levels(_rowdot(x[..., 1:, :], c[..., :-1, :]), np.arange(1.0, N + 1)) \
-        + (m / 2.0) * _levels(_eps_pair(x[..., 1:, :], x[..., :0:-1, :]), gh)
-    k = k - _levels(_rowdot(x[..., :-1, :], c[..., 1:, :]), np.arange(float(N), 0.0, -1.0)) \
-        - (m / 2.0) * _levels(_eps_pair(x[..., :-1, :], x[..., -2::-1, :]), gk)
-    return js[..., None], cp, h, d, k
-
-
 def translate_dual(m, x, j, c, h, d, k):
-    """Tower translation by x (..., N+1, dim) of stacked dual components.
+    """Tower translation exp(i x_k^a C_k^a) by x (..., N+1, dim) of stacked
+    dual components, for N odd in dimension 3 and N even in dimension 2.
 
     Every argument may carry leading sample axes, the mass m too; j has a
     trailing axis of one component per rotation generator.  Returns
     (j, c, h, d, k); a row of a stack gives the bits of the same sample
-    passed alone.
+    passed alone.  The c row and the quadratic terms pair level i with level
+    N - i through the tower form of the algebra (delta in dimension 3, eps
+    in dimension 2); only the rotation rows are written per dimension.
     """
-    kernel = _ctrans_dim3 if x.shape[-1] == 3 else _ctrans_dim2
-    return kernel(np.asarray(m, dtype=float), np.ascontiguousarray(x), np.ascontiguousarray(j),
-                  np.ascontiguousarray(c), h, d, k)
+    m, x = np.asarray(m, dtype=float), np.ascontiguousarray(x)
+    j, c = np.ascontiguousarray(j), np.ascontiguousarray(c)
+    N, dim = x.shape[-2] - 1, x.shape[-1]
+    w = N / 2.0 - np.arange(N + 1)
+    g, gh, gk = _translation_weights(N)
+    pair = _rowdot if dim == 3 else _eps_pair
+    mc = m[..., None, None]
+    xr = x[..., ::-1, :]
+    # component b: -m g tower_form(b, a) x^a of level N - i
+    cp = c - mc * g[:, None] * (xr if dim == 3 else xr @ EPS2)
+    if dim == 3:  # so(3): cross products
+        j = j - np.sum(_cross3(x, c) + (mc / 2.0) * g[:, None] * _cross3(xr, x), axis=-2)
+    else:  # so(2): one scalar
+        j = (j[..., 0] - np.sum(_cross2(x, c), axis=-1)
+             + (m / 2.0) * _levels(_rowdot(x, xr), g))[..., None]
+    d = d - _levels(_rowdot(x, c), w) + (m / 2.0) * _levels(pair(x, xr), w * g)
+    h = h + _levels(_rowdot(x[..., 1:, :], c[..., :-1, :]), np.arange(1.0, N + 1)) \
+        + (m / 2.0) * _levels(pair(x[..., 1:, :], x[..., :0:-1, :]), gh)
+    k = k - _levels(_rowdot(x[..., :-1, :], c[..., 1:, :]), np.arange(float(N), 0.0, -1.0)) \
+        - (m / 2.0) * _levels(pair(x[..., :-1, :], x[..., -2::-1, :]), gk)
+    return j, cp, h, d, k
 
 
 def ctrans(X: DualVector, x) -> DualVector:
@@ -702,11 +671,10 @@ def casimir_values(alg: AlgebraSpec, X: DualVector):
 
 
 @lru_cache(maxsize=None)
-def _casimir_weights(N: int, dim: int):
+def _casimir_weights(N: int):
     """Level weights (alpha, a, b, q) of the Casimirs; like the translation
-    weights they depend on N and dim alone and are shared read-only."""
-    sign = np.array([_sign_pow(i - (N + 1) // 2) if dim == 3 else _sign_pow((2 * i - N) // 2)
-                     for i in range(N + 1)], dtype=float)
+    weights they depend on N alone and are shared read-only."""
+    sign = np.array([tower_sign(N, i) for i in range(N + 1)], dtype=float)
     alpha = 0.5 * sign / _coeffs(lambda i: _fact(i) * _fact(N - i), range(N + 1))
     a_coef = 0.5 * sign[1:] / _coeffs(lambda i: _fact(i - 1) * _fact(N - i), range(1, N + 1))
     b_coef = 0.5 * sign[:-1] / _coeffs(lambda i: _fact(i) * _fact(N - i - 1), range(N))
@@ -724,7 +692,7 @@ def casimir_arrays(m, j, c, h, d, k):
     m = np.asarray(m, dtype=float)
     c, j = np.ascontiguousarray(c), np.ascontiguousarray(j)
     N, dim = c.shape[-2] - 1, c.shape[-1]
-    alpha, a_coef, b_coef, q_coef = _casimir_weights(N, dim)
+    alpha, a_coef, b_coef, q_coef = _casimir_weights(N)
     cr = c[..., ::-1, :]
     pair = _rowdot if dim == 3 else _eps_pair
     Cq = _levels(pair(c, cr), q_coef)

@@ -149,21 +149,27 @@ def _rk4(z0: np.ndarray, D: np.ndarray, n_steps: int) -> np.ndarray:
 
     With D_b = (I + D)^b - I, the rows [b, 2b) are rows [0, b) plus
     rows [0, b) @ D_b^T, and D_{2b} = 2 D_b + D_b @ D_b, so a run costs
-    ceil(log2(n_steps + 1)) matrix products.  An overflow is not reported
-    here: the Trajectory built from the rows rejects non-finite samples and
-    names the first one.
+    ceil(log2(n_steps + 1)) matrix products.  Doubling stops at the last
+    finite D_b, and the remaining rows are filled in blocks of b, each
+    block from the one before, so an exact zero is never multiplied by an
+    infinite D_b and the first non-finite entry is a coordinate that
+    overflows.  The overflow is not reported here: the Trajectory built
+    from the rows rejects non-finite samples and names the first one.
     """
     n = n_steps + 1
     out = np.empty((n,) + z0.shape)
     out[0] = z0
-    b = 1
+    b = step = 1  # rows [0, b) are filled and D is D_step
     with np.errstate(over="ignore", invalid="ignore"):
         while b < n:
-            c = min(b, n - b)
-            np.add(out[:c], out[:c] @ D.T, out=out[b:b + c])
+            c = min(step, n - b)
+            src = out[b - step:b - step + c]
+            np.add(src, src @ D.T, out=out[b:b + c])
             b += c
-            if b < n:
-                D = 2.0 * D + D @ D
+            if b < n and b == 2 * step:
+                doubled = 2.0 * D + D @ D
+                if np.isfinite(doubled).all():
+                    D, step = doubled, b
     return out
 
 

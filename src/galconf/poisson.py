@@ -21,13 +21,15 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from .algebra import (
+    EPS2,
     AlgebraSpec,
     GeneratorId,
-    _sign_pow,
     eps2,
     eps3,
     so21_epsilon_lower,
     spin_components,
+    tower_form,
+    tower_sign,
 )
 from .coadjoint import DualVector, _cross2, _cross3, _rowdot, orbit_dual_vector, spin_invariant
 from .errors import InvalidState, ShapeMismatch
@@ -56,9 +58,6 @@ __all__ = [
 ]
 
 _fact = math.factorial
-
-# eps^{ab} with 0-based rows/columns; EPS2[a, b] = eps^{(a+1)(b+1)}
-EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def q_levels(N: int, dim: int) -> int:
@@ -186,19 +185,17 @@ def check_state(q, p, s, chi, m) -> None:
                             f"q={q.shape}")
     if not (math.isfinite(m) and m > 0):
         raise InvalidState(f"mass must be finite and positive, got {m}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if math.isfinite(q.sum() + p.sum() + s.sum() + chi.sum()):
-            return
-    # a NaN or an infinity, or else finite entries whose sum overflows; name
-    # the earliest sample with one (q before p before s before chi within it)
+    if all(np.isfinite(a).all() for a in (q, p, s, chi)):
+        return
+    # a NaN or an infinity: name the earliest sample with one (q before p
+    # before s before chi within it)
     first = []
     for name, arr in (("q", q), ("p", p), ("s", s), ("chi", chi)):
         bad = np.argwhere(~np.isfinite(arr))
         if len(bad):
             first.append((tuple(bad[0, :len(lead)]), name, tuple(int(i) for i in bad[0])))
-    if first:
-        _, name, index = min(first, key=lambda f: f[0])
-        raise InvalidState(f"{name} has a non-finite entry at index {index}")
+    _, name, index = min(first, key=lambda f: f[0])
+    raise InvalidState(f"{name} has a non-finite entry at index {index}")
 
 
 @dataclass
@@ -274,18 +271,15 @@ def random_point(rng, N: int, dim: int, m: float = 1.0, scale: float = 0.7) -> P
 def raw_bracket(alg: AlgebraSpec, j: int, a: int, k: int, b: int, m: float) -> float:
     """Poisson bracket {x_j^a, x_k^b} of raw orbit coordinates (1-based axes).
 
-    Zero unless the levels pair to N; the mass enters inversely.
+    Zero unless the levels pair to N; then it is the tower pairing of the
+    algebra, tower_sign(N, j) tower_form(dim, a, b), over m j! (N-j)!.
     """
-    N, dim = alg.N, alg.dim
+    N = alg.N
     if not (0 <= j <= N and 0 <= k <= N):
         raise ShapeMismatch(f"levels must lie in 0..{N}")
     if j + k != N:
         return 0.0
-    if dim == 3:
-        if a != b:
-            return 0.0
-        return _sign_pow(j - (N + 1) // 2) / (m * _fact(j) * _fact(N - j))
-    return -_sign_pow((2 * j - N) // 2) * eps2(a, b) / (m * _fact(j) * _fact(N - j))
+    return tower_sign(N, j) * tower_form(alg.dim, a, b) / (m * _fact(j) * _fact(N - j))
 
 
 def to_darboux(x_levels, m: float, N: int, dim: int):
@@ -300,15 +294,10 @@ def to_darboux(x_levels, m: float, N: int, dim: int):
         raise ShapeMismatch(f"x must be ({N + 1}, {dim}), got {x.shape}")
     q = np.zeros((q_levels(N, dim), dim))
     p = np.zeros((p_levels(N, dim), dim))
-    if dim == 3:
-        for k in range(q.shape[0]):
-            q[k] = _sign_pow(k - (N + 1) // 2) * _fact(k) * x[k]
-            p[k] = m * _fact(N - k) * x[N - k]
-    else:
-        for k in range(q.shape[0]):
-            q[k] = _sign_pow((N - 2 * k) // 2) * _fact(k) * x[k]
-        for k in range(p.shape[0]):
-            p[k] = m * _fact(N - k) * (EPS2.T @ x[N - k])
+    for k in range(q.shape[0]):
+        q[k] = tower_sign(N, k) * _fact(k) * x[k]
+    for k in range(p.shape[0]):
+        p[k] = m * _fact(N - k) * (x[N - k] if dim == 3 else EPS2.T @ x[N - k])
     return q, p
 
 
@@ -325,13 +314,10 @@ def raw_levels(q, p, m: float) -> np.ndarray:
     """Raw tower coordinates x (..., N+1, dim) of stacked Darboux blocks."""
     N, dim = tower_order(q.shape), q.shape[-1]
     nq, n_p = q.shape[-2], p.shape[-2]
-    if dim == 3:
-        sign = [_sign_pow(k - (N + 1) // 2) for k in range(nq)]
-    else:
-        sign = [_sign_pow((N - 2 * k) // 2) for k in range(nq)]
-        p = p @ EPS2.T
+    if dim == 2:
+        p = p @ EPS2.T  # undo the turn of the momentum line
     x = np.empty(q.shape[:-2] + (N + 1, dim))
-    x[..., :nq, :] = np.array(sign, dtype=float)[:, None] * q \
+    x[..., :nq, :] = np.array([tower_sign(N, k) for k in range(nq)], dtype=float)[:, None] * q \
         / np.array([_fact(k) for k in range(nq)], dtype=float)[:, None]
     # momentum level k sits at tower level N - k
     scale = np.array([m * _fact(N - k) for k in range(n_p)])[:, None]
@@ -470,33 +456,16 @@ def generator_values(q, p, s, chi, m: float):
 
 
 def _x_polys(N: int, dim: int, m: float) -> List[List[Poly]]:
-    """Raw tower coordinates as polynomials in the Darboux chart."""
-    out: List[List[Poly]] = []
-    if dim == 3:
-        n = (N - 1) // 2
-        for i in range(N + 1):
-            if i <= n:
-                coeff = _sign_pow(i - (N + 1) // 2) / _fact(i)
-                out.append([Poly.var(("q", i, a), coeff) for a in range(3)])
-            else:
-                coeff = 1.0 / (m * _fact(i))
-                out.append([Poly.var(("p", N - i, a), coeff) for a in range(3)])
-        return out
-    top = N // 2
-    for i in range(N + 1):
-        row = []
-        for a in range(2):
-            if i <= top:
-                coeff = _sign_pow((N - 2 * i) // 2) / _fact(i)
-                row.append(Poly.var(("q", i, a), coeff))
-            else:
-                # x^a = eps^{ab} p^b / (m i!)
-                poly = Poly()
-                for b in range(2):
-                    if EPS2[a, b]:
-                        poly = poly + Poly.var(("p", N - i, b), EPS2[a, b] / (m * _fact(i)))
-                row.append(poly)
-        out.append(row)
+    """Raw tower coordinates as polynomials in the Darboux chart, inverting
+    ``to_darboux``: level i is tower_sign(N, i) q_i / i! on the q side and
+    p_{N-i} turned back onto the tower axes, over m i!, on the p side."""
+    unturn = np.eye(3) if dim == 3 else EPS2  # x^a = unturn[a, b] p^b / (m i!)
+    nq = q_levels(N, dim)
+    out = [[Poly.var(("q", i, a), tower_sign(N, i) / _fact(i)) for a in range(dim)]
+           for i in range(nq)]
+    for i in range(nq, N + 1):
+        out.append([sum((Poly.var(("p", N - i, b), unturn[a, b] / (m * _fact(i)))
+                         for b in range(dim) if unturn[a, b]), Poly()) for a in range(dim)])
     return out
 
 
@@ -517,29 +486,28 @@ def _eps_pair_poly(xs: List[Poly], ys: List[Poly]) -> Poly:
     return out
 
 
+# Two tower levels contracted with the tower form of the algebra,
+# sum_{a,b} tower_form(dim, a, b) x^a y^b, by dimension.
+_LEVEL_PAIR = {3: _dot, 2: _eps_pair_poly}
+
+
 def _h_poly(x: List[List[Poly]], N: int, dim: int, m: float) -> Poly:
     """h from the raw tower polynomials x of ``_x_polys``."""
     h = Poly.var(("chi", 0)) - Poly.var(("chi", 1))
+    pair = _LEVEL_PAIR[dim]
     for j in range(1, N + 1):
-        if dim == 3:
-            h = h + (m / 2.0) * _sign_pow(j - (N + 1) // 2) * _fact(j) \
-                * _fact(N - j + 1) * _dot(x[j], x[N - j + 1])
-        else:
-            h = h + (m / 2.0) * _sign_pow((2 * j - N) // 2) * _fact(j) \
-                * _fact(N - j + 1) * _eps_pair_poly(x[j], x[N - j + 1])
+        h = h + (m / 2.0) * tower_sign(N, j) * _fact(j) * _fact(N - j + 1) \
+            * pair(x[j], x[N - j + 1])
     return h
 
 
 def _k_poly(x: List[List[Poly]], N: int, dim: int, m: float) -> Poly:
     """k from the raw tower polynomials x of ``_x_polys``."""
     kk = Poly.var(("chi", 0)) + Poly.var(("chi", 1))
+    pair = _LEVEL_PAIR[dim]
     for j in range(N):
-        if dim == 3:
-            kk = kk + (m / 2.0) * _sign_pow(j - (N - 1) // 2) * _fact(j + 1) \
-                * _fact(N - j) * _dot(x[j], x[N - j - 1])
-        else:
-            kk = kk - (m / 2.0) * _sign_pow((2 * j - N) // 2) * _fact(j + 1) \
-                * _fact(N - j) * _eps_pair_poly(x[j], x[N - j - 1])
+        kk = kk - (m / 2.0) * tower_sign(N, j) * _fact(j + 1) * _fact(N - j) \
+            * pair(x[j], x[N - j - 1])
     return kk
 
 
@@ -548,19 +516,24 @@ def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
     with the Darboux chart; independent of ``generators_at``.
 
     "j" is a list of one polynomial per rotation generator and "c" a list of
-    tower levels, each a list of dim polynomials.
+    tower levels, each a list of dim polynomials.  Only the rotation rows
+    depend on the dimension beyond the tower pairing.
     """
     x = _x_polys(N, dim, m)
+    pair = _LEVEL_PAIR[dim]
     halfN = N / 2.0
     d = Poly.var(("chi", 2))
+    jv = [Poly.var(("s", b)) for b in range(spin_components(dim))]
     c: List[List[Poly]] = [[Poly() for _ in range(dim)] for _ in range(N + 1)]
-    if dim == 3:
-        jv = [Poly.var(("s", b)) for b in range(3)]
-        for j in range(N + 1):
-            f = _sign_pow(j - (N - 1) // 2) * _fact(j) * _fact(N - j)
-            for b in range(3):
-                c[j][b] = m * f * x[N - j][b]
-            g = _sign_pow(j - (N + 1) // 2) * _fact(j) * _fact(N - j)
+    for j in range(N + 1):
+        g = tower_sign(N, j) * _fact(j) * _fact(N - j)
+        for b in range(dim):
+            for a in range(dim):
+                form = tower_form(dim, b + 1, a + 1)
+                if form:
+                    # c^b = -m g tower_form(b, a) x^a of level N - j
+                    c[j][b] = c[j][b] + (-m * g * form) * x[N - j][a]
+        if dim == 3:  # so(3): cross product
             for b in range(3):
                 cross_term = Poly()
                 for cc in range(3):
@@ -569,24 +542,11 @@ def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
                         if e:
                             cross_term = cross_term + e * (x[j][a] * x[N - j][cc])
                 jv[b] = jv[b] - (m / 2.0) * g * cross_term
-            d = d + (m / 2.0) * (halfN - j) * g * _dot(x[j], x[N - j])
-        out: Dict[str, object] = {"j": jv}
-    else:
-        js = Poly.var(("s", 0))
-        for j in range(N + 1):
-            f = _sign_pow((N - 2 * j) // 2) * _fact(j) * _fact(N - j)
-            for b in range(2):
-                for a in range(2):
-                    if EPS2[a, b]:
-                        # c^b = sign * m j! (N-j)! eps^{ba} x^a
-                        c[j][b] = c[j][b] + f * m * (-EPS2[a, b]) * x[N - j][a]
-            g = _sign_pow((2 * j - N) // 2) * _fact(j) * _fact(N - j)
-            js = js + (m / 2.0) * g * _dot(x[j], x[N - j])
-            d = d + (m / 2.0) * (halfN - j) * g * _eps_pair_poly(x[j], x[N - j])
-        out = {"j": [js]}
-    out.update({"h": _h_poly(x, N, dim, m), "d": d, "k": _k_poly(x, N, dim, m), "c": c,
-                "m": Poly.const(m)})
-    return out
+        else:  # so(2): one scalar
+            jv[0] = jv[0] + (m / 2.0) * g * _dot(x[j], x[N - j])
+        d = d + (m / 2.0) * (halfN - j) * g * pair(x[j], x[N - j])
+    return {"j": jv, "h": _h_poly(x, N, dim, m), "d": d, "k": _k_poly(x, N, dim, m), "c": c,
+            "m": Poly.const(m)}
 
 
 def momentum_map(alg: AlgebraSpec, m: float) -> Dict[GeneratorId, Poly]:

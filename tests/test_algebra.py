@@ -16,6 +16,7 @@ from galconf.algebra import (
     conformal_basis,
     conformal_basis_inverse,
     dump_table,
+    eps2,
     eps3,
     jacobi_report,
     jacobi_worst,
@@ -111,6 +112,39 @@ def test_cc_row_magnitudes(N, dim):
                 assert abs(coeff) == want
             seen += 1
     assert seen > 0
+
+
+def per_dimension_mass_rows(N, dim):
+    """Coefficient of M in [C_j^a, C_{N-j}^b] for j <= N - j (1-based axes),
+    by separate formulas for the two families: (-1)^((N-2j+1)/2) delta_ab
+    in dimension 3 and -(-1)^((N-2j)/2) eps^{ab} in dimension 2, times
+    j! (N-j)!."""
+    rows = {}
+    for j in range(N // 2 + 1):
+        k = N - j
+        fact = math.factorial(j) * math.factorial(k)
+        for a in range(1, dim + 1):
+            for b in range(1, dim + 1):
+                if dim == 3:
+                    rows[(j, a, b)] = Fraction((-1) ** ((k - j + 1) // 2) * fact * (a == b))
+                else:
+                    rows[(j, a, b)] = Fraction(-eps2(a, b) * (-1) ** ((k - j) // 2) * fact)
+    return rows
+
+
+def test_mass_rows_match_per_dimension_formulas():
+    for N in range(1, 32):
+        dim = 3 if N % 2 else 2
+        alg = build_algebra(N, dim, central=True)
+        M = alg.generator("M")
+        want = per_dimension_mass_rows(N, dim)
+        for j in range(N + 1):
+            for a in range(1, dim + 1):
+                for b in range(1, dim + 1):
+                    c = want[(j, a, b)] if j <= N - j else -want[(N - j, b, a)]
+                    got = alg.table.get((alg.generator(f"C{j}_{a}"),
+                                         alg.generator(f"C{N - j}_{b}")), {})
+                    assert got == ({M: c} if c else {}), (N, j, a, b)
 
 
 @pytest.mark.parametrize("N,dim,central,ds", [

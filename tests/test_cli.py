@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galconf.cli import main
+from galconf.verify import DEFAULT_TOLERANCES
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +278,14 @@ class TestSimulate:
         assert code == 0, err
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["drifts"]["deformed_energy"] <= 1e-8
+
+    @pytest.mark.parametrize("method,fit", [("rk4", "fit_rk4"), ("closed", "fit_closed")])
+    def test_default_tolerances_are_the_suites(self, capsys, tmp_path, method, fit):
+        cfg = write_free_config(tmp_path, method=method)
+        run_cli(capsys, "simulate", "--config", str(cfg))
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["tolerances"] == {"conservation": DEFAULT_TOLERANCES["integrator"],
+                                         "fit": DEFAULT_TOLERANCES[fit]}
 
     def test_drift_times_name_the_worst_sample(self, capsys, tmp_path):
         cfg = write_free_config(tmp_path)

@@ -129,7 +129,7 @@ class TestGenericFlow:
                 assert dual_defect(coad_closed_form(alg1, fam, par, X),
                                    coad_generic(alg1, A, t, X)) < 1e-10
 
-    @pytest.mark.parametrize("N,dim", [(3, 3), (4, 2)])
+    @pytest.mark.parametrize("N,dim", [(3, 3), (4, 2), (5, 3), (7, 3), (6, 2)])
     def test_matches_tower_translations(self, N, dim):
         # nilpotent flow: the generic series terminates and agrees exactly
         rng = np.random.default_rng(N * 10 + dim)

@@ -279,6 +279,14 @@ class TestNewtonHooke:
             with pytest.raises(InvalidState):
                 integrate(free_point(chi=[0.1, 0.2, 0.3]), ham, 20.0, 0.01, record=False)
 
+    def test_overflow_names_the_coordinate_that_overflows(self):
+        # chi stays exactly 0 and q stays finite longer: stepping z <- z + D z
+        # one sample at a time first overflows p, at sample 1414
+        ham = HamiltonianChoice("newton_hooke", omega=50.0, sign=-1)
+        with pytest.raises(InvalidState,
+                           match=r"^p has a non-finite entry at index \(1414, 0, 0\)$"):
+            integrate(free_point(), ham, 20.0, 0.01, record=False)
+
     def test_parameter_validation(self):
         with pytest.raises(UnsupportedHamiltonian):
             HamiltonianChoice("newton_hooke", omega=0.0)

@@ -64,7 +64,7 @@ class TestDarboux:
         assert np.allclose(q[0], -x[0])
         assert np.allclose(p[0], m * x[1])
 
-    @pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (5, 3), (2, 2), (4, 2)])
+    @pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (5, 3), (2, 2), (4, 2), (7, 3), (6, 2)])
     def test_roundtrip(self, N, dim):
         rng = np.random.default_rng(N * 7 + dim)
         x = rng.uniform(-2, 2, (N + 1, dim))
@@ -75,7 +75,7 @@ class TestDarboux:
         q, p = to_darboux(np.zeros((4, 3)), 1.0, 3, 3)
         assert not np.any(q) and not np.any(p)
 
-    @pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (2, 2), (4, 2)])
+    @pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (2, 2), (4, 2), (7, 3), (6, 2)])
     def test_pushed_brackets_are_canonical(self, N, dim):
         """Chain-rule the chart through the raw bracket; must give the
         canonical table (and the antisymmetric self-conjugate block in 2D)."""
@@ -230,7 +230,7 @@ class TestObservableBracket:
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-@pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (2, 2), (4, 2)])
+@pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (2, 2), (4, 2), (5, 3), (7, 3), (6, 2)])
 def test_momentum_map_closure(N, dim):
     """{G_X, G_Y} = G_{[X,Y]} with the central charge entering as m."""
     m = 1.25
