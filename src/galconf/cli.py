@@ -99,13 +99,14 @@ def cmd_algebra_dump(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_orbit_classify(args) -> int:
+    chi = _chi(args.chi)
     try:
-        cls = co.classify_orbit(args.chi, tol=args.tol)
+        cls = co.classify_orbit(chi, tol=_tolerance("tol", args.tol))
     except AmbiguousClass as exc:
         _emit({"schema_version": SCHEMA_VERSION, "error": str(exc)}, args.out)
         return EXIT_FAIL
     _emit({"schema_version": SCHEMA_VERSION, "tag": cls.tag, "sigma": cls.sigma,
-           "interval": co.chi_interval(args.chi)}, args.out)
+           "interval": co.chi_interval(chi)}, args.out)
     return EXIT_OK
 
 
@@ -114,6 +115,27 @@ def _finite(name: str, value):
     if not np.all(np.isfinite(value)):
         raise InvalidConfig(f"{name} must be finite, got {np.asarray(value).tolist()}")
     return value
+
+
+def _chi(value) -> np.ndarray:
+    """value as a chi triple, or InvalidConfig unless the sum of its squared
+    entries is finite, which bounds its interval and its length."""
+    chi = _finite("chi", np.asarray(value, dtype=float).reshape(3))
+    with np.errstate(over="ignore"):
+        if not math.isfinite(chi @ chi):
+            raise InvalidConfig(f"chi={chi.tolist()} is too large: its squares overflow")
+    return chi
+
+
+def _tolerance(name: str, value) -> float:
+    """value as a float, or InvalidConfig unless it is finite and nonnegative."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidConfig(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(out) and out >= 0):
+        raise InvalidConfig(f"{name} must be finite and nonnegative, got {value!r}")
+    return out
 
 
 def _resolve_internal(cfg: dict, dim: int):
@@ -126,14 +148,14 @@ def _resolve_internal(cfg: dict, dim: int):
     s2 = float(co.spin_invariant(s))
     has_chi = "chi" in cfg
     if has_chi:
-        chi = _finite("chi", np.asarray(cfg["chi"], dtype=float).reshape(3))
+        chi = _chi(cfg["chi"])
     if "chi_class" in cfg:
         try:
             cls = co.OrbitClass(cfg["chi_class"], _finite("sigma", float(cfg.get("sigma", 0.0))))
         except LabelMismatch as exc:  # an unknown tag or a bad sigma is bad input
             raise InvalidConfig(str(exc))
         if not has_chi:
-            chi = co.chi_for_class(cls)
+            chi = _chi(co.chi_for_class(cls))
     elif has_chi:
         cls = co.classify_orbit(chi)
     else:
@@ -241,7 +263,8 @@ def _parse_run_config(cfg) -> dict:
         raise InvalidConfig(str(exc))
     m = label.m
     if "chi" in cfg and "chi_class" in cfg:
-        got = co.classify_orbit(chi, tol=float(cfg.get("classify_tol", 1e-9)))
+        got = co.classify_orbit(chi, tol=_tolerance("classify_tol",
+                                                   cfg.get("classify_tol", 1e-9)))
         if got.tag != label.chi_class.tag:
             raise InvalidConfig(
                 f"explicit chi classifies as {got.tag}, config says "
@@ -309,16 +332,7 @@ def _check_tols(tols) -> dict:
     unknown = set(tols) - set(vf.DEFAULT_TOLERANCES)
     if unknown:
         raise InvalidConfig(f"unknown tolerances {sorted(unknown)}")
-    out = {}
-    for name, value in tols.items():
-        try:
-            out[name] = float(value)
-        except (TypeError, ValueError):
-            raise InvalidConfig(f"tolerance {name} must be a number, got {value!r}")
-        if not (math.isfinite(out[name]) and out[name] >= 0):
-            raise InvalidConfig(f"tolerance {name} must be finite and nonnegative, "
-                                f"got {value!r}")
-    return out
+    return {name: _tolerance(f"tolerance {name}", value) for name, value in tols.items()}
 
 
 def _parse_tols(pairs) -> dict:

@@ -185,7 +185,8 @@ def dual_from_vector(alg: AlgebraSpec, v: np.ndarray) -> DualVector:
 
 
 def element_rows(alg: AlgebraSpec, elements) -> np.ndarray:
-    """(k, n) float coefficient rows of k elements {generator: coefficient}."""
+    """(k, n) float coefficient rows of k elements {generator: coefficient}:
+    the one conversion of an element to the row that ad_star_matrix takes."""
     idx = alg.index
     rows = np.zeros((len(elements), len(alg.generators)))
     for row, A in zip(rows, elements):
@@ -196,18 +197,16 @@ def element_rows(alg: AlgebraSpec, elements) -> np.ndarray:
     return rows
 
 
-def ad_star_matrix(alg: AlgebraSpec, A) -> np.ndarray:
+def ad_star_matrix(alg: AlgebraSpec, a: np.ndarray) -> np.ndarray:
     """Matrix B with B[z, y] = coefficient of Z in [A, Y]/i.
 
-    A is one element {generator: coefficient} or a (..., n) stack of
-    coefficient rows, which gives a (..., n, n) stack.  B is the
-    coefficient vector of A contracted with the algebra's structure
-    tensor; every row is contracted on its own (a vector-matrix product),
-    so a row of a stack gives the bits of the same row alone.  The
-    coadjoint flow of exp(i*t*A) acts on dual coordinate vectors as
-    exp(t*B)^T.
+    a is a (..., n) stack of coefficient rows of elements A (see
+    element_rows), which gives a (..., n, n) stack.  B is the coefficient
+    vector of A contracted with the algebra's structure tensor; every row
+    is contracted on its own (a vector-matrix product), so a row of a stack
+    gives the bits of the same row alone.  The coadjoint flow of
+    exp(i*t*A) acts on dual coordinate vectors as exp(t*B)^T.
     """
-    a = A if isinstance(A, np.ndarray) else element_rows(alg, [A])[0]
     n = len(alg.generators)
     B = a[..., None, :] @ alg.structure_tensor.reshape(n, n * n)
     return B.reshape(a.shape[:-1] + (n, n))

@@ -127,41 +127,9 @@ def random_dual(rng, N: int, dim: int, scale: float = 0.7) -> DualVector:
     )
 
 
-def _limited(x: float, max_den: int) -> Fraction:
-    """Fraction(x).limit_denominator(max_den) for a float x, on integers only.
-
-    The continued-fraction walk of CPython's ``limit_denominator``, started
-    from ``x.as_integer_ratio()``, so it returns the same Fraction without
-    the intermediate ones.
-    """
-    n, d = float(x).as_integer_ratio()
-    if d <= max_den:
-        return Fraction(n, d)
-    den = d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    while True:
-        a, rem = divmod(n, d)
-        q2 = q0 + a * q1
-        if q2 > max_den:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, rem
-    k = (max_den - q0) // q1
-    # p1/q1 is within d/(q1 den) of x and the two candidates are
-    # 1/(q1 (q0 + k q1)) apart; ties go to p1/q1.
-    if 2 * d * (q0 + k * q1) <= den:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)
-
-
-def _random_element(rng, alg: AlgebraSpec, scale: float = 0.4):
-    return {g: _limited(rng.uniform(-scale, scale), 10 ** 9) for g in alg.generators}
-
-
-def _dual_defect(X: DualVector, Y: DualVector) -> float:
-    d = max(abs(X.m - Y.m), abs(X.h - Y.h), abs(X.d - Y.d), abs(X.k - Y.k))
-    d = max(d, float(np.max(np.abs(X.j - Y.j))))
-    return max(d, float(np.max(np.abs(X.c - Y.c))))
+def _random_element(rng, alg: AlgebraSpec, scale: float = 0.4) -> np.ndarray:
+    """Coefficient row of a random element, one uniform draw per generator."""
+    return rng.uniform(-scale, scale, len(alg.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -296,39 +264,31 @@ def suite_orbit(seed: int, tols: Dict[str, float],
     cases: List[Case] = []
     alg1 = factory(1, 3, True, False)
 
-    def elem_from_array(alg, arr):
-        """{C_j^a: arr[j, a] as a Fraction}, level by level."""
-        gens = [alg.generators[i] for i in alg.dual_rows[1].ravel()]
-        return {g: _limited(v, 10 ** 12) for g, v in zip(gens, arr.ravel())}
-
     def oracle_case(name, alg, draws):
-        """draws: (X, A, t, closed-form image of X) per draw."""
+        """draws: (X, coefficient row of A, t, closed-form image of X) per draw."""
         Xs, As, ts, Ys = zip(*draws)
         V = np.array([co.dual_to_vector(alg, X) for X in Xs])
         want = np.array([co.dual_to_vector(alg, Y) for Y in Ys])
-        got = co.coad_flow(alg, co.element_rows(alg, As), ts, V)
-        worst, detail = _worst_draw(np.abs(want - got).max(axis=1))  # _dual_defect per row
+        got = co.coad_flow(alg, np.array(As), ts, V)
+        worst, detail = _worst_draw(np.abs(want - got).max(axis=1))
         cases.append(_case(name, worst, tols["oracle"], detail))
 
-    columns = {
-        "translation": lambda p: ({"C0_1": p[0], "C0_2": p[1], "C0_3": p[2]}, 1.0),
-        "boost": lambda p: ({"C1_1": p[0], "C1_2": p[1], "C1_3": p[2]}, 1.0),
-        "time": lambda p: ({"H": 1}, -float(p)),
-        "dilation": lambda p: ({"D": 1}, float(p)),
-        "conformal": lambda p: ({"K": 1}, float(p)),
-        "rotation": lambda p: ({"J1": p[0], "J2": p[1], "J3": p[2]}, 1.0),
-    }
-    for fam, to_elem in columns.items():
+    # the generators each Table 1 column moves along
+    columns = {"translation": "C0_1 C0_2 C0_3", "boost": "C1_1 C1_2 C1_3", "time": "H",
+               "dilation": "D", "conformal": "K", "rotation": "J1 J2 J3"}
+    for fam, names in columns.items():
+        rows = [alg1.index[alg1.generator(n)] for n in names.split()]
         draws = []
         for _ in range(100):
             X = random_dual(rng, 1, 3)
-            par = rng.uniform(-0.7, 0.7, 3) if fam in ("translation", "boost", "rotation") \
-                else rng.uniform(-0.7, 0.7)
-            names, t = to_elem(par)
-            A = {alg1.generator(n): _limited(v, 10 ** 12) for n, v in names.items()}
-            par_exact = np.array([float(A[alg1.generator(n)]) for n in names]) \
-                if fam in ("translation", "boost", "rotation") else par
-            draws.append((X, A, t, co.coad_closed_form(alg1, fam, par_exact, X)))
+            a = np.zeros(len(alg1.generators))
+            if len(rows) == 3:  # a 3-vector parameter, flowed for time 1
+                par = a[rows] = rng.uniform(-0.7, 0.7, 3)
+                t = 1.0
+            else:  # one generator, flowed for time p (back in time for H)
+                par, a[rows] = rng.uniform(-0.7, 0.7), 1.0
+                t = -par if fam == "time" else par
+            draws.append((X, a, t, co.coad_closed_form(alg1, fam, par, X)))
         oracle_case(f"oracle_table1_{fam}", alg1, draws)
 
     for (N, dim) in ((3, 3), (4, 2), (2, 2)):
@@ -336,17 +296,18 @@ def suite_orbit(seed: int, tols: Dict[str, float],
         draws = []
         for _ in range(100):
             X = random_dual(rng, N, dim)
-            arr = rng.uniform(-0.5, 0.5, (N + 1, dim))
-            A = elem_from_array(alg, arr)
-            exact = np.array([float(v) for v in A.values()]).reshape(N + 1, dim)
-            draws.append((X, A, 1.0, co.coad_closed_form(alg, "ctrans", exact, X)))
+            x = rng.uniform(-0.5, 0.5, (N + 1, dim))
+            a = np.zeros(len(alg.generators))
+            a[alg.dual_rows[1]] = x
+            draws.append((X, a, 1.0, co.coad_closed_form(alg, "ctrans", x, X)))
         oracle_case(f"oracle_ctrans_N{N}_dim{dim}", alg, draws)
 
     X = random_dual(rng, 1, 3)
-    Y = co.coad_generic(alg1, {alg1.generator("M"): Fraction(1)}, 0.7, X)
-    cases.append(_case("central_flow_identity", _dual_defect(X, Y), 0.0))
-    Y = co.coad_closed_form(alg1, "ctrans", np.zeros((2, 3)), X)
-    cases.append(_case("zero_parameter_identity", _dual_defect(X, Y), 0.0))
+    v = co.dual_to_vector(alg1, X)
+    for name, Y in (
+            ("central_flow_identity", co.coad_generic(alg1, {alg1.generator("M"): 1.0}, 0.7, X)),
+            ("zero_parameter_identity", co.coad_closed_form(alg1, "ctrans", np.zeros((2, 3)), X))):
+        cases.append(_case(name, np.abs(co.dual_to_vector(alg1, Y) - v).max(), 0.0))
 
     for (N, dim) in FLOW_FAMILIES:
         alg = factory(N, dim, True, False)
@@ -356,7 +317,7 @@ def suite_orbit(seed: int, tols: Dict[str, float],
             As.append(_random_element(rng, alg))
             ts.append(float(rng.uniform(-0.5, 0.5)))
         V = np.array([co.dual_to_vector(alg, X) for X in Xs])
-        W = co.coad_flow(alg, co.element_rows(alg, As), ts, V)
+        W = co.coad_flow(alg, np.array(As), ts, V)
         fields_v, fields_w = co.dual_fields(alg, V), co.dual_fields(alg, W)
         worst_m, detail_m = _worst_draw(np.abs(fields_w[0] - fields_v[0]))
         cas = np.abs(np.array(co.casimir_arrays(*fields_v))
@@ -441,18 +402,21 @@ def suite_poisson(seed: int, tols: Dict[str, float],
         sm = po.StructureMatrix(N, dim, m)
         pts = [po.random_point(rng, N, dim, m=m) for _ in range(50)]
         envs = [pt.env() for pt in pts]
-        worst = 0.0
+        worst, detail = 0.0, f"all pairs exact at {len(envs)} points"
         gens = list(alg.generators)
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 X, Y = gens[i], gens[j]
                 br = po.poly_bracket(mm[X], mm[Y], sm)
                 row = alg.table.get((X, Y), {})
-                for env in envs:
+                for k, env in enumerate(envs):
                     lhs = br.eval(env)
                     rhs = sum(float(cz) * mm[Z].eval(env) for Z, cz in row.items())
-                    worst = max(worst, abs(lhs - rhs))
-        cases.append(_case(f"momentum_map_closure_N{N}_dim{dim}", worst, tols["closure"]))
+                    if abs(lhs - rhs) > worst:
+                        worst = abs(lhs - rhs)
+                        detail = f"worst pair ({X.name}, {Y.name}) at point {k} of {len(envs)}"
+        cases.append(_case(f"momentum_map_closure_N{N}_dim{dim}", worst, tols["closure"],
+                           detail))
 
     for (N, dim) in FLOW_FAMILIES:
         m = 0.9
@@ -481,26 +445,31 @@ def suite_poisson(seed: int, tols: Dict[str, float],
                                     po.raw_bracket(alg, j, a + 1, k2, b + 1, m)
             return tot
 
-        worst = 0.0
+        entries = []  # (defect, coordinate u, coordinate v) per pushed bracket {u, v}
         for K in range(nq):
             for a in range(dim):
                 for L in range(npp):
                     for b in range(dim):
                         want = 1.0 if (K == L and a == b) else 0.0
-                        worst = max(worst, abs(pushed(coeffs_q[K, a], coeffs_p[L, b]) - want))
+                        entries.append((abs(pushed(coeffs_q[K, a], coeffs_p[L, b]) - want),
+                                        f"q{K}_{a + 1}", f"p{L}_{b + 1}"))
                 for L in range(nq):
                     for b in range(dim):
                         if dim == 2 and K == L == N // 2 and a != b:
                             want = al.eps2(b + 1, a + 1) / m
                         else:
                             want = 0.0
-                        worst = max(worst, abs(pushed(coeffs_q[K, a], coeffs_q[L, b]) - want))
+                        entries.append((abs(pushed(coeffs_q[K, a], coeffs_q[L, b]) - want),
+                                        f"q{K}_{a + 1}", f"q{L}_{b + 1}"))
         for K in range(npp):
             for a in range(dim):
                 for L in range(npp):
                     for b in range(dim):
-                        worst = max(worst, abs(pushed(coeffs_p[K, a], coeffs_p[L, b])))
-        cases.append(_case(f"darboux_brackets_N{N}_dim{dim}", worst, tols["route"]))
+                        entries.append((abs(pushed(coeffs_p[K, a], coeffs_p[L, b])),
+                                        f"p{K}_{a + 1}", f"p{L}_{b + 1}"))
+        worst, u, v = max(entries, key=lambda e: e[0])
+        detail = f"worst pair ({u}, {v})" if worst else f"all {len(entries)} pairs exact"
+        cases.append(_case(f"darboux_brackets_N{N}_dim{dim}", worst, tols["route"], detail))
         x = rng.uniform(-1, 1, (N + 1, dim))
         qq, pp = po.to_darboux(x, m, N, dim)
         roundtrip = float(np.max(np.abs(po.from_darboux(qq, pp, m, N, dim) - x)))
@@ -703,8 +672,9 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
         cases.append(_case(f"solution_to_solution_{name}", max(res, drift), tols["fit_rk4"]))
 
     alg1 = factory(1, 3, True, False)
-    col_worst: Dict[str, float] = {k: 0.0 for k in
-                                   ("translation", "boost", "time", "conformal", "rotation")}
+    # (active image, coadjoint column) dual vector pairs per family
+    pairs: Dict[str, list] = {k: [] for k in
+                              ("translation", "boost", "time", "conformal", "rotation")}
     for _ in range(40):
         pt = po.random_point(rng, 1, 3, m=m)
         X = po.dual_vector_at(pt)
@@ -712,18 +682,15 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
         a = rng.uniform(-0.8, 0.8, 3)
         pt2 = po.PhasePoint(q=[x0 + a], p=[p0], s=pt.s, chi=pt.chi, m=m)
         col = co.coad_closed_form(alg1, "translation", -a, X)
-        col_worst["translation"] = max(col_worst["translation"],
-                                       _dual_defect(po.dual_vector_at(pt2), col))
+        pairs["translation"].append((po.dual_vector_at(pt2), col))
         v = rng.uniform(-0.8, 0.8, 3)
         pt2 = po.PhasePoint(q=[x0], p=[p0 + m * v], s=pt.s, chi=pt.chi, m=m)
         col = co.coad_closed_form(alg1, "boost", v, X)
-        col_worst["boost"] = max(col_worst["boost"],
-                                 _dual_defect(po.dual_vector_at(pt2), col))
+        pairs["boost"].append((po.dual_vector_at(pt2), col))
         tau = float(rng.uniform(-0.8, 0.8))
         pt2 = dy.closed_form(pt, -tau)
         col = co.coad_closed_form(alg1, "time", -tau, X)
-        col_worst["time"] = max(col_worst["time"],
-                                _dual_defect(po.dual_vector_at(pt2), col))
+        pairs["time"].append((po.dual_vector_at(pt2), col))
         # the conformal column moves chi, which the active map leaves alone
         ptc = pt.copy()
         ptc.chi[:] = 0.0
@@ -732,8 +699,7 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
         xc, pc, _ = sy.conformal_transform(ptc.q[0], ptc.p[0], 0.0, cpar, m)
         pt2 = po.PhasePoint(q=[xc], p=[pc], s=ptc.s, chi=ptc.chi, m=m)
         col = co.coad_closed_form(alg1, "conformal", -cpar, Xc)
-        col_worst["conformal"] = max(col_worst["conformal"],
-                                     _dual_defect(po.dual_vector_at(pt2), col))
+        pairs["conformal"].append((po.dual_vector_at(pt2), col))
         # the rotation column also turns the internal spin
         pts = pt.copy()
         pts.s = np.zeros(3)
@@ -742,10 +708,10 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
         R = co.rotation_matrix(om)
         pt2 = po.PhasePoint(q=[R @ pts.q[0]], p=[R @ pts.p[0]], s=pts.s, chi=pts.chi, m=m)
         col = co.coad_closed_form(alg1, "rotation", om, Xs)
-        col_worst["rotation"] = max(col_worst["rotation"],
-                                    _dual_defect(po.dual_vector_at(pt2), col))
-    for fam, w in col_worst.items():
-        cases.append(_case(f"column_consistency_{fam}", w, tols["column"]))
+        pairs["rotation"].append((po.dual_vector_at(pt2), col))
+    for fam, duals in pairs.items():
+        diff = [co.dual_to_vector(alg1, A) - co.dual_to_vector(alg1, B) for A, B in duals]
+        cases.append(_case(f"column_consistency_{fam}", np.abs(diff).max(), tols["column"]))
     return cases
 
 

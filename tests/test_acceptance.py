@@ -102,29 +102,20 @@ def test_c03_coadjoint_oracle_equivalence():
     alg1 = build_algebra(1, 3, central=True)
     worst = 0.0
 
-    def exactify(alg, names_vals):
-        return {alg.generator(n): Fraction(float(v)).limit_denominator(10 ** 12)
-                for n, v in names_vals.items()}
+    def element(alg, names_vals):
+        return {alg.generator(n): float(v) for n, v in names_vals.items()}
 
     for fam in ("translation", "boost", "time", "dilation", "conformal", "rotation"):
         for _ in range(100):
             X = vf.random_dual(rng, 1, 3)
             if fam in ("translation", "boost", "rotation"):
-                tower = {"translation": "C0", "boost": "C1"}.get(fam)
+                prefix = {"translation": "C0_", "boost": "C1_", "rotation": "J"}[fam]
                 par = rng.uniform(-0.7, 0.7, 3)
-                if fam == "rotation":
-                    A = exactify(alg1, {f"J{i+1}": par[i] for i in range(3)})
-                    par = np.array([float(A[alg1.generator(f"J{i+1}")])
-                                    for i in range(3)])
-                else:
-                    A = exactify(alg1, {f"{tower}_{i+1}": par[i] for i in range(3)})
-                    par = np.array([float(A[alg1.generator(f"{tower}_{i+1}")])
-                                    for i in range(3)])
+                A = element(alg1, {f"{prefix}{i+1}": par[i] for i in range(3)})
                 t = 1.0
             else:
                 par = float(rng.uniform(-0.7, 0.7))
-                A = exactify(alg1, {{"time": "H", "dilation": "D",
-                                     "conformal": "K"}[fam]: 1})
+                A = element(alg1, {{"time": "H", "dilation": "D", "conformal": "K"}[fam]: 1})
                 t = -par if fam == "time" else par
             Y1 = co.coad_closed_form(alg1, fam, par, X)
             Y2 = co.coad_generic(alg1, A, t, X)
@@ -135,12 +126,10 @@ def test_c03_coadjoint_oracle_equivalence():
         for _ in range(100):
             X = vf.random_dual(rng, N, dim)
             arr = rng.uniform(-0.5, 0.5, (N + 1, dim))
-            A = exactify(alg, {f"C{j}_{a+1}": arr[j, a]
-                               for j in range(N + 1) for a in range(dim)})
-            exact = np.array([[float(A[alg.generator(f"C{j}_{a+1}")])
-                               for a in range(dim)] for j in range(N + 1)])
+            A = element(alg, {f"C{j}_{a+1}": arr[j, a]
+                              for j in range(N + 1) for a in range(dim)})
             worst = max(worst, dual_defect(
-                co.coad_closed_form(alg, "ctrans", exact, X),
+                co.coad_closed_form(alg, "ctrans", arr, X),
                 co.coad_generic(alg, A, 1.0, X)))
     report("criterion 3 (coadjoint oracle equivalence)", worst < 1e-10,
            f"max defect {worst:.3e} over 800 draws")
@@ -154,8 +143,7 @@ def test_c04_casimir_invariance():
         alg = build_algebra(N, dim, central=True)
         for _ in range(100):
             X = vf.random_dual(rng, N, dim, scale=0.5)
-            A = {g: Fraction(float(rng.uniform(-0.4, 0.4))).limit_denominator(10 ** 9)
-                 for g in alg.generators}
+            A = {g: float(rng.uniform(-0.4, 0.4)) for g in alg.generators}
             Y = co.coad_generic(alg, A, float(rng.uniform(-0.5, 0.5)), X)
             worst_flow = max(worst_flow, max(
                 abs(a - b) for a, b in zip(co.casimir_values(alg, X),

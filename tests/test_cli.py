@@ -78,6 +78,22 @@ class TestOrbitCommands:
         assert code == 1
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--chi", "1", "0", "0", "--tol", "-1"], "tol must be finite and nonnegative"),
+        (["--chi", "1", "0", "0", "--tol", "nan"], "tol must be finite and nonnegative"),
+        (["--chi", "nan", "0", "0"], "chi must be finite"),
+        (["--chi", "inf", "0", "0"], "chi must be finite"),
+        (["--chi", "1e200", "0", "0"], "squares overflow"),
+        (["--chi", "1e154", "1e154", "0"], "squares overflow"),  # interval 0, length inf
+    ])
+    def test_classify_rejects_bad_input(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "orbit", "classify", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in json.loads(err)["error"]
+
     def test_parametrize_and_casimir_chain(self, capsys, tmp_path):
         cfg = tmp_path / "orbit.json"
         cfg.write_text(json.dumps({
@@ -144,6 +160,8 @@ class TestOrbitCommands:
     @pytest.mark.parametrize("overrides,message", [
         ({"chi_class": "Bogus"}, "unknown orbit tag 'Bogus'"),
         ({"chi_class": "HplusSigma", "sigma": -1}, "sigma must be nonnegative"),
+        ({"chi_class": "HplusSigma", "sigma": 1e200},
+         "chi=[1e+200, 0.0, 0.0] is too large: its squares overflow"),
     ])
     def test_parametrize_rejects_bad_orbit_label(self, capsys, tmp_path, overrides, message):
         # these used to exit 1 with the error on stdout, as a verification failure
@@ -313,6 +331,9 @@ class TestSimulate:
         {"T": float("inf")},
         {"hamiltonian": "newton_hooke", "omega": float("nan")},
         {"hamiltonian": "newton_hooke", "omega": 1.0, "sign": 0},
+        {"chi": [1.0, 0.0, 0.0], "classify_tol": float("nan")},
+        {"chi": [1.0, 0.0, 0.0], "classify_tol": -1e-9},
+        {"chi": [1e200, 0.0, 0.0], "chi_class": "Hplus0", "sigma": 0.0},
     ])
     def test_invalid_configs_exit_2(self, capsys, tmp_path, overrides):
         cfg = write_free_config(tmp_path, **overrides)
@@ -499,6 +520,36 @@ def test_parametrize_fuzz_never_crashes(cfg):
 @given(data=dual_files())
 def test_casimir_eval_fuzz_never_crashes(data):
     assert_clean_exit(["casimir", "eval", "--dual"], data)
+
+
+NUMBERS = st.one_of(st.floats(), st.floats(-2.0, 2.0), st.sampled_from([1e154, 1e200]))
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(chi=st.lists(NUMBERS, min_size=3, max_size=3), tol=st.one_of(st.none(), NUMBERS))
+def test_orbit_classify_fuzz_never_crashes(chi, tol):
+    """Exit code in {0, 1, 2}, no traceback or warning, strict JSON on stdout."""
+    argv = ["orbit", "classify", "--chi"] + [repr(x) for x in chi]
+    if tol is not None:
+        argv.append(f"--tol={tol!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from an overflow
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse reads "-1e-05" or "-inf" as an option
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue(), parse_constant=reject_constant)
 
 
 class TestVerifyCommand:

@@ -3,7 +3,6 @@
 import math
 import re
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,7 +45,6 @@ from galconf.errors import (
 from galconf.verify import (
     ACCEPTANCE_ALGEBRAS,
     FLOW_FAMILIES,
-    _limited,
     _random_element,
     _worst_draw,
     flip_constant,
@@ -121,11 +119,7 @@ class TestGenericFlow:
                 else:
                     par = float(rng.uniform(-0.6, 0.6))
                     t = -par if fam == "time" else par
-                A = {alg1.generator(n): Fraction(float(v)).limit_denominator(10 ** 12)
-                     for n, v in to_names(par).items()}
-                if fam in ("translation", "boost", "rotation"):
-                    par = np.array([float(A[alg1.generator(n)])
-                                    for n in to_names(par)])
+                A = {alg1.generator(n): float(v) for n, v in to_names(par).items()}
                 assert dual_defect(coad_closed_form(alg1, fam, par, X),
                                    coad_generic(alg1, A, t, X)) < 1e-10
 
@@ -137,28 +131,22 @@ class TestGenericFlow:
         for _ in range(20):
             X = random_dual(rng, N, dim)
             arr = rng.uniform(-0.5, 0.5, (N + 1, dim))
-            A = {}
-            for j in range(N + 1):
-                for a in range(dim):
-                    A[alg.generator(f"C{j}_{a + 1}")] = \
-                        Fraction(float(arr[j, a])).limit_denominator(10 ** 12)
-            exact = np.array([[float(A[alg.generator(f"C{j}_{a + 1}")])
-                               for a in range(dim)] for j in range(N + 1)])
-            Y1 = coad_closed_form(alg, "ctrans", exact, X)
+            A = {alg.generator(f"C{j}_{a + 1}"): float(arr[j, a])
+                 for j in range(N + 1) for a in range(dim)}
+            Y1 = coad_closed_form(alg, "ctrans", arr, X)
             Y2 = coad_generic(alg, A, 1.0, X)
             assert dual_defect(Y1, Y2) < 1e-12
 
     def test_central_element_acts_trivially(self, alg1):
         X = random_dual(np.random.default_rng(2), 1, 3)
-        Y = coad_generic(alg1, {alg1.generator("M"): Fraction(1)}, 0.9, X)
+        Y = coad_generic(alg1, {alg1.generator("M"): 1.0}, 0.9, X)
         assert dual_defect(X, Y) == 0.0
 
     def test_mass_invariant_under_generic_flows(self, alg1):
         rng = np.random.default_rng(4)
         for _ in range(20):
             X = random_dual(rng, 1, 3)
-            A = {g: Fraction(float(rng.uniform(-0.5, 0.5))).limit_denominator(10 ** 9)
-                 for g in alg1.generators}
+            A = {g: float(rng.uniform(-0.5, 0.5)) for g in alg1.generators}
             Y = coad_generic(alg1, A, float(rng.uniform(-1, 1)), X)
             assert Y.m == X.m
 
@@ -266,8 +254,7 @@ class TestCasimirs:
         alg = build_algebra(N, dim, central=True)
         for _ in range(25):
             X = random_dual(rng, N, dim, scale=0.5)
-            A = {g: Fraction(float(rng.uniform(-0.4, 0.4))).limit_denominator(10 ** 9)
-                 for g in alg.generators}
+            A = {g: float(rng.uniform(-0.4, 0.4)) for g in alg.generators}
             Y = coad_generic(alg, A, float(rng.uniform(-0.5, 0.5)), X)
             for a, b in zip(casimir_values(alg, X), casimir_values(alg, Y)):
                 assert a == pytest.approx(b, abs=1e-10)
@@ -304,7 +291,7 @@ def test_generic_flow_overflow_raises(alg1):
     # exp(800 ad*_D) scales h by e^800, past the largest double
     X = random_dual(np.random.default_rng(3), 1, 3)
     with pytest.raises(ConvergenceFailure):
-        coad_generic(alg1, {alg1.generator("D"): Fraction(1)}, 800.0, X)
+        coad_generic(alg1, {alg1.generator("D"): 1.0}, 800.0, X)
 
 
 def test_casimir_overflow_raises_without_warning(alg1):
@@ -321,15 +308,14 @@ def test_casimir_overflow_raises_without_warning(alg1):
 # the array paths against the dict-scan and per-generator references
 # ---------------------------------------------------------------------------
 
-def ad_star_reference(alg, A):
-    """ad* assembled by scanning the exact table, one stored pair at a time."""
+def ad_star_reference(alg, a):
+    """ad* of the coefficient row a, assembled by scanning the exact table
+    one stored pair at a time."""
     n = len(alg.generators)
     B = np.zeros((n, n))
     idx = alg.index
-    for gx, cx in A.items():
-        if gx not in idx:
-            raise UnknownGenerator(str(gx))
-        fx = float(cx)
+    for ix in np.flatnonzero(a):
+        gx, fx = alg.generators[ix], a[ix]
         for gy in alg.generators:
             row = alg.table.get((gx, gy))
             if not row:
@@ -400,15 +386,27 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def unit_row(alg, name):
+    return element_rows(alg, [{alg.generator(name): 1.0}])[0]
+
+
+def kind_row(alg, kind, values):
+    """Coefficient row with values on the generators of one kind, in order."""
+    a = np.zeros(len(alg.generators))
+    a[[i for i, g in enumerate(alg.generators) if g.kind == kind]] = values
+    return a
+
+
 def probe_elements(alg, rng):
-    """Random Fraction elements plus one element per generator kind present."""
-    elems = [_random_element(rng, alg) for _ in range(5)]
+    """Random coefficient rows, plus per generator kind present a random row
+    on that kind and a unit row on its last generator."""
+    rows = [_random_element(rng, alg) for _ in range(5)]
     for kind in ("J", "C", "H", "D", "K", "M", "Ds"):
         gens = [g for g in alg.generators if g.kind == kind]
         if gens:
-            elems.append({g: _limited(rng.uniform(-1, 1), 10 ** 9) for g in gens})
-            elems.append({gens[-1]: Fraction(1)})
-    return elems
+            rows.append(kind_row(alg, kind, rng.uniform(-1, 1, len(gens))))
+            rows.append(unit_row(alg, gens[-1].name))
+    return rows
 
 
 class TestTensorPath:
@@ -416,8 +414,8 @@ class TestTensorPath:
     def test_ad_star_matches_table_scan(self, spec):
         alg = build_algebra(*spec)
         rng = np.random.default_rng(sum(spec))
-        for A in probe_elements(alg, rng):
-            assert same_bits(ad_star_matrix(alg, A), ad_star_reference(alg, A))
+        for a in probe_elements(alg, rng):
+            assert same_bits(ad_star_matrix(alg, a), ad_star_reference(alg, a))
 
     @pytest.mark.parametrize("N,dim", [(3, 3), (2, 2)])
     def test_mutants_get_their_own_tensor(self, N, dim):
@@ -428,19 +426,22 @@ class TestTensorPath:
         for x, y in pairs[::3]:
             bad = flip_constant(alg, x.name, y.name)
             assert not np.array_equal(bad.structure_tensor, clean)
-            for A in probe_elements(bad, rng)[:4] + [{x: Fraction(1)}]:
-                got = ad_star_matrix(bad, A)
-                assert same_bits(got, ad_star_reference(bad, A))
-            assert not np.array_equal(got, ad_star_matrix(alg, {x: Fraction(1)}))
+            for a in probe_elements(bad, rng)[:4] + [unit_row(bad, x.name)]:
+                got = ad_star_matrix(bad, a)
+                assert same_bits(got, ad_star_reference(bad, a))
+            assert not np.array_equal(got, ad_star_matrix(alg, unit_row(alg, x.name)))
         assert alg.structure_tensor is clean
 
     def test_unknown_generator_still_raises(self, alg1):
+        X = random_dual(np.random.default_rng(1), 1, 3)
         for g in (GeneratorId("Ds"), GeneratorId("C", axis=1, level=2)):
             with pytest.raises(UnknownGenerator):
-                ad_star_matrix(alg1, {alg1.generator("H"): Fraction(1), g: Fraction(1)})
+                element_rows(alg1, [{alg1.generator("H"): 1.0}, {g: 1.0}])
+            with pytest.raises(UnknownGenerator):
+                coad_generic(alg1, {alg1.generator("H"): 1.0, g: 1.0}, 0.5, X)
         plain = build_algebra(1, 3, central=False, with_ds=True)
         with pytest.raises(UnknownGenerator):
-            ad_star_matrix(plain, {GeneratorId("M"): Fraction(1)})
+            element_rows(plain, [{GeneratorId("M"): 1.0}])
 
     @pytest.mark.parametrize("N,dim", FLOW_FAMILIES + ((7, 3), (6, 2)))
     def test_dual_packing_round_trip(self, N, dim):
@@ -460,32 +461,30 @@ class TestTensorPath:
     def test_squaring_probe_matches_sequential_probe(self, N, dim):
         alg = build_algebra(N, dim, central=True)
         rng = np.random.default_rng(N + 100 * dim)
-        C = [g for g in alg.generators if g.kind == "C"]
-        J = [g for g in alg.generators if g.kind == "J"]
-        nilpotent = [{g: _limited(rng.uniform(-0.5, 0.5), 10 ** 12) for g in C}]
-        nilpotent += [{alg.generator(k): Fraction(1)} for k in "HKM"]
-        other = [{alg.generator("D"): Fraction(1)}, {g: Fraction(1, 3) for g in J}]
+        n_c = (N + 1) * dim
+        nilpotent = [kind_row(alg, "C", rng.uniform(-0.5, 0.5, n_c))]
+        nilpotent += [unit_row(alg, k) for k in "HKM"]
+        other = [unit_row(alg, "D"), kind_row(alg, "J", 1.0 / 3.0)]
         other += [_random_element(rng, alg) for _ in range(5)]
-        for elems, want_zero in ((nilpotent, True), (other, False)):
-            for A in elems:
+        for rows, want_zero in ((nilpotent, True), (other, False)):
+            for a in rows:
                 for t in (1.0, float(rng.uniform(-0.5, 0.5)), 2.5):
-                    mat = t * ad_star_matrix(alg, A)
+                    mat = t * ad_star_matrix(alg, a)
                     assert want_zero == (not np.any(np.linalg.matrix_power(mat, mat.shape[0])))
                     assert same_bits(_expm(mat), expm_reference(mat))
 
 
-class TestLimitedDraws:
-    @pytest.mark.parametrize("max_den", [10 ** 9, 10 ** 12])
-    def test_matches_limit_denominator(self, max_den):
-        rng = np.random.default_rng(max_den % 97)
-        xs = list(rng.uniform(-1.0, 1.0, 10 ** 4))
-        xs += [0.0, -0.0, 0.5, -0.75, 3.0, 2.0 ** -30, -(2.0 ** -40), 1e-12, -123.456,
-               1.0 / 3.0, -2.0 / 7.0]
-        for x in xs:
-            got = _limited(x, max_den)
-            want = Fraction(float(x)).limit_denominator(max_den)
-            assert type(got) is Fraction
-            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), x
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+def test_random_element_is_one_uniform_row(N, dim):
+    # the same values, in the same order, as one scalar draw per generator
+    alg = build_algebra(N, dim, central=True)
+    n = len(alg.generators)
+    rng, row_rng, scalar_rng = (np.random.default_rng(N * 10 + dim) for _ in range(3))
+    a = _random_element(rng, alg)
+    assert same_bits(a, row_rng.uniform(-0.4, 0.4, n))
+    assert same_bits(a, np.array([scalar_rng.uniform(-0.4, 0.4) for _ in range(n)]))
+    assert rng.bit_generator.state == row_rng.bit_generator.state \
+        == scalar_rng.bit_generator.state
 
 
 def test_cross3_matches_np_cross_bit_for_bit():
@@ -522,16 +521,17 @@ def test_rowdot_does_not_depend_on_layout():
 # ---------------------------------------------------------------------------
 
 def mixed_ad_stack(alg, rng):
-    """t * ad* matrices mixing zero, nilpotent (tower and H/K), central and
-    non-nilpotent elements, the latter at times that give different scales."""
-    C = [g for g in alg.generators if g.kind == "C"]
-    elems = [{}, {alg.generator("M"): Fraction(1)}, {alg.generator("H"): Fraction(1)},
-             {alg.generator("K"): Fraction(1)}, {alg.generator("D"): Fraction(1)}]
-    elems += [{g: _limited(rng.uniform(-0.5, 0.5), 10 ** 12) for g in C} for _ in range(4)]
-    elems += [_random_element(rng, alg) for _ in range(8)]
-    times = rng.uniform(-0.5, 0.5, len(elems))
+    """Coefficient rows, times and t * ad* matrices mixing zero, nilpotent
+    (tower and H/K), central and non-nilpotent elements, the latter at times
+    that give different scales."""
+    n_c = (alg.N + 1) * alg.dim
+    rows = [np.zeros(len(alg.generators))] + [unit_row(alg, k) for k in "MHKD"]
+    rows += [kind_row(alg, "C", rng.uniform(-0.5, 0.5, n_c)) for _ in range(4)]
+    rows += [_random_element(rng, alg) for _ in range(8)]
+    rows = np.array(rows)
+    times = rng.uniform(-0.5, 0.5, len(rows))
     times[-4:] = (0.05, 1.0, 3.0, 9.0)  # scales s = 0 up to several squarings
-    return elems, times, times[:, None, None] * ad_star_matrix(alg, element_rows(alg, elems))
+    return rows, times, times[:, None, None] * ad_star_matrix(alg, rows)
 
 
 class TestStackedExpm:
@@ -553,18 +553,19 @@ class TestStackedExpm:
     def test_stacked_flow_matches_single_calls(self, N, dim):
         alg = build_algebra(N, dim, central=True)
         rng = np.random.default_rng(400 + 10 * N + dim)
-        elems, times, _ = mixed_ad_stack(alg, rng)
-        Xs = [random_dual(rng, N, dim) for _ in elems]
+        rows, times, _ = mixed_ad_stack(alg, rng)
+        Xs = [random_dual(rng, N, dim) for _ in rows]
         V = np.array([dual_to_vector(alg, X) for X in Xs])
-        rows = coad_flow(alg, element_rows(alg, elems), times, V)
-        for row, A, t, X in zip(rows, elems, times, Xs):
+        got = coad_flow(alg, rows, times, V)
+        for row, a, t, X in zip(got, rows, times, Xs):
+            A = dict(zip(alg.generators, a))  # through element_rows, as callers pass it
             assert same_bits(row, dual_to_vector(alg, coad_generic(alg, A, float(t), X)))
 
     def test_overflowing_member_raises_with_its_index(self, alg1):
         rng = np.random.default_rng(5)
         _, _, mats = mixed_ad_stack(alg1, rng)
         mats = mats.copy()
-        mats[6] = 800.0 * ad_star_matrix(alg1, {alg1.generator("D"): Fraction(1)})
+        mats[6] = 800.0 * ad_star_matrix(alg1, unit_row(alg1, "D"))
         with pytest.raises(ConvergenceFailure, match=r"stack index \(6,\)"):
             _expm(mats)
         mats[6, 0, 0] = np.nan

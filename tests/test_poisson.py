@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galconf import poisson as po
 from galconf.algebra import build_algebra, eps2
 from galconf.errors import InvalidState, ShapeMismatch
 from galconf.poisson import (
@@ -25,6 +26,7 @@ from galconf.poisson import (
     raw_bracket,
     to_darboux,
 )
+from galconf.verify import flip_constant, run_suites
 
 
 class TestRawBracket:
@@ -250,6 +252,36 @@ def test_momentum_map_closure(N, dim):
                 rhs = sum(float(c) * mm[Z].eval(env) for Z, c in row.items())
                 worst = max(worst, abs(br.eval(env) - rhs))
     assert worst < 1e-9
+
+
+def poisson_cases(algebra_factory=None):
+    report = run_suites("poisson", seed=42, algebra_factory=algebra_factory)
+    return {c["name"]: c for c in report["suites"]["poisson"]}
+
+
+def test_closure_case_names_the_flipped_pair():
+    def factory(N, dim, central, with_ds):
+        alg = build_algebra(N, dim, central, with_ds)
+        return flip_constant(alg, "C0_1", "C1_1") if (N, dim) == (1, 3) else alg
+
+    case = poisson_cases(factory)["momentum_map_closure_N1_dim3"]
+    assert not case["passed"]
+    assert case["detail"] == "worst pair (C0_1, C1_1) at point 0 of 50"
+
+
+def test_darboux_case_names_the_wrong_coordinate_pair(monkeypatch):
+    # x_0 = -q_0 and x_1 = p_0 / m at N = 1, so a wrong {x_0^1, x_1^1} shows
+    # up in {q0_1, p0_1} alone
+    raw = po.raw_bracket
+
+    def wrong(alg, j, a, k, b, m):
+        return raw(alg, j, a, k, b, m) + (0.5 if (alg.N, j, a, k, b) == (1, 0, 1, 1, 1) else 0.0)
+
+    assert poisson_cases()["darboux_brackets_N1_dim3"]["detail"] == "all 27 pairs exact"
+    monkeypatch.setattr(po, "raw_bracket", wrong)
+    case = poisson_cases()["darboux_brackets_N1_dim3"]
+    assert not case["passed"]
+    assert case["detail"] == "worst pair (q0_1, p0_1)"
 
 
 def test_aux_top_momentum():
