@@ -36,7 +36,6 @@ from .poisson import (
     StructureMatrix,
     from_darboux,
     generators_at,
-    observable_bracket,
     raw_bracket,
     to_darboux,
 )

@@ -18,7 +18,6 @@ a, b) M, which every formula built on the central charge reads from here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -463,7 +462,3 @@ def dump_table(alg: AlgebraSpec) -> dict:
         "with_ds": alg.with_ds,
         "brackets": rows,
     }
-
-
-def dumps_table(alg: AlgebraSpec) -> str:
-    return json.dumps(dump_table(alg), indent=2, sort_keys=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -276,7 +277,6 @@ def _parse_run_config(cfg) -> dict:
         "pt": po.PhasePoint(q=q, p=p, s=s, chi=chi, m=m),
         "dt": dt, "T": T,
         "csv": cfg.get("csv"), "summary": cfg.get("summary"),
-        "seed": int(cfg.get("seed", 0)),
         "tol_conservation": float(cfg.get("tol_conservation",
                                           vf.DEFAULT_TOLERANCES["integrator"])),
         "tol_fit": float(cfg.get("tol_fit", tol_fit_default)),
@@ -403,6 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     orb = sub.add_parser("orbit", help="orbit classification and parametrization")
     orb_sub = orb.add_subparsers(dest="subcommand", required=True)
     ocl = orb_sub.add_parser("classify")
+    # argparse reads "-1e-5" or "-inf" as an option unless it matches this
+    # pattern, whose default covers only plain decimals
+    ocl._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
     ocl.add_argument("--chi", type=float, nargs=3, required=True)
     ocl.add_argument("--tol", type=float, default=1e-9)
     ocl.add_argument("-o", "--out", default=None)

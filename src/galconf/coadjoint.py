@@ -265,10 +265,15 @@ def _nilpotent_sums(mats: np.ndarray):
     return out, abandoned | live
 
 
-def _scaled_series(mats: np.ndarray, norms, term_tol: float, max_terms: int, where):
+# The scaled series of _expm stops at the first term whose certified tail
+# bound is below SERIES_TAIL_TOL, and fails after SERIES_MAX_TERMS terms.
+SERIES_TAIL_TOL, SERIES_MAX_TERMS = 1e-17, 40
+
+
+def _scaled_series(mats: np.ndarray, norms, where):
     """exp of a (k, n, n) stack by scaling and squaring: each matrix is scaled
     by its own 2^s to an inf-norm of at most 1/2, summed to its own number of
-    terms (the first whose certified tail bound is below term_tol) and
+    terms (the first whose certified tail bound is below SERIES_TAIL_TOL) and
     squared s times.  Each step runs on the whole stack and is kept only for
     the matrices that still take it.
     """
@@ -278,13 +283,13 @@ def _scaled_series(mats: np.ndarray, norms, term_tol: float, max_terms: int, whe
     thetas = np.minimum(0.5, np.abs(B).sum(axis=-1).max(axis=-1)).tolist()
     terms = np.zeros(len(mats), dtype=int)
     for i, theta in enumerate(thetas):
-        for K in range(1, max_terms + 1):
-            if theta ** (K + 1) / math.factorial(K + 1) / (1.0 - theta) < term_tol:
+        for K in range(1, SERIES_MAX_TERMS + 1):
+            if theta ** (K + 1) / math.factorial(K + 1) / (1.0 - theta) < SERIES_TAIL_TOL:
                 terms[i] = K
                 break
         else:
-            raise ConvergenceFailure(
-                f"series tail bound stuck above {term_tol} after {max_terms} terms" + where(i))
+            raise ConvergenceFailure(f"series tail bound stuck above {SERIES_TAIL_TOL} after "
+                                     f"{SERIES_MAX_TERMS} terms" + where(i))
     out = np.broadcast_to(np.eye(mats.shape[-1]), mats.shape).copy()
     term, buf = out.copy(), np.empty_like(out)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -303,7 +308,7 @@ def _scaled_series(mats: np.ndarray, norms, term_tol: float, max_terms: int, whe
     return out
 
 
-def _expm(mat: np.ndarray, term_tol: float = 1e-17, max_terms: int = 40) -> np.ndarray:
+def _expm(mat: np.ndarray) -> np.ndarray:
     """Matrix exponential of every n x n matrix of a (..., n, n) stack.
 
     Each matrix gets the arithmetic it would get alone: the identity for
@@ -338,7 +343,7 @@ def _expm(mat: np.ndarray, term_tol: float = 1e-17, max_terms: int = 40) -> np.n
     bad = ~np.isfinite(norms)
     if bad.any():
         raise ConvergenceFailure("ad* matrix has non-finite entries" + where(int(np.argmax(bad))))
-    out[todo] = _scaled_series(M, norms, term_tol, max_terms, where)
+    out[todo] = _scaled_series(M, norms, where)
     return out.reshape(mat.shape)
 
 
@@ -360,7 +365,7 @@ def coad_generic(alg: AlgebraSpec, A, t: float, X: DualVector) -> DualVector:
 
     The sum is exact (finite) whenever ad*_A is nilpotent, which covers all
     tower translations; otherwise a scaled-and-squared series with a
-    certified tail bound below 1e-12 is used.
+    certified tail bound below SERIES_TAIL_TOL (1e-17) is used.
     """
     v = coad_flow(alg, element_rows(alg, [A]), [t], dual_to_vector(alg, X)[None])
     return dual_from_vector(alg, v[0])
@@ -623,12 +628,12 @@ def orbit_components(m: float, s, chi, x):
     return translate_dual(m, x, s, np.zeros_like(x), h, d, k)
 
 
-def parametrize(label: OrbitLabel, s, chi, x_levels, tol: float = 1e-9) -> DualVector:
+def parametrize(label: OrbitLabel, s, chi, x_levels) -> DualVector:
     """Orbit parametrization with label consistency enforced.
 
     Raises LabelMismatch unless (s, chi) actually lie on the orbits the
-    label names: the spin invariant must match to 1e-12 and chi must
-    classify into label.chi_class.
+    label names: the spin invariant must match to 1e-12, and chi must
+    classify into label.chi_class with its sigma, both to 1e-9.
     """
     x = np.asarray(x_levels, dtype=float)
     s = np.asarray(s, dtype=float).reshape(spin_components(x.shape[1]))
@@ -636,12 +641,12 @@ def parametrize(label: OrbitLabel, s, chi, x_levels, tol: float = 1e-9) -> DualV
     if abs(s_inv - label.s2) > 1e-12 * max(1.0, abs(label.s2)):
         raise LabelMismatch(
             f"spin invariant {s_inv} does not match label value {label.s2}")
-    cls = classify_orbit(chi, tol)
+    cls = classify_orbit(chi)
     if cls.tag != label.chi_class.tag:
         raise LabelMismatch(
             f"chi classifies as {cls.tag}, label says {label.chi_class.tag}")
     want = label.chi_class.sigma
-    if abs(cls.sigma - want) > max(tol, 1e-9) * max(1.0, abs(want)):
+    if abs(cls.sigma - want) > 1e-9 * max(1.0, abs(want)):
         raise LabelMismatch(f"sigma {cls.sigma} does not match label value {want}")
     return orbit_dual_vector(label.m, s, chi, x)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "integrate",
     "verify_motion_order",
     "conditioning_threshold",
-    "eval_state",
     "interpolate_states",
     "record_values",
     "conservation_drifts",
@@ -211,10 +210,8 @@ def free_flow(q, p, chi, m: float, t):
     return np.stack(q_t, axis=-2), np.stack(p_t, axis=-2), chi_t
 
 
-def closed_form(pt: PhasePoint, t: float, ham: HamiltonianChoice = FREE) -> PhasePoint:
+def closed_form(pt: PhasePoint, t: float) -> PhasePoint:
     """Exact free-flow state at time t."""
-    if not ham.free:
-        raise UnsupportedHamiltonian("closed form available for the free flow only")
     q, p, chi = free_flow(pt.q, pt.p, pt.chi, pt.m, float(t))
     return PhasePoint(q=q, p=p, s=pt.s, chi=chi, m=pt.m)
 
@@ -268,7 +265,6 @@ class Trajectory:
     chi: np.ndarray
     m: float
     recorded: Dict[str, np.ndarray] = field(default_factory=dict)
-    dt: Optional[float] = None
 
     def __post_init__(self):
         self.times, self.q, self.p, self.s, self.chi = (
@@ -370,8 +366,7 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
         D = _rk4_step_matrix(_flow_matrix(pt0.N, pt0.dim, pt0.m, ham), dt)
         q, p, chi = _unpack(_rk4(_pack(pt0), D, n_steps), pt0.N, pt0.dim)
     s = np.broadcast_to(pt0.s, (n_steps + 1,) + pt0.s.shape)
-    traj = Trajectory(times=times, q=q, p=p, s=s, chi=chi, m=pt0.m,
-                      dt=dt if n_steps else None)
+    traj = Trajectory(times=times, q=q, p=p, s=s, chi=chi, m=pt0.m)
     if record:
         traj.recorded = record_values(traj.states)
     return traj
@@ -388,16 +383,15 @@ def _uniform_dt(traj: Trajectory) -> float:
     return dt
 
 
-def verify_motion_order(traj: Trajectory, N: Optional[int] = None):
-    """Check that the base coordinate moves on a degree-N polynomial.
+def verify_motion_order(traj: Trajectory):
+    """Check that the base coordinate moves on a degree-N polynomial, N = traj.N.
 
     Returns (fit_residual, scaled_diff): the max deviation from the
     least-squares degree-N fit of q_0 per axis, and the max (N+1)-th forward
     difference divided by dt^(N+1), taken on the coarsest subgrid that keeps
     N+3 samples (finer grids would only amplify rounding noise).
     """
-    if N is None:
-        N = traj.N
+    N = traj.N
     n = len(traj.times)
     if n < N + 3:
         raise TooFewSamples(f"need at least {N + 3} samples, have {n}")
@@ -419,15 +413,15 @@ def verify_motion_order(traj: Trajectory, N: Optional[int] = None):
     return residual, scaled
 
 
-def conditioning_threshold(traj: Trajectory, N: Optional[int] = None) -> float:
-    """Noise level below which the (N+1)-th difference counts as zero.
+def conditioning_threshold(traj: Trajectory) -> float:
+    """Noise level below which the (N+1)-th difference counts as zero,
+    N = traj.N.
 
     Model: each sample carries absolute noise of order
     128 * eps * n_samples * max(1, |q_0|), amplified by 2^(N+1) by the
     difference stencil and divided by dt_eff^(N+1) on the decimated grid.
     """
-    if N is None:
-        N = traj.N
+    N = traj.N
     n = len(traj.times)
     dt = _uniform_dt(traj)
     stride = max(1, (n - 1) // (N + 2))
@@ -435,12 +429,6 @@ def conditioning_threshold(traj: Trajectory, N: Optional[int] = None) -> float:
     scale = max(1.0, float(np.max(np.abs(traj.q0_samples()))))
     noise = 128.0 * float(np.finfo(float).eps) * n * scale
     return float(2.0 ** (N + 1) * noise / dt_eff ** (N + 1))
-
-
-def eval_state(traj: Trajectory, t: float) -> PhasePoint:
-    """Local Lagrange interpolation of the stored states at time t."""
-    q, p, s, chi = interpolate_states(traj, np.array([t], dtype=float))
-    return PhasePoint(q=q[0], p=p[0], s=s[0], chi=chi[0], m=traj.m)
 
 
 def interpolate_states(traj: Trajectory, t: np.ndarray):

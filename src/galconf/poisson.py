@@ -51,7 +51,6 @@ __all__ = [
     "generator_polynomials",
     "momentum_map",
     "hamiltonian_poly",
-    "observable_bracket",
     "poly_bracket",
     "dual_vector_at",
     "random_point",
@@ -256,11 +255,12 @@ class PhasePoint:
         return float(spin_invariant(self.s))
 
 
-def random_point(rng, N: int, dim: int, m: float = 1.0, scale: float = 0.7) -> PhasePoint:
-    q = rng.uniform(-scale, scale, (q_levels(N, dim), dim))
-    p = rng.uniform(-scale, scale, (p_levels(N, dim), dim))
-    s = rng.uniform(-scale, scale, spin_components(dim))
-    chi = rng.uniform(-scale, scale, 3)
+def random_point(rng, N: int, dim: int, m: float = 1.0) -> PhasePoint:
+    """Phase point with every coordinate drawn uniformly from [-0.7, 0.7)."""
+    q = rng.uniform(-0.7, 0.7, (q_levels(N, dim), dim))
+    p = rng.uniform(-0.7, 0.7, (p_levels(N, dim), dim))
+    s = rng.uniform(-0.7, 0.7, spin_components(dim))
+    chi = rng.uniform(-0.7, 0.7, 3)
     return PhasePoint(q=q, p=p, s=s, chi=chi, m=m)
 
 
@@ -407,12 +407,6 @@ def poly_bracket(f: Poly, g: Poly, sm: StructureMatrix) -> Poly:
             if dg[v]:
                 out = out + df * dg[v] * br
     return out
-
-
-def observable_bracket(f: Poly, g: Poly, pt: PhasePoint) -> float:
-    """{f, g} at pt by exact polynomial differentiation."""
-    sm = StructureMatrix(pt.N, pt.dim, pt.m)
-    return poly_bracket(f, g, sm).eval(pt.env())
 
 
 # ---------------------------------------------------------------------------

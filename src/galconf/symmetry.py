@@ -197,12 +197,10 @@ def map_trajectory(traj: Trajectory, transform) -> Trajectory:
         d0, d1 = 1.0 + transform.c * t0, 1.0 + transform.c * t1
         if d0 * d1 <= 0:
             raise SingularTime("conformal pole inside the trajectory range")
-    n = len(traj.times)
-    grid = np.linspace(tp0, tp1, n)
+    grid = np.linspace(tp0, tp1, len(traj.times))
     t = transform.inverse_time(grid)
     q, p, s, chi = interpolate_states(traj, t)
     x, px, _ = transform.apply(q[:, 0], p[:, 0], t)
-    dt = float(grid[1] - grid[0]) if n > 1 else None
-    out = Trajectory(times=grid, q=x[:, None], p=px[:, None], s=s, chi=chi, m=traj.m, dt=dt)
+    out = Trajectory(times=grid, q=x[:, None], p=px[:, None], s=s, chi=chi, m=traj.m)
     out.recorded = record_values(out.states)
     return out

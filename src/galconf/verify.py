@@ -127,9 +127,9 @@ def random_dual(rng, N: int, dim: int, scale: float = 0.7) -> DualVector:
     )
 
 
-def _random_element(rng, alg: AlgebraSpec, scale: float = 0.4) -> np.ndarray:
+def _random_element(rng, alg: AlgebraSpec) -> np.ndarray:
     """Coefficient row of a random element, one uniform draw per generator."""
-    return rng.uniform(-scale, scale, len(alg.generators))
+    return rng.uniform(-0.4, 0.4, len(alg.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +378,11 @@ def suite_orbit(seed: int, tols: Dict[str, float],
 # poisson suite
 # ---------------------------------------------------------------------------
 
-def _random_poly(rng, sm: po.StructureMatrix, n_terms: int = 3) -> po.Poly:
+def _random_poly(rng, sm: po.StructureMatrix) -> po.Poly:
+    """A constant plus three monomials of degree 1 or 2 in random coordinates."""
     syms = sm.coordinates()
     out = po.Poly.const(float(rng.uniform(-1, 1)))
-    for _ in range(n_terms):
+    for _ in range(3):
         k = int(rng.integers(1, 3))
         mono = po.Poly.const(float(rng.uniform(-1, 1)))
         for _ in range(k):
@@ -421,52 +422,22 @@ def suite_poisson(seed: int, tols: Dict[str, float],
     for (N, dim) in FLOW_FAMILIES:
         m = 0.9
         alg = factory(N, dim, True, False)
-        nq, npp = po.q_levels(N, dim), po.p_levels(N, dim)
-        coeffs_q = np.zeros((nq, dim, N + 1, dim))
-        coeffs_p = np.zeros((npp, dim, N + 1, dim))
-        for j in range(N + 1):
-            for b in range(dim):
-                x = np.zeros((N + 1, dim))
-                x[j, b] = 1.0
-                qq, pp = po.to_darboux(x, m, N, dim)
-                coeffs_q[:, :, j, b] = qq
-                coeffs_p[:, :, j, b] = pp
-
-        def pushed(cu, cv):
-            tot = 0.0
-            for j in range(N + 1):
-                for a in range(dim):
-                    if not cu[j, a]:
-                        continue
-                    for k2 in range(N + 1):
-                        for b in range(dim):
-                            if cv[k2, b]:
-                                tot += cu[j, a] * cv[k2, b] * \
-                                    po.raw_bracket(alg, j, a + 1, k2, b + 1, m)
-            return tot
-
-        entries = []  # (defect, coordinate u, coordinate v) per pushed bracket {u, v}
-        for K in range(nq):
-            for a in range(dim):
-                for L in range(npp):
-                    for b in range(dim):
-                        want = 1.0 if (K == L and a == b) else 0.0
-                        entries.append((abs(pushed(coeffs_q[K, a], coeffs_p[L, b]) - want),
-                                        f"q{K}_{a + 1}", f"p{L}_{b + 1}"))
-                for L in range(nq):
-                    for b in range(dim):
-                        if dim == 2 and K == L == N // 2 and a != b:
-                            want = al.eps2(b + 1, a + 1) / m
-                        else:
-                            want = 0.0
-                        entries.append((abs(pushed(coeffs_q[K, a], coeffs_q[L, b]) - want),
-                                        f"q{K}_{a + 1}", f"q{L}_{b + 1}"))
-        for K in range(npp):
-            for a in range(dim):
-                for L in range(npp):
-                    for b in range(dim):
-                        entries.append((abs(pushed(coeffs_p[K, a], coeffs_p[L, b])),
-                                        f"p{K}_{a + 1}", f"p{L}_{b + 1}"))
+        sm = po.StructureMatrix(N, dim, m)
+        coords = [sym for sym in sm.coordinates() if sym[0] in "qp"]
+        # column (j, b) of the chart holds the Darboux image of the raw unit x_j^b
+        raw_axes = [(j, b) for j in range(N + 1) for b in range(1, dim + 1)]
+        chart = np.array([np.vstack(po.to_darboux(e.reshape(N + 1, dim), m, N, dim)).ravel()
+                          for e in np.eye(len(raw_axes))]).T
+        raw = np.array([[po.raw_bracket(alg, j, a, k, b, m) for k, b in raw_axes]
+                        for j, a in raw_axes])
+        want = np.array([[sm.bracket(u, v).terms.get((), 0.0) for v in coords] for u in coords])
+        defect = np.abs(chart @ raw @ chart.T - want)
+        # every pair but (p, q): each q against the momenta, then the positions
+        nq = po.q_levels(N, dim) * dim
+        cols = [*range(nq, len(coords)), *range(nq)]
+        names = [f"{kind}{level}_{axis + 1}" for kind, level, axis in coords]
+        entries = [(defect[u, v], names[u], names[v])
+                   for u in range(len(coords)) for v in cols if u < nq or v >= nq]
         worst, u, v = max(entries, key=lambda e: e[0])
         detail = f"worst pair ({u}, {v})" if worst else f"all {len(entries)} pairs exact"
         cases.append(_case(f"darboux_brackets_N{N}_dim{dim}", worst, tols["route"], detail))
@@ -561,22 +532,12 @@ def suite_dynamics(seed: int, tols: Dict[str, float],
 
     for (N, dim) in FLOW_FAMILIES:
         m = float(rng.uniform(0.6, 1.8))
-        h = po.hamiltonian_poly(N, dim, m)
-        sm = po.StructureMatrix(N, dim, m)
-        flows = {sym: po.poly_bracket(po.Poly.var(sym), h, sm) for sym in sm.coordinates()}
+        L = dy._flow_matrix(N, dim, m, dy.FREE)
         worst = 0.0
         for _ in range(50):
             pt = po.random_point(rng, N, dim, m=m)
-            env = pt.env()
-            dq, dp, dchi = _printed_free_field(pt)
-            for k in range(pt.q.shape[0]):
-                for a in range(dim):
-                    worst = max(worst, abs(flows[("q", k, a)].eval(env) - dq[k, a]))
-            for k in range(pt.p.shape[0]):
-                for a in range(dim):
-                    worst = max(worst, abs(flows[("p", k, a)].eval(env) - dp[k, a]))
-            for al_ in range(3):
-                worst = max(worst, abs(flows[("chi", al_)].eval(env) - dchi[al_]))
+            printed = np.concatenate([f.ravel() for f in _printed_free_field(pt)])
+            worst = max(worst, float(np.max(np.abs(L @ dy._pack(pt) - printed))))
         cases.append(_case(f"hamiltonian_consistency_N{N}_dim{dim}", worst, tols["structure"]))
 
     ham = dy.HamiltonianChoice("newton_hooke", omega=1.0, sign=1)

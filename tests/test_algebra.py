@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,10 +182,35 @@ def test_jacobi_worst_matches_oracle(spec):
     assert jacobi_worst(alg) == oracle_worst(alg) == (0, None)
 
 
+def dense_oracle_worst(alg):
+    """The worst Jacobi triple from the dense integer tensor T[x, y, z] = c_z([x, y]) den.
+
+    [a, [b, c]]_g is A[a, b, c, g] = sum_w T[b, c, w] T[a, w, g], and the
+    Jacobi sum of (a, b, c) is A plus its two cyclic transposes.
+    """
+    n, index = len(alg.generators), alg.index
+    den = math.lcm(*(c.denominator for row in alg.table.values() for c in row.values()))
+    T = np.zeros((n, n, n), dtype=np.int64)
+    for (x, y), row in alg.table.items():
+        for z, c in row.items():
+            T[index[x], index[y], index[z]] = int(c * den)
+    big = int(np.abs(T).max())
+    assert 3 * n * big * big < 2 ** 63  # no Jacobi sum can overflow int64
+    A = np.einsum("bcw,awg->abcg", T, T)
+    defect = np.abs(A + np.einsum("bcag->abcg", A) + np.einsum("cabg->abcg", A)).max(axis=3)
+    triples = list(combinations(range(n), 3))
+    d = defect[tuple(np.array(triples).T)]
+    i = int(np.argmax(d))  # the first of the largest, in combinations order
+    if not d[i]:
+        return Fraction(0), None
+    return Fraction(int(d[i]), den * den), tuple(alg.generators[j].name for j in triples[i])
+
+
 @pytest.mark.parametrize("mutate", [flip_constant, break_antisymmetry])
 @pytest.mark.parametrize("N,dim", [(3, 3), (2, 2)])
 def test_jacobi_worst_matches_oracle_on_every_mutant(N, dim, mutate):
-    """Same defect and same triple as the oracle after corrupting any stored pair."""
+    """Same defect and same triple as the dense oracle after corrupting any
+    stored pair; dense_oracle_worst shares no code with jacobi_worst."""
     base = build_algebra(N, dim, central=True)
     pairs = list(base.table)
     if mutate is flip_constant:  # flips both orders, so one order per pair suffices
@@ -192,7 +218,7 @@ def test_jacobi_worst_matches_oracle_on_every_mutant(N, dim, mutate):
     mismatched = []
     for x, y in pairs:
         bad = mutate(base, x.name, y.name)
-        got, want = jacobi_worst(bad), oracle_worst(bad)
+        got, want = jacobi_worst(bad), dense_oracle_worst(bad)
         if got != want or type(got[0]) is not Fraction:
             mismatched.append((x.name, y.name, got, want))
     assert not mismatched

@@ -72,6 +72,11 @@ class TestOrbitCommands:
         assert data["tag"] == "HplusSigma"
         assert data["sigma"] == pytest.approx(2.0)
 
+    def test_classify_reads_a_negative_exponent(self, capsys):
+        code, out, _ = run_cli(capsys, "orbit", "classify", "--chi", "-1e-5", "0", "0")
+        assert code == 0
+        assert json.loads(out)["tag"] == "Hminus0"
+
     def test_classify_ambiguous_is_failure(self, capsys):
         code, out, _ = run_cli(capsys, "orbit", "classify",
                                "--chi", "0", "1e-4", "1e-4", "--tol", "1e-6")
@@ -85,6 +90,9 @@ class TestOrbitCommands:
         (["--chi", "inf", "0", "0"], "chi must be finite"),
         (["--chi", "1e200", "0", "0"], "squares overflow"),
         (["--chi", "1e154", "1e154", "0"], "squares overflow"),  # interval 0, length inf
+        # a negative number in exponent form or -inf is a value, not an option
+        (["--chi", "1", "0", "0", "--tol", "-1e-9"], "tol must be finite and nonnegative"),
+        (["--chi", "-inf", "0", "0"], "chi must be finite"),
     ])
     def test_classify_rejects_bad_input(self, capsys, argv, message):
         with warnings.catch_warnings():
@@ -532,22 +540,21 @@ def reject_constant(name):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(chi=st.lists(NUMBERS, min_size=3, max_size=3), tol=st.one_of(st.none(), NUMBERS))
 def test_orbit_classify_fuzz_never_crashes(chi, tol):
-    """Exit code in {0, 1, 2}, no traceback or warning, strict JSON on stdout."""
+    """Exit code in {0, 1, 2}, no traceback or warning, strict JSON on stdout,
+    and a JSON error, not argparse usage text, on exit 2."""
     argv = ["orbit", "classify", "--chi"] + [repr(x) for x in chi]
     if tol is not None:
-        argv.append(f"--tol={tol!r}")
+        argv += ["--tol", repr(tol)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning from an overflow
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse reads "-1e-05" or "-inf" as an option
-                code = exc.code
+            code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+        json.loads(err.getvalue())
     else:
         json.loads(out.getvalue(), parse_constant=reject_constant)
 

@@ -19,7 +19,6 @@ from galconf.poisson import (
     generator_polynomials,
     generators_at,
     momentum_map,
-    observable_bracket,
     poly_bracket,
     q_levels,
     random_point,
@@ -178,30 +177,34 @@ class TestObservableBracket:
     def test_hk_closes_on_d(self):
         polys = generator_polynomials(1, 3, 1.0)
         rng = np.random.default_rng(3)
+        hk = poly_bracket(polys["h"], polys["k"], StructureMatrix(1, 3, 1.0))
         for _ in range(50):
             pt = random_point(rng, 1, 3, m=1.0)
-            got = observable_bracket(polys["h"], polys["k"], pt)
+            got = hk.eval(pt.env())
             assert got == pytest.approx(-2.0 * polys["d"].eval(pt.env()), abs=1e-12)
 
     def test_bracket_with_itself_vanishes(self):
         polys = generator_polynomials(1, 3, 1.0)
         pt = random_point(np.random.default_rng(1), 1, 3)
-        assert observable_bracket(polys["h"], polys["h"], pt) == 0.0
+        sm = StructureMatrix(1, 3, pt.m)
+        assert poly_bracket(polys["h"], polys["h"], sm).eval(pt.env()) == 0.0
 
     def test_rotation_action_on_coordinates(self):
         # {j_3, q_0^1} = +q_0^2, matching the rotation row of the tower action
         polys = generator_polynomials(1, 3, 1.0)
         rng = np.random.default_rng(4)
+        jq = poly_bracket(polys["j"][2], Poly.var(("q", 0, 0)), StructureMatrix(1, 3, 1.0))
         for _ in range(10):
             pt = random_point(rng, 1, 3, m=1.0)
-            got = observable_bracket(polys["j"][2], Poly.var(("q", 0, 0)), pt)
+            got = jq.eval(pt.env())
             assert got == pytest.approx(pt.q[0, 1], abs=1e-13)
 
     def test_self_conjugate_block(self):
         m = 1.6
         pt = random_point(np.random.default_rng(5), 2, 2, m=m)
         top = 1
-        got = observable_bracket(Poly.var(("q", top, 0)), Poly.var(("q", top, 1)), pt)
+        got = poly_bracket(Poly.var(("q", top, 0)), Poly.var(("q", top, 1)),
+                           StructureMatrix(2, 2, m)).eval(pt.env())
         assert got == pytest.approx(eps2(2, 1) / m)
 
     @pytest.mark.parametrize("N,dim", [(1, 3), (2, 2)])
