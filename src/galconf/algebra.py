@@ -206,13 +206,6 @@ class AlgebraSpec:
                 out[self.generator(name)] = c
         return out
 
-    def constants(self, x: GeneratorId, y: GeneratorId) -> Element:
-        """Real coefficients c_Z of [x, y] = i * sum_Z c_Z * Z."""
-        for g in (x, y):
-            if g not in self._index:
-                raise UnknownGenerator(str(g))
-        return dict(self.table.get((x, y), {}))
-
 
 def _put(table, x: GeneratorId, y: GeneratorId, result: Element) -> None:
     result = {g: c for g, c in result.items() if c}

@@ -56,6 +56,23 @@ def _fail_input(message: str) -> int:
     return EXIT_BAD_INPUT
 
 
+# The keys each config may hold; any other is invalid input, so a misspelled
+# key cannot fall back to its default unnoticed.
+ORBIT_CONFIG_KEYS = frozenset("x m s chi chi_class sigma".split())
+RUN_CONFIG_KEYS = ORBIT_CONFIG_KEYS - {"x"} | frozenset(
+    "N dim classify_tol q p hamiltonian omega sign dt T method csv summary "
+    "tol_conservation tol_fit".split())
+SYMMETRY_CONFIG_KEYS = frozenset("seed tolerances report".split())
+
+
+def _known_keys(cfg: dict, known: frozenset) -> dict:
+    """cfg, or InvalidConfig naming each of its keys that is not in known."""
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise InvalidConfig(f"unknown config keys {unknown}; known keys are {sorted(known)}")
+    return cfg
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -167,7 +184,7 @@ def _resolve_internal(cfg: dict, dim: int):
 
 
 def cmd_orbit_parametrize(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = _known_keys(_load_json(args.config), ORBIT_CONFIG_KEYS)
     try:
         x = _finite("x", np.asarray(cfg["x"], dtype=float))
         if x.ndim != 2:
@@ -233,6 +250,7 @@ def _load_run_config(path: str) -> dict:
 
 
 def _parse_run_config(cfg) -> dict:
+    _known_keys(cfg, RUN_CONFIG_KEYS)
     for key in ("N", "dim", "m", "dt", "T"):
         if key not in cfg:
             raise InvalidConfig(f"missing required config key {key!r}")
@@ -364,7 +382,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_symmetry_verify(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = _known_keys(_load_json(args.config), SYMMETRY_CONFIG_KEYS)
     tols = _check_tols(cfg.get("tolerances", {}))
     report = vf.run_suites("symmetry", seed=_check_seed(cfg.get("seed", 42)), tolerances=tols)
     _emit(report, args.out or cfg.get("report"))

@@ -16,9 +16,10 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .dynamics import Trajectory, closed_form, interpolate_states, record_values
+from .coadjoint import orbit_components
+from .dynamics import Trajectory, free_flow, interpolate_states, record_values
 from .errors import NonOrthogonalRotation, SingularTime, UnsupportedClosedForm
-from .poisson import PhasePoint, generators_at, dual_vector_at
+from .poisson import generator_values, raw_levels
 
 __all__ = [
     "integrals_of_motion",
@@ -33,40 +34,28 @@ __all__ = [
 ]
 
 
-def integrals_of_motion(pt: PhasePoint, t: float) -> Dict[str, object]:
-    """Values at (state, t) of the time-dependent conserved generators.
+def integrals_of_motion(traj: Trajectory):
+    """(j, c, h, d, k) stacks of the time-dependent conserved generators, one
+    row per sample: each sample pulled back along the free flow to time zero
+    and read off the orbit parametrization.  Constant along any free
+    trajectory by construction, for every (N, dim)."""
+    q, p, chi = free_flow(traj.q, traj.p, traj.chi, traj.m, -traj.times)
+    return orbit_components(traj.m, traj.s, chi, raw_levels(q, p, traj.m))
 
-    Every generator function is evaluated on the state pulled back along the
-    free flow to time zero, which realizes the inverse of the automorphism
-    the dynamics induces.  Constant along any free trajectory by
-    construction.
+
+def schrodinger_integrals(traj: Trajectory) -> Dict[str, np.ndarray]:
+    """The printed N=1 set, one row per sample: j, p, x - t p/m, h, d - t h,
+    k - 2 t d + t^2 h.
+
+    The independent oracle of ``integrals_of_motion``: the reduced generator
+    expressions at each sample, with no pullback.
     """
-    back = closed_form(pt, -t)
-    out: Dict[str, object] = dict(generators_at(back))
-    X = dual_vector_at(back)
-    for j in range(pt.N + 1):
-        for a in range(pt.dim):
-            out[f"c{j}_{a + 1}"] = X.c[j, a]
-    return out
-
-
-def schrodinger_integrals(pt: PhasePoint, t: float) -> Dict[str, object]:
-    """The printed N=1 set: j, p, x - t p/m, h, d - t h, k - 2 t d + t^2 h.
-
-    Kept as an independent cross-check of ``integrals_of_motion``.
-    """
-    if (pt.N, pt.dim) != (1, 3):
+    if (traj.N, traj.dim) != (1, 3):
         raise UnsupportedClosedForm("printed integrals exist for N=1, dim 3 only")
-    g = generators_at(pt)
-    x, p = pt.q[0], pt.p[0]
-    return {
-        "j": g["j"],
-        "p": p.copy(),
-        "x_boost": x - t * p / pt.m,
-        "h": g["h"],
-        "d_shifted": g["d"] - t * g["h"],
-        "k_shifted": g["k"] - 2.0 * t * g["d"] + t * t * g["h"],
-    }
+    h, d, k, j = generator_values(traj.q, traj.p, traj.s, traj.chi, traj.m)
+    t, x, p = traj.times, traj.q[:, 0], traj.p[:, 0]
+    return {"j": j, "p": p, "x_boost": x - t[:, None] * p / traj.m, "h": h,
+            "d_shifted": d - t * h, "k_shifted": k - 2.0 * t * d + t * t * h}
 
 
 def _conformal_denominator(t, c: float, what: str):
@@ -138,12 +127,12 @@ class ConformalMap:
     """Finite conformal transformation acting on Schrodinger-case curves.
 
     Times may be numbers or arrays of times (with a matching leading sample
-    axis on x and p).
+    axis on x and p).  The mass is an argument of ``apply``;
+    ``map_trajectory`` passes the trajectory's.
     """
 
-    def __init__(self, c: float, m: float):
+    def __init__(self, c: float):
         self.c = float(c)
-        self.m = float(m)
 
     def time(self, t):
         return conformal_time(t, self.c)
@@ -151,8 +140,8 @@ class ConformalMap:
     def inverse_time(self, tp):
         return conformal_time(tp, -self.c)
 
-    def apply(self, x, p, t):
-        return conformal_transform(x, p, t, self.c, self.m)
+    def apply(self, x, p, t, m: float):
+        return conformal_transform(x, p, t, self.c, m)
 
 
 class GalileiMap:
@@ -161,9 +150,8 @@ class GalileiMap:
     Times may be numbers or arrays of times, as for ConformalMap.
     """
 
-    def __init__(self, params: GalileiParams, m: float):
+    def __init__(self, params: GalileiParams):
         self.params = params
-        self.m = float(m)
         params.rotation()  # validate eagerly
 
     def time(self, t):
@@ -172,8 +160,8 @@ class GalileiMap:
     def inverse_time(self, tp):
         return tp - self.params.tau
 
-    def apply(self, x, p, t):
-        return galilei_transform(x, p, t, self.params, self.m)
+    def apply(self, x, p, t, m: float):
+        return galilei_transform(x, p, t, self.params, m)
 
 
 def map_trajectory(traj: Trajectory, transform) -> Trajectory:
@@ -200,7 +188,7 @@ def map_trajectory(traj: Trajectory, transform) -> Trajectory:
     grid = np.linspace(tp0, tp1, len(traj.times))
     t = transform.inverse_time(grid)
     q, p, s, chi = interpolate_states(traj, t)
-    x, px, _ = transform.apply(q[:, 0], p[:, 0], t)
+    x, px, _ = transform.apply(q[:, 0], p[:, 0], t, traj.m)
     out = Trajectory(times=grid, q=x[:, None], p=px[:, None], s=s, chi=chi, m=traj.m)
     out.recorded = record_values(out.states)
     return out

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galconf.cli import main
+from galconf.cli import RUN_CONFIG_KEYS, main
 from galconf.verify import DEFAULT_TOLERANCES
 
 
@@ -130,6 +131,15 @@ class TestOrbitCommands:
         }))
         code, out, _ = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
         assert code == 1
+
+    def test_parametrize_rejects_unknown_key(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"m": 1.0, "chi_clas": "Origin",
+                                   "x": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}))
+        code, out, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "chi_clas" in json.loads(err)["error"]
 
     def test_parametrize_missing_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -348,6 +358,33 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2, err
         assert "error" in json.loads(err)
+
+    def test_unknown_key_is_rejected_by_name(self, capsys, tmp_path):
+        # a misspelled method used to run rk4 and exit 0
+        cfg = write_free_config(tmp_path, metod="closed")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert "'metod'" in json.loads(err)["error"]
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_benchmark_keys_are_accepted(self, capsys, tmp_path):
+        cfg = {"N": 1, "dim": 3, "method": "rk4", "m": 1.2,
+               "q": [[0.4, 0.0, 0.0]], "p": [[0.0, 0.3, 0.0]],
+               "s": [0.0, 0.0, 0.5], "chi": [1.0, 0.0, 0.0], "T": 1.0, "dt": 1e-2,
+               "csv": str(tmp_path / "traj.csv"), "summary": str(tmp_path / "summary.json"),
+               "hamiltonian": "newton_hooke", "omega": 0.8, "sign": -1}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 0, err
+
+    def test_readme_table_lists_every_known_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = readme.split("### Run configuration (`galconf simulate`)")[1].splitlines()
+        start = lines.index("| key | meaning | default |") + 2  # past the rule row
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+        documented = {key for row in rows for key in row.split("|")[1].split("`")[1::2]}
+        assert documented == set(RUN_CONFIG_KEYS)
 
     def test_horizon_must_be_reached(self, capsys, tmp_path):
         # dt = 0.3 used to stop at t = 0.9 and still report a pass
@@ -642,6 +679,7 @@ class TestSymmetryVerify:
         [{"seed": 11}],
         {"seed": "x"},
         {"seed": -5},
+        {"sed": 11},
     ])
     def test_bad_config_rejected(self, capsys, tmp_path, config):
         cfg = tmp_path / "sym.json"

@@ -9,7 +9,6 @@ from galconf import poisson as po
 from galconf.algebra import build_algebra, eps2
 from galconf.errors import InvalidState, ShapeMismatch
 from galconf.poisson import (
-    EPS2,
     PhasePoint,
     Poly,
     StructureMatrix,

@@ -6,9 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galconf.coadjoint import rotation_matrix
-from galconf.dynamics import FREE, integrate, interpolate_states, verify_motion_order
+from galconf.dynamics import (
+    FREE,
+    Trajectory,
+    closed_form,
+    integrate,
+    interpolate_states,
+    verify_motion_order,
+)
 from galconf.errors import NonOrthogonalRotation, SingularTime, UnsupportedClosedForm
-from galconf.poisson import PhasePoint, generators_at, random_point
+from galconf.poisson import PhasePoint, dual_vector_at, generators_at, random_point
 from galconf.symmetry import (
     ConformalMap,
     GalileiMap,
@@ -20,59 +27,99 @@ from galconf.symmetry import (
     map_trajectory,
     schrodinger_integrals,
 )
+from galconf.verify import FLOW_FAMILIES
 
 
 def schrodinger_point(x, p, m=1.0, s=(0, 0, 0), chi=(0, 0, 0)):
     return PhasePoint(q=[list(x)], p=[list(p)], s=list(s), chi=list(chi), m=m)
 
 
+def sample_trajectory(times, q, p, m=1.0, s=(0, 0, 0), chi=(0, 0, 0)):
+    """A Trajectory through the given states, with one spin and chi for all."""
+    n = len(times)
+    return Trajectory(times=times, q=q, p=p, s=np.tile(s, (n, 1)),
+                      chi=np.tile(chi, (n, 1)), m=m)
+
+
+def printed_integrals_per_point(pt, t):
+    """The printed N=1 set at one state, as schrodinger_integrals computed
+    it one point at a time before it took whole trajectories."""
+    g = generators_at(pt)
+    x, p = pt.q[0], pt.p[0]
+    return {
+        "j": g["j"],
+        "p": p.copy(),
+        "x_boost": x - t * p / pt.m,
+        "h": g["h"],
+        "d_shifted": g["d"] - t * g["h"],
+        "k_shifted": g["k"] - 2.0 * t * g["d"] + t * t * g["h"],
+    }
+
+
 class TestIntegralsOfMotion:
     def test_uniform_motion_example(self):
         # x(t) = t e1, p = e1, m = 1: the shifted d and k integrals vanish
-        for t in (0.0, 0.4, 1.7):
-            pt = schrodinger_point([t, 0, 0], [1, 0, 0])
-            vals = schrodinger_integrals(pt, t)
-            assert vals["d_shifted"] == pytest.approx(0.0, abs=1e-14)
-            assert vals["k_shifted"] == pytest.approx(0.0, abs=1e-14)
-            assert vals["h"] == pytest.approx(0.5)
+        ts = np.array([0.0, 0.4, 1.7])
+        tr = sample_trajectory(ts, [[[t, 0, 0]] for t in ts], [[[1, 0, 0]]] * 3)
+        vals = schrodinger_integrals(tr)
+        assert np.allclose(vals["d_shifted"], 0.0, rtol=0, atol=1e-14)
+        assert np.allclose(vals["k_shifted"], 0.0, rtol=0, atol=1e-14)
+        assert np.allclose(vals["h"], 0.5, rtol=0, atol=1e-14)
 
     def test_reduces_to_generators_at_time_zero(self):
         pt = random_point(np.random.default_rng(0), 3, 3)
-        vals = integrals_of_motion(pt, 0.0)
+        tr = integrate(pt, FREE, 0.1, 0.1, "closed", record=False)
+        j, _, h, d, k = integrals_of_motion(tr)
         g = generators_at(pt)
-        for key in ("h", "d", "k"):
-            assert vals[key] == pytest.approx(g[key], abs=1e-14)
-        assert np.allclose(vals["j"], g["j"])
+        for key, got in (("h", h), ("d", d), ("k", k)):
+            assert got[0] == pytest.approx(g[key], abs=1e-14)
+        assert np.allclose(j[0], g["j"])
 
-    @pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (2, 2)])
+    @pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (2, 2), (4, 2), (5, 3)])
     def test_constant_along_rk4_flow(self, N, dim):
         pt = random_point(np.random.default_rng(N), N, dim)
         tr = integrate(pt, FREE, 1.0, 1e-3, "rk4", record=False)
-        base = integrals_of_motion(tr.states[0], 0.0)
-        for i in range(0, len(tr.times), 111):
-            cur = integrals_of_motion(tr.states[i], float(tr.times[i]))
-            for key in base:
-                drift = np.max(np.abs(np.asarray(cur[key]) - np.asarray(base[key])))
-                assert drift < 1e-8, (key, drift)
+        for name, v in zip("jchdk", integrals_of_motion(tr)):
+            drift = np.max(np.abs(v[::111] - v[0]))
+            assert drift < 1e-8, (name, drift)
+
+    @pytest.mark.parametrize("method", ["rk4", "closed"])
+    @pytest.mark.parametrize("N,dim", list(FLOW_FAMILIES) + [(5, 3), (6, 2)])
+    def test_rows_match_the_pullback_of_each_state(self, N, dim, method):
+        pt = random_point(np.random.default_rng(10 * N + dim), N, dim, m=1.3)
+        tr = integrate(pt, FREE, 0.2, 1e-2, method, record=False)
+        stacks = integrals_of_motion(tr)
+        for i, st_ in enumerate(tr.states):
+            X = dual_vector_at(closed_form(st_, -float(tr.times[i])))
+            for name, v, want in zip("jchdk", stacks, (X.j, X.c, X.h, X.d, X.k)):
+                assert v[i].tobytes() == np.asarray(want).tobytes(), (i, name)
 
     def test_printed_forms_match_pullback(self):
         pt = random_point(np.random.default_rng(5), 1, 3, m=1.7)
         tr = integrate(pt, FREE, 1.0, 0.01, "closed", record=False)
+        printed = schrodinger_integrals(tr)
+        j, c, h, d, k = integrals_of_motion(tr)
         for i in (0, 41, 100):
-            st_, t = tr.states[i], float(tr.times[i])
-            printed = schrodinger_integrals(st_, t)
-            pulled = integrals_of_motion(st_, t)
-            assert printed["h"] == pytest.approx(pulled["h"], abs=1e-11)
-            assert printed["d_shifted"] == pytest.approx(pulled["d"], abs=1e-11)
-            assert printed["k_shifted"] == pytest.approx(pulled["k"], abs=1e-11)
-            xi = np.array([pulled["c0_1"], pulled["c0_2"], pulled["c0_3"]])
-            zeta = np.array([pulled["c1_1"], pulled["c1_2"], pulled["c1_3"]])
-            assert np.allclose(printed["p"], xi, atol=1e-11)
-            assert np.allclose(printed["x_boost"], zeta / st_.m, atol=1e-11)
+            assert printed["h"][i] == pytest.approx(h[i], abs=1e-11)
+            assert printed["d_shifted"][i] == pytest.approx(d[i], abs=1e-11)
+            assert printed["k_shifted"][i] == pytest.approx(k[i], abs=1e-11)
+            assert np.allclose(printed["p"][i], c[i, 0], atol=1e-11)
+            assert np.allclose(printed["x_boost"][i], c[i, 1] / tr.m, atol=1e-11)
+            assert np.allclose(printed["j"][i], j[i], atol=1e-11)
+
+    def test_printed_forms_match_the_per_point_formulas(self):
+        pt = random_point(np.random.default_rng(6), 1, 3, m=1.7)
+        tr = integrate(pt, FREE, 1.0, 0.01, "rk4", record=False)
+        printed = schrodinger_integrals(tr)
+        for i, st_ in enumerate(tr.states):
+            want = printed_integrals_per_point(st_, float(tr.times[i]))
+            for name, v in want.items():
+                assert printed[name][i].tobytes() == np.asarray(v).tobytes(), (i, name)
 
     def test_printed_forms_need_schrodinger_case(self):
+        pt = random_point(np.random.default_rng(1), 3, 3)
         with pytest.raises(UnsupportedClosedForm):
-            schrodinger_integrals(random_point(np.random.default_rng(1), 3, 3), 0.0)
+            schrodinger_integrals(integrate(pt, FREE, 0.1, 0.1, "closed", record=False))
 
 
 class TestConformalTime:
@@ -163,7 +210,7 @@ class TestMapTrajectory:
 
     def test_identity_map(self):
         tr, m = self.make_free()
-        tr2 = map_trajectory(tr, GalileiMap(GalileiParams(), m))
+        tr2 = map_trajectory(tr, GalileiMap(GalileiParams()))
         assert np.allclose(tr2.times, tr.times)
         for a, b in zip(tr.states[::100], tr2.states[::100]):
             assert np.max(np.abs(a.q - b.q)) < 1e-12
@@ -172,7 +219,7 @@ class TestMapTrajectory:
     @pytest.mark.parametrize("c", [0.5, -0.5, 1.0])
     def test_conformal_maps_solutions_to_solutions(self, c):
         tr, m = self.make_free()
-        tr2 = map_trajectory(tr, ConformalMap(c, m))
+        tr2 = map_trajectory(tr, ConformalMap(c))
         res, _ = verify_motion_order(tr2)
         assert res < 1e-7
         p0 = np.array([st.p[0] for st in tr2.states])
@@ -180,34 +227,43 @@ class TestMapTrajectory:
         h = tr2.recorded["h"]
         assert np.max(np.abs(h - h[0])) < 1e-7
 
+    def test_one_map_keeps_momentum_constant_at_every_mass(self):
+        # the map takes its mass from each trajectory it maps
+        maps = suite_maps()
+        for m in (1.5, 3.0):
+            tr, _ = self.make_free(m=m)
+            for mp in maps:
+                p0 = map_trajectory(tr, mp).p[:, 0]
+                assert np.max(np.abs(p0 - p0[0])) < 1e-7, (m, mp)
+
     def test_galilei_maps_solutions_to_solutions(self):
         tr, m = self.make_free(seed=13)
         params = GalileiParams(a=(0.5, -0.2, 0.1), v=(0.3, 0.0, -0.4), tau=0.25,
                                R=rotation_matrix([0.2, 0.5, -0.3]))
-        tr2 = map_trajectory(tr, GalileiMap(params, m))
+        tr2 = map_trajectory(tr, GalileiMap(params))
         res, _ = verify_motion_order(tr2)
         assert res < 1e-7
 
     def test_singular_range_rejected(self):
         tr, m = self.make_free()
         with pytest.raises(SingularTime):
-            map_trajectory(tr, ConformalMap(-1.5, m))  # pole at t = 2/3
+            map_trajectory(tr, ConformalMap(-1.5))  # pole at t = 2/3
 
     def test_only_schrodinger_case(self):
         pt = random_point(np.random.default_rng(14), 3, 3)
         tr = integrate(pt, FREE, 0.5, 0.01, record=False)
         with pytest.raises(UnsupportedClosedForm):
-            map_trajectory(tr, ConformalMap(0.1, 1.0))
+            map_trajectory(tr, ConformalMap(0.1))
 
 
-def suite_maps(m):
+def suite_maps():
     """The eight maps of the symmetry suite."""
-    maps = [ConformalMap(c, m) for c in (0.5, -0.5, 1.0)]
-    return maps + [GalileiMap(GalileiParams(v=(0.4, -0.2, 0.1)), m),
-                   GalileiMap(GalileiParams(a=(1.0, 0.5, -0.3)), m),
-                   GalileiMap(GalileiParams(tau=0.35), m),
-                   GalileiMap(GalileiParams(R=rotation_matrix([0.3, -0.5, 0.8])), m),
-                   GalileiMap(GalileiParams(), m)]
+    maps = [ConformalMap(c) for c in (0.5, -0.5, 1.0)]
+    return maps + [GalileiMap(GalileiParams(v=(0.4, -0.2, 0.1))),
+                   GalileiMap(GalileiParams(a=(1.0, 0.5, -0.3))),
+                   GalileiMap(GalileiParams(tau=0.35)),
+                   GalileiMap(GalileiParams(R=rotation_matrix([0.3, -0.5, 0.8]))),
+                   GalileiMap(GalileiParams())]
 
 
 def map_trajectory_reference(traj, transform):
@@ -216,14 +272,14 @@ def map_trajectory_reference(traj, transform):
     grid = np.linspace(transform.time(float(traj.times[0])),
                        transform.time(float(traj.times[-1])), len(traj.times))
     if isinstance(transform, ConformalMap):
-        c, m = transform.c, transform.m
+        c, m = transform.c, traj.m
         t = np.array([float(tp) / (1.0 - c * float(tp)) for tp in grid])
 
         def one(x, p, ti):
             denom = 1.0 + c * ti
             return x / denom, p * denom - m * c * x
     else:
-        prm, m = transform.params, transform.m
+        prm, m = transform.params, traj.m
         R = np.eye(3) if prm.R is None else np.asarray(prm.R, dtype=float)
         a, v = np.asarray(prm.a, dtype=float), np.asarray(prm.v, dtype=float)
         t = np.array([float(tp) - prm.tau for tp in grid])
@@ -242,17 +298,17 @@ def test_map_trajectory_matches_per_sample_loop(seed):
     pt = random_point(np.random.default_rng(seed), 1, 3, m=m)
     pt.chi[:] = 0.0
     tr = integrate(pt, FREE, 1.0, 1e-3, "rk4", record=False)
-    for mp in suite_maps(m):
+    for mp in suite_maps():
         got = map_trajectory(tr, mp)
         for name, want in map_trajectory_reference(tr, mp).items():
             assert getattr(got, name).tobytes() == np.ascontiguousarray(want).tobytes(), name
 
 
 def test_map_arrays_check_the_pole_at_every_sample():
-    mp = ConformalMap(-1.5, 1.0)  # pole at t = 2/3
+    mp = ConformalMap(-1.5)  # pole at t = 2/3
     with pytest.raises(SingularTime, match="t=0.6666"):
-        mp.apply(np.zeros((3, 3)), np.zeros((3, 3)), np.array([0.0, 2.0 / 3.0, 1.0]))
+        mp.apply(np.zeros((3, 3)), np.zeros((3, 3)), np.array([0.0, 2.0 / 3.0, 1.0]), 1.0)
     with pytest.raises(SingularTime):
         mp.time(np.array([0.1, 2.0 / 3.0]))
-    x, p, t = mp.apply(np.ones((2, 3)), np.ones((2, 3)), np.array([0.0, 0.5]))
+    x, p, t = mp.apply(np.ones((2, 3)), np.ones((2, 3)), np.array([0.0, 0.5]), 1.0)
     assert t.tolist() == [0.0, 0.5 / (1.0 - 0.75)]
