@@ -374,8 +374,7 @@ def _check_seed(seed) -> int:
 
 
 def cmd_verify(args) -> int:
-    which = "all" if args.suite == "all" else args.suite
-    report = vf.run_suites(which, seed=_check_seed(args.seed),
+    report = vf.run_suites(args.suite, seed=_check_seed(args.seed),
                            tolerances=_parse_tols(args.tol))
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL

@@ -47,7 +47,6 @@ __all__ = [
     "integrate",
     "verify_motion_order",
     "conditioning_threshold",
-    "interpolate_states",
     "record_values",
     "conservation_drifts",
     "trajectory_csv_text",
@@ -429,35 +428,6 @@ def conditioning_threshold(traj: Trajectory) -> float:
     scale = max(1.0, float(np.max(np.abs(traj.q0_samples()))))
     noise = 128.0 * float(np.finfo(float).eps) * n * scale
     return float(2.0 ** (N + 1) * noise / dt_eff ** (N + 1))
-
-
-def interpolate_states(traj: Trajectory, t: np.ndarray):
-    """Stacks (q, p, s, chi) interpolated at the times t (1-D).
-
-    Each target uses a window of the max(4, N+2) nearest samples, which
-    reproduces the polynomial free solution exactly up to integrator noise;
-    a target equal to a sample time returns that sample exactly.
-    """
-    times = traj.times
-    n = len(times)
-    w = min(n, max(4, traj.N + 2))
-    lo = np.clip(np.searchsorted(times, t) - w // 2, 0, n - w)
-    idx = lo[:, None] + np.arange(w)
-    ts = times[idx]
-    gaps = ts[:, :, None] - ts[:, None, :]
-    gaps[:, np.arange(w), np.arange(w)] = 1.0
-    weights = 1.0 / np.prod(gaps, axis=2)  # barycentric weights of each window
-    delta = t[:, None] - ts
-    hit = delta == 0.0
-    coef = weights / np.where(hit, 1.0, delta)
-    coef = coef / np.sum(coef, axis=1, keepdims=True)
-    exact = hit.any(axis=1)
-    coef[exact] = hit[exact]
-
-    def blend(stack):
-        return np.einsum("tw,tw...->t...", coef, stack[idx])
-
-    return blend(traj.q), blend(traj.p), blend(traj.s), blend(traj.chi)
 
 
 def _csv_header(N: int, dim: int) -> List[str]:

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .coadjoint import orbit_components
-from .dynamics import Trajectory, free_flow, interpolate_states, record_values
+from .dynamics import Trajectory, free_flow, record_values
 from .errors import NonOrthogonalRotation, SingularTime, UnsupportedClosedForm
 from .poisson import generator_values, raw_levels
 
@@ -165,30 +165,29 @@ class GalileiMap:
 
 
 def map_trajectory(traj: Trajectory, transform) -> Trajectory:
-    """Transform a Schrodinger-case trajectory and resample uniformly in t'.
+    """Transform a free Schrodinger-case trajectory and resample uniformly in t'.
 
-    The source curve is evaluated by local polynomial interpolation, so a
-    free solution maps to samples of the transformed free solution without
-    assuming the result is one; the output must still pass the motion-order
-    and conservation checks on its own.  Internal variables ride along
-    untransformed.  The inverse time map, the interpolation and the map
-    itself each run once on the whole grid, with the pole checked at every
-    sample; each sample gets the bits it would get alone.
+    Each pre-image time t is evaluated by ``free_flow`` from the last sample
+    at or before it, with that sample's spin: exact on the free trajectories
+    the maps act on.  Internal variables ride along untransformed.  A time
+    map increases on each side of its pole and drops across it, so an image
+    range that runs backwards has a pole inside.  Each step runs once on the
+    whole grid, with the pole checked at every sample; each sample gets the
+    bits it would get alone.
     """
     if (traj.N, traj.dim) != (1, 3):
         raise UnsupportedClosedForm("finite transforms act on N=1, dim 3 trajectories")
-    t0, t1 = float(traj.times[0]), float(traj.times[-1])
-    tp0, tp1 = transform.time(t0), transform.time(t1)
+    tp0, tp1 = transform.time(float(traj.times[0])), transform.time(float(traj.times[-1]))
     if not (math.isfinite(tp0) and math.isfinite(tp1)):
         raise SingularTime("time map not finite on the trajectory range")
-    if isinstance(transform, ConformalMap):
-        d0, d1 = 1.0 + transform.c * t0, 1.0 + transform.c * t1
-        if d0 * d1 <= 0:
-            raise SingularTime("conformal pole inside the trajectory range")
-    grid = np.linspace(tp0, tp1, len(traj.times))
+    if tp1 < tp0:
+        raise SingularTime("time map pole inside the trajectory range")
+    n = len(traj.times)
+    grid = np.linspace(tp0, tp1, n)
     t = transform.inverse_time(grid)
-    q, p, s, chi = interpolate_states(traj, t)
+    i = np.clip(np.searchsorted(traj.times, t, side="right") - 1, 0, n - 1)
+    q, p, chi = free_flow(traj.q[i], traj.p[i], traj.chi[i], traj.m, t - traj.times[i])
     x, px, _ = transform.apply(q[:, 0], p[:, 0], t, traj.m)
-    out = Trajectory(times=grid, q=x[:, None], p=px[:, None], s=s, chi=chi, m=traj.m)
+    out = Trajectory(times=grid, q=x[:, None], p=px[:, None], s=traj.s[i], chi=chi, m=traj.m)
     out.recorded = record_values(out.states)
     return out

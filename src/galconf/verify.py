@@ -569,8 +569,25 @@ def suite_dynamics(seed: int, tols: Dict[str, float],
 # symmetry suite
 # ---------------------------------------------------------------------------
 
+def _worst_at(named: Dict[str, np.ndarray], labels: np.ndarray, where: str):
+    """(largest defect, detail naming the first quantity and then the first
+    sample that reach it) of (samples, ...) defect stacks; ``labels`` holds
+    one time or row number per sample, printed after ``where``."""
+    rows = np.array([np.abs(v).reshape(len(labels), -1).max(axis=1) for v in named.values()])
+    name, i = np.unravel_index(int(np.argmax(rows)), rows.shape)
+    if not rows[name, i]:
+        return 0.0, "all exact"
+    return float(rows[name, i]), f"worst {list(named)[name]} at {where}{labels[i]:g}"
+
+
 def suite_symmetry(seed: int, tols: Dict[str, float],
                    factory: Callable[..., AlgebraSpec]) -> List[Case]:
+    """Integrals of motion, solution-to-solution maps and coadjoint columns.
+
+    The column cases map each draw with the library's maps, run the orbit
+    parametrization once per family on the stacked inputs and images, and
+    take the printed column of each input, draw by draw, as the oracle.
+    """
     rng = np.random.default_rng(seed + 4)
     cases: List[Case] = []
 
@@ -578,20 +595,21 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
         pt = po.random_point(rng, N, dim)
         for method, tol in (("rk4", tols["integrator"]), ("closed", tols["route"])):
             tr = dy.integrate(pt, dy.FREE, 1.0, 1e-3, method, record=False)
-            drift = max(float(np.max(np.abs(v[::59] - v[0])))
-                        for v in sy.integrals_of_motion(tr))
-            cases.append(_case(f"integrals_constant_{method}_N{N}_dim{dim}", drift, tol))
+            drift, detail = _worst_at(
+                {name: v[::59] - v[0] for name, v in zip("jchdk", sy.integrals_of_motion(tr))},
+                tr.times[::59], "t=")
+            cases.append(_case(f"integrals_constant_{method}_N{N}_dim{dim}", drift, tol, detail))
 
     pt = po.random_point(rng, 1, 3, m=1.7)
     tr = dy.integrate(pt, dy.FREE, 1.0, 1e-2, "closed", record=False)
     rows = [0, 37, 100]
     printed = {name: v[rows] for name, v in sy.schrodinger_integrals(tr).items()}
     j, c, h, d, k = (v[rows] for v in sy.integrals_of_motion(tr))
-    worst = max(float(np.max(np.abs(a - b))) for a, b in (
-        (printed["h"], h), (printed["d_shifted"], d), (printed["k_shifted"], k),
-        (printed["p"], c[:, 0]), (printed["x_boost"], c[:, 1] / tr.m),
-        (printed["j"], j)))
-    cases.append(_case("printed_vs_pullback_integrals", worst, tols["oracle"]))
+    pullback = {"h": h, "d_shifted": d, "k_shifted": k, "p": c[:, 0],
+                "x_boost": c[:, 1] / tr.m, "j": j}
+    worst, detail = _worst_at({name: printed[name] - v for name, v in pullback.items()},
+                              np.array(rows), "row ")
+    cases.append(_case("printed_vs_pullback_integrals", worst, tols["oracle"], detail))
 
     worst = 0.0
     for _ in range(50):
@@ -618,50 +636,50 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
         res, _ = dy.verify_motion_order(tr2)
         p0 = tr2.p[:, 0]
         h = tr2.recorded["h"]
-        drift = max(float(np.max(np.abs(p0 - p0[0]))), float(np.max(np.abs(h - h[0]))))
-        cases.append(_case(f"solution_to_solution_{name}", max(res, drift), tols["fit_rk4"]))
+        drift, detail = _worst_at({"p_0 drift": p0 - p0[0], "h drift": h - h[0]},
+                                  tr2.times, "t'=")
+        detail = "worst fit residual" if res >= drift else detail
+        cases.append(_case(f"solution_to_solution_{name}", max(res, drift), tols["fit_rk4"],
+                           detail))
 
     alg1 = factory(1, 3, True, False)
-    # (active image, coadjoint column) dual vector pairs per family
-    pairs: Dict[str, list] = {k: [] for k in
+    # (input, image, column parameter) of each draw per family; states are (x, p, s, chi)
+    draws: Dict[str, list] = {k: [] for k in
                               ("translation", "boost", "time", "conformal", "rotation")}
+    zero = np.zeros(3)
     for _ in range(40):
         pt = po.random_point(rng, 1, 3, m=m)
-        X = po.dual_vector_at(pt)
-        x0, p0 = pt.q[0], pt.p[0]
-        a = rng.uniform(-0.8, 0.8, 3)
-        pt2 = po.PhasePoint(q=[x0 + a], p=[p0], s=pt.s, chi=pt.chi, m=m)
-        col = co.coad_closed_form(alg1, "translation", -a, X)
-        pairs["translation"].append((po.dual_vector_at(pt2), col))
-        v = rng.uniform(-0.8, 0.8, 3)
-        pt2 = po.PhasePoint(q=[x0], p=[p0 + m * v], s=pt.s, chi=pt.chi, m=m)
-        col = co.coad_closed_form(alg1, "boost", v, X)
-        pairs["boost"].append((po.dual_vector_at(pt2), col))
-        tau = float(rng.uniform(-0.8, 0.8))
-        pt2 = dy.closed_form(pt, -tau)
-        col = co.coad_closed_form(alg1, "time", -tau, X)
-        pairs["time"].append((po.dual_vector_at(pt2), col))
-        # the conformal column moves chi, which the active map leaves alone
-        ptc = pt.copy()
-        ptc.chi[:] = 0.0
-        Xc = po.dual_vector_at(ptc)
-        cpar = float(rng.uniform(-0.8, 0.8))
-        xc, pc, _ = sy.conformal_transform(ptc.q[0], ptc.p[0], 0.0, cpar, m)
-        pt2 = po.PhasePoint(q=[xc], p=[pc], s=ptc.s, chi=ptc.chi, m=m)
-        col = co.coad_closed_form(alg1, "conformal", -cpar, Xc)
-        pairs["conformal"].append((po.dual_vector_at(pt2), col))
-        # the rotation column also turns the internal spin
-        pts = pt.copy()
-        pts.s = np.zeros(3)
-        Xs = po.dual_vector_at(pts)
+        x, p, s, chi = pt.q[0], pt.p[0], pt.s, pt.chi
+        a, v = rng.uniform(-0.8, 0.8, 3), rng.uniform(-0.8, 0.8, 3)
+        tau, cpar = float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.8, 0.8))
         om = rng.uniform(-0.8, 0.8, 3)
-        R = co.rotation_matrix(om)
-        pt2 = po.PhasePoint(q=[R @ pts.q[0]], p=[R @ pts.p[0]], s=pts.s, chi=pts.chi, m=m)
-        col = co.coad_closed_form(alg1, "rotation", om, Xs)
-        pairs["rotation"].append((po.dual_vector_at(pt2), col))
-    for fam, duals in pairs.items():
-        diff = [co.dual_to_vector(alg1, A) - co.dual_to_vector(alg1, B) for A, B in duals]
-        cases.append(_case(f"column_consistency_{fam}", np.abs(diff).max(), tols["column"]))
+        state = (x, p, s, chi)
+        xa, pa, _ = sy.galilei_transform(x, p, 0.0, sy.GalileiParams(a=a), m)
+        draws["translation"].append((state, (xa, pa, s, chi), -a))
+        xv, pv, _ = sy.galilei_transform(x, p, 0.0, sy.GalileiParams(v=v), m)
+        draws["boost"].append((state, (xv, pv, s, chi), v))
+        qt, ptau, chit = dy.free_flow(pt.q, pt.p, chi, m, -tau)
+        draws["time"].append((state, (qt[0], ptau[0], s, chit), -tau))
+        # the conformal column moves chi, which the active map leaves alone
+        xc, pc, _ = sy.conformal_transform(x, p, 0.0, cpar, m)
+        draws["conformal"].append(((x, p, s, zero), (xc, pc, s, zero), -cpar))
+        # the rotation column also turns the internal spin
+        xr, pr, _ = sy.galilei_transform(x, p, 0.0, sy.GalileiParams(R=co.rotation_matrix(om)), m)
+        draws["rotation"].append(((x, p, zero, chi), (xr, pr, zero, chi), om))
+
+    def duals(states):
+        """Dual vectors of (x, p, s, chi) states, parametrized as one stack."""
+        x, p, s, chi = (np.array(v) for v in zip(*states))
+        j, c, h, d, k = co.orbit_components(m, s, chi, po.raw_levels(x[:, None], p[:, None], m))
+        return [co.DualVector(m=m, h=h[i], d=d[i], k=k[i], j=j[i], c=c[i]) for i in range(len(h))]
+
+    for fam, fam_draws in draws.items():
+        inputs, images, params = zip(*fam_draws)
+        cols = [co.coad_closed_form(alg1, fam, par, X) for par, X in zip(params, duals(inputs))]
+        diff = [co.dual_to_vector(alg1, A) - co.dual_to_vector(alg1, B)
+                for A, B in zip(duals(images), cols)]
+        worst, detail = _worst_draw(np.abs(diff).max(axis=1))
+        cases.append(_case(f"column_consistency_{fam}", worst, tols["column"], detail))
     return cases
 
 
@@ -680,23 +698,17 @@ def suite_names() -> List[str]:
 
 def run_suites(which="all", seed: int = 42, tolerances: Optional[Dict[str, float]] = None,
                algebra_factory: Optional[Callable[..., AlgebraSpec]] = None) -> dict:
-    """Run the named suites and return a machine-readable report.
+    """Run one suite, or every suite for "all", and return a machine-readable report.
 
     Deterministic for a given seed.  ``algebra_factory`` lets tests inject a
     corrupted table builder; each case reports measured defect vs allowance.
     """
+    if which != "all" and not (isinstance(which, str) and which in SUITES):
+        raise GalconfError(f"unknown suite {which!r}; choose from {list(SUITES)} or 'all'")
+    names = list(SUITES) if which == "all" else [which]
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(tolerances or {})
     factory = algebra_factory or build_algebra
-    if which in ("all", None):
-        names = list(SUITES)
-    elif isinstance(which, str):
-        names = [which]
-    else:
-        names = list(which)
-    for n in names:
-        if n not in SUITES:
-            raise GalconfError(f"unknown suite {n!r}; choose from {list(SUITES)} or 'all'")
     suites = {}
     for name in names:
         cases = SUITES[name](seed, tols, factory)

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galconf.cli import RUN_CONFIG_KEYS, main
-from galconf.verify import DEFAULT_TOLERANCES
+from galconf.errors import GalconfError
+from galconf.verify import DEFAULT_TOLERANCES, run_suites
 
 
 def run_cli(capsys, *argv):
@@ -623,6 +624,12 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "quantum"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("which", [None, ["algebra"], ("orbit",), 5, "quantum"])
+    def test_run_suites_takes_all_or_one_suite_name(self, which):
+        # None and sequences of names used to be accepted, and 5 raised a TypeError
+        with pytest.raises(GalconfError, match="unknown suite"):
+            run_suites(which)
 
     def test_bad_tolerance_override(self, capsys):
         code, _, err = run_cli(capsys, "verify", "algebra", "--tol", "nope=1")

@@ -19,7 +19,6 @@ from galconf.dynamics import (
     conditioning_threshold,
     conservation_drifts,
     integrate,
-    interpolate_states,
     record_values,
     time_derivative,
     trajectory_csv_text,
@@ -346,25 +345,6 @@ class TestMotionOrder:
         tr = integrate(free_point(q=[[1.0, 0.0, 0.0]]), ham, 2.0, 1e-2, record=False)
         res, _ = verify_motion_order(tr)
         assert res > 1e-2
-
-
-class TestStateInterpolation:
-    def test_exact_on_polynomial_flow(self):
-        pt = random_point(np.random.default_rng(9), 1, 3)
-        tr = integrate(pt, FREE, 1.0, 0.05, "closed", record=False)
-        ts = np.array([0.013, 0.5004, 0.987])
-        q, p, _, chi = interpolate_states(tr, ts)
-        for i, t in enumerate(ts):
-            direct = closed_form(pt, t)
-            assert np.max(np.abs(direct.q - q[i])) < 1e-12
-            assert np.max(np.abs(direct.p - p[i])) < 1e-12
-            assert np.max(np.abs(direct.chi - chi[i])) < 1e-12
-
-    def test_hits_samples_exactly(self):
-        pt = random_point(np.random.default_rng(10), 3, 3)
-        tr = integrate(pt, FREE, 0.5, 0.05, "closed", record=False)
-        q = interpolate_states(tr, tr.times[4:5])[0]
-        assert np.array_equal(q[0], tr.states[4].q)
 
 
 class TestCsvExport:

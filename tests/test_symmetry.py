@@ -1,17 +1,20 @@
 """Time-dependent integrals and finite symmetry transformations."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galconf import symmetry
 from galconf.coadjoint import rotation_matrix
 from galconf.dynamics import (
     FREE,
     Trajectory,
     closed_form,
+    free_flow,
     integrate,
-    interpolate_states,
     verify_motion_order,
 )
 from galconf.errors import NonOrthogonalRotation, SingularTime, UnsupportedClosedForm
@@ -27,7 +30,7 @@ from galconf.symmetry import (
     map_trajectory,
     schrodinger_integrals,
 )
-from galconf.verify import FLOW_FAMILIES
+from galconf.verify import FLOW_FAMILIES, _worst_at, run_suites
 
 
 def schrodinger_point(x, p, m=1.0, s=(0, 0, 0), chi=(0, 0, 0)):
@@ -249,6 +252,25 @@ class TestMapTrajectory:
         with pytest.raises(SingularTime):
             map_trajectory(tr, ConformalMap(-1.5))  # pole at t = 2/3
 
+    def test_pole_between_negative_sample_times(self):
+        # c > 0 puts the pole at t = -1/c < 0, here strictly between -0.7 and -0.6
+        c, m, v = 1.5, 1.2, np.array([0.3, -0.1, 0.2])
+        times = np.linspace(-1.0, 0.0, 11)
+        x0 = np.array([0.2, 0.0, 0.1])
+        q = [[x0 + v * t] for t in times]
+        tr = sample_trajectory(times, q, [[m * v]] * 11, m=m, chi=(0.1, 0.2, 0.3))
+        assert np.min(np.abs(1.0 + c * times)) > 0.04
+        with pytest.raises(SingularTime, match="pole inside"):
+            map_trajectory(tr, ConformalMap(c))
+        # the samples before the pole all lie on one side of it and map
+        left = sample_trajectory(times[:3], q[:3], [[m * v]] * 3, m=m)
+        out = map_trajectory(left, ConformalMap(c))
+        assert np.all(np.diff(out.times) > 0)
+        t = ConformalMap(c).inverse_time(out.times)
+        x, p, _ = conformal_transform(x0 + v * t[:, None], np.tile(m * v, (3, 1)), t, c, m)
+        assert np.max(np.abs(out.q[:, 0] - x)) < 1e-14
+        assert np.max(np.abs(out.p[:, 0] - p)) < 1e-14
+
     def test_only_schrodinger_case(self):
         pt = random_point(np.random.default_rng(14), 3, 3)
         tr = integrate(pt, FREE, 0.5, 0.01, record=False)
@@ -267,8 +289,8 @@ def suite_maps():
 
 
 def map_trajectory_reference(traj, transform):
-    """The per-sample loop map_trajectory ran before it mapped the whole grid
-    at once: one inverse time and one transformed state per sample."""
+    """A per-grid-point loop: one inverse time, the free flow from the last
+    sample at or before it, and the printed map, per sample."""
     grid = np.linspace(transform.time(float(traj.times[0])),
                        transform.time(float(traj.times[-1])), len(traj.times))
     if isinstance(transform, ConformalMap):
@@ -286,10 +308,17 @@ def map_trajectory_reference(traj, transform):
 
         def one(x, p, ti):
             return R @ x + a + v * ti, R @ p + m * v
-    q, p, s, chi = interpolate_states(traj, t)
-    mapped = [one(qi[0], pi[0], ti) for qi, pi, ti in zip(q, p, t)]
-    return {"times": grid, "q": np.array([[x] for x, _ in mapped]),
-            "p": np.array([[px] for _, px in mapped]), "s": s, "chi": chi}
+    q, p, s, chi = [], [], [], []
+    for ti in t:
+        i = max(int(np.sum(traj.times <= ti)) - 1, 0)
+        state = closed_form(traj.states[i], ti - float(traj.times[i]))
+        x, px = one(state.q[0], state.p[0], ti)
+        q.append([x])
+        p.append([px])
+        s.append(state.s)
+        chi.append(state.chi)
+    return {"times": grid, "q": np.array(q), "p": np.array(p), "s": np.array(s),
+            "chi": np.array(chi)}
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -312,3 +341,55 @@ def test_map_arrays_check_the_pole_at_every_sample():
         mp.time(np.array([0.1, 2.0 / 3.0]))
     x, p, t = mp.apply(np.ones((2, 3)), np.ones((2, 3)), np.array([0.0, 0.5]), 1.0)
     assert t.tolist() == [0.0, 0.5 / (1.0 - 0.75)]
+
+
+@pytest.mark.parametrize("method", ["closed", "rk4"])
+def test_mapped_states_are_the_map_of_the_exact_free_solution(method):
+    m = 1.5
+    pt = random_point(np.random.default_rng(21), 1, 3, m=m)
+    assert np.all(pt.chi != 0.0)
+    tr = integrate(pt, FREE, 1.0, 1e-3, method, record=False)
+    for mp in suite_maps():
+        got = map_trajectory(tr, mp)
+        t = mp.inverse_time(got.times)
+        q, p, chi = free_flow(pt.q, pt.p, pt.chi, m, t)
+        x, px, _ = mp.apply(q[:, 0], p[:, 0], t, m)
+        for name, want in (("q", x[:, None]), ("p", px[:, None]), ("chi", chi)):
+            assert np.max(np.abs(getattr(got, name) - want)) < 1e-14, (mp, name)
+
+
+def test_column_consistency_maps_with_the_library_boost(monkeypatch):
+    def wrong_boost(x, p, t, params, m):
+        x2, p2, t2 = galilei_transform(x, p, t, params, m)
+        return x2, p2 + m * np.asarray(params.v, dtype=float), t2
+
+    monkeypatch.setattr(symmetry, "galilei_transform", wrong_boost)
+    cases = {c["name"]: c for c in run_suites("symmetry")["suites"]["symmetry"]}
+    assert not cases["column_consistency_boost"]["passed"]
+    for fam in ("translation", "time", "conformal", "rotation"):
+        assert cases[f"column_consistency_{fam}"]["passed"], fam
+
+
+def test_symmetry_cases_name_where_they_are_worst():
+    patterns = {
+        "column_consistency_": r"worst draw \d+ of 40",
+        "integrals_constant_": r"worst [jchdk] at t=[-.e\d]+",
+        "solution_to_solution_": r"worst (fit residual|(p_0|h) drift at t'=[-.e\d]+)",
+        "printed_vs_pullback_integrals": r"worst (j|p|x_boost|h|d_shifted|k_shifted) at row "
+                                         r"(0|37|100)",
+    }
+    seen = set()
+    for case in run_suites("symmetry")["suites"]["symmetry"]:
+        for prefix, pattern in patterns.items():
+            if case["name"].startswith(prefix):
+                assert re.fullmatch(pattern, case["detail"]), case
+                seen.add(prefix)
+    assert seen == set(patterns)
+
+
+def test_worst_at_names_the_first_quantity_then_the_first_sample():
+    named = {"a": np.array([0.0, 1.0, 2.0]), "b": np.array([[0.0, 0.0], [-2.0, 0.0], [2.0, 0.0]])}
+    assert _worst_at(named, np.array([0.0, 0.5, 1.0]), "t=") == (2.0, "worst a at t=1")
+    named["a"] = np.zeros(3)
+    assert _worst_at(named, np.array([0, 37, 100]), "row ") == (2.0, "worst b at row 37")
+    assert _worst_at({"a": np.zeros(2)}, np.arange(2), "row ") == (0.0, "all exact")
