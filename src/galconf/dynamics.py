@@ -1,8 +1,10 @@
 """Time evolution on an orbit.
 
 Every supported Hamiltonian, h or its oscillator deformation
-h + sign * omega^2 * k, is quadratic in the Darboux chart, so every flow is
-z' = L z with a constant matrix L read off the Poisson brackets.  One RK4
+h + sign * omega^2 * k, is quadratic in the Darboux chart plus linear in
+chi, so every flow is z' = L z with a constant matrix L = P G + Q a: the
+chart's constant Poisson tensor P times the Hessian G of H, plus its
+chi-linear part Q contracted with the chi coefficients a of H.  One RK4
 step is the matrix I + D, so the samples are its powers applied to the
 initial state; they are formed by doubling D, not by stepping.  The free
 flow has a nilpotent external part, so a closed form exists and acts as
@@ -18,18 +20,16 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .algebra import so21_epsilon_lower
 from .coadjoint import casimir_arrays, chi_interval, orbit_components
 from .errors import BadStep, ShapeMismatch, TooFewSamples, UnsupportedHamiltonian
 from .poisson import (
     EPS2,
     PhasePoint,
-    Poly,
-    StructureMatrix,
     check_state,
     generator_values,
     hamiltonian_poly,
     p_levels,
-    poly_bracket,
     q_levels,
     raw_levels,
     spin_invariant,
@@ -92,22 +92,54 @@ class PhaseTangent:
     chi: np.ndarray
 
 
+def _poisson_tensors(N: int, dim: int, m: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Constant part P and chi-linear part Q of the coordinate brackets on
+    packed states z = (q, p, chi), in the order of
+    ``StructureMatrix.coordinates()`` without the spin.
+
+    {z_i, z_j} = P[i, j] off the chi block and sum_g Q[a, b, g] chi_g on it,
+    so Q is the (3, 3, 3) chi block alone.  P holds {q_k^a, p_k^a} = 1 and,
+    on the self-conjugate top level of dimension 2, {q^a, q^b} = eps^{ba} / m.
+    """
+    nq, n_p = q_levels(N, dim) * dim, p_levels(N, dim) * dim
+    P = np.zeros((nq + n_p + 3,) * 2)
+    k = np.arange(n_p)
+    P[k, nq + k] = 1.0
+    P[nq + k, k] = -1.0
+    if nq > n_p:  # dimension 2: the top q level pairs with itself
+        P[n_p:nq, n_p:nq] = EPS2.T / m
+    Q = np.array([[[so21_epsilon_lower(a, b, g) for g in range(3)] for b in range(3)]
+                  for a in range(3)], dtype=float)
+    return P, Q
+
+
 def _flow_matrix(N: int, dim: int, m: float, ham: HamiltonianChoice) -> np.ndarray:
     """Constant matrix L of the flow z' = L z on packed states z = (q, p, chi).
 
-    Every supported Hamiltonian is quadratic in the Darboux chart, so each
-    bracket {z_i, H} is linear and row i of L holds its coefficients.  The
-    spin is inert under every supported flow and is left out of z.
+    H is quadratic in the Darboux chart plus linear in chi, so
+    {z_i, H} = sum_v {z_i, z_v} dH/dz_v is linear in z: L = P G + Q a, with
+    G the Hessian of H and a its chi coefficients, both read off the terms of
+    H.  The spin is inert under every supported flow and is left out of z.
     """
-    sm = StructureMatrix(N, dim, m)
-    H = hamiltonian_poly(N, dim, m, ham.omega, ham.sign)
-    coords = [sym for sym in sm.coordinates() if sym[0] != "s"]
-    column = {sym: j for j, sym in enumerate(coords)}
-    L = np.zeros((len(coords), len(coords)))
-    for i, sym in enumerate(coords):
-        for mono, c in poly_bracket(Poly.var(sym), H, sm).terms.items():
-            ((var, _),) = mono  # one coordinate to the first power
-            L[i, column[var]] = c
+    P, Q = _poisson_tensors(N, dim, m)
+    q_col, p_col, chi_col = _unpack(np.arange(len(P)), N, dim)
+    column = {"q": q_col, "p": p_col, "chi": chi_col}
+    G = np.zeros_like(P)
+    a = np.zeros(3)
+    for mono, c in hamiltonian_poly(N, dim, m, ham.omega, ham.sign).terms.items():
+        (u, e), *rest = mono
+        if u[0] == "chi":
+            a[u[1]] = c
+            continue
+        i = column[u[0]][u[1:]]
+        if rest:
+            ((v, _),) = rest
+            j = column[v[0]][v[1:]]
+            G[i, j] = G[j, i] = c
+        else:
+            G[i, i] = e * c
+    L = P @ G
+    L[-3:, -3:] = np.einsum("abg,b->ag", Q, a)
     return L
 
 
@@ -254,7 +286,8 @@ class Trajectory:
 
     times is (n,); q is (n, q_levels, dim), p is (n, p_levels, dim), s is
     (n, spin_components(dim)), chi is (n, 3).  The stacks are read-only
-    copies, checked once on construction.
+    copies, checked once on construction.  ham is the Hamiltonian whose flow
+    the samples follow.
     """
 
     times: np.ndarray
@@ -264,6 +297,7 @@ class Trajectory:
     chi: np.ndarray
     m: float
     recorded: Dict[str, np.ndarray] = field(default_factory=dict)
+    ham: HamiltonianChoice = FREE
 
     def __post_init__(self):
         self.times, self.q, self.p, self.s, self.chi = (
@@ -365,7 +399,7 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
         D = _rk4_step_matrix(_flow_matrix(pt0.N, pt0.dim, pt0.m, ham), dt)
         q, p, chi = _unpack(_rk4(_pack(pt0), D, n_steps), pt0.N, pt0.dim)
     s = np.broadcast_to(pt0.s, (n_steps + 1,) + pt0.s.shape)
-    traj = Trajectory(times=times, q=q, p=p, s=s, chi=chi, m=pt0.m)
+    traj = Trajectory(times=times, q=q, p=p, s=s, chi=chi, m=pt0.m, ham=ham)
     if record:
         traj.recorded = record_values(traj.states)
     return traj
@@ -399,11 +433,8 @@ def verify_motion_order(traj: Trajectory):
     t = traj.times
     span = t[-1] - t[0]
     tt = (t - t[0]) / span * 2.0 - 1.0 if span > 0 else t * 0.0
-    residual = 0.0
-    for a in range(y.shape[1]):
-        coeffs = np.polynomial.polynomial.polyfit(tt, y[:, a], N)
-        fit = np.polynomial.polynomial.polyval(tt, coeffs)
-        residual = max(residual, float(np.max(np.abs(fit - y[:, a]))))
+    fit = np.polynomial.polynomial.polyval(tt, np.polynomial.polynomial.polyfit(tt, y, N))
+    residual = float(np.max(np.abs(fit.T - y)))
     stride = max(1, (n - 1) // (N + 2))
     sub = y[::stride]
     dt_eff = dt * stride

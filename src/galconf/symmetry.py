@@ -18,7 +18,12 @@ import numpy as np
 
 from .coadjoint import orbit_components
 from .dynamics import Trajectory, free_flow, record_values
-from .errors import NonOrthogonalRotation, SingularTime, UnsupportedClosedForm
+from .errors import (
+    NonOrthogonalRotation,
+    SingularTime,
+    UnsupportedClosedForm,
+    UnsupportedHamiltonian,
+)
 from .poisson import generator_values, raw_levels
 
 __all__ = [
@@ -169,14 +174,17 @@ def map_trajectory(traj: Trajectory, transform) -> Trajectory:
 
     Each pre-image time t is evaluated by ``free_flow`` from the last sample
     at or before it, with that sample's spin: exact on the free trajectories
-    the maps act on.  Internal variables ride along untransformed.  A time
-    map increases on each side of its pole and drops across it, so an image
-    range that runs backwards has a pole inside.  Each step runs once on the
-    whole grid, with the pole checked at every sample; each sample gets the
-    bits it would get alone.
+    the maps act on, so a trajectory of another flow raises
+    UnsupportedHamiltonian.  Internal variables ride along untransformed.  A
+    time map increases on each side of its pole and drops across it, so an
+    image range that runs backwards has a pole inside.  Each step runs once on
+    the whole grid, with the pole checked at every sample; each sample gets
+    the bits it would get alone.
     """
     if (traj.N, traj.dim) != (1, 3):
         raise UnsupportedClosedForm("finite transforms act on N=1, dim 3 trajectories")
+    if not traj.ham.free:
+        raise UnsupportedHamiltonian("finite transforms map free trajectories only")
     tp0, tp1 = transform.time(float(traj.times[0])), transform.time(float(traj.times[-1]))
     if not (math.isfinite(tp0) and math.isfinite(tp1)):
         raise SingularTime("time map not finite on the trajectory range")

@@ -14,6 +14,7 @@ from galconf.dynamics import (
     FREE,
     HamiltonianChoice,
     _flow_matrix,
+    _poisson_tensors,
     _unpack,
     closed_form,
     conditioning_threshold,
@@ -339,12 +340,45 @@ class TestMotionOrder:
         with pytest.raises(TooFewSamples):
             verify_motion_order(tr)
 
+    @pytest.mark.parametrize("N,dim,ham,method", [
+        (1, 3, FREE, "closed"), (3, 3, FREE, "rk4"), (7, 3, FREE, "rk4"),
+        (2, 2, FREE, "closed"), (4, 2, FREE, "rk4"),
+        (1, 3, HamiltonianChoice("newton_hooke", omega=3.0), "rk4"),
+        (4, 2, HamiltonianChoice("newton_hooke", omega=1.5, sign=-1), "rk4")])
+    def test_one_fit_matches_per_axis_fits(self, N, dim, ham, method):
+        """Fitting the whole (n, dim) block at once moves the residual by a few
+        ulps of max|q_0| per fitted coefficient at most, and leaves the scaled
+        difference alone.  Both residuals are rounding noise of that size."""
+        pt = random_point(np.random.default_rng(90 + N + dim), N, dim, m=1.1)
+        tr = integrate(pt, ham, 1.0, 1e-3, method, record=False)
+        res, diff = verify_motion_order(tr)
+        want_res, want_diff = _motion_order_per_axis(tr)
+        ulp = np.spacing(float(np.max(np.abs(tr.q0_samples()))))
+        assert abs(res - want_res) <= 4 * (N + 1) * ulp, (res, want_res)
+        assert np.float64(diff).tobytes() == np.float64(want_diff).tobytes()
+
     def test_detects_non_polynomial_motion(self):
         # oscillator samples must NOT fit a degree-1 polynomial
         ham = HamiltonianChoice("newton_hooke", omega=3.0, sign=1)
         tr = integrate(free_point(q=[[1.0, 0.0, 0.0]]), ham, 2.0, 1e-2, record=False)
         res, _ = verify_motion_order(tr)
         assert res > 1e-2
+
+
+def _motion_order_per_axis(traj):
+    """verify_motion_order with one least-squares fit per axis of q_0."""
+    N, n = traj.N, len(traj.times)
+    y, t = traj.q0_samples(), traj.times
+    tt = (t - t[0]) / (t[-1] - t[0]) * 2.0 - 1.0
+    residual = 0.0
+    for a in range(y.shape[1]):
+        coeffs = np.polynomial.polynomial.polyfit(tt, y[:, a], N)
+        fit = np.polynomial.polynomial.polyval(tt, coeffs)
+        residual = max(residual, float(np.max(np.abs(fit - y[:, a]))))
+    stride = max(1, (n - 1) // (N + 2))
+    dt_eff = (t[1] - t[0]) * stride
+    diffs = np.diff(y[::stride], n=N + 1, axis=0) / dt_eff ** (N + 1)
+    return residual, float(np.max(np.abs(diffs)))
 
 
 class TestCsvExport:
@@ -620,15 +654,51 @@ def _flow_matrix_reference(N, dim, m, ham):
     return H, L
 
 
-@pytest.mark.parametrize("N,dim", DOUBLING_FAMILIES)
-@pytest.mark.parametrize("ham", [FREE] + [HamiltonianChoice("newton_hooke", omega=1.3, sign=sign)
-                                          for sign in (1, -1)], ids=["free", "nh+1", "nh-1"])
+FLOW_MATRIX_FAMILIES = DOUBLING_FAMILIES + ((15, 3), (14, 2))
+FLOW_HAMILTONIANS = [FREE] + [HamiltonianChoice("newton_hooke", omega=1.3, sign=sign)
+                              for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("N,dim", FLOW_MATRIX_FAMILIES)
+@pytest.mark.parametrize("ham", FLOW_HAMILTONIANS, ids=["free", "nh+1", "nh-1"])
 def test_flow_matrix_bitwise_equals_full_generator_route(N, dim, ham):
     m = 0.9
     H, L = _flow_matrix_reference(N, dim, m, ham)
     assert hamiltonian_poly(N, dim, m, ham.omega, ham.sign).terms == H.terms
     got = _flow_matrix(N, dim, m, ham)
     assert got.shape == L.shape and got.tobytes() == L.tobytes()
+
+
+@pytest.mark.parametrize("ham", FLOW_HAMILTONIANS, ids=["free", "nh+1", "nh-1"])
+def test_flow_matrix_takes_no_symbolic_bracket(ham, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("poly_bracket called")
+
+    # dynamics would hold its own binding if it imported the name
+    for module in ("galconf.poisson", "galconf.dynamics"):
+        monkeypatch.setattr(f"{module}.poly_bracket", forbidden, raising=False)
+    for N, dim in FLOW_MATRIX_FAMILIES:
+        _flow_matrix(N, dim, 0.9, ham)
+
+
+@pytest.mark.parametrize("N,dim", FLOW_MATRIX_FAMILIES)
+def test_poisson_tensors_match_structure_matrix(N, dim):
+    """Every coordinate pair: the constant bracket is P, the chi-linear one Q."""
+    m = 1.3
+    P, Q = _poisson_tensors(N, dim, m)
+    sm = StructureMatrix(N, dim, m)
+    coords = [sym for sym in sm.coordinates() if sym[0] != "s"]
+    assert P.shape == (len(coords),) * 2 and Q.shape == (3, 3, 3)
+    n_ext = len(coords) - 3
+    for i, u in enumerate(coords):
+        for j, v in enumerate(coords):
+            terms = dict(sm.bracket(u, v).terms)
+            assert P[i, j] == terms.pop((), 0.0), (u, v)
+            for g in range(3):
+                want = terms.pop(((("chi", g), 1),), 0.0)
+                got = Q[i - n_ext, j - n_ext, g] if min(i, j) >= n_ext else 0.0
+                assert got == want, (u, v, g)
+            assert not terms, (u, v)
 
 
 @pytest.mark.parametrize("N,dim", [(N, dim) for N, dim in DOUBLING_FAMILIES if dim == 3])

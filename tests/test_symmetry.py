@@ -11,13 +11,19 @@ from galconf import symmetry
 from galconf.coadjoint import rotation_matrix
 from galconf.dynamics import (
     FREE,
+    HamiltonianChoice,
     Trajectory,
     closed_form,
     free_flow,
     integrate,
     verify_motion_order,
 )
-from galconf.errors import NonOrthogonalRotation, SingularTime, UnsupportedClosedForm
+from galconf.errors import (
+    NonOrthogonalRotation,
+    SingularTime,
+    UnsupportedClosedForm,
+    UnsupportedHamiltonian,
+)
 from galconf.poisson import PhasePoint, dual_vector_at, generators_at, random_point
 from galconf.symmetry import (
     ConformalMap,
@@ -270,6 +276,19 @@ class TestMapTrajectory:
         x, p, _ = conformal_transform(x0 + v * t[:, None], np.tile(m * v, (3, 1)), t, c, m)
         assert np.max(np.abs(out.q[:, 0] - x)) < 1e-14
         assert np.max(np.abs(out.p[:, 0] - p)) < 1e-14
+
+    def test_only_free_trajectories(self):
+        # a time shift of an oscillator trajectory would follow the free flow
+        # between samples and miss the oscillator curve by ~1e-4
+        ham = HamiltonianChoice("newton_hooke", omega=3.0, sign=1)
+        pt = schrodinger_point([1.0, 0.2, -0.3], [0.1, 0.0, 0.4], m=1.5)
+        tr = integrate(pt, ham, 1.0, 1e-2, record=False)
+        assert tr.ham == ham
+        with pytest.raises(UnsupportedHamiltonian, match="free trajectories only"):
+            map_trajectory(tr, GalileiMap(GalileiParams(tau=0.0035)))
+        free = integrate(pt, FREE, 1.0, 1e-2, record=False)
+        assert free.ham == FREE
+        assert map_trajectory(free, GalileiMap(GalileiParams(tau=0.0035))).ham == FREE
 
     def test_only_schrodinger_case(self):
         pt = random_point(np.random.default_rng(14), 3, 3)
