@@ -311,7 +311,7 @@ def cmd_simulate(args) -> int:
     if cfg["csv"]:
         with open(cfg["csv"], "w") as fh:
             fh.write(dy.trajectory_csv_text(traj))
-    drifts, drift_times = dy.conservation_drifts(traj, cfg["ham"])
+    drifts, drift_times = dy.conservation_drifts(traj)
     rec = traj.recorded
     summary = {
         "schema_version": SCHEMA_VERSION,

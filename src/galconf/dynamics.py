@@ -4,7 +4,8 @@ Every supported Hamiltonian, h or its oscillator deformation
 h + sign * omega^2 * k, is quadratic in the Darboux chart plus linear in
 chi, so every flow is z' = L z with a constant matrix L = P G + Q a: the
 chart's constant Poisson tensor P times the Hessian G of H, plus its
-chi-linear part Q contracted with the chi coefficients a of H.  One RK4
+chi-linear part Q contracted with the chi coefficients a of H.  P and Q are
+``StructureMatrix.tensors``, the one table of the chart's brackets.  One RK4
 step is the matrix I + D, so the samples are its powers applied to the
 initial state; they are formed by doubling D, not by stepping.  The free
 flow has a nilpotent external part, so a closed form exists and acts as
@@ -20,12 +21,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .algebra import so21_epsilon_lower
 from .coadjoint import casimir_arrays, chi_interval, orbit_components
 from .errors import BadStep, ShapeMismatch, TooFewSamples, UnsupportedHamiltonian
 from .poisson import (
     EPS2,
     PhasePoint,
+    StructureMatrix,
     check_state,
     generator_values,
     hamiltonian_poly,
@@ -92,38 +93,21 @@ class PhaseTangent:
     chi: np.ndarray
 
 
-def _poisson_tensors(N: int, dim: int, m: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Constant part P and chi-linear part Q of the coordinate brackets on
-    packed states z = (q, p, chi), in the order of
-    ``StructureMatrix.coordinates()`` without the spin.
-
-    {z_i, z_j} = P[i, j] off the chi block and sum_g Q[a, b, g] chi_g on it,
-    so Q is the (3, 3, 3) chi block alone.  P holds {q_k^a, p_k^a} = 1 and,
-    on the self-conjugate top level of dimension 2, {q^a, q^b} = eps^{ba} / m.
-    """
-    nq, n_p = q_levels(N, dim) * dim, p_levels(N, dim) * dim
-    P = np.zeros((nq + n_p + 3,) * 2)
-    k = np.arange(n_p)
-    P[k, nq + k] = 1.0
-    P[nq + k, k] = -1.0
-    if nq > n_p:  # dimension 2: the top q level pairs with itself
-        P[n_p:nq, n_p:nq] = EPS2.T / m
-    Q = np.array([[[so21_epsilon_lower(a, b, g) for g in range(3)] for b in range(3)]
-                  for a in range(3)], dtype=float)
-    return P, Q
-
-
 def _flow_matrix(N: int, dim: int, m: float, ham: HamiltonianChoice) -> np.ndarray:
     """Constant matrix L of the flow z' = L z on packed states z = (q, p, chi).
 
     H is quadratic in the Darboux chart plus linear in chi, so
     {z_i, H} = sum_v {z_i, z_v} dH/dz_v is linear in z: L = P G + Q a, with
-    G the Hessian of H and a its chi coefficients, both read off the terms of
-    H.  The spin is inert under every supported flow and is left out of z.
+    P and Q the chart's ``StructureMatrix.tensors`` and G the Hessian of H
+    and a its chi coefficients, both read off the terms of H.  The spin is
+    inert under every supported flow and is left out of z.
     """
-    P, Q = _poisson_tensors(N, dim, m)
-    q_col, p_col, chi_col = _unpack(np.arange(len(P)), N, dim)
-    column = {"q": q_col, "p": p_col, "chi": chi_col}
+    sm = StructureMatrix(N, dim, m)
+    P, Q = sm.tensors
+    coords = sm.coordinates()
+    keep = [i for i, sym in enumerate(coords) if sym[0] != "s"]
+    column = {coords[i]: j for j, i in enumerate(keep)}
+    P = P[np.ix_(keep, keep)]
     G = np.zeros_like(P)
     a = np.zeros(3)
     for mono, c in hamiltonian_poly(N, dim, m, ham.omega, ham.sign).terms.items():
@@ -131,15 +115,15 @@ def _flow_matrix(N: int, dim: int, m: float, ham: HamiltonianChoice) -> np.ndarr
         if u[0] == "chi":
             a[u[1]] = c
             continue
-        i = column[u[0]][u[1:]]
+        i = column[u]
         if rest:
             ((v, _),) = rest
-            j = column[v[0]][v[1:]]
+            j = column[v]
             G[i, j] = G[j, i] = c
         else:
             G[i, i] = e * c
     L = P @ G
-    L[-3:, -3:] = np.einsum("abg,b->ag", Q, a)
+    L[-3:, -3:] = np.einsum("abg,b->ag", Q[-3:, -3:, -3:], a)
     return L
 
 
@@ -334,17 +318,16 @@ def record_values(states: Sequence[PhasePoint]) -> Dict[str, np.ndarray]:
     return {"h": h, "d": d, "k": k, "j": j, "C1": C1, "C2": C2, "C3": C3}
 
 
-def conservation_drifts(traj: Trajectory, ham: HamiltonianChoice = FREE
-                        ) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Largest deviation from the first sample of every quantity the flow
-    conserves: the recorded generators and Casimirs, the spin invariant and
-    the chi interval, plus p_0 and chi0 - chi1 for the free flow and the
-    deformed energy h + sign * omega^2 * k for Newton-Hooke.
+def conservation_drifts(traj: Trajectory) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Largest deviation from the first sample of every quantity the flow of
+    traj.ham conserves: the recorded generators and Casimirs, the spin
+    invariant and the chi interval, plus p_0 and chi0 - chi1 for the free
+    flow and the deformed energy h + sign * omega^2 * k for Newton-Hooke.
 
     Returns two dicts keyed by quantity: the drifts, and the sample time at
     which each drift is reached (the first such time).
     """
-    rec = traj.recorded
+    rec, ham = traj.recorded, traj.ham
 
     def drift(v):
         dev = np.abs(v - v[0]).reshape(len(v), -1).max(axis=1)
@@ -405,7 +388,9 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
     return traj
 
 
-def _uniform_dt(traj: Trajectory) -> float:
+def _decimation(traj: Trajectory) -> Tuple[int, float]:
+    """Stride and step of the coarsest subgrid of a uniformly sampled
+    trajectory that keeps N + 3 samples, N = traj.N."""
     t = traj.times
     if len(t) < 2:
         raise TooFewSamples("need at least two samples")
@@ -413,7 +398,8 @@ def _uniform_dt(traj: Trajectory) -> float:
     dt = float(steps[0])
     if float(np.max(np.abs(steps - dt))) > 1e-9 * max(dt, 1e-30):
         raise TooFewSamples("order check requires uniform sampling")
-    return dt
+    stride = max(1, (len(t) - 1) // (traj.N + 2))
+    return stride, dt * stride
 
 
 def verify_motion_order(traj: Trajectory):
@@ -428,17 +414,14 @@ def verify_motion_order(traj: Trajectory):
     n = len(traj.times)
     if n < N + 3:
         raise TooFewSamples(f"need at least {N + 3} samples, have {n}")
-    dt = _uniform_dt(traj)
+    stride, dt_eff = _decimation(traj)
     y = traj.q0_samples()
     t = traj.times
     span = t[-1] - t[0]
     tt = (t - t[0]) / span * 2.0 - 1.0 if span > 0 else t * 0.0
     fit = np.polynomial.polynomial.polyval(tt, np.polynomial.polynomial.polyfit(tt, y, N))
     residual = float(np.max(np.abs(fit.T - y)))
-    stride = max(1, (n - 1) // (N + 2))
-    sub = y[::stride]
-    dt_eff = dt * stride
-    diffs = np.diff(sub, n=N + 1, axis=0) / dt_eff ** (N + 1)
+    diffs = np.diff(y[::stride], n=N + 1, axis=0) / dt_eff ** (N + 1)
     scaled = float(np.max(np.abs(diffs))) if diffs.size else 0.0
     return residual, scaled
 
@@ -452,12 +435,9 @@ def conditioning_threshold(traj: Trajectory) -> float:
     difference stencil and divided by dt_eff^(N+1) on the decimated grid.
     """
     N = traj.N
-    n = len(traj.times)
-    dt = _uniform_dt(traj)
-    stride = max(1, (n - 1) // (N + 2))
-    dt_eff = dt * stride
+    _, dt_eff = _decimation(traj)
     scale = max(1.0, float(np.max(np.abs(traj.q0_samples()))))
-    noise = 128.0 * float(np.finfo(float).eps) * n * scale
+    noise = 128.0 * float(np.finfo(float).eps) * len(traj.times) * scale
     return float(2.0 ** (N + 1) * noise / dt_eff ** (N + 1))
 
 

@@ -4,7 +4,8 @@ Phase-space coordinates are the Darboux pairs (q_k^a, p_k^a) of the
 external tower, the internal spin s, the internal sl(2,R) triple chi, and
 the constant mass m.  Observables are sparse polynomials in these
 coordinates; brackets are evaluated by exact differentiation contracted
-against the coordinate bracket table.
+against the coordinate bracket table, ``StructureMatrix.tensors``, the one
+place the chart's coordinate brackets are written.
 
 Generator functions come in two independent routes which the tests pin
 against each other: ``generators_at`` evaluates the printed reduced
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -24,7 +26,6 @@ from .algebra import (
     EPS2,
     AlgebraSpec,
     GeneratorId,
-    eps2,
     eps3,
     so21_epsilon_lower,
     spin_components,
@@ -233,18 +234,9 @@ class PhasePoint:
         return tower_order(self.q.shape)
 
     def env(self) -> Dict:
-        e: Dict = {}
-        for k in range(self.q.shape[0]):
-            for a in range(self.dim):
-                e[("q", k, a)] = self.q[k, a]
-        for k in range(self.p.shape[0]):
-            for a in range(self.dim):
-                e[("p", k, a)] = self.p[k, a]
-        for i in range(len(self.s)):
-            e[("s", i)] = self.s[i]
-        for al in range(3):
-            e[("chi", al)] = self.chi[al]
-        return e
+        """Coordinate symbol -> value, in the order of StructureMatrix.coordinates()."""
+        values = np.concatenate([self.q.ravel(), self.p.ravel(), self.s, self.chi]).tolist()
+        return dict(zip(StructureMatrix(self.N, self.dim, self.m).coordinates(), values))
 
     def copy(self) -> "PhasePoint":
         return PhasePoint(q=self.q.copy(), p=self.p.copy(), s=self.s.copy(),
@@ -335,9 +327,17 @@ def aux_top_momentum(q_top, m: float) -> np.ndarray:
 # coordinate bracket table
 # ---------------------------------------------------------------------------
 
+_SO3 = np.array([[[eps3(a, b, c) for c in (1, 2, 3)] for b in (1, 2, 3)] for a in (1, 2, 3)],
+                dtype=float)
+_SO21 = np.array([[[so21_epsilon_lower(a, b, g) for g in range(3)] for b in range(3)]
+                  for a in range(3)], dtype=float)
+_NO_BRACKET = Poly()
+
+
 @dataclass(frozen=True)
 class StructureMatrix:
-    """Bracket table on the coordinate functions for a given (N, dim, m)."""
+    """Bracket table on the coordinate functions for a given (N, dim, m);
+    ``tensors`` is the one place the chart's coordinate brackets are written."""
 
     N: int
     dim: int
@@ -353,35 +353,44 @@ class StructureMatrix:
         syms += [("chi", al) for al in range(3)]
         return syms
 
+    @cached_property
+    def tensors(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only constant part P and linear part Q of the brackets of
+        z = coordinates(): {z_i, z_j} = P[i, j] + sum_g Q[a, b, g] w_g, where
+        w = (s, chi) is the last len(Q) entries of z and Q counts only when z_i,
+        z_j are w_a, w_b.  P holds {q_k^a, p_k^a} = 1 and, on the self-conjugate
+        top level of dimension 2, {q^a, q^b} = eps^{ba} / m; Q holds the so(3)
+        constants on the spin of dimension 3 and the so(2,1) constants on chi.
+        """
+        nq, n_p = q_levels(self.N, self.dim) * self.dim, p_levels(self.N, self.dim) * self.dim
+        ns = spin_components(self.dim)
+        P = np.zeros((nq + n_p + ns + 3,) * 2)
+        k = np.arange(n_p)
+        P[k, nq + k] = 1.0
+        P[nq + k, k] = -1.0
+        if nq > n_p:  # dimension 2: the top q level pairs with itself
+            P[n_p:nq, n_p:nq] = EPS2.T / self.m
+        Q = np.zeros((ns + 3,) * 3)
+        if self.dim == 3:
+            Q[:ns, :ns, :ns] = _SO3
+        Q[ns:, ns:, ns:] = _SO21
+        P.setflags(write=False)
+        Q.setflags(write=False)
+        return P, Q
+
+    @cached_property
+    def _brackets(self) -> Dict[Tuple, Poly]:
+        """The nonzero coordinate brackets, keyed by coordinate pair."""
+        (P, Q), z = self.tensors, self.coordinates()
+        w = z[len(z) - len(Q):]
+        out = {(z[i], z[j]): Poly.const(P[i, j]) for i, j in zip(*np.nonzero(P))}
+        for a, b, g in zip(*np.nonzero(Q)):
+            out[w[a], w[b]] = out.get((w[a], w[b]), _NO_BRACKET) + Poly.var(w[g], Q[a, b, g])
+        return out
+
     def bracket(self, u, v) -> Poly:
-        ku, kv = u[0], v[0]
-        if ku == "q" and kv == "p":
-            if u[1] == v[1] and u[2] == v[2]:
-                return Poly.const(1.0)
-            return Poly()
-        if ku == "p" and kv == "q":
-            return -self.bracket(v, u)
-        if ku == "q" and kv == "q":
-            top = self.N // 2
-            if self.dim == 2 and u[1] == v[1] == top and u[2] != v[2]:
-                # self-conjugate pair: {q^a, q^b} = eps^{ba} / m
-                return Poly.const(eps2(v[2] + 1, u[2] + 1) / self.m)
-            return Poly()
-        if ku == "s" and kv == "s":
-            out = Poly()
-            for l in range(3):
-                e = eps3(u[1] + 1, v[1] + 1, l + 1)
-                if e:
-                    out = out + Poly.var(("s", l), e)
-            return out
-        if ku == "chi" and kv == "chi":
-            out = Poly()
-            for g in range(3):
-                e = so21_epsilon_lower(u[1], v[1], g)
-                if e:
-                    out = out + Poly.var(("chi", g), e)
-            return out
-        return Poly()
+        """{u, v} of two coordinates; the returned Poly is shared, not a copy."""
+        return self._brackets.get((u, v), _NO_BRACKET)
 
 
 def poly_bracket(f: Poly, g: Poly, sm: StructureMatrix) -> Poly:

@@ -3,18 +3,19 @@
 import math
 import re
 import warnings
+from fractions import Fraction
+from typing import Dict
 
 import numpy as np
 import pytest
 
-from galconf.algebra import build_algebra
+from galconf.algebra import bracket, build_algebra, so21_basis
 from galconf.coadjoint import _cross3, casimir_values, chi_interval
 from galconf.dynamics import (
     CSV_FLOAT_FORMAT,
     FREE,
     HamiltonianChoice,
     _flow_matrix,
-    _poisson_tensors,
     _unpack,
     closed_form,
     conditioning_threshold,
@@ -234,7 +235,7 @@ class TestNewtonHooke:
     def test_higher_order_conserves_deformed_energy(self):
         ham = HamiltonianChoice("newton_hooke", omega=1.0, sign=1)
         tr = integrate(random_point(np.random.default_rng(1), 3, 3), ham, 1.0, 1e-3)
-        drifts, _ = conservation_drifts(tr, ham)
+        drifts, _ = conservation_drifts(tr)
         assert drifts["deformed_energy"] <= 1e-8
 
     @pytest.mark.parametrize("N,dim", NEWTON_HOOKE_FAMILIES)
@@ -631,7 +632,7 @@ def test_newton_hooke_energy_drift_stays_at_rounding():
     pt = PhasePoint(q=[[0.7, -0.2, 0.4]], p=[[0.0, 0.0, 0.0]],
                     s=[0.1, 0.0, -0.2], chi=[0.3, 0.1, -0.2], m=1.0)
     tr = integrate(pt, ham, math.pi, math.pi / 3142, "rk4")
-    drifts, _ = conservation_drifts(tr, ham)
+    drifts, _ = conservation_drifts(tr)
     assert drifts["deformed_energy"] <= 1e-14
     assert np.max(np.abs(tr.q[-1] + pt.q)) <= 1e-14
 
@@ -683,22 +684,42 @@ def test_flow_matrix_takes_no_symbolic_bracket(ham, monkeypatch):
 
 @pytest.mark.parametrize("N,dim", FLOW_MATRIX_FAMILIES)
 def test_poisson_tensors_match_structure_matrix(N, dim):
-    """Every coordinate pair: the constant bracket is P, the chi-linear one Q."""
-    m = 1.3
-    P, Q = _poisson_tensors(N, dim, m)
-    sm = StructureMatrix(N, dim, m)
-    coords = [sym for sym in sm.coordinates() if sym[0] != "s"]
-    assert P.shape == (len(coords),) * 2 and Q.shape == (3, 3, 3)
-    n_ext = len(coords) - 3
-    for i, u in enumerate(coords):
-        for j, v in enumerate(coords):
-            terms = dict(sm.bracket(u, v).terms)
-            assert P[i, j] == terms.pop((), 0.0), (u, v)
-            for g in range(3):
-                want = terms.pop(((("chi", g), 1),), 0.0)
-                got = Q[i - n_ext, j - n_ext, g] if min(i, j) >= n_ext else 0.0
-                assert got == want, (u, v, g)
-            assert not terms, (u, v)
+    """StructureMatrix.tensors against the exact algebra table.
+
+    On the internal basis w = (J..., N^0, N^1, N^2), the bracket of the
+    algebra is sum_g Q[a, b, g] w_g for every pair, in Fractions: the spin
+    block holds the J-J constants, the chi block the so(2,1) triple, and
+    mixed pairs are zero.  P is antisymmetric and zero on the internal
+    coordinates, and both tensors are read-only.
+    """
+    alg = build_algebra(N, dim, central=True)
+    sm = StructureMatrix(N, dim, 1.3)
+    P, Q = sm.tensors
+    w = [{g: Fraction(1)} for g in alg.generators if g.kind == "J"] + so21_basis(alg)
+    assert P.shape == (len(sm.coordinates()),) * 2 and Q.shape == (len(w),) * 3
+    for a in range(len(w)):
+        for b in range(len(w)):
+            want: Dict = {}
+            for g in range(len(w)):
+                for gid, cf in w[g].items():  # Fraction(float) is exact
+                    want[gid] = want.get(gid, 0) + Fraction(Q[a, b, g]) * cf
+            assert bracket(alg, w[a], w[b]) == {k: v for k, v in want.items() if v}, (a, b)
+    assert (P == -P.T).all()
+    assert not P[-len(w):].any() and not P[:, -len(w):].any()
+    for T in (P, Q):
+        with pytest.raises(ValueError):
+            T[(0,) * T.ndim] = 1.0
+
+
+def test_conservation_drifts_follow_the_trajectory_hamiltonian():
+    """An integrated Newton-Hooke run is checked against its own conserved set
+    without being told its Hamiltonian."""
+    ham = HamiltonianChoice("newton_hooke", omega=3.0, sign=1)
+    tr = integrate(random_point(np.random.default_rng(0), 1, 3), ham, 1.0, 1e-2)
+    drifts, times = conservation_drifts(tr)
+    assert set(drifts) == set(times) == {"deformed_energy", "C1", "C2", "C3",
+                                         "spin_invariant", "chi_interval"}
+    assert drifts["deformed_energy"] <= 1e-8
 
 
 @pytest.mark.parametrize("N,dim", [(N, dim) for N, dim in DOUBLING_FAMILIES if dim == 3])
