@@ -443,8 +443,8 @@ def translate_dual(m, x, j, c, h, d, k):
     if dim == 3:  # so(3): cross products
         j = j - np.sum(_cross3(x, c) + (mc / 2.0) * g[:, None] * _cross3(xr, x), axis=-2)
     else:  # so(2): one scalar
-        j = (j[..., 0] - np.sum(_cross2(x, c), axis=-1)
-             + (m / 2.0) * _levels(_rowdot(x, xr), g))[..., None]
+        j = np.asarray(j[..., 0] - np.sum(_cross2(x, c), axis=-1)
+                       + (m / 2.0) * _levels(_rowdot(x, xr), g))[..., None]
     d = d - _levels(_rowdot(x, c), w) + (m / 2.0) * _levels(pair(x, xr), w * g)
     h = h + _levels(_rowdot(x[..., 1:, :], c[..., :-1, :]), np.arange(1.0, N + 1)) \
         + (m / 2.0) * _levels(pair(x[..., 1:, :], x[..., :0:-1, :]), gh)

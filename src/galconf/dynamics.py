@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -93,6 +94,7 @@ class PhaseTangent:
     chi: np.ndarray
 
 
+@lru_cache(maxsize=64)
 def _flow_matrix(N: int, dim: int, m: float, ham: HamiltonianChoice) -> np.ndarray:
     """Constant matrix L of the flow z' = L z on packed states z = (q, p, chi).
 
@@ -100,7 +102,8 @@ def _flow_matrix(N: int, dim: int, m: float, ham: HamiltonianChoice) -> np.ndarr
     {z_i, H} = sum_v {z_i, z_v} dH/dz_v is linear in z: L = P G + Q a, with
     P and Q the chart's ``StructureMatrix.tensors`` and G the Hessian of H
     and a its chi coefficients, both read off the terms of H.  The spin is
-    inert under every supported flow and is left out of z.
+    inert under every supported flow and is left out of z.  L is built once
+    per (N, dim, m, ham) and shared read-only.
     """
     sm = StructureMatrix(N, dim, m)
     P, Q = sm.tensors
@@ -124,6 +127,7 @@ def _flow_matrix(N: int, dim: int, m: float, ham: HamiltonianChoice) -> np.ndarr
             G[i, i] = e * c
     L = P @ G
     L[-3:, -3:] = np.einsum("abg,b->ag", Q[-3:, -3:, -3:], a)
+    L.setflags(write=False)
     return L
 
 

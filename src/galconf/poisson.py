@@ -8,9 +8,10 @@ against the coordinate bracket table, ``StructureMatrix.tensors``, the one
 place the chart's coordinate brackets are written.
 
 Generator functions come in two independent routes which the tests pin
-against each other: ``generators_at`` evaluates the printed reduced
-expressions directly, while ``generator_polynomials`` composes the orbit
-parametrization with the Darboux chart.
+against each other: ``generator_values`` (and ``generators_at``) evaluates
+the printed reduced expressions directly, while ``generator_polynomials``
+runs the one orbit kernel, ``raw_levels`` then ``orbit_components``, on the
+coordinate polynomials; the same kernel records trajectories in floats.
 """
 
 from __future__ import annotations
@@ -32,7 +33,15 @@ from .algebra import (
     tower_form,
     tower_sign,
 )
-from .coadjoint import DualVector, _cross2, _cross3, _rowdot, orbit_dual_vector, spin_invariant
+from .coadjoint import (
+    DualVector,
+    _cross2,
+    _cross3,
+    _rowdot,
+    orbit_components,
+    orbit_dual_vector,
+    spin_invariant,
+)
 from .errors import InvalidState, ShapeMismatch
 
 __all__ = [
@@ -97,6 +106,8 @@ class Poly:
         return bool(self.terms)
 
     def __add__(self, other) -> "Poly":
+        if isinstance(other, np.ndarray):
+            return NotImplemented  # numpy applies the operation per element
         if not isinstance(other, Poly):
             other = Poly.const(other)
         out = dict(self.terms)
@@ -110,9 +121,14 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        return self + (-other if isinstance(other, Poly) else Poly.const(-other))
+        return self + -other
+
+    def __rsub__(self, other) -> "Poly":
+        return -self + other
 
     def __mul__(self, other) -> "Poly":
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         if not isinstance(other, Poly):
             return Poly({m: c * other for m, c in self.terms.items()})
         out: Dict = {}
@@ -128,6 +144,11 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Poly":
+        if isinstance(other, np.ndarray):
+            return NotImplemented
+        return Poly({m: c / other for m, c in self.terms.items()})
 
     def diff(self, sym) -> "Poly":
         out: Dict = {}
@@ -303,12 +324,16 @@ def from_darboux(q, p, m: float, N: int, dim: int) -> np.ndarray:
 
 
 def raw_levels(q, p, m: float) -> np.ndarray:
-    """Raw tower coordinates x (..., N+1, dim) of stacked Darboux blocks."""
+    """Raw tower coordinates x (..., N+1, dim) of stacked Darboux blocks.
+
+    Float blocks give floats; object blocks of ``Poly`` give the raw tower
+    coordinates as polynomials in the chart.
+    """
     N, dim = tower_order(q.shape), q.shape[-1]
     nq, n_p = q.shape[-2], p.shape[-2]
     if dim == 2:
         p = p @ EPS2.T  # undo the turn of the momentum line
-    x = np.empty(q.shape[:-2] + (N + 1, dim))
+    x = np.empty(q.shape[:-2] + (N + 1, dim), dtype=np.result_type(q, p, float))
     x[..., :nq, :] = np.array([tower_sign(N, k) for k in range(nq)], dtype=float)[:, None] * q \
         / np.array([_fact(k) for k in range(nq)], dtype=float)[:, None]
     # momentum level k sits at tower level N - k
@@ -458,127 +483,46 @@ def generator_values(q, p, s, chi, m: float):
     return h, d, kk, js[..., None]
 
 
-def _x_polys(N: int, dim: int, m: float) -> List[List[Poly]]:
-    """Raw tower coordinates as polynomials in the Darboux chart, inverting
-    ``to_darboux``: level i is tower_sign(N, i) q_i / i! on the q side and
-    p_{N-i} turned back onto the tower axes, over m i!, on the p side."""
-    unturn = np.eye(3) if dim == 3 else EPS2  # x^a = unturn[a, b] p^b / (m i!)
-    nq = q_levels(N, dim)
-    out = [[Poly.var(("q", i, a), tower_sign(N, i) / _fact(i)) for a in range(dim)]
-           for i in range(nq)]
-    for i in range(nq, N + 1):
-        out.append([sum((Poly.var(("p", N - i, b), unturn[a, b] / (m * _fact(i)))
-                         for b in range(dim) if unturn[a, b]), Poly()) for a in range(dim)])
-    return out
-
-
-def _dot(xs: List[Poly], ys: List[Poly]) -> Poly:
-    out = Poly()
-    for xa, ya in zip(xs, ys):
-        out = out + xa * ya
-    return out
-
-
-def _eps_pair_poly(xs: List[Poly], ys: List[Poly]) -> Poly:
-    # sum_{a,b} eps^{ab} x^b y^a
-    out = Poly()
-    for a in range(2):
-        for b in range(2):
-            if EPS2[a, b]:
-                out = out + EPS2[a, b] * (xs[b] * ys[a])
-    return out
-
-
-# Two tower levels contracted with the tower form of the algebra,
-# sum_{a,b} tower_form(dim, a, b) x^a y^b, by dimension.
-_LEVEL_PAIR = {3: _dot, 2: _eps_pair_poly}
-
-
-def _h_poly(x: List[List[Poly]], N: int, dim: int, m: float) -> Poly:
-    """h from the raw tower polynomials x of ``_x_polys``."""
-    h = Poly.var(("chi", 0)) - Poly.var(("chi", 1))
-    pair = _LEVEL_PAIR[dim]
-    for j in range(1, N + 1):
-        h = h + (m / 2.0) * tower_sign(N, j) * _fact(j) * _fact(N - j + 1) \
-            * pair(x[j], x[N - j + 1])
-    return h
-
-
-def _k_poly(x: List[List[Poly]], N: int, dim: int, m: float) -> Poly:
-    """k from the raw tower polynomials x of ``_x_polys``."""
-    kk = Poly.var(("chi", 0)) + Poly.var(("chi", 1))
-    pair = _LEVEL_PAIR[dim]
-    for j in range(N):
-        kk = kk - (m / 2.0) * tower_sign(N, j) * _fact(j + 1) * _fact(N - j) \
-            * pair(x[j], x[N - j - 1])
-    return kk
-
-
 def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
-    """Generator functions assembled from the orbit parametrization composed
-    with the Darboux chart; independent of ``generators_at``.
+    """Generator functions as polynomials in the chart: the orbit kernel
+    (``raw_levels``, then ``orbit_components``) applied to the coordinate
+    polynomials, in the order of ``StructureMatrix.coordinates()``.
 
-    "j" is a list of one polynomial per rotation generator and "c" a list of
-    tower levels, each a list of dim polynomials.  Only the rotation rows
-    depend on the dimension beyond the tower pairing.
+    This is the kernel that records trajectories, run on polynomials; the
+    printed reduced expressions of ``generator_values`` are the independent
+    route.  "j" is a list of one polynomial per rotation generator and "c" a
+    list of tower levels, each a list of dim polynomials.
     """
-    x = _x_polys(N, dim, m)
-    pair = _LEVEL_PAIR[dim]
-    halfN = N / 2.0
-    d = Poly.var(("chi", 2))
-    jv = [Poly.var(("s", b)) for b in range(spin_components(dim))]
-    c: List[List[Poly]] = [[Poly() for _ in range(dim)] for _ in range(N + 1)]
-    for j in range(N + 1):
-        g = tower_sign(N, j) * _fact(j) * _fact(N - j)
-        for b in range(dim):
-            for a in range(dim):
-                form = tower_form(dim, b + 1, a + 1)
-                if form:
-                    # c^b = -m g tower_form(b, a) x^a of level N - j
-                    c[j][b] = c[j][b] + (-m * g * form) * x[N - j][a]
-        if dim == 3:  # so(3): cross product
-            for b in range(3):
-                cross_term = Poly()
-                for cc in range(3):
-                    for a in range(3):
-                        e = eps3(b + 1, cc + 1, a + 1)
-                        if e:
-                            cross_term = cross_term + e * (x[j][a] * x[N - j][cc])
-                jv[b] = jv[b] - (m / 2.0) * g * cross_term
-        else:  # so(2): one scalar
-            jv[0] = jv[0] + (m / 2.0) * g * _dot(x[j], x[N - j])
-        d = d + (m / 2.0) * (halfN - j) * g * pair(x[j], x[N - j])
-    return {"j": jv, "h": _h_poly(x, N, dim, m), "d": d, "k": _k_poly(x, N, dim, m), "c": c,
-            "m": Poly.const(m)}
+    z = np.array([Poly.var(sym) for sym in StructureMatrix(N, dim, m).coordinates()])
+    nq, n_p = q_levels(N, dim) * dim, p_levels(N, dim) * dim
+    q, p = z[:nq].reshape(-1, dim), z[nq:nq + n_p].reshape(-1, dim)
+    j, c, h, d, k = orbit_components(m, z[nq + n_p:-3], z[-3:], raw_levels(q, p, m))
+    return {"j": list(j), "h": h, "d": d, "k": k, "c": c.tolist(), "m": Poly.const(m)}
 
 
 def momentum_map(alg: AlgebraSpec, m: float) -> Dict[GeneratorId, Poly]:
     """Generator id -> generator function, for momentum-map closure checks."""
     polys = generator_polynomials(alg.N, alg.dim, m)
-    out: Dict[GeneratorId, Poly] = dict(
-        zip((g for g in alg.generators if g.kind == "J"), polys["j"]))
+    spins = iter(polys["j"])
+    out: Dict[GeneratorId, Poly] = {}
     for g in alg.generators:
-        if g.kind == "C":
+        if g.kind == "J":
+            out[g] = next(spins)
+        elif g.kind == "C":
             out[g] = polys["c"][g.level][g.axis - 1]
-        elif g.kind == "H":
-            out[g] = polys["h"]
-        elif g.kind == "D":
-            out[g] = polys["d"]
-        elif g.kind == "K":
-            out[g] = polys["k"]
-        elif g.kind == "M":
-            out[g] = polys["m"]
+        elif g.kind.lower() in polys:
+            out[g] = polys[g.kind.lower()]
     return out
 
 
 def hamiltonian_poly(N: int, dim: int, m: float, omega: float = 0.0,
                      sign: int = 1) -> Poly:
-    """h, or the oscillator deformation h + sign * omega^2 * k; the other
-    generator polynomials are not built."""
-    x = _x_polys(N, dim, m)
-    h = _h_poly(x, N, dim, m)
+    """h, or the oscillator deformation h + sign * omega^2 * k, taken from
+    ``generator_polynomials``."""
+    polys = generator_polynomials(N, dim, m)
+    h = polys["h"]
     if omega:
-        h = h + (sign * omega * omega) * _k_poly(x, N, dim, m)
+        h = h + (sign * omega * omega) * polys["k"]
     return h
 
 

@@ -679,7 +679,22 @@ def test_flow_matrix_takes_no_symbolic_bracket(ham, monkeypatch):
     for module in ("galconf.poisson", "galconf.dynamics"):
         monkeypatch.setattr(f"{module}.poly_bracket", forbidden, raising=False)
     for N, dim in FLOW_MATRIX_FAMILIES:
-        _flow_matrix(N, dim, 0.9, ham)
+        _flow_matrix.__wrapped__(N, dim, 0.9, ham)  # the builder, not a cached L
+
+
+def test_flow_matrix_is_built_once_per_key_and_read_only():
+    pt = random_point(np.random.default_rng(8), 3, 3, m=1.7)
+    ham = HamiltonianChoice("newton_hooke", omega=0.6, sign=-1)
+    _flow_matrix.cache_clear()
+    first = integrate(pt, ham, 0.1, 0.01, record=False)
+    info = _flow_matrix.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    second = integrate(pt.copy(), ham, 0.1, 0.01, record=False)
+    assert _flow_matrix.cache_info().hits == 1 and _flow_matrix.cache_info().misses == 1
+    assert second.q.tobytes() == first.q.tobytes()
+    L = _flow_matrix(3, 3, 1.7, ham)
+    with pytest.raises(ValueError):
+        L[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("N,dim", FLOW_MATRIX_FAMILIES)
