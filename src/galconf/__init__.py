@@ -9,7 +9,7 @@ from .algebra import (
     conformal_basis,
     conformal_basis_inverse,
     dump_table,
-    jacobi_report,
+    jacobi_worst,
 )
 from .coadjoint import (
     DualVector,
@@ -25,9 +25,7 @@ from .dynamics import (
     FREE,
     HamiltonianChoice,
     Trajectory,
-    closed_form,
     integrate,
-    time_derivative,
     verify_motion_order,
 )
 from .poisson import (

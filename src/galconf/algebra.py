@@ -35,7 +35,6 @@ __all__ = [
     "Element",
     "build_algebra",
     "bracket",
-    "jacobi_report",
     "jacobi_worst",
     "structure_checks",
     "conformal_basis",
@@ -334,26 +333,20 @@ def _jacobi_defect(alg: AlgebraSpec, x, y, z) -> Fraction:
     return max((abs(v) for v in total.values()), default=Fraction(0))
 
 
-def jacobi_report(alg: AlgebraSpec) -> Fraction:
-    """Maximum coefficient-wise Jacobi defect over all generator triples.
-
-    Exact zero for every admissible algebra; any nonzero value indicates a
-    corrupted table.
-    """
-    return jacobi_worst(alg)[0]
-
-
 def jacobi_worst(alg: AlgebraSpec) -> Tuple[Fraction, Optional[Tuple[str, str, str]]]:
-    """Like jacobi_report but also names the worst triple.
+    """Maximum coefficient-wise Jacobi defect over all generator triples, and
+    the worst triple (None when the defect is zero).
 
-    Sparse and exact.  Every term [a, [b, c]] of a Jacobi sum is a stored
-    pair (b, c), a generator w of its result and a stored pair (a, w), so
-    only those products are formed.  Each is added to the sum of the triple
-    {a, b, c} when (a, b, c) is a cyclic rotation of the triple in generator
-    order, which gives the same sums as ``_jacobi_defect``, the per-triple
-    oracle.  The constants are taken as integers over their common
-    denominator.  The worst triple is the first in ``combinations`` order
-    among those with the largest coefficient.
+    The defect is an exact zero for every admissible algebra; any nonzero
+    value indicates a corrupted table.  Sparse and exact: every term
+    [a, [b, c]] of a Jacobi sum is a stored pair (b, c), a generator w of its
+    result and a stored pair (a, w), so only those products are formed.
+    Each is added to the sum of the triple {a, b, c} when (a, b, c) is a
+    cyclic rotation of the triple in generator order, which gives the same
+    sums as ``_jacobi_defect``, the per-triple oracle.  The constants are
+    taken as integers over their common denominator.  The worst triple is
+    the first in ``combinations`` order among those with the largest
+    coefficient.
     """
     index = alg.index
     den = math.lcm(*(c.denominator for row in alg.table.values() for c in row.values()))

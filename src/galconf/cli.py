@@ -199,6 +199,9 @@ def cmd_orbit_parametrize(args) -> int:
     except (LabelMismatch, AmbiguousClass) as exc:
         _emit({"schema_version": SCHEMA_VERSION, "error": str(exc)}, args.out)
         return EXIT_FAIL
+    bad = [name for name in ("h", "d", "k", "j", "c") if not np.isfinite(getattr(X, name)).all()]
+    if bad:
+        raise InvalidConfig(f"x is too large: the parametrized dual has non-finite {bad}")
     out = {"schema_version": SCHEMA_VERSION, "dual": X.to_json(),
            "label": {"m": label.m, "s2": label.s2,
                      "chi_class": label.chi_class.tag,
@@ -306,7 +309,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_run_config(args.config)
     try:
         traj = dy.integrate(cfg["pt"], cfg["ham"], cfg["T"], cfg["dt"], cfg["method"])
-    except BadStep as exc:
+    except (BadStep, NonFiniteResult) as exc:
         raise InvalidConfig(str(exc))
     if cfg["csv"]:
         with open(cfg["csv"], "w") as fh:

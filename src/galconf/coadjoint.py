@@ -131,10 +131,6 @@ class DualVector:
     def dim(self) -> int:
         return self.c.shape[1]
 
-    @property
-    def chi(self) -> np.ndarray:
-        return np.array([(self.h + self.k) / 2.0, (self.k - self.h) / 2.0, self.d])
-
     def copy(self) -> "DualVector":
         return DualVector(m=self.m, h=self.h, d=self.d, k=self.k, j=self.j.copy(),
                           c=self.c.copy())

@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .coadjoint import casimir_arrays, chi_interval, orbit_components
-from .errors import BadStep, ShapeMismatch, TooFewSamples, UnsupportedHamiltonian
+from .errors import BadStep, NonFiniteResult, ShapeMismatch, TooFewSamples, UnsupportedHamiltonian
 from .poisson import (
     EPS2,
     PhasePoint,
@@ -40,11 +40,8 @@ from .poisson import (
 
 __all__ = [
     "HamiltonianChoice",
-    "PhaseTangent",
     "PhaseStates",
     "Trajectory",
-    "time_derivative",
-    "closed_form",
     "free_flow",
     "integrate",
     "verify_motion_order",
@@ -73,8 +70,9 @@ class HamiltonianChoice:
         if self.tag not in ("free", "newton_hooke"):
             raise UnsupportedHamiltonian(f"unknown Hamiltonian tag {self.tag!r}")
         if self.tag == "newton_hooke":
-            if not self.omega > 0:
-                raise UnsupportedHamiltonian("newton_hooke requires omega > 0")
+            if not (self.omega > 0 and math.isfinite(self.omega * self.omega)):
+                raise UnsupportedHamiltonian(
+                    f"newton_hooke requires omega > 0 with a finite square, got {self.omega}")
             if self.sign not in (1, -1):
                 raise UnsupportedHamiltonian("sign must be +1 or -1")
 
@@ -84,14 +82,6 @@ class HamiltonianChoice:
 
 
 FREE = HamiltonianChoice()
-
-
-@dataclass
-class PhaseTangent:
-    q: np.ndarray
-    p: np.ndarray
-    s: np.ndarray
-    chi: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -153,13 +143,6 @@ def _unpack(z, N: int, dim: int):
     lead = z.shape[:-1]
     return (z[..., :op].reshape(lead + (-1, dim)), z[..., op:oc].reshape(lead + (-1, dim)),
             z[..., oc:])
-
-
-def time_derivative(pt: PhasePoint, ham: HamiltonianChoice = FREE) -> PhaseTangent:
-    """Hamiltonian vector field L z at pt."""
-    dz = _flow_matrix(pt.N, pt.dim, pt.m, ham) @ _pack(pt)
-    dq, dp, dchi = _unpack(dz, pt.N, pt.dim)
-    return PhaseTangent(q=dq, p=dp, s=np.zeros_like(pt.s), chi=dchi)
 
 
 def _rk4(z0: np.ndarray, D: np.ndarray, n_steps: int) -> np.ndarray:
@@ -229,12 +212,6 @@ def free_flow(q, p, chi, m: float, t):
     return np.stack(q_t, axis=-2), np.stack(p_t, axis=-2), chi_t
 
 
-def closed_form(pt: PhasePoint, t: float) -> PhasePoint:
-    """Exact free-flow state at time t."""
-    q, p, chi = free_flow(pt.q, pt.p, pt.chi, pt.m, float(t))
-    return PhasePoint(q=q, p=p, s=pt.s, chi=chi, m=pt.m)
-
-
 def _frozen(a) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -252,12 +229,6 @@ class PhaseStates(Sequence):
 
     def __init__(self, q, p, s, chi, m: float):
         self.q, self.p, self.s, self.chi, self.m = q, p, s, chi, m
-
-    @classmethod
-    def stack(cls, points: Sequence[PhasePoint]) -> "PhaseStates":
-        return cls(np.array([pt.q for pt in points]), np.array([pt.p for pt in points]),
-                   np.array([pt.s for pt in points]),
-                   np.array([pt.chi for pt in points]), points[0].m)
 
     def __len__(self) -> int:
         return len(self.q)
@@ -311,15 +282,23 @@ class Trajectory:
         return self.q[:, 0, :]
 
 
-def record_values(states: Sequence[PhasePoint]) -> Dict[str, np.ndarray]:
-    """Generator and Casimir values for a sequence of states, in one pass
-    over the stacked samples."""
-    if not isinstance(states, PhaseStates):
-        states = PhaseStates.stack(states)
-    q, p, s, chi, m = states.q, states.p, states.s, states.chi, states.m
-    h, d, k, j = generator_values(q, p, s, chi, m)
-    C1, C2, C3 = casimir_arrays(m, *orbit_components(m, s, chi, raw_levels(q, p, m)))
-    return {"h": h, "d": d, "k": k, "j": j, "C1": C1, "C2": C2, "C3": C3}
+def record_values(q, p, s, chi, m: float) -> Dict[str, np.ndarray]:
+    """Generator and Casimir values of stacked samples, in one pass.
+
+    The stacks are those of a Trajectory, one row per sample.  Raises
+    NonFiniteResult naming the first sample, and the first quantity in it,
+    whose value overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, d, k, j = generator_values(q, p, s, chi, m)
+        C1, C2, C3 = casimir_arrays(m, *orbit_components(m, s, chi, raw_levels(q, p, m)))
+    rec = {"h": h, "d": d, "k": k, "j": j, "C1": C1, "C2": C2, "C3": C3}
+    bad = [(int(np.argwhere(~np.isfinite(v))[0, 0]), name) for name, v in rec.items()
+           if not np.isfinite(v).all()]
+    if bad:
+        i, name = min(bad, key=lambda b: b[0])
+        raise NonFiniteResult(f"recorded {name} is not finite at sample {i}")
+    return rec
 
 
 def conservation_drifts(traj: Trajectory) -> Tuple[Dict[str, float], Dict[str, float]]:
@@ -388,7 +367,7 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
     s = np.broadcast_to(pt0.s, (n_steps + 1,) + pt0.s.shape)
     traj = Trajectory(times=times, q=q, p=p, s=s, chi=chi, m=pt0.m, ham=ham)
     if record:
-        traj.recorded = record_values(traj.states)
+        traj.recorded = record_values(traj.q, traj.p, traj.s, traj.chi, traj.m)
     return traj
 
 

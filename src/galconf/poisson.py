@@ -259,14 +259,6 @@ class PhasePoint:
         values = np.concatenate([self.q.ravel(), self.p.ravel(), self.s, self.chi]).tolist()
         return dict(zip(StructureMatrix(self.N, self.dim, self.m).coordinates(), values))
 
-    def copy(self) -> "PhasePoint":
-        return PhasePoint(q=self.q.copy(), p=self.p.copy(), s=self.s.copy(),
-                          chi=self.chi.copy(), m=self.m)
-
-    def spin_invariant(self) -> float:
-        """|s|^2 in dimension 3, the signed component of s in dimension 2."""
-        return float(spin_invariant(self.s))
-
 
 def random_point(rng, N: int, dim: int, m: float = 1.0) -> PhasePoint:
     """Phase point with every coordinate drawn uniformly from [-0.7, 0.7)."""

@@ -197,5 +197,5 @@ def map_trajectory(traj: Trajectory, transform) -> Trajectory:
     q, p, chi = free_flow(traj.q[i], traj.p[i], traj.chi[i], traj.m, t - traj.times[i])
     x, px, _ = transform.apply(q[:, 0], p[:, 0], t, traj.m)
     out = Trajectory(times=grid, q=x[:, None], p=px[:, None], s=traj.s[i], chi=chi, m=traj.m)
-    out.recorded = record_values(out.states)
+    out.recorded = record_values(out.q, out.p, out.s, out.chi, out.m)
     return out

@@ -19,7 +19,6 @@ from galconf.algebra import (
     dump_table,
     eps2,
     eps3,
-    jacobi_report,
     jacobi_worst,
     so21_basis,
     so21_epsilon_lower,
@@ -153,17 +152,17 @@ def test_mass_rows_match_per_dimension_formulas():
     (1, 3, False, True), (2, 3, False, False), (3, 2, False, False),
 ])
 def test_jacobi_exact(N, dim, central, ds):
-    assert jacobi_report(build_algebra(N, dim, central, ds)) == 0
+    assert jacobi_worst(build_algebra(N, dim, central, ds))[0] == 0
 
 
 def test_jacobi_exact_full_range():
     """Every supported (N, dim, central) combination up to N = 15."""
     for N in range(1, 16):
         for dim in (2, 3):
-            assert jacobi_report(build_algebra(N, dim, central=False)) == 0
+            assert jacobi_worst(build_algebra(N, dim, central=False))[0] == 0
             if (N % 2, dim) in ((1, 3), (0, 2)):
-                assert jacobi_report(build_algebra(N, dim, central=True)) == 0
-    assert jacobi_report(build_algebra(9, 3, central=False, with_ds=True)) == 0
+                assert jacobi_worst(build_algebra(N, dim, central=True))[0] == 0
+    assert jacobi_worst(build_algebra(9, 3, central=False, with_ds=True))[0] == 0
 
 
 def oracle_worst(alg):
@@ -236,7 +235,7 @@ def test_single_axis_flip_breaks_rotation_jacobi():
     # even at N=1 a one-axis central flip is inconsistent with the J action
     alg = build_algebra(1, 3, central=True)
     bad = flip_constant(alg, "C0_1", "C1_1")
-    assert jacobi_report(bad) > 0
+    assert jacobi_worst(bad)[0] > 0
 
 
 def test_directional_flip_breaks_antisymmetry():

@@ -192,6 +192,17 @@ class TestOrbitCommands:
         assert out == ""
         assert json.loads(err)["error"] == f"InvalidConfig: {message}"
 
+    def test_parametrize_rejects_an_overflowing_dual(self, capsys, tmp_path):
+        # finite x whose translation overflows used to print Infinity and exit 0
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"m": 1.0, "x": [[1e200, 0.0, 0.0], [1e200, 0.0, 0.0]],
+                                   "chi": [1.0, 0.0, 0.0]}))
+        code, out, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == \
+            "InvalidConfig: x is too large: the parametrized dual has non-finite ['h', 'd', 'k']"
+
     @pytest.mark.parametrize("m", [-1.0, 0.0, float("nan")])
     def test_parametrize_rejects_bad_mass(self, capsys, tmp_path, m):
         cfg = tmp_path / "bad.json"
@@ -349,16 +360,20 @@ class TestSimulate:
         {"q": [[float("nan"), 0.0, 0.0]]},
         {"T": float("inf")},
         {"hamiltonian": "newton_hooke", "omega": float("nan")},
+        {"hamiltonian": "newton_hooke", "omega": float("inf")},
+        {"hamiltonian": "newton_hooke", "omega": 1e200},
         {"hamiltonian": "newton_hooke", "omega": 1.0, "sign": 0},
         {"chi": [1.0, 0.0, 0.0], "classify_tol": float("nan")},
         {"chi": [1.0, 0.0, 0.0], "classify_tol": -1e-9},
         {"chi": [1e200, 0.0, 0.0], "chi_class": "Hplus0", "sigma": 0.0},
+        {"q": [[1e300, 0.0, 0.0]], "p": [[1e300, 0.0, 0.0]]},
     ])
     def test_invalid_configs_exit_2(self, capsys, tmp_path, overrides):
         cfg = write_free_config(tmp_path, **overrides)
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2, err
         assert "error" in json.loads(err)
+        assert not (tmp_path / "traj.csv").exists()
 
     def test_unknown_key_is_rejected_by_name(self, capsys, tmp_path):
         # a misspelled method used to run rk4 and exit 0

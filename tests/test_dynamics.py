@@ -10,23 +10,29 @@ import numpy as np
 import pytest
 
 from galconf.algebra import bracket, build_algebra, so21_basis
-from galconf.coadjoint import _cross3, casimir_values, chi_interval
+from galconf.coadjoint import _cross3, casimir_values, chi_interval, spin_invariant
 from galconf.dynamics import (
     CSV_FLOAT_FORMAT,
     FREE,
     HamiltonianChoice,
     _flow_matrix,
+    _pack,
     _unpack,
-    closed_form,
     conditioning_threshold,
     conservation_drifts,
+    free_flow,
     integrate,
     record_values,
-    time_derivative,
     trajectory_csv_text,
     verify_motion_order,
 )
-from galconf.errors import BadStep, InvalidState, TooFewSamples, UnsupportedHamiltonian
+from galconf.errors import (
+    BadStep,
+    InvalidState,
+    NonFiniteResult,
+    TooFewSamples,
+    UnsupportedHamiltonian,
+)
 from galconf.poisson import (
     PhasePoint,
     Poly,
@@ -54,32 +60,37 @@ def free_point(**kw):
     return PhasePoint(**base)
 
 
+def vector_field(pt, ham=FREE):
+    """(dq, dp, dchi) of the flow at pt: the flow matrix times the packed state."""
+    return _unpack(_flow_matrix(pt.N, pt.dim, pt.m, ham) @ _pack(pt), pt.N, pt.dim)
+
+
 class TestTimeDerivative:
     def test_uniform_motion(self):
         pt = free_point(p=[[1.0, 0.0, 0.0]])
-        tang = time_derivative(pt)
-        assert np.allclose(tang.q[0], [1.0, 0.0, 0.0])
-        assert not np.any(tang.p)
+        dq, dp, _ = vector_field(pt)
+        assert np.allclose(dq[0], [1.0, 0.0, 0.0])
+        assert not np.any(dp)
 
     def test_chi_rotation(self):
         pt = free_point(chi=[1.0, 0.0, 0.0])
-        tang = time_derivative(pt)
-        assert np.allclose(tang.chi, [0.0, 0.0, 1.0])
+        _, _, dchi = vector_field(pt)
+        assert np.allclose(dchi, [0.0, 0.0, 1.0])
 
     def test_rest_point(self):
-        tang = time_derivative(free_point(q=[[0.0, 0.0, 0.0]]))
-        assert not np.any(tang.q) and not np.any(tang.p) and not np.any(tang.chi)
+        dq, dp, dchi = vector_field(free_point(q=[[0.0, 0.0, 0.0]]))
+        assert not np.any(dq) and not np.any(dp) and not np.any(dchi)
 
     def test_cascade_structure(self):
         rng = np.random.default_rng(0)
         pt = random_point(rng, 5, 3)
-        tang = time_derivative(pt)
-        assert np.allclose(tang.q[0], pt.q[1])
-        assert np.allclose(tang.q[1], pt.q[2])
-        assert np.allclose(tang.q[2], pt.p[2] / pt.m)
-        assert not np.any(tang.p[0])
-        assert np.allclose(tang.p[1], -pt.p[0])
-        assert np.allclose(tang.p[2], -pt.p[1])
+        dq, dp, _ = vector_field(pt)
+        assert np.allclose(dq[0], pt.q[1])
+        assert np.allclose(dq[1], pt.q[2])
+        assert np.allclose(dq[2], pt.p[2] / pt.m)
+        assert not np.any(dp[0])
+        assert np.allclose(dp[1], -pt.p[0])
+        assert np.allclose(dp[2], -pt.p[1])
 
     @pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (2, 2), (4, 2)])
     def test_matches_bracket_flow(self, N, dim):
@@ -92,10 +103,10 @@ class TestTimeDerivative:
             pt = random_point(rng, N, dim, m=m)
             env = pt.env()
             dq, dp, dchi = _printed_free_field(pt)
-            tang = time_derivative(pt)
-            assert np.allclose(tang.q, dq, rtol=0, atol=1e-15)
-            assert np.allclose(tang.p, dp, rtol=0, atol=1e-15)
-            assert np.allclose(tang.chi, dchi, rtol=0, atol=1e-15)
+            Lq, Lp, Lchi = vector_field(pt)
+            assert np.allclose(Lq, dq, rtol=0, atol=1e-15)
+            assert np.allclose(Lp, dp, rtol=0, atol=1e-15)
+            assert np.allclose(Lchi, dchi, rtol=0, atol=1e-15)
             for k in range(pt.q.shape[0]):
                 for a in range(dim):
                     assert poly_bracket(Poly.var(("q", k, a)), h, sm).eval(env) == \
@@ -128,22 +139,22 @@ def test_flow_matrix_matches_printed_field(N, dim):
 class TestClosedForm:
     def test_identity_at_zero(self):
         pt = random_point(np.random.default_rng(2), 3, 3)
-        out = closed_form(pt, 0.0)
-        assert np.allclose(out.q, pt.q) and np.allclose(out.p, pt.p)
-        assert np.allclose(out.chi, pt.chi)
+        q, p, chi = free_flow(pt.q, pt.p, pt.chi, pt.m, 0.0)
+        assert np.allclose(q, pt.q) and np.allclose(p, pt.p)
+        assert np.allclose(chi, pt.chi)
 
     def test_chi_solution(self):
         pt = free_point(chi=[1.0, 0.0, 0.0])
         for t in (0.3, 0.7, 2.0):
-            out = closed_form(pt, t)
-            assert np.allclose(out.chi, [1 + t * t / 2, t * t / 2, t], atol=1e-14)
-            assert chi_interval(out.chi) == pytest.approx(1.0, abs=1e-12)
+            _, _, chi = free_flow(pt.q, pt.p, pt.chi, pt.m, t)
+            assert np.allclose(chi, [1 + t * t / 2, t * t / 2, t], atol=1e-14)
+            assert chi_interval(chi) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_motion(self):
         m, v = 2.0, 0.7
         pt = free_point(q=[[0.0, 0.0, 0.0]], p=[[m * v, 0.0, 0.0]], m=m)
-        out = closed_form(pt, 1.3)
-        assert np.allclose(out.q[0], [v * 1.3, 0.0, 0.0])
+        q, _, _ = free_flow(pt.q, pt.p, pt.chi, pt.m, 1.3)
+        assert np.allclose(q[0], [v * 1.3, 0.0, 0.0])
 
     @pytest.mark.parametrize("N,dim", [(3, 3), (5, 3), (2, 2), (4, 2)])
     def test_agrees_with_rk4(self, N, dim):
@@ -203,7 +214,7 @@ class TestIntegrate:
         for nm in ("h", "j", "C1", "C2", "C3"):
             v = tr.recorded[nm]
             assert np.max(np.abs(v - v[0])) < 1e-8
-        spin = np.array([st.spin_invariant() for st in tr.states])
+        spin = spin_invariant(tr.s)
         assert np.max(np.abs(spin - spin[0])) < 1e-8
         inter = np.array([chi_interval(st.chi) for st in tr.states])
         assert np.max(np.abs(inter - inter[0])) < 1e-8
@@ -289,6 +300,9 @@ class TestNewtonHooke:
             HamiltonianChoice("newton_hooke", omega=0.0)
         with pytest.raises(UnsupportedHamiltonian):
             HamiltonianChoice("newton_hooke", omega=1.0, sign=2)
+        for omega in (float("inf"), 1e200):  # omega^2 overflows in the flow matrix
+            with pytest.raises(UnsupportedHamiltonian, match="finite square"):
+                HamiltonianChoice("newton_hooke", omega=omega)
         with pytest.raises(UnsupportedHamiltonian):
             HamiltonianChoice("oscillator")
 
@@ -310,6 +324,24 @@ def test_check_state_names_the_first_bad_sample():
     q[3, 0, 1] = np.nan
     with pytest.raises(InvalidState, match=r"^q has a non-finite entry at index \(3, 0, 1\)$"):
         check_state(q, p, s, chi, 1.0)
+
+
+def test_record_values_names_the_first_overflowing_sample():
+    # finite stacks whose k overflows from sample 2 (through |q|^2) and h
+    # from sample 3 (through |p|^2): the error names k at sample 2, and no
+    # numpy warning escapes
+    N, dim, n = 1, 3, 6
+    q, p = np.zeros((n, 1, dim)), np.zeros((n, 1, dim))
+    s, chi = np.zeros((n, 3)), np.zeros((n, 3))
+    q[2:, 0, 0] = 1e200
+    p[3:, 0, 1] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult, match=r"^recorded k is not finite at sample 2$"):
+            record_values(q, p, s, chi, 1.0)
+        q[2, 0, 0] = 0.0
+        with pytest.raises(NonFiniteResult, match=r"^recorded h is not finite at sample 3$"):
+            record_values(q, p, s, chi, 1.0)
 
 
 class TestMotionOrder:
@@ -409,26 +441,18 @@ class TestCsvExport:
 
 
 def _rk4_reference(pt, ham, dt, n_steps):
-    """Per-stage RK4 through the public time_derivative, state by state."""
-    states = [pt]
+    """Per-stage RK4 on the packed state, each stage L @ z, step by step."""
+    L = _flow_matrix(pt.N, pt.dim, pt.m, ham)
+    z = [_pack(pt)]
     for _ in range(n_steps):
-        cur = states[-1]
-
-        def shifted(tang, h):
-            return PhasePoint(q=cur.q + h * tang.q, p=cur.p + h * tang.p, s=cur.s,
-                              chi=cur.chi + h * tang.chi, m=cur.m)
-
-        k1 = time_derivative(cur, ham)
-        k2 = time_derivative(shifted(k1, dt / 2.0), ham)
-        k3 = time_derivative(shifted(k2, dt / 2.0), ham)
-        k4 = time_derivative(shifted(k3, dt), ham)
-        states.append(PhasePoint(
-            q=cur.q + dt * ((k1.q + 2.0 * k2.q + 2.0 * k3.q + k4.q) / 6.0),
-            p=cur.p + dt * ((k1.p + 2.0 * k2.p + 2.0 * k3.p + k4.p) / 6.0),
-            s=cur.s,
-            chi=cur.chi + dt * ((k1.chi + 2.0 * k2.chi + 2.0 * k3.chi + k4.chi) / 6.0),
-            m=cur.m))
-    return states
+        cur = z[-1]
+        k1 = L @ cur
+        k2 = L @ (cur + dt / 2.0 * k1)
+        k3 = L @ (cur + dt / 2.0 * k2)
+        k4 = L @ (cur + dt * k3)
+        z.append(cur + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0))
+    return [PhasePoint(q=q, p=p, s=pt.s, chi=chi, m=pt.m)
+            for q, p, chi in zip(*_unpack(np.array(z), pt.N, pt.dim))]
 
 
 ARRAY_CASES = [(N, dim, FREE) for N, dim in FLOW_FAMILIES + ((5, 3), (7, 3))] + [
@@ -519,8 +543,9 @@ def test_spin_has_one_component_per_rotation_generator(N, dim):
     assert pt.s.shape == (n_rot,)
     assert dual_vector_at(pt).j.shape == (n_rot,)
     assert generators_at(pt)["j"].shape == (n_rot,)
-    assert record_values([pt, pt.copy()])["j"].shape == (2, n_rot)
-    assert time_derivative(pt).s.shape == (n_rot,)
+    two = integrate(pt, FREE, 0.01, 0.01, record=False)
+    assert two.s.shape == (2, n_rot)
+    assert record_values(two.q, two.p, two.s, two.chi, two.m)["j"].shape == (2, n_rot)
 
 
 def _csv_reference(traj):
@@ -551,16 +576,9 @@ def test_closed_samples_match_single_time_closed_form():
     pt = random_point(np.random.default_rng(8), 5, 3)
     tr = integrate(pt, FREE, 1.0, 0.1, "closed", record=False)
     for t, st in zip(tr.times, tr.states):
-        one = closed_form(pt, float(t))
-        for a, b in ((st.q, one.q), (st.p, one.p), (st.chi, one.chi)):
+        one = free_flow(pt.q, pt.p, pt.chi, pt.m, float(t))
+        for a, b in zip((st.q, st.p, st.chi), one):
             assert np.allclose(a, b, rtol=0, atol=1e-15)
-
-
-def test_record_values_accepts_a_list_of_points():
-    tr = integrate(random_point(np.random.default_rng(4), 2, 2), FREE, 0.1, 0.01)
-    rec = record_values(list(tr.states))
-    for key, value in tr.recorded.items():
-        assert np.array_equal(rec[key], value)
 
 
 @pytest.mark.parametrize("N,dim", FLOW_FAMILIES + ((7, 3), (6, 2)))
@@ -689,7 +707,8 @@ def test_flow_matrix_is_built_once_per_key_and_read_only():
     first = integrate(pt, ham, 0.1, 0.01, record=False)
     info = _flow_matrix.cache_info()
     assert (info.hits, info.misses) == (0, 1)
-    second = integrate(pt.copy(), ham, 0.1, 0.01, record=False)
+    same = random_point(np.random.default_rng(8), 3, 3, m=1.7)  # equal, not identical
+    second = integrate(same, ham, 0.1, 0.01, record=False)
     assert _flow_matrix.cache_info().hits == 1 and _flow_matrix.cache_info().misses == 1
     assert second.q.tobytes() == first.q.tobytes()
     L = _flow_matrix(3, 3, 1.7, ham)

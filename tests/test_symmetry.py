@@ -13,7 +13,6 @@ from galconf.dynamics import (
     FREE,
     HamiltonianChoice,
     Trajectory,
-    closed_form,
     free_flow,
     integrate,
     verify_motion_order,
@@ -99,7 +98,8 @@ class TestIntegralsOfMotion:
         tr = integrate(pt, FREE, 0.2, 1e-2, method, record=False)
         stacks = integrals_of_motion(tr)
         for i, st_ in enumerate(tr.states):
-            X = dual_vector_at(closed_form(st_, -float(tr.times[i])))
+            q, p, chi = free_flow(st_.q, st_.p, st_.chi, st_.m, -float(tr.times[i]))
+            X = dual_vector_at(PhasePoint(q=q, p=p, s=st_.s, chi=chi, m=st_.m))
             for name, v, want in zip("jchdk", stacks, (X.j, X.c, X.h, X.d, X.k)):
                 assert v[i].tobytes() == np.asarray(want).tobytes(), (i, name)
 
@@ -330,12 +330,13 @@ def map_trajectory_reference(traj, transform):
     q, p, s, chi = [], [], [], []
     for ti in t:
         i = max(int(np.sum(traj.times <= ti)) - 1, 0)
-        state = closed_form(traj.states[i], ti - float(traj.times[i]))
-        x, px = one(state.q[0], state.p[0], ti)
+        qi, pi, chi_i = free_flow(traj.q[i], traj.p[i], traj.chi[i], traj.m,
+                                  ti - float(traj.times[i]))
+        x, px = one(qi[0], pi[0], ti)
         q.append([x])
         p.append([px])
-        s.append(state.s)
-        chi.append(state.chi)
+        s.append(traj.s[i])
+        chi.append(chi_i)
     return {"times": grid, "q": np.array(q), "p": np.array(p), "s": np.array(s),
             "chi": np.array(chi)}
 
