@@ -12,6 +12,7 @@ import json
 import math
 import re
 import sys
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -309,7 +310,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_run_config(args.config)
     try:
         traj = dy.integrate(cfg["pt"], cfg["ham"], cfg["T"], cfg["dt"], cfg["method"])
-    except (BadStep, NonFiniteResult) as exc:
+    except (BadStep, NonFiniteResult, InvalidState) as exc:  # InvalidState: the run overflows
         raise InvalidConfig(str(exc))
     if cfg["csv"]:
         with open(cfg["csv"], "w") as fh:
@@ -403,6 +404,9 @@ def _add_algebra_flags(p) -> None:
     p.add_argument("-o", "--out", default=None)
 
 
+# Built once per process: building costs about as much as a short command,
+# and parse_args leaves the parser as it was.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="galconf",
@@ -467,8 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidConfig, BadDimension, UnsupportedExtension) as exc:

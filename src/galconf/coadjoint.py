@@ -131,10 +131,6 @@ class DualVector:
     def dim(self) -> int:
         return self.c.shape[1]
 
-    def copy(self) -> "DualVector":
-        return DualVector(m=self.m, h=self.h, d=self.d, k=self.k, j=self.j.copy(),
-                          c=self.c.copy())
-
     def to_json(self) -> dict:
         return {
             "m": self.m, "h": self.h, "d": self.d, "k": self.k,
@@ -146,6 +142,17 @@ class DualVector:
     def from_json(cls, data: dict) -> "DualVector":
         return cls(m=data["m"], h=data["h"], d=data["d"], k=data["k"], j=data["j"],
                    c=data["c"])
+
+
+def _rows_and_params(alg: AlgebraSpec, V, params, shape):
+    """(V, params) as float arrays, checked to be a (k, n) stack of packed
+    dual rows of a central alg and one parameter of the given shape per row."""
+    V, p = np.asarray(V, dtype=float), np.asarray(params, dtype=float)
+    n = len(alg.generators)
+    if not alg.central or V.ndim != 2 or V.shape[1] != n or p.shape != V.shape[:1] + shape:
+        raise ShapeMismatch(f"expected (k, {n}) packed dual rows of a central algebra and "
+                            f"(k, *{shape}) parameters, got {V.shape} and {p.shape}")
+    return V, p
 
 
 def _check_shape(alg: AlgebraSpec, X: DualVector) -> None:
@@ -160,11 +167,18 @@ def _check_shape(alg: AlgebraSpec, X: DualVector) -> None:
 
 def dual_to_vector(alg: AlgebraSpec, X: DualVector) -> np.ndarray:
     _check_shape(alg, X)
+    return pack_dual(alg, X.m, X.j, X.c, X.h, X.d, X.k)
+
+
+def pack_dual(alg: AlgebraSpec, m, j, c, h, d, k) -> np.ndarray:
+    """Packed dual rows (..., n) of stacked fields: the inverse of dual_fields.
+    The mass may be one number for every row."""
     j_rows, c_rows, mhdk_rows = alg.dual_rows
-    v = np.zeros(len(alg.generators))
-    v[j_rows] = X.j
-    v[c_rows] = X.c
-    v[mhdk_rows] = (X.m, X.h, X.d, X.k)
+    h = np.asarray(h, dtype=float)
+    v = np.zeros(h.shape + (len(alg.generators),))
+    v[..., j_rows] = j
+    v[..., c_rows] = c
+    v[..., mhdk_rows] = np.stack(np.broadcast_arrays(m, h, d, k), axis=-1)
     return v
 
 
@@ -449,13 +463,12 @@ def translate_dual(m, x, j, c, h, d, k):
     return j, cp, h, d, k
 
 
-def ctrans(X: DualVector, x) -> DualVector:
-    """Closed-form coadjoint action of a tower translation on X."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != X.c.shape:
-        raise ShapeMismatch(f"parameter array must be {X.c.shape}, got {x.shape}")
-    j, c, h, d, k = translate_dual(X.m, x, X.j, X.c, X.h, X.d, X.k)
-    return DualVector(m=X.m, h=h, d=d, k=k, j=j, c=c)
+def ctrans(alg: AlgebraSpec, x, V) -> np.ndarray:
+    """Closed-form coadjoint action of the tower translations by x (k, N+1, dim)
+    on a (k, n) stack of packed dual rows V: one translate_dual call."""
+    V, x = _rows_and_params(alg, V, x, (alg.N + 1, alg.dim))
+    m, j, c, h, d, k = dual_fields(alg, V)
+    return pack_dual(alg, m, *translate_dual(m, x, j, c, h, d, k))
 
 
 def rotation_matrix(omega) -> np.ndarray:
@@ -470,58 +483,58 @@ def rotation_matrix(omega) -> np.ndarray:
     return np.eye(3) - math.sin(theta) * nx + (1.0 - math.cos(theta)) * (nx @ nx)
 
 
-def coad_closed_form(alg: AlgebraSpec, family: str, params, X: DualVector) -> DualVector:
-    """Printed closed-form coadjoint flows.
+# the parameter shape of one draw of each Schrodinger-case column
+_COLUMN_PARAMS = {"translation": (3,), "boost": (3,), "rotation": (3,),
+                  "time": (), "dilation": (), "conformal": ()}
 
-    family "ctrans" works for any supported (N, dim) and takes an
-    (N+1) x dim parameter array.  The one-parameter families "translation",
-    "boost", "time", "dilation", "conformal" and "rotation" are the
+
+def coad_closed_form(alg: AlgebraSpec, family: str, params, V) -> np.ndarray:
+    """Printed closed-form coadjoint flows of a (k, n) stack of packed dual
+    rows V (the dual_to_vector layout), one flow per row; returns (k, n) rows.
+
+    family "ctrans" works for any supported (N, dim) and takes (k, N+1, dim)
+    parameters.  The one-parameter families of _COLUMN_PARAMS ("translation",
+    "boost" and "rotation" take (k, 3), the others (k,)) are the
     Schrodinger-case columns and require N=1, dim=3.  The mass component is
-    invariant under every flow.
+    invariant under every flow.  A row of a stack gives the bits of the same
+    row alone.
     """
-    _check_shape(alg, X)
     if family == "ctrans":
-        return ctrans(X, params)
+        return ctrans(alg, params, V)
     if (alg.N, alg.dim) != (1, 3):
         raise UnsupportedClosedForm(
             f"no printed closed form for family {family!r} at N={alg.N}, dim={alg.dim}")
-    if family == "translation":
-        a = np.asarray(params, dtype=float).reshape(3)
-        return ctrans(X, np.array([a, np.zeros(3)]))
-    if family == "boost":
-        v = np.asarray(params, dtype=float).reshape(3)
-        return ctrans(X, np.array([np.zeros(3), v]))
+    if family not in _COLUMN_PARAMS:
+        raise UnsupportedClosedForm(f"unknown family {family!r}")
+    V, p = _rows_and_params(alg, V, params, _COLUMN_PARAMS[family])
+    if family in ("translation", "boost"):
+        x = np.zeros((len(V), 2, 3))
+        x[:, int(family == "boost")] = p
+        return ctrans(alg, x, V)
+    j_rows, (c0, c1), (_, ih, i_d, ik) = alg.dual_rows
+    h, d, k = V[:, ih], V[:, i_d], V[:, ik]
+    out = V.copy()
     if family == "time":
-        tau = float(params)
-        out = X.copy()
-        out.c = X.c.copy()
-        out.c[1] = X.c[1] + tau * X.c[0]
-        out.d = X.d + tau * X.h
-        out.k = X.k + 2.0 * tau * X.d + tau * tau * X.h
-        return out
-    if family == "dilation":
-        lam = float(params)
-        out = X.copy()
-        out.c[0] = math.exp(lam / 2.0) * X.c[0]
-        out.c[1] = math.exp(-lam / 2.0) * X.c[1]
-        out.h = math.exp(lam) * X.h
-        out.k = math.exp(-lam) * X.k
-        return out
-    if family == "conformal":
-        u = float(params)
-        out = X.copy()
-        out.c[0] = X.c[0] + u * X.c[1]
-        out.h = X.h + 2.0 * u * X.d + u * u * X.k
-        out.d = X.d + u * X.k
-        return out
-    if family == "rotation":
-        R = rotation_matrix(params)
-        out = X.copy()
-        out.j = R @ X.j
-        out.c[0] = R @ X.c[0]
-        out.c[1] = R @ X.c[1]
-        return out
-    raise UnsupportedClosedForm(f"unknown family {family!r}")
+        out[:, c1] = V[:, c1] + p[:, None] * V[:, c0]
+        out[:, i_d] = d + p * h
+        out[:, ik] = k + 2.0 * p * d + p * p * h
+    elif family == "dilation":
+        # math.exp per draw: np.exp need not round alike
+        e = np.array([[math.exp(lam / 2.0), math.exp(-lam / 2.0), math.exp(lam), math.exp(-lam)]
+                      for lam in p.tolist()]).reshape(-1, 4)
+        out[:, c0] = e[:, 0, None] * V[:, c0]
+        out[:, c1] = e[:, 1, None] * V[:, c1]
+        out[:, ih] = e[:, 2] * h
+        out[:, ik] = e[:, 3] * k
+    elif family == "conformal":
+        out[:, c0] = V[:, c0] + p[:, None] * V[:, c1]
+        out[:, ih] = h + 2.0 * p * d + p * p * k
+        out[:, i_d] = d + p * k
+    else:  # rotation
+        R = np.array([rotation_matrix(om) for om in p]).reshape(-1, 1, 3, 3)
+        rows = np.array([j_rows, c0, c1])  # the three 3-vectors J, C_0, C_1
+        out[:, rows] = (R @ V[:, rows][..., None])[..., 0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,15 @@ def p_levels(N: int, dim: int) -> int:
 # sparse polynomials
 # ---------------------------------------------------------------------------
 
+def _power(x, e: int):
+    """x ** e, with an array raised entry by entry as a Python float is (libm
+    pow): numpy squares by a product and has its own pow, and each rounds
+    some entries differently."""
+    if e == 1 or np.ndim(x) == 0:
+        return x ** e
+    return np.reshape([v ** e for v in np.ravel(x).tolist()], np.shape(x))
+
+
 class Poly:
     """Sparse polynomial in the phase-space coordinates.
 
@@ -165,11 +174,14 @@ class Poly:
         return {s for mono in self.terms for s, _ in mono}
 
     def eval(self, env: Mapping) -> float:
+        """Value at env (symbol -> value).  The values may be numbers or
+        arrays of one shape; an array gives, entry by entry, the bits of the
+        same point evaluated alone."""
         total = 0.0
         for mono, c in self.terms.items():
             v = c
             for s, e in mono:
-                v *= env[s] ** e
+                v *= _power(env[s], e)
             total += v
         return total
 

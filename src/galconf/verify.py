@@ -22,7 +22,6 @@ from . import dynamics as dy
 from . import poisson as po
 from . import symmetry as sy
 from .algebra import AlgebraSpec, build_algebra
-from .coadjoint import DualVector
 from .errors import GalconfError
 
 __all__ = [
@@ -116,15 +115,18 @@ def break_antisymmetry(alg: AlgebraSpec, lhs: str, rhs: str) -> AlgebraSpec:
 # shared draws
 # ---------------------------------------------------------------------------
 
-def random_dual(rng, N: int, dim: int, scale: float = 0.7) -> DualVector:
-    return DualVector(
-        m=float(rng.uniform(0.5, 2.0)),
-        h=float(rng.uniform(-scale, scale)),
-        d=float(rng.uniform(-scale, scale)),
-        k=float(rng.uniform(-scale, scale)),
-        j=rng.uniform(-scale, scale, al.spin_components(dim)),
-        c=rng.uniform(-scale, scale, (N + 1, dim)),
-    )
+def random_dual(rng, alg: AlgebraSpec, scale: float = 0.7) -> np.ndarray:
+    """Packed dual row (the dual_to_vector layout) of a random dual point of
+    alg, drawn in the order m, h, d, k, j, c: m from [0.5, 2), the rest from
+    [-scale, scale)."""
+    j_rows, c_rows, (im, ih, i_d, ik) = alg.dual_rows
+    v = np.zeros(len(alg.generators))
+    v[im] = rng.uniform(0.5, 2.0)
+    for i in (ih, i_d, ik):
+        v[i] = rng.uniform(-scale, scale)
+    v[j_rows] = rng.uniform(-scale, scale, len(j_rows))
+    v[c_rows] = rng.uniform(-scale, scale, c_rows.shape)
+    return v
 
 
 def _random_element(rng, alg: AlgebraSpec) -> np.ndarray:
@@ -254,22 +256,21 @@ def suite_orbit(seed: int, tols: Dict[str, float],
                 factory: Callable[..., AlgebraSpec]) -> List[Case]:
     """Coadjoint oracle, Casimir and orbit-label cases.
 
-    Each case draws its samples one by one, in a fixed rng order, and the
-    printed closed forms are evaluated per draw as the independent oracle;
-    the generic exp(ad*) flows, the Casimirs and the orbit
-    parametrizations then run once per case on the stacked draws.  A row
-    of a stack gives the bits of the same draw evaluated alone.
+    Each case draws its samples one by one, in a fixed rng order, as packed
+    dual rows; the printed closed forms (the independent oracle), the generic
+    exp(ad*) flows, the Casimirs and the orbit parametrizations then run once
+    per case on the stack of draws, in the same rng order.  A row of a stack
+    gives the bits of the same draw evaluated alone.
     """
     rng = np.random.default_rng(seed + 1)
     cases: List[Case] = []
     alg1 = factory(1, 3, True, False)
 
-    def oracle_case(name, alg, draws):
-        """draws: (X, coefficient row of A, t, closed-form image of X) per draw."""
-        Xs, As, ts, Ys = zip(*draws)
-        V = np.array([co.dual_to_vector(alg, X) for X in Xs])
-        want = np.array([co.dual_to_vector(alg, Y) for Y in Ys])
-        got = co.coad_flow(alg, np.array(As), ts, V)
+    def oracle_case(name, alg, family, draws):
+        """draws: (packed dual row, coefficient row of A, t, closed-form parameter) per draw."""
+        V, a, t, params = (np.array(v) for v in zip(*draws))
+        want = co.coad_closed_form(alg, family, params, V)
+        got = co.coad_flow(alg, a, t, V)
         worst, detail = _worst_draw(np.abs(want - got).max(axis=1))
         cases.append(_case(name, worst, tols["oracle"], detail))
 
@@ -280,7 +281,7 @@ def suite_orbit(seed: int, tols: Dict[str, float],
         rows = [alg1.index[alg1.generator(n)] for n in names.split()]
         draws = []
         for _ in range(100):
-            X = random_dual(rng, 1, 3)
+            v = random_dual(rng, alg1)
             a = np.zeros(len(alg1.generators))
             if len(rows) == 3:  # a 3-vector parameter, flowed for time 1
                 par = a[rows] = rng.uniform(-0.7, 0.7, 3)
@@ -288,35 +289,35 @@ def suite_orbit(seed: int, tols: Dict[str, float],
             else:  # one generator, flowed for time p (back in time for H)
                 par, a[rows] = rng.uniform(-0.7, 0.7), 1.0
                 t = -par if fam == "time" else par
-            draws.append((X, a, t, co.coad_closed_form(alg1, fam, par, X)))
-        oracle_case(f"oracle_table1_{fam}", alg1, draws)
+            draws.append((v, a, t, par))
+        oracle_case(f"oracle_table1_{fam}", alg1, fam, draws)
 
     for (N, dim) in ((3, 3), (4, 2), (2, 2)):
         alg = factory(N, dim, True, False)
         draws = []
         for _ in range(100):
-            X = random_dual(rng, N, dim)
+            v = random_dual(rng, alg)
             x = rng.uniform(-0.5, 0.5, (N + 1, dim))
             a = np.zeros(len(alg.generators))
             a[alg.dual_rows[1]] = x
-            draws.append((X, a, 1.0, co.coad_closed_form(alg, "ctrans", x, X)))
-        oracle_case(f"oracle_ctrans_N{N}_dim{dim}", alg, draws)
+            draws.append((v, a, 1.0, x))
+        oracle_case(f"oracle_ctrans_N{N}_dim{dim}", alg, "ctrans", draws)
 
-    X = random_dual(rng, 1, 3)
-    v = co.dual_to_vector(alg1, X)
-    for name, Y in (
-            ("central_flow_identity", co.coad_generic(alg1, {alg1.generator("M"): 1.0}, 0.7, X)),
-            ("zero_parameter_identity", co.coad_closed_form(alg1, "ctrans", np.zeros((2, 3)), X))):
-        cases.append(_case(name, np.abs(co.dual_to_vector(alg1, Y) - v).max(), 0.0))
+    v = random_dual(rng, alg1)
+    central = co.coad_generic(alg1, {alg1.generator("M"): 1.0}, 0.7, co.dual_from_vector(alg1, v))
+    for name, w in (("central_flow_identity", co.dual_to_vector(alg1, central)),
+                    ("zero_parameter_identity",
+                     co.coad_closed_form(alg1, "ctrans", np.zeros((1, 2, 3)), v[None])[0])):
+        cases.append(_case(name, np.abs(w - v).max(), 0.0))
 
     for (N, dim) in FLOW_FAMILIES:
         alg = factory(N, dim, True, False)
-        Xs, As, ts = [], [], []
+        V, As, ts = [], [], []
         for _ in range(100):
-            Xs.append(random_dual(rng, N, dim, scale=0.5))
+            V.append(random_dual(rng, alg, scale=0.5))
             As.append(_random_element(rng, alg))
             ts.append(float(rng.uniform(-0.5, 0.5)))
-        V = np.array([co.dual_to_vector(alg, X) for X in Xs])
+        V = np.array(V)
         W = co.coad_flow(alg, np.array(As), ts, V)
         fields_v, fields_w = co.dual_fields(alg, V), co.dual_fields(alg, W)
         worst_m, detail_m = _worst_draw(np.abs(fields_w[0] - fields_v[0]))
@@ -400,21 +401,22 @@ def suite_poisson(seed: int, tols: Dict[str, float],
         alg = factory(N, dim, True, False)
         mm = po.momentum_map(alg, m)
         sm = po.StructureMatrix(N, dim, m)
-        pts = [po.random_point(rng, N, dim, m=m) for _ in range(50)]
-        envs = [pt.env() for pt in pts]
-        worst, detail = 0.0, f"all pairs exact at {len(envs)} points"
+        # one env of (n,) arrays: every polynomial is evaluated at all points at once
+        envs = [po.random_point(rng, N, dim, m=m).env() for _ in range(50)]
+        n = len(envs)
+        env = {sym: np.array([e[sym] for e in envs]) for sym in envs[0]}
+        values = {Z: g.eval(env) for Z, g in mm.items()}
+        worst, detail = 0.0, f"all pairs exact at {n} points"
         gens = list(alg.generators)
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 X, Y = gens[i], gens[j]
-                br = po.poly_bracket(mm[X], mm[Y], sm)
-                row = alg.table.get((X, Y), {})
-                for k, env in enumerate(envs):
-                    lhs = br.eval(env)
-                    rhs = sum(float(cz) * mm[Z].eval(env) for Z, cz in row.items())
-                    if abs(lhs - rhs) > worst:
-                        worst = abs(lhs - rhs)
-                        detail = f"worst pair ({X.name}, {Y.name}) at point {k} of {len(envs)}"
+                rhs = sum(float(cz) * values[Z] for Z, cz in alg.table.get((X, Y), {}).items())
+                gap = np.broadcast_to(np.abs(po.poly_bracket(mm[X], mm[Y], sm).eval(env) - rhs), n)
+                k = int(np.argmax(gap))  # the first point of the largest gap
+                if gap[k] > worst:
+                    worst = float(gap[k])
+                    detail = f"worst pair ({X.name}, {Y.name}) at point {k} of {n}"
         cases.append(_case(f"momentum_map_closure_N{N}_dim{dim}", worst, tols["closure"],
                            detail))
 
@@ -585,7 +587,8 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
 
     The column cases map each draw with the library's maps, run the orbit
     parametrization once per family on the stacked inputs and images, and
-    take the printed column of each input, draw by draw, as the oracle.
+    take the printed column of the inputs, on the stack of draws in the same
+    rng order, as the oracle.
     """
     rng = np.random.default_rng(seed + 4)
     cases: List[Case] = []
@@ -667,17 +670,15 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
         draws["rotation"].append(((x, p, zero, chi), (xr, pr, zero, chi), om))
 
     def duals(states):
-        """Dual vectors of (x, p, s, chi) states, parametrized as one stack."""
+        """Packed dual rows of (x, p, s, chi) states, parametrized as one stack."""
         x, p, s, chi = (np.array(v) for v in zip(*states))
-        j, c, h, d, k = co.orbit_components(m, s, chi, po.raw_levels(x[:, None], p[:, None], m))
-        return [co.DualVector(m=m, h=h[i], d=d[i], k=k[i], j=j[i], c=c[i]) for i in range(len(h))]
+        fields = co.orbit_components(m, s, chi, po.raw_levels(x[:, None], p[:, None], m))
+        return co.pack_dual(alg1, m, *fields)
 
     for fam, fam_draws in draws.items():
         inputs, images, params = zip(*fam_draws)
-        cols = [co.coad_closed_form(alg1, fam, par, X) for par, X in zip(params, duals(inputs))]
-        diff = [co.dual_to_vector(alg1, A) - co.dual_to_vector(alg1, B)
-                for A, B in zip(duals(images), cols)]
-        worst, detail = _worst_draw(np.abs(diff).max(axis=1))
+        cols = co.coad_closed_form(alg1, fam, np.array(params), duals(inputs))
+        worst, detail = _worst_draw(np.abs(duals(images) - cols).max(axis=1))
         cases.append(_case(f"column_consistency_{fam}", worst, tols["column"], detail))
     return cases
 

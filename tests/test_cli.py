@@ -367,6 +367,8 @@ class TestSimulate:
         {"chi": [1.0, 0.0, 0.0], "classify_tol": -1e-9},
         {"chi": [1e200, 0.0, 0.0], "chi_class": "Hplus0", "sigma": 0.0},
         {"q": [[1e300, 0.0, 0.0]], "p": [[1e300, 0.0, 0.0]]},
+        # a finite start whose trajectory overflows used to exit 1 with InvalidState
+        {"hamiltonian": "newton_hooke", "omega": 50.0, "sign": -1, "T": 20.0, "dt": 0.01},
     ])
     def test_invalid_configs_exit_2(self, capsys, tmp_path, overrides):
         cfg = write_free_config(tmp_path, **overrides)
@@ -664,6 +666,21 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "seed must be nonnegative" in json.loads(err)["error"]
+
+    def test_each_call_sees_only_its_own_overrides(self, capsys):
+        # main reuses one parser; the appended --tol list must not carry over
+        seen = []
+        for override in (["--tol", "oracle=0.5", "--tol", "route=0.25"],
+                         ["--tol", "casimir=0.125"]):
+            code, out, _ = run_cli(capsys, "verify", "algebra", *override)
+            assert code == 0
+            seen.append(json.loads(out)["tolerances"])
+        assert {k: v for k, v in seen[0].items() if v != DEFAULT_TOLERANCES[k]} \
+            == {"oracle": 0.5, "route": 0.25}
+        assert {k: v for k, v in seen[1].items() if v != DEFAULT_TOLERANCES[k]} \
+            == {"casimir": 0.125}
+        code, out, _ = run_cli(capsys, "verify", "algebra")
+        assert json.loads(out)["tolerances"] == DEFAULT_TOLERANCES
 
     def test_tight_tolerance_can_fail(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "orbit", "--seed", "5",

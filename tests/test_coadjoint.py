@@ -25,11 +25,13 @@ from galconf.coadjoint import (
     coad_closed_form,
     coad_flow,
     coad_generic,
+    dual_fields,
     dual_from_vector,
     dual_to_vector,
     element_rows,
     orbit_components,
     orbit_dual_vector,
+    pack_dual,
     parametrize,
     translate_dual,
 )
@@ -64,12 +66,23 @@ def dual_defect(X, Y):
     return max(d, float(np.max(np.abs(X.c - Y.c))))
 
 
+def random_point_dual(rng, alg, scale=0.7):
+    """A random dual point of alg as a DualVector."""
+    return dual_from_vector(alg, random_dual(rng, alg, scale))
+
+
+def closed_form(alg, family, par, X):
+    """The printed column applied to one DualVector, as a one-row stack."""
+    row = coad_closed_form(alg, family, np.array([par]), dual_to_vector(alg, X)[None])
+    return dual_from_vector(alg, row[0])
+
+
 class TestClosedFormColumns:
     def test_boost_column(self, alg1):
         # m=2, xi=0, h=0, v=(1,0,0): xi' = m v, h' = m v^2/2 + v.xi
         X = DualVector(m=2.0, h=0.0, d=0.25, k=-0.5, j=[0.0, 0.0, 0.0],
                        c=np.zeros((2, 3)))
-        Y = coad_closed_form(alg1, "boost", [1.0, 0.0, 0.0], X)
+        Y = closed_form(alg1, "boost", [1.0, 0.0, 0.0], X)
         assert np.allclose(Y.c[0], [2.0, 0.0, 0.0])
         assert Y.h == pytest.approx(1.0, abs=1e-15)
         assert Y.m == X.m
@@ -78,25 +91,49 @@ class TestClosedFormColumns:
         # m=1, zeta=0, k=0, a=(1,0,0): zeta' = -m a, k' = m a^2/2
         X = DualVector(m=1.0, h=0.3, d=0.0, k=0.0, j=[0.0, 0.0, 0.0],
                        c=np.zeros((2, 3)))
-        Y = coad_closed_form(alg1, "translation", [1.0, 0.0, 0.0], X)
+        Y = closed_form(alg1, "translation", [1.0, 0.0, 0.0], X)
         assert np.allclose(Y.c[1], [-1.0, 0.0, 0.0])
         assert Y.k == pytest.approx(0.5, abs=1e-15)
         assert Y.h == X.h
 
     def test_zero_parameters_identity(self, alg1):
         rng = np.random.default_rng(5)
-        X = random_dual(rng, 1, 3)
+        X = random_point_dual(rng, alg1)
         for fam, par in [("translation", np.zeros(3)), ("boost", np.zeros(3)),
                          ("time", 0.0), ("dilation", 0.0), ("conformal", 0.0),
                          ("rotation", np.zeros(3)),
                          ("ctrans", np.zeros((2, 3)))]:
-            assert dual_defect(X, coad_closed_form(alg1, fam, par, X)) == 0.0
+            assert dual_defect(X, closed_form(alg1, fam, par, X)) == 0.0
 
     def test_closed_form_needs_schrodinger_case(self):
         alg3 = build_algebra(3, 3, central=True)
-        X = random_dual(np.random.default_rng(0), 3, 3)
+        V = random_dual(np.random.default_rng(0), alg3)[None]
         with pytest.raises(UnsupportedClosedForm):
-            coad_closed_form(alg3, "boost", [1.0, 0.0, 0.0], X)
+            coad_closed_form(alg3, "boost", [[1.0, 0.0, 0.0]], V)
+
+    def test_unknown_family(self, alg1):
+        V = random_dual(np.random.default_rng(0), alg1)[None]
+        with pytest.raises(UnsupportedClosedForm):
+            coad_closed_form(alg1, "shear", [0.5], V)
+
+    @pytest.mark.parametrize("N,dim,families", [
+        (1, 3, ("translation", "boost", "time", "dilation", "conformal", "rotation",
+                "ctrans")),
+        (3, 3, ("ctrans",)), (4, 2, ("ctrans",)), (2, 2, ("ctrans",))])
+    def test_stacked_rows_match_rows_alone(self, N, dim, families):
+        alg = build_algebra(N, dim, central=True)
+        rng = np.random.default_rng(70 + 10 * N + dim)
+        k = 25
+        V = np.array([random_dual(rng, alg) for _ in range(k)])
+        shapes = {"ctrans": (N + 1, dim), "translation": (3,), "boost": (3,),
+                  "rotation": (3,)}
+        for fam in families:
+            params = rng.uniform(-0.7, 0.7, (k,) + shapes.get(fam, ()))
+            stacked = coad_closed_form(alg, fam, params, V)
+            assert stacked.shape == V.shape
+            for i in range(k):
+                alone = coad_closed_form(alg, fam, params[i:i + 1], V[i:i + 1])
+                assert same_bits(stacked[i:i + 1], alone), (fam, i)
 
 
 class TestGenericFlow:
@@ -112,7 +149,7 @@ class TestGenericFlow:
         }
         for fam, (to_names, t_fixed) in checks.items():
             for _ in range(20):
-                X = random_dual(rng, 1, 3)
+                X = random_point_dual(rng, alg1)
                 if fam in ("translation", "boost", "rotation"):
                     par = rng.uniform(-0.6, 0.6, 3)
                     t = 1.0
@@ -120,7 +157,7 @@ class TestGenericFlow:
                     par = float(rng.uniform(-0.6, 0.6))
                     t = -par if fam == "time" else par
                 A = {alg1.generator(n): float(v) for n, v in to_names(par).items()}
-                assert dual_defect(coad_closed_form(alg1, fam, par, X),
+                assert dual_defect(closed_form(alg1, fam, par, X),
                                    coad_generic(alg1, A, t, X)) < 1e-10
 
     @pytest.mark.parametrize("N,dim", [(3, 3), (4, 2), (5, 3), (7, 3), (6, 2)])
@@ -129,23 +166,23 @@ class TestGenericFlow:
         rng = np.random.default_rng(N * 10 + dim)
         alg = build_algebra(N, dim, central=True)
         for _ in range(20):
-            X = random_dual(rng, N, dim)
+            X = random_point_dual(rng, alg)
             arr = rng.uniform(-0.5, 0.5, (N + 1, dim))
             A = {alg.generator(f"C{j}_{a + 1}"): float(arr[j, a])
                  for j in range(N + 1) for a in range(dim)}
-            Y1 = coad_closed_form(alg, "ctrans", arr, X)
+            Y1 = closed_form(alg, "ctrans", arr, X)
             Y2 = coad_generic(alg, A, 1.0, X)
             assert dual_defect(Y1, Y2) < 1e-12
 
     def test_central_element_acts_trivially(self, alg1):
-        X = random_dual(np.random.default_rng(2), 1, 3)
+        X = random_point_dual(np.random.default_rng(2), alg1)
         Y = coad_generic(alg1, {alg1.generator("M"): 1.0}, 0.9, X)
         assert dual_defect(X, Y) == 0.0
 
     def test_mass_invariant_under_generic_flows(self, alg1):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            X = random_dual(rng, 1, 3)
+            X = random_point_dual(rng, alg1)
             A = {g: float(rng.uniform(-0.5, 0.5)) for g in alg1.generators}
             Y = coad_generic(alg1, A, float(rng.uniform(-1, 1)), X)
             assert Y.m == X.m
@@ -253,7 +290,7 @@ class TestCasimirs:
         rng = np.random.default_rng(N + dim)
         alg = build_algebra(N, dim, central=True)
         for _ in range(25):
-            X = random_dual(rng, N, dim, scale=0.5)
+            X = random_point_dual(rng, alg, scale=0.5)
             A = {g: float(rng.uniform(-0.4, 0.4)) for g in alg.generators}
             Y = coad_generic(alg, A, float(rng.uniform(-0.5, 0.5)), X)
             for a, b in zip(casimir_values(alg, X), casimir_values(alg, Y)):
@@ -273,23 +310,33 @@ class TestCasimirs:
 def test_dual_vector_json_roundtrip():
     rng = np.random.default_rng(12)
     for (N, dim) in ((1, 3), (2, 2)):
-        X = random_dual(rng, N, dim)
+        X = random_point_dual(rng, build_algebra(N, dim, central=True))
         Y = DualVector.from_json(X.to_json())
         assert dual_defect(X, Y) == 0.0
 
 
 def test_shape_mismatch(alg1):
-    X = random_dual(np.random.default_rng(0), 3, 3)
+    alg3 = build_algebra(3, 3, central=True)
+    rng = np.random.default_rng(0)
     with pytest.raises(ShapeMismatch):
-        casimir_values(alg1, X)
+        casimir_values(alg1, random_point_dual(rng, alg3))
+    V = random_dual(rng, alg1)[None]
     with pytest.raises(ShapeMismatch):
-        coad_closed_form(alg1, "ctrans", np.zeros((4, 3)),
-                         random_dual(np.random.default_rng(0), 1, 3))
+        coad_closed_form(alg1, "ctrans", np.zeros((1, 4, 3)), V)
+    # a row of another algebra, and one row that is not a stack
+    with pytest.raises(ShapeMismatch):
+        coad_closed_form(alg1, "ctrans", np.zeros((1, 2, 3)), random_dual(rng, alg3)[None])
+    with pytest.raises(ShapeMismatch):
+        coad_closed_form(alg1, "ctrans", np.zeros((2, 3)), V[0])
+    # one parameter per row, of the family's shape
+    for fam, par in (("boost", np.zeros(3)), ("time", np.zeros(2)), ("rotation", np.zeros((1, 2)))):
+        with pytest.raises(ShapeMismatch):
+            coad_closed_form(alg1, fam, par, V)
 
 
 def test_generic_flow_overflow_raises(alg1):
     # exp(800 ad*_D) scales h by e^800, past the largest double
-    X = random_dual(np.random.default_rng(3), 1, 3)
+    X = random_point_dual(np.random.default_rng(3), alg1)
     with pytest.raises(ConvergenceFailure):
         coad_generic(alg1, {alg1.generator("D"): 1.0}, 800.0, X)
 
@@ -433,7 +480,7 @@ class TestTensorPath:
         assert alg.structure_tensor is clean
 
     def test_unknown_generator_still_raises(self, alg1):
-        X = random_dual(np.random.default_rng(1), 1, 3)
+        X = random_point_dual(np.random.default_rng(1), alg1)
         for g in (GeneratorId("Ds"), GeneratorId("C", axis=1, level=2)):
             with pytest.raises(UnknownGenerator):
                 element_rows(alg1, [{alg1.generator("H"): 1.0}, {g: 1.0}])
@@ -448,8 +495,10 @@ class TestTensorPath:
         alg = build_algebra(N, dim, central=True)
         rng = np.random.default_rng(N * 10 + dim)
         for _ in range(10):
-            X = random_dual(rng, N, dim)
+            drawn = random_dual(rng, alg)
+            X = dual_from_vector(alg, drawn)
             v = dual_to_vector(alg, X)
+            assert same_bits(v, drawn)
             assert same_bits(v, dual_to_vector_reference(alg, X))
             Y = dual_from_vector(alg, v)
             Z = dual_from_vector_reference(alg, v)
@@ -485,6 +534,33 @@ def test_random_element_is_one_uniform_row(N, dim):
     assert same_bits(a, np.array([scalar_rng.uniform(-0.4, 0.4) for _ in range(n)]))
     assert rng.bit_generator.state == row_rng.bit_generator.state \
         == scalar_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+def test_random_dual_draws_m_h_d_k_j_c_into_a_packed_row(N, dim):
+    # the order in which a DualVector of the same draws was once built
+    alg = build_algebra(N, dim, central=True)
+    rng, field_rng = (np.random.default_rng(N * 10 + dim) for _ in range(2))
+    v = random_dual(rng, alg, scale=0.3)
+    u = field_rng.uniform
+    X = DualVector(m=u(0.5, 2.0), h=u(-0.3, 0.3), d=u(-0.3, 0.3), k=u(-0.3, 0.3),
+                   j=u(-0.3, 0.3, spin_components(dim)), c=u(-0.3, 0.3, (N + 1, dim)))
+    assert same_bits(v, dual_to_vector(alg, X))
+    assert rng.bit_generator.state == field_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+def test_pack_dual_inverts_dual_fields_on_stacks(N, dim):
+    alg = build_algebra(N, dim, central=True)
+    rng = np.random.default_rng(60 + N * 10 + dim)
+    V = np.array([random_dual(rng, alg) for _ in range(6)])
+    assert same_bits(pack_dual(alg, *dual_fields(alg, V)), V)
+    m, j, c, h, d, k = dual_fields(alg, V.reshape(2, 3, -1))
+    assert same_bits(pack_dual(alg, m, j, c, h, d, k), V.reshape(2, 3, -1))
+    # one mass for every row
+    same_m = V.copy()
+    same_m[:, alg.dual_rows[2][0]] = 1.25
+    assert same_bits(pack_dual(alg, 1.25, *dual_fields(alg, V)[1:]), same_m)
 
 
 def test_cross3_matches_np_cross_bit_for_bit():
@@ -554,11 +630,11 @@ class TestStackedExpm:
         alg = build_algebra(N, dim, central=True)
         rng = np.random.default_rng(400 + 10 * N + dim)
         rows, times, _ = mixed_ad_stack(alg, rng)
-        Xs = [random_dual(rng, N, dim) for _ in rows]
-        V = np.array([dual_to_vector(alg, X) for X in Xs])
+        V = np.array([random_dual(rng, alg) for _ in rows])
         got = coad_flow(alg, rows, times, V)
-        for row, a, t, X in zip(got, rows, times, Xs):
+        for row, a, t, v in zip(got, rows, times, V):
             A = dict(zip(alg.generators, a))  # through element_rows, as callers pass it
+            X = dual_from_vector(alg, v)
             assert same_bits(row, dual_to_vector(alg, coad_generic(alg, A, float(t), X)))
 
     def test_overflowing_member_raises_with_its_index(self, alg1):
@@ -588,7 +664,7 @@ def layouts(rng, stack):
 def test_level_kernels_are_row_exact(N, dim):
     rng = np.random.default_rng(500 + 10 * N + dim)
     n = 33
-    draws = [random_dual(rng, N, dim) for _ in range(n)]
+    draws = [random_point_dual(rng, build_algebra(N, dim, central=True)) for _ in range(n)]
     x = rng.uniform(-1, 1, (n, N + 1, dim))
     m = np.array([X.m for X in draws])
     h, d, k = (np.array([getattr(X, f) for X in draws]) for f in "hdk")

@@ -364,6 +364,26 @@ def test_poly_product_rule(a, b):
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(300,), (20, 15)])
+def test_poly_eval_on_arrays_matches_each_point_alone(shape):
+    # numpy squares by a product and has its own pow; each rounds some
+    # entries differently from the libm pow of a Python float
+    rng = np.random.default_rng(17)
+    syms = StructureMatrix(1, 3, 1.3).coordinates()[:3]  # few symbols: many powers
+    for _ in range(10):
+        f = Poly.const(float(rng.uniform(-1, 1)))
+        for _ in range(6):
+            mono = Poly.const(float(rng.uniform(-1, 1)))
+            for _ in range(int(rng.integers(1, 5))):  # degree at most 4
+                mono = mono * Poly.var(syms[int(rng.integers(0, len(syms)))])
+            f = f + mono
+        env = {sym: rng.uniform(-2.0, 2.0, shape) for sym in syms}
+        got = f.eval(env)
+        want = np.array([f.eval({sym: float(v[i]) for sym, v in env.items()})
+                         for i in np.ndindex(shape)]).reshape(shape)
+        assert got.shape == shape and got.tobytes() == want.tobytes()
+
+
 def test_poly_operators_the_orbit_kernel_uses():
     x = ("q", 0, 0)
     f = Poly.var(x, 3.0) + Poly.const(1.0)
