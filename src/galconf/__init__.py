@@ -12,13 +12,14 @@ from .algebra import (
     jacobi_worst,
 )
 from .coadjoint import (
-    DualVector,
     OrbitClass,
     OrbitLabel,
     casimir_values,
     classify_orbit,
     coad_closed_form,
     coad_generic,
+    dual_fields,
+    pack_dual,
     parametrize,
 )
 from .dynamics import (

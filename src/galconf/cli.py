@@ -31,7 +31,6 @@ from .errors import (
     InvalidState,
     LabelMismatch,
     NonFiniteResult,
-    ShapeMismatch,
     UnsupportedExtension,
     UnsupportedHamiltonian,
 )
@@ -157,6 +156,14 @@ def _tolerance(name: str, value) -> float:
     return out
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a fraction, a boolean or a string is InvalidConfig, not truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _resolve_internal(cfg: dict, dim: int):
     """(s, chi, label) from the flat config keys m / s / chi / chi_class / sigma."""
     m = float(cfg["m"])
@@ -192,7 +199,7 @@ def cmd_orbit_parametrize(args) -> int:
             raise InvalidConfig("x must be an (N+1) x dim array")
         al.build_algebra(x.shape[0] - 1, x.shape[1], central=True)  # admissibility gate
         s, chi, label = _resolve_internal(cfg, x.shape[1])
-        X = co.parametrize(label, s, chi, x)
+        j, c, h, d, k = co.parametrize(label, s, chi, x)
     except KeyError as exc:
         raise InvalidConfig(f"missing config key {exc}")
     except (TypeError, ValueError) as exc:
@@ -200,10 +207,10 @@ def cmd_orbit_parametrize(args) -> int:
     except (LabelMismatch, AmbiguousClass) as exc:
         _emit({"schema_version": SCHEMA_VERSION, "error": str(exc)}, args.out)
         return EXIT_FAIL
-    bad = [name for name in ("h", "d", "k", "j", "c") if not np.isfinite(getattr(X, name)).all()]
+    bad = [name for name, v in zip("hdkjc", (h, d, k, j, c)) if not np.isfinite(v).all()]
     if bad:
         raise InvalidConfig(f"x is too large: the parametrized dual has non-finite {bad}")
-    out = {"schema_version": SCHEMA_VERSION, "dual": X.to_json(),
+    out = {"schema_version": SCHEMA_VERSION, "dual": _dual_json(label.m, j, c, h, d, k),
            "label": {"m": label.m, "s2": label.s2,
                      "chi_class": label.chi_class.tag,
                      "sigma": label.chi_class.sigma}}
@@ -211,30 +218,42 @@ def cmd_orbit_parametrize(args) -> int:
     return EXIT_OK
 
 
-def _load_dual(path: str) -> co.DualVector:
-    """The dual vector of a JSON file, bare or under a "dual" key (as written
-    by orbit parametrize); its entries must be finite and its mass positive."""
+def _dual_json(m, j, c, h, d, k) -> dict:
+    """The JSON object of one dual point's fields, as _load_dual reads it."""
+    return {"m": float(m), "h": float(h), "d": float(d), "k": float(k),
+            "j": j.tolist(), "c": c.tolist()}
+
+
+def _load_dual(path: str):
+    """(alg, V): the central algebra of the dual point of a JSON file, bare or
+    under a "dual" key (as written by orbit parametrize), and the point as a
+    stack of one packed row.  Its entries must be finite and its mass positive."""
     data = _load_json(path)
     data = data.get("dual", data)
     if not isinstance(data, dict):
         raise InvalidConfig(f"dual must be a JSON object, got {type(data).__name__}")
     try:
-        X = co.DualVector.from_json(data)
+        m, h, d, k = (float(data[key]) for key in "mhdk")
+        j, c = (np.array(data[key], dtype=float) for key in "jc")
     except KeyError as exc:
         raise InvalidConfig(f"missing dual key {exc}")
-    except (TypeError, ValueError, ShapeMismatch) as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"bad dual value: {exc}")
-    _finite("dual", np.concatenate([[X.m, X.h, X.d, X.k], X.j, X.c.ravel()]))
-    if not X.m > 0:
-        raise InvalidConfig(f"m must be positive, got {X.m}")
-    return X
+    j = j.reshape(-1)
+    if c.ndim != 2 or c.shape[1] not in (2, 3) or j.size != al.spin_components(c.shape[1]):
+        raise InvalidConfig(f"bad dual value: c must be (N+1, dim) and j must have one entry "
+                            f"per rotation generator, got shapes {c.shape} and {j.shape}")
+    _finite("dual", np.concatenate([[m, h, d, k], j, c.ravel()]))
+    if not m > 0:
+        raise InvalidConfig(f"m must be positive, got {m}")
+    alg = al.build_algebra(c.shape[0] - 1, c.shape[1], central=True)
+    return alg, co.pack_dual(alg, m, j, c, h, d, k)[None]
 
 
 def cmd_casimir_eval(args) -> int:
-    X = _load_dual(args.dual)
-    alg = al.build_algebra(X.N, X.dim, central=True)
+    alg, V = _load_dual(args.dual)
     try:
-        c1, c2, c3 = co.casimir_values(alg, X)
+        c1, c2, c3 = (float(C[0]) for C in co.casimir_values(alg, V))
     except NonFiniteResult as exc:
         raise InvalidConfig(str(exc))
     _emit({"schema_version": SCHEMA_VERSION, "C1": c1, "C2": c2, "C3": c3}, args.out)
@@ -258,7 +277,7 @@ def _parse_run_config(cfg) -> dict:
     for key in ("N", "dim", "m", "dt", "T"):
         if key not in cfg:
             raise InvalidConfig(f"missing required config key {key!r}")
-    N, dim = int(cfg["N"]), int(cfg["dim"])
+    N, dim = _integer("N", cfg["N"]), _integer("dim", cfg["dim"])
     al.build_algebra(N, dim, central=True)  # admissibility gate
     method = cfg.get("method", "rk4")
     if method not in ("rk4", "closed"):
@@ -268,7 +287,7 @@ def _parse_run_config(cfg) -> dict:
         if method == "closed":
             raise InvalidConfig("closed-form sampling covers the free flow only")
         ham = dy.HamiltonianChoice("newton_hooke", omega=float(cfg.get("omega", 0.0)),
-                                   sign=int(cfg.get("sign", 1)))
+                                   sign=_integer("sign", cfg.get("sign", 1)))
     elif ham_tag == "free":
         ham = dy.FREE
     else:
@@ -368,10 +387,7 @@ def _parse_tols(pairs) -> dict:
 
 
 def _check_seed(seed) -> int:
-    try:
-        value = int(seed)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidConfig(f"seed must be an integer, got {seed!r}")
+    value = _integer("seed", seed)
     if value < 0:
         raise InvalidConfig(f"seed must be nonnegative, got {value}")
     return value
@@ -443,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     cas = sub.add_parser("casimir", help="Casimir evaluation")
     cas_sub = cas.add_subparsers(dest="subcommand", required=True)
     cev = cas_sub.add_parser("eval")
-    cev.add_argument("--dual", required=True, help="DualVector JSON file")
+    cev.add_argument("--dual", required=True, help="dual point JSON, as orbit parametrize writes")
     cev.add_argument("-o", "--out", default=None)
     cev.set_defaults(func=cmd_casimir_eval)
 

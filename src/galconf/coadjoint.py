@@ -1,12 +1,14 @@
 """Dual-space points, coadjoint flows, orbit classification and Casimirs.
 
-A dual vector collects the coefficients (j, c_j^a, h, d, k, m) of a point in
-the dual of a centrally extended algebra.  One-parameter coadjoint flows are
-available through two independent routes: closed forms transcribed from the
-group action where they exist (the Schrodinger-case table for N=1 and the
-tower translations for any N), and a generic route that exponentiates the
-ad* matrix assembled from the structure constants.  The two routes are
-cross-checked against each other in the verification suite.
+A point in the dual of a centrally extended algebra is a packed row of its
+coefficients (j, c_j^a, h, d, k, m) in generator order; pack_dual and
+dual_fields convert rows to and from the fields the orbit kernels take.
+One-parameter coadjoint flows are available through two independent
+routes: closed forms transcribed from the group action where they exist
+(the Schrodinger-case table for N=1 and the tower translations for any N),
+and a generic route that exponentiates the ad* matrix assembled from the
+structure constants.  The two routes are cross-checked against each other
+in the verification suite.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DualVector",
     "OrbitClass",
     "OrbitLabel",
     "ORBIT_TAGS",
@@ -39,7 +40,6 @@ __all__ = [
     "spin_invariant",
     "coad_generic",
     "coad_closed_form",
-    "orbit_dual_vector",
     "parametrize",
     "casimir_values",
     "casimir_arrays",
@@ -48,6 +48,8 @@ __all__ = [
     "ad_star_matrix",
     "element_rows",
     "coad_flow",
+    "pack_dual",
+    "dual_fields",
 ]
 
 ORBIT_TAGS = ("HplusSigma", "HminusSigma", "Hplus0", "Hminus0",
@@ -97,77 +99,20 @@ def _eps_pair(u, v):
     return u[..., 1] * v[..., 0] - u[..., 0] * v[..., 1]
 
 
-@dataclass
-class DualVector:
-    """Point of the dual space for a centrally extended (N, dim) algebra.
-
-    j has one component per rotation generator J (3 in dimension 3, 1 in
-    dimension 2; a bare number is read as the one component); c has one row
-    per tower level.  m, h, d and k are stored as floats.
-    """
-
-    m: float
-    h: float
-    d: float
-    k: float
-    j: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.array(self.c, dtype=float)
-        if self.c.ndim != 2 or self.c.shape[1] not in (2, 3):
-            raise ShapeMismatch(f"c must be (N+1, dim), got {self.c.shape}")
-        self.j = np.array(self.j, dtype=float).reshape(-1)
-        if self.j.shape != (spin_components(self.dim),):
-            raise ShapeMismatch(f"j must have {spin_components(self.dim)} components "
-                                f"in dimension {self.dim}, got {self.j.size}")
-        self.m, self.h, self.d, self.k = (float(v) for v in (self.m, self.h, self.d, self.k))
-
-    @property
-    def N(self) -> int:
-        return self.c.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.c.shape[1]
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m, "h": self.h, "d": self.d, "k": self.k,
-            "j": list(self.j),
-            "c": [list(row) for row in self.c],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DualVector":
-        return cls(m=data["m"], h=data["h"], d=data["d"], k=data["k"], j=data["j"],
-                   c=data["c"])
+def _check_rows(alg: AlgebraSpec, V) -> np.ndarray:
+    """V as floats, checked to be a (k, n) stack of packed dual rows of a central alg."""
+    V, n = np.asarray(V, dtype=float), len(alg.generators)
+    if not alg.central or V.ndim != 2 or V.shape[1] != n:
+        raise ShapeMismatch(f"expected (k, {n}) dual rows of a central algebra, got {V.shape}")
+    return V
 
 
 def _rows_and_params(alg: AlgebraSpec, V, params, shape):
-    """(V, params) as float arrays, checked to be a (k, n) stack of packed
-    dual rows of a central alg and one parameter of the given shape per row."""
-    V, p = np.asarray(V, dtype=float), np.asarray(params, dtype=float)
-    n = len(alg.generators)
-    if not alg.central or V.ndim != 2 or V.shape[1] != n or p.shape != V.shape[:1] + shape:
-        raise ShapeMismatch(f"expected (k, {n}) packed dual rows of a central algebra and "
-                            f"(k, *{shape}) parameters, got {V.shape} and {p.shape}")
+    """(V, params) as floats: V checked rows, and one parameter of the given shape per row."""
+    V, p = _check_rows(alg, V), np.asarray(params, dtype=float)
+    if p.shape != V.shape[:1] + shape:
+        raise ShapeMismatch(f"expected (k, *{shape}) parameters for k={len(V)}, got {p.shape}")
     return V, p
-
-
-def _check_shape(alg: AlgebraSpec, X: DualVector) -> None:
-    if not alg.central:
-        raise ShapeMismatch("dual vectors carry a mass component; "
-                            "the algebra must be centrally extended")
-    if X.N != alg.N or X.dim != alg.dim:
-        raise ShapeMismatch(
-            f"dual vector shaped for N={X.N}, dim={X.dim}; "
-            f"algebra has N={alg.N}, dim={alg.dim}")
-
-
-def dual_to_vector(alg: AlgebraSpec, X: DualVector) -> np.ndarray:
-    _check_shape(alg, X)
-    return pack_dual(alg, X.m, X.j, X.c, X.h, X.d, X.k)
 
 
 def pack_dual(alg: AlgebraSpec, m, j, c, h, d, k) -> np.ndarray:
@@ -187,11 +132,6 @@ def dual_fields(alg: AlgebraSpec, v: np.ndarray):
     a (..., n) stack of them, in the argument order of casimir_arrays."""
     j_rows, c_rows, (im, ih, i_d, ik) = alg.dual_rows
     return v[..., im], v[..., j_rows], v[..., c_rows], v[..., ih], v[..., i_d], v[..., ik]
-
-
-def dual_from_vector(alg: AlgebraSpec, v: np.ndarray) -> DualVector:
-    m, j, c, h, d, k = dual_fields(alg, v)
-    return DualVector(m=m, h=h, d=d, k=k, j=j, c=c)
 
 
 def element_rows(alg: AlgebraSpec, elements) -> np.ndarray:
@@ -361,7 +301,7 @@ def coad_flow(alg: AlgebraSpec, a: np.ndarray, t, V: np.ndarray) -> np.ndarray:
     """Coadjoint action of exp(i*t_r*A_r) on dual coordinate rows V[r].
 
     a holds the coefficient rows of the elements A_r (see element_rows), t
-    their times and V the dual vectors packed as by dual_to_vector, all with
+    their times and V the packed dual rows (see pack_dual), all with
     the same leading axes.  Every row gets the bits it would get alone.
     """
     t = np.asarray(t, dtype=float)
@@ -369,16 +309,15 @@ def coad_flow(alg: AlgebraSpec, a: np.ndarray, t, V: np.ndarray) -> np.ndarray:
     return (flows @ V[..., None])[..., 0]
 
 
-def coad_generic(alg: AlgebraSpec, A, t: float, X: DualVector) -> DualVector:
-    """Coadjoint action of exp(i*t*A) on X via the exponential of ad*: a
-    stack of one for coad_flow.
+def coad_generic(alg: AlgebraSpec, A, t: float, v) -> np.ndarray:
+    """Coadjoint action of exp(i*t*A) on one packed dual row v (n,) via the
+    exponential of ad*: a stack of one for coad_flow.
 
     The sum is exact (finite) whenever ad*_A is nilpotent, which covers all
     tower translations; otherwise a scaled-and-squared series with a
     certified tail bound below SERIES_TAIL_TOL (1e-17) is used.
     """
-    v = coad_flow(alg, element_rows(alg, [A]), [t], dual_to_vector(alg, X)[None])
-    return dual_from_vector(alg, v[0])
+    return coad_flow(alg, element_rows(alg, [A]), [t], _check_rows(alg, [v]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +429,7 @@ _COLUMN_PARAMS = {"translation": (3,), "boost": (3,), "rotation": (3,),
 
 def coad_closed_form(alg: AlgebraSpec, family: str, params, V) -> np.ndarray:
     """Printed closed-form coadjoint flows of a (k, n) stack of packed dual
-    rows V (the dual_to_vector layout), one flow per row; returns (k, n) rows.
+    rows V (the pack_dual layout), one flow per row; returns (k, n) rows.
 
     family "ctrans" works for any supported (N, dim) and takes (k, N+1, dim)
     parameters.  The one-parameter families of _COLUMN_PARAMS ("translation",
@@ -614,20 +553,6 @@ def chi_for_class(cls: OrbitClass) -> np.ndarray:
     }[cls.tag]
 
 
-def orbit_dual_vector(m: float, s, chi, x_levels) -> DualVector:
-    """Dual point with internal values (s, chi) moved by a tower translation.
-
-    The base point has no tower components and (h, d, k) read off from chi;
-    the external coordinates x_levels then produce the printed orbit
-    parametrization.
-    """
-    x = np.asarray(x_levels, dtype=float)
-    chi = np.asarray(chi, dtype=float).reshape(3)
-    s = np.asarray(s, dtype=float).reshape(spin_components(x.shape[1]))
-    j, c, h, d, k = orbit_components(m, s, chi, x)
-    return DualVector(m=m, h=h, d=d, k=k, j=j, c=c)
-
-
 def orbit_components(m: float, s, chi, x):
     """(j, c, h, d, k) of the orbit parametrization for stacked samples:
     the base point (s, chi) with no tower components, translated by x."""
@@ -637,8 +562,9 @@ def orbit_components(m: float, s, chi, x):
     return translate_dual(m, x, s, np.zeros_like(x), h, d, k)
 
 
-def parametrize(label: OrbitLabel, s, chi, x_levels) -> DualVector:
-    """Orbit parametrization with label consistency enforced.
+def parametrize(label: OrbitLabel, s, chi, x_levels):
+    """Orbit parametrization with label consistency enforced: the
+    (j, c, h, d, k) of orbit_components at the external levels x_levels.
 
     Raises LabelMismatch unless (s, chi) actually lie on the orbits the
     label names: the spin invariant must match to 1e-12, and chi must
@@ -657,30 +583,32 @@ def parametrize(label: OrbitLabel, s, chi, x_levels) -> DualVector:
     want = label.chi_class.sigma
     if abs(cls.sigma - want) > 1e-9 * max(1.0, abs(want)):
         raise LabelMismatch(f"sigma {cls.sigma} does not match label value {want}")
-    return orbit_dual_vector(label.m, s, chi, x)
+    return orbit_components(label.m, s, np.asarray(chi, dtype=float).reshape(3), x)
 
 
 # ---------------------------------------------------------------------------
 # Casimir functions (classical evaluation)
 # ---------------------------------------------------------------------------
 
-def casimir_values(alg: AlgebraSpec, X: DualVector):
-    """Classical Casimir triple (C1, C2, C3).
+def casimir_values(alg: AlgebraSpec, V):
+    """Classical Casimir triple (C1, C2, C3) of a (k, n) stack of packed dual
+    rows, as three (k,) arrays.
 
     All products are taken commutatively, so the symmetrized operator
     orderings collapse; on a parametrized orbit C2 equals m^2 s^2
     (dimension 3) or m s (dimension 2) and C3 equals twice m^2 times the
-    chi interval.  Raises NonFiniteResult when a finite X gives a
-    non-finite C2 or C3 (overflow).
+    chi interval.  Raises NonFiniteResult, naming the first such row, when
+    a finite row gives a non-finite C2 or C3 (overflow).
     """
-    _check_shape(alg, X)
+    V = _check_rows(alg, V)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, C2, C3 = casimir_arrays(X.m, X.j, X.c, X.h, X.d, X.k)
-    C2, C3 = float(C2), float(C3)
-    if not (math.isfinite(C2) and math.isfinite(C3)) and np.all(np.isfinite(
-            np.concatenate([[X.m, X.h, X.d, X.k], X.j, X.c.ravel()]))):
-        raise NonFiniteResult(f"Casimirs of a finite dual vector overflow: C2={C2}, C3={C3}")
-    return (X.m, C2, C3)
+        C1, C2, C3 = casimir_arrays(*dual_fields(alg, V))
+    bad = ~(np.isfinite(C2) & np.isfinite(C3)) & np.isfinite(V).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteResult(f"Casimirs of a finite dual vector overflow at row {i}: "
+                              f"C2={C2[i]}, C3={C3[i]}")
+    return C1, C2, C3
 
 
 @lru_cache(maxsize=None)
@@ -699,8 +627,7 @@ def casimir_arrays(m, j, c, h, d, k):
     """(C1, C2, C3) for stacked dual components, as returned by translate_dual.
 
     The mass may be one number or one per sample.  Like translate_dual, a
-    row of a stack gives the bits of the same sample passed alone, so
-    casimir_values of one dual vector equals its row of any stack.
+    row of a stack gives the bits of the same sample passed alone.
     """
     m = np.asarray(m, dtype=float)
     c, j = np.ascontiguousarray(c), np.ascontiguousarray(j)

@@ -34,12 +34,10 @@ from .algebra import (
     tower_sign,
 )
 from .coadjoint import (
-    DualVector,
     _cross2,
     _cross3,
     _rowdot,
     orbit_components,
-    orbit_dual_vector,
     spin_invariant,
 )
 from .errors import InvalidState, ShapeMismatch
@@ -173,11 +171,12 @@ class Poly:
     def variables(self) -> set:
         return {s for mono in self.terms for s, _ in mono}
 
-    def eval(self, env: Mapping) -> float:
-        """Value at env (symbol -> value).  The values may be numbers or
-        arrays of one shape; an array gives, entry by entry, the bits of the
-        same point evaluated alone."""
-        total = 0.0
+    def eval(self, env: Mapping):
+        """Value at env (symbol -> value), of the shape of the env's values:
+        numbers, or arrays all of one shape.  An array gives, entry by entry,
+        the bits of the same point evaluated alone."""
+        # a constant or empty polynomial has that shape too; [()] makes () a scalar
+        total = np.zeros(np.shape(next(iter(env.values()), 0.0)))[()]
         for mono, c in self.terms.items():
             v = c
             for s, e in mono:
@@ -530,7 +529,7 @@ def hamiltonian_poly(N: int, dim: int, m: float, omega: float = 0.0,
     return h
 
 
-def dual_vector_at(pt: PhasePoint) -> DualVector:
-    """Dual-space point realized by a phase point."""
-    x = from_darboux(pt.q, pt.p, pt.m, pt.N, pt.dim)
-    return orbit_dual_vector(pt.m, pt.s, pt.chi, x)
+def dual_vector_at(pt: PhasePoint):
+    """(j, c, h, d, k) of the dual-space point realized by a phase point, as
+    orbit_components gives them."""
+    return orbit_components(pt.m, pt.s, pt.chi, from_darboux(pt.q, pt.p, pt.m, pt.N, pt.dim))

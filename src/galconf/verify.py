@@ -116,7 +116,7 @@ def break_antisymmetry(alg: AlgebraSpec, lhs: str, rhs: str) -> AlgebraSpec:
 # ---------------------------------------------------------------------------
 
 def random_dual(rng, alg: AlgebraSpec, scale: float = 0.7) -> np.ndarray:
-    """Packed dual row (the dual_to_vector layout) of a random dual point of
+    """Packed dual row (the pack_dual layout) of a random dual point of
     alg, drawn in the order m, h, d, k, j, c: m from [0.5, 2), the rest from
     [-scale, scale)."""
     j_rows, c_rows, (im, ih, i_d, ik) = alg.dual_rows
@@ -304,8 +304,8 @@ def suite_orbit(seed: int, tols: Dict[str, float],
         oracle_case(f"oracle_ctrans_N{N}_dim{dim}", alg, "ctrans", draws)
 
     v = random_dual(rng, alg1)
-    central = co.coad_generic(alg1, {alg1.generator("M"): 1.0}, 0.7, co.dual_from_vector(alg1, v))
-    for name, w in (("central_flow_identity", co.dual_to_vector(alg1, central)),
+    for name, w in (("central_flow_identity",
+                     co.coad_generic(alg1, {alg1.generator("M"): 1.0}, 0.7, v)),
                     ("zero_parameter_identity",
                      co.coad_closed_form(alg1, "ctrans", np.zeros((1, 2, 3)), v[None])[0])):
         cases.append(_case(name, np.abs(w - v).max(), 0.0))
@@ -412,7 +412,7 @@ def suite_poisson(seed: int, tols: Dict[str, float],
             for j in range(i + 1, len(gens)):
                 X, Y = gens[i], gens[j]
                 rhs = sum(float(cz) * values[Z] for Z, cz in alg.table.get((X, Y), {}).items())
-                gap = np.broadcast_to(np.abs(po.poly_bracket(mm[X], mm[Y], sm).eval(env) - rhs), n)
+                gap = np.abs(po.poly_bracket(mm[X], mm[Y], sm).eval(env) - rhs)
                 k = int(np.argmax(gap))  # the first point of the largest gap
                 if gap[k] > worst:
                     worst = float(gap[k])

@@ -27,11 +27,17 @@ def report(name, ok, detail=""):
     assert ok, line
 
 
+def dual_row(alg, pt):
+    """The packed dual row realized by the phase point pt."""
+    return co.pack_dual(alg, pt.m, *po.dual_vector_at(pt))
+
+
 def column_defect(alg, fam, par, X, Y):
-    """Largest field gap between the dual vector Y and the printed column of
-    family fam with parameter par applied to X, as a one-row stack."""
-    got = co.coad_closed_form(alg, fam, np.array([par]), co.dual_to_vector(alg, X)[None])[0]
-    return float(np.max(np.abs(got - co.dual_to_vector(alg, Y))))
+    """Largest field gap between the dual point of the phase point Y and the
+    printed column of family fam with parameter par applied to that of X, as
+    a one-row stack."""
+    got = co.coad_closed_form(alg, fam, np.array([par]), dual_row(alg, X)[None])[0]
+    return float(np.max(np.abs(got - dual_row(alg, Y))))
 
 
 def test_c01_exact_jacobi():
@@ -119,8 +125,7 @@ def test_c03_coadjoint_oracle_equivalence():
                 A = element(alg1, {{"time": "H", "dilation": "D", "conformal": "K"}[fam]: 1})
                 t = -par if fam == "time" else par
             pars.append(par)
-            want.append(co.dual_to_vector(alg1, co.coad_generic(
-                alg1, A, t, co.dual_from_vector(alg1, V[-1]))))
+            want.append(co.coad_generic(alg1, A, t, V[-1]))
         got = co.coad_closed_form(alg1, fam, np.array(pars), np.array(V))
         worst = max(worst, float(np.max(np.abs(got - np.array(want)))))
 
@@ -132,8 +137,7 @@ def test_c03_coadjoint_oracle_equivalence():
             arrs.append(rng.uniform(-0.5, 0.5, (N + 1, dim)))
             A = element(alg, {f"C{j}_{a+1}": arrs[-1][j, a]
                               for j in range(N + 1) for a in range(dim)})
-            want.append(co.dual_to_vector(alg, co.coad_generic(
-                alg, A, 1.0, co.dual_from_vector(alg, V[-1]))))
+            want.append(co.coad_generic(alg, A, 1.0, V[-1]))
         got = co.coad_closed_form(alg, "ctrans", np.array(arrs), np.array(V))
         worst = max(worst, float(np.max(np.abs(got - np.array(want)))))
     report("criterion 3 (coadjoint oracle equivalence)", worst < 1e-10,
@@ -147,12 +151,11 @@ def test_c04_casimir_invariance():
     for (N, dim) in vf.FLOW_FAMILIES:
         alg = build_algebra(N, dim, central=True)
         for _ in range(100):
-            X = co.dual_from_vector(alg, vf.random_dual(rng, alg, scale=0.5))
+            X = vf.random_dual(rng, alg, scale=0.5)
             A = {g: float(rng.uniform(-0.4, 0.4)) for g in alg.generators}
             Y = co.coad_generic(alg, A, float(rng.uniform(-0.5, 0.5)), X)
-            worst_flow = max(worst_flow, max(
-                abs(a - b) for a, b in zip(co.casimir_values(alg, X),
-                                           co.casimir_values(alg, Y))))
+            C = np.array(co.casimir_values(alg, np.array([X, Y])))
+            worst_flow = max(worst_flow, float(np.max(np.abs(C[:, 0] - C[:, 1]))))
     classes = [co.OrbitClass("HplusSigma", 1.5), co.OrbitClass("HminusSigma", 0.7),
                co.OrbitClass("HyperbolicSigma", 1.1), co.OrbitClass("Hplus0"),
                co.OrbitClass("Origin")]
@@ -169,10 +172,11 @@ def test_c04_casimir_invariance():
             else:
                 s = float(rng.uniform(-1, 1))
                 want_c2 = m * s
-            X = co.orbit_dual_vector(m, s, chi, rng.uniform(-1, 1, (N + 1, dim)))
-            _, C2, C3 = co.casimir_values(alg, X)
-            worst_label = max(worst_label, abs(C2 - want_c2),
-                              abs(C3 - 2 * m * m * co.chi_interval(chi)))
+            fields = co.orbit_components(m, np.reshape(s, -1), chi,
+                                         rng.uniform(-1, 1, (N + 1, dim)))
+            _, C2, C3 = co.casimir_values(alg, co.pack_dual(alg, m, *fields)[None])
+            worst_label = max(worst_label, abs(C2[0] - want_c2),
+                              abs(C3[0] - 2 * m * m * co.chi_interval(chi)))
     ok = worst_flow < 1e-10 and worst_label < 1e-10
     report("criterion 4 (Casimir invariance)", ok,
            f"flow drift {worst_flow:.3e}, label defect {worst_label:.3e}")
@@ -266,38 +270,30 @@ def test_c08_solution_to_solution():
     for _ in range(50):
         base = po.random_point(rng, 1, 3, m=m)
         x0, p0 = base.q[0], base.p[0]
-        X = po.dual_vector_at(base)
         a = rng.uniform(-0.8, 0.8, 3)
         worst_col = max(worst_col, column_defect(
-            alg1, "translation", -a, X,
-            po.dual_vector_at(po.PhasePoint(q=[x0 + a], p=[p0], s=base.s,
-                                            chi=base.chi, m=m))))
+            alg1, "translation", -a, base,
+            po.PhasePoint(q=[x0 + a], p=[p0], s=base.s, chi=base.chi, m=m)))
         v = rng.uniform(-0.8, 0.8, 3)
         worst_col = max(worst_col, column_defect(
-            alg1, "boost", v, X,
-            po.dual_vector_at(po.PhasePoint(q=[x0], p=[p0 + m * v], s=base.s,
-                                            chi=base.chi, m=m))))
+            alg1, "boost", v, base,
+            po.PhasePoint(q=[x0], p=[p0 + m * v], s=base.s, chi=base.chi, m=m)))
         tau = float(rng.uniform(-0.8, 0.8))
         q, p, chi = dy.free_flow(base.q, base.p, base.chi, m, -tau)
         worst_col = max(worst_col, column_defect(
-            alg1, "time", -tau, X,
-            po.dual_vector_at(po.PhasePoint(q=q, p=p, s=base.s, chi=chi, m=m))))
+            alg1, "time", -tau, base, po.PhasePoint(q=q, p=p, s=base.s, chi=chi, m=m)))
         nochi = po.PhasePoint(q=base.q, p=base.p, s=base.s, chi=np.zeros(3), m=m)
-        Xc = po.dual_vector_at(nochi)
         c = float(rng.uniform(-0.8, 0.8))
         xc, pc, _ = sy.conformal_transform(x0, p0, 0.0, c, m)
         worst_col = max(worst_col, column_defect(
-            alg1, "conformal", -c, Xc,
-            po.dual_vector_at(po.PhasePoint(q=[xc], p=[pc], s=nochi.s,
-                                            chi=nochi.chi, m=m))))
+            alg1, "conformal", -c, nochi,
+            po.PhasePoint(q=[xc], p=[pc], s=nochi.s, chi=nochi.chi, m=m)))
         nospin = po.PhasePoint(q=base.q, p=base.p, s=np.zeros(3), chi=base.chi, m=m)
-        Xs = po.dual_vector_at(nospin)
         om = rng.uniform(-0.8, 0.8, 3)
         R = co.rotation_matrix(om)
         worst_col = max(worst_col, column_defect(
-            alg1, "rotation", om, Xs,
-            po.dual_vector_at(po.PhasePoint(q=[R @ x0], p=[R @ p0], s=nospin.s,
-                                            chi=nospin.chi, m=m))))
+            alg1, "rotation", om, nospin,
+            po.PhasePoint(q=[R @ x0], p=[R @ p0], s=nospin.s, chi=nospin.chi, m=m)))
     ok = worst_res < 1e-7 and worst_col < 1e-9
     report("criterion 8 (solution to solution)", ok,
            f"motion residual {worst_res:.3e}, column defect {worst_col:.3e}")

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galconf.cli import RUN_CONFIG_KEYS, main
+from galconf import coadjoint as co
+from galconf.cli import RUN_CONFIG_KEYS, _dual_json, _load_dual, main
 from galconf.errors import GalconfError
 from galconf.verify import DEFAULT_TOLERANCES, run_suites
 
@@ -229,7 +230,41 @@ DUAL_2D = {"m": 1.5, "h": 0.2, "d": 0.1, "k": -0.3, "j": [0.4],
            "c": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
 
 
+# an orbit parametrize config per family, without x; (2, 2) has a bare-number spin
+ORBIT_CONFIGS = {
+    (1, 3): {"m": 1.3, "s": [0.2, -0.4, 0.9], "chi": [1.5, 0.3, -0.2]},
+    (3, 3): {"m": 0.7, "s": [0.1, 0.5, -0.3], "chi_class": "HyperbolicSigma", "sigma": 1.2},
+    (2, 2): {"m": 1.1, "s": -0.7, "chi": [0.2, 0.9, 0.0]},
+    (4, 2): {"m": 0.6, "s": [0.35], "chi_class": "HplusSigma", "sigma": 0.8},
+}
+
+
 class TestCasimirEval:
+    @pytest.mark.parametrize("N,dim", ORBIT_CONFIGS)
+    def test_dual_json_boundary(self, capsys, tmp_path, N, dim):
+        """orbit parametrize -> casimir eval gives the printed on-orbit values,
+        and a "dual" read and written again keeps its bytes."""
+        x = np.random.default_rng(N + dim).uniform(-1, 1, (N + 1, dim))
+        cfg = dict(ORBIT_CONFIGS[N, dim], x=x.tolist())
+        cfg_path, dual_path = tmp_path / "orbit.json", tmp_path / "dual.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg_path),
+                               "-o", str(dual_path))
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "casimir", "eval", "--dual", str(dual_path))
+        assert code == 0, err
+        cas, text = json.loads(out), dual_path.read_text()
+        label = json.loads(text)["label"]
+        m, s = cfg["m"], np.reshape(cfg["s"], -1)
+        interval = co.chi_interval(co.chi_for_class(
+            co.OrbitClass(label["chi_class"], label["sigma"])))
+        assert cas["C1"] == m
+        assert cas["C2"] == pytest.approx(m * m * (s @ s) if dim == 3 else m * s[0], abs=1e-12)
+        assert cas["C3"] == pytest.approx(2 * m * m * interval, abs=1e-12)
+        alg, V = _load_dual(str(dual_path))
+        again = dict(json.loads(text), dual=_dual_json(*co.dual_fields(alg, V[0])))
+        assert json.dumps(again, indent=2, sort_keys=True) + "\n" == text
+
     def test_dim2_dual(self, capsys, tmp_path):
         path = tmp_path / "dual.json"
         path.write_text(json.dumps(DUAL_2D))
@@ -369,6 +404,14 @@ class TestSimulate:
         {"q": [[1e300, 0.0, 0.0]], "p": [[1e300, 0.0, 0.0]]},
         # a finite start whose trajectory overflows used to exit 1 with InvalidState
         {"hamiltonian": "newton_hooke", "omega": 50.0, "sign": -1, "T": 20.0, "dt": 0.01},
+        # integer keys used to be truncated or read by int(): these ran N=1, dim=3, sign=+1
+        {"N": 1.9},
+        {"N": True},
+        {"dim": 3.2},
+        {"dim": "3"},
+        {"hamiltonian": "newton_hooke", "omega": 1.0, "sign": 1.7},
+        {"hamiltonian": "newton_hooke", "omega": 1.0, "sign": True},
+        {"hamiltonian": "newton_hooke", "omega": 1.0, "sign": "-1"},
     ])
     def test_invalid_configs_exit_2(self, capsys, tmp_path, overrides):
         cfg = write_free_config(tmp_path, **overrides)
@@ -719,6 +762,10 @@ class TestSymmetryVerify:
         {"seed": "x"},
         {"seed": -5},
         {"sed": 11},
+        # these used to run seed 1 (or 7)
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": "7"},
     ])
     def test_bad_config_rejected(self, capsys, tmp_path, config):
         cfg = tmp_path / "sym.json"

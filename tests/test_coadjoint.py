@@ -10,7 +10,6 @@ import pytest
 from galconf.algebra import GeneratorId, build_algebra, spin_components
 from galconf.coadjoint import (
     ORBIT_TAGS,
-    DualVector,
     _cross3,
     _expm,
     _rowdot,
@@ -26,11 +25,8 @@ from galconf.coadjoint import (
     coad_flow,
     coad_generic,
     dual_fields,
-    dual_from_vector,
-    dual_to_vector,
     element_rows,
     orbit_components,
-    orbit_dual_vector,
     pack_dual,
     parametrize,
     translate_dual,
@@ -61,44 +57,35 @@ def alg1():
 
 
 def dual_defect(X, Y):
-    d = max(abs(X.m - Y.m), abs(X.h - Y.h), abs(X.d - Y.d), abs(X.k - Y.k))
-    d = max(d, float(np.max(np.abs(np.atleast_1d(np.asarray(X.j) - np.asarray(Y.j))))))
-    return max(d, float(np.max(np.abs(X.c - Y.c))))
-
-
-def random_point_dual(rng, alg, scale=0.7):
-    """A random dual point of alg as a DualVector."""
-    return dual_from_vector(alg, random_dual(rng, alg, scale))
+    """Largest field gap between two packed dual rows."""
+    return float(np.max(np.abs(X - Y)))
 
 
 def closed_form(alg, family, par, X):
-    """The printed column applied to one DualVector, as a one-row stack."""
-    row = coad_closed_form(alg, family, np.array([par]), dual_to_vector(alg, X)[None])
-    return dual_from_vector(alg, row[0])
+    """The printed column applied to one packed dual row, as a one-row stack."""
+    return coad_closed_form(alg, family, np.array([par]), X[None])[0]
 
 
 class TestClosedFormColumns:
     def test_boost_column(self, alg1):
         # m=2, xi=0, h=0, v=(1,0,0): xi' = m v, h' = m v^2/2 + v.xi
-        X = DualVector(m=2.0, h=0.0, d=0.25, k=-0.5, j=[0.0, 0.0, 0.0],
-                       c=np.zeros((2, 3)))
-        Y = closed_form(alg1, "boost", [1.0, 0.0, 0.0], X)
-        assert np.allclose(Y.c[0], [2.0, 0.0, 0.0])
-        assert Y.h == pytest.approx(1.0, abs=1e-15)
-        assert Y.m == X.m
+        X = pack_dual(alg1, 2.0, np.zeros(3), np.zeros((2, 3)), 0.0, 0.25, -0.5)
+        m, _, c, h, _, _ = dual_fields(alg1, closed_form(alg1, "boost", [1.0, 0.0, 0.0], X))
+        assert np.allclose(c[0], [2.0, 0.0, 0.0])
+        assert h == pytest.approx(1.0, abs=1e-15)
+        assert m == 2.0
 
     def test_translation_column(self, alg1):
         # m=1, zeta=0, k=0, a=(1,0,0): zeta' = -m a, k' = m a^2/2
-        X = DualVector(m=1.0, h=0.3, d=0.0, k=0.0, j=[0.0, 0.0, 0.0],
-                       c=np.zeros((2, 3)))
-        Y = closed_form(alg1, "translation", [1.0, 0.0, 0.0], X)
-        assert np.allclose(Y.c[1], [-1.0, 0.0, 0.0])
-        assert Y.k == pytest.approx(0.5, abs=1e-15)
-        assert Y.h == X.h
+        X = pack_dual(alg1, 1.0, np.zeros(3), np.zeros((2, 3)), 0.3, 0.0, 0.0)
+        _, _, c, h, _, k = dual_fields(alg1, closed_form(alg1, "translation", [1.0, 0.0, 0.0], X))
+        assert np.allclose(c[1], [-1.0, 0.0, 0.0])
+        assert k == pytest.approx(0.5, abs=1e-15)
+        assert h == 0.3
 
     def test_zero_parameters_identity(self, alg1):
         rng = np.random.default_rng(5)
-        X = random_point_dual(rng, alg1)
+        X = random_dual(rng, alg1)
         for fam, par in [("translation", np.zeros(3)), ("boost", np.zeros(3)),
                          ("time", 0.0), ("dilation", 0.0), ("conformal", 0.0),
                          ("rotation", np.zeros(3)),
@@ -149,7 +136,7 @@ class TestGenericFlow:
         }
         for fam, (to_names, t_fixed) in checks.items():
             for _ in range(20):
-                X = random_point_dual(rng, alg1)
+                X = random_dual(rng, alg1)
                 if fam in ("translation", "boost", "rotation"):
                     par = rng.uniform(-0.6, 0.6, 3)
                     t = 1.0
@@ -166,7 +153,7 @@ class TestGenericFlow:
         rng = np.random.default_rng(N * 10 + dim)
         alg = build_algebra(N, dim, central=True)
         for _ in range(20):
-            X = random_point_dual(rng, alg)
+            X = random_dual(rng, alg)
             arr = rng.uniform(-0.5, 0.5, (N + 1, dim))
             A = {alg.generator(f"C{j}_{a + 1}"): float(arr[j, a])
                  for j in range(N + 1) for a in range(dim)}
@@ -175,17 +162,17 @@ class TestGenericFlow:
             assert dual_defect(Y1, Y2) < 1e-12
 
     def test_central_element_acts_trivially(self, alg1):
-        X = random_point_dual(np.random.default_rng(2), alg1)
+        X = random_dual(np.random.default_rng(2), alg1)
         Y = coad_generic(alg1, {alg1.generator("M"): 1.0}, 0.9, X)
         assert dual_defect(X, Y) == 0.0
 
     def test_mass_invariant_under_generic_flows(self, alg1):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            X = random_point_dual(rng, alg1)
+            X = random_dual(rng, alg1)
             A = {g: float(rng.uniform(-0.5, 0.5)) for g in alg1.generators}
             Y = coad_generic(alg1, A, float(rng.uniform(-1, 1)), X)
-            assert Y.m == X.m
+            assert dual_fields(alg1, Y)[0] == dual_fields(alg1, X)[0]
 
 
 class TestClassification:
@@ -234,22 +221,22 @@ class TestParametrization:
         label = OrbitLabel(m=1.0, s2=4.0, chi_class=OrbitClass("Origin"))
         x_levels = np.array([[-1.0, 0.0, 0.0],   # translation slot = -x
                              [0.0, 1.0, 0.0]])   # boost slot = p/m
-        X = parametrize(label, [0.0, 0.0, 2.0], np.zeros(3), x_levels)
-        assert np.allclose(X.j, [0.0, 0.0, 3.0])
-        assert np.allclose(X.c[0], [0.0, 1.0, 0.0])   # xi = p
-        assert np.allclose(X.c[1], [1.0, 0.0, 0.0])   # zeta = m x
-        assert X.h == pytest.approx(0.5)
-        assert X.d == pytest.approx(0.0)
-        assert X.k == pytest.approx(0.5)
+        j, c, h, d, k = parametrize(label, [0.0, 0.0, 2.0], np.zeros(3), x_levels)
+        assert np.allclose(j, [0.0, 0.0, 3.0])
+        assert np.allclose(c[0], [0.0, 1.0, 0.0])   # xi = p
+        assert np.allclose(c[1], [1.0, 0.0, 0.0])   # zeta = m x
+        assert h == pytest.approx(0.5)
+        assert d == pytest.approx(0.0)
+        assert k == pytest.approx(0.5)
 
     def test_base_point(self):
         chi = np.array([0.8, -0.1, 0.4])
         label = OrbitLabel(m=2.0, s2=1.0, chi_class=classify_orbit(chi))
-        X = parametrize(label, [1.0, 0.0, 0.0], chi, np.zeros((4, 3)))
-        assert X.h == pytest.approx(chi[0] - chi[1])
-        assert X.d == pytest.approx(chi[2])
-        assert X.k == pytest.approx(chi[0] + chi[1])
-        assert np.allclose(X.c, 0.0)
+        _, c, h, d, k = parametrize(label, [1.0, 0.0, 0.0], chi, np.zeros((4, 3)))
+        assert h == pytest.approx(chi[0] - chi[1])
+        assert d == pytest.approx(chi[2])
+        assert k == pytest.approx(chi[0] + chi[1])
+        assert np.allclose(c, 0.0)
 
     def test_label_mismatch_spin(self):
         label = OrbitLabel(m=1.0, s2=1.0, chi_class=OrbitClass("Origin"))
@@ -266,60 +253,68 @@ class TestParametrization:
             OrbitLabel(m=0.0, s2=0.0, chi_class=OrbitClass("Origin"))
 
 
+def orbit_rows(alg, m, s, chi, x):
+    """Packed dual rows of the orbit parametrization of stacked samples."""
+    return pack_dual(alg, m, *orbit_components(m, np.asarray(s, dtype=float),
+                                               np.asarray(chi, dtype=float), x))
+
+
 class TestCasimirs:
     def test_spin_orbit_values(self, alg1):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            x = rng.uniform(-1, 1, (2, 3))
-            X = orbit_dual_vector(1.0, [0.0, 0.0, 2.0], np.zeros(3), x)
-            C1, C2, C3 = casimir_values(alg1, X)
-            assert C1 == 1.0
-            assert C2 == pytest.approx(4.0, abs=1e-12)
-            assert C3 == pytest.approx(0.0, abs=1e-12)
+        x = np.random.default_rng(6).uniform(-1, 1, (10, 2, 3))
+        C1, C2, C3 = casimir_values(alg1, orbit_rows(alg1, 1.0, [0.0, 0.0, 2.0], np.zeros(3), x))
+        assert C1.shape == C2.shape == C3.shape == (10,)
+        assert np.all(C1 == 1.0)
+        assert C2 == pytest.approx(4.0, abs=1e-12)
+        assert C3 == pytest.approx(0.0, abs=1e-12)
 
     def test_internal_interval_value(self, alg1):
-        X = orbit_dual_vector(1.0, np.zeros(3), [1.0, 0.0, 0.0], np.zeros((2, 3)))
-        assert casimir_values(alg1, X)[2] == pytest.approx(2.0, abs=1e-14)
+        V = orbit_rows(alg1, 1.0, np.zeros(3), [1.0, 0.0, 0.0], np.zeros((1, 2, 3)))
+        assert casimir_values(alg1, V)[2] == pytest.approx(2.0, abs=1e-14)
 
     def test_pure_mass_point(self, alg1):
-        X = DualVector(m=5.0, h=0.0, d=0.0, k=0.0, j=np.zeros(3), c=np.zeros((2, 3)))
-        assert casimir_values(alg1, X) == (5.0, 0.0, 0.0)
+        V = pack_dual(alg1, 5.0, np.zeros(3), np.zeros((2, 3)), 0.0, 0.0, 0.0)[None]
+        assert [C.tolist() for C in casimir_values(alg1, V)] == [[5.0], [0.0], [0.0]]
 
     @pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (2, 2), (4, 2)])
     def test_invariant_under_flows(self, N, dim):
         rng = np.random.default_rng(N + dim)
         alg = build_algebra(N, dim, central=True)
         for _ in range(25):
-            X = random_point_dual(rng, alg, scale=0.5)
+            X = random_dual(rng, alg, scale=0.5)
             A = {g: float(rng.uniform(-0.4, 0.4)) for g in alg.generators}
             Y = coad_generic(alg, A, float(rng.uniform(-0.5, 0.5)), X)
-            for a, b in zip(casimir_values(alg, X), casimir_values(alg, Y)):
+            for a, b in casimir_values(alg, np.array([X, Y])):
                 assert a == pytest.approx(b, abs=1e-10)
 
     def test_2d_scalar_spin_orbit(self):
+        # the spin as a bare number, through the labelled parametrization
         alg = build_algebra(2, 2, central=True)
+        chi = np.array([0.0, 0.9, 0.0])
+        label = OrbitLabel(m=1.5, s2=-0.7, chi_class=classify_orbit(chi))
         rng = np.random.default_rng(8)
         for _ in range(10):
             x = rng.uniform(-1, 1, (3, 2))
-            X = orbit_dual_vector(1.5, -0.7, np.array([0.0, 0.9, 0.0]), x)
-            C1, C2, C3 = casimir_values(alg, X)
+            V = pack_dual(alg, 1.5, *parametrize(label, -0.7, chi, x))[None]
+            C1, C2, C3 = casimir_values(alg, V)
             assert C2 == pytest.approx(1.5 * -0.7, abs=1e-10)
             assert C3 == pytest.approx(2 * 1.5 ** 2 * -(0.9 ** 2), abs=1e-10)
-
-
-def test_dual_vector_json_roundtrip():
-    rng = np.random.default_rng(12)
-    for (N, dim) in ((1, 3), (2, 2)):
-        X = random_point_dual(rng, build_algebra(N, dim, central=True))
-        Y = DualVector.from_json(X.to_json())
-        assert dual_defect(X, Y) == 0.0
 
 
 def test_shape_mismatch(alg1):
     alg3 = build_algebra(3, 3, central=True)
     rng = np.random.default_rng(0)
+    # a row of another algebra, one row that is not a stack, a non-central algebra
     with pytest.raises(ShapeMismatch):
-        casimir_values(alg1, random_point_dual(rng, alg3))
+        casimir_values(alg1, random_dual(rng, alg3)[None])
+    with pytest.raises(ShapeMismatch):
+        casimir_values(alg1, random_dual(rng, alg1))
+    with pytest.raises(ShapeMismatch):
+        casimir_values(build_algebra(1, 3, central=False), np.zeros((1, 12)))
+    with pytest.raises(ShapeMismatch):
+        coad_generic(alg1, {alg1.generator("H"): 1.0}, 0.5, random_dual(rng, alg3))
+    with pytest.raises(ShapeMismatch):
+        coad_generic(alg1, {alg1.generator("H"): 1.0}, 0.5, random_dual(rng, alg1)[None])
     V = random_dual(rng, alg1)[None]
     with pytest.raises(ShapeMismatch):
         coad_closed_form(alg1, "ctrans", np.zeros((1, 4, 3)), V)
@@ -336,19 +331,26 @@ def test_shape_mismatch(alg1):
 
 def test_generic_flow_overflow_raises(alg1):
     # exp(800 ad*_D) scales h by e^800, past the largest double
-    X = random_point_dual(np.random.default_rng(3), alg1)
+    X = random_dual(np.random.default_rng(3), alg1)
     with pytest.raises(ConvergenceFailure):
         coad_generic(alg1, {alg1.generator("D"): 1.0}, 800.0, X)
 
 
 def test_casimir_overflow_raises_without_warning(alg1):
     # finite input used to give C2 = C3 = inf and a numpy RuntimeWarning
-    X = DualVector(m=1e300, h=1e300, d=0.0, k=1e300, j=[1e300, 0.0, 0.0],
-                   c=np.zeros((2, 3)))
+    big = pack_dual(alg1, 1e300, [1e300, 0.0, 0.0], np.zeros((2, 3)), 1e300, 0.0, 1e300)
+    V = np.array([random_dual(np.random.default_rng(3), alg1), big, big])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonFiniteResult):
-            casimir_values(alg1, X)
+        with pytest.raises(NonFiniteResult,
+                           match="Casimirs of a finite dual vector overflow at row 1: "):
+            casimir_values(alg1, V)
+    # a row that is not finite has no finite Casimirs to lose
+    V[1, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResult, match="at row 2: "):
+            casimir_values(alg1, V)
 
 
 # ---------------------------------------------------------------------------
@@ -373,27 +375,28 @@ def ad_star_reference(alg, a):
     return B
 
 
-def dual_to_vector_reference(alg, X):
+def pack_dual_reference(alg, m, j, c, h, d, k):
+    """pack_dual of one dual point, one generator at a time."""
     v = np.zeros(len(alg.generators))
     idx = alg.index
-    v[[idx[g] for g in alg.generators if g.kind == "J"]] = X.j
-    for j in range(alg.N + 1):
+    v[[idx[g] for g in alg.generators if g.kind == "J"]] = j
+    for lv in range(alg.N + 1):
         for a in range(alg.dim):
-            v[idx[GeneratorId("C", axis=a + 1, level=j)]] = X.c[j, a]
-    for kind, value in zip("HDKM", (X.h, X.d, X.k, X.m)):
+            v[idx[GeneratorId("C", axis=a + 1, level=lv)]] = c[lv, a]
+    for kind, value in zip("HDKM", (h, d, k, m)):
         v[idx[GeneratorId(kind)]] = value
     return v
 
 
-def dual_from_vector_reference(alg, v):
+def dual_fields_reference(alg, v):
+    """dual_fields of one packed row, one generator at a time."""
     idx = alg.index
     c = np.zeros((alg.N + 1, alg.dim))
-    for j in range(alg.N + 1):
+    for lv in range(alg.N + 1):
         for a in range(alg.dim):
-            c[j, a] = v[idx[GeneratorId("C", axis=a + 1, level=j)]]
-    return DualVector(m=v[idx[GeneratorId("M")]], h=v[idx[GeneratorId("H")]],
-                      d=v[idx[GeneratorId("D")]], k=v[idx[GeneratorId("K")]],
-                      j=v[[idx[g] for g in alg.generators if g.kind == "J"]], c=c)
+            c[lv, a] = v[idx[GeneratorId("C", axis=a + 1, level=lv)]]
+    return (v[idx[GeneratorId("M")]], v[[idx[g] for g in alg.generators if g.kind == "J"]], c,
+            v[idx[GeneratorId("H")]], v[idx[GeneratorId("D")]], v[idx[GeneratorId("K")]])
 
 
 def expm_reference(mat, term_tol=1e-17, max_terms=40):
@@ -480,7 +483,7 @@ class TestTensorPath:
         assert alg.structure_tensor is clean
 
     def test_unknown_generator_still_raises(self, alg1):
-        X = random_point_dual(np.random.default_rng(1), alg1)
+        X = random_dual(np.random.default_rng(1), alg1)
         for g in (GeneratorId("Ds"), GeneratorId("C", axis=1, level=2)):
             with pytest.raises(UnknownGenerator):
                 element_rows(alg1, [{alg1.generator("H"): 1.0}, {g: 1.0}])
@@ -496,15 +499,12 @@ class TestTensorPath:
         rng = np.random.default_rng(N * 10 + dim)
         for _ in range(10):
             drawn = random_dual(rng, alg)
-            X = dual_from_vector(alg, drawn)
-            v = dual_to_vector(alg, X)
+            fields = dual_fields(alg, drawn)
+            for got, want in zip(fields, dual_fields_reference(alg, drawn)):
+                assert same_bits(np.asarray(got), np.asarray(want))
+            v = pack_dual(alg, *fields)
             assert same_bits(v, drawn)
-            assert same_bits(v, dual_to_vector_reference(alg, X))
-            Y = dual_from_vector(alg, v)
-            Z = dual_from_vector_reference(alg, v)
-            assert (Y.m, Y.h, Y.d, Y.k) == (X.m, X.h, X.d, X.k) == (Z.m, Z.h, Z.d, Z.k)
-            assert same_bits(Y.j, X.j) and same_bits(Y.j, Z.j)
-            assert same_bits(Y.c, X.c) and same_bits(Y.c, Z.c)
+            assert same_bits(v, pack_dual_reference(alg, *fields))
 
     @pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
     def test_squaring_probe_matches_sequential_probe(self, N, dim):
@@ -538,14 +538,14 @@ def test_random_element_is_one_uniform_row(N, dim):
 
 @pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
 def test_random_dual_draws_m_h_d_k_j_c_into_a_packed_row(N, dim):
-    # the order in which a DualVector of the same draws was once built
+    # the order in which the fields of the same draws were once built
     alg = build_algebra(N, dim, central=True)
     rng, field_rng = (np.random.default_rng(N * 10 + dim) for _ in range(2))
     v = random_dual(rng, alg, scale=0.3)
     u = field_rng.uniform
-    X = DualVector(m=u(0.5, 2.0), h=u(-0.3, 0.3), d=u(-0.3, 0.3), k=u(-0.3, 0.3),
-                   j=u(-0.3, 0.3, spin_components(dim)), c=u(-0.3, 0.3, (N + 1, dim)))
-    assert same_bits(v, dual_to_vector(alg, X))
+    m, h, d, k = u(0.5, 2.0), u(-0.3, 0.3), u(-0.3, 0.3), u(-0.3, 0.3)
+    j, c = u(-0.3, 0.3, spin_components(dim)), u(-0.3, 0.3, (N + 1, dim))
+    assert same_bits(v, pack_dual(alg, m, j, c, h, d, k))
     assert rng.bit_generator.state == field_rng.bit_generator.state
 
 
@@ -634,8 +634,7 @@ class TestStackedExpm:
         got = coad_flow(alg, rows, times, V)
         for row, a, t, v in zip(got, rows, times, V):
             A = dict(zip(alg.generators, a))  # through element_rows, as callers pass it
-            X = dual_from_vector(alg, v)
-            assert same_bits(row, dual_to_vector(alg, coad_generic(alg, A, float(t), X)))
+            assert same_bits(row, coad_generic(alg, A, float(t), v))
 
     def test_overflowing_member_raises_with_its_index(self, alg1):
         rng = np.random.default_rng(5)
@@ -664,14 +663,13 @@ def layouts(rng, stack):
 def test_level_kernels_are_row_exact(N, dim):
     rng = np.random.default_rng(500 + 10 * N + dim)
     n = 33
-    draws = [random_point_dual(rng, build_algebra(N, dim, central=True)) for _ in range(n)]
+    alg = build_algebra(N, dim, central=True)
+    V = np.array([random_dual(rng, alg) for _ in range(n)])
     x = rng.uniform(-1, 1, (n, N + 1, dim))
-    m = np.array([X.m for X in draws])
-    h, d, k = (np.array([getattr(X, f) for X in draws]) for f in "hdk")
-    j = np.array([X.j for X in draws])
-    c = np.array([X.c for X in draws])
-    alone = [translate_dual(X.m, x[i], X.j, X.c, X.h, X.d, X.k) for i, X in enumerate(draws)]
-    cas_alone = [casimir_arrays(X.m, X.j, X.c, X.h, X.d, X.k) for X in draws]
+    m, j, c, h, d, k = (np.ascontiguousarray(f) for f in dual_fields(alg, V))
+    draws = [dual_fields(alg, v) for v in V]
+    alone = [translate_dual(X[0], x[i], *X[1:]) for i, X in enumerate(draws)]
+    cas_alone = [casimir_arrays(*X) for X in draws]
     for name, (xl, jl, cl) in ((key, (layouts(rng, x)[key], layouts(rng, j)[key],
                                       layouts(rng, c)[key])) for key in ("C", "F", "fancy",
                                                                          "strided")):
@@ -688,10 +686,9 @@ def test_level_kernels_are_row_exact(N, dim):
     s = rng.uniform(-1, 1, j.shape)
     stacked = casimir_arrays(m, *orbit_components(m, s, chi, x))
     for i in range(n):
-        X = orbit_dual_vector(m[i], s[i], chi[i], x[i])
-        want = casimir_values(build_algebra(N, dim, central=True), X)
-        assert [float(v[i]) for v in stacked] == list(want)
-        assert same_bits(stacked[2][i], np.float64(want[2]))
+        want = casimir_values(alg, orbit_rows(alg, m[i], s[i], chi[i], x[i:i + 1]))
+        for got, w in zip(stacked, want):
+            assert same_bits(got[i:i + 1], w), i
 
 
 @pytest.mark.parametrize("N,dim", FLOW_FAMILIES)

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +23,13 @@ def test_the_scan_finds_the_exporting_modules():
 def test_all_lists_each_existing_name_once(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
     assert len(module.__all__) == len(set(module.__all__))
+
+
+def test_readme_quickstart_runs(capsys):
+    """The python block under "Library quickstart" runs on the exported
+    names and prints what its comment says."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quickstart", "exec"), {})
+    assert capsys.readouterr().out == "[1.0, 4.0, 0.0]\n"

@@ -165,17 +165,17 @@ class TestGeneratorFunctions:
             pt = random_point(rng, N, dim, m=m)
             env = pt.env()
             direct = generators_at(pt)
-            X = dual_vector_at(pt)
-            for key in ("h", "d", "k"):
+            dual_j, dual_c, *hdk = dual_vector_at(pt)
+            for key, x in zip("hdk", hdk):
                 assert direct[key] == pytest.approx(polys[key].eval(env), rel=1e-15, abs=1e-12)
-                assert direct[key] == pytest.approx(getattr(X, key), rel=1e-15, abs=1e-12)
+                assert direct[key] == pytest.approx(x, rel=1e-15, abs=1e-12)
             jv = np.atleast_1d(np.asarray(direct["j"], dtype=float))
-            jx = np.atleast_1d(np.asarray(X.j, dtype=float))
+            jx = np.atleast_1d(np.asarray(dual_j, dtype=float))
             assert np.all(np.abs(jv - jx) < np.maximum(1e-12, 1e-15 * np.abs(jx)))
             for j in range(N + 1):
                 for a in range(dim):
                     assert polys["c"][j][a].eval(env) == \
-                        pytest.approx(X.c[j, a], rel=1e-15, abs=1e-12)
+                        pytest.approx(dual_c[j, a], rel=1e-15, abs=1e-12)
 
 
     @pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (7, 3), (15, 3), (31, 3),
@@ -382,6 +382,16 @@ def test_poly_eval_on_arrays_matches_each_point_alone(shape):
         want = np.array([f.eval({sym: float(v[i]) for sym, v in env.items()})
                          for i in np.ndindex(shape)]).reshape(shape)
         assert got.shape == shape and got.tobytes() == want.tobytes()
+
+
+def test_poly_eval_of_a_constant_has_the_env_shape():
+    # a constant or empty polynomial used to give one Python float
+    syms = StructureMatrix(1, 3, 1.3).coordinates()[:3]
+    env = {sym: np.linspace(-1.0, 1.0, 7) for sym in syms}
+    for f, value in ((Poly.const(2.0), 2.0), (Poly(), 0.0)):
+        got = f.eval(env)
+        assert got.shape == (7,) and np.all(got == value)
+        assert f.eval({sym: 0.5 for sym in syms}) == value
 
 
 def test_poly_operators_the_orbit_kernel_uses():

@@ -99,8 +99,8 @@ class TestIntegralsOfMotion:
         stacks = integrals_of_motion(tr)
         for i, st_ in enumerate(tr.states):
             q, p, chi = free_flow(st_.q, st_.p, st_.chi, st_.m, -float(tr.times[i]))
-            X = dual_vector_at(PhasePoint(q=q, p=p, s=st_.s, chi=chi, m=st_.m))
-            for name, v, want in zip("jchdk", stacks, (X.j, X.c, X.h, X.d, X.k)):
+            fields = dual_vector_at(PhasePoint(q=q, p=p, s=st_.s, chi=chi, m=st_.m))
+            for name, v, want in zip("jchdk", stacks, fields):
                 assert v[i].tobytes() == np.asarray(want).tobytes(), (i, name)
 
     def test_printed_forms_match_pullback(self):
