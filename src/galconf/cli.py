@@ -164,9 +164,19 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _number(name: str, value) -> float:
+    """value as a float; a string or a boolean is InvalidConfig, not parsed or read as 0/1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidConfig(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise InvalidConfig(f"{name} is out of the float range, got {value!r}")
+
+
 def _resolve_internal(cfg: dict, dim: int):
     """(s, chi, label) from the flat config keys m / s / chi / chi_class / sigma."""
-    m = float(cfg["m"])
+    m = _number("m", cfg["m"])
     if not (math.isfinite(m) and m > 0):
         raise InvalidConfig(f"m must be finite and positive, got {m}")
     n = al.spin_components(dim)
@@ -176,8 +186,9 @@ def _resolve_internal(cfg: dict, dim: int):
     if has_chi:
         chi = _chi(cfg["chi"])
     if "chi_class" in cfg:
+        sigma = _finite("sigma", _number("sigma", cfg.get("sigma", 0.0)))
         try:
-            cls = co.OrbitClass(cfg["chi_class"], _finite("sigma", float(cfg.get("sigma", 0.0))))
+            cls = co.OrbitClass(cfg["chi_class"], sigma)
         except LabelMismatch as exc:  # an unknown tag or a bad sigma is bad input
             raise InvalidConfig(str(exc))
         if not has_chi:
@@ -233,7 +244,7 @@ def _load_dual(path: str):
     if not isinstance(data, dict):
         raise InvalidConfig(f"dual must be a JSON object, got {type(data).__name__}")
     try:
-        m, h, d, k = (float(data[key]) for key in "mhdk")
+        m, h, d, k = (_number(key, data[key]) for key in "mhdk")
         j, c = (np.array(data[key], dtype=float) for key in "jc")
     except KeyError as exc:
         raise InvalidConfig(f"missing dual key {exc}")
@@ -286,7 +297,7 @@ def _parse_run_config(cfg) -> dict:
     if ham_tag == "newton_hooke":
         if method == "closed":
             raise InvalidConfig("closed-form sampling covers the free flow only")
-        ham = dy.HamiltonianChoice("newton_hooke", omega=float(cfg.get("omega", 0.0)),
+        ham = dy.HamiltonianChoice("newton_hooke", omega=_number("omega", cfg.get("omega", 0.0)),
                                    sign=_integer("sign", cfg.get("sign", 1)))
     elif ham_tag == "free":
         ham = dy.FREE
@@ -305,22 +316,22 @@ def _parse_run_config(cfg) -> dict:
         raise InvalidConfig(str(exc))
     m = label.m
     if "chi" in cfg and "chi_class" in cfg:
-        got = co.classify_orbit(chi, tol=_tolerance("classify_tol",
-                                                   cfg.get("classify_tol", 1e-9)))
+        tol = _number("classify_tol", cfg.get("classify_tol", 1e-9))
+        got = co.classify_orbit(chi, tol=_tolerance("classify_tol", tol))
         if got.tag != label.chi_class.tag:
             raise InvalidConfig(
                 f"explicit chi classifies as {got.tag}, config says "
                 f"{label.chi_class.tag}")
-    dt, T = float(cfg["dt"]), float(cfg["T"])
+    dt, T = _number("dt", cfg["dt"]), _number("T", cfg["T"])
     tol_fit_default = vf.DEFAULT_TOLERANCES["fit_closed" if method == "closed" else "fit_rk4"]
     return {
         "N": N, "dim": dim, "m": m, "method": method, "ham": ham,
         "pt": po.PhasePoint(q=q, p=p, s=s, chi=chi, m=m),
         "dt": dt, "T": T,
         "csv": cfg.get("csv"), "summary": cfg.get("summary"),
-        "tol_conservation": float(cfg.get("tol_conservation",
-                                          vf.DEFAULT_TOLERANCES["integrator"])),
-        "tol_fit": float(cfg.get("tol_fit", tol_fit_default)),
+        "tol_conservation": _number("tol_conservation", cfg.get(
+            "tol_conservation", vf.DEFAULT_TOLERANCES["integrator"])),
+        "tol_fit": _number("tol_fit", cfg.get("tol_fit", tol_fit_default)),
         "raw": cfg,
     }
 

@@ -62,6 +62,9 @@ __all__ = [
     "poly_bracket",
     "dual_vector_at",
     "random_point",
+    "random_points",
+    "uniform_block",
+    "chart_blocks",
 ]
 
 _fact = math.factorial
@@ -117,6 +120,11 @@ class Poly:
             return NotImplemented  # numpy applies the operation per element
         if not isinstance(other, Poly):
             other = Poly.const(other)
+        # a zero operand: Polys are not changed in place, so the other is shared
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for mono, c in other.terms.items():
             out[mono] = out.get(mono, 0.0) + c
@@ -137,6 +145,8 @@ class Poly:
         if isinstance(other, np.ndarray):
             return NotImplemented
         if not isinstance(other, Poly):
+            if other == 0:  # every product would be dropped as zero
+                return Poly()
             return Poly({m: c * other for m, c in self.terms.items()})
         out: Dict = {}
         for m1, c1 in self.terms.items():
@@ -271,12 +281,41 @@ class PhasePoint:
         return dict(zip(StructureMatrix(self.N, self.dim, self.m).coordinates(), values))
 
 
+def uniform_block(rng, k: int, spans) -> List[np.ndarray]:
+    """k rows of uniform draws taken as one ``rng.random((k, width))`` block
+    and cut, left to right, into one (k, w) array per span (lo, hi, w).
+
+    numpy's ``uniform(lo, hi)`` is lo + (hi - lo) * next_double, so this
+    gives the bits of, and leaves the rng where, k rounds of one
+    ``rng.uniform(lo, hi, w)`` call per span would.
+    """
+    u = rng.random((k, sum(w for _, _, w in spans)))
+    out, at = [], 0
+    for lo, hi, w in spans:
+        out.append(lo + (hi - lo) * u[:, at:at + w])
+        at += w
+    return out
+
+
+def chart_blocks(z, N: int, dim: int):
+    """(q, p, s, chi) views of stacked rows z (..., n) of chart coordinates
+    in the order of StructureMatrix.coordinates()."""
+    nq, n_p = q_levels(N, dim) * dim, p_levels(N, dim) * dim
+    lead = z.shape[:-1]
+    return (z[..., :nq].reshape(lead + (-1, dim)), z[..., nq:nq + n_p].reshape(lead + (-1, dim)),
+            z[..., nq + n_p:-3], z[..., -3:])
+
+
+def random_points(rng, k: int, N: int, dim: int) -> np.ndarray:
+    """(k, n) rows of chart coordinates, in the order of
+    StructureMatrix.coordinates(), each drawn uniformly from [-0.7, 0.7)."""
+    n = (q_levels(N, dim) + p_levels(N, dim)) * dim + spin_components(dim) + 3
+    return uniform_block(rng, k, [(-0.7, 0.7, n)])[0]
+
+
 def random_point(rng, N: int, dim: int, m: float = 1.0) -> PhasePoint:
-    """Phase point with every coordinate drawn uniformly from [-0.7, 0.7)."""
-    q = rng.uniform(-0.7, 0.7, (q_levels(N, dim), dim))
-    p = rng.uniform(-0.7, 0.7, (p_levels(N, dim), dim))
-    s = rng.uniform(-0.7, 0.7, spin_components(dim))
-    chi = rng.uniform(-0.7, 0.7, 3)
+    """Phase point of one row of random_points."""
+    q, p, s, chi = chart_blocks(random_points(rng, 1, N, dim)[0], N, dim)
     return PhasePoint(q=q, p=p, s=s, chi=chi, m=m)
 
 
@@ -428,7 +467,7 @@ def poly_bracket(f: Poly, g: Poly, sm: StructureMatrix) -> Poly:
     on the hash seed; a partial derivative of g is taken only where some
     variable of f has a nonzero bracket with it.
     """
-    out = Poly()
+    out: Dict = {}
     g_vars = sorted(g.variables())
     dg: Dict = {}
     for u in sorted(f.variables()):
@@ -442,8 +481,15 @@ def poly_bracket(f: Poly, g: Poly, sm: StructureMatrix) -> Poly:
             if v not in dg:
                 dg[v] = g.diff(v)
             if dg[v]:
-                out = out + df * dg[v] * br
-    return out
+                # summed in place in the order of Poly addition, which drops
+                # a monomial whose sum is exactly 0 (it comes back last)
+                for mono, c in (df * dg[v] * br).terms.items():
+                    total = out.get(mono, 0.0) + c
+                    if total == 0:
+                        del out[mono]
+                    else:
+                        out[mono] = total
+    return Poly(out)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +543,8 @@ def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
     list of tower levels, each a list of dim polynomials.
     """
     z = np.array([Poly.var(sym) for sym in StructureMatrix(N, dim, m).coordinates()])
-    nq, n_p = q_levels(N, dim) * dim, p_levels(N, dim) * dim
-    q, p = z[:nq].reshape(-1, dim), z[nq:nq + n_p].reshape(-1, dim)
-    j, c, h, d, k = orbit_components(m, z[nq + n_p:-3], z[-3:], raw_levels(q, p, m))
+    q, p, s, chi = chart_blocks(z, N, dim)
+    j, c, h, d, k = orbit_components(m, s, chi, raw_levels(q, p, m))
     return {"j": list(j), "h": h, "d": d, "k": k, "c": c.tolist(), "m": Poly.const(m)}
 
 

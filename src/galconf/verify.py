@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
@@ -115,23 +116,36 @@ def break_antisymmetry(alg: AlgebraSpec, lhs: str, rhs: str) -> AlgebraSpec:
 # shared draws
 # ---------------------------------------------------------------------------
 
+def _draw_duals(rng, alg: AlgebraSpec, k: int, scale: float, *spans):
+    """(V, *params): k rounds of one random dual point followed by one
+    ``rng.uniform(lo, hi, w)`` call per span (lo, hi, w), drawn as one block.
+
+    V is the (k, n) stack of packed dual rows (the pack_dual layout), each
+    drawn in the order m, h, d, k, j, c: m from [0.5, 2), the rest from
+    [-scale, scale); each parameter is a (k, w) array.
+    """
+    j_rows, c_rows, mhdk_rows = alg.dual_rows
+    order = np.concatenate([mhdk_rows, j_rows, c_rows.ravel()])
+    m, rest, *params = po.uniform_block(rng, k, [(0.5, 2.0, 1), (-scale, scale, len(order) - 1),
+                                                 *spans])
+    V = np.zeros((k, len(alg.generators)))
+    V[:, order] = np.concatenate([m, rest], axis=1)
+    return (V, *params)
+
+
 def random_dual(rng, alg: AlgebraSpec, scale: float = 0.7) -> np.ndarray:
-    """Packed dual row (the pack_dual layout) of a random dual point of
-    alg, drawn in the order m, h, d, k, j, c: m from [0.5, 2), the rest from
-    [-scale, scale)."""
-    j_rows, c_rows, (im, ih, i_d, ik) = alg.dual_rows
-    v = np.zeros(len(alg.generators))
-    v[im] = rng.uniform(0.5, 2.0)
-    for i in (ih, i_d, ik):
-        v[i] = rng.uniform(-scale, scale)
-    v[j_rows] = rng.uniform(-scale, scale, len(j_rows))
-    v[c_rows] = rng.uniform(-scale, scale, c_rows.shape)
-    return v
+    """Packed dual row of one random dual point of alg (see _draw_duals)."""
+    return _draw_duals(rng, alg, 1, scale)[0][0]
+
+
+def _element_span(alg: AlgebraSpec):
+    """The draw span of the coefficient row of a random element."""
+    return (-0.4, 0.4, len(alg.generators))
 
 
 def _random_element(rng, alg: AlgebraSpec) -> np.ndarray:
     """Coefficient row of a random element, one uniform draw per generator."""
-    return rng.uniform(-0.4, 0.4, len(alg.generators))
+    return po.uniform_block(rng, 1, [_element_span(alg)])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +270,20 @@ def suite_orbit(seed: int, tols: Dict[str, float],
                 factory: Callable[..., AlgebraSpec]) -> List[Case]:
     """Coadjoint oracle, Casimir and orbit-label cases.
 
-    Each case draws its samples one by one, in a fixed rng order, as packed
-    dual rows; the printed closed forms (the independent oracle), the generic
-    exp(ad*) flows, the Casimirs and the orbit parametrizations then run once
-    per case on the stack of draws, in the same rng order.  A row of a stack
-    gives the bits of the same draw evaluated alone.
+    Each case draws all of its samples as one block, in a fixed rng order,
+    as packed dual rows and parameters; the printed closed forms (the
+    independent oracle), the generic exp(ad*) flows, the Casimirs and the
+    orbit parametrizations then run once per case on the stack of draws.  A
+    row of a stack gives the bits of the same draw evaluated alone.
     """
     rng = np.random.default_rng(seed + 1)
     cases: List[Case] = []
     alg1 = factory(1, 3, True, False)
+    n_draws = 100
 
-    def oracle_case(name, alg, family, draws):
-        """draws: (packed dual row, coefficient row of A, t, closed-form parameter) per draw."""
-        V, a, t, params = (np.array(v) for v in zip(*draws))
+    def oracle_case(name, alg, family, V, a, t, params):
+        """One row of V, a, t and params per draw: the packed dual row, the
+        coefficient row of A, its flow time and the closed-form parameter."""
         want = co.coad_closed_form(alg, family, params, V)
         got = co.coad_flow(alg, a, t, V)
         worst, detail = _worst_draw(np.abs(want - got).max(axis=1))
@@ -279,29 +294,23 @@ def suite_orbit(seed: int, tols: Dict[str, float],
                "dilation": "D", "conformal": "K", "rotation": "J1 J2 J3"}
     for fam, names in columns.items():
         rows = [alg1.index[alg1.generator(n)] for n in names.split()]
-        draws = []
-        for _ in range(100):
-            v = random_dual(rng, alg1)
-            a = np.zeros(len(alg1.generators))
-            if len(rows) == 3:  # a 3-vector parameter, flowed for time 1
-                par = a[rows] = rng.uniform(-0.7, 0.7, 3)
-                t = 1.0
-            else:  # one generator, flowed for time p (back in time for H)
-                par, a[rows] = rng.uniform(-0.7, 0.7), 1.0
-                t = -par if fam == "time" else par
-            draws.append((v, a, t, par))
-        oracle_case(f"oracle_table1_{fam}", alg1, fam, draws)
+        V, par = _draw_duals(rng, alg1, n_draws, 0.7, (-0.7, 0.7, len(rows)))
+        a = np.zeros((n_draws, len(alg1.generators)))
+        if len(rows) == 3:  # a 3-vector parameter, flowed for time 1
+            a[:, rows] = par
+            t = np.ones(n_draws)
+        else:  # one generator, flowed for time p (back in time for H)
+            par, a[:, rows] = par[:, 0], 1.0
+            t = -par if fam == "time" else par
+        oracle_case(f"oracle_table1_{fam}", alg1, fam, V, a, t, par)
 
     for (N, dim) in ((3, 3), (4, 2), (2, 2)):
         alg = factory(N, dim, True, False)
-        draws = []
-        for _ in range(100):
-            v = random_dual(rng, alg)
-            x = rng.uniform(-0.5, 0.5, (N + 1, dim))
-            a = np.zeros(len(alg.generators))
-            a[alg.dual_rows[1]] = x
-            draws.append((v, a, 1.0, x))
-        oracle_case(f"oracle_ctrans_N{N}_dim{dim}", alg, "ctrans", draws)
+        V, x = _draw_duals(rng, alg, n_draws, 0.7, (-0.5, 0.5, (N + 1) * dim))
+        x = x.reshape(n_draws, N + 1, dim)
+        a = np.zeros((n_draws, len(alg.generators)))
+        a[:, alg.dual_rows[1]] = x
+        oracle_case(f"oracle_ctrans_N{N}_dim{dim}", alg, "ctrans", V, a, np.ones(n_draws), x)
 
     v = random_dual(rng, alg1)
     for name, w in (("central_flow_identity",
@@ -312,13 +321,8 @@ def suite_orbit(seed: int, tols: Dict[str, float],
 
     for (N, dim) in FLOW_FAMILIES:
         alg = factory(N, dim, True, False)
-        V, As, ts = [], [], []
-        for _ in range(100):
-            V.append(random_dual(rng, alg, scale=0.5))
-            As.append(_random_element(rng, alg))
-            ts.append(float(rng.uniform(-0.5, 0.5)))
-        V = np.array(V)
-        W = co.coad_flow(alg, np.array(As), ts, V)
+        V, A, t = _draw_duals(rng, alg, n_draws, 0.5, _element_span(alg), (-0.5, 0.5, 1))
+        W = co.coad_flow(alg, A, t[:, 0], V)
         fields_v, fields_w = co.dual_fields(alg, V), co.dual_fields(alg, W)
         worst_m, detail_m = _worst_draw(np.abs(fields_w[0] - fields_v[0]))
         cas = np.abs(np.array(co.casimir_arrays(*fields_v))
@@ -332,23 +336,19 @@ def suite_orbit(seed: int, tols: Dict[str, float],
                co.OrbitClass("HyperbolicSigma", 1.2), co.OrbitClass("Hplus0"),
                co.OrbitClass("Origin")]
     draws_per_class = 20
+    chis = np.array([co.chi_for_class(cls) for cls in classes])
     for (N, dim) in FLOW_FAMILIES:
-        alg = factory(N, dim, True, False)
-        ms, ss, chis, xs, want_c2, want_c3 = [], [], [], [], [], []
-        for cls in classes:
-            chi = co.chi_for_class(cls)
-            signed = co.chi_interval(chi)
-            m = float(rng.uniform(0.5, 2.0))
-            s = rng.uniform(-1, 1, al.spin_components(dim))
-            xs += [rng.uniform(-1.0, 1.0, (N + 1, dim)) for _ in range(draws_per_class)]
-            ms.append(m)
-            ss.append(s)
-            chis.append(chi)
-            want_c2.append(m * m * float(s @ s) if dim == 3 else m * s[0])
-            want_c3.append(2 * m * m * signed)
+        # per class: its mass, its spin, then the tower levels of each draw
+        ms, ss, xs = po.uniform_block(rng, len(classes), [
+            (0.5, 2.0, 1), (-1.0, 1.0, al.spin_components(dim)),
+            (-1.0, 1.0, draws_per_class * (N + 1) * dim)])
+        ms = ms[:, 0]
+        want_c2 = [m * m * float(s @ s) if dim == 3 else m * s[0] for m, s in zip(ms, ss)]
+        want_c3 = [2 * m * m * co.chi_interval(chi) for m, chi in zip(ms, chis)]
         m, s, chi, c2, c3 = (np.repeat(np.array(v), draws_per_class, axis=0)
                              for v in (ms, ss, chis, want_c2, want_c3))
-        _, C2, C3 = co.casimir_arrays(m, *co.orbit_components(m, s, chi, np.array(xs)))
+        x = xs.reshape(-1, N + 1, dim)
+        _, C2, C3 = co.casimir_arrays(m, *co.orbit_components(m, s, chi, x))
         defects = np.maximum(np.abs(C2 - c2), np.abs(C3 - c3))
         i = int(np.argmax(defects))
         cls, draw = classes[i // draws_per_class], i % draws_per_class
@@ -402,9 +402,8 @@ def suite_poisson(seed: int, tols: Dict[str, float],
         mm = po.momentum_map(alg, m)
         sm = po.StructureMatrix(N, dim, m)
         # one env of (n,) arrays: every polynomial is evaluated at all points at once
-        envs = [po.random_point(rng, N, dim, m=m).env() for _ in range(50)]
-        n = len(envs)
-        env = {sym: np.array([e[sym] for e in envs]) for sym in envs[0]}
+        n = 50
+        env = dict(zip(sm.coordinates(), po.random_points(rng, n, N, dim).T))
         values = {Z: g.eval(env) for Z, g in mm.items()}
         worst, detail = 0.0, f"all pairs exact at {n} points"
         gens = list(alg.generators)
@@ -477,18 +476,18 @@ def suite_poisson(seed: int, tols: Dict[str, float],
 # dynamics suite
 # ---------------------------------------------------------------------------
 
-def _printed_free_field(pt: po.PhasePoint):
-    """The free Hamiltonian vector field (dq, dp, dchi) at pt as printed.
+def _printed_free_field(q, p, chi, m: float):
+    """The free Hamiltonian vector field (dq, dp, dchi) at stacked points as printed.
 
     Each q level moves with the level above it, the top level with the top
     momentum over m, momenta cascade downward with p_0 frozen, and chi turns
     inside its hyperboloid.  This is the oracle for the bracket flows of h.
     """
-    q, p, chi = pt.q, pt.p, pt.chi
-    p_top = p[-1] if pt.dim == 3 else p[-1] @ po.EPS2
-    dq = np.vstack([q[1:], p_top / pt.m])
-    dp = np.vstack([np.zeros(pt.dim), -p[:-1]])
-    return dq, dp, np.array([chi[2], chi[2], chi[0] - chi[1]])
+    p_top = p[..., -1:, :] if q.shape[-1] == 3 else p[..., -1:, :] @ po.EPS2
+    dq = np.concatenate([q[..., 1:, :], p_top / m], axis=-2)
+    dp = np.concatenate([np.zeros_like(p[..., :1, :]), -p[..., :-1, :]], axis=-2)
+    dchi = np.stack([chi[..., 2], chi[..., 2], chi[..., 0] - chi[..., 1]], axis=-1)
+    return dq, dp, dchi
 
 
 def suite_dynamics(seed: int, tols: Dict[str, float],
@@ -534,11 +533,10 @@ def suite_dynamics(seed: int, tols: Dict[str, float],
     for (N, dim) in FLOW_FAMILIES:
         m = float(rng.uniform(0.6, 1.8))
         L = dy._flow_matrix(N, dim, m, dy.FREE)
-        worst = 0.0
-        for _ in range(50):
-            pt = po.random_point(rng, N, dim, m=m)
-            printed = np.concatenate([f.ravel() for f in _printed_free_field(pt)])
-            worst = max(worst, float(np.max(np.abs(L @ dy._pack(pt) - printed))))
+        q, p, _, chi = po.chart_blocks(po.random_points(rng, 50, N, dim), N, dim)
+        z, printed = (np.concatenate([f.reshape(50, -1) for f in fields], axis=1)
+                      for fields in ((q, p, chi), _printed_free_field(q, p, chi, m)))
+        worst = float(np.max(np.abs((L @ z[..., None])[..., 0] - printed)))
         cases.append(_case(f"hamiltonian_consistency_N{N}_dim{dim}", worst, tols["structure"]))
 
     ham = dy.HamiltonianChoice("newton_hooke", omega=1.0, sign=1)
@@ -708,7 +706,8 @@ def run_suites(which="all", seed: int = 42, tolerances: Optional[Dict[str, float
     names = list(SUITES) if which == "all" else [which]
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(tolerances or {})
-    factory = algebra_factory or build_algebra
+    # each suite asks for the same few algebras: build each once per call
+    factory = cache(algebra_factory or build_algebra)
     suites = {}
     for name in names:
         cases = SUITES[name](seed, tols, factory)

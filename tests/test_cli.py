@@ -279,7 +279,12 @@ class TestCasimirEval:
         dict(DUAL_3D, m=-1.0, h=float("nan")),              # exit 0, printed C3: NaN
         dict(DUAL_2D, j=[]),                                # silently read as j = 0
         {"dual": [DUAL_2D]},
-    ], ids=["missing_c", "short_j", "list", "negative_m_nan_h", "empty_j_2d", "dual_list"])
+        dict(DUAL_3D, m="1.5"),                             # numeric strings were read by float()
+        dict(DUAL_3D, h="0.25"),
+        dict(DUAL_2D, d="-1"),
+        dict(DUAL_2D, k=True),
+    ], ids=["missing_c", "short_j", "list", "negative_m_nan_h", "empty_j_2d", "dual_list",
+            "string_m", "string_h", "string_d_2d", "bool_k_2d"])
     def test_malformed_dual_exits_2(self, capsys, tmp_path, data):
         path = tmp_path / "dual.json"
         path.write_text(json.dumps(data))
@@ -412,6 +417,17 @@ class TestSimulate:
         {"hamiltonian": "newton_hooke", "omega": 1.0, "sign": 1.7},
         {"hamiltonian": "newton_hooke", "omega": 1.0, "sign": True},
         {"hamiltonian": "newton_hooke", "omega": 1.0, "sign": "-1"},
+        # numeric strings and booleans used to be read by float() and run
+        {"m": "1.0"},
+        {"m": True},
+        {"dt": "0.001"},
+        {"T": "1"},
+        {"hamiltonian": "newton_hooke", "omega": "1.0"},
+        {"sigma": "1.0"},
+        {"tol_conservation": "1e-8"},
+        {"tol_fit": "1e-7"},
+        {"chi": [1.0, 0.0, 0.0], "classify_tol": "1e-9"},
+        {"m": 10 ** 400},
     ])
     def test_invalid_configs_exit_2(self, capsys, tmp_path, overrides):
         cfg = write_free_config(tmp_path, **overrides)

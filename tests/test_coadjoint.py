@@ -43,6 +43,8 @@ from galconf.errors import (
 from galconf.verify import (
     ACCEPTANCE_ALGEBRAS,
     FLOW_FAMILIES,
+    _draw_duals,
+    _element_span,
     _random_element,
     _worst_draw,
     flip_constant,
@@ -547,6 +549,48 @@ def test_random_dual_draws_m_h_d_k_j_c_into_a_packed_row(N, dim):
     j, c = u(-0.3, 0.3, spin_components(dim)), u(-0.3, 0.3, (N + 1, dim))
     assert same_bits(v, pack_dual(alg, m, j, c, h, d, k))
     assert rng.bit_generator.state == field_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("scale", [0.7, 0.5])
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+def test_dual_block_matches_sequential_draws(N, dim, scale):
+    # one block of k rows gives the bytes, and leaves the rng where, k rounds
+    # of random_dual and one uniform call per parameter span did
+    alg = build_algebra(N, dim, central=True)
+    for spans in ([], [(-0.7, 0.7, 3)], [(-0.7, 0.7, 1)], [(-0.5, 0.5, (N + 1) * dim)],
+                  [_element_span(alg), (-0.5, 0.5, 1)]):
+        rng, seq_rng = (np.random.default_rng(N * 10 + dim) for _ in range(2))
+        V, *params = _draw_duals(rng, alg, 7, scale, *spans)
+        rows = []
+        for _ in range(7):
+            rows.append([random_dual(seq_rng, alg, scale)] + [
+                np.atleast_1d(seq_rng.uniform(lo, hi) if w == 1 else seq_rng.uniform(lo, hi, w))
+                for lo, hi, w in spans])
+        for got, want in zip([V, *params], zip(*rows)):
+            assert same_bits(got, np.array(want))
+        assert rng.bit_generator.state == seq_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+def test_pack_dual_rejects_a_j_of_the_wrong_length(N, dim):
+    # a j of length 1 used to be broadcast into every rotation slot
+    alg = build_algebra(N, dim, central=True)
+    n = spin_components(dim)
+    for j in (np.full(1 if dim == 3 else 3, 0.5), np.full(n + 1, 0.5), np.full((4, n + 1), 0.5),
+              0.5):
+        with pytest.raises(ShapeMismatch):
+            pack_dual(alg, 1.0, j, np.zeros((N + 1, dim)), 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+def test_pack_dual_rejects_a_c_of_the_wrong_shape(N, dim):
+    # a c of shape (dim,) used to be broadcast across every tower level
+    alg = build_algebra(N, dim, central=True)
+    j = np.zeros(spin_components(dim))
+    for c in (np.zeros(dim), np.zeros((N + 2, dim)), np.zeros((N + 1, 5 - dim)),
+              np.zeros((4, N + 1))):
+        with pytest.raises(ShapeMismatch):
+            pack_dual(alg, 1.0, j, c, 0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("N,dim", FLOW_FAMILIES)

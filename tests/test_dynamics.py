@@ -102,7 +102,7 @@ class TestTimeDerivative:
         for _ in range(10):
             pt = random_point(rng, N, dim, m=m)
             env = pt.env()
-            dq, dp, dchi = _printed_free_field(pt)
+            dq, dp, dchi = _printed_free_field(pt.q, pt.p, pt.chi, pt.m)
             Lq, Lp, Lchi = vector_field(pt)
             assert np.allclose(Lq, dq, rtol=0, atol=1e-15)
             assert np.allclose(Lp, dp, rtol=0, atol=1e-15)
@@ -131,7 +131,7 @@ def test_flow_matrix_matches_printed_field(N, dim):
     for j, e in enumerate(np.eye(len(L))):
         pt = PhasePoint(q=e[:nq].reshape(-1, dim), p=e[nq:nq + n_p].reshape(-1, dim),
                         s=s, chi=e[nq + n_p:], m=m)
-        dq, dp, dchi = _printed_free_field(pt)
+        dq, dp, dchi = _printed_free_field(pt.q, pt.p, pt.chi, pt.m)
         assert np.allclose(L[:, j], np.concatenate([dq.ravel(), dp.ravel(), dchi]),
                            rtol=0, atol=1e-16), j
 

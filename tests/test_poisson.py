@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galconf import poisson as po
-from galconf.algebra import build_algebra, eps2
+from galconf.algebra import build_algebra, eps2, spin_components
 from galconf.coadjoint import casimir_arrays
 from galconf.errors import InvalidState, ShapeMismatch
 from galconf.poisson import (
@@ -20,8 +20,10 @@ from galconf.poisson import (
     generators_at,
     momentum_map,
     poly_bracket,
+    p_levels,
     q_levels,
     random_point,
+    random_points,
     raw_bracket,
     to_darboux,
 )
@@ -412,3 +414,107 @@ def test_raw_levels_keeps_integer_blocks_exact():
     x = po.raw_levels(q, p, 2.0)
     assert x.dtype == float
     assert x.tobytes() == po.raw_levels(q.astype(float), p.astype(float), 2.0).tobytes()
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (5, 3), (2, 2), (4, 2), (6, 2)])
+def test_random_point_draws_q_p_s_chi_in_chart_order(N, dim):
+    # the order in which the blocks of the same draws were once built
+    rng, block_rng = (np.random.default_rng(N * 10 + dim) for _ in range(2))
+    pt = random_point(rng, N, dim, m=1.3)
+    u = block_rng.uniform
+    want = (u(-0.7, 0.7, (q_levels(N, dim), dim)), u(-0.7, 0.7, (p_levels(N, dim), dim)),
+            u(-0.7, 0.7, spin_components(dim)), u(-0.7, 0.7, 3))
+    for got, w in zip((pt.q, pt.p, pt.s, pt.chi), want):
+        assert same_bits(got, w)
+    assert rng.bit_generator.state == block_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (2, 2), (4, 2)])
+def test_random_points_match_sequential_random_point(N, dim):
+    # one block of k rows gives the bytes, and leaves the rng where, k
+    # random_point calls did; the rows hold the chart coordinates in order
+    rng, seq_rng = (np.random.default_rng(70 + N * 10 + dim) for _ in range(2))
+    Z = random_points(rng, 9, N, dim)
+    pts = [random_point(seq_rng, N, dim, m=0.8) for _ in range(9)]
+    assert rng.bit_generator.state == seq_rng.bit_generator.state
+    want = np.array([[pt.env()[sym] for sym in StructureMatrix(N, dim, 0.8).coordinates()]
+                     for pt in pts])
+    assert same_bits(Z, want)
+    for got, field in zip(po.chart_blocks(Z, N, dim), "q p s chi".split()):
+        assert same_bits(got, np.array([getattr(pt, field) for pt in pts]))
+
+
+def test_uniform_block_matches_one_uniform_call_per_span():
+    spans = [(0.5, 2.0, 1), (-1.0, 1.0, 3), (-0.4, 0.4, 11), (-0.7, 0.7, 1), (-1.0, 1.0, 24)]
+    rng, seq_rng = (np.random.default_rng(5) for _ in range(2))
+    got = po.uniform_block(rng, 6, spans)
+    want = [[] for _ in spans]
+    for _ in range(6):
+        for (lo, hi, w), out in zip(spans, want):
+            draw = seq_rng.uniform(lo, hi) if w == 1 else seq_rng.uniform(lo, hi, w)
+            out.append(np.atleast_1d(draw))
+    for g, w in zip(got, want):
+        assert same_bits(g, np.array(w))
+    assert rng.bit_generator.state == seq_rng.bit_generator.state
+
+
+def test_poly_zero_operands_keep_terms_and_order():
+    x, y = ("q", 0, 0), ("p", 0, 0)
+    f = Poly.var(y, -2.0) * Poly.var(x) + Poly.var(x, 3.0) + Poly.const(1.5)
+    empty = Poly()
+    for got in (f + empty, empty + f, f + 0, 0 + f, f - empty, f + 0.0):
+        assert list(got.terms.items()) == list(f.terms.items())
+    for got in (f * 0, 0 * f, f * 0.0, empty * f, f * empty, empty + empty, empty * 2.0):
+        assert got.terms == {}
+
+
+def poly_bracket_reference(f, g, sm):
+    """{f, g} summed term by term with Poly addition, which drops a monomial
+    whose sum is exactly 0; also returns how many monomials came back after
+    being dropped that way."""
+    out, dropped, returned = Poly(), set(), 0
+    g_vars = sorted(g.variables())
+    for u in sorted(f.variables()):
+        df = f.diff(u)
+        for v in g_vars:
+            br = sm.bracket(u, v)
+            dg = g.diff(v)
+            if df and br and dg:
+                term = df * dg * br
+                for mono, c in term.terms.items():
+                    returned += mono in dropped and mono not in out.terms
+                    if out.terms.get(mono, 0.0) + c == 0:
+                        dropped.add(mono)
+                out = out + term
+    return out, returned
+
+
+def test_poly_bracket_matches_term_by_term_addition():
+    # small integer coefficients make exact cancellations, and a monomial
+    # that cancels and comes back goes last, as in Poly addition
+    returned = 0
+    for N, dim in [(1, 3), (3, 3), (2, 2)]:
+        sm = StructureMatrix(N, dim, 1.0 if dim == 3 else 2.0)
+        syms = sm.coordinates()
+        rng = np.random.default_rng(N * 10 + dim)
+
+        def poly():
+            out = Poly()
+            for _ in range(int(rng.integers(2, 6))):
+                mono = Poly.const(float(rng.integers(-3, 4)) or 1.0)
+                for _ in range(int(rng.integers(1, 4))):
+                    mono = mono * Poly.var(syms[int(rng.integers(0, len(syms)))])
+                out = out + mono
+            return out
+
+        for _ in range(40):
+            f, g = poly(), poly()
+            for a, b in ((f, g), (f, f), (f, f + g), (f * g, f), (f + g, f - g)):
+                want, n = poly_bracket_reference(a, b, sm)
+                returned += n
+                assert list(poly_bracket(a, b, sm).terms.items()) == list(want.terms.items())
+    assert returned > 0
