@@ -135,10 +135,20 @@ def _finite(name: str, value):
     return value
 
 
+def _array(name: str, value) -> np.ndarray:
+    """value as a float array; a string or a boolean entry is InvalidConfig,
+    not parsed or read as 0/1."""
+    def bad(v):
+        return any(map(bad, v)) if isinstance(v, list) else isinstance(v, (str, bool))
+    if bad(value):
+        raise InvalidConfig(f"{name} must hold numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _chi(value) -> np.ndarray:
     """value as a chi triple, or InvalidConfig unless the sum of its squared
     entries is finite, which bounds its interval and its length."""
-    chi = _finite("chi", np.asarray(value, dtype=float).reshape(3))
+    chi = _finite("chi", _array("chi", value).reshape(3))
     with np.errstate(over="ignore"):
         if not math.isfinite(chi @ chi):
             raise InvalidConfig(f"chi={chi.tolist()} is too large: its squares overflow")
@@ -174,13 +184,18 @@ def _number(name: str, value) -> float:
         raise InvalidConfig(f"{name} is out of the float range, got {value!r}")
 
 
+def _config_tolerance(cfg: dict, key: str, default: float) -> float:
+    """cfg[key], or default: a number (see _number) that is a _tolerance."""
+    return _tolerance(key, _number(key, cfg.get(key, default)))
+
+
 def _resolve_internal(cfg: dict, dim: int):
     """(s, chi, label) from the flat config keys m / s / chi / chi_class / sigma."""
     m = _number("m", cfg["m"])
     if not (math.isfinite(m) and m > 0):
         raise InvalidConfig(f"m must be finite and positive, got {m}")
     n = al.spin_components(dim)
-    s = _finite("s", np.asarray(cfg.get("s", np.zeros(n)), dtype=float).reshape(n))
+    s = _finite("s", _array("s", cfg.get("s", np.zeros(n))).reshape(n))
     s2 = float(co.spin_invariant(s))
     has_chi = "chi" in cfg
     if has_chi:
@@ -205,7 +220,7 @@ def _resolve_internal(cfg: dict, dim: int):
 def cmd_orbit_parametrize(args) -> int:
     cfg = _known_keys(_load_json(args.config), ORBIT_CONFIG_KEYS)
     try:
-        x = _finite("x", np.asarray(cfg["x"], dtype=float))
+        x = _finite("x", _array("x", cfg["x"]))
         if x.ndim != 2:
             raise InvalidConfig("x must be an (N+1) x dim array")
         al.build_algebra(x.shape[0] - 1, x.shape[1], central=True)  # admissibility gate
@@ -245,7 +260,7 @@ def _load_dual(path: str):
         raise InvalidConfig(f"dual must be a JSON object, got {type(data).__name__}")
     try:
         m, h, d, k = (_number(key, data[key]) for key in "mhdk")
-        j, c = (np.array(data[key], dtype=float) for key in "jc")
+        j, c = (_array(key, data[key]) for key in "jc")
     except KeyError as exc:
         raise InvalidConfig(f"missing dual key {exc}")
     except (TypeError, ValueError) as exc:
@@ -304,8 +319,8 @@ def _parse_run_config(cfg) -> dict:
     else:
         raise InvalidConfig(f"unknown hamiltonian {ham_tag!r}")
     nq, npp = po.q_levels(N, dim), po.p_levels(N, dim)
-    q = np.asarray(cfg.get("q", np.zeros((nq, dim))), dtype=float)
-    p = np.asarray(cfg.get("p", np.zeros((npp, dim))), dtype=float)
+    q = _array("q", cfg.get("q", np.zeros((nq, dim))))
+    p = _array("p", cfg.get("p", np.zeros((npp, dim))))
     if q.shape != (nq, dim) or p.shape != (npp, dim):
         raise InvalidConfig(
             f"initial blocks must be q:{(nq, dim)} p:{(npp, dim)}, "
@@ -316,8 +331,7 @@ def _parse_run_config(cfg) -> dict:
         raise InvalidConfig(str(exc))
     m = label.m
     if "chi" in cfg and "chi_class" in cfg:
-        tol = _number("classify_tol", cfg.get("classify_tol", 1e-9))
-        got = co.classify_orbit(chi, tol=_tolerance("classify_tol", tol))
+        got = co.classify_orbit(chi, tol=_config_tolerance(cfg, "classify_tol", 1e-9))
         if got.tag != label.chi_class.tag:
             raise InvalidConfig(
                 f"explicit chi classifies as {got.tag}, config says "
@@ -329,9 +343,9 @@ def _parse_run_config(cfg) -> dict:
         "pt": po.PhasePoint(q=q, p=p, s=s, chi=chi, m=m),
         "dt": dt, "T": T,
         "csv": cfg.get("csv"), "summary": cfg.get("summary"),
-        "tol_conservation": _number("tol_conservation", cfg.get(
-            "tol_conservation", vf.DEFAULT_TOLERANCES["integrator"])),
-        "tol_fit": _number("tol_fit", cfg.get("tol_fit", tol_fit_default)),
+        "tol_conservation": _config_tolerance(cfg, "tol_conservation",
+                                              vf.DEFAULT_TOLERANCES["integrator"]),
+        "tol_fit": _config_tolerance(cfg, "tol_fit", tol_fit_default),
         "raw": cfg,
     }
 

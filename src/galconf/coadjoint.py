@@ -117,14 +117,24 @@ def _rows_and_params(alg: AlgebraSpec, V, params, shape):
 
 def pack_dual(alg: AlgebraSpec, m, j, c, h, d, k) -> np.ndarray:
     """Packed dual rows (..., n) of stacked fields: the inverse of dual_fields.
-    The mass may be one number for every row.  Raises ShapeMismatch unless j
-    has a trailing axis of one entry per rotation generator and c trailing
-    axes (N+1, dim), so that neither is broadcast across the slots."""
+    The rows take the leading axes of h, to which those of the other fields
+    must broadcast; so the mass may be one number for every row.  Raises
+    ShapeMismatch unless j has a trailing axis of one entry per rotation
+    generator and c trailing axes (N+1, dim), so that neither is broadcast
+    across the slots, and unless the leading axes broadcast."""
     j_rows, c_rows, mhdk_rows = alg.dual_rows
     if np.shape(j)[-1:] != j_rows.shape or np.shape(c)[-2:] != c_rows.shape:
         raise ShapeMismatch(f"expected j (..., {len(j_rows)}) and c (..., {alg.N + 1}, "
                             f"{alg.dim}), got {np.shape(j)} and {np.shape(c)}")
     h = np.asarray(h, dtype=float)
+    leads = [np.shape(m), np.shape(j)[:-1], np.shape(c)[:-2], np.shape(d), np.shape(k)]
+    try:
+        fits = np.broadcast_shapes(h.shape, *leads) == h.shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeMismatch(f"leading axes of m, j, c, d, k {leads} do not broadcast to "
+                            f"those of h {h.shape}")
     v = np.zeros(h.shape + (len(alg.generators),))
     v[..., j_rows] = j
     v[..., c_rows] = c

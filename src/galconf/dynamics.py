@@ -10,37 +10,36 @@ step is the matrix I + D, so the samples are its powers applied to the
 initial state; they are formed by doubling D, not by stepping.  The free
 flow has a nilpotent external part, so a closed form exists and acts as
 the oracle for RK4.
+
+``integrate`` takes one PhasePoint and returns a Trajectory holding its
+samples as one stacked PhasePoint, which ``record_values`` evaluates.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .coadjoint import casimir_arrays, chi_interval, orbit_components
+from .coadjoint import casimir_arrays, chi_interval
 from .errors import BadStep, NonFiniteResult, ShapeMismatch, TooFewSamples, UnsupportedHamiltonian
 from .poisson import (
     EPS2,
     PhasePoint,
     StructureMatrix,
-    check_state,
-    generator_values,
+    dual_vector_at,
+    generators_at,
     hamiltonian_poly,
     p_levels,
     q_levels,
-    raw_levels,
     spin_invariant,
-    tower_order,
 )
 
 __all__ = [
     "HamiltonianChoice",
-    "PhaseStates",
     "Trajectory",
     "free_flow",
     "integrate",
@@ -154,7 +153,7 @@ def _rk4(z0: np.ndarray, D: np.ndarray, n_steps: int) -> np.ndarray:
     finite D_b, and the remaining rows are filled in blocks of b, each
     block from the one before, so an exact zero is never multiplied by an
     infinite D_b and the first non-finite entry is a coordinate that
-    overflows.  The overflow is not reported here: the Trajectory built
+    overflows.  The overflow is not reported here: the PhasePoint built
     from the rows rejects non-finite samples and names the first one.
     """
     n = n_steps + 1
@@ -212,87 +211,50 @@ def free_flow(q, p, chi, m: float, t):
     return np.stack(q_t, axis=-2), np.stack(p_t, axis=-2), chi_t
 
 
-def _frozen(a) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-class PhaseStates(Sequence):
-    """Read-only sequence of PhasePoints over stacked sample arrays.
-
-    An index builds a fresh PhasePoint, so writing into it leaves the stacks
-    alone; a slice is another view.  Nothing is cached.
-    """
-
-    __slots__ = ("q", "p", "s", "chi", "m")
-
-    def __init__(self, q, p, s, chi, m: float):
-        self.q, self.p, self.s, self.chi, self.m = q, p, s, chi, m
-
-    def __len__(self) -> int:
-        return len(self.q)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PhaseStates(self.q[i], self.p[i], self.s[i], self.chi[i], self.m)
-        return PhasePoint(q=self.q[i], p=self.p[i], s=self.s[i], chi=self.chi[i], m=self.m)
-
-
 @dataclass
 class Trajectory:
     """Samples of one flow with recorded generator and Casimir values.
 
-    times is (n,); q is (n, q_levels, dim), p is (n, p_levels, dim), s is
-    (n, spin_components(dim)), chi is (n, 3).  The stacks are read-only
-    copies, checked once on construction.  ham is the Hamiltonian whose flow
-    the samples follow.
+    times is (n,) and states is one PhasePoint holding the n samples as a
+    stack; the states' arrays are made read-only in place and times is a
+    read-only copy.  q, p, s, chi, m, N and dim read through to the states.
+    ham is the Hamiltonian whose flow the samples follow.
     """
 
     times: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    s: np.ndarray
-    chi: np.ndarray
-    m: float
+    states: PhasePoint
     recorded: Dict[str, np.ndarray] = field(default_factory=dict)
     ham: HamiltonianChoice = FREE
 
     def __post_init__(self):
-        self.times, self.q, self.p, self.s, self.chi = (
-            _frozen(a) for a in (self.times, self.q, self.p, self.s, self.chi))
-        if self.times.shape != self.q.shape[:1]:
-            raise ShapeMismatch(f"{self.times.shape} times for {self.q.shape[0]} samples")
-        check_state(self.q, self.p, self.s, self.chi, self.m)
-        self.m = float(self.m)
+        self.times = np.array(self.times, dtype=float)
+        if self.states.q.ndim != 3 or self.times.shape != self.states.q.shape[:1]:
+            raise ShapeMismatch(f"{self.times.shape} times for states of shape "
+                                f"{self.states.q.shape}")
+        for a in (self.times, self.q, self.p, self.s, self.chi):
+            a.setflags(write=False)
 
-    @property
-    def states(self) -> PhaseStates:
-        return PhaseStates(self.q, self.p, self.s, self.chi, self.m)
-
-    @property
-    def N(self) -> int:
-        return tower_order(self.q.shape)
-
-    @property
-    def dim(self) -> int:
-        return self.q.shape[-1]
+    q = property(lambda self: self.states.q)
+    p = property(lambda self: self.states.p)
+    s = property(lambda self: self.states.s)
+    chi = property(lambda self: self.states.chi)
+    m = property(lambda self: self.states.m)
+    N = property(lambda self: self.states.N)
+    dim = property(lambda self: self.states.dim)
 
     def q0_samples(self) -> np.ndarray:
         return self.q[:, 0, :]
 
 
-def record_values(q, p, s, chi, m: float) -> Dict[str, np.ndarray]:
-    """Generator and Casimir values of stacked samples, in one pass.
+def record_values(states: PhasePoint) -> Dict[str, np.ndarray]:
+    """Generator and Casimir values of a stack of samples, in one pass.
 
-    The stacks are those of a Trajectory, one row per sample.  Raises
-    NonFiniteResult naming the first sample, and the first quantity in it,
-    whose value overflows.
+    Raises NonFiniteResult naming the first sample, and the first quantity
+    in it, whose value overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        h, d, k, j = generator_values(q, p, s, chi, m)
-        C1, C2, C3 = casimir_arrays(m, *orbit_components(m, s, chi, raw_levels(q, p, m)))
-    rec = {"h": h, "d": d, "k": k, "j": j, "C1": C1, "C2": C2, "C3": C3}
+        rec = generators_at(states)
+        rec.update(zip(("C1", "C2", "C3"), casimir_arrays(states.m, *dual_vector_at(states))))
     bad = [(int(np.argwhere(~np.isfinite(v))[0, 0]), name) for name, v in rec.items()
            if not np.isfinite(v).all()]
     if bad:
@@ -351,8 +313,11 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
     """Sample the flow at t = 0, dt, ..., T.
 
     method "rk4" is the classical fixed-step integrator; "closed" evaluates
-    the exact free solution at every sample.  dt must divide T.
+    the exact free solution at every sample.  dt must divide T.  pt0 is one
+    sample.
     """
+    if pt0.q.ndim != 2:
+        raise ShapeMismatch(f"integrate starts from one sample, not a stack {pt0.q.shape[:-2]}")
     if method not in ("rk4", "closed"):
         raise BadStep(f"unknown method {method!r}")
     n_steps = _step_count(T, dt)
@@ -365,9 +330,9 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
         D = _rk4_step_matrix(_flow_matrix(pt0.N, pt0.dim, pt0.m, ham), dt)
         q, p, chi = _unpack(_rk4(_pack(pt0), D, n_steps), pt0.N, pt0.dim)
     s = np.broadcast_to(pt0.s, (n_steps + 1,) + pt0.s.shape)
-    traj = Trajectory(times=times, q=q, p=p, s=s, chi=chi, m=pt0.m, ham=ham)
+    traj = Trajectory(times=times, states=PhasePoint(q=q, p=p, s=s, chi=chi, m=pt0.m), ham=ham)
     if record:
-        traj.recorded = record_values(traj.q, traj.p, traj.s, traj.chi, traj.m)
+        traj.recorded = record_values(traj.states)
     return traj
 
 

@@ -7,11 +7,12 @@ coordinates; brackets are evaluated by exact differentiation contracted
 against the coordinate bracket table, ``StructureMatrix.tensors``, the one
 place the chart's coordinate brackets are written.
 
+A phase state has one value form, ``PhasePoint``: one sample or a stack.
 Generator functions come in two independent routes which the tests pin
-against each other: ``generator_values`` (and ``generators_at``) evaluates
-the printed reduced expressions directly, while ``generator_polynomials``
-runs the one orbit kernel, ``raw_levels`` then ``orbit_components``, on the
-coordinate polynomials; the same kernel records trajectories in floats.
+against each other: ``generators_at`` evaluates the printed reduced
+expressions at a PhasePoint, while ``generator_polynomials`` runs the one
+orbit kernel, ``raw_levels`` then ``orbit_components``, on the coordinate
+polynomials; ``dual_vector_at`` runs that kernel on a PhasePoint in floats.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "raw_levels",
     "aux_top_momentum",
     "generators_at",
-    "generator_values",
     "generator_polynomials",
     "momentum_map",
     "hamiltonian_poly",
@@ -242,13 +242,16 @@ def check_state(q, p, s, chi, m) -> None:
 
 @dataclass
 class PhasePoint:
-    """Orbit coordinates: external Darboux pairs, internal spin, chi, mass.
+    """Orbit coordinates of one sample or a stack: external Darboux pairs,
+    internal spin, chi, mass.
 
-    Shapes: q is (q_levels, dim) and p is (p_levels, dim); in dimension 2
-    the top q level is self-conjugate and has no p partner.  s has one
-    component per rotation generator J (3 in dimension 3, 1 in dimension 2;
-    a bare number is read as the one component) and chi has 3.  Coordinates
-    must be finite and the mass positive.
+    Shapes: q is (..., q_levels, dim) and p is (..., p_levels, dim), with
+    the same leading sample axes on every array (none for one sample); in
+    dimension 2 the top q level is self-conjugate and has no p partner.  s
+    has one component per rotation generator J (3 in dimension 3, 1 in
+    dimension 2; a bare number is read as the one component) and chi has 3.
+    The arrays are checked copies: finite coordinates, positive mass.  An
+    index or a slice of a stack's first axis is a fresh copy.
     """
 
     q: np.ndarray
@@ -258,25 +261,36 @@ class PhasePoint:
     m: float
 
     def __post_init__(self):
-        self.q = np.array(self.q, dtype=float)
-        self.p = np.array(self.p, dtype=float)
-        self.s = np.array(self.s, dtype=float).reshape(-1)
-        self.chi = np.array(self.chi, dtype=float).reshape(-1)
-        if self.q.ndim != 2:
-            raise ShapeMismatch(f"q must be (levels, dim), got {self.q.shape}")
+        self.q, self.p, self.s, self.chi = (np.array(a, dtype=float)
+                                            for a in (self.q, self.p, self.s, self.chi))
+        if self.s.ndim == self.q.ndim - 2:  # a bare number per sample
+            self.s = self.s[..., None]
         check_state(self.q, self.p, self.s, self.chi, self.m)
         self.m = float(self.m)
 
     @property
     def dim(self) -> int:
-        return self.q.shape[1]
+        return self.q.shape[-1]
 
     @property
     def N(self) -> int:
         return tower_order(self.q.shape)
 
+    def __len__(self) -> int:
+        if self.q.ndim == 2:
+            raise TypeError("one phase point has no length")
+        return len(self.q)
+
+    def __getitem__(self, i) -> "PhasePoint":
+        if self.q.ndim == 2:
+            raise TypeError("one phase point has no samples to index")
+        return PhasePoint(q=self.q[i], p=self.p[i], s=self.s[i], chi=self.chi[i], m=self.m)
+
     def env(self) -> Dict:
-        """Coordinate symbol -> value, in the order of StructureMatrix.coordinates()."""
+        """Coordinate symbol -> value of one sample, as Python floats, in the
+        order of StructureMatrix.coordinates()."""
+        if self.q.ndim != 2:
+            raise ShapeMismatch(f"env() takes one sample, got a stack of {self.q.shape[:-2]}")
         values = np.concatenate([self.q.ravel(), self.p.ravel(), self.s, self.chi]).tolist()
         return dict(zip(StructureMatrix(self.N, self.dim, self.m).coordinates(), values))
 
@@ -315,8 +329,7 @@ def random_points(rng, k: int, N: int, dim: int) -> np.ndarray:
 
 def random_point(rng, N: int, dim: int, m: float = 1.0) -> PhasePoint:
     """Phase point of one row of random_points."""
-    q, p, s, chi = chart_blocks(random_points(rng, 1, N, dim)[0], N, dim)
-    return PhasePoint(q=q, p=p, s=s, chi=chi, m=m)
+    return PhasePoint(*chart_blocks(random_points(rng, 1, N, dim)[0], N, dim), m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -496,22 +509,17 @@ def poly_bracket(f: Poly, g: Poly, sm: StructureMatrix) -> Poly:
 # generator functions
 # ---------------------------------------------------------------------------
 
-def generators_at(pt: PhasePoint) -> Dict[str, object]:
-    """Generator values (h, d, k, j) from the reduced phase-space expressions."""
-    h, d, kk, j = generator_values(pt.q, pt.p, pt.s, pt.chi, pt.m)
-    return {"h": h[()], "d": d[()], "k": kk[()], "j": j}
+def generators_at(pt: PhasePoint) -> Dict[str, np.ndarray]:
+    """Generator values {h, d, k, j} of one phase point or of a stack, from
+    the printed reduced phase-space expressions.
 
-
-def generator_values(q, p, s, chi, m: float):
-    """(h, d, k, j) from the reduced expressions for stacked samples.
-
-    Every array may carry leading sample axes; s and the returned j have a
-    trailing axis of spin_components(dim).
+    h, d and k have the point's leading sample axes (numbers for one
+    sample, by ``[()]``); j adds a trailing axis of spin_components(dim).
     """
-    N, dim = tower_order(q.shape), q.shape[-1]
+    q, p, s, chi, m, N = pt.q, pt.p, pt.s, pt.chi, pt.m, pt.N
     halfN = N / 2.0
     chi0, chi1, chi2 = chi[..., 0], chi[..., 1], chi[..., 2]
-    if dim == 3:
+    if pt.dim == 3:
         n = (N - 1) // 2
         h = chi0 - chi1 + _rowdot(p[..., n, :], p[..., n, :]) / (2.0 * m) \
             + np.sum(_rowdot(q[..., 1:, :], p[..., :-1, :]), axis=-1)
@@ -519,7 +527,7 @@ def generator_values(q, p, s, chi, m: float):
         kk = chi0 + chi1 + (m / 2.0) * ((N + 1) / 2.0) ** 2 * _rowdot(q[..., n, :], q[..., n, :]) \
             - _rowdot(q[..., :-1, :], p[..., 1:, :]) @ np.array(
                 [(N - k) * (k + 1) for k in range(n)], dtype=float)
-        return h, d, kk, s + np.sum(_cross3(q, p), axis=-2)
+        return {"h": h[()], "d": d[()], "k": kk[()], "j": s + np.sum(_cross3(q, p), axis=-2)}
     u = N // 2
     p_top = aux_top_momentum(q[..., u, :], m)
     h = chi0 - chi1 + np.sum(_rowdot(p, q[..., 1:, :]), axis=-1)
@@ -529,7 +537,7 @@ def generator_values(q, p, s, chi, m: float):
             [(N - k + 1) * k for k in range(1, u)], dtype=float) \
         - N * (halfN + 1.0) * _rowdot(q[..., u - 1, :], p_top)
     js = s[..., 0] + np.sum(_cross2(q[..., :-1, :], p), axis=-1) + _cross2(q[..., u, :], p_top)
-    return h, d, kk, js[..., None]
+    return {"h": h[()], "d": d[()], "k": kk[()], "j": js[..., None]}
 
 
 def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
@@ -537,8 +545,8 @@ def generator_polynomials(N: int, dim: int, m: float) -> Dict[str, object]:
     (``raw_levels``, then ``orbit_components``) applied to the coordinate
     polynomials, in the order of ``StructureMatrix.coordinates()``.
 
-    This is the kernel that records trajectories, run on polynomials; the
-    printed reduced expressions of ``generator_values`` are the independent
+    This is the kernel of ``dual_vector_at``, run on polynomials; the
+    printed reduced expressions of ``generators_at`` are the independent
     route.  "j" is a list of one polynomial per rotation generator and "c" a
     list of tower levels, each a list of dim polynomials.
     """
@@ -575,6 +583,7 @@ def hamiltonian_poly(N: int, dim: int, m: float, omega: float = 0.0,
 
 
 def dual_vector_at(pt: PhasePoint):
-    """(j, c, h, d, k) of the dual-space point realized by a phase point, as
-    orbit_components gives them."""
-    return orbit_components(pt.m, pt.s, pt.chi, from_darboux(pt.q, pt.p, pt.m, pt.N, pt.dim))
+    """(j, c, h, d, k) of the dual-space points realized by one phase point
+    or a stack: the chart's one map to the dual, ``raw_levels`` then
+    ``orbit_components``."""
+    return orbit_components(pt.m, pt.s, pt.chi, raw_levels(pt.q, pt.p, pt.m))

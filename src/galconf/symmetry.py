@@ -5,7 +5,8 @@ generators depend on time: they are obtained by pulling every generator
 function back along the free flow to time zero.  For the Schrodinger case
 (N=1, dimension 3) the finite conformal and Galilei transformations of
 solutions are implemented in closed form and map free solutions to free
-solutions.
+solutions.  Every generator value here is ``generators_at`` or
+``dual_vector_at`` on a trajectory's stacked PhasePoint.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .coadjoint import orbit_components
 from .dynamics import Trajectory, free_flow, record_values
 from .errors import (
     NonOrthogonalRotation,
@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedClosedForm,
     UnsupportedHamiltonian,
 )
-from .poisson import generator_values, raw_levels
+from .poisson import PhasePoint, dual_vector_at, generators_at
 
 __all__ = [
     "integrals_of_motion",
@@ -42,10 +42,10 @@ __all__ = [
 def integrals_of_motion(traj: Trajectory):
     """(j, c, h, d, k) stacks of the time-dependent conserved generators, one
     row per sample: each sample pulled back along the free flow to time zero
-    and read off the orbit parametrization.  Constant along any free
-    trajectory by construction, for every (N, dim)."""
+    and read off the orbit parametrization (``dual_vector_at``).  Constant
+    along any free trajectory by construction, for every (N, dim)."""
     q, p, chi = free_flow(traj.q, traj.p, traj.chi, traj.m, -traj.times)
-    return orbit_components(traj.m, traj.s, chi, raw_levels(q, p, traj.m))
+    return dual_vector_at(PhasePoint(q=q, p=p, s=traj.s, chi=chi, m=traj.m))
 
 
 def schrodinger_integrals(traj: Trajectory) -> Dict[str, np.ndarray]:
@@ -57,7 +57,7 @@ def schrodinger_integrals(traj: Trajectory) -> Dict[str, np.ndarray]:
     """
     if (traj.N, traj.dim) != (1, 3):
         raise UnsupportedClosedForm("printed integrals exist for N=1, dim 3 only")
-    h, d, k, j = generator_values(traj.q, traj.p, traj.s, traj.chi, traj.m)
+    h, d, k, j = map(generators_at(traj.states).get, "hdkj")
     t, x, p = traj.times, traj.q[:, 0], traj.p[:, 0]
     return {"j": j, "p": p, "x_boost": x - t[:, None] * p / traj.m, "h": h,
             "d_shifted": d - t * h, "k_shifted": k - 2.0 * t * d + t * t * h}
@@ -196,6 +196,7 @@ def map_trajectory(traj: Trajectory, transform) -> Trajectory:
     i = np.clip(np.searchsorted(traj.times, t, side="right") - 1, 0, n - 1)
     q, p, chi = free_flow(traj.q[i], traj.p[i], traj.chi[i], traj.m, t - traj.times[i])
     x, px, _ = transform.apply(q[:, 0], p[:, 0], t, traj.m)
-    out = Trajectory(times=grid, q=x[:, None], p=px[:, None], s=traj.s[i], chi=chi, m=traj.m)
-    out.recorded = record_values(out.q, out.p, out.s, out.chi, out.m)
+    out = Trajectory(times=grid, states=PhasePoint(q=x[:, None], p=px[:, None], s=traj.s[i],
+                                                   chi=chi, m=traj.m))
+    out.recorded = record_values(out.states)
     return out

@@ -10,7 +10,7 @@ confirm that a single wrong structure constant is actually detected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
@@ -88,28 +88,27 @@ def _case(name: str, defect: float, allowed: float, detail: str = "") -> Case:
 # corruption helpers (test harness hooks)
 # ---------------------------------------------------------------------------
 
-def flip_constant(alg: AlgebraSpec, lhs: str, rhs: str) -> AlgebraSpec:
-    """Copy of alg with one structure constant sign-flipped (both orders,
-    so antisymmetry survives and the defect must be caught downstream)."""
+def _negated(alg: AlgebraSpec, lhs: str, rhs: str, both: bool) -> AlgebraSpec:
+    """Copy of alg with the stored bracket of (lhs, rhs) sign-flipped, and
+    that of (rhs, lhs) too if both."""
     x, y = alg.generator(lhs), alg.generator(rhs)
     table = {k: dict(v) for k, v in alg.table.items()}
     if (x, y) not in table:
         raise GalconfError(f"no stored bracket for ({lhs}, {rhs})")
-    table[(x, y)] = {g: -c for g, c in table[(x, y)].items()}
-    table[(y, x)] = {g: -c for g, c in table[(y, x)].items()}
-    return AlgebraSpec(N=alg.N, dim=alg.dim, central=alg.central,
-                       with_ds=alg.with_ds, generators=alg.generators, table=table)
+    for pair in ((x, y), (y, x)) if both else ((x, y),):
+        table[pair] = {g: -c for g, c in table[pair].items()}
+    return replace(alg, table=table)
+
+
+def flip_constant(alg: AlgebraSpec, lhs: str, rhs: str) -> AlgebraSpec:
+    """Copy of alg with one structure constant sign-flipped (both orders,
+    so antisymmetry survives and the defect must be caught downstream)."""
+    return _negated(alg, lhs, rhs, both=True)
 
 
 def break_antisymmetry(alg: AlgebraSpec, lhs: str, rhs: str) -> AlgebraSpec:
     """Copy of alg with only the (lhs, rhs) direction sign-flipped."""
-    x, y = alg.generator(lhs), alg.generator(rhs)
-    table = {k: dict(v) for k, v in alg.table.items()}
-    if (x, y) not in table:
-        raise GalconfError(f"no stored bracket for ({lhs}, {rhs})")
-    table[(x, y)] = {g: -c for g, c in table[(x, y)].items()}
-    return AlgebraSpec(N=alg.N, dim=alg.dim, central=alg.central,
-                       with_ds=alg.with_ds, generators=alg.generators, table=table)
+    return _negated(alg, lhs, rhs, both=False)
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +669,8 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
     def duals(states):
         """Packed dual rows of (x, p, s, chi) states, parametrized as one stack."""
         x, p, s, chi = (np.array(v) for v in zip(*states))
-        fields = co.orbit_components(m, s, chi, po.raw_levels(x[:, None], p[:, None], m))
-        return co.pack_dual(alg1, m, *fields)
+        pts = po.PhasePoint(q=x[:, None], p=p[:, None], s=s, chi=chi, m=m)
+        return co.pack_dual(alg1, m, *po.dual_vector_at(pts))
 
     for fam, fam_draws in draws.items():
         inputs, images, params = zip(*fam_draws)

@@ -143,6 +143,23 @@ class TestOrbitCommands:
         assert out == ""
         assert "chi_clas" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("key,value", [
+        ("x", [["-1.0", 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        ("x", [[True, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        ("s", [0.0, 0.0, "2"]),
+        ("chi", [0.0, False, 0.0]),
+    ])
+    def test_parametrize_rejects_string_and_bool_entries(self, capsys, tmp_path, key, value):
+        # numeric strings and booleans in an array used to be read by np.asarray and run
+        config = {"m": 1.0, "s": [0.0, 0.0, 2.0], "chi": [0.0, 0.0, 0.0],
+                  "x": [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(config, **{key: value})))
+        code, out, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"{key} must hold numbers" in json.loads(err)["error"]
+
     def test_parametrize_missing_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"m": 1.0}))
@@ -293,6 +310,20 @@ class TestCasimirEval:
         assert out == ""
         assert "InvalidConfig" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("data", [
+        dict(DUAL_3D, j=[0.0, 0.0, "3"]),
+        dict(DUAL_2D, j=[True]),
+        dict(DUAL_3D, c=[["0", 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        dict(DUAL_3D, c=[[0.0, 0.0, 0.0], [0.0, False, 0.0]]),
+    ], ids=["string_j", "bool_j_2d", "string_c", "bool_c"])
+    def test_string_and_bool_entries_exit_2(self, capsys, tmp_path, data):
+        path = tmp_path / "dual.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "casimir", "eval", "--dual", str(path))
+        assert code == 2
+        assert out == ""
+        assert "must hold numbers" in json.loads(err)["error"]
+
     def test_overflowing_casimirs_exit_2(self, capsys, tmp_path):
         # finite input used to print "C2": Infinity with exit 0 and a RuntimeWarning
         path = tmp_path / "dual.json"
@@ -434,6 +465,33 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2, err
         assert "error" in json.loads(err)
+        assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"q": [["0.4", "0", "0"]]},
+        {"q": [[0.4, True, 0.0]]},
+        {"p": [[0.0, "0.3", 0.0]]},
+        {"s": ["0", "0", "0.5"]},
+        {"s": [0.0, False, 0.5]},
+        {"chi": [1.0, "0", 0.0]},
+        {"N": 2, "dim": 2, "s": "0.5", "q": [[0, 0], [0, 0]], "p": [[0, 0]]},
+    ])
+    def test_string_and_bool_array_entries_exit_2(self, capsys, tmp_path, overrides):
+        # np.asarray(..., dtype=float) used to parse these and the run exited 0
+        cfg = write_free_config(tmp_path, **overrides)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2, err
+        assert "must hold numbers" in json.loads(err)["error"]
+        assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("key", ["tol_conservation", "tol_fit"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_bad_run_tolerances_exit_2(self, capsys, tmp_path, key, value):
+        # a negative or NaN allowance used to fail every check and exit 1
+        cfg = write_free_config(tmp_path, **{key: value})
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2, err
+        assert f"{key} must be finite and nonnegative" in json.loads(err)["error"]
         assert not (tmp_path / "traj.csv").exists()
 
     def test_unknown_key_is_rejected_by_name(self, capsys, tmp_path):

@@ -594,6 +594,23 @@ def test_pack_dual_rejects_a_c_of_the_wrong_shape(N, dim):
 
 
 @pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+def test_pack_dual_rejects_leading_axes_that_do_not_broadcast(N, dim):
+    # a stack of 4 j rows against one h used to fail with numpy's bare ValueError
+    alg = build_algebra(N, dim, central=True)
+    n = spin_components(dim)
+    j, c = np.full((4, n), 0.5), np.zeros((N + 1, dim))
+    for args in ((1.0, j, c, 0.0, 0.0, 0.0), (1.0, j, c, np.zeros(3), 0.0, 0.0),
+                 (1.0, j[0], np.zeros((2, N + 1, dim)), np.zeros(3), 0.0, 0.0),
+                 (np.ones(2), j[0], c, np.zeros(3), 0.0, 0.0),
+                 (1.0, j[0], c, np.zeros(3), np.zeros(3), np.zeros(4))):
+        with pytest.raises(ShapeMismatch, match="leading axes"):
+            pack_dual(alg, *args)
+    # leading axes that broadcast to those of h are fine
+    assert pack_dual(alg, 1.0, j[:1], c, np.zeros(4), 0.0, np.zeros((1,))).shape == \
+        (4, len(alg.generators))
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
 def test_pack_dual_inverts_dual_fields_on_stacks(N, dim):
     alg = build_algebra(N, dim, central=True)
     rng = np.random.default_rng(60 + N * 10 + dim)

@@ -15,6 +15,7 @@ from galconf.dynamics import (
     CSV_FLOAT_FORMAT,
     FREE,
     HamiltonianChoice,
+    Trajectory,
     _flow_matrix,
     _pack,
     _unpack,
@@ -30,6 +31,7 @@ from galconf.errors import (
     BadStep,
     InvalidState,
     NonFiniteResult,
+    ShapeMismatch,
     TooFewSamples,
     UnsupportedHamiltonian,
 )
@@ -40,7 +42,6 @@ from galconf.poisson import (
     check_state,
     dual_vector_at,
     generator_polynomials,
-    generator_values,
     generators_at,
     hamiltonian_poly,
     p_levels,
@@ -202,6 +203,27 @@ class TestIntegrate:
             assert len(tr.times) == n + 1
             assert tr.times[-1] == pytest.approx(T, rel=1e-12)
 
+    @pytest.mark.parametrize("method", ["rk4", "closed"])
+    def test_rejects_a_stacked_start(self, method):
+        pt = random_point(np.random.default_rng(5), 3, 3)
+        two = PhasePoint(q=np.stack([pt.q] * 2), p=np.stack([pt.p] * 2), s=np.stack([pt.s] * 2),
+                         chi=np.stack([pt.chi] * 2), m=pt.m)
+        for start in (two, two[:1]):
+            with pytest.raises(ShapeMismatch, match="one sample"):
+                integrate(start, FREE, 0.1, 0.01, method)
+        assert integrate(two[1], FREE, 0.1, 0.01, method).q.shape == (11,) + pt.q.shape
+
+    def test_trajectory_reads_through_to_its_states(self):
+        tr = integrate(random_point(np.random.default_rng(6), 2, 2), FREE, 0.1, 0.01)
+        for name in ("q", "p", "s", "chi"):
+            assert getattr(tr, name) is getattr(tr.states, name)
+            assert not getattr(tr, name).flags.writeable
+        assert (tr.m, tr.N, tr.dim) == (tr.states.m, 2, 2) and len(tr.states) == 11
+        with pytest.raises(ShapeMismatch):
+            Trajectory(times=tr.times[:-1], states=tr.states)
+        with pytest.raises(ShapeMismatch):
+            Trajectory(times=tr.times[:1], states=tr.states[0])
+
     def test_sampling_grid(self):
         tr = integrate(free_point(), FREE, 0.01, 0.002, record=False)
         assert np.allclose(tr.times, [0.0, 0.002, 0.004, 0.006, 0.008, 0.01])
@@ -338,10 +360,10 @@ def test_record_values_names_the_first_overflowing_sample():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteResult, match=r"^recorded k is not finite at sample 2$"):
-            record_values(q, p, s, chi, 1.0)
+            record_values(PhasePoint(q=q, p=p, s=s, chi=chi, m=1.0))
         q[2, 0, 0] = 0.0
         with pytest.raises(NonFiniteResult, match=r"^recorded h is not finite at sample 3$"):
-            record_values(q, p, s, chi, 1.0)
+            record_values(PhasePoint(q=q, p=p, s=s, chi=chi, m=1.0))
 
 
 class TestMotionOrder:
@@ -551,7 +573,7 @@ def test_spin_has_one_component_per_rotation_generator(N, dim):
     assert generators_at(pt)["j"].shape == (n_rot,)
     two = integrate(pt, FREE, 0.01, 0.01, record=False)
     assert two.s.shape == (2, n_rot)
-    assert record_values(two.q, two.p, two.s, two.chi, two.m)["j"].shape == (2, n_rot)
+    assert record_values(two.states)["j"].shape == (2, n_rot)
 
 
 def _csv_reference(traj):
@@ -764,13 +786,13 @@ def test_conservation_drifts_follow_the_trajectory_hamiltonian():
 
 @pytest.mark.parametrize("N,dim", [(N, dim) for N, dim in DOUBLING_FAMILIES if dim == 3])
 def test_generator_spin_matches_np_cross_on_unpacked_views(N, dim):
-    """j of generator_values on the strided q/p views of packed states has the
-    bits of the np.cross formula."""
+    """j of generators_at on a stack made from the strided q/p views of packed
+    states, as integrate makes one, has the bits of the np.cross formula."""
     rng = np.random.default_rng(70 + N)
     n_ext = (q_levels(N, dim) + p_levels(N, dim)) * dim
     q, p, chi = _unpack(rng.uniform(-1, 1, (9, n_ext + 3)), N, dim)
     assert not q.flags.c_contiguous and not p.flags.c_contiguous
     s = rng.uniform(-1, 1, (9, 3))
     assert _cross3(q, p).tobytes() == np.cross(q, p).tobytes()
-    *_, j = generator_values(q, p, s, chi, 1.1)
+    j = generators_at(PhasePoint(q=q, p=p, s=s, chi=chi, m=1.1))["j"]
     assert j.tobytes() == (s + np.sum(np.cross(q, p), axis=-2)).tobytes()

@@ -72,6 +72,10 @@ def test_tracer_counts_the_work_of_each_probed_call(monkeypatch):
     assert spans["dynamics.verify_motion_order"] == [0]
     assert spans["symmetry.map_trajectory"] == [0]
     assert spans["algebra.jacobi_worst"] == [math.comb(len(alg.generators), 3)]
+    # recording (twice by integrate, once by map_trajectory) goes through the
+    # two probed chart functions, so their per-layer metrics measure live code
+    assert len(spans["poisson.generators_at"]) == 3
+    assert len(spans["poisson.dual_vector_at"]) == 3
     # uninstall restores every binding
     assert not hasattr(dy.record_values, "__wrapped__")
     assert sy.record_values is dy.record_values

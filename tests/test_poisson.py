@@ -327,6 +327,43 @@ def test_phase_point_shape_validation():
                    chi=np.zeros(3), m=1.0)
 
 
+@pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (2, 2), (4, 2)])
+def test_phase_point_stack_indexes_to_fresh_single_points(N, dim):
+    rng = np.random.default_rng(40 + N)
+    pts = [random_point(rng, N, dim, m=1.3) for _ in range(5)]
+    stack = PhasePoint(*(np.stack([getattr(pt, f) for pt in pts]) for f in ("q", "p", "s", "chi")),
+                       m=1.3)
+    assert len(stack) == 5 and (stack.N, stack.dim) == (N, dim)
+    for i in (0, 3, -1):
+        one = stack[i]
+        for f in ("q", "p", "s", "chi"):
+            assert np.array_equal(getattr(one, f), getattr(pts[i], f))
+        assert one.env() == pts[i].env()
+        assert all(type(v) is float for v in one.env().values())
+        one.q[:] = 9.0  # a copy: the stack is untouched
+    assert np.array_equal(stack.q[3], pts[3].q)
+    sub = stack[1::2]
+    assert len(sub) == 2 and np.array_equal(sub[1].chi, pts[3].chi)
+    sub.chi[:] = 9.0
+    assert np.array_equal(stack.chi[3], pts[3].chi)
+    with pytest.raises(IndexError):
+        stack[5]
+    with pytest.raises(ShapeMismatch):
+        stack.env()
+    with pytest.raises(TypeError):
+        len(pts[0])
+    with pytest.raises(TypeError):
+        pts[0][0]
+
+
+def test_phase_point_reads_a_bare_spin_per_sample():
+    one = PhasePoint(q=np.zeros((2, 2)), p=np.zeros((1, 2)), s=0.4, chi=np.zeros(3), m=1.0)
+    two = PhasePoint(q=np.zeros((2, 2, 2)), p=np.zeros((2, 1, 2)), s=[0.4, 0.5],
+                     chi=np.zeros((2, 3)), m=1.0)
+    assert one.s.shape == (1,) and two.s.shape == (2, 1)
+    assert np.array_equal(two[1].s, [0.5])
+
+
 @pytest.mark.parametrize("field,value", [
     ("m", 0.0), ("m", -1.0), ("m", np.inf), ("m", np.nan),
     ("q", [[np.nan, 0.0, 0.0]]), ("p", [[0.0, np.inf, 0.0]]),

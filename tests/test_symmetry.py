@@ -45,8 +45,8 @@ def schrodinger_point(x, p, m=1.0, s=(0, 0, 0), chi=(0, 0, 0)):
 def sample_trajectory(times, q, p, m=1.0, s=(0, 0, 0), chi=(0, 0, 0)):
     """A Trajectory through the given states, with one spin and chi for all."""
     n = len(times)
-    return Trajectory(times=times, q=q, p=p, s=np.tile(s, (n, 1)),
-                      chi=np.tile(chi, (n, 1)), m=m)
+    return Trajectory(times=times, states=PhasePoint(q=q, p=p, s=np.tile(s, (n, 1)),
+                                                     chi=np.tile(chi, (n, 1)), m=m))
 
 
 def printed_integrals_per_point(pt, t):
