@@ -19,6 +19,7 @@ a, b) M, which every formula built on the central charge reads from here.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -112,6 +113,18 @@ class GeneratorId:
     axis: Optional[int] = None
     level: Optional[int] = None
 
+    def __post_init__(self):
+        # Hashed once: every table and index lookup hashes its keys.  The value
+        # is the generated hash((kind, axis, level)), so set and dict order is
+        # unchanged; __reduce__ rebuilds it from the fields in a copy or pickle.
+        object.__setattr__(self, "_hash", hash((self.kind, self.axis, self.level)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return GeneratorId, (self.kind, self.axis, self.level)
+
     @property
     def name(self) -> str:
         if self.kind == "C":
@@ -125,14 +138,15 @@ class GeneratorId:
 
 
 def parse_generator(name: str) -> GeneratorId:
-    """Inverse of ``GeneratorId.name``."""
-    if name.startswith("C"):
-        level, axis = name[1:].split("_")
-        return GeneratorId("C", axis=int(axis), level=int(level))
-    if name.startswith("J") and len(name) > 1:
-        return GeneratorId("J", axis=int(name[1:]))
+    """Inverse of ``GeneratorId.name``; UnknownGenerator for any other name."""
     if name in ("J", "H", "D", "K", "M", "Ds"):
         return GeneratorId(name)
+    tower = re.fullmatch(r"C(0|[1-9][0-9]*)_([1-9][0-9]*)", name)
+    if tower:
+        return GeneratorId("C", axis=int(tower[2]), level=int(tower[1]))
+    rotation = re.fullmatch(r"J([1-9][0-9]*)", name)
+    if rotation:
+        return GeneratorId("J", axis=int(rotation[1]))
     raise UnknownGenerator(f"cannot parse generator name {name!r}")
 
 
@@ -219,11 +233,12 @@ def build_algebra(N: int, dim: int, central: bool, with_ds: bool = False) -> Alg
 
     Raises UnsupportedExtension when a central charge is requested outside
     the two admissible families (N odd / dim 3, N even / dim 2) or together
-    with the space dilatation, and BadDimension for dim not in {2, 3}.
+    with the space dilatation, and BadDimension for dim not in {2, 3} or N
+    not a positive integer (a bool is neither).
     """
-    if dim not in (2, 3):
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (2, 3):
         raise BadDimension(f"dim must be 2 or 3, got {dim}")
-    if not isinstance(N, int) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise BadDimension(f"N must be a positive integer, got {N}")
     if central:
         if with_ds:
@@ -344,13 +359,15 @@ def jacobi_worst(alg: AlgebraSpec) -> Tuple[Fraction, Optional[Tuple[str, str, s
     Each is added to the sum of the triple {a, b, c} when (a, b, c) is a
     cyclic rotation of the triple in generator order, which gives the same
     sums as ``_jacobi_defect``, the per-triple oracle.  The constants are
-    taken as integers over their common denominator.  The worst triple is
+    taken as integers over their common denominator den, p/q as
+    p * (den // q).  The worst triple is
     the first in ``combinations`` order among those with the largest
     coefficient.
     """
     index = alg.index
     den = math.lcm(*(c.denominator for row in alg.table.values() for c in row.values()))
-    pairs = [(index[x], index[y], [(index[g], int(c * den)) for g, c in row.items()])
+    pairs = [(index[x], index[y],
+              [(index[g], c.numerator * (den // c.denominator)) for g, c in row.items()])
              for (x, y), row in alg.table.items()]
     by_rhs: Dict[int, List[Tuple[int, List[Tuple[int, int]]]]] = {}
     for ia, iw, row in pairs:
@@ -379,6 +396,18 @@ def jacobi_worst(alg: AlgebraSpec) -> Tuple[Fraction, Optional[Tuple[str, str, s
     return Fraction(worst, den * den), names
 
 
+def _negates(rev: Optional[Element], res: Element) -> bool:
+    """Whether rev == {g: -c for g, c in res.items()}, comparing numerators and
+    denominators in place rather than building the negated row."""
+    if rev is None or len(rev) != len(res):
+        return False
+    for g, c in res.items():
+        r = rev.get(g)
+        if r is None or r.numerator != -c.numerator or r.denominator != c.denominator:
+            return False
+    return True
+
+
 def structure_checks(alg: AlgebraSpec) -> Dict[str, Tuple[int, str]]:
     """Antisymmetry and, for a central algebra, mass centrality of the table.
 
@@ -387,9 +416,8 @@ def structure_checks(alg: AlgebraSpec) -> Dict[str, Tuple[int, str]]:
     a generator whose stored bracket with M is nonzero, in generator order;
     it is empty when the check is clean.
     """
-    index = alg.index
-    asym = [(x, y) for (x, y), res in alg.table.items()
-            if {g: -c for g, c in res.items()} != alg.table.get((y, x))]
+    index, table = alg.index, alg.table
+    asym = [(x, y) for (x, y), res in table.items() if not _negates(table.get((y, x)), res)]
     detail = ""
     if asym:
         x, y = min(asym, key=lambda xy: (index[xy[0]], index[xy[1]]))

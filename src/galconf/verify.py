@@ -92,7 +92,7 @@ def _negated(alg: AlgebraSpec, lhs: str, rhs: str, both: bool) -> AlgebraSpec:
     """Copy of alg with the stored bracket of (lhs, rhs) sign-flipped, and
     that of (rhs, lhs) too if both."""
     x, y = alg.generator(lhs), alg.generator(rhs)
-    table = {k: dict(v) for k, v in alg.table.items()}
+    table = dict(alg.table)  # rows are never changed in place, so they are shared
     if (x, y) not in table:
         raise GalconfError(f"no stored bracket for ({lhs}, {rhs})")
     for pair in ((x, y), (y, x)) if both else ((x, y),):

@@ -1,6 +1,12 @@
 """Exact checks of the structure-constant tables."""
 
+import copy
 import math
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +26,7 @@ from galconf.algebra import (
     eps2,
     eps3,
     jacobi_worst,
+    parse_generator,
     so21_basis,
     so21_epsilon_lower,
     structure_checks,
@@ -223,6 +230,28 @@ def test_jacobi_worst_matches_oracle_on_every_mutant(N, dim, mutate):
     assert not mismatched
 
 
+@pytest.mark.parametrize("N,dim,pair", [(3, 3, ("D", "C1_1")), (2, 2, ("D", "C0_2"))])
+def test_jacobi_worst_matches_oracle_over_a_new_common_denominator(N, dim, pair):
+    """One D-C row, in both orders, times 1/3: the constants are scaled to a
+    denominator the clean table does not have, and the sparse sums still give
+    the per-triple oracle's defect and triple."""
+    base = build_algebra(N, dim, central=True)
+    x, y = base.generator(pair[0]), base.generator(pair[1])
+    table = dict(base.table)
+    for key in ((x, y), (y, x)):
+        table[key] = {g: c * Fraction(1, 3) for g, c in table[key].items()}
+    bad = replace(base, table=table)
+
+    def common_denominator(alg):
+        return math.lcm(*(c.denominator for row in alg.table.values() for c in row.values()))
+
+    assert common_denominator(bad) == 3 * common_denominator(base)
+    got = jacobi_worst(bad)
+    assert got[0] > 0
+    assert got == oracle_worst(bad)
+    assert got == dense_oracle_worst(bad)
+
+
 def test_jacobi_detects_sign_flip():
     alg = build_algebra(3, 3, central=True)
     bad = flip_constant(alg, "C1_1", "C2_1")
@@ -266,6 +295,62 @@ def test_structure_checks_name_first_offender():
     assert structure_checks(loose)["mass_central"] == (2, "M does not commute with H")
 
 
+def negation_oracle(alg):
+    """The antisymmetry check by building each negated row as a dict."""
+    asym = [(x, y) for (x, y), res in alg.table.items()
+            if {g: -c for g, c in res.items()} != alg.table.get((y, x))]
+    if not asym:
+        return 0, ""
+    x, y = min(asym, key=lambda xy: (alg.index[xy[0]], alg.index[xy[1]]))
+    return len(asym), f"first offending pair ({x.name}, {y.name})"
+
+
+@pytest.mark.parametrize("N,dim", [(3, 3), (2, 2)])
+def test_antisymmetry_matches_the_negation_oracle_on_every_mutant(N, dim):
+    base = build_algebra(N, dim, central=True)
+    mismatched = []
+    for x, y in base.table:
+        bad = break_antisymmetry(base, x.name, y.name)
+        got, want = structure_checks(bad)["antisymmetry"], negation_oracle(bad)
+        if got != want or got[0] != 2:
+            mismatched.append((x.name, y.name, got, want))
+    assert not mismatched
+
+
+@pytest.mark.parametrize("reverse", [
+    {"C1_1": Fraction(-1, 2), "C2_1": Fraction(1)},  # an extra key
+    {},                                               # the key missing
+    {"C2_1": Fraction(-1, 2)},                        # another key, same length
+    {"C1_1": Fraction(-1, 3)},                        # same numerator, other denominator
+    {"C1_1": Fraction(1, 2)},                         # not negated
+    {"C1_1": Fraction(-1, 2)},                        # the true reverse
+])
+def test_antisymmetry_matches_the_negation_oracle_on_hand_made_reverse_rows(reverse):
+    base = build_algebra(3, 3, central=True)
+    D, C = base.generator("D"), base.generator("C1_1")
+    assert base.table[(D, C)] == {C: Fraction(1, 2)}
+    table = dict(base.table)
+    table[(C, D)] = {base.generator(g): c for g, c in reverse.items()}
+    bad = replace(base, table=table)
+    want = negation_oracle(bad)
+    assert structure_checks(bad)["antisymmetry"] == want
+    assert want[0] == (0 if reverse == {"C1_1": Fraction(-1, 2)} else 2)
+
+
+@pytest.mark.parametrize("N,dim", [(3, 3), (2, 2)])
+def test_mutants_leave_the_base_table_unchanged(N, dim):
+    base = build_algebra(N, dim, central=True)
+    before = {k: dict(v) for k, v in base.table.items()}
+    for x, y in before:
+        for mutate in (flip_constant, break_antisymmetry):
+            bad = mutate(base, x.name, y.name)
+            flipped = {(x, y), (y, x)} if mutate is flip_constant else {(x, y)}
+            assert {k for k in bad.table if bad.table[k] != base.table[k]} == flipped
+    assert base.table == before
+    assert jacobi_worst(base)[0] == 0
+    assert structure_checks(base)["antisymmetry"] == (0, "")
+
+
 def test_algebra_suite_locates_broken_antisymmetry():
     def factory(n, d, c, ds):
         a = build_algebra(n, d, c, ds)
@@ -298,6 +383,15 @@ def test_bad_dimension():
         build_algebra(0, 3, central=False)
 
 
+@pytest.mark.parametrize("N,dim", [(True, 3), (False, 3), (1, 3.0), (2, 2.0), (1, True)])
+def test_bad_dimension_types(N, dim):
+    """A boolean N or dim, or a float dim, is rejected; build_algebra(True, 3,
+    True) used to return an algebra whose N is True, and a float dim raised a
+    raw TypeError."""
+    with pytest.raises(BadDimension):
+        build_algebra(N, dim, central=True)
+
+
 def test_space_dilatation_rows():
     alg = build_algebra(3, 3, central=False, with_ds=True)
     Ds = single(alg, "Ds")
@@ -315,6 +409,50 @@ def test_unknown_generator():
     other = build_algebra(3, 3, central=True)
     with pytest.raises(UnknownGenerator):
         bracket(alg, {other.generator("C3_1"): Fraction(1)}, single(alg, "H"))
+
+
+@pytest.mark.parametrize("name", [
+    "Cx_1", "C1", "C_1", "C1_", "C1_1_1", "C-1_1", "C01_1", "C1_0", "C 1_1",
+    "Jx", "J-1", "J0", "J01", "X", ""])
+def test_malformed_generator_names(name):
+    with pytest.raises(UnknownGenerator):
+        parse_generator(name)
+    with pytest.raises(UnknownGenerator):
+        build_algebra(3, 3, central=True).generator(name)
+
+
+@pytest.mark.parametrize("N,dim", [(3, 3), (2, 2)])
+def test_generator_hash_and_name_round_trip(N, dim):
+    alg = build_algebra(N, dim, central=True)
+    for g in alg.generators:
+        assert hash(g) == hash((g.kind, g.axis, g.level))
+        assert parse_generator(g.name) == g
+        assert alg.index[parse_generator(g.name)] == alg.index[g]
+    for (x, y), row in alg.table.items():
+        assert alg.table[(parse_generator(x.name), parse_generator(y.name))] is row
+
+
+@pytest.mark.parametrize("name", ["J1", "J", "C0_2", "C3_1", "H", "M", "Ds"])
+def test_generator_id_copies_rehash(name):
+    g = parse_generator(name)
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert twin == g and hash(twin) == hash(g) == hash((g.kind, g.axis, g.level))
+
+
+def test_generator_id_pickled_in_another_process_hashes_here():
+    """String hashes differ between processes, so the hash must not travel."""
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    code = ("import pickle, sys; from galconf.algebra import build_algebra; "
+            "sys.stdout.buffer.write(pickle.dumps(build_algebra(3, 3, True).generators))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         check=True, timeout=60).stdout
+    here = build_algebra(3, 3, central=True)
+    for g in pickle.loads(out):
+        assert hash(g) == hash((g.kind, g.axis, g.level))
+        assert here.index[g] == here.generators.index(g)
 
 
 def test_bracket_of_element_with_itself_vanishes(alg1):
