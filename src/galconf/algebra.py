@@ -35,6 +35,7 @@ __all__ = [
     "AlgebraSpec",
     "Element",
     "build_algebra",
+    "check_family",
     "bracket",
     "jacobi_worst",
     "structure_checks",
@@ -228,8 +229,9 @@ def _put(table, x: GeneratorId, y: GeneratorId, result: Element) -> None:
     table[(y, x)] = {g: -c for g, c in result.items()}
 
 
-def build_algebra(N: int, dim: int, central: bool, with_ds: bool = False) -> AlgebraSpec:
-    """Construct the full sparse table for the (N, dim) member of the family.
+def check_family(N: int, dim: int, central: bool, with_ds: bool = False) -> None:
+    """Check that the (N, dim) member of the family exists as requested,
+    without building its table.
 
     Raises UnsupportedExtension when a central charge is requested outside
     the two admissible families (N odd / dim 3, N even / dim 2) or together
@@ -251,6 +253,13 @@ def build_algebra(N: int, dim: int, central: bool, with_ds: bool = False) -> Alg
                 "it exists only for N odd in dimension 3 or N even in dimension 2"
             )
 
+
+def build_algebra(N: int, dim: int, central: bool, with_ds: bool = False) -> AlgebraSpec:
+    """Construct the full sparse table for the (N, dim) member of the family.
+
+    Raises what check_family raises for a member that does not exist.
+    """
+    check_family(N, dim, central, with_ds)
     axes = range(1, dim + 1)
     gens: List[GeneratorId] = []
     if dim == 3:

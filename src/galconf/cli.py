@@ -42,11 +42,23 @@ EXIT_BAD_INPUT = 2
 SCHEMA_VERSION = 1
 
 
+def _write(path, text: str) -> None:
+    """Write text to the file at path; a path that is not a string or cannot
+    be opened for writing is InvalidConfig naming it."""
+    if not isinstance(path, str):
+        raise InvalidConfig(f"an output path must be a string, got {path!r}")
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write output path {path!r}: {exc.strerror}")
+    with fh:
+        fh.write(text)
+
+
 def _emit(data: dict, path: Optional[str]) -> None:
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -223,7 +235,7 @@ def cmd_orbit_parametrize(args) -> int:
         x = _finite("x", _array("x", cfg["x"]))
         if x.ndim != 2:
             raise InvalidConfig("x must be an (N+1) x dim array")
-        al.build_algebra(x.shape[0] - 1, x.shape[1], central=True)  # admissibility gate
+        al.check_family(x.shape[0] - 1, x.shape[1], central=True)
         s, chi, label = _resolve_internal(cfg, x.shape[1])
         j, c, h, d, k = co.parametrize(label, s, chi, x)
     except KeyError as exc:
@@ -304,7 +316,7 @@ def _parse_run_config(cfg) -> dict:
         if key not in cfg:
             raise InvalidConfig(f"missing required config key {key!r}")
     N, dim = _integer("N", cfg["N"]), _integer("dim", cfg["dim"])
-    al.build_algebra(N, dim, central=True)  # admissibility gate
+    al.check_family(N, dim, central=True)
     method = cfg.get("method", "rk4")
     if method not in ("rk4", "closed"):
         raise InvalidConfig(f"unknown method {method!r}")
@@ -357,8 +369,7 @@ def cmd_simulate(args) -> int:
     except (BadStep, NonFiniteResult, InvalidState) as exc:  # InvalidState: the run overflows
         raise InvalidConfig(str(exc))
     if cfg["csv"]:
-        with open(cfg["csv"], "w") as fh:
-            fh.write(dy.trajectory_csv_text(traj))
+        _write(cfg["csv"], dy.trajectory_csv_text(traj))
     drifts, drift_times = dy.conservation_drifts(traj)
     rec = traj.recorded
     summary = {

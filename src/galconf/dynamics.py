@@ -403,7 +403,14 @@ def _csv_header(N: int, dim: int) -> List[str]:
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
-    """CSV body with a mandatory header row and 17 significant digits."""
+    """CSV body with a mandatory header row and 17 significant digits.
+
+    Every cell is the CSV_FLOAT_FORMAT text of its float, made once per
+    distinct bit pattern of its column (so 0.0 and -0.0 stay "0" and "-0"):
+    a column whose values all differ is formatted cell by cell in the row
+    template, a column of one value is a literal of the template, and any
+    other column is passed as the texts of its distinct values.
+    """
     if not traj.recorded:
         raise ShapeMismatch("trajectory was integrated without recording")
     n = len(traj.times)
@@ -411,7 +418,22 @@ def trajectory_csv_text(traj: Trajectory) -> str:
     table = np.hstack([traj.times[:, None], traj.q.reshape(n, -1), traj.p.reshape(n, -1),
                        traj.s, traj.chi, np.stack([rec[k] for k in ("h", "d", "k")], axis=1),
                        rec["j"], np.stack([rec[k] for k in ("C1", "C2", "C3")], axis=1)])
-    row = ",".join([CSV_FLOAT_FORMAT] * table.shape[1])
+    fields, cols = [], []
+    for col in table.T:
+        _, first, inverse = np.unique(col.view(np.int64), return_index=True,
+                                      return_inverse=True)
+        if len(first) == n:
+            fields.append(CSV_FLOAT_FORMAT)
+            cols.append(col.tolist())
+        elif len(first) == 1:
+            fields.append(CSV_FLOAT_FORMAT % col[0])
+        else:
+            texts = np.array([CSV_FLOAT_FORMAT % v for v in col[first].tolist()], dtype=object)
+            fields.append("%s")
+            cols.append(texts[inverse].tolist())
+    row = ",".join(fields)
     lines = [",".join(_csv_header(traj.N, traj.dim))]
-    lines += [row % tuple(values.tolist()) for values in table]
+    # with no column left to pass (one sample, or a table that never changes)
+    # zip(*cols) is empty, but every sample still gets its row
+    lines += map(row.__mod__, zip(*cols)) if cols else [row % ()] * n
     return "\n".join(lines) + "\n"

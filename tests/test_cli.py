@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galconf import algebra as al
 from galconf import coadjoint as co
 from galconf.cli import RUN_CONFIG_KEYS, _dual_json, _load_dual, main
 from galconf.errors import GalconfError
@@ -239,6 +240,25 @@ class TestOrbitCommands:
         assert code == 2
         assert out == ""
         assert "UnsupportedExtension" in json.loads(err)["error"]
+
+
+def test_admissibility_gates_build_no_algebra(capsys, tmp_path, monkeypatch):
+    """simulate and orbit parametrize check (N, dim) with check_family; a run
+    of either builds no structure table, and the gates still reject."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_algebra was called")
+    monkeypatch.setattr(al, "build_algebra", refuse)
+    cfg = write_free_config(tmp_path, T=0.01, dt=0.005)
+    assert run_cli(capsys, "simulate", "--config", str(cfg))[0] == 0
+    orbit = tmp_path / "orbit.json"
+    orbit.write_text(json.dumps({"m": 1.0, "x": [[0.5, 0.0, 0.0], [0.0, 1.0, 0.0]]}))
+    assert run_cli(capsys, "orbit", "parametrize", "--config", str(orbit))[0] == 0
+    orbit.write_text(json.dumps({"m": 1.0, "x": [[0.0] * 3] * 3}))
+    code, _, err = run_cli(capsys, "orbit", "parametrize", "--config", str(orbit))
+    assert code == 2 and "UnsupportedExtension" in json.loads(err)["error"]
+    cfg = write_free_config(tmp_path, N=2, q=[[0.0] * 3] * 2, p=[[0.0] * 3])
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2 and "UnsupportedExtension" in json.loads(err)["error"]
 
 
 DUAL_3D = {"m": 1.0, "h": 0.5, "d": 0.0, "k": 0.5, "j": [0.0, 0.0, 3.0],
@@ -533,6 +553,28 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["csv", "summary"])
+    def test_unwritable_output_path_exits_2(self, capsys, tmp_path, key):
+        # a path in a missing directory used to end in a FileNotFoundError traceback
+        missing = str(tmp_path / "missing" / "out")
+        cfg = write_free_config(tmp_path, T=0.01, dt=0.005, **{key: missing})
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"].startswith(f"InvalidConfig: cannot write output "
+                                                   f"path {missing!r}")
+
+    @pytest.mark.parametrize("key", ["csv", "summary"])
+    @pytest.mark.parametrize("value", [["traj.csv"], 1.5, 12345])
+    def test_non_string_output_path_exits_2(self, capsys, tmp_path, key, value):
+        # open() used to take a list or a float as a TypeError traceback, and an
+        # integer as a file descriptor to write to
+        cfg = write_free_config(tmp_path, T=0.01, dt=0.005, **{key: value})
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "an output path must be a string" in json.loads(err)["error"]
+
     def test_deterministic_artifacts(self, capsys, tmp_path):
         cfg = write_free_config(tmp_path)
         run_cli(capsys, "simulate", "--config", str(cfg))
@@ -758,6 +800,16 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "quantum"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["verify", "algebra"],
+                                      ["algebra", "check", "--N", "1", "--dim", "3"]])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv):
+        # -o in a missing directory used to end in a FileNotFoundError traceback
+        missing = str(tmp_path / "missing" / "report.json")
+        code, out, err = run_cli(capsys, *argv, "-o", missing)
+        assert code == 2
+        assert out == ""
+        assert f"cannot write output path {missing!r}" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("which", [None, ["algebra"], ("orbit",), 5, "quantum"])
     def test_run_suites_takes_all_or_one_suite_name(self, which):

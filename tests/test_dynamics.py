@@ -594,10 +594,78 @@ def _csv_reference(traj):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("N,dim", [(3, 3), (4, 2)])
+def _csv_cells(text):
+    """The cells of a CSV body below its header, one tuple per column."""
+    return list(zip(*(line.split(",") for line in text.split("\n")[1:-1])))
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
 def test_csv_rows_match_cellwise_formatting(N, dim):
-    tr = integrate(random_point(np.random.default_rng(31), N, dim), FREE, 0.05, 0.01)
-    assert trajectory_csv_text(tr) == _csv_reference(tr)
+    """rk4, closed and Newton-Hooke with sign +1 and -1 over 101 samples, long
+    enough that some columns are constant, some take each value once and some
+    repeat a few values."""
+    pt = random_point(np.random.default_rng(31), N, dim)
+    runs = [integrate(pt, FREE, 1.0, 0.01, method) for method in ("rk4", "closed")]
+    runs += [integrate(pt, HamiltonianChoice("newton_hooke", omega=0.7, sign=sign), 1.0, 0.01)
+             for sign in (1, -1)]
+    distinct = set()
+    for tr in runs:
+        text = trajectory_csv_text(tr)
+        assert text == _csv_reference(tr)
+        distinct |= {len(set(col)) for col in _csv_cells(text)}
+    assert 1 in distinct and len(runs[0].times) in distinct
+    assert any(1 < k < len(runs[0].times) for k in distinct)
+
+
+@pytest.mark.parametrize("method", ["rk4", "closed"])
+@pytest.mark.parametrize("N,dim", [(3, 3), (2, 2)])
+def test_one_sample_csv_has_its_row(N, dim, method):
+    """At T = 0 every column holds one value, and the body is still the
+    header plus the one sample's row."""
+    tr = integrate(random_point(np.random.default_rng(32), N, dim), FREE, 0.0, 0.01, method)
+    text = trajectory_csv_text(tr)
+    assert len(text.split("\n")) == 3
+    assert text == _csv_reference(tr)
+
+
+def _hand_built_trajectory(times, h, d, k, C3):
+    """A (1, 3) Trajectory with the given times and recorded h, d, k, C3;
+    q and j move with the time, everything else is fixed."""
+    t = np.asarray(times, dtype=float)
+    n = len(t)
+    states = PhasePoint(q=0.25 + t[:, None, None] * np.ones((n, 1, 3)),
+                        p=np.full((n, 1, 3), -0.5), s=np.tile([0.0, -0.0, 1.0], (n, 1)),
+                        chi=np.tile([0.3, 0.0, -0.0], (n, 1)), m=1.2)
+    recorded = {"h": np.array(h), "d": np.array(d), "k": np.array(k),
+                "j": (t[:, None] + [1.0, 2.0, 3.0]) / 7.0,
+                "C1": np.full(n, 1.2), "C2": np.full(n, -0.0), "C3": np.array(C3)}
+    return Trajectory(times=t, states=states, recorded=recorded)
+
+
+def test_csv_keeps_signed_zeros_constants_and_repeats():
+    """Cells are told apart by their bits: a column mixing 0.0 and -0.0
+    writes "0" and "-0", and so does a constant column of either."""
+    tr = _hand_built_trajectory(
+        times=np.arange(6) * 0.1, h=[0.0, -0.0, 0.0, -0.0, 1.5, -0.0], d=[2.5] * 6,
+        k=[1 / 3, 2 / 3, 1 / 3, 1 / 3, 2 / 3, 1 / 3], C3=[0.0, -0.0] * 3)
+    text = trajectory_csv_text(tr)
+    assert text == _csv_reference(tr)
+    cells = dict(zip(text.split("\n", 1)[0].split(","), _csv_cells(text)))
+    assert cells["h"] == ("0", "-0", "0", "-0", "1.5", "-0")
+    assert cells["d"] == ("2.5",) * 6 and cells["C2"] == ("-0",) * 6
+    third, two_thirds = "0.33333333333333331", "0.66666666666666663"
+    assert cells["k"] == (third, two_thirds, third, third, two_thirds, third)
+    assert cells["C3"] == ("0", "-0") * 3 and cells["s_2"] == ("-0",) * 6
+
+
+def test_csv_writes_every_row_of_a_constant_table():
+    """Samples that repeat one state at one time are all written, although
+    no column of the table changes."""
+    tr = _hand_built_trajectory(np.zeros(3), h=[0.5] * 3, d=[-0.0] * 3, k=[2.0] * 3,
+                                C3=[1.0] * 3)
+    text = trajectory_csv_text(tr)
+    assert text == _csv_reference(tr)
+    assert len(text.split("\n")) == 5
 
 
 def test_closed_samples_match_single_time_closed_form():
