@@ -41,10 +41,6 @@ from .poisson import (
 from .symmetry import (
     ConformalMap,
     GalileiMap,
-    GalileiParams,
-    conformal_time,
-    conformal_transform,
-    galilei_transform,
     integrals_of_motion,
     map_trajectory,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from functools import cache
@@ -42,24 +43,38 @@ EXIT_BAD_INPUT = 2
 SCHEMA_VERSION = 1
 
 
-def _write(path, text: str) -> None:
-    """Write text to the file at path; a path that is not a string or cannot
-    be opened for writing is InvalidConfig naming it."""
+def _open(path):
+    """path opened for writing; a path that is not a string or cannot be
+    opened is InvalidConfig naming it."""
     if not isinstance(path, str):
         raise InvalidConfig(f"an output path must be a string, got {path!r}")
     try:
-        fh = open(path, "w")
+        return open(path, "w")
     except OSError as exc:
         raise InvalidConfig(f"cannot write output path {path!r}: {exc.strerror}")
-    with fh:
-        fh.write(text)
 
 
-def _emit(data: dict, path: Optional[str]) -> None:
+def _emit(data: dict, path: Optional[str], files=()) -> None:
+    """Write data as JSON to path, or to stdout without one, and each (path,
+    text) of files.  Every path is opened before any is written; if one
+    cannot be opened, the files opened so far are removed, so a command that
+    fails on an output path leaves no output behind."""
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if path:
-        _write(path, text)
-    else:
+    files = list(files) + ([(path, text)] if path else [])
+    handles = []
+    try:
+        for name, _ in files:
+            handles.append(_open(name))
+    except InvalidConfig:
+        for fh in handles:
+            fh.close()
+            os.remove(fh.name)
+        raise
+    for fh, (_, body) in zip(handles, files):
+        with fh:
+            fh.write(body)
+            fh.truncate()  # a later handle on the same file drops the earlier text
+    if not path:
         sys.stdout.write(text)
 
 
@@ -321,15 +336,10 @@ def _parse_run_config(cfg) -> dict:
     if method not in ("rk4", "closed"):
         raise InvalidConfig(f"unknown method {method!r}")
     ham_tag = cfg.get("hamiltonian", "free")
-    if ham_tag == "newton_hooke":
-        if method == "closed":
-            raise InvalidConfig("closed-form sampling covers the free flow only")
-        ham = dy.HamiltonianChoice("newton_hooke", omega=_number("omega", cfg.get("omega", 0.0)),
-                                   sign=_integer("sign", cfg.get("sign", 1)))
-    elif ham_tag == "free":
-        ham = dy.FREE
-    else:
-        raise InvalidConfig(f"unknown hamiltonian {ham_tag!r}")
+    if ham_tag == "newton_hooke" and method == "closed":
+        raise InvalidConfig("closed-form sampling covers the free flow only")
+    ham = dy.HamiltonianChoice(ham_tag, omega=_number("omega", cfg.get("omega", 0.0)),
+                               sign=_integer("sign", cfg.get("sign", 1)))
     nq, npp = po.q_levels(N, dim), po.p_levels(N, dim)
     q = _array("q", cfg.get("q", np.zeros((nq, dim))))
     p = _array("p", cfg.get("p", np.zeros((npp, dim))))
@@ -368,8 +378,7 @@ def cmd_simulate(args) -> int:
         traj = dy.integrate(cfg["pt"], cfg["ham"], cfg["T"], cfg["dt"], cfg["method"])
     except (BadStep, NonFiniteResult, InvalidState) as exc:  # InvalidState: the run overflows
         raise InvalidConfig(str(exc))
-    if cfg["csv"]:
-        _write(cfg["csv"], dy.trajectory_csv_text(traj))
+    files = [(cfg["csv"], dy.trajectory_csv_text(traj))] if cfg["csv"] else []
     drifts, drift_times = dy.conservation_drifts(traj)
     rec = traj.recorded
     summary = {
@@ -393,7 +402,7 @@ def cmd_simulate(args) -> int:
         }
         passed = passed and residual <= cfg["tol_fit"] and diff <= threshold
     summary["passed"] = bool(passed)
-    _emit(summary, cfg["summary"] or args.out)
+    _emit(summary, cfg["summary"] or args.out, files)
     return EXIT_OK if passed else EXIT_FAIL
 
 

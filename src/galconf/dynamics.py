@@ -68,6 +68,9 @@ class HamiltonianChoice:
     def __post_init__(self):
         if self.tag not in ("free", "newton_hooke"):
             raise UnsupportedHamiltonian(f"unknown Hamiltonian tag {self.tag!r}")
+        if self.tag == "free" and (self.omega != 0 or self.sign != 1):
+            raise UnsupportedHamiltonian(
+                f"the free flow takes omega = 0 and sign = 1, got {self.omega}, {self.sign}")
         if self.tag == "newton_hooke":
             if not (self.omega > 0 and math.isfinite(self.omega * self.omega)):
                 raise UnsupportedHamiltonian(
@@ -301,6 +304,8 @@ def _step_count(T: float, dt: float) -> int:
         return 0
     if dt <= 0 or dt > T * (1 + 1e-12):
         raise BadStep(f"need 0 < dt <= T, got dt={dt}, T={T}")
+    if not math.isfinite(T / dt):
+        raise BadStep(f"T/dt overflows: T={T}, dt={dt}")
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * T:
         raise BadStep(f"dt={dt} does not divide T={T}: {n_steps} steps end at "
@@ -321,14 +326,18 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
     if method not in ("rk4", "closed"):
         raise BadStep(f"unknown method {method!r}")
     n_steps = _step_count(T, dt)
-    times = np.arange(n_steps + 1) * dt
-    if method == "closed":
-        if not ham.free:
-            raise UnsupportedHamiltonian("closed form available for the free flow only")
-        q, p, chi = free_flow(pt0.q, pt0.p, pt0.chi, pt0.m, times)
-    else:
-        D = _rk4_step_matrix(_flow_matrix(pt0.N, pt0.dim, pt0.m, ham), dt)
-        q, p, chi = _unpack(_rk4(_pack(pt0), D, n_steps), pt0.N, pt0.dim)
+    try:  # a horizon with more samples than memory holds fails as it is allocated
+        times = np.arange(n_steps + 1) * dt
+        if method == "closed":
+            if not ham.free:
+                raise UnsupportedHamiltonian("closed form available for the free flow only")
+            q, p, chi = free_flow(pt0.q, pt0.p, pt0.chi, pt0.m, times)
+        else:
+            D = _rk4_step_matrix(_flow_matrix(pt0.N, pt0.dim, pt0.m, ham), dt)
+            q, p, chi = _unpack(_rk4(_pack(pt0), D, n_steps), pt0.N, pt0.dim)
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
+        raise BadStep(f"{n_steps + 1} samples of dt={dt} up to T={T} do not fit "
+                      f"in memory: {exc}") from None
     s = np.broadcast_to(pt0.s, (n_steps + 1,) + pt0.s.shape)
     traj = Trajectory(times=times, states=PhasePoint(q=q, p=p, s=s, chi=chi, m=pt0.m), ham=ham)
     if record:

@@ -29,10 +29,6 @@ from .poisson import PhasePoint, dual_vector_at, generators_at
 __all__ = [
     "integrals_of_motion",
     "schrodinger_integrals",
-    "conformal_time",
-    "conformal_transform",
-    "GalileiParams",
-    "galilei_transform",
     "ConformalMap",
     "GalileiMap",
     "map_trajectory",
@@ -63,110 +59,82 @@ def schrodinger_integrals(traj: Trajectory) -> Dict[str, np.ndarray]:
             "d_shifted": d - t * h, "k_shifted": k - 2.0 * t * d + t * t * h}
 
 
-def _conformal_denominator(t, c: float, what: str):
-    """1 + c t for a time or an array of times; raises SingularTime, naming
-    the first time at the pole."""
-    denom = 1.0 + c * t
-    bad = np.abs(denom) < 1e-14
-    if np.any(bad):
-        t_bad = np.ravel(t)[np.argmax(np.ravel(bad))]
-        raise SingularTime(f"{what} singular at t={t_bad}, c={c}")
-    return denom
-
-
-def conformal_time(t, c: float):
-    """t' = t / (1 + c t), elementwise for an array of times; raises
-    SingularTime at the pole."""
-    return t / _conformal_denominator(t, c, "conformal time map")
-
-
-def conformal_transform(x, p, t, c: float, m: float):
-    """Finite conformal map of a Schrodinger-case state.
-
-    x' = x/(1+ct), p' = p(1+ct) - m c x, t' = t/(1+ct).  x and p may carry
-    a leading sample axis matching an array t.
-    """
-    denom = _conformal_denominator(t, c, "conformal transform")
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    per_sample = np.asarray(denom)[..., None]
-    return x / per_sample, p * per_sample - m * c * x, t / denom
-
-
 @dataclass(frozen=True)
-class GalileiParams:
-    """Rotation, boost, translation and time shift, composed in that order."""
+class ConformalMap:
+    """Finite conformal map of Schrodinger-case states:
+    x' = x/(1+ct), p' = p(1+ct) - m c x, t' = t/(1+ct).
+
+    Times may be numbers or arrays of times (with a matching leading sample
+    axis on x and p); every time is checked against the pole.  The mass is
+    an argument of ``apply``; ``map_trajectory`` passes the trajectory's.
+    """
+
+    c: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "c", float(self.c))
+
+    @staticmethod
+    def _denominator(t, c: float, what: str):
+        """1 + c t; raises SingularTime, naming the first time at the pole."""
+        denom = 1.0 + c * t
+        bad = np.abs(denom) < 1e-14
+        if np.any(bad):
+            t_bad = np.ravel(t)[np.argmax(np.ravel(bad))]
+            raise SingularTime(f"{what} singular at t={t_bad}, c={c}")
+        return denom
+
+    def time(self, t):
+        return t / self._denominator(t, self.c, "conformal time map")
+
+    def inverse_time(self, tp):
+        return tp / self._denominator(tp, -self.c, "conformal time map")
+
+    def apply(self, x, p, t, m: float):
+        denom = self._denominator(t, self.c, "conformal transform")
+        x = np.asarray(x, dtype=float)
+        p = np.asarray(p, dtype=float)
+        per_sample = np.asarray(denom)[..., None]
+        return x / per_sample, p * per_sample - m * self.c * x, t / denom
+
+
+@dataclass(frozen=True, eq=False)  # R is an array: maps compare by identity
+class GalileiMap:
+    """Finite Galilei map of Schrodinger-case states: rotation, boost,
+    translation and time shift, composed in that order,
+    x' = Rx + a + vt, p' = Rp + mv, t' = t + tau.
+
+    R defaults to the identity and must be orthogonal to 1e-9.  Times may
+    be numbers or arrays of times, as for ConformalMap; R is applied to each
+    sample as a matrix-vector product, as for a single state.
+    """
 
     a: Tuple[float, float, float] = (0.0, 0.0, 0.0)
     v: Tuple[float, float, float] = (0.0, 0.0, 0.0)
     tau: float = 0.0
     R: object = None
 
-    def rotation(self) -> np.ndarray:
-        if self.R is None:
-            return np.eye(3)
-        R = np.asarray(self.R, dtype=float)
-        if R.shape != (3, 3) or float(np.max(np.abs(R @ R.T - np.eye(3)))) > 1e-9:
+    def __post_init__(self):
+        R = np.eye(3) if self.R is None else np.asarray(self.R, dtype=float)
+        if self.R is not None and (
+                R.shape != (3, 3) or float(np.max(np.abs(R @ R.T - np.eye(3)))) > 1e-9):
             raise NonOrthogonalRotation("R must be orthogonal to 1e-9")
-        return R
-
-
-def galilei_transform(x, p, t, params: GalileiParams, m: float):
-    """x' = Rx + a + vt, p' = Rp + mv, t' = t + tau.
-
-    x and p may carry a leading sample axis matching an array t; R is
-    checked once per call and applied to each sample as a matrix-vector
-    product, as for a single state.
-    """
-    R = params.rotation()
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(params.a, dtype=float)
-    v = np.asarray(params.v, dtype=float)
-    Rx = (R @ x[..., None])[..., 0]
-    Rp = (R @ p[..., None])[..., 0]
-    return Rx + a + v * np.asarray(t)[..., None], Rp + m * v, t + params.tau
-
-
-class ConformalMap:
-    """Finite conformal transformation acting on Schrodinger-case curves.
-
-    Times may be numbers or arrays of times (with a matching leading sample
-    axis on x and p).  The mass is an argument of ``apply``;
-    ``map_trajectory`` passes the trajectory's.
-    """
-
-    def __init__(self, c: float):
-        self.c = float(c)
+        object.__setattr__(self, "R", R)
 
     def time(self, t):
-        return conformal_time(t, self.c)
+        return t + self.tau
 
     def inverse_time(self, tp):
-        return conformal_time(tp, -self.c)
+        return tp - self.tau
 
     def apply(self, x, p, t, m: float):
-        return conformal_transform(x, p, t, self.c, m)
-
-
-class GalileiMap:
-    """Finite Galilei transformation acting on Schrodinger-case curves.
-
-    Times may be numbers or arrays of times, as for ConformalMap.
-    """
-
-    def __init__(self, params: GalileiParams):
-        self.params = params
-        params.rotation()  # validate eagerly
-
-    def time(self, t):
-        return t + self.params.tau
-
-    def inverse_time(self, tp):
-        return tp - self.params.tau
-
-    def apply(self, x, p, t, m: float):
-        return galilei_transform(x, p, t, self.params, m)
+        x = np.asarray(x, dtype=float)
+        p = np.asarray(p, dtype=float)
+        a = np.asarray(self.a, dtype=float)
+        v = np.asarray(self.v, dtype=float)
+        Rx = (self.R @ x[..., None])[..., 0]
+        Rp = (self.R @ p[..., None])[..., 0]
+        return Rx + a + v * np.asarray(t)[..., None], Rp + m * v, t + self.tau
 
 
 def map_trajectory(traj: Trajectory, transform) -> Trajectory:

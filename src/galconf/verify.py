@@ -142,11 +142,6 @@ def _element_span(alg: AlgebraSpec):
     return (-0.4, 0.4, len(alg.generators))
 
 
-def _random_element(rng, alg: AlgebraSpec) -> np.ndarray:
-    """Coefficient row of a random element, one uniform draw per generator."""
-    return po.uniform_block(rng, 1, [_element_span(alg)])[0][0]
-
-
 # ---------------------------------------------------------------------------
 # algebra suite
 # ---------------------------------------------------------------------------
@@ -613,8 +608,8 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
     worst = 0.0
     for _ in range(50):
         t, c1, c2 = rng.uniform(-0.3, 0.3, 3)
-        worst = max(worst, abs(sy.conformal_time(sy.conformal_time(t, c1), c2)
-                               - sy.conformal_time(t, c1 + c2)))
+        worst = max(worst, abs(sy.ConformalMap(c2).time(sy.ConformalMap(c1).time(t))
+                               - sy.ConformalMap(c1 + c2).time(t)))
     cases.append(_case("conformal_time_group_law", worst, tols["route"]))
 
     m = 1.5
@@ -623,12 +618,11 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
     tr = dy.integrate(pt, dy.FREE, 1.0, 1e-3, "rk4", record=False)
     maps = [(f"conformal_c{c}", sy.ConformalMap(c)) for c in (0.5, -0.5, 1.0)]
     maps += [
-        ("galilei_boost", sy.GalileiMap(sy.GalileiParams(v=(0.4, -0.2, 0.1)))),
-        ("galilei_translation", sy.GalileiMap(sy.GalileiParams(a=(1.0, 0.5, -0.3)))),
-        ("galilei_timeshift", sy.GalileiMap(sy.GalileiParams(tau=0.35))),
-        ("galilei_rotation", sy.GalileiMap(sy.GalileiParams(
-            R=co.rotation_matrix([0.3, -0.5, 0.8])))),
-        ("identity", sy.GalileiMap(sy.GalileiParams())),
+        ("galilei_boost", sy.GalileiMap(v=(0.4, -0.2, 0.1))),
+        ("galilei_translation", sy.GalileiMap(a=(1.0, 0.5, -0.3))),
+        ("galilei_timeshift", sy.GalileiMap(tau=0.35)),
+        ("galilei_rotation", sy.GalileiMap(R=co.rotation_matrix([0.3, -0.5, 0.8]))),
+        ("identity", sy.GalileiMap()),
     ]
     for name, mp in maps:
         tr2 = sy.map_trajectory(tr, mp)
@@ -653,17 +647,17 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
         tau, cpar = float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.8, 0.8))
         om = rng.uniform(-0.8, 0.8, 3)
         state = (x, p, s, chi)
-        xa, pa, _ = sy.galilei_transform(x, p, 0.0, sy.GalileiParams(a=a), m)
+        xa, pa, _ = sy.GalileiMap(a=a).apply(x, p, 0.0, m)
         draws["translation"].append((state, (xa, pa, s, chi), -a))
-        xv, pv, _ = sy.galilei_transform(x, p, 0.0, sy.GalileiParams(v=v), m)
+        xv, pv, _ = sy.GalileiMap(v=v).apply(x, p, 0.0, m)
         draws["boost"].append((state, (xv, pv, s, chi), v))
         qt, ptau, chit = dy.free_flow(pt.q, pt.p, chi, m, -tau)
         draws["time"].append((state, (qt[0], ptau[0], s, chit), -tau))
         # the conformal column moves chi, which the active map leaves alone
-        xc, pc, _ = sy.conformal_transform(x, p, 0.0, cpar, m)
+        xc, pc, _ = sy.ConformalMap(cpar).apply(x, p, 0.0, m)
         draws["conformal"].append(((x, p, s, zero), (xc, pc, s, zero), -cpar))
         # the rotation column also turns the internal spin
-        xr, pr, _ = sy.galilei_transform(x, p, 0.0, sy.GalileiParams(R=co.rotation_matrix(om)), m)
+        xr, pr, _ = sy.GalileiMap(R=co.rotation_matrix(om)).apply(x, p, 0.0, m)
         draws["rotation"].append(((x, p, zero, chi), (xr, pr, zero, chi), om))
 
     def duals(states):

@@ -256,9 +256,8 @@ def test_c08_solution_to_solution():
     tr = dy.integrate(pt, dy.FREE, 1.0, 1e-3, "rk4", record=False)
     worst_res = 0.0
     maps = [sy.ConformalMap(c) for c in (0.5, -0.5, 1.0)]
-    maps.append(sy.GalileiMap(sy.GalileiParams(
-        a=(0.4, -0.1, 0.2), v=(0.3, 0.2, -0.1), tau=0.3,
-        R=co.rotation_matrix([0.4, -0.2, 0.6]))))
+    maps.append(sy.GalileiMap(a=(0.4, -0.1, 0.2), v=(0.3, 0.2, -0.1), tau=0.3,
+                              R=co.rotation_matrix([0.4, -0.2, 0.6])))
     for mp in maps:
         tr2 = sy.map_trajectory(tr, mp)
         res, _ = dy.verify_motion_order(tr2)
@@ -284,7 +283,7 @@ def test_c08_solution_to_solution():
             alg1, "time", -tau, base, po.PhasePoint(q=q, p=p, s=base.s, chi=chi, m=m)))
         nochi = po.PhasePoint(q=base.q, p=base.p, s=base.s, chi=np.zeros(3), m=m)
         c = float(rng.uniform(-0.8, 0.8))
-        xc, pc, _ = sy.conformal_transform(x0, p0, 0.0, c, m)
+        xc, pc, _ = sy.ConformalMap(c).apply(x0, p0, 0.0, m)
         worst_col = max(worst_col, column_defect(
             alg1, "conformal", -c, nochi,
             po.PhasePoint(q=[xc], p=[pc], s=nochi.s, chi=nochi.chi, m=m)))

@@ -479,6 +479,13 @@ class TestSimulate:
         {"tol_fit": "1e-7"},
         {"chi": [1.0, 0.0, 0.0], "classify_tol": "1e-9"},
         {"m": 10 ** 400},
+        # a free run takes no oscillator parameters; these used to be dropped
+        {"omega": 2.0},
+        {"sign": -1},
+        # horizons whose samples do not fit in the address space used to exit 1
+        # with an OverflowError or a MemoryError traceback
+        {"T": 1e300, "dt": 1e-10},
+        {"T": 1e15, "dt": 1.0},
     ])
     def test_invalid_configs_exit_2(self, capsys, tmp_path, overrides):
         cfg = write_free_config(tmp_path, **overrides)
@@ -563,6 +570,16 @@ class TestSimulate:
         assert out == ""
         assert json.loads(err)["error"].startswith(f"InvalidConfig: cannot write output "
                                                    f"path {missing!r}")
+        # neither output is left: the CSV used to be written before the summary failed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_csv_and_summary_at_one_path_keep_the_summary(self, capsys, tmp_path):
+        path = str(tmp_path / "out")
+        # the CSV is longer than the summary written over it
+        cfg = write_free_config(tmp_path, T=0.1, dt=0.001, csv=path, summary=path)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 0, err
+        assert json.loads((tmp_path / "out").read_text())["samples"] == 101
 
     @pytest.mark.parametrize("key", ["csv", "summary"])
     @pytest.mark.parametrize("value", [["traj.csv"], 1.5, 12345])

@@ -40,12 +40,12 @@ from galconf.errors import (
     UnknownGenerator,
     UnsupportedClosedForm,
 )
+from galconf.poisson import uniform_block
 from galconf.verify import (
     ACCEPTANCE_ALGEBRAS,
     FLOW_FAMILIES,
     _draw_duals,
     _element_span,
-    _random_element,
     _worst_draw,
     flip_constant,
     random_dual,
@@ -442,6 +442,11 @@ def unit_row(alg, name):
     return element_rows(alg, [{alg.generator(name): 1.0}])[0]
 
 
+def random_elements(rng, alg, k):
+    """k coefficient rows of random elements, one uniform draw per generator."""
+    return list(uniform_block(rng, k, [_element_span(alg)])[0])
+
+
 def kind_row(alg, kind, values):
     """Coefficient row with values on the generators of one kind, in order."""
     a = np.zeros(len(alg.generators))
@@ -452,7 +457,7 @@ def kind_row(alg, kind, values):
 def probe_elements(alg, rng):
     """Random coefficient rows, plus per generator kind present a random row
     on that kind and a unit row on its last generator."""
-    rows = [_random_element(rng, alg) for _ in range(5)]
+    rows = random_elements(rng, alg, 5)
     for kind in ("J", "C", "H", "D", "K", "M", "Ds"):
         gens = [g for g in alg.generators if g.kind == kind]
         if gens:
@@ -516,7 +521,7 @@ class TestTensorPath:
         nilpotent = [kind_row(alg, "C", rng.uniform(-0.5, 0.5, n_c))]
         nilpotent += [unit_row(alg, k) for k in "HKM"]
         other = [unit_row(alg, "D"), kind_row(alg, "J", 1.0 / 3.0)]
-        other += [_random_element(rng, alg) for _ in range(5)]
+        other += random_elements(rng, alg, 5)
         for rows, want_zero in ((nilpotent, True), (other, False)):
             for a in rows:
                 for t in (1.0, float(rng.uniform(-0.5, 0.5)), 2.5):
@@ -531,7 +536,7 @@ def test_random_element_is_one_uniform_row(N, dim):
     alg = build_algebra(N, dim, central=True)
     n = len(alg.generators)
     rng, row_rng, scalar_rng = (np.random.default_rng(N * 10 + dim) for _ in range(3))
-    a = _random_element(rng, alg)
+    (a,) = random_elements(rng, alg, 1)
     assert same_bits(a, row_rng.uniform(-0.4, 0.4, n))
     assert same_bits(a, np.array([scalar_rng.uniform(-0.4, 0.4) for _ in range(n)]))
     assert rng.bit_generator.state == row_rng.bit_generator.state \
@@ -664,7 +669,7 @@ def mixed_ad_stack(alg, rng):
     n_c = (alg.N + 1) * alg.dim
     rows = [np.zeros(len(alg.generators))] + [unit_row(alg, k) for k in "MHKD"]
     rows += [kind_row(alg, "C", rng.uniform(-0.5, 0.5, n_c)) for _ in range(4)]
-    rows += [_random_element(rng, alg) for _ in range(8)]
+    rows += random_elements(rng, alg, 8)
     rows = np.array(rows)
     times = rng.uniform(-0.5, 0.5, len(rows))
     times[-4:] = (0.05, 1.0, 3.0, 9.0)  # scales s = 0 up to several squarings

@@ -194,6 +194,15 @@ class TestIntegrate:
         with pytest.raises(BadStep):
             integrate(free_point(), FREE, T, dt)
 
+    @pytest.mark.parametrize("T,dt", [(1e300, 1e-10), (1e15, 1.0)])
+    @pytest.mark.parametrize("method", ["rk4", "closed"])
+    def test_horizon_beyond_memory(self, T, dt, method):
+        # T/dt overflowed in the step count (OverflowError), and 10^15 samples
+        # failed to allocate (MemoryError); both used to escape as tracebacks.
+        # Neither sample array fits in the address space, so nothing is touched.
+        with pytest.raises(BadStep):
+            integrate(free_point(), FREE, T, dt, method, record=False)
+
     def test_step_must_divide_horizon(self):
         # T=1, dt=0.4 used to stop silently at t=0.8
         with pytest.raises(BadStep):
@@ -327,6 +336,14 @@ class TestNewtonHooke:
                 HamiltonianChoice("newton_hooke", omega=omega)
         with pytest.raises(UnsupportedHamiltonian):
             HamiltonianChoice("oscillator")
+
+    def test_free_flow_takes_no_oscillator_parameters(self):
+        # omega and sign used to be accepted: RK4 then integrated Newton-Hooke
+        # while the closed form, the drifts and the maps took the run as free
+        for omega, sign in ((2.0, -1), (2.0, 1), (0.0, -1), (float("nan"), 1)):
+            with pytest.raises(UnsupportedHamiltonian, match="free flow takes omega = 0"):
+                HamiltonianChoice("free", omega=omega, sign=sign)
+        assert HamiltonianChoice("free", omega=0.0, sign=1) == FREE
 
 
 def test_check_state_names_the_first_bad_sample():

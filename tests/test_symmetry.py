@@ -27,10 +27,6 @@ from galconf.poisson import PhasePoint, dual_vector_at, generators_at, random_po
 from galconf.symmetry import (
     ConformalMap,
     GalileiMap,
-    GalileiParams,
-    conformal_time,
-    conformal_transform,
-    galilei_transform,
     integrals_of_motion,
     map_trajectory,
     schrodinger_integrals,
@@ -133,39 +129,41 @@ class TestIntegralsOfMotion:
 
 class TestConformalTime:
     def test_printed_value(self):
-        assert conformal_time(1.0, 1.0) == 0.5
+        assert ConformalMap(1.0).time(1.0) == 0.5
 
     def test_identity_at_zero_parameter(self):
-        assert conformal_time(2.7, 0.0) == 2.7
+        assert ConformalMap(0.0).time(2.7) == 2.7
 
     def test_pole(self):
-        with pytest.raises(SingularTime):
-            conformal_time(1.0, -1.0)
+        with pytest.raises(SingularTime, match="conformal time map singular at t=1.0, c=-1.0"):
+            ConformalMap(-1.0).time(1.0)
+        with pytest.raises(SingularTime, match="conformal time map singular at t=1.0, c=-1.0"):
+            ConformalMap(1.0).inverse_time(1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(t=st.floats(-0.3, 0.3), c1=st.floats(-0.3, 0.3), c2=st.floats(-0.3, 0.3))
     def test_group_law(self, t, c1, c2):
-        lhs = conformal_time(conformal_time(t, c1), c2)
-        assert lhs == pytest.approx(conformal_time(t, c1 + c2), abs=1e-12)
+        lhs = ConformalMap(c2).time(ConformalMap(c1).time(t))
+        assert lhs == pytest.approx(ConformalMap(c1 + c2).time(t), abs=1e-12)
 
 
 class TestConformalTransform:
     def test_rest_particle(self):
         # x(t) = e1 at rest, m=1, c=1: x'(t') = (1-t') e1 with p' = -e1
         for t in (0.0, 0.5, 2.0):
-            x, p, tp = conformal_transform([1, 0, 0], [0, 0, 0], t, 1.0, 1.0)
+            x, p, tp = ConformalMap(1.0).apply([1, 0, 0], [0, 0, 0], t, 1.0)
             assert np.allclose(x, [(1 - tp), 0, 0]) or t == 0.0
             assert np.allclose(p, [-1.0, 0, 0])
             assert tp == pytest.approx(t / (1 + t))
 
     def test_identity(self):
-        x, p, tp = conformal_transform([0.2, 0.1, 0.0], [1.0, 0, 0], 0.7, 0.0, 2.0)
+        x, p, tp = ConformalMap(0.0).apply([0.2, 0.1, 0.0], [1.0, 0, 0], 0.7, 2.0)
         assert np.allclose(x, [0.2, 0.1, 0.0]) and np.allclose(p, [1.0, 0, 0])
         assert tp == 0.7
 
     def test_singular(self):
-        with pytest.raises(SingularTime):
-            conformal_transform([1, 0, 0], [0, 0, 0], 1.0, -1.0, 1.0)
+        with pytest.raises(SingularTime, match="conformal transform singular at t=1.0, c=-1.0"):
+            ConformalMap(-1.0).apply([1, 0, 0], [0, 0, 0], 1.0, 1.0)
 
     def test_generator_values_follow_the_column(self):
         """Active map at t=0 against the conformal coadjoint column with u=-c."""
@@ -176,7 +174,7 @@ class TestConformalTransform:
             p0 = rng.uniform(-1, 1, 3)
             c = float(rng.uniform(-0.8, 0.8))
             g = generators_at(schrodinger_point(x0, p0, m=m))
-            x1, p1, _ = conformal_transform(x0, p0, 0.0, c, m)
+            x1, p1, _ = ConformalMap(c).apply(x0, p0, 0.0, m)
             g2 = generators_at(schrodinger_point(x1, p1, m=m))
             u = -c
             assert g2["h"] == pytest.approx(g["h"] + 2 * u * g["d"] + u * u * g["k"],
@@ -188,27 +186,27 @@ class TestConformalTransform:
 class TestGalileiTransform:
     def test_boost_of_rest_state(self):
         m = 2.0
-        params = GalileiParams(v=(1.0, 0.0, 0.0))
+        boost = GalileiMap(v=(1.0, 0.0, 0.0))
         for t in (0.0, 0.5, 1.0):
-            x, p, tp = galilei_transform([0, 0, 0], [0, 0, 0], t, params, m)
+            x, p, tp = boost.apply([0, 0, 0], [0, 0, 0], t, m)
             assert np.allclose(x, [t, 0, 0])
             assert np.allclose(p, [2.0, 0, 0])
             assert tp == t
 
     def test_identity(self):
-        x, p, tp = galilei_transform([0.3, 0, 0], [0, 1, 0], 0.4, GalileiParams(), 1.0)
+        x, p, tp = GalileiMap().apply([0.3, 0, 0], [0, 1, 0], 0.4, 1.0)
         assert np.allclose(x, [0.3, 0, 0]) and np.allclose(p, [0, 1, 0]) and tp == 0.4
 
     def test_rotation(self):
         R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        x, p, _ = galilei_transform([0, 0, 0], [1, 0, 0], 0.0,
-                                    GalileiParams(R=R), 1.0)
+        x, p, _ = GalileiMap(R=R).apply([0, 0, 0], [1, 0, 0], 0.0, 1.0)
         assert np.allclose(p, [0, 1, 0])
 
     def test_rejects_non_orthogonal_rotation(self):
-        with pytest.raises(NonOrthogonalRotation):
-            galilei_transform([0, 0, 0], [0, 0, 0], 0.0,
-                              GalileiParams(R=np.eye(3) * 2.0), 1.0)
+        # checked when the map is made, before any state is mapped
+        for R in (np.eye(3) * 2.0, np.eye(2)):
+            with pytest.raises(NonOrthogonalRotation):
+                GalileiMap(R=R)
 
 
 class TestMapTrajectory:
@@ -219,7 +217,7 @@ class TestMapTrajectory:
 
     def test_identity_map(self):
         tr, m = self.make_free()
-        tr2 = map_trajectory(tr, GalileiMap(GalileiParams()))
+        tr2 = map_trajectory(tr, GalileiMap())
         assert np.allclose(tr2.times, tr.times)
         for a, b in zip(tr.states[::100], tr2.states[::100]):
             assert np.max(np.abs(a.q - b.q)) < 1e-12
@@ -247,9 +245,9 @@ class TestMapTrajectory:
 
     def test_galilei_maps_solutions_to_solutions(self):
         tr, m = self.make_free(seed=13)
-        params = GalileiParams(a=(0.5, -0.2, 0.1), v=(0.3, 0.0, -0.4), tau=0.25,
-                               R=rotation_matrix([0.2, 0.5, -0.3]))
-        tr2 = map_trajectory(tr, GalileiMap(params))
+        mp = GalileiMap(a=(0.5, -0.2, 0.1), v=(0.3, 0.0, -0.4), tau=0.25,
+                        R=rotation_matrix([0.2, 0.5, -0.3]))
+        tr2 = map_trajectory(tr, mp)
         res, _ = verify_motion_order(tr2)
         assert res < 1e-7
 
@@ -273,7 +271,7 @@ class TestMapTrajectory:
         out = map_trajectory(left, ConformalMap(c))
         assert np.all(np.diff(out.times) > 0)
         t = ConformalMap(c).inverse_time(out.times)
-        x, p, _ = conformal_transform(x0 + v * t[:, None], np.tile(m * v, (3, 1)), t, c, m)
+        x, p, _ = ConformalMap(c).apply(x0 + v * t[:, None], np.tile(m * v, (3, 1)), t, m)
         assert np.max(np.abs(out.q[:, 0] - x)) < 1e-14
         assert np.max(np.abs(out.p[:, 0] - p)) < 1e-14
 
@@ -285,10 +283,10 @@ class TestMapTrajectory:
         tr = integrate(pt, ham, 1.0, 1e-2, record=False)
         assert tr.ham == ham
         with pytest.raises(UnsupportedHamiltonian, match="free trajectories only"):
-            map_trajectory(tr, GalileiMap(GalileiParams(tau=0.0035)))
+            map_trajectory(tr, GalileiMap(tau=0.0035))
         free = integrate(pt, FREE, 1.0, 1e-2, record=False)
         assert free.ham == FREE
-        assert map_trajectory(free, GalileiMap(GalileiParams(tau=0.0035))).ham == FREE
+        assert map_trajectory(free, GalileiMap(tau=0.0035)).ham == FREE
 
     def test_only_schrodinger_case(self):
         pt = random_point(np.random.default_rng(14), 3, 3)
@@ -300,11 +298,9 @@ class TestMapTrajectory:
 def suite_maps():
     """The eight maps of the symmetry suite."""
     maps = [ConformalMap(c) for c in (0.5, -0.5, 1.0)]
-    return maps + [GalileiMap(GalileiParams(v=(0.4, -0.2, 0.1))),
-                   GalileiMap(GalileiParams(a=(1.0, 0.5, -0.3))),
-                   GalileiMap(GalileiParams(tau=0.35)),
-                   GalileiMap(GalileiParams(R=rotation_matrix([0.3, -0.5, 0.8]))),
-                   GalileiMap(GalileiParams())]
+    return maps + [GalileiMap(v=(0.4, -0.2, 0.1)), GalileiMap(a=(1.0, 0.5, -0.3)),
+                   GalileiMap(tau=0.35), GalileiMap(R=rotation_matrix([0.3, -0.5, 0.8])),
+                   GalileiMap()]
 
 
 def map_trajectory_reference(traj, transform):
@@ -320,10 +316,9 @@ def map_trajectory_reference(traj, transform):
             denom = 1.0 + c * ti
             return x / denom, p * denom - m * c * x
     else:
-        prm, m = transform.params, traj.m
-        R = np.eye(3) if prm.R is None else np.asarray(prm.R, dtype=float)
-        a, v = np.asarray(prm.a, dtype=float), np.asarray(prm.v, dtype=float)
-        t = np.array([float(tp) - prm.tau for tp in grid])
+        m, R = traj.m, transform.R
+        a, v = np.asarray(transform.a, dtype=float), np.asarray(transform.v, dtype=float)
+        t = np.array([float(tp) - transform.tau for tp in grid])
 
         def one(x, p, ti):
             return R @ x + a + v * ti, R @ p + m * v
@@ -379,11 +374,13 @@ def test_mapped_states_are_the_map_of_the_exact_free_solution(method):
 
 
 def test_column_consistency_maps_with_the_library_boost(monkeypatch):
-    def wrong_boost(x, p, t, params, m):
-        x2, p2, t2 = galilei_transform(x, p, t, params, m)
-        return x2, p2 + m * np.asarray(params.v, dtype=float), t2
+    apply = GalileiMap.apply
 
-    monkeypatch.setattr(symmetry, "galilei_transform", wrong_boost)
+    def wrong_boost(self, x, p, t, m):
+        x2, p2, t2 = apply(self, x, p, t, m)
+        return x2, p2 + m * np.asarray(self.v, dtype=float), t2
+
+    monkeypatch.setattr(symmetry.GalileiMap, "apply", wrong_boost)
     cases = {c["name"]: c for c in run_suites("symmetry")["suites"]["symmetry"]}
     assert not cases["column_consistency_boost"]["passed"]
     for fam in ("translation", "time", "conformal", "rotation"):
