@@ -43,37 +43,42 @@ EXIT_BAD_INPUT = 2
 SCHEMA_VERSION = 1
 
 
-def _open(path):
-    """path opened for writing; a path that is not a string or cannot be
-    opened is InvalidConfig naming it."""
+def _open(path, mode: str):
+    """path opened in mode; a path that is not a string or cannot be opened
+    is InvalidConfig naming it."""
     if not isinstance(path, str):
         raise InvalidConfig(f"an output path must be a string, got {path!r}")
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
         raise InvalidConfig(f"cannot write output path {path!r}: {exc.strerror}")
 
 
 def _emit(data: dict, path: Optional[str], files=()) -> None:
     """Write data as JSON to path, or to stdout without one, and each (path,
-    text) of files.  Every path is opened before any is written; if one
-    cannot be opened, the files opened so far are removed, so a command that
-    fails on an output path leaves no output behind."""
+    text) of files, in that order, so where two paths name one file the JSON
+    is what it holds.
+
+    Every path is first opened for appending, which changes no file that
+    exists.  If one cannot be opened, the files those opens created are
+    removed and nothing is written, so a command that fails on an output
+    path leaves every file as it was."""
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    files = list(files) + ([(path, text)] if path else [])
-    handles = []
+    outputs = [*files, *([(path, text)] if path else [])]
+    created = []
     try:
-        for name, _ in files:
-            handles.append(_open(name))
+        for name, _ in outputs:
+            new = isinstance(name, str) and not os.path.lexists(name)
+            _open(name, "a").close()
+            if new:
+                created.append(name)
     except InvalidConfig:
-        for fh in handles:
-            fh.close()
-            os.remove(fh.name)
+        for name in created:
+            os.remove(name)
         raise
-    for fh, (_, body) in zip(handles, files):
-        with fh:
+    for name, body in outputs:
+        with _open(name, "w") as fh:
             fh.write(body)
-            fh.truncate()  # a later handle on the same file drops the earlier text
     if not path:
         sys.stdout.write(text)
 

@@ -147,20 +147,20 @@ def _unpack(z, N: int, dim: int):
             z[..., oc:])
 
 
-def _rk4(z0: np.ndarray, D: np.ndarray, n_steps: int) -> np.ndarray:
-    """States (I + D)^i z0 for i = 0..n_steps, by doubling the increment.
+def _rk4(z0: np.ndarray, D: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out filled with the states (I + D)^i z0 for i = 0..len(out) - 1, by
+    doubling the increment.
 
     With D_b = (I + D)^b - I, the rows [b, 2b) are rows [0, b) plus
     rows [0, b) @ D_b^T, and D_{2b} = 2 D_b + D_b @ D_b, so a run costs
-    ceil(log2(n_steps + 1)) matrix products.  Doubling stops at the last
+    ceil(log2(len(out))) matrix products.  Doubling stops at the last
     finite D_b, and the remaining rows are filled in blocks of b, each
     block from the one before, so an exact zero is never multiplied by an
     infinite D_b and the first non-finite entry is a coordinate that
     overflows.  The overflow is not reported here: the PhasePoint built
     from the rows rejects non-finite samples and names the first one.
     """
-    n = n_steps + 1
-    out = np.empty((n,) + z0.shape)
+    n = len(out)
     out[0] = z0
     b = step = 1  # rows [0, b) are filled and D is D_step
     with np.errstate(over="ignore", invalid="ignore"):
@@ -326,18 +326,20 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
     if method not in ("rk4", "closed"):
         raise BadStep(f"unknown method {method!r}")
     n_steps = _step_count(T, dt)
-    try:  # a horizon with more samples than memory holds fails as it is allocated
-        times = np.arange(n_steps + 1) * dt
-        if method == "closed":
-            if not ham.free:
-                raise UnsupportedHamiltonian("closed form available for the free flow only")
-            q, p, chi = free_flow(pt0.q, pt0.p, pt0.chi, pt0.m, times)
-        else:
-            D = _rk4_step_matrix(_flow_matrix(pt0.N, pt0.dim, pt0.m, ham), dt)
-            q, p, chi = _unpack(_rk4(_pack(pt0), D, n_steps), pt0.N, pt0.dim)
+    if method == "closed" and not ham.free:
+        raise UnsupportedHamiltonian("closed form available for the free flow only")
+    try:  # one buffer the size of the samples, which rk4 fills: a horizon
+        # that does not fit in memory fails here, before any step is taken
+        z = np.empty((n_steps + 1, _pack(pt0).size))
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
         raise BadStep(f"{n_steps + 1} samples of dt={dt} up to T={T} do not fit "
                       f"in memory: {exc}") from None
+    times = np.arange(n_steps + 1) * dt
+    if method == "closed":
+        q, p, chi = free_flow(pt0.q, pt0.p, pt0.chi, pt0.m, times)
+    else:
+        D = _rk4_step_matrix(_flow_matrix(pt0.N, pt0.dim, pt0.m, ham), dt)
+        q, p, chi = _unpack(_rk4(_pack(pt0), D, z), pt0.N, pt0.dim)
     s = np.broadcast_to(pt0.s, (n_steps + 1,) + pt0.s.shape)
     traj = Trajectory(times=times, states=PhasePoint(q=q, p=p, s=s, chi=chi, m=pt0.m), ham=ham)
     if record:

@@ -581,6 +581,27 @@ class TestSimulate:
         assert code == 0, err
         assert json.loads((tmp_path / "out").read_text())["samples"] == 101
 
+    def test_failed_run_leaves_an_existing_output_as_it_was(self, capsys, tmp_path):
+        # the rollback of a failed run used to remove every output it had
+        # opened, a file that was there before included
+        old = tmp_path / "old.csv"
+        old.write_text("kept\n")
+        missing = str(tmp_path / "missing" / "summary.json")
+        cfg = write_free_config(tmp_path, T=0.01, dt=0.005, csv=str(old), summary=missing)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert f"cannot write output path {missing!r}" in json.loads(err)["error"]
+        assert old.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "old.csv"]
+
+    def test_csv_to_a_character_device(self, capsys, tmp_path):
+        # each output used to be truncated after it was written, which fails
+        # with EINVAL on /dev/null
+        cfg = write_free_config(tmp_path, T=0.01, dt=0.005, csv=os.devnull)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 0, err
+        assert json.loads((tmp_path / "summary.json").read_text())["samples"] == 3
+
     @pytest.mark.parametrize("key", ["csv", "summary"])
     @pytest.mark.parametrize("value", [["traj.csv"], 1.5, 12345])
     def test_non_string_output_path_exits_2(self, capsys, tmp_path, key, value):
@@ -828,6 +849,11 @@ class TestVerifyCommand:
         assert out == ""
         assert f"cannot write output path {missing!r}" in json.loads(err)["error"]
 
+    def test_out_to_a_character_device(self, capsys):
+        code, out, err = run_cli(capsys, "algebra", "check", "--N", "1", "--dim", "3",
+                                 "-o", os.devnull)
+        assert (code, out) == (0, ""), err
+
     @pytest.mark.parametrize("which", [None, ["algebra"], ("orbit",), 5, "quantum"])
     def test_run_suites_takes_all_or_one_suite_name(self, which):
         # None and sequences of names used to be accepted, and 5 raised a TypeError
@@ -917,6 +943,16 @@ class TestSymmetryVerify:
         assert code == 2
         assert out == ""
         assert "InvalidConfig" in json.loads(err)["error"]
+
+
+def test_out_to_a_pipe():
+    # -o /dev/stdout into a pipe used to fail after writing, on the truncate
+    proc = subprocess.run(
+        [sys.executable, "-m", "galconf.cli", "algebra", "check", "--N", "1",
+         "--dim", "3", "-o", "/dev/stdout"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
 
 
 def test_console_script_roundtrip():
