@@ -417,21 +417,26 @@ def _negates(rev: Optional[Element], res: Element) -> bool:
     return True
 
 
-def structure_checks(alg: AlgebraSpec) -> Dict[str, Tuple[int, str]]:
-    """Antisymmetry and, for a central algebra, mass centrality of the table.
+def structure_checks(alg: AlgebraSpec) -> Dict[str, Tuple[float, str]]:
+    """The exact identity checks of the table: Jacobi, antisymmetry and, for
+    a central algebra, mass centrality, in that order.
 
-    Maps each check name to (number of offenders, detail).  The detail names
-    the first offender, an ordered pair whose reverse is not its negative or
-    a generator whose stored bracket with M is nonzero, in generator order;
-    it is empty when the check is clean.
+    Maps each check name to (defect, detail), all clean at a defect of 0.
+    The Jacobi defect is the float of jacobi_worst's, and its detail names
+    the worst triple.  The other defects count offenders, and their detail
+    names the first one, an ordered pair whose reverse is not its negative
+    or a generator whose stored bracket with M is nonzero, in generator
+    order.  A detail is empty when its check is clean.
     """
+    defect, triple = jacobi_worst(alg)
+    out = {"jacobi": (float(defect), f"worst triple {triple}" if triple else "")}
     index, table = alg.index, alg.table
     asym = [(x, y) for (x, y), res in table.items() if not _negates(table.get((y, x)), res)]
     detail = ""
     if asym:
         x, y = min(asym, key=lambda xy: (index[xy[0]], index[xy[1]]))
         detail = f"first offending pair ({x.name}, {y.name})"
-    out = {"antisymmetry": (len(asym), detail)}
+    out["antisymmetry"] = (len(asym), detail)
     if alg.central:
         M = alg.generator("M")
         loose = [g for g in alg.generators if any(alg.table.get((M, g), {}).values())]

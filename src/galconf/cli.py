@@ -52,6 +52,8 @@ def _open(path, mode: str):
         return open(path, mode)
     except OSError as exc:
         raise InvalidConfig(f"cannot write output path {path!r}: {exc.strerror}")
+    except ValueError:  # a path with an embedded NUL byte
+        raise InvalidConfig(f"cannot write output path {path!r}: it holds a NUL byte")
 
 
 def _emit(data: dict, path: Optional[str], files=()) -> None:
@@ -122,14 +124,8 @@ def _load_json(path: str) -> dict:
 
 def cmd_algebra_check(args) -> int:
     alg = al.build_algebra(args.N, args.dim, args.central, args.with_ds)
-    checks = []
-    defect, triple = al.jacobi_worst(alg)
-    checks.append({"name": "jacobi", "defect": float(defect), "allowed": 0.0,
-                   "passed": defect == 0,
-                   "detail": f"worst triple {triple}" if triple else ""})
-    for name, (bad, detail) in al.structure_checks(alg).items():
-        checks.append({"name": name, "defect": bad, "allowed": 0.0,
-                       "passed": bad == 0, "detail": detail})
+    checks = [{"name": name, "defect": bad, "allowed": 0.0, "passed": bad == 0,
+               "detail": detail} for name, (bad, detail) in al.structure_checks(alg).items()]
     passed = all(c["passed"] for c in checks)
     _emit({"schema_version": SCHEMA_VERSION,
            "algebra": {"N": alg.N, "dim": alg.dim, "central": alg.central,
@@ -188,11 +184,9 @@ def _chi(value) -> np.ndarray:
 
 
 def _tolerance(name: str, value) -> float:
-    """value as a float, or InvalidConfig unless it is finite and nonnegative."""
-    try:
-        out = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidConfig(f"{name} must be a number, got {value!r}")
+    """value as a float: a number (see _number) that is finite and nonnegative,
+    or InvalidConfig."""
+    out = _number(name, value)
     if not (math.isfinite(out) and out >= 0):
         raise InvalidConfig(f"{name} must be finite and nonnegative, got {value!r}")
     return out
@@ -214,11 +208,6 @@ def _number(name: str, value) -> float:
         return float(value)
     except OverflowError:  # an integer beyond the float range
         raise InvalidConfig(f"{name} is out of the float range, got {value!r}")
-
-
-def _config_tolerance(cfg: dict, key: str, default: float) -> float:
-    """cfg[key], or default: a number (see _number) that is a _tolerance."""
-    return _tolerance(key, _number(key, cfg.get(key, default)))
 
 
 def _resolve_internal(cfg: dict, dim: int):
@@ -345,20 +334,23 @@ def _parse_run_config(cfg) -> dict:
         raise InvalidConfig("closed-form sampling covers the free flow only")
     ham = dy.HamiltonianChoice(ham_tag, omega=_number("omega", cfg.get("omega", 0.0)),
                                sign=_integer("sign", cfg.get("sign", 1)))
-    nq, npp = po.q_levels(N, dim), po.p_levels(N, dim)
-    q = _array("q", cfg.get("q", np.zeros((nq, dim))))
-    p = _array("p", cfg.get("p", np.zeros((npp, dim))))
-    if q.shape != (nq, dim) or p.shape != (npp, dim):
-        raise InvalidConfig(
-            f"initial blocks must be q:{(nq, dim)} p:{(npp, dim)}, "
-            f"got q:{q.shape} p:{p.shape}")
+    want = {"q": (po.q_levels(N, dim), dim), "p": (po.p_levels(N, dim), dim)}
+    given = {key: _array(key, cfg[key]) for key in want if key in cfg}
+    if any(block.shape != want[key] for key, block in given.items()):
+        got = " ".join(f"{key}:{block.shape}" for key, block in given.items())
+        raise InvalidConfig(f"initial blocks must be q:{want['q']} p:{want['p']}, got {got}")
+    try:  # a default block is zeros
+        q, p = (given[key] if key in given else np.zeros(want[key]) for key in "qp")
+    except MemoryError:
+        raise InvalidConfig(f"N={N} is too large: its initial blocks do not fit in memory")
     try:
         s, chi, label = _resolve_internal(cfg, dim)
     except (LabelMismatch, AmbiguousClass) as exc:
         raise InvalidConfig(str(exc))
     m = label.m
     if "chi" in cfg and "chi_class" in cfg:
-        got = co.classify_orbit(chi, tol=_config_tolerance(cfg, "classify_tol", 1e-9))
+        tol = _tolerance("classify_tol", cfg.get("classify_tol", 1e-9))
+        got = co.classify_orbit(chi, tol=tol)
         if got.tag != label.chi_class.tag:
             raise InvalidConfig(
                 f"explicit chi classifies as {got.tag}, config says "
@@ -370,9 +362,9 @@ def _parse_run_config(cfg) -> dict:
         "pt": po.PhasePoint(q=q, p=p, s=s, chi=chi, m=m),
         "dt": dt, "T": T,
         "csv": cfg.get("csv"), "summary": cfg.get("summary"),
-        "tol_conservation": _config_tolerance(cfg, "tol_conservation",
-                                              vf.DEFAULT_TOLERANCES["integrator"]),
-        "tol_fit": _config_tolerance(cfg, "tol_fit", tol_fit_default),
+        "tol_conservation": _tolerance("tol_conservation", cfg.get(
+            "tol_conservation", vf.DEFAULT_TOLERANCES["integrator"])),
+        "tol_fit": _tolerance("tol_fit", cfg.get("tol_fit", tol_fit_default)),
         "raw": cfg,
     }
 
@@ -417,7 +409,7 @@ def cmd_simulate(args) -> int:
 
 def _check_tols(tols) -> dict:
     """Tolerance overrides {name: float}; each must name a default tolerance
-    and be a finite, nonnegative number."""
+    and be a _tolerance."""
     if not isinstance(tols, dict):
         raise InvalidConfig(f"tolerances must be an object, got {type(tols).__name__}")
     unknown = set(tols) - set(vf.DEFAULT_TOLERANCES)
@@ -427,13 +419,17 @@ def _check_tols(tols) -> dict:
 
 
 def _parse_tols(pairs) -> dict:
+    """{name: float} of the --tol name=value items."""
     tols = {}
     for item in pairs or []:
         name, eq, value = item.partition("=")
         if not eq:
             raise InvalidConfig(f"tolerance override must be name=value, got {item!r}")
-        tols[name] = value
-    return _check_tols(tols)
+        try:
+            tols[name] = float(value)
+        except ValueError:
+            raise InvalidConfig(f"tolerance {name} must be a number, got {value!r}")
+    return tols
 
 
 def _check_seed(seed) -> int:
@@ -443,19 +439,23 @@ def _check_seed(seed) -> int:
     return value
 
 
-def cmd_verify(args) -> int:
-    report = vf.run_suites(args.suite, seed=_check_seed(args.seed),
-                           tolerances=_parse_tols(args.tol))
-    _emit(report, args.out)
+def _verify(which: str, seed, tolerances, out: Optional[str]) -> int:
+    """Run the suites of which at seed with the tolerance overrides, both
+    checked, and emit the report to out (stdout without one); exit 1 if a
+    case failed."""
+    report = vf.run_suites(which, seed=_check_seed(seed), tolerances=_check_tols(tolerances))
+    _emit(report, out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
+
+
+def cmd_verify(args) -> int:
+    return _verify(args.suite, args.seed, _parse_tols(args.tol), args.out)
 
 
 def cmd_symmetry_verify(args) -> int:
     cfg = _known_keys(_load_json(args.config), SYMMETRY_CONFIG_KEYS)
-    tols = _check_tols(cfg.get("tolerances", {}))
-    report = vf.run_suites("symmetry", seed=_check_seed(cfg.get("seed", 42)), tolerances=tols)
-    _emit(report, args.out or cfg.get("report"))
-    return EXIT_OK if report["passed"] else EXIT_FAIL
+    return _verify("symmetry", cfg.get("seed", 42), cfg.get("tolerances", {}),
+                   args.out or cfg.get("report"))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import EPS2, AlgebraSpec, spin_components, tower_sign
+from .algebra import EPS2, AlgebraSpec, conformal_basis_inverse, spin_components, tower_sign
 from .errors import (
     AmbiguousClass,
     ConvergenceFailure,
@@ -34,6 +34,7 @@ __all__ = [
     "OrbitClass",
     "OrbitLabel",
     "ORBIT_TAGS",
+    "SCHRODINGER_COLUMNS",
     "classify_orbit",
     "chi_for_class",
     "chi_interval",
@@ -437,9 +438,11 @@ def rotation_matrix(omega) -> np.ndarray:
     return np.eye(3) - math.sin(theta) * nx + (1.0 - math.cos(theta)) * (nx @ nx)
 
 
-# the parameter shape of one draw of each Schrodinger-case column
-_COLUMN_PARAMS = {"translation": (3,), "boost": (3,), "rotation": (3,),
-                  "time": (), "dilation": (), "conformal": ()}
+# the generators each Schrodinger-case (Table 1) column flows along; a
+# family of three generators takes a 3-vector parameter, one of one a number
+SCHRODINGER_COLUMNS = {"translation": ("C0_1", "C0_2", "C0_3"), "boost": ("C1_1", "C1_2", "C1_3"),
+                       "time": ("H",), "dilation": ("D",), "conformal": ("K",),
+                       "rotation": ("J1", "J2", "J3")}
 
 
 def coad_closed_form(alg: AlgebraSpec, family: str, params, V) -> np.ndarray:
@@ -447,8 +450,8 @@ def coad_closed_form(alg: AlgebraSpec, family: str, params, V) -> np.ndarray:
     rows V (the pack_dual layout), one flow per row; returns (k, n) rows.
 
     family "ctrans" works for any supported (N, dim) and takes (k, N+1, dim)
-    parameters.  The one-parameter families of _COLUMN_PARAMS ("translation",
-    "boost" and "rotation" take (k, 3), the others (k,)) are the
+    parameters.  The families of SCHRODINGER_COLUMNS ("translation", "boost"
+    and "rotation" take (k, 3), the others (k,)) are the
     Schrodinger-case columns and require N=1, dim=3.  The mass component is
     invariant under every flow.  A row of a stack gives the bits of the same
     row alone.
@@ -458,9 +461,9 @@ def coad_closed_form(alg: AlgebraSpec, family: str, params, V) -> np.ndarray:
     if (alg.N, alg.dim) != (1, 3):
         raise UnsupportedClosedForm(
             f"no printed closed form for family {family!r} at N={alg.N}, dim={alg.dim}")
-    if family not in _COLUMN_PARAMS:
+    if family not in SCHRODINGER_COLUMNS:
         raise UnsupportedClosedForm(f"unknown family {family!r}")
-    V, p = _rows_and_params(alg, V, params, _COLUMN_PARAMS[family])
+    V, p = _rows_and_params(alg, V, params, (3,) if len(SCHRODINGER_COLUMNS[family]) == 3 else ())
     if family in ("translation", "boost"):
         x = np.zeros((len(V), 2, 3))
         x[:, int(family == "boost")] = p
@@ -571,9 +574,7 @@ def chi_for_class(cls: OrbitClass) -> np.ndarray:
 def orbit_components(m: float, s, chi, x):
     """(j, c, h, d, k) of the orbit parametrization for stacked samples:
     the base point (s, chi) with no tower components, translated by x."""
-    h = chi[..., 0] - chi[..., 1]
-    d = chi[..., 2]
-    k = chi[..., 0] + chi[..., 1]
+    h, d, k = conformal_basis_inverse(np.moveaxis(chi, -1, 0))
     return translate_dual(m, x, s, np.zeros_like(x), h, d, k)
 
 

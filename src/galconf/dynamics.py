@@ -266,6 +266,13 @@ def record_values(states: PhasePoint) -> Dict[str, np.ndarray]:
     return rec
 
 
+def _recorded(traj: Trajectory) -> Dict[str, np.ndarray]:
+    """traj.recorded, or ShapeMismatch if traj was integrated without recording."""
+    if not traj.recorded:
+        raise ShapeMismatch("trajectory was integrated without recording")
+    return traj.recorded
+
+
 def conservation_drifts(traj: Trajectory) -> Tuple[Dict[str, float], Dict[str, float]]:
     """Largest deviation from the first sample of every quantity the flow of
     traj.ham conserves: the recorded generators and Casimirs, the spin
@@ -273,9 +280,10 @@ def conservation_drifts(traj: Trajectory) -> Tuple[Dict[str, float], Dict[str, f
     flow and the deformed energy h + sign * omega^2 * k for Newton-Hooke.
 
     Returns two dicts keyed by quantity: the drifts, and the sample time at
-    which each drift is reached (the first such time).
+    which each drift is reached (the first such time).  Raises ShapeMismatch,
+    as trajectory_csv_text does, if traj was integrated without recording.
     """
-    rec, ham = traj.recorded, traj.ham
+    rec, ham = _recorded(traj), traj.ham
 
     def drift(v):
         dev = np.abs(v - v[0]).reshape(len(v), -1).max(axis=1)
@@ -422,10 +430,8 @@ def trajectory_csv_text(traj: Trajectory) -> str:
     template, a column of one value is a literal of the template, and any
     other column is passed as the texts of its distinct values.
     """
-    if not traj.recorded:
-        raise ShapeMismatch("trajectory was integrated without recording")
     n = len(traj.times)
-    rec = traj.recorded
+    rec = _recorded(traj)
     table = np.hstack([traj.times[:, None], traj.q.reshape(n, -1), traj.p.reshape(n, -1),
                        traj.s, traj.chi, np.stack([rec[k] for k in ("h", "d", "k")], axis=1),
                        rec["j"], np.stack([rec[k] for k in ("C1", "C2", "C3")], axis=1)])

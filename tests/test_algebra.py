@@ -276,14 +276,20 @@ def test_directional_flip_breaks_antisymmetry():
 
 @pytest.mark.parametrize("spec", ACCEPTANCE_ALGEBRAS)
 def test_structure_checks_clean(spec):
-    want = {"antisymmetry": (0, "")}
+    want = {"jacobi": (0.0, ""), "antisymmetry": (0, "")}
     if spec[2]:
         want["mass_central"] = (0, "")
-    assert structure_checks(build_algebra(*spec)) == want
+    checks = structure_checks(build_algebra(*spec))
+    assert checks == want
+    assert list(checks) == list(want)
+    assert type(checks["jacobi"][0]) is float
 
 
 def test_structure_checks_name_first_offender():
     alg = build_algebra(3, 3, central=True)
+    flipped = flip_constant(alg, "C1_1", "C2_1")
+    assert structure_checks(flipped)["jacobi"] == (12.0, "worst triple ('C0_1', 'C2_1', 'K')")
+    assert jacobi_worst(flipped) == (12, ("C0_1", "C2_1", "K"))
     checks = structure_checks(break_antisymmetry(alg, "C3_1", "C0_1"))
     assert checks["antisymmetry"] == (2, "first offending pair (C0_1, C3_1)")
     M, H, K = alg.generator("M"), alg.generator("H"), alg.generator("K")

@@ -20,13 +20,21 @@ from galconf import algebra as al
 from galconf import coadjoint as co
 from galconf.cli import RUN_CONFIG_KEYS, _dual_json, _load_dual, main
 from galconf.errors import GalconfError
-from galconf.verify import DEFAULT_TOLERANCES, run_suites
+from galconf.verify import ACCEPTANCE_ALGEBRAS, DEFAULT_TOLERANCES, run_suites
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def algebra_suite(tmp_path_factory):
+    """The cases of the `verify algebra` report, by name."""
+    out = tmp_path_factory.mktemp("verify") / "report.json"
+    assert main(["verify", "algebra", "-o", str(out)]) == 0
+    return {c["name"]: c for c in json.loads(out.read_text())["suites"]["algebra"]}
 
 
 class TestAlgebraCommands:
@@ -58,6 +66,22 @@ class TestAlgebraCommands:
         assert checks["jacobi"]["defect"] == 0 and checks["jacobi"]["detail"] == ""
         assert set(checks) == {"jacobi", "antisymmetry", "mass_central"}
         assert all(c["passed"] for c in checks.values())
+
+    @pytest.mark.parametrize("N,dim,central,ds", ACCEPTANCE_ALGEBRAS)
+    def test_check_reports_the_cases_of_verify_algebra(self, capsys, algebra_suite,
+                                                       N, dim, central, ds):
+        # both commands read one list of per-algebra checks
+        argv = ["algebra", "check", "--N", str(N), "--dim", str(dim)]
+        code, out, err = run_cli(capsys, *argv, *["--central"] * central, *["--with-ds"] * ds)
+        assert code == 0, err
+        tag = f"N{N}_dim{dim}" + ("_central" if central else "_plain") + ("_ds" if ds else "")
+        case_names = {"jacobi": f"jacobi_{tag}", "antisymmetry": f"antisymmetry_{tag}",
+                      "mass_central": f"mass_central_N{N}_dim{dim}"}
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == list(case_names)[:3 if central else 2]
+        for check in checks:
+            case = algebra_suite[case_names[check["name"]]]
+            assert (check["defect"], check["detail"]) == (case["defect"], case["detail"])
 
     def test_dump_contains_dilatation_row(self, capsys):
         code, out, _ = run_cli(capsys, "algebra", "dump", "--N", "1",
@@ -613,6 +637,43 @@ class TestSimulate:
         assert out == ""
         assert "an output path must be a string" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("key", ["csv", "summary"])
+    def test_output_path_with_a_nul_byte_exits_2(self, capsys, tmp_path, key):
+        # open() used to raise "ValueError: embedded null byte" as a traceback
+        bad = str(tmp_path / "x\u0000.csv")
+        cfg = write_free_config(tmp_path, T=0.01, dt=0.005, **{key: bad})
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"cannot write output path {bad!r}: it holds a NUL byte" \
+            in json.loads(err)["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    # Only these sizes: their default blocks exceed the address space, so the
+    # allocation fails at once without touching memory.
+    @pytest.mark.parametrize("N,dim", [(10 ** 15 + 1, 3), (10 ** 15, 2)])
+    def test_a_state_too_large_to_allocate_exits_2(self, capsys, tmp_path, N, dim):
+        # the default zero blocks used to end in a MemoryError traceback
+        cfg = json.loads(write_free_config(tmp_path, N=N, dim=dim).read_text())
+        del cfg["q"], cfg["p"]
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "config.json"))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == (f"InvalidConfig: N={N} is too large: its "
+                                            f"initial blocks do not fit in memory")
+
+    def test_explicit_blocks_are_checked_before_a_default_is_built(self, capsys, tmp_path):
+        # the default p block used to be built, and fail, before q's shape was read
+        cfg = json.loads(write_free_config(tmp_path, N=10 ** 15 + 1).read_text())
+        del cfg["p"]
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "config.json"))
+        assert code == 2
+        assert json.loads(err)["error"] == ("InvalidConfig: initial blocks must be "
+                                            "q:(500000000000001, 3) p:(500000000000001, 3), "
+                                            "got q:(1, 3)")
+
     def test_deterministic_artifacts(self, capsys, tmp_path):
         cfg = write_free_config(tmp_path)
         run_cli(capsys, "simulate", "--config", str(cfg))
@@ -883,7 +944,7 @@ class TestVerifyCommand:
         # main reuses one parser; the appended --tol list must not carry over
         seen = []
         for override in (["--tol", "oracle=0.5", "--tol", "route=0.25"],
-                         ["--tol", "casimir=0.125"]):
+                         ["--tol", "casimir=0.125"], ["--tol", "oracle=1e-12"]):
             code, out, _ = run_cli(capsys, "verify", "algebra", *override)
             assert code == 0
             seen.append(json.loads(out)["tolerances"])
@@ -891,6 +952,8 @@ class TestVerifyCommand:
             == {"oracle": 0.5, "route": 0.25}
         assert {k: v for k, v in seen[1].items() if v != DEFAULT_TOLERANCES[k]} \
             == {"casimir": 0.125}
+        assert {k: v for k, v in seen[2].items() if v != DEFAULT_TOLERANCES[k]} \
+            == {"oracle": 1e-12}
         code, out, _ = run_cli(capsys, "verify", "algebra")
         assert json.loads(out)["tolerances"] == DEFAULT_TOLERANCES
 
@@ -915,6 +978,18 @@ class TestSymmetryVerify:
         assert any(n.startswith("solution_to_solution") for n in names)
         assert any(n.startswith("column_consistency") for n in names)
 
+    def test_report_path_with_a_nul_byte_exits_2(self, capsys, tmp_path):
+        # open() used to raise "ValueError: embedded null byte" as a traceback
+        bad = str(tmp_path / "x\u0000.json")
+        cfg = tmp_path / "sym.json"
+        cfg.write_text(json.dumps({"report": bad}))
+        code, out, err = run_cli(capsys, "symmetry", "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"cannot write output path {bad!r}: it holds a NUL byte" \
+            in json.loads(err)["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sym.json"]
+
     def test_unknown_tolerance_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "sym.json"
         cfg.write_text(json.dumps({"tolerances": {"bogus": 1.0}}))
@@ -935,6 +1010,9 @@ class TestSymmetryVerify:
         {"seed": 1.5},
         {"seed": True},
         {"seed": "7"},
+        # these used to run with oracle = 1.0 and 1e-3
+        {"tolerances": {"oracle": True}},
+        {"tolerances": {"oracle": "1e-3"}},
     ])
     def test_bad_config_rejected(self, capsys, tmp_path, config):
         cfg = tmp_path / "sym.json"

@@ -237,6 +237,13 @@ class TestIntegrate:
         tr = integrate(free_point(), FREE, 0.01, 0.002, record=False)
         assert np.allclose(tr.times, [0.0, 0.002, 0.004, 0.006, 0.008, 0.01])
 
+    @pytest.mark.parametrize("reader", [conservation_drifts, trajectory_csv_text])
+    def test_unrecorded_trajectory_is_rejected_alike(self, reader):
+        # conservation_drifts used to raise a bare KeyError: 'h'
+        tr = integrate(free_point(), FREE, 0.01, 0.002, record=False)
+        with pytest.raises(ShapeMismatch, match="integrated without recording"):
+            reader(tr)
+
     def test_conservation_along_free_flow(self):
         pt = random_point(np.random.default_rng(7), 3, 3)
         tr = integrate(pt, FREE, 1.0, 1e-3, "rk4")
