@@ -57,7 +57,7 @@ def _open(path, mode: str):
 
 
 def _emit(data: dict, path: Optional[str], files=()) -> None:
-    """Write data as JSON to path, or to stdout without one, and each (path,
+    """Write data as JSON to path, or to stdout when it is None, and each (path,
     text) of files, in that order, so where two paths name one file the JSON
     is what it holds.
 
@@ -66,7 +66,7 @@ def _emit(data: dict, path: Optional[str], files=()) -> None:
     removed and nothing is written, so a command that fails on an output
     path leaves every file as it was."""
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    outputs = [*files, *([(path, text)] if path else [])]
+    outputs = [*files, *([(path, text)] if path is not None else [])]
     created = []
     try:
         for name, _ in outputs:
@@ -81,7 +81,7 @@ def _emit(data: dict, path: Optional[str], files=()) -> None:
     for name, body in outputs:
         with _open(name, "w") as fh:
             fh.write(body)
-    if not path:
+    if path is None:
         sys.stdout.write(text)
 
 
@@ -375,7 +375,7 @@ def cmd_simulate(args) -> int:
         traj = dy.integrate(cfg["pt"], cfg["ham"], cfg["T"], cfg["dt"], cfg["method"])
     except (BadStep, NonFiniteResult, InvalidState) as exc:  # InvalidState: the run overflows
         raise InvalidConfig(str(exc))
-    files = [(cfg["csv"], dy.trajectory_csv_text(traj))] if cfg["csv"] else []
+    files = [(cfg["csv"], dy.trajectory_csv_text(traj))] if cfg["csv"] is not None else []
     drifts, drift_times = dy.conservation_drifts(traj)
     rec = traj.recorded
     summary = {
@@ -399,7 +399,7 @@ def cmd_simulate(args) -> int:
         }
         passed = passed and residual <= cfg["tol_fit"] and diff <= threshold
     summary["passed"] = bool(passed)
-    _emit(summary, cfg["summary"] or args.out, files)
+    _emit(summary, args.out if cfg["summary"] is None else cfg["summary"], files)
     return EXIT_OK if passed else EXIT_FAIL
 
 
@@ -455,7 +455,7 @@ def cmd_verify(args) -> int:
 def cmd_symmetry_verify(args) -> int:
     cfg = _known_keys(_load_json(args.config), SYMMETRY_CONFIG_KEYS)
     return _verify("symmetry", cfg.get("seed", 42), cfg.get("tolerances", {}),
-                   args.out or cfg.get("report"))
+                   cfg.get("report") if args.out is None else args.out)
 
 
 # ---------------------------------------------------------------------------

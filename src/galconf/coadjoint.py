@@ -73,14 +73,23 @@ def spin_invariant(s):
     return (s[..., None, :] @ s[..., :, None])[..., 0, 0] if s.shape[-1] == 3 else s[..., 0]
 
 
-_ROLL1, _ROLL2 = [1, 2, 0], [2, 0, 1]
-
-
 def _cross3(u, v):
     """Cross product over a trailing axis of 3: the products and differences
     of np.cross, without its axis handling, giving the same bits."""
-    return (np.take(u, _ROLL1, axis=-1) * np.take(v, _ROLL2, axis=-1)
-            - np.take(u, _ROLL2, axis=-1) * np.take(v, _ROLL1, axis=-1))
+    u0, u1, u2, v0, v1, v2 = u[..., 0], u[..., 1], u[..., 2], v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
+
+
+def _level_sum(a):
+    """Sum over the level axis (-2), level by level from +0.0 (so a column
+    of -0.0 sums to +0.0): the bits of np.sum(a, axis=-2) on a C-ordered a,
+    whatever the layout of a, without numpy's reduction set-up, which costs
+    more than the few additions over a short axis.  (np.sum adds a level
+    axis of 8 or more that is contiguous in memory pairwise.)"""
+    total = 0.0 + a[..., 0, :]
+    for i in range(1, a.shape[-2]):
+        total += a[..., i, :]
+    return total
 
 
 def _rowdot(u, v):
@@ -406,7 +415,7 @@ def translate_dual(m, x, j, c, h, d, k):
     # component b: -m g tower_form(b, a) x^a of level N - i
     cp = c - mc * g[:, None] * (xr if dim == 3 else xr @ EPS2)
     if dim == 3:  # so(3): cross products
-        j = j - np.sum(_cross3(x, c) + (mc / 2.0) * g[:, None] * _cross3(xr, x), axis=-2)
+        j = j - _level_sum(_cross3(x, c) + (mc / 2.0) * g[:, None] * _cross3(xr, x))
     else:  # so(2): one scalar
         j = np.asarray(j[..., 0] - np.sum(_cross2(x, c), axis=-1)
                        + (m / 2.0) * _levels(_rowdot(x, xr), g))[..., None]
@@ -655,7 +664,7 @@ def casimir_arrays(m, j, c, h, d, k):
     A = _levels(pair(c[..., :-1, :], cr[..., 1:, :]), a_coef)
     B = -_levels(pair(c[..., 1:, :], cr[..., :-1, :]), b_coef)
     if dim == 3:
-        vec = m[..., None] * j - np.sum(alpha[:, None] * _cross3(c, cr), axis=-2)
+        vec = m[..., None] * j - _level_sum(alpha[:, None] * _cross3(c, cr))
         C2 = _rowdot(vec, vec)
     else:
         C2 = m * j[..., 0] - _levels(_rowdot(cr, c), alpha)

@@ -189,29 +189,31 @@ def free_flow(q, p, chi, m: float, t):
     dim = q.shape[-1]
     n_p = p.shape[-2]
     top = q.shape[-2] - 1
-    p_t = []
-    for k in range(n_p):
-        acc = 0.0
-        for r in range(k + 1):
-            acc = acc + ((-tc) ** r / _fact(r)) * p[..., k - r, :]
-        p_t.append(acc)
-    q_t = []
-    for k in range(top + 1):
-        acc = 0.0
-        for r in range(top - k + 1):
-            acc = acc + (tc ** r / _fact(r)) * q[..., k + r, :]
-        for r in range(n_p):
-            power = top - k + 1 + r
-            pr = p[..., n_p - 1 - r, :]
-            acc = acc + ((-1.0) ** r * tc ** power / _fact(power)) \
-                * (pr if dim == 3 else pr @ EPS2) / m
-        q_t.append(acc)
+    lead = np.broadcast(t, q[..., 0, 0], p[..., 0, 0]).shape
+    # One step per power r over all the levels it reaches: each level adds
+    # its terms in the order of its sum over r, starting from +0.0.
+    p_t = np.zeros(lead + p.shape[-2:])
+    for r in range(n_p):  # level k adds (-t)^r / r! p_{k-r} for r = 0..k
+        p_t[..., r:, :] += ((-tc) ** r / _fact(r))[..., None, :] * p[..., :n_p - r, :]
+    powers = np.empty(t.shape + (top + n_p + 1, 1))  # t^e / e! along a level axis
+    for e in range(top + n_p + 1):
+        np.divide(tc ** e, _fact(e), out=powers[..., e, :])
+    q_t = np.zeros(lead + q.shape[-2:])
+    for r in range(top + 1):  # level k adds t^r / r! q_{k+r} for r = 0..top-k
+        q_t[..., :top + 1 - r, :] += powers[..., r:r + 1, :] * q[..., r:, :]
+    for r in range(n_p):  # then (-1)^r t^e / e! p_{n_p-1-r} / m, e = top-k+1+r
+        pr = p[..., n_p - 1 - r, :]
+        term = powers[..., top + 1 + r:r:-1, :] * (pr if dim == 3 else pr @ EPS2)[..., None, :] / m
+        if r % 2:
+            q_t -= term
+        else:
+            q_t += term
     c0, c1, c2 = chi[..., 0], chi[..., 1], chi[..., 2]
     e = c0 - c1
     chi_t = np.stack([c0 + c2 * t + e * t * t / 2.0,
                       c1 + c2 * t + e * t * t / 2.0,
                       c2 + e * t], axis=-1)
-    return np.stack(q_t, axis=-2), np.stack(p_t, axis=-2), chi_t
+    return q_t, p_t, chi_t
 
 
 @dataclass

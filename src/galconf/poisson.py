@@ -37,6 +37,7 @@ from .algebra import (
 from .coadjoint import (
     _cross2,
     _cross3,
+    _level_sum,
     _rowdot,
     orbit_components,
     spin_invariant,
@@ -96,13 +97,15 @@ class Poly:
 
     Monomials are stored as sorted tuples of (symbol, exponent); symbols are
     tuples like ("q", level, axis), ("p", level, axis), ("s", i),
-    ("chi", alpha) with 0-based indices.
+    ("chi", alpha) with 0-based indices.  A Poly is never changed in place,
+    so its gradient is taken once and kept.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_gradient")
 
     def __init__(self, terms: Optional[Mapping] = None):
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
+        self._gradient = None
 
     @classmethod
     def const(cls, value) -> "Poly":
@@ -144,6 +147,13 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, np.ndarray):
             return NotImplemented
+        if isinstance(other, Poly):
+            # a constant factor scales the other's terms as a number does,
+            # which makes the products of the loop below, in its order
+            if _constant(other):
+                other = other.terms[()]
+            elif _constant(self):
+                return other * self.terms[()]
         if not isinstance(other, Poly):
             if other == 0:  # every product would be dropped as zero
                 return Poly()
@@ -181,6 +191,13 @@ class Poly:
     def variables(self) -> set:
         return {s for mono in self.terms for s, _ in mono}
 
+    @property
+    def gradient(self) -> Dict:
+        """{symbol: nonzero partial derivative}, in sorted symbol order."""
+        if self._gradient is None:
+            self._gradient = {u: d for u in sorted(self.variables()) if (d := self.diff(u))}
+        return self._gradient
+
     def eval(self, env: Mapping):
         """Value at env (symbol -> value), of the shape of the env's values:
         numbers, or arrays all of one shape.  An array gives, entry by entry,
@@ -196,6 +213,11 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.terms!r})"
+
+
+def _constant(f: Poly) -> bool:
+    """True for a nonzero constant polynomial {(): c}."""
+    return len(f.terms) == 1 and () in f.terms
 
 
 # ---------------------------------------------------------------------------
@@ -459,41 +481,36 @@ class StructureMatrix:
         return P, Q
 
     @cached_property
-    def _brackets(self) -> Dict[Tuple, Poly]:
-        """The nonzero coordinate brackets, keyed by coordinate pair."""
+    def _partners(self) -> Dict[Tuple, Dict[Tuple, Poly]]:
+        """u -> {v: {u, v}} over the coordinates v whose bracket with u is not
+        zero, in sorted order of v; each coordinate has at most three."""
         (P, Q), z = self.tensors, self.coordinates()
         w = z[len(z) - len(Q):]
-        out = {(z[i], z[j]): Poly.const(P[i, j]) for i, j in zip(*np.nonzero(P))}
+        pairs = {(z[i], z[j]): Poly.const(P[i, j]) for i, j in zip(*np.nonzero(P))}
         for a, b, g in zip(*np.nonzero(Q)):
-            out[w[a], w[b]] = out.get((w[a], w[b]), _NO_BRACKET) + Poly.var(w[g], Q[a, b, g])
+            pairs[w[a], w[b]] = pairs.get((w[a], w[b]), _NO_BRACKET) + Poly.var(w[g], Q[a, b, g])
+        out: Dict[Tuple, Dict[Tuple, Poly]] = {}
+        for u, v in sorted(pairs):
+            out.setdefault(u, {})[v] = pairs[u, v]
         return out
 
     def bracket(self, u, v) -> Poly:
         """{u, v} of two coordinates; the returned Poly is shared, not a copy."""
-        return self._brackets.get((u, v), _NO_BRACKET)
+        return self._partners.get(u, {}).get(v, _NO_BRACKET)
 
 
 def poly_bracket(f: Poly, g: Poly, sm: StructureMatrix) -> Poly:
     """{f, g} as a polynomial: gradients contracted with the bracket table.
 
-    Variables are visited in sorted order, so the float sums do not depend
-    on the hash seed; a partial derivative of g is taken only where some
-    variable of f has a nonzero bracket with it.
+    u runs over the gradient of f and v over the bracket partners of u, both
+    in sorted order, so the float sums do not depend on the hash seed; a
+    partner v counts where g depends on it.
     """
     out: Dict = {}
-    g_vars = sorted(g.variables())
-    dg: Dict = {}
-    for u in sorted(f.variables()):
-        df = f.diff(u)
-        if not df:
-            continue
-        for v in g_vars:
-            br = sm.bracket(u, v)
-            if not br:
-                continue
-            if v not in dg:
-                dg[v] = g.diff(v)
-            if dg[v]:
+    dg = g.gradient
+    for u, df in f.gradient.items():
+        for v, br in sm._partners.get(u, {}).items():
+            if v in dg:
                 # summed in place in the order of Poly addition, which drops
                 # a monomial whose sum is exactly 0 (it comes back last)
                 for mono, c in (df * dg[v] * br).terms.items():
@@ -527,7 +544,7 @@ def generators_at(pt: PhasePoint) -> Dict[str, np.ndarray]:
         kk = chi0 + chi1 + (m / 2.0) * ((N + 1) / 2.0) ** 2 * _rowdot(q[..., n, :], q[..., n, :]) \
             - _rowdot(q[..., :-1, :], p[..., 1:, :]) @ np.array(
                 [(N - k) * (k + 1) for k in range(n)], dtype=float)
-        return {"h": h[()], "d": d[()], "k": kk[()], "j": s + np.sum(_cross3(q, p), axis=-2)}
+        return {"h": h[()], "d": d[()], "k": kk[()], "j": s + _level_sum(_cross3(q, p))}
     u = N // 2
     p_top = aux_top_momentum(q[..., u, :], m)
     h = chi0 - chi1 + np.sum(_rowdot(p, q[..., 1:, :]), axis=-1)

@@ -617,9 +617,9 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
                            detail))
 
     alg1 = factory(1, 3, True, False)
-    # (input, image, column parameter) of each draw per family; states are (x, p, s, chi)
-    draws: Dict[str, list] = {k: [] for k in
-                              ("translation", "boost", "time", "conformal", "rotation")}
+    # (input, image, column parameter) of each draw per family; states are (x, p, s, chi).
+    # Every Table-1 column but dilation, which has no active map to compare with
+    draws: Dict[str, list] = {fam: [] for fam in co.SCHRODINGER_COLUMNS if fam != "dilation"}
     zero = np.zeros(3)
     for _ in range(40):
         pt = po.random_point(rng, 1, 3, m=m)

@@ -638,6 +638,18 @@ class TestSimulate:
         assert "an output path must be a string" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("key", ["csv", "summary"])
+    @pytest.mark.parametrize("value", [0, False, ""])
+    def test_falsy_output_path_exits_2(self, capsys, tmp_path, key, value):
+        # a falsy path used to be dropped: "csv": 0 exited 0 without a CSV, and
+        # "summary": 0 printed the summary to stdout
+        cfg = write_free_config(tmp_path, T=0.01, dt=0.005, **{key: value})
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "InvalidConfig" in json.loads(err)["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("key", ["csv", "summary"])
     def test_output_path_with_a_nul_byte_exits_2(self, capsys, tmp_path, key):
         # open() used to raise "ValueError: embedded null byte" as a traceback
         bad = str(tmp_path / "x\u0000.csv")
@@ -988,6 +1000,17 @@ class TestSymmetryVerify:
         assert out == ""
         assert f"cannot write output path {bad!r}: it holds a NUL byte" \
             in json.loads(err)["error"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sym.json"]
+
+    @pytest.mark.parametrize("value", [False, 0, ""])
+    def test_falsy_report_path_exits_2(self, capsys, tmp_path, value):
+        # a falsy report path used to be dropped and the report printed to stdout
+        cfg = tmp_path / "sym.json"
+        cfg.write_text(json.dumps({"report": value}))
+        code, out, err = run_cli(capsys, "symmetry", "verify", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "InvalidConfig" in json.loads(err)["error"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sym.json"]
 
     def test_unknown_tolerance_rejected(self, capsys, tmp_path):

@@ -12,6 +12,7 @@ from galconf.coadjoint import (
     ORBIT_TAGS,
     _cross3,
     _expm,
+    _level_sum,
     _rowdot,
     ad_star_matrix,
     OrbitClass,
@@ -638,6 +639,23 @@ def test_cross3_matches_np_cross_bit_for_bit():
             got = _cross3(u, v)
             assert got.flags.c_contiguous
             assert same_bits(got, np.cross(u, v))
+
+
+def test_level_sum_matches_np_sum_bit_for_bit():
+    # np.sum starts from +0.0, so a column of -0.0 sums to +0.0, not -0.0; on
+    # a Fortran-ordered array of 8 or more levels it sums pairwise, while the
+    # level sum keeps the bits of the C-ordered array
+    rng = np.random.default_rng(23)
+    signed = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
+    for levels in (1, 2, 3, 8, 9, 16):
+        for lead in ((), (1,), (5,), (4, 3)):
+            shape = lead + (levels, 3)
+            for a in (rng.uniform(-1, 1, shape), rng.choice(signed, shape),
+                      np.full(shape, -0.0)):
+                want = np.sum(a, axis=-2)
+                assert same_bits(_level_sum(a), want)
+                assert same_bits(_level_sum(np.asfortranarray(a)), want)
+                assert same_bits(_level_sum(a[..., ::-1, :]), np.sum(a[..., ::-1, :], axis=-2))
 
 
 def test_rowdot_does_not_depend_on_layout():

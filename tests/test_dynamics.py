@@ -9,7 +9,7 @@ from typing import Dict
 import numpy as np
 import pytest
 
-from galconf.algebra import bracket, build_algebra, so21_basis
+from galconf.algebra import EPS2, bracket, build_algebra, so21_basis
 from galconf.coadjoint import _cross3, casimir_values, chi_interval, pack_dual, spin_invariant
 from galconf.dynamics import (
     CSV_FLOAT_FORMAT,
@@ -698,7 +698,59 @@ def test_closed_samples_match_single_time_closed_form():
     for t, st in zip(tr.times, tr.states):
         one = free_flow(pt.q, pt.p, pt.chi, pt.m, float(t))
         for a, b in zip((st.q, st.p, st.chi), one):
-            assert np.allclose(a, b, rtol=0, atol=1e-15)
+            assert a.tobytes() == b.tobytes()
+
+
+def free_flow_reference(q, p, chi, m, t):
+    """free_flow summed one level at a time: level k of p adds
+    (-t)^r / r! p_{k-r} for r = 0..k, and level k of q adds t^r / r! q_{k+r}
+    for r = 0..top-k, then (-1)^r t^e / e! p_{n_p-1-r} / m for r = 0..n_p-1
+    with e = top-k+1+r, each sum starting from 0.0."""
+    t = np.asarray(t, dtype=float)
+    tc = t[..., None]
+    dim, n_p, top = q.shape[-1], p.shape[-2], q.shape[-2] - 1
+    p_t = []
+    for k in range(n_p):
+        acc = 0.0
+        for r in range(k + 1):
+            acc = acc + ((-tc) ** r / math.factorial(r)) * p[..., k - r, :]
+        p_t.append(acc)
+    q_t = []
+    for k in range(top + 1):
+        acc = 0.0
+        for r in range(top - k + 1):
+            acc = acc + (tc ** r / math.factorial(r)) * q[..., k + r, :]
+        for r in range(n_p):
+            power = top - k + 1 + r
+            pr = p[..., n_p - 1 - r, :]
+            acc = acc + ((-1.0) ** r * tc ** power / math.factorial(power)) \
+                * (pr if dim == 3 else pr @ EPS2) / m
+        q_t.append(acc)
+    c0, c1, c2 = chi[..., 0], chi[..., 1], chi[..., 2]
+    e = c0 - c1
+    chi_t = np.stack([c0 + c2 * t + e * t * t / 2.0,
+                      c1 + c2 * t + e * t * t / 2.0,
+                      c2 + e * t], axis=-1)
+    return np.stack(q_t, axis=-2), np.stack(p_t, axis=-2), chi_t
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES + ((7, 3), (15, 3), (6, 2), (14, 2)))
+def test_free_flow_matches_the_per_level_reference_bit_for_bit(N, dim):
+    # entries and times with signed zeros: every level sum starts from +0.0
+    rng = np.random.default_rng(70 + N)
+    signed = np.array([0.0, -0.0, 1.0, -1.0, 0.5])
+
+    def state(*lead):
+        return tuple(rng.choice(signed, lead + shape)
+                     for shape in ((q_levels(N, dim), dim), (p_levels(N, dim), dim), (3,)))
+
+    grid = np.concatenate([[-0.0], np.linspace(-1.5, 1.5, 31)])
+    one, stack = state(), state(40)
+    calls = [(*one, grid), (*stack, rng.choice(grid, 40))]
+    calls += [(*one, t) for t in (0.7, -0.7, 0.0, -0.0)]
+    for q, p, chi, t in calls:
+        for got, want in zip(free_flow(q, p, chi, 1.3, t), free_flow_reference(q, p, chi, 1.3, t)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("N,dim", FLOW_FAMILIES + ((7, 3), (6, 2)))

@@ -555,3 +555,31 @@ def test_poly_bracket_matches_term_by_term_addition():
                 returned += n
                 assert list(poly_bracket(a, b, sm).terms.items()) == list(want.terms.items())
     assert returned > 0
+    # and the generator functions, whose brackets the closure checks take
+    for N, dim in [(3, 3), (4, 2)]:
+        sm = StructureMatrix(N, dim, 0.8)
+        mm = list(momentum_map(build_algebra(N, dim, central=True), 0.8).values())
+        for a in mm:
+            for b in mm:
+                want, _ = poly_bracket_reference(a, b, sm)
+                assert list(poly_bracket(a, b, sm).terms.items()) == list(want.terms.items())
+
+
+def test_closure_loop_differentiates_each_polynomial_once_per_variable(monkeypatch):
+    calls = {}
+    diff = Poly.diff
+
+    def counted(self, sym):
+        calls[id(self), sym] = calls.get((id(self), sym), 0) + 1
+        return diff(self, sym)
+
+    monkeypatch.setattr(Poly, "diff", counted)
+    for N, dim in [(3, 3), (4, 2)]:
+        calls.clear()
+        sm = StructureMatrix(N, dim, 0.8)
+        mm = list(momentum_map(build_algebra(N, dim, central=True), 0.8).values())
+        for i, a in enumerate(mm):
+            for b in mm[i + 1:]:
+                poly_bracket(a, b, sm)
+        assert set(calls.values()) == {1}
+        assert len(calls) == sum(len(g.variables()) for g in mm)
