@@ -35,11 +35,19 @@ __all__ = [
 ]
 
 
+def _require_free(traj: Trajectory, what: str) -> None:
+    if not traj.ham.free:
+        raise UnsupportedHamiltonian(f"{what} free trajectories only")
+
+
 def integrals_of_motion(traj: Trajectory):
     """(j, c, h, d, k) stacks of the time-dependent conserved generators, one
     row per sample: each sample pulled back along the free flow to time zero
     and read off the orbit parametrization (``dual_vector_at``).  Constant
-    along any free trajectory by construction, for every (N, dim)."""
+    along any free trajectory by construction, for every (N, dim); a
+    trajectory of another flow raises UnsupportedHamiltonian.  A row does not
+    depend on the other samples, so a subsample gives the same rows."""
+    _require_free(traj, "integrals of motion hold on")
     q, p, chi = free_flow(traj.q, traj.p, traj.chi, traj.m, -traj.times)
     return dual_vector_at(PhasePoint(q=q, p=p, s=traj.s, chi=chi, m=traj.m))
 
@@ -49,10 +57,13 @@ def schrodinger_integrals(traj: Trajectory) -> Dict[str, np.ndarray]:
     k - 2 t d + t^2 h.
 
     The independent oracle of ``integrals_of_motion``: the reduced generator
-    expressions at each sample, with no pullback.
+    expressions at each sample, with no pullback.  Like it, they are
+    integrals of the free flow only: another flow raises
+    UnsupportedHamiltonian.
     """
     if (traj.N, traj.dim) != (1, 3):
         raise UnsupportedClosedForm("printed integrals exist for N=1, dim 3 only")
+    _require_free(traj, "printed integrals hold on")
     h, d, k, j = map(generators_at(traj.states).get, "hdkj")
     t, x, p = traj.times, traj.q[:, 0], traj.p[:, 0]
     return {"j": j, "p": p, "x_boost": x - t[:, None] * p / traj.m, "h": h,
@@ -137,7 +148,7 @@ class GalileiMap:
         return Rx + a + v * np.asarray(t)[..., None], Rp + m * v, t + self.tau
 
 
-def map_trajectory(traj: Trajectory, transform) -> Trajectory:
+def map_trajectory(traj: Trajectory, transform, record: bool = True) -> Trajectory:
     """Transform a free Schrodinger-case trajectory and resample uniformly in t'.
 
     Each pre-image time t is evaluated by ``free_flow`` from the last sample
@@ -147,12 +158,12 @@ def map_trajectory(traj: Trajectory, transform) -> Trajectory:
     time map increases on each side of its pole and drops across it, so an
     image range that runs backwards has a pole inside.  Each step runs once on
     the whole grid, with the pole checked at every sample; each sample gets
-    the bits it would get alone.
+    the bits it would get alone.  With record=False the image is returned
+    without recorded values, as ``integrate`` does.
     """
     if (traj.N, traj.dim) != (1, 3):
         raise UnsupportedClosedForm("finite transforms act on N=1, dim 3 trajectories")
-    if not traj.ham.free:
-        raise UnsupportedHamiltonian("finite transforms map free trajectories only")
+    _require_free(traj, "finite transforms map")
     tp0, tp1 = transform.time(float(traj.times[0])), transform.time(float(traj.times[-1]))
     if not (math.isfinite(tp0) and math.isfinite(tp1)):
         raise SingularTime("time map not finite on the trajectory range")
@@ -166,5 +177,6 @@ def map_trajectory(traj: Trajectory, transform) -> Trajectory:
     x, px, _ = transform.apply(q[:, 0], p[:, 0], t, traj.m)
     out = Trajectory(times=grid, states=PhasePoint(q=x[:, None], p=px[:, None], s=traj.s[i],
                                                    chi=chi, m=traj.m))
-    out.recorded = record_values(out.states)
+    if record:
+        out.recorded = record_values(out.states)
     return out

@@ -9,6 +9,7 @@ from typing import Dict
 import numpy as np
 import pytest
 
+from galconf import dynamics
 from galconf.algebra import EPS2, bracket, build_algebra, so21_basis
 from galconf.coadjoint import _cross3, casimir_values, chi_interval, pack_dual, spin_invariant
 from galconf.dynamics import (
@@ -776,6 +777,24 @@ def test_dynamics_cases_locate_their_worst_defect():
         detail = cases[f"free_conservation_N{N}_dim{dim}"]["detail"]
         assert re.fullmatch(r"worst \w+ at t=\S+", detail), detail
     assert "newton_hooke_period_N3_dim3" in cases
+
+
+@pytest.mark.parametrize("suite,readers", [("dynamics", "free_conservation_"),
+                                           ("symmetry", None)])
+def test_suites_evaluate_casimirs_only_for_the_cases_that_read_them(suite, readers, monkeypatch):
+    """Of the dynamics and symmetry cases only the conservation cases read a
+    recorded Casimir, so each of them records one trajectory and no other
+    case evaluates a Casimir."""
+    calls = []
+    casimirs = dynamics.casimir_arrays
+
+    def counted(*args):
+        calls.append(args[0])
+        return casimirs(*args)
+
+    monkeypatch.setattr(dynamics, "casimir_arrays", counted)
+    cases = run_suites(suite)["suites"][suite]
+    assert len(calls) == sum(bool(readers) and c["name"].startswith(readers) for c in cases)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,29 @@ class TestIntegralsOfMotion:
         with pytest.raises(UnsupportedClosedForm):
             schrodinger_integrals(integrate(pt, FREE, 0.1, 0.1, "closed", record=False))
 
+    @pytest.mark.parametrize("method", ["rk4", "closed"])
+    @pytest.mark.parametrize("N,dim", list(FLOW_FAMILIES) + [(7, 3), (6, 2)])
+    def test_a_subsample_gives_the_rows_of_the_whole(self, N, dim, method):
+        pt = random_point(np.random.default_rng(7 * N + dim), N, dim, m=0.9)
+        tr = integrate(pt, FREE, 0.3, 1e-3, method, record=False)
+        whole = integrals_of_motion(tr)
+        for k in (2, 59):
+            sub = Trajectory(times=tr.times[::k], states=tr.states[::k], ham=tr.ham)
+            for name, got, want in zip("jchdk", integrals_of_motion(sub), whole):
+                assert got.tobytes() == np.ascontiguousarray(want[::k]).tobytes(), (k, name)
+
+    def test_only_free_trajectories(self):
+        # pulled back along the free flow, the "integrals" of an oscillator
+        # trajectory drift (h by 0.42 and c by 0.54 here)
+        ham = HamiltonianChoice("newton_hooke", omega=1.0, sign=1)
+        pt = random_point(np.random.default_rng(2), 1, 3)
+        tr = integrate(pt, ham, 1.0, 1e-2, record=False)
+        for integrals in (integrals_of_motion, schrodinger_integrals):
+            with pytest.raises(UnsupportedHamiltonian, match="free trajectories only"):
+                integrals(tr)
+        with pytest.raises(UnsupportedHamiltonian, match="free trajectories only"):
+            map_trajectory(tr, GalileiMap())
+
 
 class TestConformalTime:
     def test_printed_value(self):
@@ -287,6 +310,16 @@ class TestMapTrajectory:
         free = integrate(pt, FREE, 1.0, 1e-2, record=False)
         assert free.ham == FREE
         assert map_trajectory(free, GalileiMap(tau=0.0035)).ham == FREE
+
+    def test_unrecorded_image_has_the_same_samples(self):
+        tr, _ = self.make_free(seed=13)
+        for mp in suite_maps():
+            recorded = map_trajectory(tr, mp)
+            bare = map_trajectory(tr, mp, record=False)
+            assert bare.recorded == {}
+            for name in ("times", "q", "p", "s", "chi"):
+                assert getattr(bare, name).tobytes() == getattr(recorded, name).tobytes(), name
+            assert generators_at(bare.states)["h"].tobytes() == recorded.recorded["h"].tobytes()
 
     def test_only_schrodinger_case(self):
         pt = random_point(np.random.default_rng(14), 3, 3)
