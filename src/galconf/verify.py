@@ -521,7 +521,8 @@ def suite_dynamics(seed: int, tols: Dict[str, float],
     tr = dy.integrate(pt, ham, math.pi, math.pi / n_steps, "rk4", record=False)
     cos_err = float(np.max(np.abs(tr.states[-1].q[0] + pt.q[0])))
     cases.append(_case("newton_hooke_cosine", cos_err, tols["oscillator"]))
-    gens = po.generators_at(tr.states)  # the whole stack, as recording would
+    # on the whole stack, as recording took it: a row of generators_at depends on its stack
+    gens = po.generators_at(tr.states)
     energy = gens["h"] + ham.omega ** 2 * gens["k"]
     cases.append(_case("newton_hooke_energy", float(np.max(np.abs(energy - energy[0]))),
                        tols["integrator"]))
@@ -612,7 +613,7 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
         tr2 = sy.map_trajectory(tr, mp, record=False)
         res, _ = dy.verify_motion_order(tr2)
         p0 = tr2.p[:, 0]
-        h = po.generators_at(tr2.states)["h"]  # the whole stack, as recording would
+        h = po.generators_at(tr2.states)["h"]  # the whole stack, as recording took it
         drift, detail = _worst_at({"p_0 drift": p0 - p0[0], "h drift": h - h[0]},
                                   tr2.times, "t'=")
         detail = "worst fit residual" if res >= drift else detail
