@@ -46,6 +46,7 @@ __all__ = [
     "verify_motion_order",
     "conditioning_threshold",
     "record_values",
+    "generator_values",
     "conservation_drifts",
     "trajectory_csv_text",
     "CSV_FLOAT_FORMAT",
@@ -260,6 +261,17 @@ def record_values(states: PhasePoint) -> Dict[str, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         rec = generators_at(states)
         rec.update(zip(("C1", "C2", "C3"), casimir_arrays(states.m, *dual_vector_at(states))))
+    return _finite(rec)
+
+
+def generator_values(states: PhasePoint) -> Dict[str, np.ndarray]:
+    """The generator values of ``record_values``, without the Casimirs, under
+    the same overflow check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(generators_at(states))
+
+
+def _finite(rec: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     bad = [(int(np.argwhere(~np.isfinite(v))[0, 0]), name) for name, v in rec.items()
            if not np.isfinite(v).all()]
     if bad:

@@ -98,9 +98,7 @@ class Poly:
     Monomials are stored as sorted tuples of (symbol, exponent); symbols are
     tuples like ("q", level, axis), ("p", level, axis), ("s", i),
     ("chi", alpha) with 0-based indices.  A Poly is never changed in place,
-    so its gradient is taken once and kept.  ``Poly(terms)``, sums, products
-    and quotients drop zero coefficients, which cancellation or underflow can
-    make; negation, ``diff`` and ``poly_bracket`` make none and skip the pass.
+    so its gradient is taken once and kept.
     """
 
     __slots__ = ("terms", "_gradient")
@@ -108,13 +106,6 @@ class Poly:
     def __init__(self, terms: Optional[Mapping] = None):
         self.terms = {k: v for k, v in (terms or {}).items() if v != 0}
         self._gradient = None
-
-    @classmethod
-    def _owning(cls, terms: Dict) -> "Poly":
-        """A Poly of terms, a new dict with no zero coefficient, taken as it is."""
-        out = cls.__new__(cls)
-        out.terms, out._gradient = terms, None
-        return out
 
     @classmethod
     def const(cls, value) -> "Poly":
@@ -145,7 +136,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._owning({m: -c for m, c in self.terms.items()})
+        return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + -other
@@ -195,7 +186,7 @@ class Poly:
                         else mono[:i] + mono[i + 1:]
                     out[rest] = out.get(rest, 0.0) + c * e
                     break
-        return Poly._owning(out)  # one term per monomial: c * e, nonzero
+        return Poly(out)
 
     def variables(self) -> set:
         return {s for mono in self.terms for s, _ in mono}
@@ -528,7 +519,7 @@ def poly_bracket(f: Poly, g: Poly, sm: StructureMatrix) -> Poly:
                         del out[mono]
                     else:
                         out[mono] = total
-    return Poly._owning(out)
+    return Poly(out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .dynamics import Trajectory, free_flow, record_values
+from .dynamics import Trajectory, free_flow
 from .errors import (
     NonOrthogonalRotation,
     SingularTime,
@@ -148,7 +148,7 @@ class GalileiMap:
         return Rx + a + v * np.asarray(t)[..., None], Rp + m * v, t + self.tau
 
 
-def map_trajectory(traj: Trajectory, transform, record: bool = True) -> Trajectory:
+def map_trajectory(traj: Trajectory, transform) -> Trajectory:
     """Transform a free Schrodinger-case trajectory and resample uniformly in t'.
 
     Each pre-image time t is evaluated by ``free_flow`` from the last sample
@@ -158,8 +158,9 @@ def map_trajectory(traj: Trajectory, transform, record: bool = True) -> Trajecto
     time map increases on each side of its pole and drops across it, so an
     image range that runs backwards has a pole inside.  Each step runs once on
     the whole grid, with the pole checked at every sample; each sample gets
-    the bits it would get alone.  With record=False the image is returned
-    without recorded values, as ``integrate`` does.
+    the bits it would get alone.  The image is returned without recorded
+    values, as ``integrate(record=False)`` returns its trajectory;
+    ``dynamics.record_values(out.states)`` gives them.
     """
     if (traj.N, traj.dim) != (1, 3):
         raise UnsupportedClosedForm("finite transforms act on N=1, dim 3 trajectories")
@@ -175,8 +176,5 @@ def map_trajectory(traj: Trajectory, transform, record: bool = True) -> Trajecto
     i = np.clip(np.searchsorted(traj.times, t, side="right") - 1, 0, n - 1)
     q, p, chi = free_flow(traj.q[i], traj.p[i], traj.chi[i], traj.m, t - traj.times[i])
     x, px, _ = transform.apply(q[:, 0], p[:, 0], t, traj.m)
-    out = Trajectory(times=grid, states=PhasePoint(q=x[:, None], p=px[:, None], s=traj.s[i],
-                                                   chi=chi, m=traj.m))
-    if record:
-        out.recorded = record_values(out.states)
-    return out
+    return Trajectory(times=grid, states=PhasePoint(q=x[:, None], p=px[:, None], s=traj.s[i],
+                                                    chi=chi, m=traj.m))

@@ -522,7 +522,7 @@ def suite_dynamics(seed: int, tols: Dict[str, float],
     cos_err = float(np.max(np.abs(tr.states[-1].q[0] + pt.q[0])))
     cases.append(_case("newton_hooke_cosine", cos_err, tols["oscillator"]))
     # on the whole stack, as recording took it: a row of generators_at depends on its stack
-    gens = po.generators_at(tr.states)
+    gens = dy.generator_values(tr.states)
     energy = gens["h"] + ham.omega ** 2 * gens["k"]
     cases.append(_case("newton_hooke_energy", float(np.max(np.abs(energy - energy[0]))),
                        tols["integrator"]))
@@ -610,10 +610,10 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
         ("identity", sy.GalileiMap()),
     ]
     for name, mp in maps:
-        tr2 = sy.map_trajectory(tr, mp, record=False)
+        tr2 = sy.map_trajectory(tr, mp)
         res, _ = dy.verify_motion_order(tr2)
         p0 = tr2.p[:, 0]
-        h = po.generators_at(tr2.states)["h"]  # the whole stack, as recording took it
+        h = dy.generator_values(tr2.states)["h"]  # the whole stack, as recording took it
         drift, detail = _worst_at({"p_0 drift": p0 - p0[0], "h drift": h - h[0]},
                                   tr2.times, "t'=")
         detail = "worst fit residual" if res >= drift else detail

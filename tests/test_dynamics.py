@@ -23,6 +23,7 @@ from galconf.dynamics import (
     conditioning_threshold,
     conservation_drifts,
     free_flow,
+    generator_values,
     integrate,
     record_values,
     trajectory_csv_text,
@@ -376,19 +377,30 @@ def test_check_state_names_the_first_bad_sample():
 def test_record_values_names_the_first_overflowing_sample():
     # finite stacks whose k overflows from sample 2 (through |q|^2) and h
     # from sample 3 (through |p|^2): the error names k at sample 2, and no
-    # numpy warning escapes
+    # numpy warning escapes; generator_values checks its values the same way
     N, dim, n = 1, 3, 6
-    q, p = np.zeros((n, 1, dim)), np.zeros((n, 1, dim))
-    s, chi = np.zeros((n, 3)), np.zeros((n, 3))
-    q[2:, 0, 0] = 1e200
-    p[3:, 0, 1] = 1e200
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonFiniteResult, match=r"^recorded k is not finite at sample 2$"):
-            record_values(PhasePoint(q=q, p=p, s=s, chi=chi, m=1.0))
-        q[2, 0, 0] = 0.0
-        with pytest.raises(NonFiniteResult, match=r"^recorded h is not finite at sample 3$"):
-            record_values(PhasePoint(q=q, p=p, s=s, chi=chi, m=1.0))
+    for values in (record_values, generator_values):
+        q, p = np.zeros((n, 1, dim)), np.zeros((n, 1, dim))
+        s, chi = np.zeros((n, 3)), np.zeros((n, 3))
+        q[2:, 0, 0] = 1e200
+        p[3:, 0, 1] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResult, match=r"^recorded k is not finite at sample 2$"):
+                values(PhasePoint(q=q, p=p, s=s, chi=chi, m=1.0))
+            q[2, 0, 0] = 0.0
+            with pytest.raises(NonFiniteResult, match=r"^recorded h is not finite at sample 3$"):
+                values(PhasePoint(q=q, p=p, s=s, chi=chi, m=1.0))
+
+
+def test_generator_values_are_the_recorded_generators():
+    pt = random_point(np.random.default_rng(5), 3, 3, m=1.1)
+    states = integrate(pt, FREE, 0.2, 1e-2, "rk4", record=False).states
+    recorded = record_values(states)
+    got = generator_values(states)
+    assert list(got) == [k for k in recorded if k not in ("C1", "C2", "C3")]
+    for name, v in got.items():
+        assert v.tobytes() == recorded[name].tobytes(), name
 
 
 class TestMotionOrder:

@@ -57,7 +57,7 @@ def test_tracer_counts_the_work_of_each_probed_call(monkeypatch):
         cl = dy.integrate(pt, dy.FREE, 0.2, 0.01, "closed")
         text = dy.trajectory_csv_text(rk)
         dy.verify_motion_order(cl)
-        sy.map_trajectory(rk, sy.ConformalMap(0.5))
+        dy.record_values(sy.map_trajectory(rk, sy.ConformalMap(0.5)).states)
         alg = al.build_algebra(1, 3, central=True)
         al.jacobi_worst(alg)
     finally:
@@ -72,10 +72,10 @@ def test_tracer_counts_the_work_of_each_probed_call(monkeypatch):
     assert spans["dynamics.verify_motion_order"] == [0]
     assert spans["symmetry.map_trajectory"] == [0]
     assert spans["algebra.jacobi_worst"] == [math.comb(len(alg.generators), 3)]
-    # recording (twice by integrate, once by map_trajectory) goes through the
+    # recording (twice by integrate, once of the mapped image) goes through the
     # two probed chart functions, so their per-layer metrics measure live code
     assert len(spans["poisson.generators_at"]) == 3
     assert len(spans["poisson.dual_vector_at"]) == 3
     # uninstall restores every binding
     assert not hasattr(dy.record_values, "__wrapped__")
-    assert sy.record_values is dy.record_values
+    assert sy.generators_at is po.generators_at

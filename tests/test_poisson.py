@@ -1,7 +1,5 @@
 """Darboux charts, coordinate brackets and generator functions."""
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -587,30 +585,7 @@ def test_closure_loop_differentiates_each_polynomial_once_per_variable(monkeypat
         assert len(calls) == sum(len(g.variables()) for g in mm)
 
 
-def test_negation_derivatives_and_brackets_skip_the_zero_filter(monkeypatch):
-    """Negation, diff and poly_bracket build dicts with no zero coefficient
-    and hand them to the Poly they return: in a poisson-suite run no filtering
-    pass runs on their behalf, while sums and products still filter."""
-    filtered = {}
-    init = Poly.__init__
-
-    def counted(self, terms=None):
-        caller = sys._getframe(1).f_code.co_name
-        filtered[caller] = filtered.get(caller, 0) + 1
-        init(self, terms)
-
-    monkeypatch.setattr(Poly, "__init__", counted)
-    run_suites("poisson")
-    x, y = ("q", 0, 0), ("p", 0, 0)
-    f = Poly.var(x, 2.0) * Poly.var(y) + Poly.var(x, -1.5)
-    assert list((-f).terms.items()) == [(((y, 1), (x, 1)), -2.0), (((x, 1),), 1.5)]
-    assert list(f.diff(x).terms.items()) == [(((y, 1),), 2.0), ((), -1.5)]
-    assert poly_bracket(f, Poly.var(y), StructureMatrix(1, 3, 1.0))
-    assert filtered["__add__"] and filtered["__mul__"]
-    assert not {"__neg__", "diff", "poly_bracket"} & set(filtered)
-
-
-def test_sums_products_and_quotients_still_drop_zeros():
+def test_sums_products_and_quotients_drop_zeros():
     x = ("q", 0, 0)
     f = Poly.var(x, 1e-200)
     for got in (Poly({((x, 1),): 0.0}), f + Poly.var(x, -1e-200), f - f, f * 1e-200,
