@@ -23,6 +23,7 @@ from .algebra import EPS2, AlgebraSpec, conformal_basis_inverse, spin_components
 from .errors import (
     AmbiguousClass,
     ConvergenceFailure,
+    InvalidState,
     LabelMismatch,
     NonFiniteResult,
     ShapeMismatch,
@@ -243,28 +244,39 @@ def _nilpotent_sums(mats: np.ndarray):
 # The scaled series of _expm stops at the first term whose certified tail
 # bound is below SERIES_TAIL_TOL, and fails after SERIES_MAX_TERMS terms.
 SERIES_TAIL_TOL, SERIES_MAX_TERMS = 1e-17, 40
+# The exponents K + 1 and the float factorials (K + 1)! of the tail bound
+# theta^(K+1) / (K+1)! / (1 - theta), for K = 1..SERIES_MAX_TERMS.
+_TAIL_POWERS = np.arange(2.0, SERIES_MAX_TERMS + 2.0)
+_TAIL_FACTORIALS = np.array([float(_fact(K + 1)) for K in range(1, SERIES_MAX_TERMS + 1)])
+
+
+def _series_terms(thetas: np.ndarray, where) -> np.ndarray:
+    """Number of series terms for each scaled inf-norm theta in [0, 1/2]: the
+    first K whose tail bound theta^(K+1) / (K+1)! / (1 - theta) is below
+    SERIES_TAIL_TOL, every bound of every theta taken at once in the
+    operations of the scalar bound.  np.float_power calls libm pow as Python's
+    float ** does; np.power has its own pow, which rounds some entries
+    differently.
+    """
+    th = thetas[:, None]
+    below = np.float_power(th, _TAIL_POWERS) / _TAIL_FACTORIALS / (1.0 - th) < SERIES_TAIL_TOL
+    reached = below.any(axis=1)
+    if not reached.all():
+        raise ConvergenceFailure(f"series tail bound stuck above {SERIES_TAIL_TOL} after "
+                                 f"{SERIES_MAX_TERMS} terms" + where(int(np.argmin(reached))))
+    return np.argmax(below, axis=1) + 1
 
 
 def _scaled_series(mats: np.ndarray, norms, where):
     """exp of a (k, n, n) stack by scaling and squaring: each matrix is scaled
     by its own 2^s to an inf-norm of at most 1/2, summed to its own number of
-    terms (the first whose certified tail bound is below SERIES_TAIL_TOL) and
-    squared s times.  Each step runs on the whole stack and is kept only for
-    the matrices that still take it.
+    terms (``_series_terms``) and squared s times.  Each step runs on the
+    whole stack and is kept only for the matrices that still take it.
     """
     scale = np.array([max(0, int(math.ceil(math.log2(nm / 0.5))) if nm > 0.5 else 0)
                       for nm in norms.tolist()])
     B = mats / (2.0 ** scale)[:, None, None]
-    thetas = np.minimum(0.5, np.abs(B).sum(axis=-1).max(axis=-1)).tolist()
-    terms = np.zeros(len(mats), dtype=int)
-    for i, theta in enumerate(thetas):
-        for K in range(1, SERIES_MAX_TERMS + 1):
-            if theta ** (K + 1) / math.factorial(K + 1) / (1.0 - theta) < SERIES_TAIL_TOL:
-                terms[i] = K
-                break
-        else:
-            raise ConvergenceFailure(f"series tail bound stuck above {SERIES_TAIL_TOL} after "
-                                     f"{SERIES_MAX_TERMS} terms" + where(i))
+    terms = _series_terms(np.minimum(0.5, np.abs(B).sum(axis=-1).max(axis=-1)), where)
     out = np.broadcast_to(np.eye(mats.shape[-1]), mats.shape).copy()
     term, buf = out.copy(), np.empty_like(out)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -436,9 +448,20 @@ def ctrans(alg: AlgebraSpec, x, V) -> np.ndarray:
 
 
 def rotation_matrix(omega) -> np.ndarray:
-    """Rotation applied to dual 3-vectors by the flow of exp(i omega.J)."""
+    """Rotation applied to dual 3-vectors by the flow of exp(i omega.J).
+
+    omega is one 3-vector: another shape raises ShapeMismatch, a NaN or an
+    infinity InvalidState, and a norm that overflows NonFiniteResult.
+    """
     omega = np.asarray(omega, dtype=float)
-    theta = float(np.linalg.norm(omega))
+    if omega.shape != (3,):
+        raise ShapeMismatch(f"omega must be one 3-vector, got shape {omega.shape}")
+    if not all(map(math.isfinite, omega.tolist())):
+        raise InvalidState(f"omega has a non-finite entry: {omega.tolist()}")
+    with np.errstate(over="ignore"):  # an overflowing norm is raised below
+        theta = float(np.linalg.norm(omega))
+    if not math.isfinite(theta):
+        raise NonFiniteResult(f"|omega| overflows: {omega.tolist()}")
     if theta == 0.0:
         return np.eye(3)
     n = omega / theta

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -149,7 +149,7 @@ class Poly:
             return NotImplemented
         if isinstance(other, Poly):
             # a constant factor scales the other's terms as a number does,
-            # which makes the products of the loop below, in its order
+            # which makes the products of _product_terms, in its order
             if _constant(other):
                 other = other.terms[()]
             elif _constant(self):
@@ -158,17 +158,7 @@ class Poly:
             if other == 0:  # every product would be dropped as zero
                 return Poly()
             return Poly({m: c * other for m, c in self.terms.items()})
-        out: Dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged: Dict = {}
-                for s, e in m1:
-                    merged[s] = merged.get(s, 0) + e
-                for s, e in m2:
-                    merged[s] = merged.get(s, 0) + e
-                key = tuple(sorted(merged.items()))
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return Poly(out)
+        return Poly(_product_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -218,6 +208,34 @@ class Poly:
 def _constant(f: Poly) -> bool:
     """True for a nonzero constant polynomial {(): c}."""
     return len(f.terms) == 1 and () in f.terms
+
+
+# Bound on the memo of monomial products; one verify pass meets under a
+# thousand distinct pairs.
+_MONO_PRODUCTS = 1 << 13
+
+
+@lru_cache(maxsize=_MONO_PRODUCTS)
+def _mono_product(m1: Tuple, m2: Tuple) -> Tuple:
+    """The sorted monomial m1 * m2: the exponents of shared symbols add."""
+    merged: Dict = {}
+    for s, e in m1:
+        merged[s] = merged.get(s, 0) + e
+    for s, e in m2:
+        merged[s] = merged.get(s, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def _product_terms(t1: Mapping, t2: Mapping) -> Dict:
+    """Terms of the product of two term dicts, without zeros: each pair of
+    terms in the order of t1 then t2, summed into its monomial in that order,
+    as ``Poly.__mul__`` and ``poly_bracket`` take them."""
+    out: Dict = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            key = _mono_product(m1, m2)
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +531,8 @@ def poly_bracket(f: Poly, g: Poly, sm: StructureMatrix) -> Poly:
             if v in dg:
                 # summed in place in the order of Poly addition, which drops
                 # a monomial whose sum is exactly 0 (it comes back last)
-                for mono, c in (df * dg[v] * br).terms.items():
+                for mono, c in _product_terms(_product_terms(df.terms, dg[v].terms),
+                                              br.terms).items():
                     total = out.get(mono, 0.0) + c
                     if total == 0:
                         del out[mono]

@@ -12,14 +12,16 @@ solutions.  Every generator value here is ``generators_at`` or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
 import numpy as np
 
 from .dynamics import Trajectory, free_flow
 from .errors import (
+    InvalidState,
     NonOrthogonalRotation,
+    ShapeMismatch,
     SingularTime,
     UnsupportedClosedForm,
     UnsupportedHamiltonian,
@@ -70,7 +72,30 @@ def schrodinger_integrals(traj: Trajectory) -> Dict[str, np.ndarray]:
             "d_shifted": d - t * h, "k_shifted": k - 2.0 * t * d + t * t * h}
 
 
-@dataclass(frozen=True)
+def _parameter(name: str, value, trailing: Tuple[int, ...]):
+    """value as a read-only float array of shape (..., *trailing), or as a
+    float when that shape is (): a wrong trailing shape raises ShapeMismatch,
+    a NaN or an infinity InvalidState."""
+    arr = np.array(value, dtype=float)
+    if arr.shape[arr.ndim - len(trailing):] != trailing:
+        raise ShapeMismatch(f"{name} must have shape (..., {', '.join(map(str, trailing))}), "
+                            f"got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidState(f"{name} has a non-finite entry")
+    arr.setflags(write=False)
+    return arr if arr.ndim else float(arr)
+
+
+def _stack_shape(*shapes) -> Tuple[int, ...]:
+    """The common stack of the parameters' leading shapes; ShapeMismatch if
+    they do not broadcast."""
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise ShapeMismatch(f"parameter stacks {shapes} do not broadcast") from None
+
+
+@dataclass(frozen=True, eq=False)  # c may be an array: maps compare by identity
 class ConformalMap:
     """Finite conformal map of Schrodinger-case states:
     x' = x/(1+ct), p' = p(1+ct) - m c x, t' = t/(1+ct).
@@ -78,21 +103,29 @@ class ConformalMap:
     Times may be numbers or arrays of times (with a matching leading sample
     axis on x and p); every time is checked against the pole.  The mass is
     an argument of ``apply``; ``map_trajectory`` passes the trajectory's.
+
+    c may be a stack of parameters, one map per row (``shape`` is its stack,
+    () for one map); its leading axes broadcast against those of the times
+    and states, and each row gets the bits the same map gives alone.  A NaN
+    or an infinite c raises InvalidState.
     """
 
     c: float
+    shape: Tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", _parameter("c", self.c, ()))
+        object.__setattr__(self, "shape", np.shape(self.c))
 
     @staticmethod
-    def _denominator(t, c: float, what: str):
+    def _denominator(t, c, what: str):
         """1 + c t; raises SingularTime, naming the first time at the pole."""
         denom = 1.0 + c * t
         bad = np.abs(denom) < 1e-14
         if np.any(bad):
-            t_bad = np.ravel(t)[np.argmax(np.ravel(bad))]
-            raise SingularTime(f"{what} singular at t={t_bad}, c={c}")
+            i = int(np.argmax(np.ravel(bad)))
+            t_bad, c_bad = (np.broadcast_to(v, bad.shape).ravel()[i] for v in (t, c))
+            raise SingularTime(f"{what} singular at t={t_bad}, c={c_bad}")
         return denom
 
     def time(self, t):
@@ -106,7 +139,7 @@ class ConformalMap:
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
         per_sample = np.asarray(denom)[..., None]
-        return x / per_sample, p * per_sample - m * self.c * x, t / denom
+        return x / per_sample, p * per_sample - np.asarray(m * self.c)[..., None] * x, t / denom
 
 
 @dataclass(frozen=True, eq=False)  # R is an array: maps compare by identity
@@ -118,19 +151,37 @@ class GalileiMap:
     R defaults to the identity and must be orthogonal to 1e-9.  Times may
     be numbers or arrays of times, as for ConformalMap; R is applied to each
     sample as a matrix-vector product, as for a single state.
+
+    Each parameter may be a stack, one map per row: a (..., 3), v (..., 3),
+    tau (...) and R (..., 3, 3), whose leading axes broadcast against each
+    other (``shape`` is their common stack, () for one map) and against
+    those of the times and states; each row gets the bits the same map gives
+    alone.  A NaN or an infinity raises InvalidState, a wrong trailing shape
+    or stacks that do not broadcast ShapeMismatch, and an R that is not
+    (..., 3, 3) or not orthogonal NonOrthogonalRotation.
     """
 
     a: Tuple[float, float, float] = (0.0, 0.0, 0.0)
     v: Tuple[float, float, float] = (0.0, 0.0, 0.0)
     tau: float = 0.0
     R: object = None
+    shape: Tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        R = np.eye(3) if self.R is None else np.asarray(self.R, dtype=float)
-        if self.R is not None and (
-                R.shape != (3, 3) or float(np.max(np.abs(R @ R.T - np.eye(3)))) > 1e-9):
+        R = np.eye(3) if self.R is None else np.array(self.R, dtype=float)
+        if R.shape[-2:] != (3, 3):
+            raise NonOrthogonalRotation(f"R must be (..., 3, 3), got {R.shape}")
+        R = _parameter("R", R, (3, 3))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails below
+            defect = np.max(np.abs(R @ R.swapaxes(-1, -2) - np.eye(3)))
+        if not defect <= 1e-9:  # fails closed on a NaN defect
             raise NonOrthogonalRotation("R must be orthogonal to 1e-9")
-        object.__setattr__(self, "R", R)
+        a, v = _parameter("a", self.a, (3,)), _parameter("v", self.v, (3,))
+        tau = _parameter("tau", self.tau, ())
+        for name, value in (("a", a), ("v", v), ("tau", tau), ("R", R)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "shape", _stack_shape(a.shape[:-1], v.shape[:-1],
+                                                       np.shape(tau), R.shape[:-2]))
 
     def time(self, t):
         return t + self.tau
@@ -141,11 +192,9 @@ class GalileiMap:
     def apply(self, x, p, t, m: float):
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        v = np.asarray(self.v, dtype=float)
         Rx = (self.R @ x[..., None])[..., 0]
         Rp = (self.R @ p[..., None])[..., 0]
-        return Rx + a + v * np.asarray(t)[..., None], Rp + m * v, t + self.tau
+        return Rx + self.a + self.v * np.asarray(t)[..., None], Rp + m * self.v, t + self.tau
 
 
 def map_trajectory(traj: Trajectory, transform) -> Trajectory:
@@ -154,7 +203,8 @@ def map_trajectory(traj: Trajectory, transform) -> Trajectory:
     Each pre-image time t is evaluated by ``free_flow`` from the last sample
     at or before it, with that sample's spin: exact on the free trajectories
     the maps act on, so a trajectory of another flow raises
-    UnsupportedHamiltonian.  Internal variables ride along untransformed.  A
+    UnsupportedHamiltonian, and it maps by one map: a stack raises
+    ShapeMismatch.  Internal variables ride along untransformed.  A
     time map increases on each side of its pole and drops across it, so an
     image range that runs backwards has a pole inside.  Each step runs once on
     the whole grid, with the pole checked at every sample; each sample gets
@@ -165,6 +215,8 @@ def map_trajectory(traj: Trajectory, transform) -> Trajectory:
     if (traj.N, traj.dim) != (1, 3):
         raise UnsupportedClosedForm("finite transforms act on N=1, dim 3 trajectories")
     _require_free(traj, "finite transforms map")
+    if transform.shape:
+        raise ShapeMismatch(f"a trajectory maps by one map, not a stack of {transform.shape}")
     tp0, tp1 = transform.time(float(traj.times[0])), transform.time(float(traj.times[-1]))
     if not (math.isfinite(tp0) and math.isfinite(tp1)):
         raise SingularTime("time map not finite on the trajectory range")

@@ -590,11 +590,9 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
                               np.array(rows), "row ")
     cases.append(_case("printed_vs_pullback_integrals", worst, tols["oracle"], detail))
 
-    worst = 0.0
-    for _ in range(50):
-        t, c1, c2 = rng.uniform(-0.3, 0.3, 3)
-        worst = max(worst, abs(sy.ConformalMap(c2).time(sy.ConformalMap(c1).time(t))
-                               - sy.ConformalMap(c1 + c2).time(t)))
+    t, c1, c2 = rng.uniform(-0.3, 0.3, (50, 3)).T  # 50 draws of (t, c1, c2), one map per draw
+    worst = np.abs(sy.ConformalMap(c2).time(sy.ConformalMap(c1).time(t))
+                   - sy.ConformalMap(c1 + c2).time(t)).max()
     cases.append(_case("conformal_time_group_law", worst, tols["route"]))
 
     m = 1.5
@@ -621,39 +619,40 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
                            detail))
 
     alg1 = factory(1, 3, True, False)
-    # (input, image, column parameter) of each draw per family; states are (x, p, s, chi).
+    # 40 draws as one block, in the rng order of a random_point and then a, v,
+    # tau, cpar and om per draw; each family's map runs once on the stack
+    z, a, v, tau, cpar, om = po.uniform_block(rng, 40, [(-0.7, 0.7, 12), (-0.8, 0.8, 3),
+                                                        (-0.8, 0.8, 3), (-0.8, 0.8, 1),
+                                                        (-0.8, 0.8, 1), (-0.8, 0.8, 3)])
+    tau, cpar = tau[:, 0], cpar[:, 0]
+    pts = po.PhasePoint(*po.chart_blocks(z, 1, 3), m=m)
+    x, p, s, chi = pts.q[:, 0], pts.p[:, 0], pts.s, pts.chi
+    state, zero = (x, p, s, chi), np.zeros_like(chi)
+    xa, pa, _ = sy.GalileiMap(a=a).apply(x, p, 0.0, m)
+    xv, pv, _ = sy.GalileiMap(v=v).apply(x, p, 0.0, m)
+    qt, ptau, chit = dy.free_flow(pts.q, pts.p, chi, m, -tau)
+    xc, pc, _ = sy.ConformalMap(cpar).apply(x, p, 0.0, m)
+    # one rotation_matrix call per draw: a stacked sin or norm need not round alike
+    R = np.array([co.rotation_matrix(w) for w in om])
+    xr, pr, _ = sy.GalileiMap(R=R).apply(x, p, 0.0, m)
+    # (inputs, images, column parameters) per family; states are (x, p, s, chi).
     # Every Table-1 column but dilation, which has no active map to compare with
-    draws: Dict[str, list] = {fam: [] for fam in co.SCHRODINGER_COLUMNS if fam != "dilation"}
-    zero = np.zeros(3)
-    for _ in range(40):
-        pt = po.random_point(rng, 1, 3, m=m)
-        x, p, s, chi = pt.q[0], pt.p[0], pt.s, pt.chi
-        a, v = rng.uniform(-0.8, 0.8, 3), rng.uniform(-0.8, 0.8, 3)
-        tau, cpar = float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.8, 0.8))
-        om = rng.uniform(-0.8, 0.8, 3)
-        state = (x, p, s, chi)
-        xa, pa, _ = sy.GalileiMap(a=a).apply(x, p, 0.0, m)
-        draws["translation"].append((state, (xa, pa, s, chi), -a))
-        xv, pv, _ = sy.GalileiMap(v=v).apply(x, p, 0.0, m)
-        draws["boost"].append((state, (xv, pv, s, chi), v))
-        qt, ptau, chit = dy.free_flow(pt.q, pt.p, chi, m, -tau)
-        draws["time"].append((state, (qt[0], ptau[0], s, chit), -tau))
-        # the conformal column moves chi, which the active map leaves alone
-        xc, pc, _ = sy.ConformalMap(cpar).apply(x, p, 0.0, m)
-        draws["conformal"].append(((x, p, s, zero), (xc, pc, s, zero), -cpar))
-        # the rotation column also turns the internal spin
-        xr, pr, _ = sy.GalileiMap(R=co.rotation_matrix(om)).apply(x, p, 0.0, m)
-        draws["rotation"].append(((x, p, zero, chi), (xr, pr, zero, chi), om))
+    draws = {"translation": (state, (xa, pa, s, chi), -a),
+             "boost": (state, (xv, pv, s, chi), v),
+             "time": (state, (qt[:, 0], ptau[:, 0], s, chit), -tau),
+             # the conformal column moves chi, which the active map leaves alone
+             "conformal": ((x, p, s, zero), (xc, pc, s, zero), -cpar),
+             # the rotation column also turns the internal spin
+             "rotation": ((x, p, zero, chi), (xr, pr, zero, chi), om)}
 
     def duals(states):
-        """Packed dual rows of (x, p, s, chi) states, parametrized as one stack."""
-        x, p, s, chi = (np.array(v) for v in zip(*states))
+        """Packed dual rows of stacked (x, p, s, chi) states."""
+        x, p, s, chi = states
         pts = po.PhasePoint(q=x[:, None], p=p[:, None], s=s, chi=chi, m=m)
         return co.pack_dual(alg1, m, *po.dual_vector_at(pts))
 
-    for fam, fam_draws in draws.items():
-        inputs, images, params = zip(*fam_draws)
-        cols = co.coad_closed_form(alg1, fam, np.array(params), duals(inputs))
+    for fam, (inputs, images, params) in draws.items():
+        cols = co.coad_closed_form(alg1, fam, params, duals(inputs))
         worst, detail = _worst_draw(np.abs(duals(images) - cols).max(axis=1))
         cases.append(_case(f"column_consistency_{fam}", worst, tols["column"], detail))
     return cases

@@ -10,10 +10,13 @@ import pytest
 from galconf.algebra import GeneratorId, build_algebra, spin_components
 from galconf.coadjoint import (
     ORBIT_TAGS,
+    SERIES_MAX_TERMS,
+    SERIES_TAIL_TOL,
     _cross3,
     _expm,
     _level_sum,
     _rowdot,
+    _series_terms,
     ad_star_matrix,
     OrbitClass,
     OrbitLabel,
@@ -433,6 +436,40 @@ def expm_reference(mat, term_tol=1e-17, max_terms=40):
     for _ in range(s):
         out = out @ out
     return out
+
+
+def series_terms_reference(theta):
+    """The per-matrix loop of the series term count: the first K whose tail
+    bound is below SERIES_TAIL_TOL, or None."""
+    for K in range(1, SERIES_MAX_TERMS + 1):
+        if theta ** (K + 1) / math.factorial(K + 1) / (1.0 - theta) < SERIES_TAIL_TOL:
+            return K
+    return None
+
+
+def test_series_terms_match_the_per_matrix_loop():
+    tiny = np.finfo(float).tiny
+    thetas = [0.0, 0.5, np.nextafter(0.5, 0.0), 5e-324, tiny / 2, tiny, 1e-300]
+    # around each K's crossing of the tolerance, where a last-bit difference
+    # in any step of the bound would move the count
+    for K in range(1, SERIES_MAX_TERMS + 1):
+        lo, hi = 0.0, 0.5
+        for _ in range(80):
+            mid = (lo + hi) / 2.0
+            lo, hi = (lo, mid) if series_terms_reference(mid) > K else (mid, hi)
+        for x in (lo, hi):
+            thetas += [x := np.nextafter(x, 1.0) for _ in range(60)]
+            thetas += [x := np.nextafter(x, 0.0) for _ in range(120)]
+    rng = np.random.default_rng(61)
+    thetas = np.concatenate([thetas, np.linspace(0.0, 0.5, 5001), rng.uniform(0.0, 0.5, 20000)])
+    got = _series_terms(thetas, lambda i: "")
+    assert got.tolist() == [series_terms_reference(t) for t in thetas.tolist()]
+
+
+def test_series_terms_name_the_first_matrix_that_does_not_converge():
+    # no bound of a NaN is below the tolerance
+    with pytest.raises(ConvergenceFailure, match=r"after 40 terms at 1$"):
+        _series_terms(np.array([0.1, np.nan, np.nan]), lambda i: f" at {i}")
 
 
 def same_bits(a, b):

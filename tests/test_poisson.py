@@ -27,7 +27,7 @@ from galconf.poisson import (
     raw_bracket,
     to_darboux,
 )
-from galconf.verify import flip_constant, run_suites
+from galconf.verify import FLOW_FAMILIES, flip_constant, run_suites
 
 
 class TestRawBracket:
@@ -592,3 +592,85 @@ def test_sums_products_and_quotients_drop_zeros():
                 f * Poly.const(1e-200), f / 1e200):
         assert got.terms == {}
     assert (-f).terms == {((x, 1),): -1e-200}
+
+
+def product_terms_reference(t1, t2):
+    """Terms of a product by the per-pair merge of Poly.__mul__ before its
+    monomial products were memoized: a merged dict, sorted, for each pair."""
+    out = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            merged = {}
+            for s, e in m1:
+                merged[s] = merged.get(s, 0) + e
+            for s, e in m2:
+                merged[s] = merged.get(s, 0) + e
+            key = tuple(sorted(merged.items()))
+            out[key] = out.get(key, 0.0) + c1 * c2
+    return Poly(out)
+
+
+def mul_reference(f, g):
+    """f * g with the constant factors of Poly.__mul__ and the per-pair merge."""
+    if po._constant(g):
+        return f * g.terms[()]
+    if po._constant(f):
+        return g * f.terms[()]
+    return product_terms_reference(f.terms, g.terms)
+
+
+def poly_bracket_per_pair_reference(f, g, sm):
+    """poly_bracket forming df * dg[v] * {u, v} as two Poly products with the
+    per-pair merge."""
+    out = {}
+    dg = g.gradient
+    for u, df in f.gradient.items():
+        for v, br in sm._partners.get(u, {}).items():
+            if v in dg:
+                for mono, c in mul_reference(mul_reference(df, dg[v]), br).terms.items():
+                    total = out.get(mono, 0.0) + c
+                    if total == 0:
+                        del out[mono]
+                    else:
+                        out[mono] = total
+    return Poly(out)
+
+
+def bits(f):
+    """The terms of f in order, with each coefficient's exact bits."""
+    return [(mono, c.hex()) for mono, c in f.terms.items()]
+
+
+def test_products_match_the_per_pair_merge():
+    for N, dim in [(1, 3), (3, 3), (2, 2), (4, 2)]:
+        syms = StructureMatrix(N, dim, 1.0).coordinates()
+        rng = np.random.default_rng(90 + 10 * N + dim)
+
+        def poly():
+            out = Poly()
+            for _ in range(int(rng.integers(1, 7))):
+                mono = Poly.const(rng.choice([float(rng.integers(-3, 4)) or 1.0,
+                                              float(rng.uniform(-2.0, 2.0))]))
+                for _ in range(int(rng.integers(0, 4))):
+                    mono = mono * Poly.var(syms[int(rng.integers(0, len(syms)))])
+                out = out + mono
+            return out
+
+        for _ in range(60):
+            f, g = poly(), poly()
+            for a, b in ((f, g), (g, f), (f, f), (f, f + g), (f - g, f + g)):
+                assert bits(a * b) == bits(mul_reference(a, b))
+                assert bits((a * b) * f) == bits(mul_reference(mul_reference(a, b), f))
+
+
+@pytest.mark.parametrize("N,dim", list(FLOW_FAMILIES) + [(7, 3), (6, 2)])
+def test_momentum_map_brackets_match_the_per_pair_merge(N, dim):
+    sm = StructureMatrix(N, dim, 0.8)
+    mm = list(momentum_map(build_algebra(N, dim, central=True), 0.8).values())
+    for a in mm:
+        for b in mm:
+            assert bits(poly_bracket(a, b, sm)) == bits(poly_bracket_per_pair_reference(a, b, sm))
+
+
+def test_the_monomial_product_memo_is_bounded():
+    assert po._mono_product.cache_info().maxsize is not None

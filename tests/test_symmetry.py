@@ -1,6 +1,7 @@
 """Time-dependent integrals and finite symmetry transformations."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galconf import symmetry
-from galconf.coadjoint import rotation_matrix
+from galconf.algebra import build_algebra
+from galconf.coadjoint import coad_closed_form, pack_dual, rotation_matrix
 from galconf.dynamics import (
     FREE,
     HamiltonianChoice,
@@ -19,7 +21,10 @@ from galconf.dynamics import (
     verify_motion_order,
 )
 from galconf.errors import (
+    InvalidState,
+    NonFiniteResult,
     NonOrthogonalRotation,
+    ShapeMismatch,
     SingularTime,
     UnsupportedClosedForm,
     UnsupportedHamiltonian,
@@ -32,7 +37,7 @@ from galconf.symmetry import (
     map_trajectory,
     schrodinger_integrals,
 )
-from galconf.verify import FLOW_FAMILIES, _worst_at, run_suites
+from galconf.verify import FLOW_FAMILIES, _worst_at, _worst_draw, run_suites
 
 
 def schrodinger_point(x, p, m=1.0, s=(0, 0, 0), chi=(0, 0, 0)):
@@ -442,3 +447,216 @@ def test_worst_at_names_the_first_quantity_then_the_first_sample():
     named["a"] = np.zeros(3)
     assert _worst_at(named, np.array([0, 37, 100]), "row ") == (2.0, "worst b at row 37")
     assert _worst_at({"a": np.zeros(2)}, np.arange(2), "row ") == (0.0, "all exact")
+
+
+def random_stack(rng, n):
+    """n rows of each map parameter: a, v, tau, rotations R and conformal c."""
+    R = np.array([rotation_matrix(w) for w in rng.uniform(-1.5, 1.5, (n, 3))])
+    return (rng.uniform(-1, 1, (n, 3)), rng.uniform(-1, 1, (n, 3)), rng.uniform(-1, 1, n), R,
+            rng.uniform(-0.8, 0.8, n))
+
+
+def same_bits(got, want):
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def row_of(out, i):
+    """Row i of a stacked output; a time shared by every row is not stacked."""
+    return out[i] if np.ndim(out) else out
+
+
+class TestStackedMaps:
+    @pytest.mark.parametrize("seed", [71, 72])
+    def test_each_row_is_the_map_of_that_row_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 9, 1.3
+        a, v, tau, R, c = random_stack(rng, n)
+        x, p = rng.uniform(-1, 1, (n, 3)), rng.uniform(-1, 1, (n, 3))
+        t = rng.uniform(-0.5, 0.5, n)
+        stacks = [(GalileiMap(a=a, v=v, tau=tau, R=R),
+                   lambda i: GalileiMap(a=a[i], v=v[i], tau=tau[i], R=R[i])),
+                  (GalileiMap(a=a, tau=tau), lambda i: GalileiMap(a=a[i], tau=tau[i])),
+                  (GalileiMap(v=v, R=R), lambda i: GalileiMap(v=v[i], R=R[i])),
+                  (ConformalMap(c), lambda i: ConformalMap(c[i]))]
+        for mp, row in stacks:
+            assert mp.shape == (n,)
+            for times in (t, 0.0, 0.3):  # a time per row, or one for all
+                got = mp.apply(x, p, times, m)
+                for i in range(n):
+                    ti = times[i] if np.ndim(times) else times
+                    want = row(i).apply(x[i], p[i], ti, m)
+                    assert all(same_bits(row_of(g, i), w) for g, w in zip(got, want)), (mp, i)
+                    assert same_bits(row_of(mp.time(times), i), row(i).time(ti))
+                    assert same_bits(row_of(mp.inverse_time(times), i), row(i).inverse_time(ti))
+
+    def test_one_state_maps_by_every_row(self):
+        rng = np.random.default_rng(73)
+        a, v, tau, R, c = random_stack(rng, 5)
+        x, p = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+        for mp, row in ((GalileiMap(a=a, v=v, tau=tau, R=R),
+                         lambda i: GalileiMap(a=a[i], v=v[i], tau=tau[i], R=R[i])),
+                        (ConformalMap(c), lambda i: ConformalMap(c[i]))):
+            got = mp.apply(x, p, 0.25, 0.9)
+            for i in range(5):
+                want = row(i).apply(x, p, 0.25, 0.9)
+                assert all(same_bits(row_of(g, i), w) for g, w in zip(got, want))
+
+    def test_stacks_broadcast(self):
+        assert GalileiMap(a=np.zeros((4, 3)), tau=np.zeros((2, 1))).shape == (2, 4)
+        assert GalileiMap(R=np.tile(np.eye(3), (5, 1, 1)), v=(1.0, 0.0, 0.0)).shape == (5,)
+        assert GalileiMap().shape == ConformalMap(0.5).shape == ()
+        assert isinstance(GalileiMap(tau=1).tau, float) and isinstance(ConformalMap(1).c, float)
+
+    def test_singular_time_names_the_first_time_at_the_pole(self):
+        mp = ConformalMap([0.5, -1.0, -2.0, -1.0])
+        with pytest.raises(SingularTime, match=r"singular at t=1.0, c=-1.0$"):
+            mp.time(np.array([1.0, 1.0, 0.5, 1.0]))
+        with pytest.raises(SingularTime, match=r"singular at t=0.5, c=-2.0$"):
+            mp.apply(np.zeros((4, 3)), np.zeros((4, 3)), np.array([0.2, 0.3, 0.5, 1.0]), 1.0)
+        with pytest.raises(SingularTime, match=r"singular at t=1.0, c=-1.0$"):
+            mp.apply(np.zeros(3), np.zeros(3), 1.0, 1.0)
+        with pytest.raises(SingularTime, match=r"singular at t=1.0, c=-1.0$"):
+            ConformalMap([0.0, 1.0, 0.5]).inverse_time(1.0)
+
+    def test_rejects_a_rotation_stack_of_the_wrong_shape_or_with_one_bad_row(self):
+        R = np.tile(np.eye(3), (4, 1, 1))
+        R[2, 0, 0] = 1.5
+        for bad in (np.eye(2), np.zeros((4, 3, 2)), np.zeros((4, 2, 3)), np.ones(3), R):
+            with pytest.raises(NonOrthogonalRotation):
+                GalileiMap(R=bad)
+
+    def test_a_trajectory_maps_by_one_map(self):
+        tr, _ = TestMapTrajectory().make_free()
+        for mp in (ConformalMap([0.5, 0.2]), GalileiMap(a=np.zeros((2, 3))),
+                   GalileiMap(tau=[0.1, 0.2])):
+            with pytest.raises(ShapeMismatch, match="one map"):
+                map_trajectory(tr, mp)
+
+
+class TestMapParametersAtTheBoundary:
+    """Each bad parameter is rejected when the map is made, with a typed error
+    and no numpy warning."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_nan_rotation(self):
+        with pytest.raises(InvalidState, match="R has a non-finite entry"):
+            GalileiMap(R=np.eye(3) * np.nan)
+
+    def test_nan_conformal_parameter(self):
+        with pytest.raises(InvalidState, match="c has a non-finite entry"):
+            ConformalMap(np.nan)
+
+    def test_infinite_conformal_parameter(self):
+        with pytest.raises(InvalidState, match="c has a non-finite entry"):
+            ConformalMap([0.1, np.inf])
+
+    def test_nan_translation(self):
+        with pytest.raises(InvalidState, match="a has a non-finite entry"):
+            GalileiMap(a=(np.nan, 0, 0))
+
+    def test_infinite_boost(self):
+        with pytest.raises(InvalidState, match="v has a non-finite entry"):
+            GalileiMap(v=(0, -np.inf, 0))
+
+    def test_infinite_time_shift(self):
+        with pytest.raises(InvalidState, match="tau has a non-finite entry"):
+            GalileiMap(tau=np.inf)
+
+    def test_translation_of_the_wrong_length(self):
+        with pytest.raises(ShapeMismatch, match=r"a must have shape \(\.\.\., 3\), got \(2,\)"):
+            GalileiMap(a=(1, 2))
+
+    def test_conformal_parameter_with_a_trailing_axis_is_a_stack(self):
+        assert ConformalMap(np.zeros((2, 3))).shape == (2, 3)
+
+    def test_stacks_that_do_not_broadcast(self):
+        with pytest.raises(ShapeMismatch, match="do not broadcast"):
+            GalileiMap(a=np.zeros((5, 3)), v=np.zeros((4, 3)))
+        with pytest.raises(ShapeMismatch, match="do not broadcast"):
+            GalileiMap(tau=np.zeros(3), R=np.tile(np.eye(3), (2, 1, 1)))
+
+    def test_rotation_whose_orthogonality_defect_overflows(self):
+        R = [[1e200, 1e200, 0.0], [1e200, -1e200, 0.0], [0.0, 0.0, 1.0]]
+        with pytest.raises(NonOrthogonalRotation, match="orthogonal to 1e-9"):
+            GalileiMap(R=R)
+
+    def test_nan_rotation_vector(self):
+        with pytest.raises(InvalidState, match="omega has a non-finite entry"):
+            rotation_matrix([np.nan, 0, 0])
+
+    def test_infinite_rotation_vector(self):
+        with pytest.raises(InvalidState, match="omega has a non-finite entry"):
+            rotation_matrix([np.inf, 0, 0])
+
+    def test_rotation_vector_whose_norm_overflows(self):
+        with pytest.raises(NonFiniteResult, match="overflows"):
+            rotation_matrix([1e200, 1e200, 0.0])
+
+    def test_rotation_vector_of_the_wrong_length(self):
+        for omega in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]]):
+            with pytest.raises(ShapeMismatch, match="one 3-vector"):
+                rotation_matrix(omega)
+
+
+def symmetry_reference_cases(seed):
+    """The conformal_time_group_law and column_consistency_* cases as
+    suite_symmetry computed them before it mapped its draws as stacks: one
+    group-law draw, and one map per family, per draw."""
+    rng = np.random.default_rng(seed + 4)
+    for N, dim in ((1, 3), (3, 3), (2, 2)):  # the rng draws of the cases before
+        random_point(rng, N, dim)
+    random_point(rng, 1, 3, m=1.7)
+    out = {}
+    worst = 0.0
+    for _ in range(50):
+        t, c1, c2 = rng.uniform(-0.3, 0.3, 3)
+        worst = max(worst, abs(ConformalMap(c2).time(ConformalMap(c1).time(t))
+                               - ConformalMap(c1 + c2).time(t)))
+    out["conformal_time_group_law"] = (float(worst), "")
+    m = 1.5
+    random_point(rng, 1, 3, m=m)
+    alg1 = build_algebra(1, 3, central=True)
+    draws = {fam: [] for fam in ("translation", "boost", "time", "conformal", "rotation")}
+    zero = np.zeros(3)
+    for _ in range(40):
+        pt = random_point(rng, 1, 3, m=m)
+        x, p, s, chi = pt.q[0], pt.p[0], pt.s, pt.chi
+        a, v = rng.uniform(-0.8, 0.8, 3), rng.uniform(-0.8, 0.8, 3)
+        tau, cpar = float(rng.uniform(-0.8, 0.8)), float(rng.uniform(-0.8, 0.8))
+        om = rng.uniform(-0.8, 0.8, 3)
+        state = (x, p, s, chi)
+        xa, pa, _ = GalileiMap(a=a).apply(x, p, 0.0, m)
+        draws["translation"].append((state, (xa, pa, s, chi), -a))
+        xv, pv, _ = GalileiMap(v=v).apply(x, p, 0.0, m)
+        draws["boost"].append((state, (xv, pv, s, chi), v))
+        qt, ptau, chit = free_flow(pt.q, pt.p, chi, m, -tau)
+        draws["time"].append((state, (qt[0], ptau[0], s, chit), -tau))
+        xc, pc, _ = ConformalMap(cpar).apply(x, p, 0.0, m)
+        draws["conformal"].append(((x, p, s, zero), (xc, pc, s, zero), -cpar))
+        xr, pr, _ = GalileiMap(R=rotation_matrix(om)).apply(x, p, 0.0, m)
+        draws["rotation"].append(((x, p, zero, chi), (xr, pr, zero, chi), om))
+
+    def duals(states):
+        x, p, s, chi = (np.array(v) for v in zip(*states))
+        pts = PhasePoint(q=x[:, None], p=p[:, None], s=s, chi=chi, m=m)
+        return pack_dual(alg1, m, *dual_vector_at(pts))
+
+    for fam, fam_draws in draws.items():
+        inputs, images, params = zip(*fam_draws)
+        cols = coad_closed_form(alg1, fam, np.array(params), duals(inputs))
+        worst, detail = _worst_draw(np.abs(duals(images) - cols).max(axis=1))
+        out[f"column_consistency_{fam}"] = (worst, detail)
+    return out
+
+
+@pytest.mark.parametrize("seed", [42, 1, 7])
+def test_stacked_symmetry_draws_match_the_per_draw_loop(seed):
+    cases = {c["name"]: c for c in run_suites("symmetry", seed=seed)["suites"]["symmetry"]}
+    want = symmetry_reference_cases(seed)
+    assert {name: (cases[name]["defect"].hex(), cases[name]["detail"]) for name in want} \
+        == {name: (float(defect).hex(), detail) for name, (defect, detail) in want.items()}
