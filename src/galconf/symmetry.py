@@ -87,12 +87,22 @@ def _parameter(name: str, value, trailing: Tuple[int, ...]):
 
 
 def _stack_shape(*shapes) -> Tuple[int, ...]:
-    """The common stack of the parameters' leading shapes; ShapeMismatch if
-    they do not broadcast."""
+    """The common stack of leading shapes; ShapeMismatch if they do not
+    broadcast."""
     try:
         return np.broadcast_shapes(*shapes)
     except ValueError:
-        raise ShapeMismatch(f"parameter stacks {shapes} do not broadcast") from None
+        raise ShapeMismatch(f"stacks of shapes {shapes} do not broadcast") from None
+
+
+def _states(shape, t, x, p):
+    """x and p as float arrays of shape (..., 3) whose leading axes broadcast
+    against the times and the map's stack; ShapeMismatch otherwise."""
+    x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+    if x.shape[-1:] != (3,) or p.shape[-1:] != (3,):
+        raise ShapeMismatch(f"x and p must be (..., 3), got {x.shape} and {p.shape}")
+    _stack_shape(shape, np.shape(t), x.shape[:-1], p.shape[:-1])
+    return x, p
 
 
 @dataclass(frozen=True, eq=False)  # c may be an array: maps compare by identity
@@ -107,7 +117,9 @@ class ConformalMap:
     c may be a stack of parameters, one map per row (``shape`` is its stack,
     () for one map); its leading axes broadcast against those of the times
     and states, and each row gets the bits the same map gives alone.  A NaN
-    or an infinite c raises InvalidState.
+    or an infinite c raises InvalidState; states that are not (..., 3), or
+    times and states whose leading axes do not broadcast against the stack,
+    raise ShapeMismatch.
     """
 
     c: float
@@ -120,6 +132,7 @@ class ConformalMap:
     @staticmethod
     def _denominator(t, c, what: str):
         """1 + c t; raises SingularTime, naming the first time at the pole."""
+        _stack_shape(np.shape(c), np.shape(t))
         denom = 1.0 + c * t
         bad = np.abs(denom) < 1e-14
         if np.any(bad):
@@ -136,8 +149,7 @@ class ConformalMap:
 
     def apply(self, x, p, t, m: float):
         denom = self._denominator(t, self.c, "conformal transform")
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
+        x, p = _states(self.shape, t, x, p)
         per_sample = np.asarray(denom)[..., None]
         return x / per_sample, p * per_sample - np.asarray(m * self.c)[..., None] * x, t / denom
 
@@ -157,8 +169,9 @@ class GalileiMap:
     other (``shape`` is their common stack, () for one map) and against
     those of the times and states; each row gets the bits the same map gives
     alone.  A NaN or an infinity raises InvalidState, a wrong trailing shape
-    or stacks that do not broadcast ShapeMismatch, and an R that is not
-    (..., 3, 3) or not orthogonal NonOrthogonalRotation.
+    or stacks that do not broadcast ShapeMismatch (of parameters, times and
+    states alike), and an R that is not (..., 3, 3) or not orthogonal
+    NonOrthogonalRotation.
     """
 
     a: Tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -184,14 +197,15 @@ class GalileiMap:
                                                        np.shape(tau), R.shape[:-2]))
 
     def time(self, t):
+        _stack_shape(self.shape, np.shape(t))
         return t + self.tau
 
     def inverse_time(self, tp):
+        _stack_shape(self.shape, np.shape(tp))
         return tp - self.tau
 
     def apply(self, x, p, t, m: float):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
+        x, p = _states(self.shape, t, x, p)
         Rx = (self.R @ x[..., None])[..., 0]
         Rp = (self.R @ p[..., None])[..., 0]
         return Rx + self.a + self.v * np.asarray(t)[..., None], Rp + m * self.v, t + self.tau

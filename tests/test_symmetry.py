@@ -525,6 +525,20 @@ class TestStackedMaps:
             with pytest.raises(NonOrthogonalRotation):
                 GalileiMap(R=bad)
 
+    def test_times_and_states_must_broadcast_against_the_stack(self):
+        for mp in (ConformalMap(np.zeros(3)), GalileiMap(a=np.zeros((3, 3)))):
+            for call in (lambda: mp.time(np.zeros(4)), lambda: mp.inverse_time(np.zeros(2)),
+                         lambda: mp.apply(np.zeros((4, 3)), np.zeros((4, 3)), 0.0, 1.0),
+                         lambda: mp.apply(np.zeros(3), np.zeros(3), np.zeros(4), 1.0)):
+                with pytest.raises(ShapeMismatch, match="do not broadcast"):
+                    call()
+
+    def test_states_must_be_three_vectors(self):
+        for mp in (ConformalMap(0.5), GalileiMap(v=(0.1, 0.0, 0.0))):
+            for x, p in ((np.zeros((4, 2)), np.zeros((4, 2))), ([1.0, 0.0], [0.0, 0.0, 0.0])):
+                with pytest.raises(ShapeMismatch, match=r"x and p must be \(\.\.\., 3\)"):
+                    mp.apply(x, p, 0.0, 1.0)
+
     def test_a_trajectory_maps_by_one_map(self):
         tr, _ = TestMapTrajectory().make_free()
         for mp in (ConformalMap([0.5, 0.2]), GalileiMap(a=np.zeros((2, 3))),
