@@ -96,12 +96,14 @@ def _stack_shape(*shapes) -> Tuple[int, ...]:
 
 
 def _states(shape, t, x, p):
-    """x and p as float arrays of shape (..., 3) whose leading axes broadcast
-    against the times and the map's stack; ShapeMismatch otherwise."""
+    """x and p as float arrays of shape (..., 3), whose leading axes, for a
+    stack of maps, broadcast against the times and the stack; ShapeMismatch
+    otherwise."""
     x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
     if x.shape[-1:] != (3,) or p.shape[-1:] != (3,):
         raise ShapeMismatch(f"x and p must be (..., 3), got {x.shape} and {p.shape}")
-    _stack_shape(shape, np.shape(t), x.shape[:-1], p.shape[:-1])
+    if shape:
+        _stack_shape(shape, np.shape(t), x.shape[:-1], p.shape[:-1])
     return x, p
 
 
@@ -117,9 +119,9 @@ class ConformalMap:
     c may be a stack of parameters, one map per row (``shape`` is its stack,
     () for one map); its leading axes broadcast against those of the times
     and states, and each row gets the bits the same map gives alone.  A NaN
-    or an infinite c raises InvalidState; states that are not (..., 3), or
-    times and states whose leading axes do not broadcast against the stack,
-    raise ShapeMismatch.
+    or an infinite c raises InvalidState; states that are not (..., 3), and
+    for a stack times and states whose leading axes do not broadcast against
+    it, raise ShapeMismatch.
     """
 
     c: float
@@ -132,7 +134,8 @@ class ConformalMap:
     @staticmethod
     def _denominator(t, c, what: str):
         """1 + c t; raises SingularTime, naming the first time at the pole."""
-        _stack_shape(np.shape(c), np.shape(t))
+        if isinstance(c, np.ndarray):  # a stack of maps
+            _stack_shape(c.shape, np.shape(t))
         denom = 1.0 + c * t
         bad = np.abs(denom) < 1e-14
         if np.any(bad):
@@ -169,9 +172,9 @@ class GalileiMap:
     other (``shape`` is their common stack, () for one map) and against
     those of the times and states; each row gets the bits the same map gives
     alone.  A NaN or an infinity raises InvalidState, a wrong trailing shape
-    or stacks that do not broadcast ShapeMismatch (of parameters, times and
-    states alike), and an R that is not (..., 3, 3) or not orthogonal
-    NonOrthogonalRotation.
+    or stacks that do not broadcast ShapeMismatch (parameters against each
+    other, and times and states against a stack), and an R that is not
+    (..., 3, 3) or not orthogonal NonOrthogonalRotation.
     """
 
     a: Tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -197,11 +200,13 @@ class GalileiMap:
                                                        np.shape(tau), R.shape[:-2]))
 
     def time(self, t):
-        _stack_shape(self.shape, np.shape(t))
+        if self.shape:
+            _stack_shape(self.shape, np.shape(t))
         return t + self.tau
 
     def inverse_time(self, tp):
-        _stack_shape(self.shape, np.shape(tp))
+        if self.shape:
+            _stack_shape(self.shape, np.shape(tp))
         return tp - self.tau
 
     def apply(self, x, p, t, m: float):
