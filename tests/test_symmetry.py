@@ -504,6 +504,7 @@ class TestStackedMaps:
     def test_stacks_broadcast(self):
         assert GalileiMap(a=np.zeros((4, 3)), tau=np.zeros((2, 1))).shape == (2, 4)
         assert GalileiMap(R=np.tile(np.eye(3), (5, 1, 1)), v=(1.0, 0.0, 0.0)).shape == (5,)
+        assert ConformalMap(np.zeros((2, 3))).shape == (2, 3)
         assert GalileiMap().shape == ConformalMap(0.5).shape == ()
         assert isinstance(GalileiMap(tau=1).tau, float) and isinstance(ConformalMap(1).c, float)
 
@@ -584,9 +585,6 @@ class TestMapParametersAtTheBoundary:
     def test_translation_of_the_wrong_length(self):
         with pytest.raises(ShapeMismatch, match=r"a must have shape \(\.\.\., 3\), got \(2,\)"):
             GalileiMap(a=(1, 2))
-
-    def test_conformal_parameter_with_a_trailing_axis_is_a_stack(self):
-        assert ConformalMap(np.zeros((2, 3))).shape == (2, 3)
 
     def test_stacks_that_do_not_broadcast(self):
         with pytest.raises(ShapeMismatch, match="do not broadcast"):
