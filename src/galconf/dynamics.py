@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
@@ -436,35 +437,142 @@ def _csv_header(N: int, dim: int) -> List[str]:
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
-    """CSV body with a mandatory header row and 17 significant digits.
-
-    Every cell is the CSV_FLOAT_FORMAT text of its float, made once per
-    distinct bit pattern of its column (so 0.0 and -0.0 stay "0" and "-0"):
-    a column whose values all differ is formatted cell by cell in the row
-    template, a column of one value is a literal of the template, and any
-    other column is passed as the texts of its distinct values.
-    """
+    """CSV body with a mandatory header row and 17 significant digits: every
+    cell is the CSV_FLOAT_FORMAT text of its float, so 0.0 and -0.0 write "0"
+    and "-0".  ``_csv_records`` makes the cells."""
     n = len(traj.times)
     rec = _recorded(traj)
     table = np.hstack([traj.times[:, None], traj.q.reshape(n, -1), traj.p.reshape(n, -1),
                        traj.s, traj.chi, np.stack([rec[k] for k in ("h", "d", "k")], axis=1),
                        rec["j"], np.stack([rec[k] for k in ("C1", "C2", "C3")], axis=1)])
-    fields, cols = [], []
-    for col in table.T:
-        _, first, inverse = np.unique(col.view(np.int64), return_index=True,
-                                      return_inverse=True)
-        if len(first) == n:
-            fields.append(CSV_FLOAT_FORMAT)
-            cols.append(col.tolist())
-        elif len(first) == 1:
-            fields.append(CSV_FLOAT_FORMAT % col[0])
+    return ",".join(_csv_header(traj.N, traj.dim)) + "\n" + _csv_body(table)
+
+
+def _csv_body(table: np.ndarray) -> str:
+    """The rows of a 2-d float table as CSV lines, made _CSV_ROWS rows at a
+    time; the cells ``_csv_records`` does not certify are formatted by %."""
+    out = []
+    for r in range(0, len(table), _CSV_ROWS):
+        block = table[r:r + _CSV_ROWS]
+        rec, slow = _csv_records(block)
+        if slow.any():
+            texts = b"".join((CSV_FLOAT_FORMAT % v).encode().ljust(47, b"\0")
+                             for v in block[slow].tolist())
+            rec[slow, :47] = np.frombuffer(texts, np.uint8).reshape(-1, 47)
+        out.append(rec.tobytes().translate(None, b"\0"))
+    return b"".join(out).decode("ascii")
+
+
+# The CSV_FLOAT_FORMAT kernel.  A cell x with 1e-150 <= |x| < 1e150 has a
+# decimal exponent X and the 17 digits D = round(y), y = |x| 10^(16-X) in
+# [10^16, 10^17).  y is formed as hi + lo, Dekker's (1971) error-free product
+# of |x| and 10^(16-X) held as a double-double, to an absolute error below
+# 2^-45.  A y within _CSV_BAND of a rounding tie, where that error could pick
+# the other D, and every nonzero x outside the range or not finite, are left
+# to %.  A y that close to 10^16 or 10^17 needs no band: either side gives
+# D = 10^16 at the same X, once a D of 10^17 carries into the next decade.
+# Each cell is a 48-byte record: sign, the "0.000" prefix of %g's fixed style,
+# 17 digit slots each followed by a point slot, the "e+XX" suffix, and the
+# separator.  Unused bytes are zero and one translate deletes them.
+_CSV_BAND = 1e-6
+_CSV_ROWS = 256  # stack-sized temporaries cost more than the arithmetic
+_CSV_X0 = -152  # the tables cover decimal exponents -152..152
+_SPLIT = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+
+
+@lru_cache(maxsize=None)
+def _csv_tables():
+    """The kernel's tables, built on first use.  By decimal exponent X:
+    10^(16-X) as hi, lo and the two halves of hi; the place value of D's last
+    digit before the point (1 when the point is in the prefix); and record
+    templates by X, by whether the point is written and by sign, as six
+    8-byte words.  Then the words of digits: each 4-digit group whole, the
+    same without its trailing zeros, and each leading digit."""
+    xs = range(_CSV_X0, 1 - _CSV_X0)
+    ten = np.empty((4, len(xs)))
+    unit = np.ones(len(xs), dtype=np.int64)
+    tmpl = np.zeros((len(xs), 2, 2, 48), dtype=np.uint8)
+    for i, x in enumerate(xs):
+        exact = Fraction(10) ** (16 - x)
+        ten[:2, i] = float(exact), float(exact - Fraction(float(exact)))
+        if -4 <= x < 0:
+            tmpl[i, ..., 1:2 - x] = np.frombuffer(b"0.000"[:1 - x], np.uint8)
         else:
-            texts = np.array([CSV_FLOAT_FORMAT % v for v in col[first].tolist()], dtype=object)
-            fields.append("%s")
-            cols.append(texts[inverse].tolist())
-    row = ",".join(fields)
-    lines = [",".join(_csv_header(traj.N, traj.dim))]
-    # with no column left to pass (one sample, or a table that never changes)
-    # zip(*cols) is empty, but every sample still gets its row
-    lines += map(row.__mod__, zip(*cols)) if cols else [row % ()] * n
-    return "\n".join(lines) + "\n"
+            point = x if 0 <= x < 17 else 0
+            unit[i] = 10 ** (16 - point)
+            tmpl[i, 1, :, 7 + 2 * point] = ord(".")
+            tmpl[i, ..., 8:8 + 2 * point:2] = ord("0")  # integer digits past D's last
+        if not -4 <= x < 17:
+            suffix = b"e%+03d" % x
+            tmpl[i, ..., 40:40 + len(suffix)] = np.frombuffer(suffix, np.uint8)
+    tmpl[:, :, 1, 0] = ord("-")
+    tmpl[..., 47] = ord(",")
+    big = _SPLIT * ten[0]
+    ten[2] = big - (big - ten[0])
+    ten[3] = ten[0] - ten[2]
+    groups = [b"%04d" % g for g in range(10000)]
+    digits = np.zeros((20010, 4, 2), dtype=np.uint8)  # (digit, point slot) pairs
+    digits[:10000, :, 0] = np.frombuffer(b"".join(groups), np.uint8).reshape(-1, 4)
+    digits[10000:20000, :, 0] = np.frombuffer(
+        b"".join(g.rstrip(b"0").ljust(4, b"\0") for g in groups), np.uint8).reshape(-1, 4)
+    digits[20000:, 3, 0] = np.arange(ord("0"), ord("9") + 1)
+    words = digits.reshape(-1, 8).view(np.uint64).ravel()
+    return ten, unit, tmpl.reshape(-1, 48).view(np.uint64), words
+
+
+def _two_product(a: np.ndarray, X: np.ndarray, ten: np.ndarray):
+    """a 10^(16-X) as hi + lo: hi = fl(a hi_X), and lo its exact rounding
+    error (Dekker's TwoProduct) plus a lo_X."""
+    th, tl, bh, bl = (t[X] for t in ten)
+    hi = a * th
+    big = _SPLIT * a
+    ah = big - (big - a)
+    al = a - ah
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl + a * tl
+
+
+def _csv_records(block: np.ndarray):
+    """(records, slow) of a 2-d float table: its cells' (rows, cols, 48)
+    uint8 records, the last column's ending its row, and the mask of cells
+    whose record is not certified to hold their CSV_FLOAT_FORMAT text."""
+    ten, unit, tmpl, digits = _csv_tables()
+    x = block.ravel()
+    ax = np.abs(x)
+    fast = (ax >= 1e-150) & (ax < 1e150)
+    a = np.where(fast, ax, 1.0)
+    X = np.floor(np.log10(a)).astype(np.intp) - _CSV_X0
+    hi, lo = _two_product(a, X, ten)
+    # log10 may miss the decade by one: move y into [10^16, 10^17)
+    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.intp)
+    shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        X[moved] += shift[moved]
+        hi[moved], lo[moved] = _two_product(a[moved], X[moved], ten)
+    whole = np.floor(lo)  # hi is an integer (y > 2^53): lo holds y's fraction
+    frac = lo - whole
+    slow = ~fast & (ax != 0) | (np.abs(frac - 0.5) < _CSV_BAND)
+    D = (hi.astype(np.int64) + whole.astype(np.int64) + (frac >= 0.5)) * fast
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    X += carry
+    X[~fast] = -_CSV_X0  # a zero is the digit 0 at exponent 0
+    rec = np.take(tmpl, 4 * X + 2 * (D % unit[X] != 0) + np.signbit(x), axis=0)
+    # word 0 gets the leading digit, words 1-4 four digits each, whole or,
+    # when no nonzero digit follows, without trailing zeros
+    G = np.empty((len(x), 6), dtype=np.intp)
+    G[:, 5] = 10000
+    for j in (4, 3, 2, 1):
+        q = D // 10 ** 4
+        G[:, j] = D - q * 10 ** 4
+        D = q
+    G[:, 0] = D + 20000
+    tail = G[:, 4] == 0
+    G[:, 4] += 10000
+    for j in (3, 2, 1):
+        G[:, j] += 10000 * tail
+        tail &= G[:, j] == 10000
+    rec |= np.take(digits, G)
+    rec = rec.view(np.uint8).reshape(block.shape + (48,))
+    rec[:, -1, -1] = ord("\n")
+    return rec, slow.reshape(block.shape)

@@ -1,7 +1,10 @@
 """Integrators, closed forms, motion order and conservation."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from typing import Dict
@@ -703,6 +706,104 @@ def test_csv_writes_every_row_of_a_constant_table():
     text = trajectory_csv_text(tr)
     assert text == _csv_reference(tr)
     assert len(text.split("\n")) == 5
+
+
+def _assert_cells_match_percent(values, cols=8):
+    """The kernel's CSV lines of values, laid out cols to a row (padded with
+    zeros), are the CSV_FLOAT_FORMAT texts of the cells joined by "," and
+    ended by a newline."""
+    values = np.asarray(values, dtype=float).ravel()
+    table = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
+    text = dynamics._csv_body(table)
+    want = [CSV_FLOAT_FORMAT % v for v in table.ravel().tolist()]
+    got = text.replace("\n", ",").split(",")[:-1]
+    bad = [(v, g, w) for v, g, w in zip(table.ravel().tolist(), got, want) if g != w]
+    assert not bad, f"{len(bad)} cells differ, first (value, got, %): {bad[:3]}"
+    assert text == "".join(",".join(want[i:i + cols]) + "\n" for i in range(0, len(want), cols))
+
+
+def _finite_bits(rng, n, exponent_mask=0x7FF):
+    """n finite doubles of both signs from random bit patterns, the exponent
+    field ANDed with exponent_mask (0 gives subnormals and zeros)."""
+    bits = rng.integers(0, 2 ** 64, size=n + n // 100 + 10, dtype=np.uint64)
+    bits &= ~np.uint64(0x7FF << 52) | np.uint64(exponent_mask << 52)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)][:n]
+
+
+def test_csv_cells_match_percent_on_random_bit_patterns():
+    """10^6 finite doubles over every exponent, 10^5 subnormals, and 10^5
+    log-uniform draws over the kernel's range [1e-150, 1e150)."""
+    rng = np.random.default_rng(61)
+    wide = 10.0 ** rng.uniform(-150, 150, 10 ** 5) * rng.choice([-1.0, 1.0], 10 ** 5)
+    for values in (_finite_bits(rng, 10 ** 6), _finite_bits(rng, 10 ** 5, 0), wide):
+        _assert_cells_match_percent(values)
+
+
+def test_csv_cells_match_percent_at_powers_of_ten():
+    """+-0, every double nearest 10^k and both its neighbours, so also the %g
+    style switches at 1e-5 and 1e17; among them the doubles below 10^k that
+    %.17g rounds up into the next decade."""
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    values = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    _assert_cells_match_percent(np.concatenate([[0.0, -0.0], values, -values]))
+    carried = [x for x in values.tolist() if 1e-150 <= x < 1e150 and Fraction(x)
+               < Fraction(CSV_FLOAT_FORMAT % x) == Fraction(10) ** round(math.log10(x))]
+    assert len(carried) >= 5
+    assert not dynamics._csv_records(np.array([carried]))[1].any()
+    assert dynamics._csv_body(np.array([[1e-5, 1e-4, 1e16, 1e17]])) == \
+        "1.0000000000000001e-05,0.0001,10000000000000000,1e+17\n"
+
+
+def test_csv_cells_match_percent_on_exact_ties():
+    """Dyadic n / 2^e with 18 significant digits, the last a 5: each lies
+    exactly halfway between two 17-digit texts, so each goes to %."""
+    rng = np.random.default_rng(62)
+    ties = []
+    for e in range(2, 26):
+        lo, hi = -(-10 ** 17 // 5 ** e), min(10 ** 18 // 5 ** e, 2 ** 53)
+        n = rng.integers(lo, hi, 200) | 1
+        ties += [math.ldexp(float(k), -e) for k in n.tolist() if k < hi]
+    for x in ties:  # n / 2^e has the digits of n 5^e
+        n, d = Fraction(x).as_integer_ratio()
+        digits = str(n * 5 ** (d.bit_length() - 1))
+        assert d > 1 and len(digits) == 18 and digits[-1] == "5"
+    ties = np.array(ties + [-x for x in ties])
+    _assert_cells_match_percent(ties)
+    assert dynamics._csv_records(ties[None, :])[1].all()
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+def test_flow_family_cells_take_the_kernel(monkeypatch, N, dim):
+    """No cell of the rk4, closed or Newton-Hooke +-1 trajectories is left to %."""
+    slow = []
+    records = dynamics._csv_records
+
+    def spy(block):
+        rec, mask = records(block)
+        slow.append(int(mask.sum()))
+        return rec, mask
+
+    monkeypatch.setattr(dynamics, "_csv_records", spy)
+    pt = random_point(np.random.default_rng(63), N, dim)
+    runs = [integrate(pt, FREE, 1.0, 0.001, method) for method in ("rk4", "closed")]
+    runs += [integrate(pt, HamiltonianChoice("newton_hooke", omega=0.7, sign=sign), 1.0, 0.001)
+             for sign in (1, -1)]
+    for tr in runs:
+        trajectory_csv_text(tr)
+    assert len(slow) == 4 * 4 and not any(slow)
+
+
+def test_importing_galconf_builds_no_csv_table():
+    """The kernel's tables are built by the first CSV, not at import."""
+    code = ("import galconf.cli, galconf.dynamics as d; "
+            "print(d._csv_tables.cache_info().currsize)")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "0"
 
 
 def test_closed_samples_match_single_time_closed_form():
