@@ -80,10 +80,15 @@ def _parameter(name: str, value, trailing: Tuple[int, ...]):
     if arr.shape[arr.ndim - len(trailing):] != trailing:
         raise ShapeMismatch(f"{name} must have shape (..., {', '.join(map(str, trailing))}), "
                             f"got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidState(f"{name} has a non-finite entry")
-    arr.setflags(write=False)
+    _finite(name, arr).setflags(write=False)
     return arr if arr.ndim else float(arr)
+
+
+def _finite(name: str, value):
+    """value unchanged; InvalidState if it has a NaN or an infinite entry."""
+    if not np.isfinite(value).all():
+        raise InvalidState(f"{name} has a non-finite entry")
+    return value
 
 
 def _stack_shape(*shapes) -> Tuple[int, ...]:
@@ -98,13 +103,13 @@ def _stack_shape(*shapes) -> Tuple[int, ...]:
 def _states(shape, t, x, p):
     """x and p as float arrays of shape (..., 3), whose leading axes, for a
     stack of maps, broadcast against the times and the stack; ShapeMismatch
-    otherwise."""
+    otherwise, and InvalidState for a NaN or an infinity in x or p."""
     x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
     if x.shape[-1:] != (3,) or p.shape[-1:] != (3,):
         raise ShapeMismatch(f"x and p must be (..., 3), got {x.shape} and {p.shape}")
     if shape:
         _stack_shape(shape, np.shape(t), x.shape[:-1], p.shape[:-1])
-    return x, p
+    return _finite("x", x), _finite("p", p)
 
 
 @dataclass(frozen=True, eq=False)  # c may be an array: maps compare by identity
@@ -119,9 +124,9 @@ class ConformalMap:
     c may be a stack of parameters, one map per row (``shape`` is its stack,
     () for one map); its leading axes broadcast against those of the times
     and states, and each row gets the bits the same map gives alone.  A NaN
-    or an infinite c raises InvalidState; states that are not (..., 3), and
-    for a stack times and states whose leading axes do not broadcast against
-    it, raise ShapeMismatch.
+    or an infinity in c, a state or a time raises InvalidState naming it;
+    states that are not (..., 3), and for a stack times and states whose
+    leading axes do not broadcast against it, raise ShapeMismatch.
     """
 
     c: float
@@ -145,13 +150,13 @@ class ConformalMap:
         return denom
 
     def time(self, t):
-        return t / self._denominator(t, self.c, "conformal time map")
+        return t / self._denominator(_finite("t", t), self.c, "conformal time map")
 
     def inverse_time(self, tp):
-        return tp / self._denominator(tp, -self.c, "conformal time map")
+        return tp / self._denominator(_finite("tp", tp), -self.c, "conformal time map")
 
     def apply(self, x, p, t, m: float):
-        denom = self._denominator(t, self.c, "conformal transform")
+        denom = self._denominator(_finite("t", t), self.c, "conformal transform")
         x, p = _states(self.shape, t, x, p)
         per_sample = np.asarray(denom)[..., None]
         return x / per_sample, p * per_sample - np.asarray(m * self.c)[..., None] * x, t / denom
@@ -171,10 +176,11 @@ class GalileiMap:
     tau (...) and R (..., 3, 3), whose leading axes broadcast against each
     other (``shape`` is their common stack, () for one map) and against
     those of the times and states; each row gets the bits the same map gives
-    alone.  A NaN or an infinity raises InvalidState, a wrong trailing shape
-    or stacks that do not broadcast ShapeMismatch (parameters against each
-    other, and times and states against a stack), and an R that is not
-    (..., 3, 3) or not orthogonal NonOrthogonalRotation.
+    alone.  A NaN or an infinity in a parameter, a state or a time raises
+    InvalidState naming it, a wrong trailing shape or stacks that do not
+    broadcast ShapeMismatch (parameters against each other, and times and
+    states against a stack), and an R that is not (..., 3, 3) or not
+    orthogonal NonOrthogonalRotation.
     """
 
     a: Tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -202,15 +208,15 @@ class GalileiMap:
     def time(self, t):
         if self.shape:
             _stack_shape(self.shape, np.shape(t))
-        return t + self.tau
+        return _finite("t", t) + self.tau
 
     def inverse_time(self, tp):
         if self.shape:
             _stack_shape(self.shape, np.shape(tp))
-        return tp - self.tau
+        return _finite("tp", tp) - self.tau
 
     def apply(self, x, p, t, m: float):
-        x, p = _states(self.shape, t, x, p)
+        x, p = _states(self.shape, _finite("t", t), x, p)
         Rx = (self.R @ x[..., None])[..., 0]
         Rp = (self.R @ p[..., None])[..., 0]
         return Rx + self.a + self.v * np.asarray(t)[..., None], Rp + m * self.v, t + self.tau

@@ -615,6 +615,34 @@ class TestMapParametersAtTheBoundary:
                 rotation_matrix(omega)
 
 
+_ZERO = np.zeros(3)
+_BAD_INPUTS = {
+    "conformal_x": (lambda: ConformalMap(0.5).apply([np.nan, 0, 0], _ZERO, 0.2, 1.0), "x"),
+    "conformal_p": (lambda: ConformalMap(0.5).apply(_ZERO, [0, np.inf, 0], 0.2, 1.0), "p"),
+    "conformal_t": (lambda: ConformalMap(0.5).apply(_ZERO, _ZERO, np.nan, 1.0), "t"),
+    "conformal_time": (lambda: ConformalMap(0.0).time(np.inf), "t"),
+    "conformal_inverse_time": (lambda: ConformalMap([0.5, 0.2]).inverse_time([0.1, -np.inf]),
+                               "tp"),
+    "galilei_t_before_p": (lambda: GalileiMap(v=(1, 0, 0)).apply(_ZERO, [0, np.inf, 0], np.nan,
+                                                                   1.0), "t"),
+    "galilei_p": (lambda: GalileiMap(v=(1, 0, 0)).apply(_ZERO, [0, np.inf, 0], 0.3, 1.0), "p"),
+    "galilei_x_stack": (lambda: GalileiMap(R=rotation_matrix([0.3, -0.5, 0.8])).apply(
+        np.array([_ZERO, [1.0, np.nan, 0.0]]), np.zeros((2, 3)), np.zeros(2), 1.0), "x"),
+    "galilei_time": (lambda: GalileiMap(tau=0.2).time(np.array([0.0, np.nan])), "t"),
+    "galilei_inverse_time": (lambda: GalileiMap().inverse_time(np.inf), "tp"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_maps_reject_non_finite_states_and_times(case):
+    """A NaN or an infinity in a state or a time raises InvalidState naming
+    the input, before any arithmetic could warn; they used to pass through."""
+    call, name = _BAD_INPUTS[case]
+    with pytest.raises(InvalidState, match=f"^{name} has a non-finite entry$"):
+        call()
+
+
 def symmetry_reference_cases(seed):
     """The conformal_time_group_law and column_consistency_* cases as
     suite_symmetry computed them before it mapped its draws as stacks: one
