@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import EPS2, AlgebraSpec, conformal_basis_inverse, spin_components, tower_sign
+from .algebra import AlgebraSpec, conformal_basis_inverse, spin_components, tower_sign
 from .errors import (
     AmbiguousClass,
     ConvergenceFailure,
@@ -410,32 +410,46 @@ def translate_dual(m, x, j, c, h, d, k):
     dual components, for N odd in dimension 3 and N even in dimension 2.
 
     Every argument may carry leading sample axes, the mass m too; j has a
-    trailing axis of one component per rotation generator.  Returns
-    (j, c, h, d, k); a row of a stack gives the bits of the same sample
-    passed alone.  The c row and the quadratic terms pair level i with level
-    N - i through the tower form of the algebra (delta in dimension 3, eps
-    in dimension 2); only the rotation rows are written per dimension.
+    trailing axis of one component per rotation generator; c=None is a zero
+    tower.  Returns (j, c, h, d, k); a row of a stack gives the bits of the
+    same sample passed alone.  The c row and the quadratic terms pair level
+    i with level N - i through the tower form of the algebra (delta in
+    dimension 3, eps in dimension 2); only the rotation rows are written per
+    dimension.
     """
-    m, x = np.asarray(m, dtype=float), np.ascontiguousarray(x)
-    j, c = np.ascontiguousarray(j), np.ascontiguousarray(c)
+    m, x, j = np.asarray(m, dtype=float), np.ascontiguousarray(x), np.ascontiguousarray(j)
     N, dim = x.shape[-2] - 1, x.shape[-1]
     w = N / 2.0 - np.arange(N + 1)
     g, gh, gk = _translation_weights(N)
     pair = _rowdot if dim == 3 else _eps_pair
     mc = m[..., None, None]
-    xr = x[..., ::-1, :]
-    # component b: -m g tower_form(b, a) x^a of level N - i
-    cp = c - mc * g[:, None] * (xr if dim == 3 else xr @ EPS2)
-    if dim == 3:  # so(3): cross products
-        j = j - _level_sum(_cross3(x, c) + (mc / 2.0) * g[:, None] * _cross3(xr, x))
-    else:  # so(2): one scalar
-        j = np.asarray(j[..., 0] - np.sum(_cross2(x, c), axis=-1)
-                       + (m / 2.0) * _levels(_rowdot(x, xr), g))[..., None]
-    d = d - _levels(_rowdot(x, c), w) + (m / 2.0) * _levels(pair(x, xr), w * g)
-    h = h + _levels(_rowdot(x[..., 1:, :], c[..., :-1, :]), np.arange(1.0, N + 1)) \
-        + (m / 2.0) * _levels(pair(x[..., 1:, :], x[..., :0:-1, :]), gh)
-    k = k - _levels(_rowdot(x[..., :-1, :], c[..., 1:, :]), np.arange(float(N), 0.0, -1.0)) \
-        - (m / 2.0) * _levels(pair(x[..., :-1, :], x[..., -2::-1, :]), gk)
+    # a C-ordered copy: the slices that contractions copy are then read
+    # forward, not a short reversed level at a time
+    xr = np.ascontiguousarray(x[..., ::-1, :])
+    rot = (mc / 2.0) * g[:, None] * _cross3(xr, x) if dim == 3 else \
+        (m / 2.0) * _levels(_rowdot(x, xr), g)
+    cs = cd = ch = ck = 0.0
+    if c is None:
+        # each term in c would be +0.0 (a sum of signed zeros), which changes
+        # only a -0.0, as 0.0 - shift and h + 0.0 do
+        c = 0.0
+    else:
+        c = np.ascontiguousarray(c)
+        if dim == 3:  # so(3): cross products
+            rot = _cross3(x, c) + rot
+        else:  # so(2): one scalar
+            cs = np.sum(_cross2(x, c), axis=-1)
+        cd = _levels(_rowdot(x, c), w)
+        ch = _levels(_rowdot(x[..., 1:, :], c[..., :-1, :]), np.arange(1.0, N + 1))
+        ck = _levels(_rowdot(x[..., :-1, :], c[..., 1:, :]), np.arange(float(N), 0.0, -1.0))
+    j = j - _level_sum(rot) if dim == 3 else np.asarray(j[..., 0] - cs + rot)[..., None]
+    # component b: -m g tower_form(b, a) x^a of level N - i; in dimension 2 the
+    # bits of x @ EPS2, a matmul whose sums start from +0.0
+    cp = c - mc * g[:, None] * (xr if dim == 3 else
+                                np.stack([0.0 - xr[..., 1], xr[..., 0] + 0.0], axis=-1))
+    d = d - cd + (m / 2.0) * _levels(pair(x, xr), w * g)
+    h = h + ch + (m / 2.0) * _levels(pair(x[..., 1:, :], xr[..., :-1, :]), gh)
+    k = k - ck - (m / 2.0) * _levels(pair(x[..., :-1, :], xr[..., 1:, :]), gk)
     return j, cp, h, d, k
 
 
@@ -477,16 +491,17 @@ SCHRODINGER_COLUMNS = {"translation": ("C0_1", "C0_2", "C0_3"), "boost": ("C1_1"
                        "rotation": ("J1", "J2", "J3")}
 
 
-def coad_closed_form(alg: AlgebraSpec, family: str, params, V) -> np.ndarray:
+def coad_closed_form(alg: AlgebraSpec, family: str, params, V, R=None) -> np.ndarray:
     """Printed closed-form coadjoint flows of a (k, n) stack of packed dual
     rows V (the pack_dual layout), one flow per row; returns (k, n) rows.
 
     family "ctrans" works for any supported (N, dim) and takes (k, N+1, dim)
     parameters.  The families of SCHRODINGER_COLUMNS ("translation", "boost"
     and "rotation" take (k, 3), the others (k,)) are the
-    Schrodinger-case columns and require N=1, dim=3.  The mass component is
-    invariant under every flow.  A row of a stack gives the bits of the same
-    row alone.
+    Schrodinger-case columns and require N=1, dim=3.  A "rotation" caller
+    that has built the (k, 3, 3) rotation_matrix of its parameters may pass
+    them as R.  The mass component is invariant under every flow.  A row of
+    a stack gives the bits of the same row alone.
     """
     if family == "ctrans":
         return ctrans(alg, params, V)
@@ -520,9 +535,9 @@ def coad_closed_form(alg: AlgebraSpec, family: str, params, V) -> np.ndarray:
         out[:, ih] = h + 2.0 * p * d + p * p * k
         out[:, i_d] = d + p * k
     else:  # rotation
-        R = np.array([rotation_matrix(om) for om in p]).reshape(-1, 1, 3, 3)
+        R = np.array([rotation_matrix(om) for om in p]) if R is None else np.asarray(R)
         rows = np.array([j_rows, c0, c1])  # the three 3-vectors J, C_0, C_1
-        out[:, rows] = (R @ V[:, rows][..., None])[..., 0]
+        out[:, rows] = (R.reshape(-1, 1, 3, 3) @ V[:, rows][..., None])[..., 0]
     return out
 
 
@@ -607,7 +622,7 @@ def orbit_components(m: float, s, chi, x):
     """(j, c, h, d, k) of the orbit parametrization for stacked samples:
     the base point (s, chi) with no tower components, translated by x."""
     h, d, k = conformal_basis_inverse(np.moveaxis(chi, -1, 0))
-    return translate_dual(m, x, s, np.zeros_like(x), h, d, k)
+    return translate_dual(m, x, s, None, h, d, k)
 
 
 def parametrize(label: OrbitLabel, s, chi, x_levels):
@@ -681,7 +696,7 @@ def casimir_arrays(m, j, c, h, d, k):
     c, j = np.ascontiguousarray(c), np.ascontiguousarray(j)
     N, dim = c.shape[-2] - 1, c.shape[-1]
     alpha, a_coef, b_coef, q_coef = _casimir_weights(N)
-    cr = c[..., ::-1, :]
+    cr = np.ascontiguousarray(c[..., ::-1, :])  # C-ordered, as in translate_dual
     pair = _rowdot if dim == 3 else _eps_pair
     Cq = _levels(pair(c, cr), q_coef)
     A = _levels(pair(c[..., :-1, :], cr[..., 1:, :]), a_coef)

@@ -299,22 +299,19 @@ def conservation_drifts(traj: Trajectory) -> Tuple[Dict[str, float], Dict[str, f
     as trajectory_csv_text does, if traj was integrated without recording.
     """
     rec, ham = _recorded(traj), traj.ham
-
-    def drift(v):
-        dev = np.abs(v - v[0]).reshape(len(v), -1).max(axis=1)
-        i = int(np.argmax(dev))
-        return float(dev[i]), float(traj.times[i])
-
     if ham.free:
-        out = {"p0": drift(traj.p[:, 0]), "chi_diff": drift(traj.chi[:, 0] - traj.chi[:, 1])}
-        names = ("h", "j", "C1", "C2", "C3")
+        named = {"p0": traj.p[:, 0], "chi_diff": traj.chi[:, 0] - traj.chi[:, 1],
+                 "h": rec["h"], "j": rec["j"]}
     else:
-        out = {"deformed_energy": drift(rec["h"] + ham.sign * ham.omega ** 2 * rec["k"])}
-        names = ("C1", "C2", "C3")
-    out.update({nm: drift(rec[nm]) for nm in names})
-    out["spin_invariant"] = drift(spin_invariant(traj.s))
-    out["chi_interval"] = drift(chi_interval(traj.chi))
-    return {k: d for k, (d, _) in out.items()}, {k: t for k, (_, t) in out.items()}
+        named = {"deformed_energy": rec["h"] + ham.sign * ham.omega ** 2 * rec["k"]}
+    named.update({nm: rec[nm] for nm in ("C1", "C2", "C3")},
+                 spin_invariant=spin_invariant(traj.s), chi_interval=chi_interval(traj.chi))
+    # one row per quantity of its deviations, the largest over its components
+    dev = np.array([d if d.ndim == 1 else d.max(axis=1)
+                    for d in (np.abs(v - v[0]) for v in named.values())])
+    first = np.argmax(dev, axis=1)  # the first sample at which each drift is reached
+    return (dict(zip(named, dev[np.arange(len(dev)), first].tolist())),
+            dict(zip(named, traj.times[first].tolist())))
 
 
 def _step_count(T: float, dt: float) -> int:

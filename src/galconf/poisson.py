@@ -427,13 +427,16 @@ def raw_levels(q, p, m: float) -> np.ndarray:
     N, dim = tower_order(q.shape), q.shape[-1]
     nq, n_p = q.shape[-2], p.shape[-2]
     if dim == 2:
-        p = p @ EPS2.T  # undo the turn of the momentum line
+        # p @ EPS2.T undoes the turn of the momentum line; its sums start from +0.0
+        p = np.stack([p[..., 1] + 0.0, 0.0 - p[..., 0]], axis=-1)
     x = np.empty(q.shape[:-2] + (N + 1, dim), dtype=np.result_type(q, p, float))
-    x[..., :nq, :] = np.array([tower_sign(N, k) for k in range(nq)], dtype=float)[:, None] * q \
-        / np.array([_fact(k) for k in range(nq)], dtype=float)[:, None]
+    # sign q_k / k! as q_k / (sign k!), which only moves the sign; the
+    # divisors have a column per axis, so each sample's levels are one run
+    np.divide(q, np.array([[tower_sign(N, k) * _fact(k)] * dim for k in range(nq)], dtype=float),
+              out=x[..., :nq, :])
     # momentum level k sits at tower level N - k
-    scale = np.array([m * _fact(N - k) for k in range(n_p)])[:, None]
-    x[..., N - n_p + 1:, :] = (p / scale)[..., ::-1, :]
+    np.divide(p[..., ::-1, :], np.array([[m * _fact(k)] * dim for k in range(N - n_p + 1, N + 1)]),
+              out=x[..., N - n_p + 1:, :])
     return x
 
 

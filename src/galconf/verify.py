@@ -13,6 +13,7 @@ import math
 from dataclasses import replace
 from functools import cache
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -354,17 +355,21 @@ def suite_orbit(seed: int, tols: Dict[str, float],
 # ---------------------------------------------------------------------------
 
 def _random_poly(rng, sm: po.StructureMatrix) -> po.Poly:
-    """A constant plus three monomials of degree 1 or 2 in random coordinates."""
+    """A constant plus three monomials of degree 1 or 2 in random coordinates,
+    summed term by term as Poly sums do, a sum of zero dropping its term."""
     syms = sm.coordinates()
-    out = po.Poly.const(float(rng.uniform(-1, 1)))
+    terms = {(): float(rng.uniform(-1, 1))}
     for _ in range(3):
-        k = int(rng.integers(1, 3))
-        mono = po.Poly.const(float(rng.uniform(-1, 1)))
+        k, coeff, mono = int(rng.integers(1, 3)), float(rng.uniform(-1, 1)), {}
         for _ in range(k):
             sym = syms[int(rng.integers(0, len(syms)))]
-            mono = mono * po.Poly.var(sym)
-        out = out + mono
-    return out
+            mono[sym] = mono.get(sym, 0) + 1
+        key = tuple(sorted(mono.items()))
+        if total := terms.get(key, 0.0) + coeff:
+            terms[key] = total
+        else:
+            terms.pop(key, None)
+    return po.Poly(terms)
 
 
 def suite_poisson(seed: int, tols: Dict[str, float],
@@ -380,17 +385,14 @@ def suite_poisson(seed: int, tols: Dict[str, float],
         n = 50
         env = dict(zip(sm.coordinates(), po.random_points(rng, n, N, dim).T))
         values = {Z: g.eval(env) for Z, g in mm.items()}
-        worst, detail = 0.0, f"all pairs exact at {n} points"
-        gens = list(alg.generators)
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                X, Y = gens[i], gens[j]
-                rhs = sum(float(cz) * values[Z] for Z, cz in alg.table.get((X, Y), {}).items())
-                gap = np.abs(po.poly_bracket(mm[X], mm[Y], sm).eval(env) - rhs)
-                k = int(np.argmax(gap))  # the first point of the largest gap
-                if gap[k] > worst:
-                    worst = float(gap[k])
-                    detail = f"worst pair ({X.name}, {Y.name}) at point {k} of {n}"
+        pairs = list(combinations(alg.generators, 2))
+        gaps = np.abs([po.poly_bracket(mm[X], mm[Y], sm).eval(env)
+                       - sum(float(cz) * values[Z] for Z, cz in alg.table.get((X, Y), {}).items())
+                       for X, Y in pairs])
+        i = int(np.argmax(gaps))  # the largest gap: its first pair, then its first point
+        (X, Y), worst = pairs[i // n], float(gaps.flat[i])
+        detail = f"worst pair ({X.name}, {Y.name}) at point {i % n} of {n}" if worst \
+            else f"all pairs exact at {n} points"
         cases.append(_case(f"momentum_map_closure_N{N}_dim{dim}", worst, tols["closure"],
                            detail))
 
@@ -632,7 +634,8 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
     xv, pv, _ = sy.GalileiMap(v=v).apply(x, p, 0.0, m)
     qt, ptau, chit = dy.free_flow(pts.q, pts.p, chi, m, -tau)
     xc, pc, _ = sy.ConformalMap(cpar).apply(x, p, 0.0, m)
-    # one rotation_matrix call per draw: a stacked sin or norm need not round alike
+    # one rotation_matrix call per draw (a stacked sin or norm need not round
+    # alike), shared by the active map and the rotation column
     R = np.array([co.rotation_matrix(w) for w in om])
     xr, pr, _ = sy.GalileiMap(R=R).apply(x, p, 0.0, m)
     # (inputs, images, column parameters) per family; states are (x, p, s, chi).
@@ -652,7 +655,8 @@ def suite_symmetry(seed: int, tols: Dict[str, float],
         return co.pack_dual(alg1, m, *po.dual_vector_at(pts))
 
     for fam, (inputs, images, params) in draws.items():
-        cols = co.coad_closed_form(alg1, fam, params, duals(inputs))
+        cols = co.coad_closed_form(alg1, fam, params, duals(inputs),
+                                   R if fam == "rotation" else None)
         worst, detail = _worst_draw(np.abs(duals(images) - cols).max(axis=1))
         cases.append(_case(f"column_consistency_{fam}", worst, tols["column"], detail))
     return cases

@@ -1,5 +1,6 @@
 """Coadjoint flows, orbit classification and Casimir functions."""
 
+import itertools
 import math
 import re
 import warnings
@@ -7,16 +8,27 @@ import warnings
 import numpy as np
 import pytest
 
-from galconf.algebra import GeneratorId, build_algebra, spin_components
+from galconf.algebra import (
+    EPS2,
+    GeneratorId,
+    build_algebra,
+    conformal_basis_inverse,
+    spin_components,
+    tower_sign,
+)
 from galconf.coadjoint import (
     ORBIT_TAGS,
     SERIES_MAX_TERMS,
     SERIES_TAIL_TOL,
+    _cross2,
     _cross3,
+    _eps_pair,
     _expm,
     _level_sum,
+    _levels,
     _rowdot,
     _series_terms,
+    _translation_weights,
     ad_star_matrix,
     OrbitClass,
     OrbitLabel,
@@ -44,7 +56,17 @@ from galconf.errors import (
     UnknownGenerator,
     UnsupportedClosedForm,
 )
-from galconf.poisson import uniform_block
+from galconf.poisson import (
+    Poly,
+    StructureMatrix,
+    chart_blocks,
+    generator_polynomials,
+    p_levels,
+    q_levels,
+    raw_levels,
+    tower_order,
+    uniform_block,
+)
 from galconf.verify import (
     ACCEPTANCE_ALGEBRAS,
     FLOW_FAMILIES,
@@ -810,6 +832,158 @@ def test_level_kernels_are_row_exact(N, dim):
         want = casimir_values(alg, orbit_rows(alg, m[i], s[i], chi[i], x[i:i + 1]))
         for got, w in zip(stacked, want):
             assert same_bits(got[i:i + 1], w), i
+
+
+# ---------------------------------------------------------------------------
+# the zero tower of translate_dual (c=None), against a tower of zeros
+# ---------------------------------------------------------------------------
+
+ZERO_TOWER_FAMILIES = FLOW_FAMILIES + ((5, 3), (7, 3), (6, 2))
+
+
+def reference_translation(m, x, j, c, h, d, k):
+    """The tower translation as it was written before c=None: every term in
+    c taken, reversed levels read as views, the dimension-2 turn a matmul.
+    The reference for the bits of the zero tower and the terms of the
+    generator polynomials."""
+    m, x = np.asarray(m, dtype=float), np.ascontiguousarray(x)
+    j, c = np.ascontiguousarray(j), np.ascontiguousarray(c)
+    N, dim = x.shape[-2] - 1, x.shape[-1]
+    w = N / 2.0 - np.arange(N + 1)
+    g, gh, gk = _translation_weights(N)
+    pair = _rowdot if dim == 3 else _eps_pair
+    mc = m[..., None, None]
+    xr = x[..., ::-1, :]
+    cp = c - mc * g[:, None] * (xr if dim == 3 else xr @ EPS2)
+    if dim == 3:
+        j = j - _level_sum(_cross3(x, c) + (mc / 2.0) * g[:, None] * _cross3(xr, x))
+    else:
+        j = np.asarray(j[..., 0] - np.sum(_cross2(x, c), axis=-1)
+                       + (m / 2.0) * _levels(_rowdot(x, xr), g))[..., None]
+    d = d - _levels(_rowdot(x, c), w) + (m / 2.0) * _levels(pair(x, xr), w * g)
+    h = h + _levels(_rowdot(x[..., 1:, :], c[..., :-1, :]), np.arange(1.0, N + 1)) \
+        + (m / 2.0) * _levels(pair(x[..., 1:, :], x[..., :0:-1, :]), gh)
+    k = k - _levels(_rowdot(x[..., :-1, :], c[..., 1:, :]), np.arange(float(N), 0.0, -1.0)) \
+        - (m / 2.0) * _levels(pair(x[..., :-1, :], x[..., -2::-1, :]), gk)
+    return j, cp, h, d, k
+
+
+def reference_raw_levels(q, p, m):
+    """raw_levels as it was written: the momentum line turned back by a
+    matmul with EPS2.T, then sign * q / k! and p / (m (N - k)!) per level."""
+    N, dim, nq, n_p = tower_order(q.shape), q.shape[-1], q.shape[-2], p.shape[-2]
+    if dim == 2:
+        p = p @ EPS2.T
+    x = np.empty(q.shape[:-2] + (N + 1, dim), dtype=np.result_type(q, p, float))
+    x[..., :nq, :] = np.array([tower_sign(N, k) for k in range(nq)], dtype=float)[:, None] * q \
+        / np.array([math.factorial(k) for k in range(nq)], dtype=float)[:, None]
+    scale = np.array([m * math.factorial(N - k) for k in range(n_p)])[:, None]
+    x[..., N - n_p + 1:, :] = (p / scale)[..., ::-1, :]
+    return x
+
+
+def assert_zero_tower_bits(m, x, j, h, d, k):
+    """translate_dual without a tower gives the bits of a tower of +0.0,
+    through itself and through the reference translation."""
+    lean = translate_dual(m, x, j, None, h, d, k)
+    for full in (translate_dual(m, x, j, np.zeros_like(x), h, d, k),
+                 reference_translation(m, x, j, np.zeros_like(x), h, d, k)):
+        for name, got, want in zip("jchdk", lean, full):
+            assert same_bits(np.asarray(got), np.asarray(want)), name
+    return lean
+
+
+@pytest.mark.parametrize("N,dim", ZERO_TOWER_FAMILIES)
+def test_zero_tower_matches_a_tower_of_zeros_on_random_stacks(N, dim):
+    rng = np.random.default_rng(900 + 10 * N + dim)
+    n = 41
+    m = rng.uniform(0.3, 2.0, n)  # one mass per row
+    x = rng.uniform(-1, 1, (n, N + 1, dim))
+    j = rng.uniform(-1, 1, (n, spin_components(dim)))
+    h, d, k = rng.uniform(-1, 1, (3, n))
+    lean = assert_zero_tower_bits(m, x, j, h, d, k)
+    for i in (0, 17, n - 1):  # a row alone
+        alone = assert_zero_tower_bits(m[i], x[i], j[i], h[i], d[i], k[i])
+        for got, want in zip(lean, alone):
+            assert same_bits(got[i], np.asarray(want)), i
+
+
+@pytest.mark.parametrize("N,dim", ZERO_TOWER_FAMILIES)
+def test_zero_tower_keeps_signed_zeros(N, dim):
+    # x, s, h, d and k each +0.0, -0.0 or random, one combination per row,
+    # at a positive, a negative and a signed-zero mass: with a negative mass
+    # or x = 0 the terms in x can be -0.0, so a dropped +0.0 of the tower
+    # (the one it adds to h, say) leaves a -0.0 where the tower has +0.0.  x
+    # also takes levels (-0.0, +0.0, ...), whose so(2) cross product with a
+    # zero tower is -0.0 on every level.
+    rng = np.random.default_rng(950 + 10 * N + dim)
+    kinds = (0.0, -0.0, None)
+    rows = [(mass, *kind) for mass in (1.3, -0.7, 0.0, -0.0)
+            for kind in itertools.product(kinds + ("turned",), *[kinds] * 4)]
+
+    def fill(kind, shape):
+        if kind is None:
+            return rng.uniform(-1, 1, shape)
+        if kind == "turned":
+            return np.broadcast_to(np.array([-0.0, 0.0, 0.0])[:shape[-1]], shape)
+        return np.full(shape, kind)
+
+    m = np.array([row[0] for row in rows])
+    x = np.array([fill(row[1], (N + 1, dim)) for row in rows])
+    j = np.array([fill(row[2], (spin_components(dim),)) for row in rows])
+    h, d, k = (np.array([fill(row[i], ()) for row in rows]) for i in (3, 4, 5))
+    assert_zero_tower_bits(m, x, j, h, d, k)
+
+
+@pytest.mark.parametrize("N,dim", ZERO_TOWER_FAMILIES)
+def test_translation_with_a_tower_matches_the_reference(N, dim):
+    rng = np.random.default_rng(970 + 10 * N + dim)
+    n = 300
+    m = rng.uniform(0.3, 2.0, n)
+    x, c = rng.uniform(-1, 1, (2, n, N + 1, dim))
+    for a in (x, c):  # signed zeros, which the dimension-2 turn must keep as the matmul did
+        a[rng.integers(0, 3, a.shape) == 0] = 0.0
+        a[rng.integers(0, 3, a.shape) == 0] = -0.0
+    j = rng.uniform(-1, 1, (n, spin_components(dim)))
+    h, d, k = rng.uniform(-1, 1, (3, n))
+    for got, want in zip(translate_dual(m, x, j, c, h, d, k),
+                         reference_translation(m, x, j, c, h, d, k)):
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("N,dim", ZERO_TOWER_FAMILIES)
+def test_raw_levels_match_the_reference_bit_for_bit(N, dim):
+    # with signed zeros, which the turn of the momentum line keeps as the
+    # matmul did: its sums start from +0.0
+    rng = np.random.default_rng(980 + 10 * N + dim)
+    q = rng.uniform(-1, 1, (60, q_levels(N, dim), dim))
+    p = rng.uniform(-1, 1, (60, p_levels(N, dim), dim))
+    for a in (q, p):
+        a[rng.integers(0, 3, a.shape) == 0] = 0.0
+        a[rng.integers(0, 3, a.shape) == 0] = -0.0
+    for m in (0.7, 1.9):
+        assert same_bits(raw_levels(q, p, m), reference_raw_levels(q, p, m))
+        assert same_bits(raw_levels(q[5], p[5], m), reference_raw_levels(q[5], p[5], m))
+
+
+@pytest.mark.parametrize("N,dim", ZERO_TOWER_FAMILIES)
+def test_zero_tower_polynomials_keep_their_terms(N, dim):
+    # the terms in their order, which Poly.eval sums in
+    def terms(poly):
+        return list(poly.terms.items())
+
+    for m in (0.9, 1.3):
+        z = np.array([Poly.var(sym) for sym in StructureMatrix(N, dim, m).coordinates()])
+        q, p, s, chi = chart_blocks(z, N, dim)
+        x = reference_raw_levels(q, p, m)
+        hdk = conformal_basis_inverse(np.moveaxis(chi, -1, 0))
+        j, c, h, d, k = reference_translation(m, x, s, np.zeros_like(x), *hdk)
+        got = generator_polynomials(N, dim, m)
+        for name, want in (("h", h), ("d", d), ("k", k)):
+            assert terms(got[name]) == terms(want), name
+        assert [terms(f) for f in got["j"]] == [terms(f) for f in j]
+        assert [[terms(f) for f in level] for level in got["c"]] \
+            == [[terms(f) for f in level] for level in c.tolist()]
 
 
 @pytest.mark.parametrize("N,dim", FLOW_FAMILIES)

@@ -1060,6 +1060,42 @@ def test_conservation_drifts_follow_the_trajectory_hamiltonian():
     assert drifts["deformed_energy"] <= 1e-8
 
 
+def per_quantity_drifts(traj):
+    """conservation_drifts as it once took the quantities one at a time."""
+    rec, ham = traj.recorded, traj.ham
+
+    def drift(v):
+        dev = np.abs(v - v[0]).reshape(len(v), -1).max(axis=1)
+        i = int(np.argmax(dev))
+        return float(dev[i]), float(traj.times[i])
+
+    if ham.free:
+        out = {"p0": drift(traj.p[:, 0]), "chi_diff": drift(traj.chi[:, 0] - traj.chi[:, 1])}
+        names = ("h", "j", "C1", "C2", "C3")
+    else:
+        out = {"deformed_energy": drift(rec["h"] + ham.sign * ham.omega ** 2 * rec["k"])}
+        names = ("C1", "C2", "C3")
+    out.update({nm: drift(rec[nm]) for nm in names})
+    out["spin_invariant"] = drift(spin_invariant(traj.s))
+    out["chi_interval"] = drift(chi_interval(traj.chi))
+    return {k: d for k, (d, _) in out.items()}, {k: t for k, (_, t) in out.items()}
+
+
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+def test_conservation_drifts_match_the_per_quantity_loop(N, dim):
+    rng = np.random.default_rng(1100 + 10 * N + dim)
+    pt = random_point(rng, N, dim)
+    runs = [integrate(pt, FREE, 1.0, 1e-2, method) for method in ("rk4", "closed")]
+    runs += [integrate(pt, HamiltonianChoice("newton_hooke", omega=1.5, sign=sign), 1.0, 1e-2)
+             for sign in (1, -1)]
+    for tr in runs:
+        drifts, times = conservation_drifts(tr)
+        want_drifts, want_times = per_quantity_drifts(tr)
+        assert list(drifts) == list(times) == list(want_drifts)
+        assert [v.hex() for v in drifts.values()] == [v.hex() for v in want_drifts.values()]
+        assert times == want_times  # the first time at which each drift is reached
+
+
 @pytest.mark.parametrize("N,dim", [(N, dim) for N, dim in DOUBLING_FAMILIES if dim == 3])
 def test_generator_spin_matches_np_cross_on_unpacked_views(N, dim):
     """j of generators_at on a stack made from the strided q/p views of packed

@@ -27,7 +27,7 @@ from galconf.poisson import (
     raw_bracket,
     to_darboux,
 )
-from galconf.verify import FLOW_FAMILIES, flip_constant, run_suites
+from galconf.verify import FLOW_FAMILIES, _random_poly, flip_constant, run_suites
 
 
 class TestRawBracket:
@@ -674,3 +674,27 @@ def test_momentum_map_brackets_match_the_per_pair_merge(N, dim):
 
 def test_the_monomial_product_memo_is_bounded():
     assert po._mono_product.cache_info().maxsize is not None
+
+
+def random_poly_by_poly_sums(rng, sm):
+    """verify._random_poly as it once summed Poly products."""
+    syms = sm.coordinates()
+    out = Poly.const(float(rng.uniform(-1, 1)))
+    for _ in range(3):
+        k = int(rng.integers(1, 3))
+        mono = Poly.const(float(rng.uniform(-1, 1)))
+        for _ in range(k):
+            mono = mono * Poly.var(syms[int(rng.integers(0, len(syms)))])
+        out = out + mono
+    return out
+
+
+@pytest.mark.parametrize("N,dim", [(1, 3), (2, 2)])
+def test_random_poly_matches_poly_sums(N, dim):
+    # the same draws and the same terms in the same order, which Poly.eval sums in
+    sm = StructureMatrix(N, dim, 1.1)
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(300):
+        assert list(_random_poly(a, sm).terms.items()) \
+            == list(random_poly_by_poly_sums(b, sm).terms.items())
+    assert a.random() == b.random()

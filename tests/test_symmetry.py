@@ -37,6 +37,7 @@ from galconf.symmetry import (
     map_trajectory,
     schrodinger_integrals,
 )
+from galconf import verify as verify_module
 from galconf.verify import FLOW_FAMILIES, _worst_at, _worst_draw, run_suites
 
 
@@ -700,3 +701,14 @@ def test_stacked_symmetry_draws_match_the_per_draw_loop(seed):
     want = symmetry_reference_cases(seed)
     assert {name: (cases[name]["defect"].hex(), cases[name]["detail"]) for name in want} \
         == {name: (float(defect).hex(), detail) for name, (defect, detail) in want.items()}
+
+
+def test_symmetry_suite_builds_each_rotation_once(monkeypatch):
+    # one matrix for the galilei_rotation map and one per column draw (40),
+    # each shared by the active map and the rotation column
+    calls = []
+    real = verify_module.co.rotation_matrix
+    monkeypatch.setattr(verify_module.co, "rotation_matrix",
+                        lambda omega: calls.append(1) or real(omega))
+    report = run_suites("symmetry", seed=42)
+    assert report["passed"] and len(calls) == 41
