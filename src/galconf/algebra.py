@@ -4,8 +4,10 @@ The family is indexed by a positive integer N and the spatial dimension
 (2 or 3).  Generators are rotations J, an sl(2,R) triple (H, D, K), a tower
 of vector generators C_0 .. C_N carrying a spin-N/2 action of the triple,
 optionally a space dilatation Ds, and optionally a central mass M.  The
-central extension exists only for N odd in dimension 3 and N even in
-dimension 2.
+mass is built for N odd in dimension 3 and N even in dimension 2.  In
+dimension 3 no central extension exists for N even.  In dimension 2 one
+exists for N odd too, pairing the tower through delta_ab rather than
+eps^{ab}, but galconf does not build that member.
 
 Convention: every commutator is written [X, Y] = i * c * Z and the table
 stores the real coefficient c as an exact ``Fraction``.  Orientation
@@ -28,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadDimension, UnknownGenerator, UnsupportedExtension
+from .errors import BadDimension, InvalidState, UnknownGenerator, UnsupportedExtension
 
 __all__ = [
     "GeneratorId",
@@ -212,13 +214,35 @@ class AlgebraSpec:
         return gid
 
     def element(self, coeffs: Mapping[str, object]) -> Element:
-        """Build a sparse element from {generator name: coefficient}."""
+        """Build a sparse element from {generator name: coefficient}; InvalidState
+        for a coefficient that is not a finite rational number."""
         out: Element = {}
         for name, value in coeffs.items():
-            c = Fraction(value)
+            c = _coefficient(value)
             if c:
                 out[self.generator(name)] = c
         return out
+
+
+def _coefficient(value: object) -> Fraction:
+    """value as an exact Fraction, or InvalidState when it is not a finite
+    rational number (NaN, an infinity, an unparsable string, None)."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidState(f"coefficient {value!r} is not a finite rational number") from None
+
+
+def _checked_terms(alg: AlgebraSpec,
+                   X: Mapping[GeneratorId, object]) -> List[Tuple[GeneratorId, Fraction]]:
+    """The (generator, Fraction coefficient) terms of X, with UnknownGenerator
+    for a generator outside alg and InvalidState for a bad coefficient."""
+    terms = []
+    for g, c in X.items():
+        if g not in alg.index:
+            raise UnknownGenerator(str(g))
+        terms.append((g, _coefficient(c)))
+    return terms
 
 
 def _put(table, x: GeneratorId, y: GeneratorId, result: Element) -> None:
@@ -234,9 +258,11 @@ def check_family(N: int, dim: int, central: bool, with_ds: bool = False) -> None
     without building its table.
 
     Raises UnsupportedExtension when a central charge is requested outside
-    the two admissible families (N odd / dim 3, N even / dim 2) or together
-    with the space dilatation, and BadDimension for dim not in {2, 3} or N
-    not a positive integer (a bool is neither).
+    the two built families (N odd / dim 3, N even / dim 2) or together with
+    the space dilatation, and BadDimension for dim not in {2, 3} or N not a
+    positive integer (a bool is neither).  Of the members left out, N even
+    in dimension 3 has no central extension, and N odd in dimension 2 has
+    one (the delta_ab pairing) that galconf does not build.
     """
     if isinstance(dim, bool) or not isinstance(dim, int) or dim not in (2, 3):
         raise BadDimension(f"dim must be 2 or 3, got {dim}")
@@ -247,10 +273,16 @@ def check_family(N: int, dim: int, central: bool, with_ds: bool = False) -> None
             raise UnsupportedExtension(
                 "the space dilatation must be dropped before extending centrally"
             )
-        if not ((N % 2 == 1 and dim == 3) or (N % 2 == 0 and dim == 2)):
+        if dim == 3 and N % 2 == 0:
             raise UnsupportedExtension(
-                f"no central extension for N={N}, dim={dim}; "
-                "it exists only for N odd in dimension 3 or N even in dimension 2"
+                f"no central extension for N={N}, dim=3; "
+                "in dimension 3 one exists only for N odd"
+            )
+        if dim == 2 and N % 2 == 1:
+            raise UnsupportedExtension(
+                f"galconf does not build the central extension for N={N}, dim=2; "
+                "it exists, pairing the tower through delta_ab, but galconf builds "
+                "dimension 2 only for N even"
             )
 
 
@@ -329,19 +361,19 @@ def build_algebra(N: int, dim: int, central: bool, with_ds: bool = False) -> Alg
 
 def bracket(alg: AlgebraSpec, X: Mapping[GeneratorId, object],
             Y: Mapping[GeneratorId, object]) -> Element:
-    """Bilinear extension of the table; exact rational arithmetic throughout."""
+    """Bilinear extension of the table; exact rational arithmetic throughout.
+
+    Raises UnknownGenerator for a generator outside alg and InvalidState for
+    a coefficient that is not a finite rational number, in X or in Y.
+    """
     out: Element = {}
-    for gx, cx in X.items():
-        if gx not in alg.index:
-            raise UnknownGenerator(str(gx))
-        cx = Fraction(cx)
-        for gy, cy in Y.items():
-            if gy not in alg.index:
-                raise UnknownGenerator(str(gy))
+    ys = _checked_terms(alg, Y)
+    for gx, cx in _checked_terms(alg, X):
+        for gy, cy in ys:
             row = alg.table.get((gx, gy))
             if not row:
                 continue
-            cxy = cx * Fraction(cy)
+            cxy = cx * cy
             for gz, cz in row.items():
                 out[gz] = out.get(gz, Fraction(0)) + cxy * cz
     return {g: c for g, c in out.items() if c}
@@ -357,52 +389,73 @@ def _jacobi_defect(alg: AlgebraSpec, x, y, z) -> Fraction:
     return max((abs(v) for v in total.values()), default=Fraction(0))
 
 
+def _sum_dtype(bound: int):
+    """The dtype of the Jacobi sums when none exceeds ``bound`` in absolute
+    value: int64 when that is safe, object (Python ints) otherwise."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values in sorted keys."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+
 def jacobi_worst(alg: AlgebraSpec) -> Tuple[Fraction, Optional[Tuple[str, str, str]]]:
     """Maximum coefficient-wise Jacobi defect over all generator triples, and
     the worst triple (None when the defect is zero).
 
     The defect is an exact zero for every admissible algebra; any nonzero
     value indicates a corrupted table.  Sparse and exact: every term
-    [a, [b, c]] of a Jacobi sum is a stored pair (b, c), a generator w of its
-    result and a stored pair (a, w), so only those products are formed.
-    Each is added to the sum of the triple {a, b, c} when (a, b, c) is a
-    cyclic rotation of the triple in generator order, which gives the same
-    sums as ``_jacobi_defect``, the per-triple oracle.  The constants are
-    taken as integers over their common denominator den, p/q as
-    p * (den // q).  The worst triple is
-    the first in ``combinations`` order among those with the largest
-    coefficient.
+    [a, [b, c]] of a Jacobi sum pairs a stored entry (b, c) -> w with a
+    stored entry (a, w) -> g, so the entries are joined once on w, with the
+    (a, w) entries sorted by their right-hand generator.  A product is kept
+    when (a, b, c) is a cyclic rotation of a triple in generator order; as
+    each rotation reads its own stored order of (b, c), the sums are those of
+    ``_jacobi_defect``, the per-triple oracle, also on a table whose two
+    orders of a pair are not negatives.  One sort groups the products by
+    (triple, g) for the sums.  The constants are integers over their common
+    denominator den, p/q as p * (den // q), summed in the dtype that
+    ``_sum_dtype`` picks from a bound on every sum.  The worst triple is the
+    first in ``combinations`` order among those with the largest coefficient.
     """
-    index = alg.index
-    den = math.lcm(*(c.denominator for row in alg.table.values() for c in row.values()))
-    pairs = [(index[x], index[y],
-              [(index[g], c.numerator * (den // c.denominator)) for g, c in row.items()])
-             for (x, y), row in alg.table.items()]
-    by_rhs: Dict[int, List[Tuple[int, List[Tuple[int, int]]]]] = {}
-    for ia, iw, row in pairs:
-        by_rhs.setdefault(iw, []).append((ia, row))
-    sums: Dict[Tuple[int, int, int], Dict[int, int]] = {}
-    for ib, ic, bc in pairs:
-        for iw, t in bc:
-            for ia, aw in by_rhs.get(iw, ()):
-                if ia < ib < ic:
-                    key = (ia, ib, ic)
-                elif ib < ic < ia:
-                    key = (ib, ic, ia)
-                elif ic < ia < ib:
-                    key = (ic, ia, ib)
-                else:  # a repeated generator, or an anticyclic order
-                    continue
-                acc = sums.setdefault(key, {})
-                for g, u in aw:
-                    acc[g] = acc.get(g, 0) + t * u
-    worst, worst_key = 0, None
-    for key, acc in sums.items():
-        d = max(map(abs, acc.values()))
-        if d > worst or (d == worst and d and key < worst_key):
-            worst, worst_key = d, key
-    names = tuple(alg.generators[i].name for i in worst_key) if worst_key else None
-    return Fraction(worst, den * den), names
+    index, table = alg.index, alg.table
+    rows = list(table.values())
+    sizes = list(map(len, rows))
+    x = np.repeat(np.array([index[g] for g, _ in table], dtype=np.int64), sizes)
+    y = np.repeat(np.array([index[g] for _, g in table], dtype=np.int64), sizes)
+    w = np.array([index[g] for row in rows for g in row], dtype=np.int64)
+    ratios = [c.as_integer_ratio() for row in rows for c in row.values()]
+    den = math.lcm(*(q for _, q in ratios))
+    consts = [p * (den // q) for p, q in ratios]
+    # Entry `inner` is a (b, c) -> w and entry `outer` an (a, w) -> g.
+    by_rhs = np.argsort(y, kind="stable")
+    first = np.searchsorted(y[by_rhs], w, "left")
+    count = np.searchsorted(y[by_rhs], w, "right") - first
+    inner = np.repeat(np.arange(len(w)), count)
+    outer = by_rhs[np.arange(len(inner)) + np.repeat(first - np.cumsum(count) + count, count)]
+    n = len(alg.generators)
+    a, b, c = x[outer], x[inner], y[inner]
+    triple = np.where(a < b, np.where(b < c, (a * n + b) * n + c,
+                                      np.where(c < a, (c * n + a) * n + b, -1)),
+                      np.where((b < c) & (c < a), (b * n + c) * n + a, -1))
+    keep = triple >= 0
+    if not keep.any():
+        return Fraction(0), None
+    key = triple[keep] * n + w[outer[keep]]
+    order = np.argsort(key, kind="stable")
+    key, inner, outer = key[order], inner[keep][order], outer[keep][order]
+    v = np.array(consts, dtype=_sum_dtype(max(map(abs, consts)) ** 2 * len(key)))
+    starts = _run_starts(key)
+    sums = np.abs(np.add.reduceat(v[inner] * v[outer], starts))
+    triples = key[starts] // n
+    per_triple = _run_starts(triples)
+    worst = np.maximum.reduceat(sums, per_triple)
+    i = int(np.argmax(worst))  # the first of the largest, in combinations order
+    if not worst[i]:
+        return Fraction(0), None
+    t = int(triples[per_triple[i]])
+    names = tuple(alg.generators[j].name for j in (t // (n * n), t // n % n, t % n))
+    return Fraction(int(worst[i]), den * den), names
 
 
 def _negates(rev: Optional[Element], res: Element) -> bool:

@@ -10,7 +10,8 @@ class BadDimension(GalconfError):
 
 
 class UnsupportedExtension(GalconfError):
-    """Central extension requested outside the admissible (N, dim) families."""
+    """Central extension requested for an (N, dim) member that galconf does not
+    build: one with no central extension, or the (N odd, dim 2) member."""
 
 
 class UnknownGenerator(GalconfError):
@@ -66,4 +67,5 @@ class NonFiniteResult(GalconfError):
 
 
 class InvalidState(GalconfError):
-    """Phase-space coordinates that are not finite, or a mass that is not positive."""
+    """Phase-space coordinates that are not finite, a mass that is not positive,
+    or an algebra coefficient that is not a finite rational number."""

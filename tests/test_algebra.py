@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galconf import algebra
 from galconf.algebra import (
     AlgebraSpec,
     _jacobi_defect,
@@ -31,7 +32,7 @@ from galconf.algebra import (
     so21_epsilon_lower,
     structure_checks,
 )
-from galconf.errors import BadDimension, UnknownGenerator, UnsupportedExtension
+from galconf.errors import BadDimension, InvalidState, UnknownGenerator, UnsupportedExtension
 from galconf.verify import ACCEPTANCE_ALGEBRAS, break_antisymmetry, flip_constant, run_suites
 
 
@@ -252,6 +253,132 @@ def test_jacobi_worst_matches_oracle_over_a_new_common_denominator(N, dim, pair)
     assert got == dense_oracle_worst(bad)
 
 
+def jacobi_worst_reference(alg):
+    """jacobi_worst as a per-product loop: the sparse sums one dict entry at a time.
+
+    Every term [a, [b, c]] is a stored pair (b, c), a generator w of its
+    result and a stored pair (a, w); it is added to the sums of the triple
+    {a, b, c} when (a, b, c) is a cyclic rotation of the triple in generator
+    order.  The worst triple is the first in combinations order among those
+    with the largest coefficient.
+    """
+    index = alg.index
+    den = math.lcm(*(c.denominator for row in alg.table.values() for c in row.values()))
+    pairs = [(index[x], index[y],
+              [(index[g], c.numerator * (den // c.denominator)) for g, c in row.items()])
+             for (x, y), row in alg.table.items()]
+    by_rhs = {}
+    for ia, iw, row in pairs:
+        by_rhs.setdefault(iw, []).append((ia, row))
+    sums = {}
+    for ib, ic, bc in pairs:
+        for iw, t in bc:
+            for ia, aw in by_rhs.get(iw, ()):
+                if ia < ib < ic:
+                    key = (ia, ib, ic)
+                elif ib < ic < ia:
+                    key = (ib, ic, ia)
+                elif ic < ia < ib:
+                    key = (ic, ia, ib)
+                else:  # a repeated generator, or an anticyclic order
+                    continue
+                acc = sums.setdefault(key, {})
+                for g, u in aw:
+                    acc[g] = acc.get(g, 0) + t * u
+    worst, worst_key = 0, None
+    for key, acc in sums.items():
+        d = max(map(abs, acc.values()))
+        if d > worst or (d == worst and d and key < worst_key):
+            worst, worst_key = d, key
+    names = tuple(alg.generators[i].name for i in worst_key) if worst_key else None
+    return Fraction(worst, den * den), names
+
+
+def assert_matches_reference(algebras):
+    """jacobi_worst and jacobi_worst_reference give the same defect, of type
+    Fraction, and the same triple on every algebra."""
+    mismatched = []
+    for alg in algebras:
+        got, want = jacobi_worst(alg), jacobi_worst_reference(alg)
+        if got != want or type(got[0]) is not Fraction:
+            mismatched.append((alg.N, alg.dim, got, want))
+    assert not mismatched
+
+
+def admissible_members(top):
+    """Every member up to N = top that build_algebra builds, central and plain,
+    without Ds."""
+    for N in range(1, top + 1):
+        for dim in (2, 3):
+            yield build_algebra(N, dim, central=False)
+            if (N % 2, dim) in ((1, 3), (0, 2)):
+                yield build_algebra(N, dim, central=True)
+
+
+def every_mutant(base):
+    """Every flip_constant mutant (one per unordered pair) and every
+    break_antisymmetry mutant (one per stored order) of base."""
+    for x, y in base.table:
+        if base.index[x] < base.index[y]:
+            yield flip_constant(base, x.name, y.name)
+        yield break_antisymmetry(base, x.name, y.name)
+
+
+def test_jacobi_worst_matches_the_reference_on_every_member():
+    assert_matches_reference(admissible_members(31))
+    assert_matches_reference([build_algebra(9, 3, central=False, with_ds=True)])
+
+
+@pytest.mark.parametrize("N,dim", [(3, 3), (2, 2), (5, 3), (7, 3), (6, 2)])
+def test_jacobi_worst_matches_the_reference_on_every_mutant(N, dim):
+    assert_matches_reference(every_mutant(build_algebra(N, dim, central=True)))
+
+
+@pytest.mark.parametrize("N,dim,pair", [(3, 3, ("D", "C1_1")), (2, 2, ("D", "C0_2"))])
+def test_jacobi_worst_matches_the_reference_over_a_new_common_denominator(N, dim, pair):
+    base = build_algebra(N, dim, central=True)
+    x, y = base.generator(pair[0]), base.generator(pair[1])
+    table = dict(base.table)
+    for key in ((x, y), (y, x)):
+        table[key] = {g: c * Fraction(1, 3) for g, c in table[key].items()}
+    assert_matches_reference([replace(base, table=table)])
+
+
+@pytest.mark.parametrize("rows", [False, True])
+def test_jacobi_worst_of_an_empty_table(rows):
+    """No stored pair, or only empty rows: nothing to sum, defect 0."""
+    base = build_algebra(3, 3, central=True)
+    empty = replace(base, table={key: {} for key in base.table} if rows else {})
+    assert jacobi_worst(empty) == jacobi_worst_reference(empty) == (0, None)
+    assert type(jacobi_worst(empty)[0]) is Fraction
+
+
+def test_jacobi_worst_sums_in_python_ints_past_int64(monkeypatch):
+    """Central (31,3) carries the weight 31! ~ 8.2e33, so its sums are taken
+    as Python ints; the result is still the reference's."""
+    real, chosen = algebra._sum_dtype, []
+
+    def spy(bound):
+        chosen.append(real(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(algebra, "_sum_dtype", spy)
+    alg = build_algebra(31, 3, central=True)
+    assert math.factorial(31) ** 2 >= 2 ** 63
+    assert_matches_reference([alg])
+    assert chosen == [object]
+    assert_matches_reference([build_algebra(7, 3, central=True)])
+    assert chosen == [object, np.int64]
+
+
+def test_jacobi_worst_python_int_path_matches_the_reference_on_mutants(monkeypatch):
+    """The object-dtype sums, forced on a table that fits int64, give the same
+    results as the reference on every mutant."""
+    monkeypatch.setattr(algebra, "_sum_dtype", lambda bound: object)
+    assert_matches_reference(every_mutant(build_algebra(3, 3, central=True)))
+    assert_matches_reference(every_mutant(build_algebra(2, 2, central=True)))
+
+
 def test_jacobi_detects_sign_flip():
     alg = build_algebra(3, 3, central=True)
     bad = flip_constant(alg, "C1_1", "C2_1")
@@ -377,6 +504,29 @@ def test_unsupported_central_extension(N, dim):
         build_algebra(N, dim, central=True)
 
 
+@pytest.mark.parametrize("N,dim,says", [
+    (2, 3, "no central extension for N=2, dim=3"),
+    (3, 2, "galconf does not build the central extension for N=3, dim=2"),
+])
+def test_unsupported_central_extension_message(N, dim, says):
+    with pytest.raises(UnsupportedExtension, match=says):
+        build_algebra(N, dim, central=True)
+
+
+@pytest.mark.parametrize("N,eps_defect", [(1, 2), (3, 8), (5, 72)])
+def test_planar_odd_member_exists_with_the_delta_pairing(monkeypatch, N, eps_defect):
+    """(N odd, dim 2) is left out, not absent: with check_family bypassed, the
+    delta_ab tower pairing gives a clean table, and the eps^{ab} pairing of
+    the N-even members a nonzero Jacobi defect."""
+    monkeypatch.setattr(algebra, "check_family", lambda *args: None)
+    assert jacobi_worst(build_algebra(N, 2, central=True))[0] == eps_defect
+    monkeypatch.setattr(algebra, "tower_form", lambda dim, a, b: int(a == b))
+    delta = build_algebra(N, 2, central=True)
+    assert jacobi_worst(delta) == (0, None)
+    assert structure_checks(delta) == {"jacobi": (0.0, ""), "antisymmetry": (0, ""),
+                                       "mass_central": (0, "")}
+
+
 def test_central_with_ds_rejected():
     with pytest.raises(UnsupportedExtension):
         build_algebra(1, 3, central=True, with_ds=True)
@@ -459,6 +609,27 @@ def test_generator_id_pickled_in_another_process_hashes_here():
     for g in pickle.loads(out):
         assert hash(g) == hash((g.kind, g.axis, g.level))
         assert here.index[g] == here.generators.index(g)
+
+
+BAD_COEFFICIENTS = [float("nan"), float("inf"), "x", None]
+
+
+@pytest.mark.parametrize("value", BAD_COEFFICIENTS)
+def test_element_rejects_a_bad_coefficient(alg1, value):
+    with pytest.raises(InvalidState):
+        alg1.element({"H": value})
+
+
+@pytest.mark.parametrize("value", BAD_COEFFICIENTS)
+def test_bracket_rejects_a_bad_coefficient(alg1, value):
+    """In either argument, also where the pair has no stored bracket."""
+    H, K = alg1.generator("H"), alg1.generator("K")
+    with pytest.raises(InvalidState):
+        bracket(alg1, {H: value}, {K: 1})
+    with pytest.raises(InvalidState):
+        bracket(alg1, {K: 1}, {H: value})
+    with pytest.raises(InvalidState):
+        bracket(alg1, {H: 1}, {H: value})
 
 
 def test_bracket_of_element_with_itself_vanishes(alg1):

@@ -52,6 +52,12 @@ class TestAlgebraCommands:
         assert code == 2
         assert "UnsupportedExtension" in err
 
+    def test_check_rejects_the_unbuilt_planar_extension(self, capsys):
+        code, _, err = run_cli(capsys, "algebra", "check", "--N", "3",
+                               "--dim", "2", "--central")
+        assert code == 2
+        assert "UnsupportedExtension" in err and "does not build" in err
+
     def test_check_rejects_bad_dimension(self, capsys):
         code, _, err = run_cli(capsys, "algebra", "check", "--N", "1", "--dim", "5")
         assert code == 2
