@@ -367,8 +367,8 @@ def bracket(alg: AlgebraSpec, X: Mapping[GeneratorId, object],
     a coefficient that is not a finite rational number, in X or in Y.
     """
     out: Element = {}
-    ys = _checked_terms(alg, Y)
-    for gx, cx in _checked_terms(alg, X):
+    xs, ys = _checked_terms(alg, X), _checked_terms(alg, Y)
+    for gx, cx in xs:
         for gy, cy in ys:
             row = alg.table.get((gx, gy))
             if not row:
@@ -387,12 +387,6 @@ def _jacobi_defect(alg: AlgebraSpec, x, y, z) -> Fraction:
         for g, v in bracket(alg, a, bracket(alg, b, c)).items():
             total[g] = total.get(g, Fraction(0)) + v
     return max((abs(v) for v in total.values()), default=Fraction(0))
-
-
-def _sum_dtype(bound: int):
-    """The dtype of the Jacobi sums when none exceeds ``bound`` in absolute
-    value: int64 when that is safe, object (Python ints) otherwise."""
-    return np.int64 if bound < 2 ** 63 else object
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -414,9 +408,10 @@ def jacobi_worst(alg: AlgebraSpec) -> Tuple[Fraction, Optional[Tuple[str, str, s
     ``_jacobi_defect``, the per-triple oracle, also on a table whose two
     orders of a pair are not negatives.  One sort groups the products by
     (triple, g) for the sums.  The constants are integers over their common
-    denominator den, p/q as p * (den // q), summed in the dtype that
-    ``_sum_dtype`` picks from a bound on every sum.  The worst triple is the
-    first in ``combinations`` order among those with the largest coefficient.
+    denominator den, p/q as p * (den // q), summed as Python ints in an
+    object array so that no sum can overflow (central N = 31 has the weight
+    31!).  The worst triple is the first in ``combinations`` order among
+    those with the largest coefficient.
     """
     index, table = alg.index, alg.table
     rows = list(table.values())
@@ -444,7 +439,7 @@ def jacobi_worst(alg: AlgebraSpec) -> Tuple[Fraction, Optional[Tuple[str, str, s
     key = triple[keep] * n + w[outer[keep]]
     order = np.argsort(key, kind="stable")
     key, inner, outer = key[order], inner[keep][order], outer[keep][order]
-    v = np.array(consts, dtype=_sum_dtype(max(map(abs, consts)) ** 2 * len(key)))
+    v = np.array(consts, dtype=object)
     starts = _run_starts(key)
     sums = np.abs(np.add.reduceat(v[inner] * v[outer], starts))
     triples = key[starts] // n

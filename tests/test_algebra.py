@@ -344,30 +344,6 @@ def test_jacobi_worst_of_an_empty_table(rows):
     assert type(jacobi_worst(empty)[0]) is Fraction
 
 
-def test_jacobi_worst_sums_in_python_ints_past_int64(monkeypatch):
-    """Central (31,3) carries the weight 31! ~ 8.2e33, so its sums are taken
-    as Python ints; the result is still the reference's."""
-    real, chosen = algebra._sum_dtype, []
-
-    def spy(bound):
-        chosen.append(real(bound))
-        return chosen[-1]
-
-    monkeypatch.setattr(algebra, "_sum_dtype", spy)
-    assert_matches_reference([build_algebra(31, 3, central=True)])
-    assert chosen == [object]
-    assert_matches_reference([build_algebra(7, 3, central=True)])
-    assert chosen == [object, np.int64]
-
-
-def test_jacobi_worst_python_int_path_matches_the_reference_on_mutants(monkeypatch):
-    """The object-dtype sums, forced on a table that fits int64, give the same
-    results as the reference on every mutant."""
-    monkeypatch.setattr(algebra, "_sum_dtype", lambda bound: object)
-    assert_matches_reference(every_mutant(build_algebra(3, 3, central=True)))
-    assert_matches_reference(every_mutant(build_algebra(2, 2, central=True)))
-
-
 def test_jacobi_detects_sign_flip():
     alg = build_algebra(3, 3, central=True)
     bad = flip_constant(alg, "C1_1", "C2_1")
@@ -619,6 +595,21 @@ def test_bracket_rejects_a_bad_coefficient(alg1, value):
         bracket(alg1, {K: 1}, {H: value})
     with pytest.raises(InvalidState):
         bracket(alg1, {H: 1}, {H: value})
+
+
+def test_bracket_checks_every_term_of_x_then_of_y(alg1):
+    """X is checked before Y, so an unknown generator in X is reported before
+    a bad coefficient in Y; Y is checked also when X is empty."""
+    H = alg1.generator("H")
+    unknown = build_algebra(3, 3, central=True).generator("C3_1")
+    with pytest.raises(UnknownGenerator):
+        bracket(alg1, {unknown: 1}, {H: float("nan")})
+    with pytest.raises(InvalidState):
+        bracket(alg1, {H: float("nan")}, {unknown: 1})
+    with pytest.raises(UnknownGenerator):
+        bracket(alg1, {}, {unknown: 1})
+    with pytest.raises(InvalidState):
+        bracket(alg1, {}, {H: None})
 
 
 def test_bracket_of_element_with_itself_vanishes(alg1):
