@@ -60,11 +60,6 @@ SO21_METRIC = (1, -1, -1)
 EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _sign_pow(exponent: int) -> int:
-    """(-1)**exponent for possibly negative integer exponents."""
-    return -1 if exponent % 2 else 1
-
-
 def eps3(i: int, j: int, k: int) -> int:
     """Levi-Civita symbol with 1-based indices, eps3(1,2,3) = +1."""
     if {i, j, k} != {1, 2, 3}:
@@ -80,7 +75,7 @@ def eps2(a: int, b: int) -> int:
 def tower_sign(N: int, level: int) -> int:
     """(-1)^(level - ceil(N/2)): the sign with which tower level ``level``
     pairs with level N - level through the central charge."""
-    return _sign_pow(level - (N + 1) // 2)
+    return -1 if (level - (N + 1) // 2) % 2 else 1
 
 
 def tower_form(dim: int, a: int, b: int) -> int:
@@ -226,11 +221,14 @@ class AlgebraSpec:
 
 def _coefficient(value: object) -> Fraction:
     """value as an exact Fraction, or InvalidState when it is not a finite
-    rational number (NaN, an infinity, an unparsable string, None)."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidState(f"coefficient {value!r} is not a finite rational number") from None
+    rational number (NaN, an infinity, None) or is a string or a bool, which
+    Fraction would parse or read as 0/1."""
+    if not isinstance(value, (str, bool)):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InvalidState(f"coefficient {value!r} is not a finite rational number")
 
 
 def _checked_terms(alg: AlgebraSpec,

@@ -85,11 +85,6 @@ def _emit(data: dict, path: Optional[str], files=()) -> None:
         sys.stdout.write(text)
 
 
-def _fail_input(message: str) -> int:
-    sys.stderr.write(json.dumps({"error": message}) + "\n")
-    return EXIT_BAD_INPUT
-
-
 # The keys each config may hold; any other is invalid input, so a misspelled
 # key cannot fall back to its default unnoticed.
 ORBIT_CONFIG_KEYS = frozenset("x m s chi chi_class sigma".split())
@@ -210,8 +205,11 @@ def _number(name: str, value) -> float:
         raise InvalidConfig(f"{name} is out of the float range, got {value!r}")
 
 
-def _resolve_internal(cfg: dict, dim: int):
-    """(s, chi, label) from the flat config keys m / s / chi / chi_class / sigma."""
+def _resolve_internal(cfg: dict, dim: int, tol: float):
+    """(s, chi, label) from the flat config keys m / s / chi / chi_class / sigma.
+
+    A chi without chi_class is classified at tol; a chi with one must pass
+    check_chi_class at tol (LabelMismatch otherwise)."""
     m = _number("m", cfg["m"])
     if not (math.isfinite(m) and m > 0):
         raise InvalidConfig(f"m must be finite and positive, got {m}")
@@ -227,10 +225,12 @@ def _resolve_internal(cfg: dict, dim: int):
             cls = co.OrbitClass(cfg["chi_class"], sigma)
         except LabelMismatch as exc:  # an unknown tag or a bad sigma is bad input
             raise InvalidConfig(str(exc))
-        if not has_chi:
+        if has_chi:
+            co.check_chi_class(cls, chi, tol)
+        else:
             chi = _chi(co.chi_for_class(cls))
     elif has_chi:
-        cls = co.classify_orbit(chi)
+        cls = co.classify_orbit(chi, tol)
     else:
         chi = np.zeros(3)
         cls = co.OrbitClass("Origin")
@@ -245,7 +245,7 @@ def cmd_orbit_parametrize(args) -> int:
         if x.ndim != 2:
             raise InvalidConfig("x must be an (N+1) x dim array")
         al.check_family(x.shape[0] - 1, x.shape[1], central=True)
-        s, chi, label = _resolve_internal(cfg, x.shape[1])
+        s, chi, label = _resolve_internal(cfg, x.shape[1], 1e-9)
         j, c, h, d, k = co.parametrize(label, s, chi, x)
     except KeyError as exc:
         raise InvalidConfig(f"missing config key {exc}")
@@ -343,18 +343,12 @@ def _parse_run_config(cfg) -> dict:
         q, p = (given[key] if key in given else np.zeros(want[key]) for key in "qp")
     except MemoryError:
         raise InvalidConfig(f"N={N} is too large: its initial blocks do not fit in memory")
+    tol = _tolerance("classify_tol", cfg.get("classify_tol", 1e-9))
     try:
-        s, chi, label = _resolve_internal(cfg, dim)
+        s, chi, label = _resolve_internal(cfg, dim, tol)
     except (LabelMismatch, AmbiguousClass) as exc:
         raise InvalidConfig(str(exc))
     m = label.m
-    if "chi" in cfg and "chi_class" in cfg:
-        tol = _tolerance("classify_tol", cfg.get("classify_tol", 1e-9))
-        got = co.classify_orbit(chi, tol=tol)
-        if got.tag != label.chi_class.tag:
-            raise InvalidConfig(
-                f"explicit chi classifies as {got.tag}, config says "
-                f"{label.chi_class.tag}")
     dt, T = _number("dt", cfg["dt"]), _number("T", cfg["T"])
     tol_fit_default = vf.DEFAULT_TOLERANCES["fit_closed" if method == "closed" else "fit_rk4"]
     return {
@@ -540,12 +534,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfig, BadDimension, UnsupportedExtension) as exc:
-        return _fail_input(f"{type(exc).__name__}: {exc}")
     except GalconfError as exc:
-        sys.stderr.write(json.dumps(
-            {"error": f"{type(exc).__name__}: {exc}"}) + "\n")
-        return EXIT_FAIL
+        sys.stderr.write(json.dumps({"error": f"{type(exc).__name__}: {exc}"}) + "\n")
+        bad_input = isinstance(exc, (InvalidConfig, BadDimension, UnsupportedExtension))
+        return EXIT_BAD_INPUT if bad_input else EXIT_FAIL
 
 
 if __name__ == "__main__":

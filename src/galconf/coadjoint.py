@@ -37,6 +37,7 @@ __all__ = [
     "ORBIT_TAGS",
     "SCHRODINGER_COLUMNS",
     "classify_orbit",
+    "check_chi_class",
     "chi_for_class",
     "chi_interval",
     "spin_invariant",
@@ -103,11 +104,6 @@ def _rowdot(u, v):
 def _cross2(u, v):
     """Scalar cross product of 2-vectors, u^1 v^2 - u^2 v^1."""
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-
-def _eps_pair(u, v):
-    """sum_{a,b} eps^{ab} u^b v^a for 2-vectors (equals -_cross2(u, v))."""
-    return u[..., 1] * v[..., 0] - u[..., 0] * v[..., 1]
 
 
 def _check_rows(alg: AlgebraSpec, V) -> np.ndarray:
@@ -421,7 +417,9 @@ def translate_dual(m, x, j, c, h, d, k):
     N, dim = x.shape[-2] - 1, x.shape[-1]
     w = N / 2.0 - np.arange(N + 1)
     g, gh, gk = _translation_weights(N)
-    pair = _rowdot if dim == 3 else _eps_pair
+    # the tower form pairing: u . v in dimension 3, and in dimension 2
+    # sum_{a,b} eps^{ab} u^b v^a, which is _cross2(v, u)
+    pair = _rowdot if dim == 3 else lambda u, v: _cross2(v, u)
     mc = m[..., None, None]
     # a C-ordered copy: the slices that contractions copy are then read
     # forward, not a short reversed level at a time
@@ -492,19 +490,16 @@ SCHRODINGER_COLUMNS = {"translation": ("C0_1", "C0_2", "C0_3"), "boost": ("C1_1"
 
 
 def coad_closed_form(alg: AlgebraSpec, family: str, params, V, R=None) -> np.ndarray:
-    """Printed closed-form coadjoint flows of a (k, n) stack of packed dual
-    rows V (the pack_dual layout), one flow per row; returns (k, n) rows.
+    """Printed Schrodinger-case (Table 1) coadjoint flows of a (k, n) stack of
+    packed dual rows V (the pack_dual layout), one flow per row; returns (k,
+    n) rows.  The tower translations of any (N, dim) are ``ctrans``.
 
-    family "ctrans" works for any supported (N, dim) and takes (k, N+1, dim)
-    parameters.  The families of SCHRODINGER_COLUMNS ("translation", "boost"
-    and "rotation" take (k, 3), the others (k,)) are the
-    Schrodinger-case columns and require N=1, dim=3.  A "rotation" caller
-    that has built the (k, 3, 3) rotation_matrix of its parameters may pass
-    them as R.  The mass component is invariant under every flow.  A row of
-    a stack gives the bits of the same row alone.
+    family is one of SCHRODINGER_COLUMNS ("translation", "boost" and
+    "rotation" take (k, 3) parameters, the others (k,)) and requires N=1,
+    dim=3.  A "rotation" caller that has built the (k, 3, 3) rotation_matrix
+    of its parameters may pass them as R.  The mass component is invariant
+    under every flow.  A row of a stack gives the bits of the same row alone.
     """
-    if family == "ctrans":
-        return ctrans(alg, params, V)
     if (alg.N, alg.dim) != (1, 3):
         raise UnsupportedClosedForm(
             f"no printed closed form for family {family!r} at N={alg.N}, dim={alg.dim}")
@@ -557,6 +552,8 @@ class OrbitClass:
     def __post_init__(self):
         if self.tag not in ORBIT_TAGS:
             raise LabelMismatch(f"unknown orbit tag {self.tag!r}")
+        if not math.isfinite(self.sigma):
+            raise LabelMismatch(f"sigma must be finite, got {self.sigma}")
         if self.tag in ("Hplus0", "Hminus0", "Origin") and self.sigma != 0.0:
             raise LabelMismatch(f"{self.tag} requires sigma = 0")
         if self.sigma < 0:
@@ -576,19 +573,27 @@ class OrbitLabel:
     chi_class: OrbitClass
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise LabelMismatch("orbit labels require m > 0")
+        if not (math.isfinite(self.m) and self.m > 0 and math.isfinite(self.s2)):
+            raise LabelMismatch(f"orbit labels require a finite m > 0 and a finite s2, "
+                                f"got m={self.m}, s2={self.s2}")
 
 
 def classify_orbit(chi, tol: float = 1e-9) -> OrbitClass:
     """Classify a chi triple by the invariant interval and the sign of chi0.
 
-    Pass tol=0 for analytically constructed points.
+    Pass tol=0 for analytically constructed points.  Raises InvalidState
+    for a tol that is not finite and nonnegative or a chi with a non-finite
+    entry, and NonFiniteResult when the interval of a finite chi overflows.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidState(f"tol must be finite and nonnegative, got {tol}")
     chi = np.asarray(chi, dtype=float).reshape(3)
-    I = chi_interval(chi)
+    if not np.isfinite(chi).all():
+        raise InvalidState(f"chi has a non-finite entry: {chi.tolist()}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        I = chi_interval(chi)
+    if not math.isfinite(I):
+        raise NonFiniteResult(f"the interval of chi={chi.tolist()} overflows")
     if I > tol:
         s = math.sqrt(I)
         return OrbitClass("HplusSigma" if chi[0] > 0 else "HminusSigma", s)
@@ -625,27 +630,34 @@ def orbit_components(m: float, s, chi, x):
     return translate_dual(m, x, s, None, h, d, k)
 
 
+def check_chi_class(want: OrbitClass, chi, tol: float = 1e-9) -> None:
+    """LabelMismatch unless chi classifies (classify_orbit at tol) into want:
+    the same tag, and a sigma equal to want's to tol relative."""
+    cls = classify_orbit(chi, tol)
+    if cls.tag != want.tag:
+        raise LabelMismatch(f"chi classifies as {cls.tag}, label says {want.tag}")
+    if abs(cls.sigma - want.sigma) > tol * max(1.0, abs(want.sigma)):
+        raise LabelMismatch(f"sigma {cls.sigma} does not match label value {want.sigma}")
+
+
 def parametrize(label: OrbitLabel, s, chi, x_levels):
     """Orbit parametrization with label consistency enforced: the
     (j, c, h, d, k) of orbit_components at the external levels x_levels.
 
-    Raises LabelMismatch unless (s, chi) actually lie on the orbits the
-    label names: the spin invariant must match to 1e-12, and chi must
-    classify into label.chi_class with its sigma, both to 1e-9.
+    Raises InvalidState for a non-finite entry of s or x_levels, and
+    LabelMismatch unless (s, chi) actually lie on the orbits the label
+    names: the spin invariant must match to 1e-12, and chi must pass
+    check_chi_class at 1e-9.
     """
     x = np.asarray(x_levels, dtype=float)
     s = np.asarray(s, dtype=float).reshape(spin_components(x.shape[1]))
+    if not (np.isfinite(s).all() and np.isfinite(x).all()):
+        raise InvalidState(f"s and x must be finite, got s={s.tolist()}, x={x.tolist()}")
     s_inv = float(spin_invariant(s))
     if abs(s_inv - label.s2) > 1e-12 * max(1.0, abs(label.s2)):
         raise LabelMismatch(
             f"spin invariant {s_inv} does not match label value {label.s2}")
-    cls = classify_orbit(chi)
-    if cls.tag != label.chi_class.tag:
-        raise LabelMismatch(
-            f"chi classifies as {cls.tag}, label says {label.chi_class.tag}")
-    want = label.chi_class.sigma
-    if abs(cls.sigma - want) > 1e-9 * max(1.0, abs(want)):
-        raise LabelMismatch(f"sigma {cls.sigma} does not match label value {want}")
+    check_chi_class(label.chi_class, chi)
     return orbit_components(label.m, s, np.asarray(chi, dtype=float).reshape(3), x)
 
 
@@ -697,7 +709,7 @@ def casimir_arrays(m, j, c, h, d, k):
     N, dim = c.shape[-2] - 1, c.shape[-1]
     alpha, a_coef, b_coef, q_coef = _casimir_weights(N)
     cr = np.ascontiguousarray(c[..., ::-1, :])  # C-ordered, as in translate_dual
-    pair = _rowdot if dim == 3 else _eps_pair
+    pair = _rowdot if dim == 3 else lambda u, v: _cross2(v, u)  # as in translate_dual
     Cq = _levels(pair(c, cr), q_coef)
     A = _levels(pair(c[..., :-1, :], cr[..., 1:, :]), a_coef)
     B = -_levels(pair(c[..., 1:, :], cr[..., :-1, :]), b_coef)

@@ -31,6 +31,7 @@ from .poisson import (
     EPS2,
     PhasePoint,
     StructureMatrix,
+    chart_blocks,
     dual_vector_at,
     generators_at,
     hamiltonian_poly,
@@ -137,18 +138,6 @@ def _rk4_step_matrix(L: np.ndarray, dt: float) -> np.ndarray:
     return D
 
 
-def _pack(pt: PhasePoint) -> np.ndarray:
-    return np.concatenate([pt.q.ravel(), pt.p.ravel(), pt.chi])
-
-
-def _unpack(z, N: int, dim: int):
-    """(q, p, chi) views of packed states."""
-    op, oc = q_levels(N, dim) * dim, (q_levels(N, dim) + p_levels(N, dim)) * dim
-    lead = z.shape[:-1]
-    return (z[..., :op].reshape(lead + (-1, dim)), z[..., op:oc].reshape(lead + (-1, dim)),
-            z[..., oc:])
-
-
 def _rk4(z0: np.ndarray, D: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out filled with the states (I + D)^i z0 for i = 0..len(out) - 1, by
     doubling the increment.
@@ -249,9 +238,6 @@ class Trajectory:
     N = property(lambda self: self.states.N)
     dim = property(lambda self: self.states.dim)
 
-    def q0_samples(self) -> np.ndarray:
-        return self.q[:, 0, :]
-
 
 def record_values(states: PhasePoint) -> Dict[str, np.ndarray]:
     """Generator and Casimir values of a stack of samples, in one pass.
@@ -348,9 +334,11 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
     n_steps = _step_count(T, dt)
     if method == "closed" and not ham.free:
         raise UnsupportedHamiltonian("closed form available for the free flow only")
+    # the packed state (q, p, chi): chart coordinates without the inert spin
+    z0 = np.concatenate([pt0.q.ravel(), pt0.p.ravel(), pt0.chi])
     try:  # one buffer the size of the samples, which rk4 fills: a horizon
         # that does not fit in memory fails here, before any step is taken
-        z = np.empty((n_steps + 1, _pack(pt0).size))
+        z = np.empty((n_steps + 1, z0.size))
     except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest array
         raise BadStep(f"{n_steps + 1} samples of dt={dt} up to T={T} do not fit "
                       f"in memory: {exc}") from None
@@ -359,7 +347,7 @@ def integrate(pt0: PhasePoint, ham: HamiltonianChoice, T: float, dt: float,
         q, p, chi = free_flow(pt0.q, pt0.p, pt0.chi, pt0.m, times)
     else:
         D = _rk4_step_matrix(_flow_matrix(pt0.N, pt0.dim, pt0.m, ham), dt)
-        q, p, chi = _unpack(_rk4(_pack(pt0), D, z), pt0.N, pt0.dim)
+        q, p, _, chi = chart_blocks(_rk4(z0, D, z), pt0.N, pt0.dim)  # an empty spin slice
     s = np.broadcast_to(pt0.s, (n_steps + 1,) + pt0.s.shape)
     traj = Trajectory(times=times, states=PhasePoint(q=q, p=p, s=s, chi=chi, m=pt0.m), ham=ham)
     if record:
@@ -394,7 +382,7 @@ def verify_motion_order(traj: Trajectory):
     if n < N + 3:
         raise TooFewSamples(f"need at least {N + 3} samples, have {n}")
     stride, dt_eff = _decimation(traj)
-    y = traj.q0_samples()
+    y = traj.q[:, 0]
     t = traj.times
     span = t[-1] - t[0]
     tt = (t - t[0]) / span * 2.0 - 1.0 if span > 0 else t * 0.0
@@ -415,7 +403,7 @@ def conditioning_threshold(traj: Trajectory) -> float:
     """
     N = traj.N
     _, dt_eff = _decimation(traj)
-    scale = max(1.0, float(np.max(np.abs(traj.q0_samples()))))
+    scale = max(1.0, float(np.max(np.abs(traj.q[:, 0]))))
     noise = 128.0 * float(np.finfo(float).eps) * len(traj.times) * scale
     return float(2.0 ** (N + 1) * noise / dt_eff ** (N + 1))
 

@@ -515,10 +515,6 @@ class StructureMatrix:
             out.setdefault(u, {})[v] = pairs[u, v]
         return out
 
-    def bracket(self, u, v) -> Poly:
-        """{u, v} of two coordinates; the returned Poly is shared, not a copy."""
-        return self._partners.get(u, {}).get(v, _NO_BRACKET)
-
 
 def poly_bracket(f: Poly, g: Poly, sm: StructureMatrix) -> Poly:
     """{f, g} as a polynomial: gradients contracted with the bracket table.

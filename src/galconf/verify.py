@@ -260,10 +260,9 @@ def suite_orbit(seed: int, tols: Dict[str, float],
     alg1 = factory(1, 3, True, False)
     n_draws = 100
 
-    def oracle_case(name, alg, family, V, a, t, params):
-        """One row of V, a, t and params per draw: the packed dual row, the
-        coefficient row of A, its flow time and the closed-form parameter."""
-        want = co.coad_closed_form(alg, family, params, V)
+    def oracle_case(name, alg, want, V, a, t):
+        """One row of want, V, a and t per draw: the closed-form flow of the
+        packed dual row V, the coefficient row of A and its flow time."""
         got = co.coad_flow(alg, a, t, V)
         worst, detail = _worst_draw(np.abs(want - got).max(axis=1))
         cases.append(_case(name, worst, tols["oracle"], detail))
@@ -278,7 +277,7 @@ def suite_orbit(seed: int, tols: Dict[str, float],
         else:  # one generator, flowed for time p (back in time for H)
             par, a[:, rows] = par[:, 0], 1.0
             t = -par if fam == "time" else par
-        oracle_case(f"oracle_table1_{fam}", alg1, fam, V, a, t, par)
+        oracle_case(f"oracle_table1_{fam}", alg1, co.coad_closed_form(alg1, fam, par, V), V, a, t)
 
     for (N, dim) in ((3, 3), (4, 2), (2, 2)):
         alg = factory(N, dim, True, False)
@@ -286,13 +285,14 @@ def suite_orbit(seed: int, tols: Dict[str, float],
         x = x.reshape(n_draws, N + 1, dim)
         a = np.zeros((n_draws, len(alg.generators)))
         a[:, alg.dual_rows[1]] = x
-        oracle_case(f"oracle_ctrans_N{N}_dim{dim}", alg, "ctrans", V, a, np.ones(n_draws), x)
+        oracle_case(f"oracle_ctrans_N{N}_dim{dim}", alg, co.ctrans(alg, x, V), V, a,
+                    np.ones(n_draws))
 
     v = random_dual(rng, alg1)
     for name, w in (("central_flow_identity",
                      co.coad_generic(alg1, {alg1.generator("M"): 1.0}, 0.7, v)),
                     ("zero_parameter_identity",
-                     co.coad_closed_form(alg1, "ctrans", np.zeros((1, 2, 3)), v[None])[0])):
+                     co.ctrans(alg1, np.zeros((1, 2, 3)), v[None])[0])):
         cases.append(_case(name, np.abs(w - v).max(), 0.0))
 
     for (N, dim) in FLOW_FAMILIES:

@@ -138,7 +138,7 @@ def test_c03_coadjoint_oracle_equivalence():
             A = element(alg, {f"C{j}_{a+1}": arrs[-1][j, a]
                               for j in range(N + 1) for a in range(dim)})
             want.append(co.coad_generic(alg, A, 1.0, V[-1]))
-        got = co.coad_closed_form(alg, "ctrans", np.array(arrs), np.array(V))
+        got = co.ctrans(alg, np.array(arrs), np.array(V))
         worst = max(worst, float(np.max(np.abs(got - np.array(want)))))
     report("criterion 3 (coadjoint oracle equivalence)", worst < 1e-10,
            f"max defect {worst:.3e} over 800 draws")

@@ -576,7 +576,8 @@ def test_generator_id_pickled_in_another_process_hashes_here():
         assert here.index[g] == here.generators.index(g)
 
 
-BAD_COEFFICIENTS = [float("nan"), float("inf"), "x", None]
+# numeric strings and bools too, which Fraction would parse or read as 0/1
+BAD_COEFFICIENTS = [float("nan"), float("inf"), "x", None, "1/2", " 3 ", True, False]
 
 
 @pytest.mark.parametrize("value", BAD_COEFFICIENTS)

@@ -165,6 +165,15 @@ class TestOrbitCommands:
         code, out, _ = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
         assert code == 1
 
+    def test_parametrize_sigma_mismatch(self, capsys, tmp_path):
+        # the same keys simulate rejects with exit 2
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"m": 1.0, "chi": [2.0, 0.0, 0.0], "chi_class": "HplusSigma",
+                                   "sigma": 1.0, "x": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}))
+        code, out, _ = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
+        assert code == 1
+        assert json.loads(out)["error"] == "sigma 2.0 does not match label value 1.0"
+
     def test_parametrize_rejects_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"m": 1.0, "chi_clas": "Origin",
@@ -523,6 +532,55 @@ class TestSimulate:
         assert code == 2, err
         assert "error" in json.loads(err)
         assert not (tmp_path / "traj.csv").exists()
+
+    def test_sigma_that_chi_contradicts_exits_2(self, capsys, tmp_path):
+        # chi = (2, 0, 0) has sigma 2: a label of sigma 1 used to run and exit 0,
+        # while orbit parametrize rejected the same keys
+        cfg = write_free_config(tmp_path, chi=[2.0, 0.0, 0.0], sigma=1.0)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == \
+            "InvalidConfig: sigma 2.0 does not match label value 1.0"
+        assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("classify_tol,code", [(1e-9, 2), (1e-5, 0)])
+    def test_sigma_is_compared_at_classify_tol(self, capsys, tmp_path, classify_tol, code):
+        cfg = write_free_config(tmp_path, chi=[2.0, 0.0, 0.0], sigma=2.0 + 1e-6,
+                                classify_tol=classify_tol, T=0.01)
+        assert run_cli(capsys, "simulate", "--config", str(cfg))[0] == code
+
+    @pytest.mark.parametrize("classify_tol,error", [
+        # an ambiguous chi used to escape the check as AmbiguousClass, exit 1
+        (1e-9, "InvalidConfig: chi=[0.0, 1e-05, 0.0] sits within tol=1e-09 of the cone"),
+        (1e-12, "InvalidConfig: chi classifies as HyperbolicSigma, label says Origin"),
+        (1e-4, None),
+    ])
+    def test_chi_is_checked_against_its_class_at_classify_tol(self, capsys, tmp_path,
+                                                              classify_tol, error):
+        cfg = write_free_config(tmp_path, chi=[0.0, 1e-5, 0.0], chi_class="Origin", sigma=0.0,
+                                classify_tol=classify_tol, T=0.01)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        if error is None:
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert json.loads(err)["error"].startswith(error)
+
+    @pytest.mark.parametrize("classify_tol,code", [(1e-9, 2), (1e-12, 0)])
+    def test_chi_alone_is_classified_at_classify_tol(self, capsys, tmp_path, classify_tol, code):
+        # near the cone: ambiguous at 1e-9, one-sheet at 1e-12
+        cfg = write_free_config(tmp_path, chi=[0.0, 1e-5, 0.0], classify_tol=classify_tol, T=0.01)
+        cfg.write_text(json.dumps({k: v for k, v in json.loads(cfg.read_text()).items()
+                                   if k not in ("chi_class", "sigma")}))
+        assert run_cli(capsys, "simulate", "--config", str(cfg))[0] == code
+
+    def test_a_bad_classify_tol_is_rejected_without_chi(self, capsys, tmp_path):
+        cfg = write_free_config(tmp_path, classify_tol=-1.0)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert json.loads(err)["error"] == \
+            "InvalidConfig: classify_tol must be finite and nonnegative, got -1.0"
 
     @pytest.mark.parametrize("overrides", [
         {"q": [["0.4", "0", "0"]]},

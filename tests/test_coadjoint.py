@@ -22,7 +22,6 @@ from galconf.coadjoint import (
     SERIES_TAIL_TOL,
     _cross2,
     _cross3,
-    _eps_pair,
     _expm,
     _level_sum,
     _levels,
@@ -34,12 +33,14 @@ from galconf.coadjoint import (
     OrbitLabel,
     casimir_arrays,
     casimir_values,
+    check_chi_class,
     chi_for_class,
     chi_interval,
     classify_orbit,
     coad_closed_form,
     coad_flow,
     coad_generic,
+    ctrans,
     dual_fields,
     element_rows,
     orbit_components,
@@ -50,6 +51,7 @@ from galconf.coadjoint import (
 from galconf.errors import (
     AmbiguousClass,
     ConvergenceFailure,
+    InvalidState,
     LabelMismatch,
     NonFiniteResult,
     ShapeMismatch,
@@ -89,9 +91,16 @@ def dual_defect(X, Y):
     return float(np.max(np.abs(X - Y)))
 
 
+def closed_flow(alg, family, params, V):
+    """The printed Table-1 column of family, or the tower translations
+    (ctrans) for family "ctrans", applied to a stack of packed dual rows."""
+    return ctrans(alg, params, V) if family == "ctrans" else \
+        coad_closed_form(alg, family, params, V)
+
+
 def closed_form(alg, family, par, X):
-    """The printed column applied to one packed dual row, as a one-row stack."""
-    return coad_closed_form(alg, family, np.array([par]), X[None])[0]
+    """closed_flow applied to one packed dual row, as a one-row stack."""
+    return closed_flow(alg, family, np.array([par]), X[None])[0]
 
 
 class TestClosedFormColumns:
@@ -130,6 +139,9 @@ class TestClosedFormColumns:
         V = random_dual(np.random.default_rng(0), alg1)[None]
         with pytest.raises(UnsupportedClosedForm):
             coad_closed_form(alg1, "shear", [0.5], V)
+        # the tower translations are ctrans, not a family of the Table-1 columns
+        with pytest.raises(UnsupportedClosedForm):
+            coad_closed_form(alg1, "ctrans", np.zeros((1, 2, 3)), V)
 
     @pytest.mark.parametrize("N,dim,families", [
         (1, 3, ("translation", "boost", "time", "dilation", "conformal", "rotation",
@@ -144,10 +156,10 @@ class TestClosedFormColumns:
                   "rotation": (3,)}
         for fam in families:
             params = rng.uniform(-0.7, 0.7, (k,) + shapes.get(fam, ()))
-            stacked = coad_closed_form(alg, fam, params, V)
+            stacked = closed_flow(alg, fam, params, V)
             assert stacked.shape == V.shape
             for i in range(k):
-                alone = coad_closed_form(alg, fam, params[i:i + 1], V[i:i + 1])
+                alone = closed_flow(alg, fam, params[i:i + 1], V[i:i + 1])
                 assert same_bits(stacked[i:i + 1], alone), (fam, i)
 
 
@@ -280,6 +292,63 @@ class TestParametrization:
         with pytest.raises(LabelMismatch):
             OrbitLabel(m=0.0, s2=0.0, chi_class=OrbitClass("Origin"))
 
+    def test_label_mismatch_sigma(self):
+        # the tag agrees and sigma does not: chi = (2, 0, 0) has sigma 2
+        label = OrbitLabel(m=1.0, s2=0.0, chi_class=OrbitClass("HplusSigma", 1.0))
+        with pytest.raises(LabelMismatch, match="sigma 2.0 does not match label value 1.0"):
+            parametrize(label, np.zeros(3), [2.0, 0.0, 0.0], np.zeros((2, 3)))
+
+    def test_check_chi_class_compares_sigma_at_its_tolerance(self):
+        chi = [2.0, 0.0, 0.0]
+        check_chi_class(OrbitClass("HplusSigma", 2.0), chi, tol=0.0)
+        check_chi_class(OrbitClass("HplusSigma", 2.0 + 1e-6), chi, tol=1e-6)
+        with pytest.raises(LabelMismatch, match="sigma 2.0 does not match"):
+            check_chi_class(OrbitClass("HplusSigma", 2.0 + 1e-6), chi, tol=1e-9)
+        with pytest.raises(LabelMismatch, match="chi classifies as HplusSigma, label says Origin"):
+            check_chi_class(OrbitClass("Origin"), chi)
+
+    @pytest.mark.parametrize("field,value", [("x", math.nan), ("x", math.inf), ("s", math.nan)])
+    def test_rejects_non_finite_s_or_x(self, field, value):
+        # a NaN in x used to come back as NaN in j, c, d and k
+        args = {"s": np.zeros(3), "x": np.zeros((2, 3))}
+        args[field].flat[1] = value
+        label = OrbitLabel(m=1.0, s2=0.0, chi_class=OrbitClass("Origin"))
+        with pytest.raises(InvalidState, match="s and x must be finite"):
+            parametrize(label, args["s"], np.zeros(3), args["x"])
+
+
+@pytest.mark.parametrize("tag,sigma", [("HplusSigma", math.nan), ("HyperbolicSigma", math.inf),
+                                       ("Origin", math.nan)])
+def test_orbit_class_rejects_a_non_finite_sigma(tag, sigma):
+    with pytest.raises(LabelMismatch, match="sigma must be finite"):
+        OrbitClass(tag, sigma)
+
+
+@pytest.mark.parametrize("m,s2", [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf),
+                                  (1.0, math.nan)])
+def test_orbit_label_rejects_non_finite_m_or_s2(m, s2):
+    with pytest.raises(LabelMismatch, match="finite m > 0 and a finite s2"):
+        OrbitLabel(m=m, s2=s2, chi_class=OrbitClass("Origin"))
+
+
+@pytest.mark.parametrize("chi", [[math.inf, 0.0, 0.0], [math.nan, 0.0, 0.0],
+                                 [0.0, -math.inf, 0.0]])
+def test_classify_orbit_rejects_a_non_finite_chi(chi):
+    # [inf, 0, 0] used to classify with sigma = inf, [nan, 0, 0] as ambiguous
+    with pytest.raises(InvalidState, match="chi has a non-finite entry"):
+        classify_orbit(chi)
+
+
+def test_classify_orbit_rejects_an_overflowing_interval():
+    with pytest.raises(NonFiniteResult, match="overflows"):
+        classify_orbit([1e200, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_classify_orbit_rejects_a_bad_tolerance(tol):
+    with pytest.raises(InvalidState, match="tol must be finite and nonnegative"):
+        classify_orbit([1.0, 0.0, 0.0], tol=tol)
+
 
 def orbit_rows(alg, m, s, chi, x):
     """Packed dual rows of the orbit parametrization of stacked samples."""
@@ -345,12 +414,12 @@ def test_shape_mismatch(alg1):
         coad_generic(alg1, {alg1.generator("H"): 1.0}, 0.5, random_dual(rng, alg1)[None])
     V = random_dual(rng, alg1)[None]
     with pytest.raises(ShapeMismatch):
-        coad_closed_form(alg1, "ctrans", np.zeros((1, 4, 3)), V)
+        ctrans(alg1, np.zeros((1, 4, 3)), V)
     # a row of another algebra, and one row that is not a stack
     with pytest.raises(ShapeMismatch):
-        coad_closed_form(alg1, "ctrans", np.zeros((1, 2, 3)), random_dual(rng, alg3)[None])
+        ctrans(alg1, np.zeros((1, 2, 3)), random_dual(rng, alg3)[None])
     with pytest.raises(ShapeMismatch):
-        coad_closed_form(alg1, "ctrans", np.zeros((2, 3)), V[0])
+        ctrans(alg1, np.zeros((2, 3)), V[0])
     # one parameter per row, of the family's shape
     for fam, par in (("boost", np.zeros(3)), ("time", np.zeros(2)), ("rotation", np.zeros((1, 2)))):
         with pytest.raises(ShapeMismatch):
@@ -851,7 +920,8 @@ def reference_translation(m, x, j, c, h, d, k):
     N, dim = x.shape[-2] - 1, x.shape[-1]
     w = N / 2.0 - np.arange(N + 1)
     g, gh, gk = _translation_weights(N)
-    pair = _rowdot if dim == 3 else _eps_pair
+    # sum_{a,b} eps^{ab} u^b v^a in dimension 2, as written before it was _cross2(v, u)
+    pair = _rowdot if dim == 3 else lambda u, v: u[..., 1] * v[..., 0] - u[..., 0] * v[..., 1]
     mc = m[..., None, None]
     xr = x[..., ::-1, :]
     cp = c - mc * g[:, None] * (xr if dim == 3 else xr @ EPS2)

@@ -21,8 +21,6 @@ from galconf.dynamics import (
     HamiltonianChoice,
     Trajectory,
     _flow_matrix,
-    _pack,
-    _unpack,
     conditioning_threshold,
     conservation_drifts,
     free_flow,
@@ -44,6 +42,7 @@ from galconf.poisson import (
     PhasePoint,
     Poly,
     StructureMatrix,
+    chart_blocks,
     check_state,
     dual_vector_at,
     generator_polynomials,
@@ -66,9 +65,21 @@ def free_point(**kw):
     return PhasePoint(**base)
 
 
+def packed(pt):
+    """The state integrate steps: the chart coordinates (q, p, chi), without the spin."""
+    return np.concatenate([pt.q.ravel(), pt.p.ravel(), pt.chi])
+
+
+def unpacked(z, N, dim):
+    """(q, p, chi) views of packed states: chart_blocks of rows whose spin slice is empty."""
+    q, p, s, chi = chart_blocks(z, N, dim)
+    assert s.shape == z.shape[:-1] + (0,)
+    return q, p, chi
+
+
 def vector_field(pt, ham=FREE):
     """(dq, dp, dchi) of the flow at pt: the flow matrix times the packed state."""
-    return _unpack(_flow_matrix(pt.N, pt.dim, pt.m, ham) @ _pack(pt), pt.N, pt.dim)
+    return unpacked(_flow_matrix(pt.N, pt.dim, pt.m, ham) @ packed(pt), pt.N, pt.dim)
 
 
 class TestTimeDerivative:
@@ -448,7 +459,7 @@ class TestMotionOrder:
         tr = integrate(pt, ham, 1.0, 1e-3, method, record=False)
         res, diff = verify_motion_order(tr)
         want_res, want_diff = _motion_order_per_axis(tr)
-        ulp = np.spacing(float(np.max(np.abs(tr.q0_samples()))))
+        ulp = np.spacing(float(np.max(np.abs(tr.q[:, 0]))))
         assert abs(res - want_res) <= 4 * (N + 1) * ulp, (res, want_res)
         assert np.float64(diff).tobytes() == np.float64(want_diff).tobytes()
 
@@ -463,7 +474,7 @@ class TestMotionOrder:
 def _motion_order_per_axis(traj):
     """verify_motion_order with one least-squares fit per axis of q_0."""
     N, n = traj.N, len(traj.times)
-    y, t = traj.q0_samples(), traj.times
+    y, t = traj.q[:, 0], traj.times
     tt = (t - t[0]) / (t[-1] - t[0]) * 2.0 - 1.0
     residual = 0.0
     for a in range(y.shape[1]):
@@ -505,7 +516,7 @@ class TestCsvExport:
 def _rk4_reference(pt, ham, dt, n_steps):
     """Per-stage RK4 on the packed state, each stage L @ z, step by step."""
     L = _flow_matrix(pt.N, pt.dim, pt.m, ham)
-    z = [_pack(pt)]
+    z = [packed(pt)]
     for _ in range(n_steps):
         cur = z[-1]
         k1 = L @ cur
@@ -514,7 +525,7 @@ def _rk4_reference(pt, ham, dt, n_steps):
         k4 = L @ (cur + dt * k3)
         z.append(cur + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0))
     return [PhasePoint(q=q, p=p, s=pt.s, chi=chi, m=pt.m)
-            for q, p, chi in zip(*_unpack(np.array(z), pt.N, pt.dim))]
+            for q, p, chi in zip(*unpacked(np.array(z), pt.N, pt.dim))]
 
 
 def state_casimirs(alg, st):
@@ -1102,7 +1113,7 @@ def test_generator_spin_matches_np_cross_on_unpacked_views(N, dim):
     states, as integrate makes one, has the bits of the np.cross formula."""
     rng = np.random.default_rng(70 + N)
     n_ext = (q_levels(N, dim) + p_levels(N, dim)) * dim
-    q, p, chi = _unpack(rng.uniform(-1, 1, (9, n_ext + 3)), N, dim)
+    q, p, chi = unpacked(rng.uniform(-1, 1, (9, n_ext + 3)), N, dim)
     assert not q.flags.c_contiguous and not p.flags.c_contiguous
     s = rng.uniform(-1, 1, (9, 3))
     assert _cross3(q, p).tobytes() == np.cross(q, p).tobytes()

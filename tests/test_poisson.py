@@ -518,7 +518,7 @@ def poly_bracket_reference(f, g, sm):
     for u in sorted(f.variables()):
         df = f.diff(u)
         for v in g_vars:
-            br = sm.bracket(u, v)
+            br = sm._partners.get(u, {}).get(v, Poly())
             dg = g.diff(v)
             if df and br and dg:
                 term = df * dg * br
