@@ -25,8 +25,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import chain, combinations
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -98,30 +98,19 @@ def so21_epsilon_lower(alpha: int, beta: int, gamma: int) -> int:
     return upper * SO21_METRIC[gamma]
 
 
-@dataclass(frozen=True)
-class GeneratorId:
+class GeneratorId(NamedTuple):
     """One basis generator; indices are present exactly when the kind needs them.
 
     kind  -- one of J, C, H, D, K, M, Ds
     axis  -- 1-based spatial index (J in dimension 3, and every C)
     level -- tower level 0..N (C only)
+
+    Hashed in C, as the plain tuple (kind, axis, level).
     """
 
     kind: str
     axis: Optional[int] = None
     level: Optional[int] = None
-
-    def __post_init__(self):
-        # Hashed once: every table and index lookup hashes its keys.  The value
-        # is the generated hash((kind, axis, level)), so set and dict order is
-        # unchanged; __reduce__ rebuilds it from the fields in a copy or pickle.
-        object.__setattr__(self, "_hash", hash((self.kind, self.axis, self.level)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return GeneratorId, (self.kind, self.axis, self.level)
 
     @property
     def name(self) -> str:
@@ -155,8 +144,8 @@ class AlgebraSpec:
     ``table`` maps an ordered generator pair to the sparse result of their
     bracket; both orders of every nonzero pair are stored so antisymmetry
     is explicit.  Do not mutate after construction: the float views
-    ``structure_tensor`` and ``dual_rows`` are built from it on first use and
-    kept on the instance.
+    ``structure_tensor`` and ``dual_rows``, and the integer view read by the
+    exact checks, are built from it on first use and kept on the instance.
     """
 
     N: int
@@ -183,13 +172,29 @@ class AlgebraSpec:
         gives the matrix of ad_A.  Each entry is its exact constant rounded
         to float once; the table stays the source.
         """
-        n = len(self.generators)
+        n, (x, y, w, consts, den) = len(self.generators), self._integer_table
         T = np.zeros((n, n, n))
-        idx = self._index
-        for (x, y), row in self.table.items():
-            for z, c in row.items():
-                T[idx[x], idx[z], idx[y]] = float(c)
+        T[x, w, y] = consts / den  # int / int rounds once, as float(Fraction) does
         return T
+
+    @cached_property
+    def _integer_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        """(x, y, w, consts, den): one entry per stored (x, y) -> w, as int64
+        generator indices, whose constant is consts / den, with den the
+        common denominator and consts Python ints in an object array, so
+        nothing overflows.  Each constant object is converted once, keyed by
+        id() (build_algebra shares one per value; Fraction hashes in Python)."""
+        index = self._index.__getitem__
+        rows = list(self.table.values())
+        pairs = np.fromiter(map(index, chain.from_iterable(self.table)), np.int64, 2 * len(rows))
+        sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+        x, y = np.repeat(pairs[0::2], sizes), np.repeat(pairs[1::2], sizes)
+        w = np.fromiter(map(index, chain.from_iterable(rows)), np.int64, len(x))
+        cs = [*chain.from_iterable(map(dict.values, rows))]
+        ratios = {i: c.as_integer_ratio() for i, c in dict(zip(map(id, cs), cs)).items()}
+        den = math.lcm(*(q for _, q in ratios.values()))
+        scaled = {i: p * (den // q) for i, (p, q) in ratios.items()}
+        return x, y, w, np.array([*map(scaled.__getitem__, map(id, cs))], dtype=object), den
 
     @cached_property
     def dual_rows(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,12 +248,20 @@ def _checked_terms(alg: AlgebraSpec,
     return terms
 
 
-def _put(table, x: GeneratorId, y: GeneratorId, result: Element) -> None:
-    result = {g: c for g, c in result.items() if c}
-    if not result:
-        return
-    table[(x, y)] = result
-    table[(y, x)] = {g: -c for g, c in result.items()}
+def _put(table, shared: Dict[Tuple[int, int], Fraction], x: GeneratorId, y: GeneratorId,
+         result: Dict[GeneratorId, int], den: int = 1) -> None:
+    """Store [x, y] = result / den and [y, x] = -result / den for integer
+    numerators, skipping zeros; equal constants share the one Fraction that
+    shared holds under their lowest terms."""
+    for key, sign in (((x, y), 1), ((y, x), -1)):
+        row = {}
+        for g, p in result.items():
+            if p:
+                q = math.gcd(p, den)
+                low = (sign * p // q, den // q)
+                row[g] = shared.get(low) or shared.setdefault(low, Fraction(*low))
+        if row:
+            table[key] = row
 
 
 def check_family(N: int, dim: int, central: bool, with_ds: bool = False) -> None:
@@ -291,56 +304,40 @@ def build_algebra(N: int, dim: int, central: bool, with_ds: bool = False) -> Alg
     """
     check_family(N, dim, central, with_ds)
     axes = range(1, dim + 1)
-    gens: List[GeneratorId] = []
-    if dim == 3:
-        J = [GeneratorId("J", axis=a) for a in axes]
-    else:
-        J = [GeneratorId("J")]
-    gens.extend(J)
+    J = [GeneratorId("J", axis=a) for a in axes] if dim == 3 else [GeneratorId("J")]
     C = {(j, a): GeneratorId("C", axis=a, level=j) for j in range(N + 1) for a in axes}
-    gens.extend(C[(j, a)] for j in range(N + 1) for a in axes)
     H, D, K = GeneratorId("H"), GeneratorId("D"), GeneratorId("K")
-    gens.extend([H, D, K])
     M = GeneratorId("M") if central else None
-    if M is not None:
-        gens.append(M)
     Ds = GeneratorId("Ds") if with_ds else None
-    if Ds is not None:
-        gens.append(Ds)
+    gens = [*J, *C.values(), H, D, K, *(g for g in (M, Ds) if g is not None)]
 
     t: Dict[Tuple[GeneratorId, GeneratorId], Element] = {}
-    half_N = Fraction(N, 2)
+    shared: Dict[Tuple[int, int], Fraction] = {}  # this table's constants only
 
     if dim == 3:
         for i, k in combinations(axes, 2):
-            _put(t, J[i - 1], J[k - 1], {J[l - 1]: Fraction(eps3(i, k, l))
-                                         for l in axes if eps3(i, k, l)})
+            _put(t, shared, J[i - 1], J[k - 1], {J[l - 1]: eps3(i, k, l) for l in axes})
         for i in axes:
             for j in range(N + 1):
                 for b in axes:
-                    _put(t, J[i - 1], C[(j, b)],
-                         {C[(j, d)]: Fraction(eps3(i, b, d))
-                          for d in axes if eps3(i, b, d)})
+                    _put(t, shared, J[i - 1], C[(j, b)],
+                         {C[(j, d)]: eps3(i, b, d) for d in axes})
     else:
         for j in range(N + 1):
             for a in axes:
-                _put(t, J[0], C[(j, a)],
-                     {C[(j, b)]: Fraction(eps2(a, b)) for b in axes if eps2(a, b)})
+                _put(t, shared, J[0], C[(j, a)], {C[(j, b)]: eps2(a, b) for b in axes})
 
-    _put(t, D, H, {H: Fraction(1)})
-    _put(t, D, K, {K: Fraction(-1)})
-    _put(t, K, H, {D: Fraction(2)})
+    _put(t, shared, D, H, {H: 1})
+    _put(t, shared, D, K, {K: -1})
+    _put(t, shared, K, H, {D: 2})
 
     for j in range(N + 1):
         for a in axes:
-            if j >= 1:
-                _put(t, H, C[(j, a)], {C[(j - 1, a)]: Fraction(-j)})
-            if half_N != j:
-                _put(t, D, C[(j, a)], {C[(j, a)]: half_N - j})
-            if j <= N - 1:
-                _put(t, K, C[(j, a)], {C[(j + 1, a)]: Fraction(N - j)})
+            _put(t, shared, H, C[(j, a)], {C[(j - 1, a)]: -j} if j >= 1 else {})
+            _put(t, shared, D, C[(j, a)], {C[(j, a)]: N - 2 * j}, 2)
+            _put(t, shared, K, C[(j, a)], {C[(j + 1, a)]: N - j} if j <= N - 1 else {})
             if Ds is not None:
-                _put(t, Ds, C[(j, a)], {C[(j, a)]: Fraction(1)})
+                _put(t, shared, Ds, C[(j, a)], {C[(j, a)]: 1})
 
     if central:
         # Mass rows: only opposite tower levels pair up, through the tower
@@ -350,8 +347,8 @@ def build_algebra(N: int, dim: int, central: bool, with_ds: bool = False) -> Alg
             for a in axes:
                 for b in axes:
                     if (j, a) < (N - j, b):
-                        _put(t, C[(j, a)], C[(N - j, b)],
-                             {M: Fraction(weight * tower_form(dim, a, b))})
+                        _put(t, shared, C[(j, a)], C[(N - j, b)],
+                             {M: weight * tower_form(dim, a, b)})
 
     return AlgebraSpec(N=N, dim=dim, central=central, with_ds=with_ds,
                        generators=tuple(gens), table=t)
@@ -405,21 +402,12 @@ def jacobi_worst(alg: AlgebraSpec) -> Tuple[Fraction, Optional[Tuple[str, str, s
     each rotation reads its own stored order of (b, c), the sums are those of
     ``_jacobi_defect``, the per-triple oracle, also on a table whose two
     orders of a pair are not negatives.  One sort groups the products by
-    (triple, g) for the sums.  The constants are integers over their common
-    denominator den, p/q as p * (den // q), summed as Python ints in an
-    object array so that no sum can overflow (central N = 31 has the weight
-    31!).  The worst triple is the first in ``combinations`` order among
-    those with the largest coefficient.
+    (triple, g) for the sums of the integer view's constants, Python ints
+    that no sum can overflow (central N = 31 has the weight 31!).  The worst
+    triple is the first in ``combinations`` order among those with the
+    largest coefficient.
     """
-    index, table = alg.index, alg.table
-    rows = list(table.values())
-    sizes = list(map(len, rows))
-    x = np.repeat(np.array([index[g] for g, _ in table], dtype=np.int64), sizes)
-    y = np.repeat(np.array([index[g] for _, g in table], dtype=np.int64), sizes)
-    w = np.array([index[g] for row in rows for g in row], dtype=np.int64)
-    ratios = [c.as_integer_ratio() for row in rows for c in row.values()]
-    den = math.lcm(*(q for _, q in ratios))
-    consts = [p * (den // q) for p, q in ratios]
+    x, y, w, v, den = alg._integer_table
     # Entry `inner` is a (b, c) -> w and entry `outer` an (a, w) -> g.
     by_rhs = np.argsort(y, kind="stable")
     first = np.searchsorted(y[by_rhs], w, "left")
@@ -437,7 +425,6 @@ def jacobi_worst(alg: AlgebraSpec) -> Tuple[Fraction, Optional[Tuple[str, str, s
     key = triple[keep] * n + w[outer[keep]]
     order = np.argsort(key, kind="stable")
     key, inner, outer = key[order], inner[keep][order], outer[keep][order]
-    v = np.array(consts, dtype=object)
     starts = _run_starts(key)
     sums = np.abs(np.add.reduceat(v[inner] * v[outer], starts))
     triples = key[starts] // n
@@ -451,16 +438,25 @@ def jacobi_worst(alg: AlgebraSpec) -> Tuple[Fraction, Optional[Tuple[str, str, s
     return Fraction(int(worst[i]), den * den), names
 
 
-def _negates(rev: Optional[Element], res: Element) -> bool:
-    """Whether rev == {g: -c for g, c in res.items()}, comparing numerators and
-    denominators in place rather than building the negated row."""
-    if rev is None or len(rev) != len(res):
-        return False
-    for g, c in res.items():
-        r = rev.get(g)
-        if r is None or r.numerator != -c.numerator or r.denominator != c.denominator:
-            return False
-    return True
+def _unnegated_pairs(alg: AlgebraSpec) -> List[int]:
+    """Sorted codes x * n + y of the stored pairs whose reverse is not their
+    negative: one of the two holds an entry (x, y) -> w not negated at
+    (y, x) -> w (a sort-join finds these), or the pair is an empty row
+    whose reverse is not stored."""
+    n, gens, table = len(alg.generators), alg.generators, alg.table
+    x, y, w, v, _ = alg._integer_table
+    key, want = (x * n + y) * n + w, (y * n + x) * n + w
+    order = np.argsort(key)
+    e = order[np.minimum(np.searchsorted(key[order], want), len(key) - 1)]
+    lone = (key[e] != want) | (v[e] != -v)
+    bad = set((x[lone] * n + y[lone]).tolist())
+    bad.update(c for c in (y[lone] * n + x[lone]).tolist()
+               if (gens[c // n], gens[c % n]) in table)
+    if not all(table.values()):  # empty rows hold no entry
+        index = alg.index
+        bad.update(index[a] * n + index[b] for (a, b), row in table.items()
+                   if not row and (b, a) not in table)
+    return sorted(bad)
 
 
 def structure_checks(alg: AlgebraSpec) -> Dict[str, Tuple[float, str]]:
@@ -476,13 +472,10 @@ def structure_checks(alg: AlgebraSpec) -> Dict[str, Tuple[float, str]]:
     """
     defect, triple = jacobi_worst(alg)
     out = {"jacobi": (float(defect), f"worst triple {triple}" if triple else "")}
-    index, table = alg.index, alg.table
-    asym = [(x, y) for (x, y), res in table.items() if not _negates(table.get((y, x)), res)]
-    detail = ""
-    if asym:
-        x, y = min(asym, key=lambda xy: (index[xy[0]], index[xy[1]]))
-        detail = f"first offending pair ({x.name}, {y.name})"
-    out["antisymmetry"] = (len(asym), detail)
+    asym = _unnegated_pairs(alg)
+    out["antisymmetry"] = (len(asym), "first offending pair ({}, {})".format(
+        *(alg.generators[i].name for i in divmod(asym[0], len(alg.generators))))
+        if asym else "")
     if alg.central:
         M = alg.generator("M")
         loose = [g for g in alg.generators if any(alg.table.get((M, g), {}).values())]

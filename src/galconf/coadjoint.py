@@ -14,6 +14,7 @@ in the verification suite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -540,11 +541,18 @@ def coad_closed_form(alg: AlgebraSpec, family: str, params, V, R=None) -> np.nda
 # orbits
 # ---------------------------------------------------------------------------
 
+def _real(name: str, value):
+    """value, or LabelMismatch when it is not a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise LabelMismatch(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class OrbitClass:
-    """Orbit of the internal sl(2,R) variables; sigma is 0 except on the
-    two-sheet (HplusSigma/HminusSigma) and one-sheet (HyperbolicSigma)
-    hyperboloids."""
+    """Orbit of the internal sl(2,R) variables; sigma is a positive real
+    number on the two-sheet (HplusSigma/HminusSigma) and one-sheet
+    (HyperbolicSigma) hyperboloids, and 0 on the other orbits."""
 
     tag: str
     sigma: float = 0.0
@@ -552,12 +560,14 @@ class OrbitClass:
     def __post_init__(self):
         if self.tag not in ORBIT_TAGS:
             raise LabelMismatch(f"unknown orbit tag {self.tag!r}")
-        if not math.isfinite(self.sigma):
+        if not math.isfinite(_real("sigma", self.sigma)):
             raise LabelMismatch(f"sigma must be finite, got {self.sigma}")
         if self.tag in ("Hplus0", "Hminus0", "Origin") and self.sigma != 0.0:
             raise LabelMismatch(f"{self.tag} requires sigma = 0")
         if self.sigma < 0:
             raise LabelMismatch("sigma must be nonnegative")
+        if self.sigma == 0 and self.tag.endswith("Sigma"):
+            raise LabelMismatch(f"{self.tag} requires sigma > 0")
 
 
 @dataclass(frozen=True)
@@ -573,7 +583,10 @@ class OrbitLabel:
     chi_class: OrbitClass
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and self.m > 0 and math.isfinite(self.s2)):
+        if not isinstance(self.chi_class, OrbitClass):
+            raise LabelMismatch(f"chi_class must be an OrbitClass, got {self.chi_class!r}")
+        m, s2 = _real("m", self.m), _real("s2", self.s2)
+        if not (math.isfinite(m) and m > 0 and math.isfinite(s2)):
             raise LabelMismatch(f"orbit labels require a finite m > 0 and a finite s2, "
                                 f"got m={self.m}, s2={self.s2}")
 

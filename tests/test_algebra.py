@@ -1,6 +1,7 @@
 """Exact checks of the structure-constant tables."""
 
 import copy
+import json
 import math
 import os
 import pickle
@@ -435,6 +436,90 @@ def test_antisymmetry_matches_the_negation_oracle_on_hand_made_reverse_rows(reve
     assert want[0] == (0 if reverse == {"C1_1": Fraction(-1, 2)} else 2)
 
 
+def antisymmetry_reference(alg):
+    """The antisymmetry check as a per-pair loop: a stored pair offends unless
+    its reverse is stored, as long, and holds each of its entries with the
+    numerator negated and the denominator kept."""
+    def negates(rev, res):
+        if rev is None or len(rev) != len(res):
+            return False
+        for g, c in res.items():
+            r = rev.get(g)
+            if r is None or r.numerator != -c.numerator or r.denominator != c.denominator:
+                return False
+        return True
+
+    asym = [(x, y) for (x, y), res in alg.table.items()
+            if not negates(alg.table.get((y, x)), res)]
+    if not asym:
+        return 0, ""
+    x, y = min(asym, key=lambda xy: (alg.index[xy[0]], alg.index[xy[1]]))
+    return len(asym), f"first offending pair ({x.name}, {y.name})"
+
+
+@pytest.mark.parametrize("N,dim", [(3, 3), (2, 2), (5, 3), (7, 3), (6, 2)])
+def test_antisymmetry_matches_the_reference_on_every_mutant(N, dim):
+    mismatched = []
+    for bad in every_mutant(build_algebra(N, dim, central=True)):
+        got, want = structure_checks(bad)["antisymmetry"], antisymmetry_reference(bad)
+        if got != want:
+            mismatched.append((got, want))
+    assert not mismatched
+
+
+def test_structure_tensor_rounds_each_exact_constant_once():
+    """The float tensor read from the integer view holds float(c) of every
+    stored constant bit for bit, also over a common denominator of 6."""
+    third = build_algebra(3, 3, central=True)
+    table = {key: {g: c / 3 if g.kind == "C" else c for g, c in row.items()}
+             for key, row in third.table.items()}
+    algebras = [*admissible_members(31), replace(third, table=table)]
+    for alg in algebras:
+        n, index = len(alg.generators), alg.index
+        want = np.zeros((n, n, n))
+        for (x, y), row in alg.table.items():
+            for z, c in row.items():
+                want[index[x], index[z], index[y]] = float(c)
+        assert want.tobytes() == alg.structure_tensor.tobytes(), (alg.N, alg.dim)
+    assert algebras[-1]._integer_table[4] == 6
+
+
+def hand_built(edit):
+    """(3,3) central with edit(table, generator) applied to a copy of its table."""
+    base = build_algebra(3, 3, central=True)
+    table = dict(base.table)
+    edit(table, base.generator)
+    return replace(base, table=table)
+
+
+@pytest.mark.parametrize("edit,count", [
+    # (H, J1) stored alone: its reverse is missing
+    (lambda t, g: t.update({(g("H"), g("J1")): {g("K"): Fraction(1)}}), 1),
+    # an empty row whose reverse is not stored, and one whose empty reverse is
+    (lambda t, g: t.update({(g("H"), g("J1")): {}}), 1),
+    (lambda t, g: t.update({(g("H"), g("J1")): {}, (g("J1"), g("H")): {}}), 0),
+    # an empty row whose reverse is stored with an entry: both offend
+    (lambda t, g: t.update({(g("C1_1"), g("D")): {}}), 2),
+    # the reverse of (D, C1_1) with one extra entry
+    (lambda t, g: t.update({(g("C1_1"), g("D")): {g("C1_1"): Fraction(-1, 2),
+                                                 g("M"): Fraction(3)}}), 2),
+    # zero-valued constants: negatives of each other, or against a missing key
+    (lambda t, g: t.update({(g("H"), g("J1")): {g("K"): Fraction(0)},
+                            (g("J1"), g("H")): {g("K"): Fraction(0)}}), 0),
+    (lambda t, g: t.update({(g("H"), g("J1")): {g("K"): Fraction(0)},
+                            (g("J1"), g("H")): {g("D"): Fraction(0)}}), 2),
+])
+def test_antisymmetry_matches_the_reference_on_hand_built_tables(edit, count):
+    bad = hand_built(edit)
+    assert structure_checks(bad)["antisymmetry"] == antisymmetry_reference(bad)
+    assert antisymmetry_reference(bad)[0] == count
+
+
+def test_antisymmetry_of_an_empty_table():
+    empty = replace(build_algebra(3, 3, central=True), table={})
+    assert structure_checks(empty)["antisymmetry"] == (0, "")
+
+
 @pytest.mark.parametrize("N,dim", [(3, 3), (2, 2)])
 def test_mutants_leave_the_base_table_unchanged(N, dim):
     base = build_algebra(N, dim, central=True)
@@ -574,6 +659,53 @@ def test_generator_id_pickled_in_another_process_hashes_here():
     for g in pickle.loads(out):
         assert hash(g) == hash((g.kind, g.axis, g.level))
         assert here.index[g] == here.generators.index(g)
+
+
+def test_generator_id_is_a_frozen_named_tuple():
+    g = parse_generator("C3_1")
+    assert (g.kind, g.axis, g.level) == ("C", 1, 3)
+    assert g.name == repr(g) == str(g) == "C3_1"
+    assert [repr(parse_generator(n)) for n in ("J", "J2", "H", "Ds")] == ["J", "J2", "H", "Ds"]
+    for field in ("kind", "axis", "level", "name"):
+        with pytest.raises(AttributeError):
+            setattr(g, field, None)
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_generator_order_in_sets_and_dicts_is_that_of_plain_tuples(seed):
+    """A set or dict of generators has the order of the same set or dict of
+    their plain (kind, axis, level) tuples, so they hash as those tuples did.
+    Checked in a fresh process per hash seed; hash(None) differs between
+    processes, so the orders are compared within one."""
+    code = ("import json; from galconf.algebra import build_algebra, GeneratorId; "
+            "out = []\n"
+            "for N, dim in ((3, 3), (2, 2)):\n"
+            "    alg = build_algebra(N, dim, True)\n"
+            "    plain = [tuple(g) for g in alg.generators]\n"
+            "    out.append([list(set(alg.generators)) == [GeneratorId(*t) for t in set(plain)],\n"
+            "                list(alg.index) == list(alg.generators)])\n"
+            "print(json.dumps(out))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         check=True, timeout=60).stdout
+    assert json.loads(out) == [[True, True], [True, True]]
+
+
+@pytest.mark.parametrize("N,dim,central,ds", [(3, 3, True, False), (2, 2, True, False),
+                                              (4, 3, False, True)])
+def test_one_build_shares_equal_constants_and_two_builds_share_none(N, dim, central, ds):
+    def constants(alg):
+        return [c for row in alg.table.values() for c in row.values()]
+
+    one, two = build_algebra(N, dim, central, ds), build_algebra(N, dim, central, ds)
+    by_value = {}
+    for c in constants(one):
+        by_value.setdefault(c, set()).add(id(c))
+    assert all(len(ids) == 1 for ids in by_value.values())
+    assert len(by_value) > 1
+    assert not {id(c) for c in constants(one)} & {id(c) for c in constants(two)}
 
 
 # numeric strings and bools too, which Fraction would parse or read as 0/1

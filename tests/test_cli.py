@@ -250,6 +250,19 @@ class TestOrbitCommands:
         assert out == ""
         assert json.loads(err)["error"] == f"InvalidConfig: {message}"
 
+    @pytest.mark.parametrize("sigma", [{}, {"sigma": 0.0}])
+    @pytest.mark.parametrize("tag", ["HplusSigma", "HminusSigma", "HyperbolicSigma"])
+    def test_parametrize_rejects_a_sigma_orbit_class_at_sigma_0(self, capsys, tmp_path,
+                                                               tag, sigma):
+        # these used to exit 1: the chi of sigma 0 classifies as Origin
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"m": 1, "x": [[0, 0, 0], [0, 0, 0]], "chi_class": tag,
+                                   **sigma}))
+        code, out, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == f"InvalidConfig: {tag} requires sigma > 0"
+
     def test_parametrize_rejects_an_overflowing_dual(self, capsys, tmp_path):
         # finite x whose translation overflows used to print Infinity and exit 0
         cfg = tmp_path / "big.json"
@@ -531,6 +544,20 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 2, err
         assert "error" in json.loads(err)
+        assert not (tmp_path / "traj.csv").exists()
+
+    @pytest.mark.parametrize("sigma", [None, 0.0])
+    @pytest.mark.parametrize("tag", ["HplusSigma", "HminusSigma", "HyperbolicSigma"])
+    def test_a_sigma_orbit_class_at_sigma_0_exits_2(self, capsys, tmp_path, tag, sigma):
+        # without chi these used to run at the origin and exit 0
+        cfg = write_free_config(tmp_path, chi_class=tag, sigma=sigma)
+        if sigma is None:
+            cfg.write_text(json.dumps({k: v for k, v in json.loads(cfg.read_text()).items()
+                                       if k != "sigma"}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == f"InvalidConfig: {tag} requires sigma > 0"
         assert not (tmp_path / "traj.csv").exists()
 
     def test_sigma_that_chi_contradicts_exits_2(self, capsys, tmp_path):
@@ -1127,3 +1154,13 @@ def test_console_script_roundtrip():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tag"] == "HyperbolicSigma"
+
+
+def test_python_dash_m_galconf():
+    # the package had no __main__ module: "No module named galconf.__main__"
+    proc = subprocess.run(
+        [sys.executable, "-m", "galconf", "algebra", "check", "--N", "1", "--dim", "3",
+         "--central"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -322,6 +323,43 @@ class TestParametrization:
 def test_orbit_class_rejects_a_non_finite_sigma(tag, sigma):
     with pytest.raises(LabelMismatch, match="sigma must be finite"):
         OrbitClass(tag, sigma)
+
+
+@pytest.mark.parametrize("tag", ["HplusSigma", "HminusSigma", "HyperbolicSigma"])
+def test_a_sigma_orbit_class_requires_a_positive_sigma(tag):
+    # sigma 0 used to be accepted, and chi_for_class then gave the origin
+    for cls in (lambda: OrbitClass(tag), lambda: OrbitClass(tag, 0.0), lambda: OrbitClass(tag, 0)):
+        with pytest.raises(LabelMismatch, match=f"^{tag} requires sigma > 0$"):
+            cls()
+    assert classify_orbit(chi_for_class(OrbitClass(tag, 1e-3)), tol=0.0).tag == tag
+
+
+@pytest.mark.parametrize("sigma", ["1", None, True, False, [1.0]])
+def test_orbit_class_rejects_a_sigma_that_is_not_a_real_number(sigma):
+    # these raised a bare TypeError, or (a bool) read as 0 or 1
+    with pytest.raises(LabelMismatch, match="^sigma must be a real number, got "):
+        OrbitClass("HplusSigma", sigma)
+
+
+@pytest.mark.parametrize("field", ["m", "s2"])
+@pytest.mark.parametrize("value", ["1", None, True, False])
+def test_orbit_label_rejects_m_or_s2_that_is_not_a_real_number(field, value):
+    values = {"m": 1.0, "s2": 0.0, field: value}
+    with pytest.raises(LabelMismatch, match=f"^{field} must be a real number, got "):
+        OrbitLabel(chi_class=OrbitClass("Origin"), **values)
+
+
+@pytest.mark.parametrize("chi_class", ["Origin", None, ("Origin", 0.0)])
+def test_orbit_label_rejects_a_chi_class_that_is_not_an_orbit_class(chi_class):
+    # parametrize on such a label used to fail with AttributeError
+    with pytest.raises(LabelMismatch, match="^chi_class must be an OrbitClass, got "):
+        OrbitLabel(m=1.0, s2=0.0, chi_class=chi_class)
+
+
+def test_orbit_labels_take_any_real_number_type():
+    cls = OrbitClass("HplusSigma", np.float64(1.5))
+    label = OrbitLabel(m=np.int64(2), s2=Fraction(1, 4), chi_class=cls)
+    assert (label.m, label.s2, label.chi_class.sigma) == (2, 0.25, 1.5)
 
 
 @pytest.mark.parametrize("m,s2", [(math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf),
