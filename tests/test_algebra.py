@@ -672,11 +672,12 @@ def test_generator_id_is_a_frozen_named_tuple():
 
 
 @pytest.mark.parametrize("seed", ["0", "12345"])
-def test_generator_order_in_sets_and_dicts_is_that_of_plain_tuples(seed):
-    """A set or dict of generators has the order of the same set or dict of
-    their plain (kind, axis, level) tuples, so they hash as those tuples did.
-    Checked in a fresh process per hash seed; hash(None) differs between
-    processes, so the orders are compared within one."""
+def test_generator_order_in_sets_is_that_of_plain_tuples(seed):
+    """A set of generators has the order of the set of their plain
+    (kind, axis, level) tuples, so they hash as those tuples do, and the
+    index keeps generator order.  Checked in a fresh process per hash seed;
+    hash(None) differs between processes, so the orders are compared within
+    one."""
     code = ("import json; from galconf.algebra import build_algebra, GeneratorId; "
             "out = []\n"
             "for N, dim in ((3, 3), (2, 2)):\n"
