@@ -45,6 +45,7 @@ __all__ = [
     "conformal_basis_inverse",
     "so21_basis",
     "so21_epsilon_lower",
+    "levi_civita",
     "spin_components",
     "tower_sign",
     "tower_form",
@@ -56,20 +57,19 @@ Element = Dict["GeneratorId", Fraction]
 # Metric on the sl(2,R) triple in the light-cone-free basis (N^0, N^1, N^2).
 SO21_METRIC = (1, -1, -1)
 
+_LEVI_CIVITA = {(1, 2): 1, (2, 1): -1, (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
+                (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
+
+
+def levi_civita(*axes: int) -> int:
+    """Levi-Civita symbol of two or three 1-based axes, eps^{12} = eps_{123} =
+    +1, and 0 for a repeated or out-of-range axis: a lookup, as build_algebra
+    reads one per constant."""
+    return _LEVI_CIVITA.get(axes, 0)
+
+
 # eps^{ab} with 0-based rows/columns; EPS2[a, b] = eps^{(a+1)(b+1)}
-EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-def eps3(i: int, j: int, k: int) -> int:
-    """Levi-Civita symbol with 1-based indices, eps3(1,2,3) = +1."""
-    if {i, j, k} != {1, 2, 3}:
-        return 0
-    return 1 if (i, j, k) in ((1, 2, 3), (2, 3, 1), (3, 1, 2)) else -1
-
-
-def eps2(a: int, b: int) -> int:
-    """Antisymmetric symbol with 1-based indices, eps2(1,2) = +1."""
-    return 1 if (a, b) == (1, 2) else -1 if (a, b) == (2, 1) else 0
+EPS2 = np.array([[levi_civita(a, b) for b in (1, 2)] for a in (1, 2)], dtype=float)
 
 
 def tower_sign(N: int, level: int) -> int:
@@ -81,7 +81,7 @@ def tower_sign(N: int, level: int) -> int:
 def tower_form(dim: int, a: int, b: int) -> int:
     """Invariant form pairing axis a of level j with axis b of level N - j
     (1-based axes): delta_ab in dimension 3, -eps^{ab} in dimension 2."""
-    return int(a == b) if dim == 3 else -eps2(a, b)
+    return int(a == b) if dim == 3 else -levi_civita(a, b)
 
 
 def spin_components(dim: int) -> int:
@@ -92,10 +92,7 @@ def spin_components(dim: int) -> int:
 
 def so21_epsilon_lower(alpha: int, beta: int, gamma: int) -> int:
     """eps^{alpha beta}_gamma with the last index lowered by diag(+,-,-)."""
-    perm = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-            (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
-    upper = perm.get((alpha, beta, gamma), 0)
-    return upper * SO21_METRIC[gamma]
+    return levi_civita(alpha + 1, beta + 1, gamma + 1) * SO21_METRIC[gamma]
 
 
 class GeneratorId(NamedTuple):
@@ -304,7 +301,10 @@ def build_algebra(N: int, dim: int, central: bool, with_ds: bool = False) -> Alg
     """
     check_family(N, dim, central, with_ds)
     axes = range(1, dim + 1)
-    J = [GeneratorId("J", axis=a) for a in axes] if dim == 3 else [GeneratorId("J")]
+    # J_r turns the plane that its dim - 2 axes r leave out: r = (i,) for J_i
+    # in dimension 3, and () for the one J of dimension 2
+    rots = [*combinations(axes, dim - 2)]
+    J = [GeneratorId("J", *r) for r in rots]
     C = {(j, a): GeneratorId("C", axis=a, level=j) for j in range(N + 1) for a in axes}
     H, D, K = GeneratorId("H"), GeneratorId("D"), GeneratorId("K")
     M = GeneratorId("M") if central else None
@@ -314,18 +314,15 @@ def build_algebra(N: int, dim: int, central: bool, with_ds: bool = False) -> Alg
     t: Dict[Tuple[GeneratorId, GeneratorId], Element] = {}
     shared: Dict[Tuple[int, int], Fraction] = {}  # this table's constants only
 
-    if dim == 3:
-        for i, k in combinations(axes, 2):
-            _put(t, shared, J[i - 1], J[k - 1], {J[l - 1]: eps3(i, k, l) for l in axes})
-        for i in axes:
-            for j in range(N + 1):
-                for b in axes:
-                    _put(t, shared, J[i - 1], C[(j, b)],
-                         {C[(j, d)]: eps3(i, b, d) for d in axes})
-    else:
+    # so(dim): [J_r, J_u] = eps_{r u w} J_w and [J_r, C_j^b] = eps_{r b d} C_j^d;
+    # the rows of C_j^b with b in r are zero, so none is built
+    for (r, x), (u, y) in combinations(zip(rots, J), 2):
+        _put(t, shared, x, y, {z: levi_civita(*r, *u, *w) for w, z in zip(rots, J)})
+    for r, x in zip(rots, J):
         for j in range(N + 1):
-            for a in axes:
-                _put(t, shared, J[0], C[(j, a)], {C[(j, b)]: eps2(a, b) for b in axes})
+            for b in axes:
+                if b not in r:
+                    _put(t, shared, x, C[(j, b)], {C[(j, d)]: levi_civita(*r, b, d) for d in axes})
 
     _put(t, shared, D, H, {H: 1})
     _put(t, shared, D, K, {K: -1})

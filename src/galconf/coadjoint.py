@@ -107,6 +107,19 @@ def _cross2(u, v):
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
+def _pair(u, v):
+    """The tower form over a trailing axis of dim, sum_{a,b} tower_form(dim,
+    a, b) u^a v^b: u . v in dimension 3, and in dimension 2 -eps^{ab} u^a v^b,
+    which is _cross2(v, u)."""
+    return _rowdot(u, v) if u.shape[-1] == 3 else _cross2(v, u)
+
+
+def _turn(x):
+    """x @ EPS2 over a trailing axis of 2, (-x^2, x^1), with the bits of that
+    matmul, whose sums start from +0.0: a zero entry turns into +0.0."""
+    return np.stack([0.0 - x[..., 1], x[..., 0] + 0.0], axis=-1)
+
+
 def _check_rows(alg: AlgebraSpec, V) -> np.ndarray:
     """V as floats, checked to be a (k, n) stack of packed dual rows of a central alg."""
     V, n = np.asarray(V, dtype=float), len(alg.generators)
@@ -418,9 +431,6 @@ def translate_dual(m, x, j, c, h, d, k):
     N, dim = x.shape[-2] - 1, x.shape[-1]
     w = N / 2.0 - np.arange(N + 1)
     g, gh, gk = _translation_weights(N)
-    # the tower form pairing: u . v in dimension 3, and in dimension 2
-    # sum_{a,b} eps^{ab} u^b v^a, which is _cross2(v, u)
-    pair = _rowdot if dim == 3 else lambda u, v: _cross2(v, u)
     mc = m[..., None, None]
     # a C-ordered copy: the slices that contractions copy are then read
     # forward, not a short reversed level at a time
@@ -442,13 +452,11 @@ def translate_dual(m, x, j, c, h, d, k):
         ch = _levels(_rowdot(x[..., 1:, :], c[..., :-1, :]), np.arange(1.0, N + 1))
         ck = _levels(_rowdot(x[..., :-1, :], c[..., 1:, :]), np.arange(float(N), 0.0, -1.0))
     j = j - _level_sum(rot) if dim == 3 else np.asarray(j[..., 0] - cs + rot)[..., None]
-    # component b: -m g tower_form(b, a) x^a of level N - i; in dimension 2 the
-    # bits of x @ EPS2, a matmul whose sums start from +0.0
-    cp = c - mc * g[:, None] * (xr if dim == 3 else
-                                np.stack([0.0 - xr[..., 1], xr[..., 0] + 0.0], axis=-1))
-    d = d - cd + (m / 2.0) * _levels(pair(x, xr), w * g)
-    h = h + ch + (m / 2.0) * _levels(pair(x[..., 1:, :], xr[..., :-1, :]), gh)
-    k = k - ck - (m / 2.0) * _levels(pair(x[..., :-1, :], xr[..., 1:, :]), gk)
+    # component b: -m g tower_form(b, a) x^a of level N - i (x @ EPS2 in dimension 2)
+    cp = c - mc * g[:, None] * (xr if dim == 3 else _turn(xr))
+    d = d - cd + (m / 2.0) * _levels(_pair(x, xr), w * g)
+    h = h + ch + (m / 2.0) * _levels(_pair(x[..., 1:, :], xr[..., :-1, :]), gh)
+    k = k - ck - (m / 2.0) * _levels(_pair(x[..., :-1, :], xr[..., 1:, :]), gk)
     return j, cp, h, d, k
 
 
@@ -657,13 +665,16 @@ def parametrize(label: OrbitLabel, s, chi, x_levels):
     """Orbit parametrization with label consistency enforced: the
     (j, c, h, d, k) of orbit_components at the external levels x_levels.
 
-    Raises InvalidState for a non-finite entry of s or x_levels, and
-    LabelMismatch unless (s, chi) actually lie on the orbits the label
-    names: the spin invariant must match to 1e-12, and chi must pass
-    check_chi_class at 1e-9.
+    Raises ShapeMismatch unless x_levels is (N+1, dim) and s is one spin
+    as PhasePoint takes it, InvalidState for a non-finite entry of s or
+    x_levels, and LabelMismatch unless (s, chi) actually lie on the orbits
+    the label names: the spin invariant must match to 1e-12, and chi must
+    pass check_chi_class at 1e-9.
     """
-    x = np.asarray(x_levels, dtype=float)
-    s = np.asarray(s, dtype=float).reshape(spin_components(x.shape[1]))
+    x, s = np.asarray(x_levels, dtype=float), np.asarray(s, dtype=float)
+    if x.ndim != 2 or s.shape != (spin_components(x.shape[1]),):
+        raise ShapeMismatch(f"expected x (N+1, dim) and s (spin_components(dim),), "
+                            f"got {x.shape} and {s.shape}")
     if not (np.isfinite(s).all() and np.isfinite(x).all()):
         raise InvalidState(f"s and x must be finite, got s={s.tolist()}, x={x.tolist()}")
     s_inv = float(spin_invariant(s))
@@ -722,10 +733,9 @@ def casimir_arrays(m, j, c, h, d, k):
     N, dim = c.shape[-2] - 1, c.shape[-1]
     alpha, a_coef, b_coef, q_coef = _casimir_weights(N)
     cr = np.ascontiguousarray(c[..., ::-1, :])  # C-ordered, as in translate_dual
-    pair = _rowdot if dim == 3 else lambda u, v: _cross2(v, u)  # as in translate_dual
-    Cq = _levels(pair(c, cr), q_coef)
-    A = _levels(pair(c[..., :-1, :], cr[..., 1:, :]), a_coef)
-    B = -_levels(pair(c[..., 1:, :], cr[..., :-1, :]), b_coef)
+    Cq = _levels(_pair(c, cr), q_coef)
+    A = _levels(_pair(c[..., :-1, :], cr[..., 1:, :]), a_coef)
+    B = -_levels(_pair(c[..., 1:, :], cr[..., :-1, :]), b_coef)
     if dim == 3:
         vec = m[..., None] * j - _level_sum(alpha[:, None] * _cross3(c, cr))
         C2 = _rowdot(vec, vec)

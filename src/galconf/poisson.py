@@ -28,7 +28,7 @@ from .algebra import (
     EPS2,
     AlgebraSpec,
     GeneratorId,
-    eps3,
+    levi_civita,
     so21_epsilon_lower,
     spin_components,
     tower_form,
@@ -39,6 +39,7 @@ from .coadjoint import (
     _cross3,
     _level_sum,
     _rowdot,
+    _turn,
     orbit_components,
     spin_invariant,
 )
@@ -48,7 +49,6 @@ __all__ = [
     "Poly",
     "PhasePoint",
     "check_state",
-    "tower_order",
     "spin_invariant",
     "StructureMatrix",
     "raw_bracket",
@@ -242,12 +242,6 @@ def _product_terms(t1: Mapping, t2: Mapping) -> Dict:
 # phase points
 # ---------------------------------------------------------------------------
 
-def tower_order(q_shape) -> int:
-    """N of the tower whose q block has shape (..., q_levels, dim)."""
-    nq, dim = q_shape[-2], q_shape[-1]
-    return 2 * nq - 1 if dim == 3 else 2 * (nq - 1)
-
-
 def check_state(q, p, s, chi, m) -> None:
     """Reject inconsistent shapes, non-finite coordinates and a mass that is
     not finite and positive.
@@ -259,8 +253,8 @@ def check_state(q, p, s, chi, m) -> None:
     if q.ndim < 2 or q.shape[-1] not in (2, 3):
         raise ShapeMismatch(f"q must be (levels, dim), got {q.shape}")
     lead, dim = q.shape[:-2], q.shape[-1]
-    N = tower_order(q.shape)
-    if q.shape[-2] != q_levels(N, dim) or p.shape != lead + (p_levels(N, dim), dim):
+    N = q.shape[-2] + (p.shape[-2] if p.ndim == q.ndim else 0) - 1
+    if N < 1 or q.shape[-2] != q_levels(N, dim) or p.shape != lead + (p_levels(N, dim), dim):
         raise ShapeMismatch(f"inconsistent external shapes q={q.shape} p={p.shape}")
     if s.shape != lead + (spin_components(dim),) or chi.shape != lead + (3,):
         raise ShapeMismatch(f"internal shapes s={s.shape} chi={chi.shape} do not fit "
@@ -288,8 +282,8 @@ class PhasePoint:
     Shapes: q is (..., q_levels, dim) and p is (..., p_levels, dim), with
     the same leading sample axes on every array (none for one sample); in
     dimension 2 the top q level is self-conjugate and has no p partner.  s
-    has one component per rotation generator J (3 in dimension 3, 1 in
-    dimension 2; a bare number is read as the one component) and chi has 3.
+    has a trailing axis of one entry per rotation generator J (3, or 1 in
+    dimension 2: never a bare number) and chi has 3.
     The arrays are checked copies: finite coordinates, positive mass.  An
     index or a slice of a stack's first axis is a fresh copy.
     """
@@ -303,8 +297,6 @@ class PhasePoint:
     def __post_init__(self):
         self.q, self.p, self.s, self.chi = (np.array(a, dtype=float)
                                             for a in (self.q, self.p, self.s, self.chi))
-        if self.s.ndim == self.q.ndim - 2:  # a bare number per sample
-            self.s = self.s[..., None]
         check_state(self.q, self.p, self.s, self.chi, self.m)
         self.m = float(self.m)
 
@@ -314,7 +306,7 @@ class PhasePoint:
 
     @property
     def N(self) -> int:
-        return tower_order(self.q.shape)
+        return self.q.shape[-2] + self.p.shape[-2] - 1
 
     def __len__(self) -> int:
         if self.q.ndim == 2:
@@ -405,7 +397,7 @@ def to_darboux(x_levels, m: float, N: int, dim: int):
     for k in range(q.shape[0]):
         q[k] = tower_sign(N, k) * _fact(k) * x[k]
     for k in range(p.shape[0]):
-        p[k] = m * _fact(N - k) * (x[N - k] if dim == 3 else EPS2.T @ x[N - k])
+        p[k] = m * _fact(N - k) * (x[N - k] if dim == 3 else _turn(x[N - k]))
     return q, p
 
 
@@ -424,11 +416,10 @@ def raw_levels(q, p, m: float) -> np.ndarray:
     Float blocks give floats; object blocks of ``Poly`` give the raw tower
     coordinates as polynomials in the chart.
     """
-    N, dim = tower_order(q.shape), q.shape[-1]
-    nq, n_p = q.shape[-2], p.shape[-2]
-    if dim == 2:
-        # p @ EPS2.T undoes the turn of the momentum line; its sums start from +0.0
-        p = np.stack([p[..., 1] + 0.0, 0.0 - p[..., 0]], axis=-1)
+    nq, n_p, dim = q.shape[-2], p.shape[-2], q.shape[-1]
+    N = nq + n_p - 1
+    if dim == 2:  # p @ EPS2.T = -p @ EPS2 undoes the turn of the momentum line
+        p = _turn(-p)
     x = np.empty(q.shape[:-2] + (N + 1, dim), dtype=np.result_type(q, p, float))
     # sign q_k / k! as q_k / (sign k!), which only moves the sign; the
     # divisors have a column per axis, so each sample's levels are one run
@@ -450,10 +441,6 @@ def aux_top_momentum(q_top, m: float) -> np.ndarray:
 # coordinate bracket table
 # ---------------------------------------------------------------------------
 
-_SO3 = np.array([[[eps3(a, b, c) for c in (1, 2, 3)] for b in (1, 2, 3)] for a in (1, 2, 3)],
-                dtype=float)
-_SO21 = np.array([[[so21_epsilon_lower(a, b, g) for g in range(3)] for b in range(3)]
-                  for a in range(3)], dtype=float)
 _NO_BRACKET = Poly()
 
 
@@ -482,8 +469,9 @@ class StructureMatrix:
         z = coordinates(): {z_i, z_j} = P[i, j] + sum_g Q[a, b, g] w_g, where
         w = (s, chi) is the last len(Q) entries of z and Q counts only when z_i,
         z_j are w_a, w_b.  P holds {q_k^a, p_k^a} = 1 and, on the self-conjugate
-        top level of dimension 2, {q^a, q^b} = eps^{ba} / m; Q holds the so(3)
-        constants on the spin of dimension 3 and the so(2,1) constants on chi.
+        top level of dimension 2, {q^a, q^b} = eps^{ba} / m; Q holds the so(dim)
+        constants eps_{abg} on the spin (none for the one spin of dimension 2)
+        and the so(2,1) constants on chi.
         """
         nq, n_p = q_levels(self.N, self.dim) * self.dim, p_levels(self.N, self.dim) * self.dim
         ns = spin_components(self.dim)
@@ -494,9 +482,9 @@ class StructureMatrix:
         if nq > n_p:  # dimension 2: the top q level pairs with itself
             P[n_p:nq, n_p:nq] = EPS2.T / self.m
         Q = np.zeros((ns + 3,) * 3)
-        if self.dim == 3:
-            Q[:ns, :ns, :ns] = _SO3
-        Q[ns:, ns:, ns:] = _SO21
+        sp, ch = range(1, ns + 1), range(3)  # 1-based spin axes, 0-based chi indices
+        Q[:ns, :ns, :ns] = [[[levi_civita(a, b, g) for g in sp] for b in sp] for a in sp]
+        Q[ns:, ns:, ns:] = [[[so21_epsilon_lower(a, b, g) for g in ch] for b in ch] for a in ch]
         P.setflags(write=False)
         Q.setflags(write=False)
         return P, Q

@@ -147,14 +147,9 @@ def _expected_schrodinger() -> Dict[tuple, Dict[str, Fraction]]:
 
     for (i, k, l, e) in [(1, 2, 3, 1), (1, 3, 2, -1), (2, 3, 1, 1)]:
         put(f"J{i}", f"J{k}", {f"J{l}": e})
-    for i in range(1, 4):
-        for k in range(1, 4):
-            if i == k:
-                continue
-            l = 6 - i - k
-            e = al.eps3(i, k, l)
-            put(f"J{i}", f"C0_{k}", {f"C0_{l}": e})
-            put(f"J{i}", f"C1_{k}", {f"C1_{l}": e})
+        for tower in ("C0", "C1"):                   # [J_i, P_k] = i eps_ikl P_l
+            put(f"J{i}", f"{tower}_{k}", {f"{tower}_{l}": e})
+            put(f"J{k}", f"{tower}_{i}", {f"{tower}_{l}": -e})
     for i in range(1, 4):
         put(f"C1_{i}", "H", {f"C0_{i}": 1})          # [B_i, H] = i P_i
         put("D", f"C0_{i}", {f"C0_{i}": half})       # [D, P_i] = i/2 P_i

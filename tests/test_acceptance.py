@@ -18,7 +18,7 @@ from galconf import dynamics as dy
 from galconf import poisson as po
 from galconf import symmetry as sy
 from galconf import verify as vf
-from galconf.algebra import build_algebra, eps3, jacobi_worst
+from galconf.algebra import build_algebra, jacobi_worst
 
 
 def report(name, ok, detail=""):
@@ -66,6 +66,7 @@ def test_c02_schrodinger_specialization():
         expected[(y, x)] = {g: -v for g, v in res.items()}
 
     # rotations among themselves and on the two vector towers
+    eps3 = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1, (1, 3, 2): -1, (3, 2, 1): -1, (2, 1, 3): -1}
     for i in range(1, 4):
         for k in range(1, 4):
             if i == k:
@@ -73,9 +74,9 @@ def test_c02_schrodinger_specialization():
             l = 6 - i - k
             put_needed = (i < k)  # store each unordered pair once
             if put_needed:
-                put(f"J{i}", f"J{k}", {f"J{l}": eps3(i, k, l)})
-            put(f"J{i}", f"C0_{k}", {f"C0_{l}": eps3(i, k, l)})
-            put(f"J{i}", f"C1_{k}", {f"C1_{l}": eps3(i, k, l)})
+                put(f"J{i}", f"J{k}", {f"J{l}": eps3[i, k, l]})
+            put(f"J{i}", f"C0_{k}", {f"C0_{l}": eps3[i, k, l]})
+            put(f"J{i}", f"C1_{k}", {f"C1_{l}": eps3[i, k, l]})
     for i in range(1, 4):
         put(f"C1_{i}", "H", {f"C0_{i}": 1})           # [B_i, H] = i P_i
         put("D", f"C0_{i}", {f"C0_{i}": half})        # [D, P_i] = i/2 P_i

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -25,16 +25,26 @@ from galconf.algebra import (
     conformal_basis,
     conformal_basis_inverse,
     dump_table,
-    eps2,
-    eps3,
     jacobi_worst,
+    levi_civita,
     parse_generator,
     so21_basis,
     so21_epsilon_lower,
     structure_checks,
 )
-from galconf.errors import BadDimension, InvalidState, UnknownGenerator, UnsupportedExtension
+from galconf.errors import (
+    BadDimension,
+    GalconfError,
+    InvalidState,
+    UnknownGenerator,
+    UnsupportedExtension,
+)
 from galconf.verify import ACCEPTANCE_ALGEBRAS, break_antisymmetry, flip_constant, run_suites
+
+
+# Levi-Civita signs written out, so that no reference reads algebra.levi_civita
+EPS3 = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1, (1, 3, 2): -1, (3, 2, 1): -1, (2, 1, 3): -1}
+EPS2 = {(1, 2): 1, (2, 1): -1}
 
 
 def names(elem):
@@ -62,13 +72,13 @@ class TestSchrodingerTable:
         for i in range(1, 4):
             for k in range(1, 4):
                 got = bracket(alg1, single(alg1, f"J{i}"), single(alg1, f"J{k}"))
-                want = {f"J{l}": eps3(i, k, l) for l in range(1, 4) if eps3(i, k, l)}
+                want = {f"J{l}": EPS3[i, k, l] for l in range(1, 4) if (i, k, l) in EPS3}
                 assert names(got) == want
                 for tower, level in (("C0", 0), ("C1", 1)):
                     got = bracket(alg1, single(alg1, f"J{i}"),
                                   single(alg1, f"{tower}_{k}"))
-                    want = {f"{tower}_{l}": eps3(i, k, l)
-                            for l in range(1, 4) if eps3(i, k, l)}
+                    want = {f"{tower}_{l}": EPS3[i, k, l]
+                            for l in range(1, 4) if (i, k, l) in EPS3}
                     assert names(got) == want
 
     def test_galilei_rows(self, alg1):
@@ -137,7 +147,7 @@ def per_dimension_mass_rows(N, dim):
                 if dim == 3:
                     rows[(j, a, b)] = Fraction((-1) ** ((k - j + 1) // 2) * fact * (a == b))
                 else:
-                    rows[(j, a, b)] = Fraction(-eps2(a, b) * (-1) ** ((k - j) // 2) * fact)
+                    rows[(j, a, b)] = Fraction(-EPS2.get((a, b), 0) * (-1) ** ((k - j) // 2) * fact)
     return rows
 
 
@@ -532,6 +542,63 @@ def test_mutants_leave_the_base_table_unchanged(N, dim):
     assert base.table == before
     assert jacobi_worst(base)[0] == 0
     assert structure_checks(base)["antisymmetry"] == (0, "")
+
+
+def test_flip_constant_needs_a_stored_bracket():
+    alg = build_algebra(1, 3, central=True)
+    for mutate in (flip_constant, break_antisymmetry):
+        with pytest.raises(GalconfError, match=r"^no stored bracket for \(C0_1, C0_2\)$"):
+            mutate(alg, "C0_1", "C0_2")
+
+
+def test_algebra_suite_catches_a_wrong_mass_weight():
+    """A mass row scaled by 2 in both orders keeps antisymmetry; the
+    magnitude case counts its two stored orders."""
+    def factory(n, d, c, ds):
+        a = build_algebra(n, d, c, ds)
+        if (n, d, c) != (3, 3, True):
+            return a
+        x, y = a.generator("C1_2"), a.generator("C2_2")
+        table = dict(a.table)
+        for key in ((x, y), (y, x)):
+            table[key] = {g: 2 * v for g, v in table[key].items()}
+        return replace(a, table=table)
+
+    report = run_suites("algebra", algebra_factory=factory)
+    cases = {c["name"]: c for c in report["suites"]["algebra"]}
+    assert cases["cc_magnitude_N3_dim3"]["defect"] == 2.0
+    assert not cases["cc_magnitude_N3_dim3"]["passed"]
+    assert cases["antisymmetry_N3_dim3_central"]["passed"]
+    assert {name for name, case in cases.items() if not case["passed"]} == \
+        {"jacobi_N3_dim3_central", "cc_magnitude_N3_dim3"}
+
+
+def test_levi_civita_matches_the_literal_tables():
+    """Every tuple of two or three axes from 0..4, so repeated and
+    out-of-range axes too; any other number of axes is 0."""
+    for table, n in ((EPS2, 2), (EPS3, 3)):
+        for axes in product(range(5), repeat=n):
+            assert levi_civita(*axes) == table.get(axes, 0), axes
+    assert levi_civita() == levi_civita(1) == levi_civita(1, 2, 3, 4) == 0
+    assert algebra.EPS2.tolist() == [[0.0, 1.0], [-1.0, 0.0]]
+
+
+@pytest.mark.parametrize("N,dim", [(3, 3), (5, 3), (2, 2), (4, 2)])
+def test_rotation_rows_match_the_literal_signs(N, dim):
+    """[J_i, J_k] = eps_ikl J_l and [J_i, C_j^k] = eps_ikl C_j^l in dimension
+    3, [J, C_j^a] = eps^{ab} C_j^b in dimension 2, and no other J row."""
+    alg = build_algebra(N, dim, central=True)
+    got = {(x.name, y.name): names(row) for (x, y), row in alg.table.items() if x.kind == "J"}
+    want = {}
+    for j in range(N + 1):
+        if dim == 3:
+            for (i, k, l), e in EPS3.items():
+                want[f"J{i}", f"J{k}"] = {f"J{l}": e}
+                want[f"J{i}", f"C{j}_{k}"] = {f"C{j}_{l}": e}
+        else:
+            for (a, b), e in EPS2.items():
+                want["J", f"C{j}_{a}"] = {f"C{j}_{b}": e}
+    assert got == want
 
 
 def test_algebra_suite_locates_broken_antisymmetry():

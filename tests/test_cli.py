@@ -209,6 +209,7 @@ class TestOrbitCommands:
     @pytest.mark.parametrize("config", [
         {"m": 1.0, "x": "abc"},
         {"m": 1.0, "s": [0.0, 1.0], "x": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+        {"m": 1.0, "x": [0.0, 0.0, 0.0]},
     ])
     def test_parametrize_bad_value(self, capsys, tmp_path, config):
         cfg = tmp_path / "bad.json"
@@ -372,8 +373,10 @@ class TestCasimirEval:
         dict(DUAL_3D, h="0.25"),
         dict(DUAL_2D, d="-1"),
         dict(DUAL_2D, k=True),
+        dict(DUAL_3D, c=[[0.0, 1.0, 0.0], [1.0, 0.0]]),
+        dict(DUAL_3D, m=0),
     ], ids=["missing_c", "short_j", "list", "negative_m_nan_h", "empty_j_2d", "dual_list",
-            "string_m", "string_h", "string_d_2d", "bool_k_2d"])
+            "string_m", "string_h", "string_d_2d", "bool_k_2d", "ragged_c", "zero_m"])
     def test_malformed_dual_exits_2(self, capsys, tmp_path, data):
         path = tmp_path / "dual.json"
         path.write_text(json.dumps(data))
@@ -1027,6 +1030,13 @@ class TestVerifyCommand:
     def test_bad_tolerance_override(self, capsys):
         code, _, err = run_cli(capsys, "verify", "algebra", "--tol", "nope=1")
         assert code == 2
+
+    def test_tolerance_override_needs_a_value(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "algebra", "--tol", "oracle")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == \
+            "InvalidConfig: tolerance override must be name=value, got 'oracle'"
 
     @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1e-9"])
     def test_tolerance_override_must_be_finite_nonnegative(self, capsys, value):

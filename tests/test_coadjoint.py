@@ -15,6 +15,7 @@ from galconf.algebra import (
     build_algebra,
     conformal_basis_inverse,
     spin_components,
+    tower_form,
     tower_sign,
 )
 from galconf.coadjoint import (
@@ -26,9 +27,11 @@ from galconf.coadjoint import (
     _expm,
     _level_sum,
     _levels,
+    _pair,
     _rowdot,
     _series_terms,
     _translation_weights,
+    _turn,
     ad_star_matrix,
     OrbitClass,
     OrbitLabel,
@@ -67,7 +70,6 @@ from galconf.poisson import (
     p_levels,
     q_levels,
     raw_levels,
-    tower_order,
     uniform_block,
 )
 from galconf.verify import (
@@ -317,12 +319,32 @@ class TestParametrization:
         with pytest.raises(InvalidState, match="s and x must be finite"):
             parametrize(label, args["s"], np.zeros(3), args["x"])
 
+    @pytest.mark.parametrize("s,x", [
+        ([0.0, 0.0], np.zeros((2, 3))),          # used to fail in numpy's reshape
+        ([[0.0, 0.0, 0.0]], np.zeros((2, 3))),   # used to be accepted
+        (0.0, np.zeros((2, 3))),
+        (0.0, np.zeros((3, 2))),                 # a bare spin, as PhasePoint refuses it
+        ([[0.0]], np.zeros((3, 2))),
+        ([0.0, 0.0, 0.0], np.zeros((3, 2))),
+        ([0.0, 0.0, 0.0], np.zeros(3)),
+    ])
+    def test_rejects_a_spin_or_x_of_the_wrong_shape(self, s, x):
+        label = OrbitLabel(m=1.0, s2=0.0, chi_class=OrbitClass("Origin"))
+        with pytest.raises(ShapeMismatch):
+            parametrize(label, s, np.zeros(3), x)
+
 
 @pytest.mark.parametrize("tag,sigma", [("HplusSigma", math.nan), ("HyperbolicSigma", math.inf),
                                        ("Origin", math.nan)])
 def test_orbit_class_rejects_a_non_finite_sigma(tag, sigma):
     with pytest.raises(LabelMismatch, match="sigma must be finite"):
         OrbitClass(tag, sigma)
+
+
+@pytest.mark.parametrize("tag", ["Hplus0", "Hminus0", "Origin"])
+def test_a_cone_or_origin_class_requires_sigma_0(tag):
+    with pytest.raises(LabelMismatch, match=f"^{tag} requires sigma = 0$"):
+        OrbitClass(tag, 1.0)
 
 
 @pytest.mark.parametrize("tag", ["HplusSigma", "HminusSigma", "HyperbolicSigma"])
@@ -423,14 +445,14 @@ class TestCasimirs:
                 assert a == pytest.approx(b, abs=1e-10)
 
     def test_2d_scalar_spin_orbit(self):
-        # the spin as a bare number, through the labelled parametrization
+        # the one-component spin, through the labelled parametrization
         alg = build_algebra(2, 2, central=True)
         chi = np.array([0.0, 0.9, 0.0])
         label = OrbitLabel(m=1.5, s2=-0.7, chi_class=classify_orbit(chi))
         rng = np.random.default_rng(8)
         for _ in range(10):
             x = rng.uniform(-1, 1, (3, 2))
-            V = pack_dual(alg, 1.5, *parametrize(label, -0.7, chi, x))[None]
+            V = pack_dual(alg, 1.5, *parametrize(label, [-0.7], chi, x))[None]
             C1, C2, C3 = casimir_values(alg, V)
             assert C2 == pytest.approx(1.5 * -0.7, abs=1e-10)
             assert C3 == pytest.approx(2 * 1.5 ** 2 * -(0.9 ** 2), abs=1e-10)
@@ -603,6 +625,33 @@ def test_series_terms_name_the_first_matrix_that_does_not_converge():
 
 def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+TURN_ENTRIES = [0.0, -0.0, 1.5, -0.7, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]
+
+
+def test_turn_gives_the_bits_of_the_matmul_with_eps2():
+    """_turn(x) against x @ EPS2 with EPS2 written out, on every pair of
+    signed zeros, tiny, subnormal and huge entries: single rows and stacks."""
+    eps2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    rows = np.array(list(itertools.product(TURN_ENTRIES, repeat=2)))
+    assert same_bits(_turn(rows), rows @ eps2)
+    assert same_bits(_turn(rows.reshape(3, -1, 2)), rows.reshape(3, -1, 2) @ eps2)
+    for row in rows:
+        assert same_bits(_turn(row), row @ eps2)
+        assert same_bits(_turn(row), eps2.T @ row)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_is_the_tower_form(dim):
+    """_pair(e_a, e_b) = tower_form(dim, a+1, b+1) on unit vectors, and
+    _pair is bilinear: a stack of pairs gives sum_ab form_ab u^a v^b."""
+    e = np.eye(dim)
+    form = np.array([[tower_form(dim, a + 1, b + 1) for b in range(dim)] for a in range(dim)])
+    assert np.array_equal(_pair(e[:, None, :], e[None, :, :]), form)
+    assert np.array_equal(form, np.eye(3) if dim == 3 else [[0.0, -1.0], [1.0, 0.0]])
+    u, v = np.random.default_rng(dim).uniform(-1, 1, (2, 5, dim))
+    assert np.allclose(_pair(u, v), np.einsum("ka,ab,kb->k", u, form, v), rtol=0, atol=1e-15)
 
 
 def unit_row(alg, name):
@@ -979,7 +1028,8 @@ def reference_translation(m, x, j, c, h, d, k):
 def reference_raw_levels(q, p, m):
     """raw_levels as it was written: the momentum line turned back by a
     matmul with EPS2.T, then sign * q / k! and p / (m (N - k)!) per level."""
-    N, dim, nq, n_p = tower_order(q.shape), q.shape[-1], q.shape[-2], p.shape[-2]
+    dim, nq, n_p = q.shape[-1], q.shape[-2], p.shape[-2]
+    N = 2 * nq - 1 if dim == 3 else 2 * (nq - 1)
     if dim == 2:
         p = p @ EPS2.T
     x = np.empty(q.shape[:-2] + (N + 1, dim), dtype=np.result_type(q, p, float))

@@ -144,7 +144,7 @@ def test_flow_matrix_matches_printed_field(N, dim):
     L = _flow_matrix(N, dim, m, FREE)
     nq, n_p = q_levels(N, dim) * dim, p_levels(N, dim) * dim
     assert L.shape == (nq + n_p + 3,) * 2
-    s = np.zeros(3) if dim == 3 else 0.0
+    s = np.zeros(3) if dim == 3 else [0.0]
     for j, e in enumerate(np.eye(len(L))):
         pt = PhasePoint(q=e[:nq].reshape(-1, dim), p=e[nq:nq + n_p].reshape(-1, dim),
                         s=s, chi=e[nq + n_p:], m=m)
@@ -360,6 +360,11 @@ class TestNewtonHooke:
         with pytest.raises(UnsupportedHamiltonian):
             HamiltonianChoice("oscillator")
 
+    def test_closed_form_is_for_the_free_flow_only(self):
+        ham = HamiltonianChoice("newton_hooke", omega=1.0, sign=1)
+        with pytest.raises(UnsupportedHamiltonian, match="free flow only"):
+            integrate(free_point(), ham, 1.0, 0.1, "closed")
+
     def test_free_flow_takes_no_oscillator_parameters(self):
         # omega and sign used to be accepted: RK4 then integrated Newton-Hooke
         # while the closed form, the drifts and the maps took the run as free
@@ -445,6 +450,15 @@ class TestMotionOrder:
         tr = integrate(pt, FREE, 0.3, 0.1, "closed", record=False)  # 4 samples, N + 3 = 6
         with pytest.raises(TooFewSamples):
             verify_motion_order(tr)
+
+    def test_conditioning_threshold_needs_two_uniform_samples(self):
+        tr = integrate(random_point(np.random.default_rng(5), 3, 3), FREE, 0.3, 0.1, "closed",
+                       record=False)
+        with pytest.raises(TooFewSamples, match="^need at least two samples$"):
+            conditioning_threshold(Trajectory(times=tr.times[:1], states=tr.states[:1]))
+        uneven = Trajectory(times=[0.0, 0.1, 0.25, 0.3], states=tr.states)
+        with pytest.raises(TooFewSamples, match="^order check requires uniform sampling$"):
+            conditioning_threshold(uneven)
 
     @pytest.mark.parametrize("N,dim,ham,method", [
         (1, 3, FREE, "closed"), (3, 3, FREE, "rk4"), (7, 3, FREE, "rk4"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galconf import poisson as po
-from galconf.algebra import build_algebra, eps2, spin_components
+from galconf.algebra import build_algebra, spin_components
 from galconf.coadjoint import casimir_arrays
 from galconf.errors import InvalidState, ShapeMismatch
 from galconf.poisson import (
@@ -119,7 +119,7 @@ class TestDarboux:
                 for L in range(nq):
                     for b in range(dim):
                         if dim == 2 and K == L == N // 2 and a != b:
-                            want = eps2(b + 1, a + 1) / m
+                            want = (1.0 if b < a else -1.0) / m  # eps^{ba} / m
                         else:
                             want = 0.0
                         assert pushed(coeffs("q", K, a), coeffs("q", L, b)) == \
@@ -230,7 +230,7 @@ class TestObservableBracket:
         top = 1
         got = poly_bracket(Poly.var(("q", top, 0)), Poly.var(("q", top, 1)),
                            StructureMatrix(2, 2, m)).eval(pt.env())
-        assert got == pytest.approx(eps2(2, 1) / m)
+        assert got == pytest.approx(-1.0 / m)  # eps^{21} / m
 
     @pytest.mark.parametrize("N,dim", [(1, 3), (2, 2)])
     def test_leibniz_and_antisymmetry(self, N, dim):
@@ -325,6 +325,14 @@ def test_phase_point_shape_validation():
     with pytest.raises(ShapeMismatch):
         PhasePoint(q=np.zeros((1, 3)), p=np.zeros((1, 3)), s=np.zeros(2),
                    chi=np.zeros(3), m=1.0)
+    # a 1-d q or p, and level counts that no (N, dim) family has: N >= 1 is
+    # the number of q and p levels less one, so q and p must agree on it (the
+    # empty towers of the last two had N = -1 and N = 0)
+    for q, p in (((3,), (1, 3)), ((1, 3), (3,)), ((2, 2), (2, 2)), ((2, 2), (0, 2)),
+                 ((1, 2), (1, 2)), ((0, 3), (0, 3)), ((1, 2), (0, 2))):
+        with pytest.raises(ShapeMismatch):
+            PhasePoint(q=np.zeros(q), p=np.zeros(p), s=np.zeros(spin_components(q[-1])),
+                       chi=np.zeros(3), m=1.0)
 
 
 @pytest.mark.parametrize("N,dim", [(1, 3), (3, 3), (2, 2), (4, 2)])
@@ -356,12 +364,15 @@ def test_phase_point_stack_indexes_to_fresh_single_points(N, dim):
         pts[0][0]
 
 
-def test_phase_point_reads_a_bare_spin_per_sample():
-    one = PhasePoint(q=np.zeros((2, 2)), p=np.zeros((1, 2)), s=0.4, chi=np.zeros(3), m=1.0)
-    two = PhasePoint(q=np.zeros((2, 2, 2)), p=np.zeros((2, 1, 2)), s=[0.4, 0.5],
-                     chi=np.zeros((2, 3)), m=1.0)
-    assert one.s.shape == (1,) and two.s.shape == (2, 1)
-    assert np.array_equal(two[1].s, [0.5])
+def test_phase_point_rejects_a_bare_spin():
+    # a bare number per sample was once read as the one spin of dimension 2
+    one = dict(q=np.zeros((2, 2)), p=np.zeros((1, 2)), chi=np.zeros(3), m=1.0)
+    two = dict(q=np.zeros((2, 2, 2)), p=np.zeros((2, 1, 2)), chi=np.zeros((2, 3)), m=1.0)
+    for kw, bare in ((one, 0.4), (two, [0.4, 0.5])):
+        with pytest.raises(ShapeMismatch):
+            PhasePoint(s=bare, **kw)
+    assert PhasePoint(s=[0.4], **one).s.shape == (1,)
+    assert np.array_equal(PhasePoint(s=[[0.4], [0.5]], **two)[1].s, [0.5])
 
 
 @pytest.mark.parametrize("field,value", [
