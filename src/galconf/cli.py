@@ -58,20 +58,21 @@ def _open(path, mode: str):
 
 def _emit(data: dict, path: Optional[str], files=()) -> None:
     """Write data as JSON to path, or to stdout when it is None, and each (path,
-    text) of files, in that order, so where two paths name one file the JSON
-    is what it holds.
+    bytes) of files, in that order, so where two paths name one file the JSON
+    is what it holds.  Files are written as bytes (binary mode, the JSON
+    encoded as ASCII), so their line ends are "\n" on every platform.
 
     Every path is first opened for appending, which changes no file that
     exists.  If one cannot be opened, the files those opens created are
     removed and nothing is written, so a command that fails on an output
     path leaves every file as it was."""
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    outputs = [*files, *([(path, text)] if path is not None else [])]
+    outputs = [*files, *([(path, text.encode())] if path is not None else [])]
     created = []
     try:
         for name, _ in outputs:
             new = isinstance(name, str) and not os.path.lexists(name)
-            _open(name, "a").close()
+            _open(name, "ab").close()
             if new:
                 created.append(name)
     except InvalidConfig:
@@ -79,7 +80,7 @@ def _emit(data: dict, path: Optional[str], files=()) -> None:
             os.remove(name)
         raise
     for name, body in outputs:
-        with _open(name, "w") as fh:
+        with _open(name, "wb") as fh:
             fh.write(body)
     if path is None:
         sys.stdout.write(text)
@@ -214,7 +215,11 @@ def _resolve_internal(cfg: dict, dim: int, tol: float):
     if not (math.isfinite(m) and m > 0):
         raise InvalidConfig(f"m must be finite and positive, got {m}")
     n = al.spin_components(dim)
-    s = _finite("s", _array("s", cfg.get("s", np.zeros(n))).reshape(n))
+    s = _array("s", cfg.get("s", np.zeros(n)))
+    if s.shape != (n,) and not (s.shape == () and n == 1):  # a bare spin in dimension 2
+        raise InvalidConfig(f"s must hold {n} spin components in dimension {dim}, "
+                            f"got shape {s.shape}")
+    s = _finite("s", s.reshape(n))
     s2 = float(co.spin_invariant(s))
     has_chi = "chi" in cfg
     if has_chi:

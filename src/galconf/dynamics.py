@@ -421,22 +421,24 @@ def _csv_header(N: int, dim: int) -> List[str]:
     return cols
 
 
-def trajectory_csv_text(traj: Trajectory) -> str:
-    """CSV body with a mandatory header row and 17 significant digits: every
-    cell is the CSV_FLOAT_FORMAT text of its float, so 0.0 and -0.0 write "0"
-    and "-0".  ``_csv_records`` makes the cells."""
+def trajectory_csv_text(traj: Trajectory) -> bytes:
+    """CSV body with a mandatory header row and 17 significant digits, as
+    ASCII bytes with "\n" line ends: every cell is the CSV_FLOAT_FORMAT text
+    of its float, so 0.0 and -0.0 write "0" and "-0".  ``_csv_records`` makes
+    the cells."""
     n = len(traj.times)
     rec = _recorded(traj)
     table = np.hstack([traj.times[:, None], traj.q.reshape(n, -1), traj.p.reshape(n, -1),
                        traj.s, traj.chi, np.stack([rec[k] for k in ("h", "d", "k")], axis=1),
                        rec["j"], np.stack([rec[k] for k in ("C1", "C2", "C3")], axis=1)])
-    return ",".join(_csv_header(traj.N, traj.dim)) + "\n" + _csv_body(table)
+    return _csv_body(table, (",".join(_csv_header(traj.N, traj.dim)) + "\n").encode())
 
 
-def _csv_body(table: np.ndarray) -> str:
-    """The rows of a 2-d float table as CSV lines, made _CSV_ROWS rows at a
-    time; the cells ``_csv_records`` does not certify are formatted by %."""
-    out = []
+def _csv_body(table: np.ndarray, head: bytes = b"") -> bytes:
+    """head, then the rows of a 2-d float table as ASCII CSV lines, made
+    _CSV_ROWS rows at a time, in one join; the cells ``_csv_records`` does not
+    certify are formatted by %."""
+    out = [head]
     for r in range(0, len(table), _CSV_ROWS):
         block = table[r:r + _CSV_ROWS]
         rec, slow = _csv_records(block)
@@ -445,7 +447,7 @@ def _csv_body(table: np.ndarray) -> str:
                              for v in block[slow].tolist())
             rec[slow, :47] = np.frombuffer(texts, np.uint8).reshape(-1, 47)
         out.append(rec.tobytes().translate(None, b"\0"))
-    return b"".join(out).decode("ascii")
+    return b"".join(out)
 
 
 # The CSV_FLOAT_FORMAT kernel.  A cell x with 1e-150 <= |x| < 1e150 has a
@@ -544,20 +546,21 @@ def _csv_records(block: np.ndarray):
     X[~fast] = -_CSV_X0  # a zero is the digit 0 at exponent 0
     rec = np.take(tmpl, 4 * X + 2 * (D % unit[X] != 0) + np.signbit(x), axis=0)
     # word 0 gets the leading digit, words 1-4 four digits each, whole or,
-    # when no nonzero digit follows, without trailing zeros
-    G = np.empty((len(x), 6), dtype=np.intp)
-    G[:, 5] = 10000
+    # when no nonzero digit follows, without trailing zeros; word 5 holds no
+    # digit.  G is group-major, so each group is one contiguous index row.
+    G = np.empty((5, len(x)), dtype=np.intp)
     for j in (4, 3, 2, 1):
         q = D // 10 ** 4
-        G[:, j] = D - q * 10 ** 4
+        G[j] = D - q * 10 ** 4
         D = q
-    G[:, 0] = D + 20000
-    tail = G[:, 4] == 0
-    G[:, 4] += 10000
+    G[0] = D + 20000
+    tail = G[4] == 0
+    G[4] += 10000
     for j in (3, 2, 1):
-        G[:, j] += 10000 * tail
-        tail &= G[:, j] == 10000
-    rec |= np.take(digits, G)
+        G[j] += 10000 * tail
+        tail &= G[j] == 10000
+    for j, g in enumerate(G):
+        rec[:, j] |= np.take(digits, g)
     rec = rec.view(np.uint8).reshape(block.shape + (48,))
     rec[:, -1, -1] = ord("\n")
     return rec, slow.reshape(block.shape)

@@ -28,6 +28,7 @@ from .algebra import (
     EPS2,
     AlgebraSpec,
     GeneratorId,
+    check_family,
     levi_civita,
     so21_epsilon_lower,
     spin_components,
@@ -387,8 +388,10 @@ def to_darboux(x_levels, m: float, N: int, dim: int):
 
     In dimension 2 the momentum line absorbs one antisymmetric twist so the
     canonical pairs come out with {q, p} = delta exactly; the self-conjugate
-    top level stays on the q side.
+    top level stays on the q side.  (N, dim) must be a centrally extended
+    member (check_family).
     """
+    check_family(N, dim, central=True)
     x = np.asarray(x_levels, dtype=float)
     if x.shape != (N + 1, dim):
         raise ShapeMismatch(f"x must be ({N + 1}, {dim}), got {x.shape}")
@@ -403,6 +406,7 @@ def to_darboux(x_levels, m: float, N: int, dim: int):
 
 def from_darboux(q, p, m: float, N: int, dim: int) -> np.ndarray:
     """Inverse of to_darboux; round-trips exactly."""
+    check_family(N, dim, central=True)
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if q.shape != (q_levels(N, dim), dim) or p.shape != (p_levels(N, dim), dim):

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from galconf import algebra as al
 from galconf import coadjoint as co
+from galconf import dynamics as dy
+from galconf import poisson as po
 from galconf.cli import RUN_CONFIG_KEYS, _dual_json, _load_dual, main
 from galconf.errors import GalconfError
 from galconf.verify import ACCEPTANCE_ALGEBRAS, DEFAULT_TOLERANCES, run_suites
@@ -217,6 +219,30 @@ class TestOrbitCommands:
         code, _, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
         assert code == 2
         assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("x,s,j", [
+        # a nesting with the right number of entries used to be flattened:
+        # s = [[0, 0, 1]] or [[0], [0], [1]] exited 0 with j = [0, 0, 1]
+        ([[0.0] * 3] * 2, [[0.0, 0.0, 1.0]], None),
+        ([[0.0] * 3] * 2, [[0.0], [0.0], [1.0]], None),
+        ([[0.0] * 3] * 2, 1.0, None),
+        ([[0.0] * 3] * 2, [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]),
+        ([[0.0] * 2] * 3, 1.0, [1.0]),  # the bare spin of dimension 2
+        ([[0.0] * 2] * 3, [1.0], [1.0]),
+        ([[0.0] * 2] * 3, [[1.0]], None),
+    ])
+    def test_parametrize_reads_a_spin_of_spin_components_entries(self, capsys, tmp_path,
+                                                                 x, s, j):
+        cfg = tmp_path / "orbit.json"
+        cfg.write_text(json.dumps({"m": 1.0, "s": s, "x": x}))
+        code, out, err = run_cli(capsys, "orbit", "parametrize", "--config", str(cfg))
+        if j is None:
+            assert code == 2
+            assert out == ""
+            assert "InvalidConfig: s must hold" in json.loads(err)["error"]
+        else:
+            assert code == 0, err
+            assert json.loads(out)["dual"]["j"] == j
 
     @pytest.mark.parametrize("overrides", [
         {"s": [0.0, float("nan"), 1.0]},
@@ -657,6 +683,50 @@ class TestSimulate:
         path.write_text(json.dumps(cfg))
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 0, err
+
+    PLANAR = {"N": 2, "dim": 2, "q": [[0.4, 0.0], [0.0, 0.1]], "p": [[0.0, 0.3]]}
+
+    @pytest.mark.parametrize("overrides,code", [
+        ({"s": [[0.0, 0.0, 0.5]]}, 2),  # these two used to run with s flattened
+        ({"s": [[0.0], [0.0], [0.5]]}, 2),
+        ({"s": 0.5}, 2),
+        ({**PLANAR, "s": 0.5}, 0),  # the bare spin of perfbench's dimension-2 configs
+        ({**PLANAR, "s": [0.5]}, 0),
+        ({**PLANAR, "s": [[0.5]]}, 2),
+        ({**PLANAR, "s": [0.0, 0.5]}, 2),
+    ])
+    def test_spin_must_have_spin_components_entries(self, capsys, tmp_path, overrides, code):
+        cfg = write_free_config(tmp_path, T=0.01, dt=0.005, **overrides)
+        got, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert got == code, err
+        if code == 2:
+            assert "InvalidConfig: s must hold" in json.loads(err)["error"]
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("method", ["rk4", "closed"])
+    def test_outputs_are_the_csv_bytes_and_the_summary_json(self, capsys, tmp_path, method):
+        """The CSV file holds trajectory_csv_text of the run's trajectory and
+        the summary file its indented JSON with a final newline, byte for byte;
+        where csv and summary name one path, the summary is what it holds."""
+        cfg = write_free_config(tmp_path, T=0.1, dt=0.01, method=method)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 0, err
+        pt = po.PhasePoint(q=np.array([[0.4, 0.0, 0.0]]), p=np.array([[0.0, 0.3, 0.0]]),
+                           s=np.array([0.0, 0.0, 0.5]),
+                           chi=co.chi_for_class(co.OrbitClass("HplusSigma", 1.0)), m=1.0)
+        want = dy.trajectory_csv_text(dy.integrate(pt, dy.FREE, 0.1, 0.01, method))
+        assert (tmp_path / "traj.csv").read_bytes() == want
+        raw = (tmp_path / "summary.json").read_bytes()
+        summary = json.loads(raw)
+        assert summary["samples"] == 11
+        assert raw == (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
+        same = str(tmp_path / "same")
+        cfg = write_free_config(tmp_path, T=0.1, dt=0.01, method=method, csv=same, summary=same)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 0, err
+        summary["config"].update(csv=same, summary=same)
+        assert (tmp_path / "same").read_bytes() == \
+            (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
 
     def test_readme_table_lists_every_known_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

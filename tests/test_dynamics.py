@@ -505,7 +505,7 @@ class TestCsvExport:
     def test_header_and_digits(self):
         pt = free_point(q=[[1.0 / 3.0, 0.0, 0.0]])
         tr = integrate(pt, FREE, 0.01, 0.005)
-        text = trajectory_csv_text(tr)
+        text = trajectory_csv_text(tr).decode("ascii")
         lines = text.strip().split("\n")
         assert lines[0].startswith("t,q0_1,q0_2,q0_3,p0_1")
         assert lines[0].endswith("C1,C2,C3")
@@ -520,7 +520,7 @@ class TestCsvExport:
 
     def test_2d_header(self):
         pt = random_point(np.random.default_rng(22), 2, 2)
-        text = trajectory_csv_text(integrate(pt, FREE, 0.01, 0.005))
+        text = trajectory_csv_text(integrate(pt, FREE, 0.01, 0.005)).decode("ascii")
         header = text.split("\n")[0].split(",")
         assert "q1_1" in header and "q1_2" in header  # self-conjugate level
         assert "p1_1" not in header
@@ -611,7 +611,7 @@ class TestArrayTrajectory:
     def test_csv_header_and_rows(self, N, dim, ham):
         _, trajs = self.trajectories(N, dim, ham)
         for tr in trajs:
-            lines = trajectory_csv_text(tr).split("\n")
+            lines = trajectory_csv_text(tr).decode("ascii").split("\n")
             assert lines[-1] == ""
             header = lines[0].split(",")
             assert header[0] == "t" and header[-3:] == ["C1", "C2", "C3"]
@@ -644,7 +644,7 @@ def test_spin_has_one_component_per_rotation_generator(N, dim):
 def _csv_reference(traj):
     """Cell-by-cell formatting of each state, the writer's reference."""
     fmt = CSV_FLOAT_FORMAT
-    lines = [trajectory_csv_text(traj).split("\n", 1)[0]]
+    lines = [trajectory_csv_text(traj).decode("ascii").split("\n", 1)[0]]
     rec = traj.recorded
     for i, st in enumerate(traj.states):
         row = [fmt % traj.times[i]]
@@ -675,7 +675,7 @@ def test_csv_rows_match_cellwise_formatting(N, dim):
              for sign in (1, -1)]
     distinct = set()
     for tr in runs:
-        text = trajectory_csv_text(tr)
+        text = trajectory_csv_text(tr).decode("ascii")
         assert text == _csv_reference(tr)
         distinct |= {len(set(col)) for col in _csv_cells(text)}
     assert 1 in distinct and len(runs[0].times) in distinct
@@ -688,7 +688,7 @@ def test_one_sample_csv_has_its_row(N, dim, method):
     """At T = 0 every column holds one value, and the body is still the
     header plus the one sample's row."""
     tr = integrate(random_point(np.random.default_rng(32), N, dim), FREE, 0.0, 0.01, method)
-    text = trajectory_csv_text(tr)
+    text = trajectory_csv_text(tr).decode("ascii")
     assert len(text.split("\n")) == 3
     assert text == _csv_reference(tr)
 
@@ -713,7 +713,7 @@ def test_csv_keeps_signed_zeros_constants_and_repeats():
     tr = _hand_built_trajectory(
         times=np.arange(6) * 0.1, h=[0.0, -0.0, 0.0, -0.0, 1.5, -0.0], d=[2.5] * 6,
         k=[1 / 3, 2 / 3, 1 / 3, 1 / 3, 2 / 3, 1 / 3], C3=[0.0, -0.0] * 3)
-    text = trajectory_csv_text(tr)
+    text = trajectory_csv_text(tr).decode("ascii")
     assert text == _csv_reference(tr)
     cells = dict(zip(text.split("\n", 1)[0].split(","), _csv_cells(text)))
     assert cells["h"] == ("0", "-0", "0", "-0", "1.5", "-0")
@@ -728,7 +728,7 @@ def test_csv_writes_every_row_of_a_constant_table():
     no column of the table changes."""
     tr = _hand_built_trajectory(np.zeros(3), h=[0.5] * 3, d=[-0.0] * 3, k=[2.0] * 3,
                                 C3=[1.0] * 3)
-    text = trajectory_csv_text(tr)
+    text = trajectory_csv_text(tr).decode("ascii")
     assert text == _csv_reference(tr)
     assert len(text.split("\n")) == 5
 
@@ -739,7 +739,7 @@ def _assert_cells_match_percent(values, cols=8):
     ended by a newline."""
     values = np.asarray(values, dtype=float).ravel()
     table = np.concatenate([values, np.zeros(-len(values) % cols)]).reshape(-1, cols)
-    text = dynamics._csv_body(table)
+    text = dynamics._csv_body(table).decode("ascii")
     want = [CSV_FLOAT_FORMAT % v for v in table.ravel().tolist()]
     got = text.replace("\n", ",").split(",")[:-1]
     bad = [(v, g, w) for v, g, w in zip(table.ravel().tolist(), got, want) if g != w]
@@ -776,7 +776,7 @@ def test_csv_cells_match_percent_at_powers_of_ten():
                < Fraction(CSV_FLOAT_FORMAT % x) == Fraction(10) ** round(math.log10(x))]
     assert len(carried) >= 5
     assert not dynamics._csv_records(np.array([carried]))[1].any()
-    assert dynamics._csv_body(np.array([[1e-5, 1e-4, 1e16, 1e17]])) == \
+    assert dynamics._csv_body(np.array([[1e-5, 1e-4, 1e16, 1e17]])).decode("ascii") == \
         "1.0000000000000001e-05,0.0001,10000000000000000,1e+17\n"
 
 

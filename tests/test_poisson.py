@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from galconf import poisson as po
 from galconf.algebra import build_algebra, spin_components
 from galconf.coadjoint import casimir_arrays
-from galconf.errors import InvalidState, ShapeMismatch
+from galconf.errors import BadDimension, InvalidState, ShapeMismatch, UnsupportedExtension
 from galconf.poisson import (
     PhasePoint,
     Poly,
@@ -124,6 +124,17 @@ class TestDarboux:
                             want = 0.0
                         assert pushed(coeffs("q", K, a), coeffs("q", L, b)) == \
                             pytest.approx(want, abs=1e-13)
+
+    @pytest.mark.parametrize("N,dim,error", [(2, 3, UnsupportedExtension),
+                                             (1, 2, UnsupportedExtension),
+                                             (0, 3, BadDimension), (0, 2, BadDimension)])
+    def test_a_member_without_central_extension_is_refused(self, N, dim, error):
+        # to_darboux(np.zeros((3, 3)), 1.0, 2, 3) used to return the N = 1 tower
+        with pytest.raises(error):
+            to_darboux(np.zeros((N + 1, dim)), 1.0, N, dim)
+        with pytest.raises(error):
+            from_darboux(np.zeros((q_levels(N, dim), dim)), np.zeros((p_levels(N, dim), dim)),
+                         1.0, N, dim)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeMismatch):
