@@ -25,8 +25,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from .algebra import check_family
 from .coadjoint import casimir_arrays, chi_interval
-from .errors import BadStep, NonFiniteResult, ShapeMismatch, TooFewSamples, UnsupportedHamiltonian
+from .errors import (BadStep, InvalidState, NonFiniteResult, ShapeMismatch, TooFewSamples,
+                     UnsupportedHamiltonian)
 from .poisson import (
     EPS2,
     PhasePoint,
@@ -173,28 +175,47 @@ def free_flow(q, p, chi, m: float, t):
     The external solution is the terminating polynomial of the nilpotent
     flow; chi is quadratic in t because chi0 - chi1 is conserved.  The time
     array and the leading axes of the initial coordinates broadcast against
-    each other.
+    each other.  Raises ShapeMismatch for q, p and chi that are not one
+    chart's blocks or whose leading axes do not broadcast, BadDimension for a
+    dimension other than 2 or 3, and InvalidState for a mass that is not
+    finite and positive or a time that is not finite.
     """
     t = np.asarray(t, dtype=float)
-    tc = t[..., None]  # against the axis of one level
-    dim = q.shape[-1]
-    n_p = p.shape[-2]
-    top = q.shape[-2] - 1
-    lead = np.broadcast(t, q[..., 0, 0], p[..., 0, 0]).shape
-    # One step per power r over all the levels it reaches: each level adds
-    # its terms in the order of its sum over r, starting from +0.0.
-    p_t = np.zeros(lead + p.shape[-2:])
+    dim, n_q, n_p = q.shape[-1], q.shape[-2], p.shape[-2]
+    N = n_q + n_p - 1  # q and p hold the N + 1 levels of every family between them
+    if (p.shape[-1] != dim or chi.shape[-1:] != (3,)
+            or (q_levels(N, dim), p_levels(N, dim)) != (n_q, n_p)):
+        raise ShapeMismatch(f"q {q.shape}, p {p.shape}, chi {chi.shape} are not one chart's")
+    check_family(N, dim, central=True)
+    if not (math.isfinite(m) and m > 0):
+        raise InvalidState(f"mass must be finite and positive, got {m}")
+    if not np.isfinite(t).all():
+        raise InvalidState("times must be finite")
+    try:
+        b = np.broadcast(t, q[..., 0, 0], p[..., 0, 0])
+        np.broadcast(b, chi[..., 0])
+    except ValueError as exc:
+        raise ShapeMismatch(f"times {t.shape} and leading axes of q {q.shape}, p {p.shape} "
+                            f"and chi {chi.shape} do not broadcast") from exc
+    # Levels and axis first, the L leading axes last: every step runs along the
+    # samples, and each level adds its terms in the order of its sum, from +0.0.
+    lead, L, top = b.shape, b.ndim, n_q - 1
+    first, back = (L, L + 1, *range(L)), (*range(2, L + 2), 0, 1)
+    pe = p if dim == 3 else p @ EPS2  # on the input layout, for its signed zeros
+    qT, pT, peT = (np.ascontiguousarray(x.reshape((1,) * (L + 2 - x.ndim) + x.shape)
+                                        .transpose(first)) for x in (q, p, pe))
+    tc = t.reshape((1,) * (L + 1 - t.ndim) + t.shape)  # against the axis of one level
+    p_t = np.zeros((n_p, dim) + lead)
     for r in range(n_p):  # level k adds (-t)^r / r! p_{k-r} for r = 0..k
-        p_t[..., r:, :] += ((-tc) ** r / _fact(r))[..., None, :] * p[..., :n_p - r, :]
-    powers = np.empty(t.shape + (top + n_p + 1, 1))  # t^e / e! along a level axis
+        p_t[r:] += (-tc) ** r / _fact(r) * pT[:n_p - r]
+    powers = np.empty((top + n_p + 1,) + tc.shape)  # t^e / e! along a level axis
     for e in range(top + n_p + 1):
-        np.divide(tc ** e, _fact(e), out=powers[..., e, :])
-    q_t = np.zeros(lead + q.shape[-2:])
+        np.divide(tc ** e, _fact(e), out=powers[e])
+    q_t = np.zeros((n_q, dim) + lead)
     for r in range(top + 1):  # level k adds t^r / r! q_{k+r} for r = 0..top-k
-        q_t[..., :top + 1 - r, :] += powers[..., r:r + 1, :] * q[..., r:, :]
+        q_t[:top + 1 - r] += powers[r] * qT[r:]
     for r in range(n_p):  # then (-1)^r t^e / e! p_{n_p-1-r} / m, e = top-k+1+r
-        pr = p[..., n_p - 1 - r, :]
-        term = powers[..., top + 1 + r:r:-1, :] * (pr if dim == 3 else pr @ EPS2)[..., None, :] / m
+        term = powers[top + 1 + r:r:-1] * peT[n_p - 1 - r] / m
         if r % 2:
             q_t -= term
         else:
@@ -204,7 +225,7 @@ def free_flow(q, p, chi, m: float, t):
     chi_t = np.stack([c0 + c2 * t + e * t * t / 2.0,
                       c1 + c2 * t + e * t * t / 2.0,
                       c2 + e * t], axis=-1)
-    return q_t, p_t, chi_t
+    return q_t.transpose(back), p_t.transpose(back), chi_t
 
 
 @dataclass

@@ -31,6 +31,7 @@ from galconf.dynamics import (
     verify_motion_order,
 )
 from galconf.errors import (
+    BadDimension,
     BadStep,
     InvalidState,
     NonFiniteResult,
@@ -166,6 +167,26 @@ class TestClosedForm:
             _, _, chi = free_flow(pt.q, pt.p, pt.chi, pt.m, t)
             assert np.allclose(chi, [1 + t * t / 2, t * t / 2, t], atol=1e-14)
             assert chi_interval(chi) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("change,error", [
+        ({"m": 0.0}, InvalidState), ({"m": -1.0}, InvalidState),
+        ({"m": math.nan}, InvalidState), ({"m": math.inf}, InvalidState),
+        ({"t": [0.1, math.nan]}, InvalidState), ({"t": math.inf}, InvalidState),
+        ({"p": np.zeros((3, 3))}, ShapeMismatch),
+        ({"chi": np.zeros(2)}, ShapeMismatch),
+        ({"p": np.zeros((2, 2))}, ShapeMismatch),
+        ({"q": np.zeros((4, 2, 3)), "t": np.zeros(5)}, ShapeMismatch),
+        ({"chi": np.zeros((4, 3)), "p": np.zeros((5, 2, 3))}, ShapeMismatch),
+        ({"q": np.zeros((3, 4)), "p": np.zeros((2, 4))}, BadDimension),
+    ], ids=["m_zero", "m_negative", "m_nan", "m_inf", "t_nan", "t_inf", "p_extra_level",
+            "chi_length_2", "p_other_dim", "q_vs_t_lead", "chi_vs_p_lead", "dim_4"])
+    def test_rejects_bad_input(self, change, error):
+        # (3, 3): q and p of two levels each, m 1.3, one time
+        args = {"q": np.zeros((2, 3)), "p": np.zeros((2, 3)), "chi": np.zeros(3), "m": 1.3,
+                "t": 0.5}
+        free_flow(**args)
+        with pytest.raises(error):
+            free_flow(**dict(args, **change))
 
     def test_uniform_motion(self):
         m, v = 2.0, 0.7
@@ -831,8 +852,9 @@ def test_importing_galconf_builds_no_csv_table():
     assert out.strip() == "0"
 
 
-def test_closed_samples_match_single_time_closed_form():
-    pt = random_point(np.random.default_rng(8), 5, 3)
+@pytest.mark.parametrize("N,dim", FLOW_FAMILIES + ((5, 3), (7, 3), (6, 2)))
+def test_closed_samples_match_single_time_closed_form(N, dim):
+    pt = random_point(np.random.default_rng(8), N, dim)
     tr = integrate(pt, FREE, 1.0, 0.1, "closed", record=False)
     for t, st in zip(tr.times, tr.states):
         one = free_flow(pt.q, pt.p, pt.chi, pt.m, float(t))
@@ -887,6 +909,9 @@ def test_free_flow_matches_the_per_level_reference_bit_for_bit(N, dim):
     one, stack = state(), state(40)
     calls = [(*one, grid), (*stack, rng.choice(grid, 40))]
     calls += [(*one, t) for t in (0.7, -0.7, 0.0, -0.0)]
+    # stacked state, scalar t; single state, 2-d t; stacked state, (k, 1) t
+    calls += [(*stack, t) for t in (0.7, -0.7, 0.0, -0.0)]
+    calls += [(*one, rng.choice(grid, (4, 3))), (*stack, rng.choice(grid, (5, 1)))]
     for q, p, chi, t in calls:
         for got, want in zip(free_flow(q, p, chi, 1.3, t), free_flow_reference(q, p, chi, 1.3, t)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
