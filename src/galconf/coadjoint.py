@@ -129,8 +129,12 @@ def _check_rows(alg: AlgebraSpec, V) -> np.ndarray:
 
 
 def _rows_and_params(alg: AlgebraSpec, V, params, shape):
-    """(V, params) as floats: V checked rows, and one parameter of the given shape per row."""
-    V, p = _check_rows(alg, V), np.asarray(params, dtype=float)
+    """(V, params) as floats: V checked rows, and one number of the given shape per row."""
+    V = _check_rows(alg, V)
+    try:
+        p = np.asarray(params, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidState(f"parameters must be numbers: {exc}") from None
     if p.shape != V.shape[:1] + shape:
         raise ShapeMismatch(f"expected (k, *{shape}) parameters for k={len(V)}, got {p.shape}")
     return V, p
@@ -200,45 +204,49 @@ def ad_star_matrix(alg: AlgebraSpec, a: np.ndarray) -> np.ndarray:
 
 # The stacked kernels below multiply whole (k, n, n) stacks, which numpy
 # does one matrix at a time with the product it uses for a single matrix, so
-# each matrix keeps its own bits.  They write into preallocated buffers:
-# fresh stack-sized temporaries cost more than the products themselves.
+# each matrix keeps its own bits.  The sums and the series write into
+# preallocated buffers: fresh stack-sized temporaries cost more than the
+# products.  A step some matrices skip runs on a leading slice (a view) of a
+# stack sorted to put the others first; the sums start from the probe's square.
 
-def _squares_to_zero(mats: np.ndarray) -> np.ndarray:
+def _subset(stack, rows):
+    """stack[rows] for increasing indices rows, without the copy when rows is all of it."""
+    return stack if len(rows) == len(stack) else stack[rows]
+
+
+def _squares_to_zero(mats: np.ndarray):
     """For each matrix of a (k, n, n) stack: True when mat^(2^s) is exactly
-    zero for 2^s > n, by s squarings.
+    zero for 2^s > n, by s squarings; and the first square, mats @ mats.
 
     A nilpotent n x n matrix has mat^n = 0.  Overflowing squares are not
     zero, so they answer False.
     """
-    hit = np.zeros(len(mats), dtype=bool)
-    power, buf = mats.copy(), np.empty_like(mats)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(mats.shape[-1].bit_length()):  # 2^bit_length(n) > n
-            np.matmul(power, power, out=buf)
-            power, buf = buf, power
-            hit |= ~power.any(axis=(1, 2))
+        power = square = mats @ mats
+        hit = ~square.any(axis=(1, 2))
+        for _ in range(mats.shape[-1].bit_length() - 1):  # 2^bit_length(n) > n
             if hit.all():
                 break
-    return hit
+            power = power @ power
+            hit |= ~power.any(axis=(1, 2))
+    return hit, square
 
 
-def _nilpotent_sums(mats: np.ndarray):
+def _nilpotent_sums(mats: np.ndarray, square: np.ndarray):
     """Finite sums I + M + M^2/2! + ... of a (k, n, n) stack, each stopped at
-    its own first zero power.
+    its own first zero power; square is mats @ mats, and is overwritten.
 
     Returns the sums and a mask of the matrices whose sum was abandoned: a
     power above 1e120 (too large to sum safely), or no zero power by n + 1.
     """
     n = mats.shape[-1]
     out = np.eye(n) + mats
-    power, buf = mats.copy(), np.empty_like(mats)
+    power, buf = square, np.empty_like(mats)
     live = np.ones(len(mats), dtype=bool)
     abandoned = np.zeros(len(mats), dtype=bool)
     fact = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(2, n + 2):
-            np.matmul(power, mats, out=buf)
-            power, buf = buf, power
             live &= power.any(axis=(1, 2))
             big = live & (np.abs(power).max(axis=(1, 2)) > 1e120)
             abandoned |= big
@@ -248,6 +256,8 @@ def _nilpotent_sums(mats: np.ndarray):
             fact *= k
             np.divide(power, fact, out=buf)
             np.add(out, buf, out=out, where=live[:, None, None])
+            np.matmul(power, mats, out=buf)
+            power, buf = buf, power
     return out, abandoned | live
 
 
@@ -280,29 +290,36 @@ def _series_terms(thetas: np.ndarray, where) -> np.ndarray:
 def _scaled_series(mats: np.ndarray, norms, where):
     """exp of a (k, n, n) stack by scaling and squaring: each matrix is scaled
     by its own 2^s to an inf-norm of at most 1/2, summed to its own number of
-    terms (``_series_terms``) and squared s times.  Each step runs on the
-    whole stack and is kept only for the matrices that still take it.
+    terms (``_series_terms``) and squared s times, on the stack sorted by term
+    count and then by squaring count (descending, stable) so that each step
+    runs on a leading slice.  Returns (order, exps): exps[i] is exp(mats[order[i]]).
     """
     scale = np.array([max(0, int(math.ceil(math.log2(nm / 0.5))) if nm > 0.5 else 0)
                       for nm in norms.tolist()])
     B = mats / (2.0 ** scale)[:, None, None]
     terms = _series_terms(np.minimum(0.5, np.abs(B).sum(axis=-1).max(axis=-1)), where)
+    order = np.argsort(-terms, kind="stable")
+    B = B[order]
     out = np.broadcast_to(np.eye(mats.shape[-1]), mats.shape).copy()
     term, buf = out.copy(), np.empty_like(out)
     with np.errstate(over="ignore", invalid="ignore"):
         for K in range(1, int(terms.max()) + 1):
-            np.matmul(term, B, out=buf)
-            np.divide(buf, K, out=term)
-            np.add(out, term, out=out, where=(terms >= K)[:, None, None])
+            c = np.count_nonzero(terms >= K)
+            np.matmul(term[:c], B[:c], out=buf[:c])
+            np.divide(buf[:c], K, out=term[:c])
+            np.add(out[:c], term[:c], out=out[:c])
+        by_scale = np.argsort(-scale[order], kind="stable")
+        out, order = out[by_scale], order[by_scale]
         for r in range(int(scale.max())):
-            np.matmul(out, out, out=buf)
-            np.copyto(out, buf, where=(scale > r)[:, None, None])
-    bad = ~np.isfinite(out).all(axis=(1, 2))
-    if bad.any():
-        i = int(np.argmax(bad))
+            c = np.count_nonzero(scale > r)
+            np.matmul(out[:c], out[:c], out=buf[:c])
+            out[:c] = buf[:c]
+    bad = order[~np.isfinite(out).all(axis=(1, 2))]
+    if bad.size:
+        i = int(bad.min())
         raise ConvergenceFailure(f"matrix exponential overflows after {scale[i]} squarings "
                                  f"(norm {norms[i]:.3g})" + where(i))
-    return out
+    return order, out
 
 
 def _expm(mat: np.ndarray) -> np.ndarray:
@@ -317,17 +334,25 @@ def _expm(mat: np.ndarray) -> np.ndarray:
     """
     n, lead = mat.shape[-1], mat.shape[:-2]
     mats = np.ascontiguousarray(mat, dtype=float).reshape(-1, n, n)
-    out = np.broadcast_to(np.eye(n), mats.shape).copy()
-    todo = np.flatnonzero(mats.any(axis=(1, 2)))
+    nonzero = mats.any(axis=(1, 2))
+    out = np.empty_like(mats)
+    out[~nonzero] = np.eye(n)
     # Structure constants are exactly representable, so powers of a nilpotent
     # ad* matrix hit exact zero.
-    nil = todo[_squares_to_zero(mats[todo])]
-    if nil.size:
-        sums, abandoned = _nilpotent_sums(mats[nil])
-        out[nil[~abandoned]] = sums[~abandoned]
-        todo = np.setdiff1d(todo, nil[~abandoned])
+    todo = np.flatnonzero(nonzero)
     if not todo.size:
         return out.reshape(mat.shape)
+    M = _subset(mats, todo)
+    hit, square = _squares_to_zero(M)
+    nil = np.flatnonzero(hit)
+    sums, abandoned = _nilpotent_sums(_subset(M, nil), _subset(square, nil))
+    done = np.flatnonzero(~abandoned)
+    out[todo[nil[done]]] = _subset(sums, done)
+    hit[nil[abandoned]] = False
+    rest = np.flatnonzero(~hit)
+    if not rest.size:
+        return out.reshape(mat.shape)
+    todo, M = todo[rest], _subset(M, rest)
 
     def where(i):
         if not lead:
@@ -335,24 +360,31 @@ def _expm(mat: np.ndarray) -> np.ndarray:
         return f" at stack index {tuple(int(j) for j in np.unravel_index(todo[i], lead))}"
 
     # Not nilpotent: scale so the norm is at most 1/2, sum, square back.
-    M = mats[todo]
     norms = np.abs(M).sum(axis=-1).max(axis=-1)  # the inf-norm of each matrix
     bad = ~np.isfinite(norms)
     if bad.any():
         raise ConvergenceFailure("ad* matrix has non-finite entries" + where(int(np.argmax(bad))))
-    out[todo] = _scaled_series(M, norms, where)
+    order, exps = _scaled_series(M, norms, where)
+    out[todo[order]] = exps
     return out.reshape(mat.shape)
 
 
 def coad_flow(alg: AlgebraSpec, a: np.ndarray, t, V: np.ndarray) -> np.ndarray:
     """Coadjoint action of exp(i*t_r*A_r) on dual coordinate rows V[r].
 
-    a holds the coefficient rows of the elements A_r (see element_rows), t
-    their times and V the packed dual rows (see pack_dual), all with
-    the same leading axes.  Every row gets the bits it would get alone.
+    a holds the (k, n) coefficient rows of the elements A_r (see
+    element_rows), t their k times and V the (k, n) packed dual rows (see
+    pack_dual).  Every row gets the bits it would get alone.  Raises
+    ShapeMismatch for other shapes, and InvalidState for a time that is not a
+    number and for the first row whose time or dual row is not finite.
     """
-    t = np.asarray(t, dtype=float)
-    flows = _expm(t[..., None, None] * ad_star_matrix(alg, a)).swapaxes(-1, -2)
+    V, t = _rows_and_params(alg, V, t, ())
+    if np.shape(a) != V.shape:
+        raise ShapeMismatch(f"expected element rows a {V.shape}, got {np.shape(a)}")
+    bad = ~(np.isfinite(t) & np.isfinite(V).all(axis=1))
+    if bad.any():
+        raise InvalidState(f"dual row {int(np.argmax(bad))} or its time is not finite")
+    flows = _expm(t[:, None, None] * ad_star_matrix(alg, a)).swapaxes(-1, -2)
     return (flows @ V[..., None])[..., 0]
 
 
@@ -364,7 +396,7 @@ def coad_generic(alg: AlgebraSpec, A, t: float, v) -> np.ndarray:
     tower translations; otherwise a scaled-and-squared series with a
     certified tail bound below SERIES_TAIL_TOL (1e-17) is used.
     """
-    return coad_flow(alg, element_rows(alg, [A]), [t], _check_rows(alg, [v]))[0]
+    return coad_flow(alg, element_rows(alg, [A]), [t], [v])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +560,12 @@ def coad_closed_form(alg: AlgebraSpec, family: str, params, V, R=None) -> np.nda
         out[:, ik] = k + 2.0 * p * d + p * p * h
     elif family == "dilation":
         # math.exp per draw: np.exp need not round alike
-        e = np.array([[math.exp(lam / 2.0), math.exp(-lam / 2.0), math.exp(lam), math.exp(-lam)]
-                      for lam in p.tolist()]).reshape(-1, 4)
+        e = np.empty((len(p), 4))
+        for i, lam in enumerate(p.tolist()):
+            try:
+                e[i] = math.exp(lam / 2.0), math.exp(-lam / 2.0), math.exp(lam), math.exp(-lam)
+            except OverflowError:
+                raise NonFiniteResult(f"dilation factor e^|{lam}| overflows at row {i}") from None
         out[:, c0] = e[:, 0, None] * V[:, c0]
         out[:, c1] = e[:, 1, None] * V[:, c1]
         out[:, ih] = e[:, 2] * h

@@ -181,6 +181,8 @@ def free_flow(q, p, chi, m: float, t):
     finite and positive or a time that is not finite.
     """
     t = np.asarray(t, dtype=float)
+    if q.ndim < 2 or p.ndim < 2:
+        raise ShapeMismatch(f"q {q.shape} and p {p.shape} must have a level and an axis")
     dim, n_q, n_p = q.shape[-1], q.shape[-2], p.shape[-2]
     N = n_q + n_p - 1  # q and p hold the N + 1 levels of every family between them
     if (p.shape[-1] != dim or chi.shape[-1:] != (3,)

@@ -486,6 +486,49 @@ def test_shape_mismatch(alg1):
             coad_closed_form(alg1, fam, par, V)
 
 
+def with_nan(x, index):
+    x = x.copy()
+    x[index] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("name,change,error,match", [
+    ("V", lambda V: np.zeros((3, 19)), ShapeMismatch, r"dual rows"),
+    ("a", lambda a: np.zeros((3, 19)), ShapeMismatch, r"element rows"),
+    ("t", lambda t: t[:2], ShapeMismatch, r"parameters"),
+    ("t", lambda t: t[:, None], ShapeMismatch, r"parameters"),
+    ("t", lambda t: ["0.1", "x", "0.3"], InvalidState, r"numbers"),
+    ("t", lambda t: with_nan(t, 1), InvalidState, r"dual row 1 or its time"),
+    ("V", lambda V: with_nan(V, (2, 4)), InvalidState, r"dual row 2 or its time"),
+], ids=["V_other_n", "a_other_n", "t_short", "t_2d", "t_not_a_number", "t_nan", "V_nan"])
+def test_coad_flow_refuses_bad_input(alg1, name, change, error, match):
+    # numpy warnings are errors: a NaN row used to come back NaN with a RuntimeWarning
+    rng = np.random.default_rng(13)
+    args = {"a": np.array(random_elements(rng, alg1, 3)), "t": np.array([0.1, 0.2, 0.3]),
+            "V": np.array([random_dual(rng, alg1) for _ in range(3)])}
+    coad_flow(alg1, **args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            coad_flow(alg1, **dict(args, **{name: change(args[name])}))
+
+
+def test_coad_generic_refuses_a_time_that_is_not_a_number(alg1):
+    X = random_dual(np.random.default_rng(3), alg1)
+    with pytest.raises(InvalidState, match="numbers"):
+        coad_generic(alg1, {alg1.generator("H"): 1.0}, "x", X)
+
+
+def test_dilation_overflow_names_its_row(alg1):
+    # e^(1e4) is past the largest double; math.exp used to raise OverflowError
+    V = np.array([random_dual(np.random.default_rng(3), alg1) for _ in range(3)])
+    for lam in (1e4, -1e4):
+        with pytest.raises(NonFiniteResult, match=r"overflows at row 1$"):
+            coad_closed_form(alg1, "dilation", [0.5, lam, 1e4], V)
+    assert same_bits(coad_closed_form(alg1, "dilation", [0.5, 709.0, -709.0], V)[0],
+                     coad_closed_form(alg1, "dilation", [0.5], V[:1])[0])
+
+
 def test_generic_flow_overflow_raises(alg1):
     # exp(800 ad*_D) scales h by e^800, past the largest double
     X = random_dual(np.random.default_rng(3), alg1)
@@ -596,6 +639,13 @@ def series_terms_reference(theta):
         if theta ** (K + 1) / math.factorial(K + 1) / (1.0 - theta) < SERIES_TAIL_TOL:
             return K
     return None
+
+
+def series_counts(mat):
+    """(terms, squarings) of expm_reference's scaled series for mat."""
+    norm = float(np.linalg.norm(mat, np.inf))
+    s = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
+    return series_terms_reference(min(0.5, float(np.linalg.norm(mat / 2.0 ** s, np.inf)))), s
 
 
 def test_series_terms_match_the_per_matrix_loop():
@@ -934,6 +984,67 @@ class TestStackedExpm:
         for row, a, t, v in zip(got, rows, times, V):
             A = dict(zip(alg.generators, a))  # through element_rows, as callers pass it
             assert same_bits(row, coad_generic(alg, A, float(t), v))
+
+    @pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+    def test_sort_orders_keep_each_matrix_bits(self, N, dim):
+        # no matrix nilpotent, and term order, squaring order and input
+        # order pairwise different, in each of four arrangements
+        alg = build_algebra(N, dim, central=True)
+        rng = np.random.default_rng(700 + 10 * N + dim)
+        k = 24
+        mats = rng.uniform(-6.0, 6.0, k)[:, None, None] * ad_star_matrix(
+            alg, np.array(random_elements(rng, alg, k)))
+        n = mats.shape[-1]
+        assert all(np.any(np.linalg.matrix_power(m, n)) for m in mats)
+        terms, squarings = np.array([series_counts(m) for m in mats]).T
+        for perm in (np.arange(k), np.arange(k)[::-1], np.argsort(terms, kind="stable"),
+                     np.argsort(squarings, kind="stable")):
+            stack = mats[perm]
+            by_terms = np.argsort(-terms[perm], kind="stable")
+            by_squarings = np.argsort(-squarings[perm], kind="stable")
+            for a, b in ((by_terms, by_squarings), (by_terms, np.arange(k)),
+                         (by_squarings, np.arange(k))):
+                assert (a != b).any()
+            got = _expm(stack)
+            for i in range(k):
+                assert same_bits(got[i], expm_reference(stack[i])), (perm, i)
+
+    @pytest.mark.parametrize("N,dim", FLOW_FAMILIES)
+    def test_uniform_stacks_and_single_matrices(self, N, dim):
+        alg = build_algebra(N, dim, central=True)
+        rng = np.random.default_rng(800 + 10 * N + dim)
+        n_c = (N + 1) * alg.dim
+        nilpotent = [kind_row(alg, "C", rng.uniform(-0.5, 0.5, n_c)) for _ in range(5)]
+        nilpotent += [unit_row(alg, g) for g in "HKM"]
+        nil = rng.uniform(-3.0, 3.0, 8)[:, None, None] * ad_star_matrix(alg, np.array(nilpotent))
+        other = rng.uniform(-3.0, 3.0, 8)[:, None, None] * ad_star_matrix(
+            alg, np.array(random_elements(rng, alg, 8)))
+        n = nil.shape[-1]
+        assert not any(np.any(np.linalg.matrix_power(m, n)) for m in nil)
+        assert all(np.any(np.linalg.matrix_power(m, n)) for m in other)
+        for stack in (nil, other, nil[:1], other[:1], np.zeros((1, n, n))):
+            got = _expm(stack)
+            assert got.shape == stack.shape
+            for i in range(len(stack)):
+                assert same_bits(got[i], expm_reference(stack[i])), i
+
+    def test_overflowing_member_named_from_the_middle_of_both_orders(self, alg1):
+        # members 3 (e^800) and 5 (e^2000) overflow; 5 sorts before 3 by term
+        # count and by squaring count, and 3 is first in input order
+        rng = np.random.default_rng(11)
+        ad = lambda name: ad_star_matrix(alg1, unit_row(alg1, name))
+        small = rng.uniform(-6.0, 6.0, 6)[:, None, None] * ad_star_matrix(
+            alg1, np.array(random_elements(rng, alg1, 6)))
+        mats = np.array([small[0], 5000.0 * ad("J1"), small[1], 800.0 * ad("D"), small[2],
+                         2000.0 * ad("D"), 3.0 * ad("J1"), *small[3:]])
+        terms, squarings = np.array([series_counts(m) for m in mats]).T
+        for counts in (terms, squarings):
+            where = list(np.argsort(-counts, kind="stable"))
+            assert 0 < where.index(3) < len(mats) - 1 and where.index(3) not in (3, 5)
+            assert where.index(5) < where.index(3)
+        with pytest.raises(ConvergenceFailure,
+                           match=rf"after {squarings[3]} squarings .* stack index \(3,\)$"):
+            _expm(mats)
 
     def test_overflowing_member_raises_with_its_index(self, alg1):
         rng = np.random.default_rng(5)

@@ -178,8 +178,11 @@ class TestClosedForm:
         ({"q": np.zeros((4, 2, 3)), "t": np.zeros(5)}, ShapeMismatch),
         ({"chi": np.zeros((4, 3)), "p": np.zeros((5, 2, 3))}, ShapeMismatch),
         ({"q": np.zeros((3, 4)), "p": np.zeros((2, 4))}, BadDimension),
+        ({"q": np.zeros(3), "p": np.zeros((1, 3))}, ShapeMismatch),
+        ({"p": np.zeros(3)}, ShapeMismatch),
     ], ids=["m_zero", "m_negative", "m_nan", "m_inf", "t_nan", "t_inf", "p_extra_level",
-            "chi_length_2", "p_other_dim", "q_vs_t_lead", "chi_vs_p_lead", "dim_4"])
+            "chi_length_2", "p_other_dim", "q_vs_t_lead", "chi_vs_p_lead", "dim_4", "q_1d",
+            "p_1d"])
     def test_rejects_bad_input(self, change, error):
         # (3, 3): q and p of two levels each, m 1.3, one time
         args = {"q": np.zeros((2, 3)), "p": np.zeros((2, 3)), "chi": np.zeros(3), "m": 1.3,
